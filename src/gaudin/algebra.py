@@ -412,26 +412,6 @@ class EmbeddedModule:
         """Matrix of the constant diagonal generator e_ii (all blocks)."""
         return self.matrix_of(lambda vec: apply_e_block(i, i, range(1, self.size + 1), vec))
 
-    def ambient_weight_basis(self, lam) -> list:
-        lam = lam if isinstance(lam, Partition) else Partition(lam)
-        return enumerate_weight_basis(self.spec.rank, self.size, lam)
-
-    def coordinate_matrix(self, lam) -> Matrix:
-        """Rows are embedded weight-lam basis vectors in ambient coordinates."""
-        counts = lam.padded(self.spec.rank) if isinstance(lam, Partition) else tuple(lam)
-        idx = self.weight_indices(counts)
-        ambient = {
-            J: k for k, J in enumerate(_indices_with_counts(self.spec.rank, self.size, counts))
-        }
-        rows = []
-        for k in idx:
-            _, _, vec = self.members[k]
-            row = [Fraction(0)] * len(ambient)
-            for J, c in vec.items():
-                row[ambient[J]] = c
-            rows.append(row)
-        return Matrix(rows)
-
 
 def build_embedded_module(spec: ModuleSpec) -> EmbeddedModule:
     return EmbeddedModule(spec)

@@ -15,6 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from .algebra import ModuleSpec, Partition, enumerate_indices, enumerate_weight_basis
+from .betheop import exact_sample_points
 from .diffops import DiffOp, compose_chain, wronskian
 from .polynomials import Poly, binomial
 from .ratfun import RatFun
@@ -715,10 +716,8 @@ def verify_eigenvector(
     operator at the roots; the report carries the worst relative residual
     over coefficients and sample points.
     """
-    from .spectral import spectral_sample_points
-
     if sample_points is None:
-        sample_points = spectral_sample_points(spec, spec.size + 2)
+        sample_points = exact_sample_points(spec.points, spec.size + 2, start=13)
     omega = weight_vector(t, spec)
     norm = float(np.linalg.norm(omega))
     if norm == 0:

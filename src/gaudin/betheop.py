@@ -10,6 +10,7 @@ matrix-valued rational functions with poles at the evaluation points only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import EmbeddedModule, ModuleSpec
@@ -58,20 +59,36 @@ class BetheOperator:
             return Matrix.zeros(self.module.dim, self.module.dim)
         return c.evaluate(point)
 
-    def block(self, i: int, lam=None) -> RatFun:
-        """B_i restricted to the weight block (target weight by default)."""
-        lam = self.spec.weight if lam is None else lam
-        idx = self.module.weight_indices(lam)
-        c = self.coefficient(i)
-        if c.is_zero():
-            return RatFun(Poly())
-        num = c.num.map(lambda m: m.submatrix(idx, idx))
-        return RatFun(num, c.den, reduce=False)
+    @cached_property
+    def cleared(self) -> list:
+        """A_i = B_i * prod_s (u - b_s)^{n_s}, i = 1..N, as exact matrix polynomials.
 
-    def block_evaluate(self, i: int, point, lam=None) -> Matrix:
-        lam = self.spec.weight if lam is None else lam
-        idx = self.module.weight_indices(lam)
-        return self.evaluate(i, point).submatrix(idx, idx)
+        Each A_i is num(B_i) times the quotient of the pole polynomial by
+        den(B_i); a nonzero remainder means B_i has a pole the evaluation
+        points do not allow, and raises ValueError.
+        """
+        pole = self.spec.pole_polynomial()
+        out = []
+        for i, c in enumerate(self.coefficients, 1):
+            quot, rem = pole.divmod(c.den)
+            if not rem.is_zero():
+                raise ValueError(f"B_{i} * pole polynomial is not polynomial")
+            out.append(c.num * quot)
+        return out
+
+    def block(self, i: int) -> RatFun:
+        """B_i on the target weight block as A_i|block over the pole polynomial."""
+        idx = self.module.weight_indices(self.spec.weight)
+        num = self.cleared[i - 1].map(lambda m: m.submatrix(idx, idx))
+        return RatFun(num, self.spec.pole_polynomial(), reduce=False)
+
+    def block_evaluate(self, i: int, point) -> Matrix:
+        """Exact value of B_i on the target weight block at a point off the poles."""
+        c = self.block(i)
+        if c.is_zero():
+            dim = len(self.module.weight_indices(self.spec.weight))
+            return Matrix.zeros(dim, dim)
+        return c.evaluate(point)
 
 
 def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> BetheOperator:
@@ -137,9 +154,8 @@ def expected_leading_symbol(op: BetheOperator) -> Poly:
 
 @dataclass
 class PolynomialityReport:
-    """Cleared coefficients A_i(u) = B_i(u) * prod_s (u - b_s)^{n_s} and checks."""
+    """Local structure of the cleared coefficients A_i = B_i * prod_s (u - b_s)^{n_s}."""
 
-    cleared: list  # matrix Poly per i = 1..N
     degrees: list
     pole_orders: dict  # (i, s) -> observed pole order of B_i at b_s
     scalar_values: dict  # (i, s) -> leading local coefficient as a scalar
@@ -170,23 +186,18 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
     n = spec.size
     pole = spec.pole_polynomial()
     failures = []
-    cleared = []
-    degrees = []
     pole_orders = {}
     scalar_values = {}
     zero = Matrix.zeros(dim, dim)
 
-    cleared_rats = []
-    for i in range(1, N + 1):
-        prod = op.coefficient(i) * RatFun(pole)
-        if prod.den.degree != 0:
-            failures.append(f"B_{i} * pole polynomial is not polynomial")
-            prod = RatFun(prod.num, Poly([Fraction(1)]), reduce=False)
-        cleared_rats.append(prod.num)
-        cleared.append(prod.num)
-        degrees.append(prod.num.degree)
-        if prod.num.degree > n:
-            failures.append(f"cleared A_{i} has degree {prod.num.degree} > {n}")
+    try:
+        cleared = op.cleared
+    except ValueError as exc:
+        return PolynomialityReport([], {}, {}, False, [str(exc)])
+    degrees = [a.degree for a in cleared]
+    for i, d in enumerate(degrees, 1):
+        if d > n:
+            failures.append(f"cleared A_{i} has degree {d} > {n}")
 
     indicial_ok = True
     for s, (b_s, n_s, part) in enumerate(
@@ -233,7 +244,6 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
             failures.append(f"indicial identity fails at point {b_s}")
 
     return PolynomialityReport(
-        cleared=cleared,
         degrees=degrees,
         pole_orders=pole_orders,
         scalar_values=scalar_values,

@@ -2,7 +2,7 @@
 
 Subcommands: spectrum, bae, wronski, verify run one instance each from a
 JSON config; report pretty-prints a stored report.  Exit status is 0 only
-when every enabled check passes (2 for config errors).
+when every enabled check passes (2 for a bad config or an unreadable report).
 """
 
 from __future__ import annotations
@@ -57,9 +57,14 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
-        with open(args.path) as fh:
-            report = json.load(fh)
-        print(render_table(report))
+        try:
+            with open(args.path) as fh:
+                report = json.load(fh)
+            text = render_table(report)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"report error: cannot read a gaudin report from {args.path}: {exc!r}", file=sys.stderr)
+            return 2
+        print(text)
         return 0 if report.get("all_passed") else 1
     try:
         config = InstanceConfig.from_file(args.config)

@@ -29,11 +29,11 @@ from .betheop import (
     weight_blocks_preserved,
 )
 from .polynomials import Poly
-from .ratfun import rational_reconstruct
 from .scalars import GaussianRational, format_scalar, parse_scalar, to_complex
 from .spaces import QuasiExpSpace, fundamental_operator, membership_test, wronskian_of_space
 from .spectral import (
     SpectralConfig,
+    character_to_operator,
     joint_diagonalize,
     reconstruction_points,
     spectrum_analysis,
@@ -53,10 +53,15 @@ class Tolerances:
 
     @staticmethod
     def from_dict(d):
+        if not isinstance(d, dict):
+            raise ConfigError("tolerances must be an object")
         t = Tolerances()
         for key in ("residual", "cluster", "dedup", "kernel_fit"):
             if key in d:
-                setattr(t, key, float(d[key]))
+                try:
+                    setattr(t, key, float(d[key]))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"tolerance {key!r}: {exc}") from exc
         return t
 
 
@@ -82,7 +87,6 @@ class InstanceConfig:
             spec = ModuleSpec(rank, exponents, partitions, points, weight)
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
-        options = data.get("options", {})
         space = None
         if "space" in data:
             try:
@@ -92,12 +96,20 @@ class InstanceConfig:
                 space = QuasiExpSpace(tuple(spec.exponents), tuple(polys))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ConfigError(f"bad space description: {exc}") from exc
+        options = data.get("options", {})
+        if not isinstance(options, dict):
+            raise ConfigError("options must be an object")
+        try:
+            samples = int(options.get("samples", 5))
+            seed = int(options.get("seed", 2024))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad option: {exc}") from exc
         return InstanceConfig(
             spec=spec,
             run_bae=bool(options.get("run_bae", True)),
             run_wronski=bool(options.get("run_wronski", True)),
-            samples=int(options.get("samples", 5)),
-            seed=int(options.get("seed", 2024)),
+            samples=samples,
+            seed=seed,
             tolerances=Tolerances.from_dict(options.get("tolerances", {})),
             space=space,
             raw=data,
@@ -108,7 +120,7 @@ class InstanceConfig:
         with open(path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ConfigError(f"invalid JSON: {exc}") from exc
         return InstanceConfig.from_dict(data)
 
@@ -143,24 +155,16 @@ def _poly_pairs(p: Poly):
     return [_complex_pair(c) for c in p.coeffs]
 
 
-def cleared_numerators(op, spec: ModuleSpec, tol=1e-6, avoid=()):
-    """Numerator coefficient arrays of h_i over the pole polynomial.
+def cleared_numerators(D, spec: ModuleSpec):
+    """Numerator coefficient arrays of h_i over the pole polynomial, i = 1..N.
 
-    Reconstructed from samples so that removable factors (for instance the
-    interior root poles of a factorized operator at a solution) cancel
-    before comparison; pass those root locations in ``avoid`` so no sample
-    sits on a nearly-cancelling pole.
+    D is an eigen-operator from ``character_to_operator``, whose every h_i
+    already carries the pole polynomial as its denominator.
     """
-    n = spec.size
-    den = Poly([to_complex(c) for c in spec.pole_polynomial().coeffs])
-    points = reconstruction_points(spec, n + 3, avoid=avoid)
-    out = []
-    for i in range(1, spec.rank + 1):
-        h = op.coeff_of_dpower_from_top(i)
-        samples = [(complex(pt), complex(h.evaluate(complex(pt)))) for pt in points]
-        rec = rational_reconstruct(samples, n, den, tol=tol)
-        out.append([complex(rec.num.coeff(k)) for k in range(n + 1)])
-    return out
+    return [
+        [complex(D.coeff_of_dpower_from_top(i).num.coeff(k)) for k in range(spec.size + 1)]
+        for i in range(1, spec.rank + 1)
+    ]
 
 
 def operator_distance(numers_a, numers_b) -> float:
@@ -183,7 +187,7 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
     """Exact identities, commutativity, diagonalization, kernel recovery."""
     spec = config.spec
     checks = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     module = build_embedded_module(spec)
     dim = len(module.weight_indices(spec.weight))
     op = build_bethe_operator(spec, module)
@@ -255,7 +259,7 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
         "characters": characters,
         "spectrum": report,
         "operator": op,
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
@@ -263,12 +267,12 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     """Newton solutions, eigenvector residuals, matching to the spectrum."""
     spec = config.spec
     checks = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     if not spec.all_vector_factors:
         return {
             "checks": [Check("bae-applicable", False, value="needs all factor sizes equal to one")],
             "solutions": [],
-            "elapsed": time.time() - t0,
+            "elapsed": time.perf_counter() - t0,
         }
     if spectrum is None:
         spectrum = spectrum_pipeline(config)
@@ -283,10 +287,9 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
 
     exponents = [to_complex(k) for k in spec.exponents]
     entries = []
-    char_numers = []
-    for k, ch_entry in enumerate(spectrum["characters"]):
-        D = spectrum["spectrum"].operators[k]
-        char_numers.append(cleared_numerators(D, spec) if D is not None else None)
+    report = spectrum["spectrum"]
+    operators = report.operators or [character_to_operator(ch, op) for ch in report.characters]
+    char_numers = [cleared_numerators(D, spec) for D in operators]
     den_c = Poly([to_complex(c) for c in spec.pole_polynomial().coeffs])
     used = set()
     for sol in sols:
@@ -299,7 +302,7 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
         sol_values = {pt: factorized_values(sol, exponents, pt) for pt in pts}
         best, best_dist = None, float("inf")
         for k, cn in enumerate(char_numers):
-            if cn is None or k in used:
+            if k in used:
                 continue
             worst = 0.0
             for pt, values in sol_values.items():
@@ -327,17 +330,17 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     checks.append(
         Check(
             "factorized-operators-match-characters",
-            len(used) == len(entries) == len([c for c in char_numers if c is not None]),
+            len(used) == len(entries) == len(char_numers),
         )
     )
-    return {"checks": checks, "solutions": entries, "elapsed": time.time() - t0}
+    return {"checks": checks, "solutions": entries, "elapsed": time.perf_counter() - t0}
 
 
 def wronski_pipeline(config: InstanceConfig) -> dict:
     """Function-side analysis of a user-supplied space."""
     spec = config.spec
     checks = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     if config.space is None:
         raise ConfigError("this command needs a space entry in the config")
     space = config.space
@@ -358,12 +361,13 @@ def wronski_pipeline(config: InstanceConfig) -> dict:
             str(s): list(data.exponents) if data.exponents else None
             for s, data in report.indicial.items()
         },
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
 def verify_pipeline(config: InstanceConfig) -> dict:
     """Counts and cross-checks across the three pipelines."""
+    t0 = time.perf_counter()
     spectrum = spectrum_pipeline(config)
     out = {
         "checks": list(spectrum["checks"]),
@@ -381,7 +385,7 @@ def verify_pipeline(config: InstanceConfig) -> dict:
         out["checks"].append(
             Check("count-pair-equality", spectrum["spectrum"].count == dim, value=[spectrum["spectrum"].count, dim])
         )
-    out["elapsed"] = spectrum["elapsed"]
+    out["elapsed"] = time.perf_counter() - t0
     return out
 
 

@@ -121,13 +121,6 @@ def wronskian_of_space(space: QuasiExpSpace) -> WronskiData:
     return WronskiData(prefactor=prefactor, poly=poly, coefficients=coefficients)
 
 
-def wronski_map_of_poles(spec: ModuleSpec) -> tuple:
-    """The Wronski-map image demanded by the evaluation points."""
-    target = spec.pole_polynomial()
-    n = spec.size
-    return tuple((-1) ** s * target.coeff(n - s) for s in range(1, n + 1))
-
-
 def cleared_operator_polys(space: QuasiExpSpace) -> list:
     """Polynomials G_0..G_N with G_i = (monic Wronskian part) * F_i.
 

@@ -1,10 +1,14 @@
 """Simultaneous diagonalization of the Bethe operator and kernel recovery.
 
-Construction stays exact; this module converts coefficient values at
-integer sample points to complex floats, finds joint eigenvectors through
-a seeded generic linear combination, reconstructs the scalar eigenvalue
-rational functions, and solves for the quasi-exponential kernel of each
-eigen-operator.
+Construction stays exact.  On the target weight block each coefficient is
+B_i(u) = A_i(u) / P(u), where P = prod_s (u - b_s)^{n_s} and A_i is an exact
+matrix polynomial of degree at most n (``BetheOperator.cleared``).  The
+coefficient matrices C_ij of the A_i commute and share their joint
+eigenvectors with the B_i, so this module converts them to complex floats,
+diagonalizes a seeded generic combination, and reads every eigenvalue
+function straight from them: h_i = (sum_j v* C_ij v u^j) / P for the unit
+joint eigenvector v.  Nothing is sampled or interpolated.  Finally it solves
+for the quasi-exponential kernel of each eigen-operator.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import ModuleSpec
-from .betheop import BetheOperator
+from .betheop import BetheOperator, exact_sample_points
 from .diffops import DiffOp, shifted_derivative_powers, QuasiExp
 from .polynomials import Poly, poly_lcm
-from .ratfun import DegreeBoundError, RatFun, _is_exact_poly, rational_reconstruct
+from .ratfun import RatFun, _is_exact_poly
 from .scalars import to_complex
 from .spaces import QuasiExpSpace, membership_test
 
@@ -30,18 +34,6 @@ class SpectralConfig:
     kernel_tol: float = 1e-8
     seed: int = 2024
     max_retries: int = 6
-
-
-def spectral_sample_points(spec: ModuleSpec, count: int):
-    """Deterministic integer points 13, 14, ... avoiding the evaluation points."""
-    avoid = {to_complex(b) for b in spec.points}
-    out = []
-    cand = 13
-    while len(out) < count:
-        if complex(cand) not in avoid:
-            out.append(Fraction(cand))
-        cand += 1
-    return out
 
 
 def reconstruction_points(spec: ModuleSpec, count: int, avoid=(), min_dist: float = 0.12):
@@ -68,10 +60,14 @@ def reconstruction_points(spec: ModuleSpec, count: int, avoid=(), min_dist: floa
 
 @dataclass
 class EigenCharacter:
-    """A joint eigenvector with its eigenvalue samples h_i(u_m)."""
+    """A joint eigenvector with the numerators of its eigenvalue functions.
+
+    ``numerators[i - 1][j]`` is v* C_ij v, the u^j coefficient of h_i(u)
+    times the pole polynomial, for i = 1..N and j = 0..n.
+    """
 
     vector: np.ndarray
-    eigenvalue_samples: dict  # (i, point) -> complex
+    numerators: list
     residual: float
     cluster_size: int = 1
     simple: bool = True
@@ -82,9 +78,8 @@ class EigenCharacter:
 class SpectrumReport:
     characters: list
     diagonalizable: bool
-    sample_points: list
     combination_seed: int
-    operators: list = field(default_factory=list)  # per character DiffOp or None
+    operators: list = field(default_factory=list)  # per character DiffOp
     kernels: list = field(default_factory=list)  # per character QuasiExpSpace or None
     memberships: list = field(default_factory=list)  # per character MembershipReport or str
 
@@ -93,14 +88,18 @@ class SpectrumReport:
         return len(self.characters)
 
 
-def _block_float_matrices(op: BetheOperator, points):
-    """(i, point) -> complex ndarray of B_i on the target weight block."""
-    mats = {}
+def _block_coefficient_matrices(op: BetheOperator, dim: int) -> list:
+    """[[C_ij for j = 0..n] for i = 1..N]: the u^j coefficients of A_i on the block."""
+    out = []
     for i in range(1, op.rank + 1):
-        for pt in points:
-            exact = op.block_evaluate(i, pt)
-            mats[i, pt] = np.array(exact.to_complex_list(), dtype=complex)
-    return mats
+        num = op.block(i).num
+        out.append([
+            np.array(num.coeffs[j].to_complex_list(), dtype=complex)
+            if j <= num.degree
+            else np.zeros((dim, dim), dtype=complex)
+            for j in range(op.spec.size + 1)
+        ])
+    return out
 
 
 def _cluster(eigvals, tol):
@@ -127,27 +126,27 @@ def _cluster_margin(eigvals, clusters):
 def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> SpectrumReport:
     """One EigenCharacter per joint eigenvector of the block coefficients.
 
-    A generic real combination of coefficient values is diagonalized;
-    clusters within tolerance are refined and verified against every
-    coefficient matrix.  Clusters whose eigenspace is smaller than their
+    A generic real combination of the coefficient matrices C_ij, each scaled
+    to unit norm, is diagonalized.  The scaling makes the combination the
+    same for the rescaled instance (cK, b/c), whose C_ij differ only by
+    powers of c.  Clusters within tolerance are refined and verified
+    against every C_ij.  Clusters whose eigenspace is smaller than their
     multiplicity are flagged (the action is then not diagonalizable) and
-    reported through generalized eigenspace generators.
+    reported through generalized eigenspace generators.  Characters are
+    sorted by (h_1, h_N) at the first integer point from 13 off the poles.
     """
     cfg = cfg or SpectralConfig()
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
     if dim == 0:
-        return SpectrumReport([], True, [], cfg.seed)
-    n_pts = max(2, spec.size + 3)
-    points = spectral_sample_points(spec, n_pts)
-    mats = _block_float_matrices(op, points)
-    combo_keys = [(i, pt) for i in range(1, op.rank + 1) for pt in points[:3]]
-    scale = max(np.linalg.norm(m) for m in mats.values()) or 1.0
+        return SpectrumReport([], True, cfg.seed)
+    mats = _block_coefficient_matrices(op, dim)
+    units = [m / np.linalg.norm(m) for row in mats for m in row if np.any(m)]
 
     rng = np.random.default_rng(cfg.seed)
     for attempt in range(cfg.max_retries):
-        coeffs = rng.standard_normal(len(combo_keys))
-        T = sum(c * mats[k] for c, k in zip(coeffs, combo_keys))
+        coeffs = rng.standard_normal(len(units))
+        T = sum(c * u for c, u in zip(coeffs, units))
         eigvals, eigvecs = np.linalg.eig(T)
         tscale = max(np.linalg.norm(T), 1.0)
         clusters = _cluster(eigvals, cfg.cluster_tol * tscale)
@@ -162,10 +161,10 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
                 v = eigvecs[:, idx]
                 v = v / np.linalg.norm(v)
                 _, v = _refine_eigenpair(T, eigvals[idx], v)
-                ch = _verify_joint(v, mats, cfg, scale, cluster_size=1)
-                if ch is None:
+                res = _joint_residual(v, units)
+                if res > cfg.residual_tol * 100:
                     break
-                characters.append(ch)
+                characters.append(EigenCharacter(v, _numerators(v, mats), res))
                 continue
             # multiplicity: work inside the generalized eigenspace
             mu = np.mean([eigvals[k] for k in cluster])
@@ -176,13 +175,13 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
             basis = vh[dim - max(null_dim, size):].conj().T  # generalized eigenspace
             sub = basis[:, -size:] if basis.shape[1] >= size else basis
             q, _ = np.linalg.qr(sub)
-            found = _refine_cluster(q, mats, cfg, scale, rng)
+            found = _refine_cluster(q, units, cfg, rng)
             eig_dim = len(found)
             for v, res in found:
                 characters.append(
                     EigenCharacter(
                         vector=v,
-                        eigenvalue_samples=_samples(v, mats),
+                        numerators=_numerators(v, mats),
                         residual=res,
                         cluster_size=size,
                         simple=False,
@@ -192,20 +191,30 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
             if eig_dim < size:
                 diagonalizable = False
         else:
-            characters.sort(
-                key=lambda ch: (
-                    round(ch.eigenvalue_samples[1, points[0]].real, 6),
-                    round(ch.eigenvalue_samples[1, points[0]].imag, 6),
-                    round(ch.eigenvalue_samples[op.rank, points[0]].real, 6),
-                    round(ch.eigenvalue_samples[op.rank, points[0]].imag, 6),
-                )
-            )
-            return SpectrumReport(characters, diagonalizable, points, cfg.seed)
+            point = exact_sample_points(spec.points, 1, start=13)[0]
+            z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
+
+            def h(ch, i):
+                value = sum(c * z**j for j, c in enumerate(ch.numerators[i - 1])) / pz
+                return round(value.real, 6), round(value.imag, 6)
+
+            characters.sort(key=lambda ch: h(ch, 1) + h(ch, op.rank))
+            return SpectrumReport(characters, diagonalizable, cfg.seed)
     raise RuntimeError("persistent clustering ambiguity in joint diagonalization")
 
 
-def _samples(v, mats):
-    return {key: complex(v.conj() @ (m @ v)) for key, m in mats.items()}
+def _numerators(v, mats):
+    """[[v* C_ij v for j = 0..n] for i = 1..N] for a unit vector v."""
+    return [[complex(v.conj() @ (m @ v)) for m in row] for row in mats]
+
+
+def _joint_residual(v, units):
+    """Worst eigen-residual of a unit vector over the unit-norm coefficient matrices."""
+    worst = 0.0
+    for m in units:
+        h = v.conj() @ (m @ v)
+        worst = max(worst, float(np.linalg.norm(m @ v - h * v)))
+    return worst
 
 
 def _refine_eigenpair(T, mu, v, sweeps=4):
@@ -234,70 +243,31 @@ def _refine_eigenpair(T, mu, v, sweeps=4):
     return mu, v / np.linalg.norm(v)
 
 
-def _verify_joint(v, mats, cfg, scale, cluster_size):
-    worst = 0.0
-    for m in mats.values():
-        h = complex(v.conj() @ (m @ v))
-        worst = max(worst, float(np.linalg.norm(m @ v - h * v)) / scale)
-    if worst > cfg.residual_tol * 100:
-        return None
-    return EigenCharacter(
-        vector=v,
-        eigenvalue_samples=_samples(v, mats),
-        residual=worst,
-        cluster_size=cluster_size,
-    )
-
-
-def _refine_cluster(q, mats, cfg, scale, rng):
+def _refine_cluster(q, units, cfg, rng):
     """Common eigenvectors of the coefficients restricted to a subspace."""
-    keys = list(mats)
-    coeffs = rng.standard_normal(len(keys))
-    R = sum(c * (q.conj().T @ mats[k] @ q) for c, k in zip(coeffs, keys))
+    coeffs = rng.standard_normal(len(units))
+    R = sum(c * (q.conj().T @ u @ q) for c, u in zip(coeffs, units))
     vals, vecs = np.linalg.eig(R)
     found = []
     for k in range(len(vals)):
         v = q @ vecs[:, k]
         v = v / np.linalg.norm(v)
-        worst = 0.0
-        for m in mats.values():
-            h = complex(v.conj() @ (m @ v))
-            worst = max(worst, float(np.linalg.norm(m @ v - h * v)) / scale)
+        worst = _joint_residual(v, units)
         if worst <= cfg.residual_tol * 100:
             if all(np.abs(np.vdot(u[0], v)) < 1 - 1e-8 for u in found):
                 found.append((v, worst))
     return found
 
 
-def character_to_operator(
-    ch: EigenCharacter, op: BetheOperator, cfg: SpectralConfig = None
-) -> DiffOp:
+def character_to_operator(ch: EigenCharacter, op: BetheOperator) -> DiffOp:
     """Monic scalar operator whose coefficients are the eigenvalue functions.
 
-    Each h_i is reconstructed from Rayleigh-quotient samples as a rational
-    function with denominator prod (u - b_s)^{n_s} and numerator degree at
-    most n; a degree-bound failure means the character is not of the
-    expected rational shape.
+    h_i is the character's numerator row over the pole polynomial
+    prod (u - b_s)^{n_s}, left unreduced.
     """
-    cfg = cfg or SpectralConfig()
-    spec = op.spec
-    n = spec.size
-    den_exact = spec.pole_polynomial()
-    den = Poly([to_complex(c) for c in den_exact.coeffs])
-    points = reconstruction_points(spec, n + 3)
+    den = Poly([to_complex(c) for c in op.spec.pole_polynomial().coeffs])
     coeffs = [RatFun.constant(1.0 + 0j)]
-    for i in range(1, op.rank + 1):
-        samples = []
-        for pt in points:
-            key = (i, pt)
-            if key in ch.eigenvalue_samples:
-                samples.append((complex(pt), ch.eigenvalue_samples[key]))
-            else:
-                exact = op.block_evaluate(i, pt)
-                m = np.array(exact.to_complex_list(), dtype=complex)
-                v = ch.vector
-                samples.append((complex(pt), complex(v.conj() @ (m @ v))))
-        coeffs.append(rational_reconstruct(samples, n, den, tol=1e-6))
+    coeffs += [RatFun(Poly(row), den, reduce=False) for row in ch.numerators]
     return DiffOp.from_leading(coeffs)
 
 
@@ -365,18 +335,12 @@ def kernel_from_operator(D: DiffOp, spec: ModuleSpec, cfg: SpectralConfig = None
 
 
 def spectrum_analysis(op: BetheOperator, cfg: SpectralConfig = None) -> SpectrumReport:
-    """Full pipeline: diagonalize, rebuild operators, recover kernels, test."""
+    """Full pipeline: diagonalize, build eigen-operators, recover kernels, test."""
     cfg = cfg or SpectralConfig()
     report = joint_diagonalize(op, cfg)
     for ch in report.characters:
-        try:
-            D = character_to_operator(ch, op, cfg)
-            report.operators.append(D)
-        except DegreeBoundError as exc:
-            report.operators.append(None)
-            report.kernels.append(None)
-            report.memberships.append(f"operator reconstruction failed: {exc}")
-            continue
+        D = character_to_operator(ch, op)
+        report.operators.append(D)
         try:
             X = kernel_from_operator(D, op.spec, cfg)
             report.kernels.append(X)

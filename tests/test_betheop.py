@@ -90,3 +90,20 @@ def test_weyl_style_full_tensor_polynomiality():
     for i in (1, 2):
         prod = op.coefficient(i) * RatFun(pole)
         assert prod.den.degree == 0
+
+
+def test_block_evaluate_matches_full_evaluation(exact_family_ops):
+    """A_i|block / P at a point is B_i at that point cut to the block."""
+    for op in exact_family_ops:
+        idx = op.module.weight_indices(op.spec.weight)
+        for pt in exact_sample_points(op.spec.points, 3, start=-2):
+            for i in range(1, op.rank + 1):
+                assert op.block_evaluate(i, pt) == op.evaluate(i, pt).submatrix(idx, idx)
+
+
+def test_cleared_equals_reduced_product(exact_family_ops):
+    """num * (P / den) is the numerator of the reduced product B_i * P."""
+    for op in exact_family_ops:
+        pole = op.spec.pole_polynomial()
+        for i in range(1, op.rank + 1):
+            assert op.cleared[i - 1] == (op.coefficient(i) * RatFun(pole)).num

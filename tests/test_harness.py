@@ -106,12 +106,34 @@ def test_cli_roundtrip(tmp_path):
     assert main(["report", str(out_path)]) == 0
 
 
-def test_cli_config_error_exit_code(tmp_path):
-    cfg_path = tmp_path / "bad.json"
-    bad = copy.deepcopy(GOLDEN)
-    bad["b"] = ["0", "0"]
-    cfg_path.write_text(json.dumps(bad))
-    assert main(["spectrum", "--config", str(cfg_path)]) == 2
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("spectrum", {**GOLDEN, "b": ["0", "0"]}),
+        ("spectrum", {**GOLDEN, "options": {"tolerances": {"residual": "abc"}}}),
+        ("spectrum", {**GOLDEN, "options": {"seed": "abc"}}),
+        ("spectrum", {**GOLDEN, "options": {"samples": "abc"}}),
+        ("report", None),
+        ("report", "{not json"),
+        ("report", GOLDEN),
+    ],
+    ids=[
+        "repeated-points",
+        "tolerance-not-numeric",
+        "seed-not-integer",
+        "samples-not-integer",
+        "report-missing-file",
+        "report-invalid-json",
+        "report-not-a-report",
+    ],
+)
+def test_cli_config_error_exit_code(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = [command, str(path)] if command == "report" else [command, "--config", str(path)]
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_gaussian_rational_instance():
@@ -136,6 +158,14 @@ def test_option_toggles():
     names = [c.name for c in out["checks"]]
     assert "kernel-membership" not in names
     assert all(c.passed for c in out["checks"])
+
+
+def test_bae_without_wronski():
+    data = copy.deepcopy(GOLDEN)
+    data["options"] = {"run_wronski": False}
+    out = verify_pipeline(InstanceConfig.from_dict(data))
+    assert all(c.passed for c in out["checks"])
+    assert [s["matched_character"] for s in out["bae"]] in ([0, 1], [1, 0])
 
 
 def test_cli_table_output(tmp_path, capsys):
