@@ -10,7 +10,7 @@ one), which keeps the weight function well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -61,24 +61,6 @@ class RootCoordinates:
         for level in self.upper:
             out.append(tuple(sorted(((to_complex(t).real, to_complex(t).imag) for t in level))))
         return tuple(out)
-
-    def matches(self, other: "RootCoordinates", tol: float) -> bool:
-        """Same root multiset per level, up to tol (permutation-insensitive)."""
-        for lv_a, lv_b in zip(self.upper, other.upper):
-            if len(lv_a) != len(lv_b):
-                return False
-            remaining = [to_complex(y) for y in lv_b]
-            for x in lv_a:
-                x = to_complex(x)
-                best = None
-                for k, y in enumerate(remaining):
-                    if abs(x - y) <= tol:
-                        best = k
-                        break
-                if best is None:
-                    return False
-                remaining.pop(best)
-        return True
 
     def is_generic(self, tol=1e-9) -> bool:
         levels = [tuple(to_complex(t) for t in level) for level in self.levels]
@@ -143,97 +125,188 @@ def bae_residual(t: RootCoordinates, exponents) -> list:
     return out
 
 
-def _bae_jacobian(flat, slices, level0, exponents):
-    """Analytic Jacobian of the residual in the flattened upper roots."""
-    N = len(exponents)
-    levels = [list(level0)] + [list(flat[s]) for s in slices] + [[]]
-    size = sum(len(levels[a]) for a in range(1, N))
-    J = np.zeros((size, size), dtype=complex)
-    offsets = [0]
-    for a in range(1, N):
-        offsets.append(offsets[-1] + len(levels[a]))
-    row = 0
-    for a in range(1, N):
-        for j, tj in enumerate(levels[a]):
-            # d/dt of sum 1/(tj - x): -1/(tj - x)^2 for tj, +1/(tj-x)^2 for x
-            for nb in (a - 1, a + 1):
-                for jp, x in enumerate(levels[nb]):
-                    g = -1.0 / (tj - x) ** 2
-                    J[row, offsets[a - 1] + j] += g
-                    if 1 <= nb <= N - 1:
-                        J[row, offsets[nb - 1] + jp] -= g
-            for jp, x in enumerate(levels[a]):
-                if jp == j:
-                    continue
-                g = 2.0 / (tj - x) ** 2
-                J[row, offsets[a - 1] + j] += g
-                J[row, offsets[a - 1] + jp] -= g
-            row += 1
-    return J
+# Starts per batched Newton pass.  The working arrays hold chunk x (coupled
+# pairs) entries, up to 9 times that while damping, so a fixed chunk keeps
+# memory flat in the number of starts.
+NEWTON_CHUNK = 256
+
+# Coupled roots closer than this (in units of the smallest gap between the
+# points) make a configuration singular; it is not evaluated.
+_SINGULAR = 1e-30
 
 
-def _deflated_newton(flat, residual_of, slices, level0, exponents, known, tol, max_iter):
-    """Damped Newton on m(x) F(x) with m blowing up near known solutions.
+def gap_unit(points) -> float:
+    """The smallest distance between two evaluation points (1 for one point).
 
-    The deflation factor uses the holomorphic bilinear square, so the
-    Jacobian stays complex-differentiable; success is judged on the plain
-    residual alone.
+    The root search works in this unit: roots t = s v and exponents s K.  The
+    instances (K, b) and (cK, b/c) therefore run the same search.
+    """
+    zs = [to_complex(b) for b in points]
+    return min((abs(x - y) for i, x in enumerate(zs) for y in zs[i + 1:]), default=1.0)
+
+
+class BetheEquations:
+    """The Bethe ansatz equations of one level profile, batched over rows.
+
+    A batch X holds one configuration of the upper-level roots per row,
+    flattened level by level.  The residual of root i is
+    sum_k C_ik / (x_i - y_k) - (K_{a+1} - K_a), where y runs over the roots
+    and then the points, and the coupling C is -2 within a level, +1 between
+    adjacent levels and +1 from level 1 to the points.  Over the coupled
+    pairs p = (i, k) everything is a matrix product: the differences are
+    X @ A - b, the residual is 1/d @ S - shift and the Jacobian is
+    1/d^2 @ M, reshaped to roots x roots.
     """
 
-    def deflate(x):
-        m = 1.0 + 0j
-        grads = np.zeros(len(x), dtype=complex)
-        for y in known:
-            dq = x - y
-            q = np.sum(dq * dq)
-            if abs(q) < 1e-24:
-                return None, None
-            m = m * (1.0 + 1.0 / q)
-            grads = grads + (-2.0 * dq) / (q * q + q)
-        return m, m * grads
+    def __init__(self, points, exponents, sizes):
+        level = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        n = len(level)
+        apart = np.abs(level[:, None] - np.concatenate([level, np.zeros(len(points), dtype=int)]))
+        coupling = np.where(apart == 1, 1.0, np.where(apart == 0, -2.0, 0.0))
+        np.fill_diagonal(coupling, 0.0)
+        root, node = np.nonzero(coupling)
+        c, p, to_root = coupling[root, node], np.arange(len(root)), node < n
+        self.A = np.zeros((n, len(p)), dtype=complex)
+        self.A[root, p] = 1.0
+        self.A[node[to_root], p[to_root]] = -1.0
+        self.b = np.zeros(len(p), dtype=complex)
+        self.b[~to_root] = np.asarray(points, dtype=complex)[node[~to_root] - n]
+        self.S = np.zeros((len(p), n), dtype=complex)
+        self.S[p, root] = c
+        M = np.zeros((len(p), n, n), dtype=complex)
+        M[p, root, root] = -c
+        M[p[to_root], root[to_root], node[to_root]] = c[to_root]
+        self.M = M.reshape(len(p), n * n)
+        K = np.asarray(exponents, dtype=complex)
+        self.shift = K[level] - K[level - 1]
 
+    def generic(self, X, tol):
+        """Rows whose coupled roots and points are all more than tol apart."""
+        return np.abs(X @ self.A - self.b).min(axis=1) > tol
+
+    def residual(self, X):
+        """(R, inv, ok) for finite rows X: residuals and 1/d over the pairs.
+
+        Rows with a coupled pair closer than _SINGULAR are not evaluated:
+        ok is False there and their R and inv are placeholders.
+        """
+        inv = X @ self.A
+        inv -= self.b
+        ok = np.abs(inv).min(axis=1) > _SINGULAR
+        inv[~ok] = 1.0
+        np.reciprocal(inv, out=inv)
+        return inv @ self.S - self.shift, inv, ok
+
+    def jacobian(self, inv):
+        """The analytic Jacobian of the residual in the roots, per row."""
+        n = self.S.shape[1]
+        return ((inv * inv) @ self.M).reshape(-1, n, n)
+
+
+def _solve(A, b):
+    """Batched A x = b; returns x and which rows have a finite solution."""
     try:
-        res = residual_of(flat)
-    except (NonGenericError, ZeroDivisionError):
-        return None
-    for _ in range(max_iter):
-        norm = float(np.max(np.abs(res)))
-        if norm <= tol:
-            return flat
-        if not np.all(np.isfinite(flat)) or float(np.max(np.abs(flat))) > 1e8:
-            return None
-        m, grad_m = deflate(flat)
-        if m is None:
-            return None
-        J = _bae_jacobian(flat, slices, level0, exponents)
-        G = m * res
-        JG = m * J + np.outer(res, grad_m)
-        try:
-            step = np.linalg.solve(JG, -G)
-        except np.linalg.LinAlgError:
-            return None
-        gnorm = float(np.max(np.abs(G)))
-        damp = 1.0
-        moved = False
-        for _ in range(25):
-            trial = flat + damp * step
+        x = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        for k in range(len(A)):
             try:
-                trial_res = residual_of(trial)
-            except (NonGenericError, ZeroDivisionError):
-                damp /= 2
-                continue
-            tm, _ = deflate(trial)
-            if tm is None:
-                damp /= 2
-                continue
-            if float(np.max(np.abs(tm * trial_res))) < gnorm:
-                flat, res = trial, trial_res
-                moved = True
+                x[k] = np.linalg.solve(A[k], b[k])
+            except np.linalg.LinAlgError:
+                x[k] = np.nan
+    return x, np.isfinite(x).all(axis=1)
+
+
+def damped_newton(X, eqs, tol, max_iter, limit, known=None):
+    """Damped Newton from every row of X; returns the rows that converged.
+
+    A row converges once its plain residual is at most tol.  With known
+    solutions (rows), Newton runs on m(x) F(x) instead, with the deflation
+    factor m(x) = prod_y (1 + 1/q(x - y)), q(z) = sum_i z_i^2, which blows up
+    at every known y and so pushes the search into other basins
+    (Farrell-Birkisson-Funke); q is the holomorphic bilinear square, so m F
+    stays complex-differentiable.  Each row is damped on its own: its step is
+    halved, at most 25 times, until max|m F| drops.  A row fails when it
+    cannot move, meets a singular step, or its trial points leave
+    |x| <= limit; such trial points are never evaluated.
+    """
+    X = np.asarray(X, dtype=complex)
+    known = np.empty((0, X.shape[1]), dtype=complex) if known is None else known
+    chunks = [
+        _newton_chunk(X[at:at + NEWTON_CHUNK].copy(), eqs, tol, max_iter, limit, known)
+        for at in range(0, len(X), NEWTON_CHUNK)
+    ]
+    return np.concatenate(chunks) if chunks else X[:0]
+
+
+def _newton_chunk(X, eqs, tol, max_iter, limit, known):
+    def evaluate(Y):
+        inside = np.all(np.abs(Y) <= limit, axis=1)
+        Y = np.where(inside[:, None], Y, 0)
+        R, inv, ok = eqs.residual(Y)
+        if not len(known):
+            return ok & inside, [R, inv, np.ones(len(Y)), np.zeros_like(Y)]
+        dq = Y[:, None, :] - known[None]
+        q = (dq * dq).sum(axis=2)
+        ok &= inside & np.all((np.abs(q) >= 1e-24) & (q != -1), axis=1)
+        q[~ok] = 1.0
+        m = np.prod(1 + 1 / q, axis=1)
+        grad = m[:, None] * np.einsum("rkj,rk->rj", dq, -2 / (q * q + q))
+        return ok, [R, inv, m, grad]
+
+    halvings = 0.5 ** np.arange(25)
+    ok, state = evaluate(X)
+    active, done = ok, np.zeros(len(X), dtype=bool)
+    for _ in range(max_iter):
+        R, inv, m, grad = state
+        converged = active & (np.abs(R).max(axis=1) <= tol)
+        done |= converged
+        active &= ~converged
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+        G = m[rows, None] * R[rows]
+        JG = m[rows, None, None] * eqs.jacobian(inv[rows]) + R[rows, :, None] * grad[rows, None, :]
+        step, solved = _solve(JG, -G)
+        merit, moved = np.abs(G).max(axis=1), np.zeros(len(rows), dtype=bool)
+        # each row takes its longest step that lowers max|m F|; the steps are
+        # tried longest first, in groups of doubling size, so a row that needs
+        # many halvings costs a few batched evaluations, not one per halving
+        for damps in np.split(halvings, [1, 2, 4, 8, 16]):
+            trying = np.flatnonzero(solved & ~moved)
+            if not trying.size:
                 break
-            damp /= 2
-        if not moved:
-            return None
-    return None
+            Y = (X[rows[trying], None, :] + damps[:, None] * step[trying, None, :]).reshape(-1, X.shape[1])
+            ok, trial = evaluate(Y)
+            lower = np.abs(trial[2][:, None] * trial[0]).max(axis=1) < np.repeat(merit[trying], len(damps))
+            better = (ok & lower).reshape(len(trying), len(damps))
+            hit = better.any(axis=1)
+            pick = np.flatnonzero(hit) * len(damps) + better.argmax(axis=1)[hit]
+            take = rows[trying[hit]]
+            X[take] = Y[pick]
+            for old, new in zip(state, trial):
+                old[take] = new[pick]
+            moved[trying[hit]] = True
+        active[rows[~moved]] = False
+    return X[done]
+
+
+def _orbit(flat, slices):
+    """Every reordering of the roots within each level, one row each."""
+    per_level = [permutations(flat[s]) for s in slices]
+    return np.array([np.concatenate(combo) for combo in product(*per_level)], dtype=complex)
+
+
+class RootSearch(list):
+    """The solutions of :func:`newton_solve`, sorted.
+
+    ``counters[family]`` records, for each family of starts, how many
+    started, converged and gave a new solution.
+    """
+
+    def __init__(self, solutions, counters):
+        super().__init__(solutions)
+        self.counters = counters
 
 
 def newton_solve(
@@ -246,251 +319,146 @@ def newton_solve(
 ) -> list:
     """Multistart damped Newton search for Bethe root configurations.
 
-    Requires every factor size to be one.  Converged configurations are
-    deduplicated up to permutations within each level; the expected count
-    is the dimension of the weight subspace.
+    Requires every factor size to be one.  The search runs in units of the
+    smallest gap s between the points (see :func:`gap_unit`), so residual_tol
+    and dedup_tol hold in that unit.  Each family of starts is one
+    :func:`damped_newton` call: the structured seeds (3 per assignment of
+    roots to gaps), ``starts`` random starts (500 per expected solution by
+    default), up to 8 deflation rounds and, for real data, the conjugates of
+    the solutions found.  Converged configurations are deduplicated up to
+    permutations within each level; the expected count is the dimension of
+    the weight subspace.  Returns a :class:`RootSearch`.
     """
     if not spec.all_vector_factors:
         raise ValueError("root solving needs distinct simple points (all sizes one)")
     N = spec.rank
-    profile = level_profile(spec.weight, N)
-    upper_sizes = profile[1:]
+    upper_sizes = level_profile(spec.weight, N)[1:]
     total = sum(upper_sizes)
+    counters = {
+        family: {"starts": 0, "converged": 0, "new": 0}
+        for family in ("structured", "random", "deflated", "conjugate")
+    }
     if total == 0:
-        return [root_coordinates(spec, [[] for _ in upper_sizes])]
+        return RootSearch([root_coordinates(spec, [[] for _ in upper_sizes])], counters)
     expected = len(enumerate_weight_basis(N, spec.size, spec.weight))
     if starts is None:
         # 50x the expected count misses small basins at desk scale; 500x is
         # still cheap and has found every generic configuration in practice
         starts = 500 * expected
-    level0 = [to_complex(b) for b in spec.points]
-    exponents = [to_complex(k) for k in spec.exponents]
-    radius = 2.0 * max(
-        [abs(b) for b in level0] + [abs(k) for k in exponents] + [1.0]
-    )
-    slices = []
-    at = 0
-    for sz in upper_sizes:
-        slices.append(slice(at, at + sz))
-        at += sz
+    unit = gap_unit(spec.points)
+    level0 = [to_complex(b) / unit for b in spec.points]
+    exponents = [unit * to_complex(k) for k in spec.exponents]
+    eqs = BetheEquations(level0, exponents, upper_sizes)
+    real_data = all(abs(z.imag) < 1e-14 for z in level0 + exponents)
+    bounds = np.cumsum((0,) + upper_sizes)
+    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    # roots scale like size / (exponent gap) when exponents are close
+    gaps = [abs(exponents[i] - exponents[j]) for i in range(N) for j in range(i + 1, N)]
+    reach = spec.size / min(gaps) if gaps and min(gaps) > 0 else 1.0
+    radius = max(2.0 * max([abs(z) for z in level0 + exponents] + [1.0]), 1.5 * reach)
+    lo = min([b.real for b in level0] + [0.0]) - 1.0
+    hi = max([b.real for b in level0] + [1.0]) + 1.0
     rng = np.random.default_rng(seed)
     solutions = []
+    known = np.empty((0, total), dtype=complex)  # every reordering of every solution
 
-    def residual_of(flat):
-        t = RootCoordinates([tuple(level0)] + [tuple(flat[s]) for s in slices])
-        return np.array(bae_residual(t, exponents), dtype=complex)
+    def uniform(a, b, rows):
+        return rng.uniform(a, b, (rows, total))
+
+    def unseen(rows, ys):
+        """The rows farther than dedup_tol (max norm) from every y."""
+        for y in ys:
+            rows = rows[np.abs(rows - y).max(axis=1) > dedup_tol]
+        return rows
+
+    def search(family, X, deflate=False):
+        """One batched Newton call; admits the new solutions and returns them."""
+        nonlocal known
+        found = damped_newton(X, eqs, residual_tol, max_iter, 1e6 * radius, known if deflate else None)
+        fresh = []
+        rows = unseen(found[eqs.generic(found, dedup_tol)], known)
+        while len(rows):
+            fresh.append(rows[0])
+            orbit = _orbit(rows[0], slices)
+            known = np.concatenate([known, orbit])
+            rows = unseen(rows, orbit)
+        solutions.extend(fresh)
+        for key, n in (("starts", len(X)), ("converged", len(found)), ("new", len(fresh))):
+            counters[family][key] += n
+        return found, fresh
 
     def structured_seeds():
         """One start per assignment of roots to gaps between the real points.
 
         Real solutions interlace with the evaluation points, so their tiny
-        basins are hit reliably by midpoint seeds; complex solutions are
-        left to the random phases.
+        basins are hit reliably by midpoint seeds; each level sits at its own
+        offset inside a gap, so roots of adjacent levels never start on the
+        same point.  Complex solutions are left to the random starts.
         """
-        if any(abs(b.imag) > 1e-12 for b in level0):
-            return
         xs = sorted(set(b.real for b in level0))
-        mids = [xs[0] - 1.5]
-        mids += [(a + c) / 2 for a, c in zip(xs, xs[1:])]
-        mids += [xs[-1] + 1.5]
-        from itertools import combinations_with_replacement, product as iproduct
-
-        per_level = [
-            list(combinations_with_replacement(range(len(mids)), sz)) for sz in upper_sizes
-        ]
-        for combo in iproduct(*per_level):
+        mids = [xs[0] - 1.5] + [(a + c) / 2 for a, c in zip(xs, xs[1:])] + [xs[-1] + 1.5]
+        per_level = [combinations_with_replacement(range(len(mids)), sz) for sz in upper_sizes]
+        seeds = []
+        for combo in product(*per_level):
             flat = []
-            for gaps in combo:
-                counts = {}
-                for g in gaps:
-                    counts[g] = counts.get(g, 0) + 1
-                for g, mcount in sorted(counts.items()):
+            for level, gaps_taken in enumerate(combo, start=1):
+                for g in sorted(set(gaps_taken)):
+                    count = gaps_taken.count(g)
                     width = 0.4 if 0 < g < len(mids) - 1 else 1.0
-                    for idx in range(mcount):
-                        off = (idx - (mcount - 1) / 2) * width / max(mcount, 1)
-                        flat.append(mids[g] + off + 0.0j)
-            yield np.array(flat, dtype=complex)
+                    for idx in range(count):
+                        off = (idx - (count - 1) / 2) * width / count
+                        flat.append(mids[g] + off + 0.15 * width * level / (count + 1))
+            seeds.append(flat)
+        return np.array(seeds, dtype=complex)
 
-    # roots scale like size / (exponent gap) when exponents are close
-    gaps = [
-        abs(exponents[i] - exponents[j])
-        for i in range(N)
-        for j in range(i + 1, N)
-    ]
-    reach = spec.size / min(gaps) if gaps and min(gaps) > 0 else 1.0
-    radius = max(radius, 1.5 * reach)
-    lo = min([b.real for b in level0] + [0.0]) - 1.0
-    hi = max([b.real for b in level0] + [1.0]) + 1.0
-    pool = []
+    pool = np.empty((0, total), dtype=complex)
+    if all(abs(b.imag) <= 1e-12 for b in level0):
+        base = structured_seeds()
+        jitter = [rng.normal(0, w, base.shape) + 1j * rng.normal(0, w, base.shape) for w in (0.08, 0.2)]
+        pool, _ = search("structured", np.concatenate([base, base + jitter[0], base + jitter[1]]))
 
-    def polish(flat):
-        """Damped Newton from a start; returns the converged flat or None."""
-        try:
-            res = residual_of(flat)
-        except (NonGenericError, ZeroDivisionError):
-            return None
-        for _ in range(max_iter):
-            norm = float(np.max(np.abs(res)))
-            if norm <= residual_tol:
-                return flat
-            if not np.all(np.isfinite(flat)) or float(np.max(np.abs(flat))) > 1e6 * radius:
-                return None
-            J = _bae_jacobian(flat, slices, level0, exponents)
-            try:
-                step = np.linalg.solve(J, -res)
-            except np.linalg.LinAlgError:
-                return None
-            damp = 1.0
-            moved = False
-            for _ in range(25):
-                trial = flat + damp * step
-                try:
-                    trial_res = residual_of(trial)
-                except (NonGenericError, ZeroDivisionError):
-                    damp /= 2
-                    continue
-                if float(np.max(np.abs(trial_res))) < norm:
-                    flat, res = trial, trial_res
-                    moved = True
-                    break
-                damp /= 2
-            if not moved:
-                return None
-        return None
-
-    def admit(flat):
-        pool.append(flat.copy())
-        t = root_coordinates(spec, [list(flat[s]) for s in slices])
-        if not t.is_generic(tol=dedup_tol):
-            return False
-        if any(t.matches(known, dedup_tol) for known in solutions):
-            return False
-        canon = [sorted(flat[s], key=lambda z: (z.real, z.imag)) for s in slices]
-        solutions.append(root_coordinates(spec, canon))
-        return True
-
-    def random_start(mode):
+    def random_starts(mode, rows):
         if mode == 0:
-            return rng.uniform(-radius, radius, total) + 1j * rng.uniform(-radius, radius, total)
+            return uniform(-radius, radius, rows) + 1j * uniform(-radius, radius, rows)
         if mode == 1:
             # near-real band: real solutions are common for real data
-            return rng.uniform(lo - radius / 2, hi + radius / 2, total) + 1j * rng.uniform(
-                -0.5, 0.5, total
-            )
+            return uniform(lo - radius / 2, hi + radius / 2, rows) + 1j * uniform(-0.5, 0.5, rows)
         if mode == 2:
-            return rng.uniform(lo, hi, total) + 1j * rng.uniform(-2.0, 2.0, total)
-        if mode == 3 or not pool:
-            return rng.uniform(0.0, radius, total) + 1j * rng.uniform(-radius / 2, radius / 2, total)
-        # recombine a known configuration: jitter every root, replace one
-        base = pool[rng.integers(len(pool))].copy()
-        jitter = rng.normal(0.0, 0.4, total) + 1j * rng.normal(0.0, 0.4, total)
-        flat = base + jitter * (1.0 + np.abs(base))
-        k = int(rng.integers(total))
-        flat[k] = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
-        return flat
+            return uniform(lo, hi, rows) + 1j * uniform(-2.0, 2.0, rows)
+        if mode == 3 or not len(pool):
+            return uniform(0.0, radius, rows) + 1j * uniform(-radius / 2, radius / 2, rows)
+        # recombine a structured find: jitter every root, replace one
+        base = pool[rng.integers(len(pool), size=rows)]
+        jitter = rng.normal(0.0, 0.4, base.shape) + 1j * rng.normal(0.0, 0.4, base.shape)
+        X = base + jitter * (1.0 + np.abs(base))
+        X[np.arange(rows), rng.integers(total, size=rows)] = (
+            rng.uniform(-radius, radius, rows) + 1j * rng.uniform(-radius, radius, rows)
+        )
+        return X
 
-    for base in structured_seeds():
-        for trial in (base,
-                      base + rng.normal(0, 0.08, total) + 1j * rng.normal(0, 0.08, total),
-                      base + rng.normal(0, 0.2, total) + 1j * rng.normal(0, 0.2, total)):
-            out = polish(trial)
-            if out is not None:
-                admit(out)
-    for attempt in range(starts):
-        out = polish(random_start(attempt % 5))
-        if out is not None:
-            admit(out)
+    search("random", np.concatenate([random_starts(mode, len(range(mode, starts, 5))) for mode in range(5)]))
 
     # deflation sweep: damp the residual away from found solutions so Newton
     # is pushed into the remaining basins; acceptance is still the plain
     # residual, deflation only steers the search
-    def _orbit(sol):
-        out = []
-        for combo in _level_permutations(sol):
-            out.append(np.array(combo, dtype=complex))
-        return out
-
-    def _level_permutations(sol):
-        per_level = [list(permutations([to_complex(x) for x in lv])) for lv in sol.upper]
-
-        def rec(k, acc):
-            if k == len(per_level):
-                yield [z for lv in acc for z in lv]
-                return
-            for p in per_level[k]:
-                yield from rec(k + 1, acc + [p])
-
-        yield from rec(0, [])
-
-    rounds = 0
-    while rounds < 8:
-        rounds += 1
-        known = [y for sol in solutions for y in _orbit(sol)]
-        added = 0
-        for _ in range(max(60, 20 * expected)):
-            flat = rng.uniform(lo - radius / 2, hi + radius / 2, total) + 1j * rng.uniform(
-                -radius / 2, radius / 2, total
-            )
-            out = _deflated_newton(
-                flat, residual_of, slices, level0, exponents, known, residual_tol, max_iter
-            )
-            if out is None:
-                continue
-            t = root_coordinates(spec, [list(out[s]) for s in slices])
-            if not t.is_generic(tol=dedup_tol):
-                continue
-            if any(t.matches(k2, dedup_tol) for k2 in solutions):
-                continue
-            canon = [sorted(out[s], key=lambda z: (z.real, z.imag)) for s in slices]
-            solutions.append(root_coordinates(spec, canon))
-            added += 1
-        if added == 0:
+    for _ in range(8):
+        rows = max(60, 20 * expected)
+        X = uniform(lo - radius / 2, hi + radius / 2, rows) + 1j * uniform(-radius / 2, radius / 2, rows)
+        if not search("deflated", X, deflate=True)[1]:
             break
 
-    if all(abs(b.imag) < 1e-14 for b in level0) and all(
-        abs(k.imag) < 1e-14 for k in exponents
-    ):
-        # real data: the solution set is closed under conjugation, so the
-        # conjugate of each find is a (nearly converged) start for free
+    if real_data:
+        # the solution set is closed under conjugation, so the conjugate of
+        # each find is a (nearly converged) start for free
         frontier = list(solutions)
         while frontier:
-            fresh = []
-            for t in frontier:
-                flat = np.conj(np.array(t.flat_upper(), dtype=complex))
-                try:
-                    res = residual_of(flat)
-                except (NonGenericError, ZeroDivisionError):
-                    continue
-                for _ in range(max_iter):
-                    if float(np.max(np.abs(res))) <= residual_tol:
-                        break
-                    J = _bae_jacobian(flat, slices, level0, exponents)
-                    try:
-                        step = np.linalg.solve(J, -res)
-                    except np.linalg.LinAlgError:
-                        break
-                    flat = flat + step
-                    try:
-                        res = residual_of(flat)
-                    except (NonGenericError, ZeroDivisionError):
-                        break
-                else:
-                    continue
-                if float(np.max(np.abs(res))) > residual_tol:
-                    continue
-                cand = root_coordinates(spec, [list(flat[s]) for s in slices])
-                if not cand.is_generic(tol=dedup_tol):
-                    continue
-                if any(cand.matches(known, dedup_tol) for known in solutions):
-                    continue
-                canon = [sorted(flat[s], key=lambda z: (z.real, z.imag)) for s in slices]
-                cand = root_coordinates(spec, canon)
-                solutions.append(cand)
-                fresh.append(cand)
-            frontier = fresh
+            frontier = search("conjugate", np.conj(np.array(frontier)))[1]
 
-    solutions.sort(key=lambda t: t.sorted_key())
-    return solutions
+    out = [
+        root_coordinates(spec, [sorted(unit * flat[s], key=lambda z: (z.real, z.imag)) for s in slices])
+        for flat in solutions
+    ]
+    return RootSearch(sorted(out, key=lambda t: t.sorted_key()), counters)
 
 
 def factorized_operator(t: RootCoordinates, exponents) -> DiffOp:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import ModuleSpec, Partition, build_embedded_module
-from .bae import bae_residual, factorized_values, newton_solve, verify_eigenvector
+from .bae import bae_residual, factorized_values, gap_unit, newton_solve, verify_eigenvector
 from .betheop import (
     build_bethe_operator,
     check_polynomiality,
@@ -325,7 +325,9 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
                 "match_distance": None if best is None else best_dist,
             }
         )
-    checks.append(Check("solutions-satisfy-equations", all(e["bae_residual"] <= 1e-10 for e in entries)))
+    # the search accepts residuals in units of the smallest gap between the points
+    unit = gap_unit(spec.points)
+    checks.append(Check("solutions-satisfy-equations", all(unit * e["bae_residual"] <= 1e-10 for e in entries)))
     checks.append(Check("weight-function-eigenvectors", all(e["eigenvector_ok"] for e in entries)))
     checks.append(
         Check(
@@ -333,7 +335,12 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
             len(used) == len(entries) == len(char_numers),
         )
     )
-    return {"checks": checks, "solutions": entries, "elapsed": time.perf_counter() - t0}
+    return {
+        "checks": checks,
+        "solutions": entries,
+        "counters": {"newton": sols.counters},
+        "elapsed": time.perf_counter() - t0,
+    }
 
 
 def wronski_pipeline(config: InstanceConfig) -> dict:
@@ -378,6 +385,7 @@ def verify_pipeline(config: InstanceConfig) -> dict:
     if config.run_bae and config.spec.all_vector_factors:
         bae = bae_pipeline(config, spectrum)
         out["bae"] = bae["solutions"]
+        out["counters"] = bae["counters"]
         out["checks"].extend(bae["checks"])
         counts = [dim, spectrum["spectrum"].count, len(bae["solutions"])]
         out["checks"].append(Check("count-triple-equality", len(set(counts)) == 1, value=counts))
@@ -401,7 +409,7 @@ def run_report(command: str, config: InstanceConfig, result: dict) -> dict:
         "all_passed": all(c["passed"] for c in checks),
     }
     for key in ("dimension", "module_dimension", "characters", "solutions", "bae",
-                "wronskian", "operator_text", "exponents"):
+                "wronskian", "operator_text", "exponents", "counters"):
         if key in result:
             report[key] = result[key]
     report["timings"] = {"elapsed_seconds": result.get("elapsed", 0.0)}

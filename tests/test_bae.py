@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,12 @@ import pytest
 
 from gaudin.algebra import ModuleSpec
 from gaudin.bae import (
+    BetheEquations,
     NonGenericError,
     RootCoordinates,
+    _solve,
     bae_residual,
+    damped_newton,
     factorized_operator,
     factorized_values,
     level_profile,
@@ -27,6 +31,8 @@ from gaudin.polynomials import Poly
 from gaudin.ratfun import RatFun
 from gaudin.scalars import to_complex
 from gaudin.spaces import QuasiExpSpace, membership_test
+
+from conftest import COUNT_FAMILY, GOLDEN, make_spec
 
 F = Fraction
 
@@ -234,3 +240,84 @@ def test_integral_gap_instance_has_non_generic_point():
     assert not generic  # y_1 = (u-1)^2 has a double root
     sols = newton_solve(spec, seed=2024)
     assert len(sols) == 5
+
+
+# (points, exponents, upper level sizes) of random generic configurations
+BATCH_SHAPES = [
+    ((0.0, 1.3, 2.1 + 0.4j, -0.7), (0.0, 0.5), (2,)),
+    ((0.0, 1.0, 2.5), (0.0, 1.0 + 0.2j, 2.5), (2, 1)),
+]
+
+
+def _random_rows(rng, rows, total):
+    return rng.normal(0, 2, (rows, total)) + 1j * rng.normal(0, 2, (rows, total))
+
+
+@pytest.mark.parametrize("points, exponents, sizes", BATCH_SHAPES, ids=["N=2", "N=3"])
+def test_batched_residual_matches_reference(points, exponents, sizes):
+    eqs = BetheEquations(points, exponents, sizes)
+    X = _random_rows(np.random.default_rng(5), 20, sum(sizes))
+    R, _, ok = eqs.residual(X)
+    assert ok.all()
+    for row, got in zip(X, R):
+        levels = [list(points)] + [list(row[sum(sizes[:a]):sum(sizes[:a + 1])]) for a in range(len(sizes))]
+        want = np.array(bae_residual(RootCoordinates(levels), exponents))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("points, exponents, sizes", BATCH_SHAPES, ids=["N=2", "N=3"])
+def test_batched_jacobian_matches_central_differences(points, exponents, sizes):
+    eqs = BetheEquations(points, exponents, sizes)
+    X = _random_rows(np.random.default_rng(6), 10, sum(sizes))
+    _, inv, _ = eqs.residual(X)
+    J = eqs.jacobian(inv)
+    h = 1e-6
+    for k in range(X.shape[1]):
+        e = np.zeros(X.shape[1])
+        e[k] = h
+        diff = (eqs.residual(X + e)[0] - eqs.residual(X - e)[0]) / (2 * h)
+        assert np.max(np.abs(J[:, :, k] - diff)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
+
+
+def test_batched_solve_falls_back_per_row_on_singular_rows():
+    A = np.array([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2)], dtype=complex)
+    x, solved = _solve(A, np.ones((3, 2), dtype=complex))
+    assert solved.tolist() == [True, False, True]
+    assert np.allclose(x[[0, 2]], [[1, 1], [0.5, 0.5]])
+
+
+def test_damped_newton_deflation_rejects_known_solutions():
+    """A start on a known solution is not accepted once it is deflated."""
+    eqs = BetheEquations([0.0, 1.0], [0.0, 1.0], (1,))
+    root = np.array([[(3 - math.sqrt(5)) / 2 + 0j]])
+    assert len(damped_newton(root, eqs, 1e-12, 100, 1e6)) == 1
+    assert len(damped_newton(root, eqs, 1e-12, 100, 1e6, known=root)) == 0
+
+
+@pytest.mark.parametrize("data", [GOLDEN, COUNT_FAMILY[0]], ids=["golden_n2", "count_n2_n4"])
+def test_newton_solve_emits_no_runtime_warnings(data):
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sols = newton_solve(make_spec(data), seed=2024)
+    assert len(sols) == {2: 2, 4: 6}[len(data["b"])]
+
+
+@pytest.mark.parametrize("seed", [4, 9, 18])
+def test_structured_seeds_find_every_root_n3(seed):
+    """Roots of adjacent levels in one gap used to start on the same point."""
+    assert len(newton_solve(make_spec(COUNT_FAMILY[1]), seed=seed)) == 6
+
+
+@pytest.mark.parametrize("seed", [35, 207])
+def test_random_starts_find_every_root_gaussian(seed):
+    spec = ModuleSpec(2, ("0", "1/2"), ((1,),) * 4, ("0", "1", "2i", "1+i"), (2, 2))
+    assert len(newton_solve(spec, seed=seed)) == 6
+
+
+def test_newton_counters_per_family():
+    sols = newton_solve(make_spec(GOLDEN), seed=2024)
+    assert isinstance(sols, list)
+    assert set(sols.counters) == {"structured", "random", "deflated", "conjugate"}
+    assert sum(c["new"] for c in sols.counters.values()) == len(sols) == 2
+    assert sols.counters["random"]["starts"] == 1000
+    assert all(c["new"] <= c["converged"] <= c["starts"] for c in sols.counters.values())
