@@ -353,6 +353,7 @@ class EmbeddedModule:
         self._weights = {}
         for k, (w, _, _) in enumerate(members):
             self._weights.setdefault(w, []).append(k)
+        self._point_matrices = {}  # (i, j) -> e_point_matrices(i, j)
 
     @property
     def weights(self):
@@ -390,11 +391,14 @@ class EmbeddedModule:
         return Matrix([[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     def e_point_matrices(self, i: int, j: int) -> list:
-        """Per evaluation point s, the matrix of e_ij acting in block s."""
-        out = []
-        for positions in self.factor_positions:
-            out.append(self.matrix_of(lambda vec: apply_e_block(i, j, positions, vec)))
-        return out
+        """Per evaluation point s, the matrix of e_ij acting in block s (memoized)."""
+        key = (i, j)
+        if key not in self._point_matrices:
+            self._point_matrices[key] = tuple(
+                self.matrix_of(lambda vec: apply_e_block(i, j, positions, vec))
+                for positions in self.factor_positions
+            )
+        return list(self._point_matrices[key])
 
     def e_series(self, i: int, j: int) -> RatFun:
         """Matrix of e_ij(u): sum_s (e_ij in block s) / (u - b_s)."""
@@ -409,8 +413,11 @@ class EmbeddedModule:
         return RatFun(num, den)
 
     def cartan_matrix(self, i: int) -> Matrix:
-        """Matrix of the constant diagonal generator e_ii (all blocks)."""
-        return self.matrix_of(lambda vec: apply_e_block(i, i, range(1, self.size + 1), vec))
+        """Matrix of the constant diagonal generator e_ii: the sum of its point blocks."""
+        total = Matrix.zeros(self.dim, self.dim)
+        for mat in self.e_point_matrices(i, i):
+            total = total + mat
+        return total
 
 
 def build_embedded_module(spec: ModuleSpec) -> EmbeddedModule:

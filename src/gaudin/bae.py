@@ -696,7 +696,7 @@ def verify_eigenvector(
     for pt in sample_points:
         values = factorized_values(t, exponents, pt)
         for i in range(1, spec.rank + 1):
-            m = np.array(bethe_op.block_evaluate(i, pt).to_complex_list(), dtype=complex)
+            m = bethe_op.block_evaluate(i, pt).to_complex_array()
             hval = values[i - 1]
             resid = float(np.linalg.norm(m @ omega - hval * omega)) / norm
             scale = max(1.0, float(np.linalg.norm(m)))

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import EmbeddedModule, ModuleSpec
 from .diffops import DiffOp, rdet
 from .linalg import Matrix
@@ -277,19 +279,14 @@ def commutativity_check(op: BetheOperator, sample_points=None) -> bool:
 
 def weight_blocks_preserved(op: BetheOperator, sample_points=None) -> bool:
     """Coefficient values vanish between different weight blocks."""
-    from .scalars import iszero
-
     if sample_points is None:
         sample_points = exact_sample_points(op.spec.points, 2)
-    index_weight = {}
-    for w, idx in op.module.weights.items():
-        for k in idx:
-            index_weight[k] = w
-    for i in range(1, op.rank + 1):
-        for pt in sample_points:
-            m = op.evaluate(i, pt)
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    if index_weight[r] != index_weight[c] and not iszero(m.get(r, c)):
-                        return False
-    return True
+    label = np.empty(op.module.dim, dtype=int)
+    for k, idx in enumerate(op.module.weights.values()):
+        label[idx] = k
+    off_block = label[:, None] != label[None, :]
+    return not any(
+        (op.evaluate(i, pt).support() & off_block).any()
+        for i in range(1, op.rank + 1)
+        for pt in sample_points
+    )

@@ -115,8 +115,10 @@ class Poly:
             for j, cb in enumerate(b):
                 term = ca * cb
                 out[i + j] = term if out[i + j] is None else out[i + j] + term
-        zero = a[0] * 0 * b[0]
-        return Poly([zero if c is None else c for c in out])
+        if any(c is None for c in out):
+            zero = a[0] * 0 * b[0]
+            out = [zero if c is None else c for c in out]
+        return Poly(out)
 
     def scale(self, c, right=False):
         """Multiply every coefficient by c (on the right if requested)."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .linalg import Matrix
 from .polynomials import Poly, newton_interpolate, poly_gcd
 from .scalars import is_exact
@@ -24,39 +26,7 @@ def _is_exact_poly(p: Poly) -> bool:
     if p.is_zero():
         return True
     c = p.coeffs[0]
-    if isinstance(c, Matrix):
-        return c.rows == 0 or is_exact(c.data[0][0])
-    return is_exact(c)
-
-
-def _matrix_entry_polys(p: Poly):
-    """Entry-wise scalar polynomials of a matrix polynomial, else None."""
-    if p.is_zero() or not isinstance(p.coeffs[0], Matrix):
-        return None
-    m = p.coeffs[0]
-    out = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            out.append(Poly([c.get(i, j) for c in p.coeffs]))
-    return out
-
-
-def _matrix_poly_exact_div(p: Poly, g: Poly) -> Poly:
-    sample = p.coeffs[0]
-    rows, cols = sample.rows, sample.cols
-    entry_quot = {}
-    for i in range(rows):
-        for j in range(cols):
-            e = Poly([c.get(i, j) for c in p.coeffs])
-            entry_quot[i, j] = e.exact_div(g)
-    deg = max(q.degree for q in entry_quot.values())
-    zero = sample.data[0][0] * 0
-    coeffs = []
-    for k in range(deg + 1):
-        coeffs.append(
-            Matrix([[entry_quot[i, j].coeff(k) if entry_quot[i, j].degree >= 0 else zero for j in range(cols)] for i in range(rows)])
-        )
-    return Poly(coeffs)
+    return isinstance(c, Matrix) or is_exact(c)
 
 
 class RatFun:
@@ -84,24 +54,23 @@ class RatFun:
 
     @staticmethod
     def _reduced(num, den):
-        entries = _matrix_entry_polys(num)
-        if entries is None:
-            g = poly_gcd(num, den)
-        else:
-            g = den.monic()
-            for e in entries:
-                if g.degree == 0:
-                    break
-                if not e.is_zero():
-                    g = poly_gcd(g, e)
-        if g.is_zero() or g.degree == 0:
+        if isinstance(num.coeffs[0], Matrix):
+            # The gcd of den with a fixed combination of the entries is a
+            # multiple of the gcd of den with every entry.  One exact division
+            # of the whole matrix polynomial confirms it; a remainder shrinks
+            # it by the gcd with one of its nonzero entries.
+            g = poly_gcd(num.map(Matrix.probe), den)
+            while g.degree > 0:
+                quot, rem = num.divmod(g)
+                if rem.is_zero():
+                    return quot, den.exact_div(g)
+                i, j = np.argwhere(rem.leading.support())[0]
+                g = poly_gcd(g, Poly([c.get(i, j) for c in rem.coeffs]))
             return num, den
-        den = den.exact_div(g)
-        if entries is None:
-            num = num.exact_div(g)
-        else:
-            num = _matrix_poly_exact_div(num, g)
-        return num, den
+        g = poly_gcd(num, den)
+        if g.degree <= 0:
+            return num, den
+        return num.exact_div(g), den.exact_div(g)
 
     @staticmethod
     def constant(c):

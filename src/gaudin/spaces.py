@@ -283,17 +283,23 @@ class MembershipReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _poly_close(a: Poly, b: Poly, tol) -> bool:
+def _poly_close(a: Poly, b: Poly, tol, floor=1.0) -> bool:
     if tol is None:
         return a == b
     top = max(a.degree, b.degree, 0)
-    scale = max([abs(complex(c)) for c in a.coeffs + b.coeffs] + [1.0])
+    scale = max([abs(complex(c)) for c in a.coeffs + b.coeffs] + [floor])
     for k in range(top + 1):
         x = complex(a.coeff(k)) if a.degree >= k else 0.0
         y = complex(b.coeff(k)) if b.degree >= k else 0.0
         if abs(x - y) > tol * scale:
             return False
     return True
+
+
+def _abs_taylor(g: Poly, b, count: int) -> list:
+    """Taylor coefficients of |g| at |b|: entry j bounds the roundoff of g.taylor_at(b)[j]."""
+    mags = Poly([abs(complex(c)) for c in g.coeffs])
+    return mags.taylor_at(abs(complex(to_complex(b))), count)
 
 
 def membership_test(space: QuasiExpSpace, spec: ModuleSpec, tol=None) -> MembershipReport:
@@ -348,21 +354,32 @@ def membership_test(space: QuasiExpSpace, spec: ModuleSpec, tol=None) -> Members
 
     for s, (b_s, n_s, part) in enumerate(zip(spec.points, spec.factor_sizes, spec.partitions)):
         taylors = [g.taylor_at(b_s, n + 1) if not g.is_zero() else [] for g in gs]
+        # A float Taylor coefficient at b_s carries the roundoff of the shift,
+        # which the same shift applied to |g_i| at |b_s| bounds.  That bound is
+        # the only floor of the indicial comparison: with close points both
+        # indicial polynomials are tiny, and a floor of 1 would accept any.
+        bounds = [_abs_taylor(g, b_s, n + 1) for g in gs] if tol is not None else None
         regular = True
         for i in range(N + 1):
             tc = taylors[i]
             tscale = max([abs(complex(c)) for c in tc] + [1.0]) if tol is not None else None
             for j in range(min(n_s - i, len(tc))):
                 cj = tc[j]
-                small = (cj == 0) if tol is None else abs(complex(cj)) <= tol * tscale
+                small = (cj == 0) if tol is None else (
+                    abs(complex(cj)) <= tol * max(tscale, bounds[i][j])
+                )
                 if not small:
                     regular = False
         chi = Poly()
+        chi_floor = 0.0
         for i in range(N + 1):
             tc = taylors[i]
             j = n_s - i
             if 0 <= j < len(tc):
-                chi = chi + falling_product(N - i).scale(tc[j])
+                falling = falling_product(N - i)
+                chi = chi + falling.scale(tc[j])
+                if tol is not None:
+                    chi_floor += bounds[i][j] * max(abs(c) for c in falling.coeffs)
         const = None
         for r, (b_r, n_r) in enumerate(zip(spec.points, spec.factor_sizes)):
             if r != s:
@@ -373,7 +390,7 @@ def membership_test(space: QuasiExpSpace, spec: ModuleSpec, tol=None) -> Members
         expected = Poly.from_roots(
             [e for e in (part.padded(N)[j] + N - (j + 1) for j in range(N))]
         ).scale(const)
-        chi_ok = regular and _poly_close(chi, expected, tol)
+        chi_ok = regular and _poly_close(chi, expected, tol, chi_floor)
         exps = expected_exponents(part, N)
         repeated = False
         if tol is None and regular and not chi.is_zero():

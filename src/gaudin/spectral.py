@@ -94,7 +94,7 @@ def _block_coefficient_matrices(op: BetheOperator, dim: int) -> list:
     for i in range(1, op.rank + 1):
         num = op.block(i).num
         out.append([
-            np.array(num.coeffs[j].to_complex_list(), dtype=complex)
+            num.coeffs[j].to_complex_array()
             if j <= num.degree
             else np.zeros((dim, dim), dtype=complex)
             for j in range(op.spec.size + 1)

@@ -11,7 +11,11 @@ from fractions import Fraction
 
 import pytest
 
+from gaudin.betheop import build_bethe_operator
 from gaudin.harness import InstanceConfig, spectrum_pipeline, verify_pipeline
+from gaudin.polynomials import Poly
+from gaudin.spaces import QuasiExpSpace, membership_test
+from gaudin.spectral import spectrum_analysis
 
 F = Fraction
 
@@ -38,15 +42,7 @@ def spectrum_verdicts(shape, c):
     [
         ("lam22-4pts", F(1, 1000)),
         ("lam22-4pts", F(1000)),
-        pytest.param(
-            "lam32-5pts",
-            F(1, 1000),
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="points up to 4000: the float Taylor shift in spaces.membership_test "
-                "misreads indicial-exponents-at-point-*",
-            ),
-        ),
+        ("lam32-5pts", F(1, 1000)),
         ("lam32-5pts", F(1000)),
     ],
     ids=["lam22-4pts-c=1/1000", "lam22-4pts-c=1000", "lam32-5pts-c=1/1000", "lam32-5pts-c=1000"],
@@ -77,3 +73,83 @@ def verify_verdicts(shape, c):
 @pytest.mark.parametrize("c", [F(1, 1000), F(1000)], ids=["c=1/1000", "c=1000"])
 def test_verify_invariant_under_scaling(shape, c):
     assert verify_verdicts(shape, c) == verify_verdicts(shape, F(1))
+
+
+def mixed_cell_spec(c, partitions):
+    data = {
+        "N": 2,
+        "K": [str(c * k) for k in (F(0), F(1))],
+        "partitions": partitions,
+        "b": [str(F(b) / c) for b in range(2)],
+        "weight": [2, 2],
+    }
+    return InstanceConfig.from_dict(data).spec
+
+
+@pytest.mark.parametrize("c", [F(1), F(1, 1000), F(1000)], ids=["c=1", "c=1/1000", "c=1000"])
+def test_wrong_partition_fails_float_membership(c):
+    """The float membership test tolerates the roundoff of the Taylor shift
+    at large points, but still rejects a wrong cell: the kernel over
+    b = (0, 1/c) with partitions ((2, 0), (1, 1)) fails the swapped
+    partitions, which keep the pole polynomial, at both points."""
+    spec = mixed_cell_spec(c, [[2, 0], [1, 1]])
+    analysis = spectrum_analysis(build_bethe_operator(spec))
+    assert len(analysis.kernels) == 1
+    X, = analysis.kernels
+    assert analysis.memberships[0].ok
+    wrong = membership_test(X, mixed_cell_spec(c, [[1, 1], [2, 0]]), tol=1e-6)
+    failed = {check.name for check in wrong.checks if not check.passed}
+    assert failed == {"indicial-exponents-at-point-0", "indicial-exponents-at-point-1"}
+
+
+def five_point_spec(c, far):
+    """K = c*(0, 1/2); vector factors at b = 0, 1/c, 2/c and the cells `far` at 3/c, 4/c."""
+    data = {
+        "N": 2,
+        "K": [str(c * k) for k in (F(0), F(1, 2))],
+        "partitions": [[1], [1], [1], *far],
+        "b": [str(F(b) / c) for b in range(5)],
+        "weight": [4, 3],
+    }
+    return InstanceConfig.from_dict(data).spec
+
+
+@functools.lru_cache(maxsize=None)
+def five_point_kernels():
+    spec = five_point_spec(F(1), [[2, 0], [1, 1]])
+    return tuple(spectrum_analysis(build_bethe_operator(spec)).kernels)
+
+
+def scaled_space(X, c):
+    """{f(c*v) : f in X}, the same space over the instance scaled by c.
+
+    Coefficient k of a degree-d polynomial part is multiplied by c**(k - d),
+    which keeps the part monic and adds no cancellation, so the scaled space
+    carries the roundoff of X and no more.
+    """
+    polys = [
+        Poly([a * float(c) ** (k - p.degree) for k, a in enumerate(p.coeffs)]) for p in X.polys
+    ]
+    return QuasiExpSpace([k * c for k in X.exponents], polys)
+
+
+@pytest.mark.parametrize("c", [F(1), F(1, 1000), F(1000)], ids=["c=1", "c=1/1000", "c=1000"])
+def test_wrong_partition_fails_float_membership_at_five_points(c):
+    """The five-point shape of lam32-5pts with mixed cells at the two far points.
+
+    At c = 1/1000 the points reach 4000, where the Taylor-shift bounds widen
+    the float tolerances most; at c = 1000 they are 1/1000 apart and the
+    indicial polynomials are tiny, so an absolute floor on their comparison
+    would accept anything.  The kernels are recovered at c = 1 and scaled,
+    because kernel recovery does not succeed on this instance at c = 1/1000.
+    Each kernel must pass its own partitions and fail the swapped ones, which
+    keep the pole polynomial, at exactly the two swapped points.
+    """
+    kernels = five_point_kernels()
+    assert len(kernels) == 7
+    for X in kernels:
+        Y = scaled_space(X, c)
+        assert membership_test(Y, five_point_spec(c, [[2, 0], [1, 1]]), tol=1e-6).ok
+        wrong = membership_test(Y, five_point_spec(c, [[1, 1], [2, 0]]), tol=1e-6)
+        failed = {check.name for check in wrong.checks if not check.passed}
+        assert failed == {"indicial-exponents-at-point-3", "indicial-exponents-at-point-4"}
