@@ -217,59 +217,43 @@ def _solve(A, b):
     return x, np.isfinite(x).all(axis=1)
 
 
-def damped_newton(X, eqs, tol, max_iter, limit, known=None):
+def damped_newton(X, eqs, tol, max_iter, limit):
     """Damped Newton from every row of X; returns the rows that converged.
 
-    A row converges once its plain residual is at most tol.  With known
-    solutions (rows), Newton runs on m(x) F(x) instead, with the deflation
-    factor m(x) = prod_y (1 + 1/q(x - y)), q(z) = sum_i z_i^2, which blows up
-    at every known y and so pushes the search into other basins
-    (Farrell-Birkisson-Funke); q is the holomorphic bilinear square, so m F
-    stays complex-differentiable.  Each row is damped on its own: its step is
-    halved, at most 25 times, until max|m F| drops.  A row fails when it
-    cannot move, meets a singular step, or its trial points leave
-    |x| <= limit; such trial points are never evaluated.
+    A row converges once max|F| is at most tol.  Each row is damped on its
+    own: its step, the solution of J step = -F, is halved, at most 25 times,
+    until max|F| drops.  A row fails when it cannot move, meets a singular
+    step, or its trial points leave |x| <= limit; such trial points are never
+    evaluated.
     """
     X = np.asarray(X, dtype=complex)
-    known = np.empty((0, X.shape[1]), dtype=complex) if known is None else known
     chunks = [
-        _newton_chunk(X[at:at + NEWTON_CHUNK].copy(), eqs, tol, max_iter, limit, known)
+        _newton_chunk(X[at:at + NEWTON_CHUNK].copy(), eqs, tol, max_iter, limit)
         for at in range(0, len(X), NEWTON_CHUNK)
     ]
     return np.concatenate(chunks) if chunks else X[:0]
 
 
-def _newton_chunk(X, eqs, tol, max_iter, limit, known):
+def _newton_chunk(X, eqs, tol, max_iter, limit):
     def evaluate(Y):
         inside = np.all(np.abs(Y) <= limit, axis=1)
-        Y = np.where(inside[:, None], Y, 0)
-        R, inv, ok = eqs.residual(Y)
-        if not len(known):
-            return ok & inside, [R, inv, np.ones(len(Y)), np.zeros_like(Y)]
-        dq = Y[:, None, :] - known[None]
-        q = (dq * dq).sum(axis=2)
-        ok &= inside & np.all((np.abs(q) >= 1e-24) & (q != -1), axis=1)
-        q[~ok] = 1.0
-        m = np.prod(1 + 1 / q, axis=1)
-        grad = m[:, None] * np.einsum("rkj,rk->rj", dq, -2 / (q * q + q))
-        return ok, [R, inv, m, grad]
+        R, inv, ok = eqs.residual(np.where(inside[:, None], Y, 0))
+        return ok & inside, [R, inv]
 
     halvings = 0.5 ** np.arange(25)
     ok, state = evaluate(X)
     active, done = ok, np.zeros(len(X), dtype=bool)
     for _ in range(max_iter):
-        R, inv, m, grad = state
+        R, inv = state
         converged = active & (np.abs(R).max(axis=1) <= tol)
         done |= converged
         active &= ~converged
         rows = np.flatnonzero(active)
         if not rows.size:
             break
-        G = m[rows, None] * R[rows]
-        JG = m[rows, None, None] * eqs.jacobian(inv[rows]) + R[rows, :, None] * grad[rows, None, :]
-        step, solved = _solve(JG, -G)
-        merit, moved = np.abs(G).max(axis=1), np.zeros(len(rows), dtype=bool)
-        # each row takes its longest step that lowers max|m F|; the steps are
+        step, solved = _solve(eqs.jacobian(inv[rows]), -R[rows])
+        merit, moved = np.abs(R[rows]).max(axis=1), np.zeros(len(rows), dtype=bool)
+        # each row takes its longest step that lowers max|F|; the steps are
         # tried longest first, in groups of doubling size, so a row that needs
         # many halvings costs a few batched evaluations, not one per halving
         for damps in np.split(halvings, [1, 2, 4, 8, 16]):
@@ -278,7 +262,7 @@ def _newton_chunk(X, eqs, tol, max_iter, limit, known):
                 break
             Y = (X[rows[trying], None, :] + damps[:, None] * step[trying, None, :]).reshape(-1, X.shape[1])
             ok, trial = evaluate(Y)
-            lower = np.abs(trial[2][:, None] * trial[0]).max(axis=1) < np.repeat(merit[trying], len(damps))
+            lower = np.abs(trial[0]).max(axis=1) < np.repeat(merit[trying], len(damps))
             better = (ok & lower).reshape(len(trying), len(damps))
             hit = better.any(axis=1)
             pick = np.flatnonzero(hit) * len(damps) + better.argmax(axis=1)[hit]
@@ -309,23 +293,25 @@ class RootSearch(list):
         self.counters = counters
 
 
-def newton_solve(
-    spec: ModuleSpec,
-    starts: int = None,
-    seed: int = 2024,
-    residual_tol: float = 1e-12,
-    dedup_tol: float = 1e-8,
-    max_iter: int = 100,
-) -> list:
+# A start is accepted once max|F| <= RESIDUAL_TOL, in units of the smallest
+# gap between the points, and gets at most MAX_ITER Newton steps.
+RESIDUAL_TOL = 1e-12
+MAX_ITER = 100
+# Random starts per expected solution: 50 misses small basins at desk scale;
+# 500 is still cheap and has found every generic configuration in practice.
+RANDOM_PER_SOLUTION = 500
+
+
+def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) -> list:
     """Multistart damped Newton search for Bethe root configurations.
 
     Requires every factor size to be one.  The search runs in units of the
-    smallest gap s between the points (see :func:`gap_unit`), so residual_tol
-    and dedup_tol hold in that unit.  Each family of starts is one
-    :func:`damped_newton` call: the structured seeds (3 per assignment of
-    roots to gaps), ``starts`` random starts (500 per expected solution by
-    default), up to 8 deflation rounds and, for real data, the conjugates of
-    the solutions found.  Converged configurations are deduplicated up to
+    smallest gap s between the points (see :func:`gap_unit`), so
+    ``RESIDUAL_TOL`` and dedup_tol hold in that unit.  Each family of starts
+    is one :func:`damped_newton` call: for real points the structured seeds
+    (3 per assignment of roots to gaps), then, only when they find fewer
+    solutions than expected, ``RANDOM_PER_SOLUTION`` random starts per
+    expected solution.  Converged configurations are deduplicated up to
     permutations within each level; the expected count is the dimension of
     the weight subspace.  Returns a :class:`RootSearch`.
     """
@@ -334,22 +320,14 @@ def newton_solve(
     N = spec.rank
     upper_sizes = level_profile(spec.weight, N)[1:]
     total = sum(upper_sizes)
-    counters = {
-        family: {"starts": 0, "converged": 0, "new": 0}
-        for family in ("structured", "random", "deflated", "conjugate")
-    }
+    counters = {family: {"starts": 0, "converged": 0, "new": 0} for family in ("structured", "random")}
     if total == 0:
         return RootSearch([root_coordinates(spec, [[] for _ in upper_sizes])], counters)
     expected = len(enumerate_weight_basis(N, spec.size, spec.weight))
-    if starts is None:
-        # 50x the expected count misses small basins at desk scale; 500x is
-        # still cheap and has found every generic configuration in practice
-        starts = 500 * expected
     unit = gap_unit(spec.points)
     level0 = [to_complex(b) / unit for b in spec.points]
     exponents = [unit * to_complex(k) for k in spec.exponents]
     eqs = BetheEquations(level0, exponents, upper_sizes)
-    real_data = all(abs(z.imag) < 1e-14 for z in level0 + exponents)
     bounds = np.cumsum((0,) + upper_sizes)
     slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     # roots scale like size / (exponent gap) when exponents are close
@@ -371,21 +349,19 @@ def newton_solve(
             rows = rows[np.abs(rows - y).max(axis=1) > dedup_tol]
         return rows
 
-    def search(family, X, deflate=False):
-        """One batched Newton call; admits the new solutions and returns them."""
+    def search(family, X):
+        """One batched Newton call; admits the new solutions, returns the converged rows."""
         nonlocal known
-        found = damped_newton(X, eqs, residual_tol, max_iter, 1e6 * radius, known if deflate else None)
-        fresh = []
-        rows = unseen(found[eqs.generic(found, dedup_tol)], known)
+        found = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
+        rows, new = unseen(found[eqs.generic(found, dedup_tol)], known), 0
         while len(rows):
-            fresh.append(rows[0])
+            solutions.append(rows[0])
             orbit = _orbit(rows[0], slices)
             known = np.concatenate([known, orbit])
-            rows = unseen(rows, orbit)
-        solutions.extend(fresh)
-        for key, n in (("starts", len(X)), ("converged", len(found)), ("new", len(fresh))):
+            rows, new = unseen(rows, orbit), new + 1
+        for key, n in (("starts", len(X)), ("converged", len(found)), ("new", new)):
             counters[family][key] += n
-        return found, fresh
+        return found
 
     def structured_seeds():
         """One start per assignment of roots to gaps between the real points.
@@ -415,7 +391,7 @@ def newton_solve(
     if all(abs(b.imag) <= 1e-12 for b in level0):
         base = structured_seeds()
         jitter = [rng.normal(0, w, base.shape) + 1j * rng.normal(0, w, base.shape) for w in (0.08, 0.2)]
-        pool, _ = search("structured", np.concatenate([base, base + jitter[0], base + jitter[1]]))
+        pool = search("structured", np.concatenate([base, base + jitter[0], base + jitter[1]]))
 
     def random_starts(mode, rows):
         if mode == 0:
@@ -436,23 +412,9 @@ def newton_solve(
         )
         return X
 
-    search("random", np.concatenate([random_starts(mode, len(range(mode, starts, 5))) for mode in range(5)]))
-
-    # deflation sweep: damp the residual away from found solutions so Newton
-    # is pushed into the remaining basins; acceptance is still the plain
-    # residual, deflation only steers the search
-    for _ in range(8):
-        rows = max(60, 20 * expected)
-        X = uniform(lo - radius / 2, hi + radius / 2, rows) + 1j * uniform(-radius / 2, radius / 2, rows)
-        if not search("deflated", X, deflate=True)[1]:
-            break
-
-    if real_data:
-        # the solution set is closed under conjugation, so the conjugate of
-        # each find is a (nearly converged) start for free
-        frontier = list(solutions)
-        while frontier:
-            frontier = search("conjugate", np.conj(np.array(frontier)))[1]
+    if len(solutions) < expected:
+        starts = RANDOM_PER_SOLUTION * expected
+        search("random", np.concatenate([random_starts(mode, len(range(mode, starts, 5))) for mode in range(5)]))
 
     out = [
         root_coordinates(spec, [sorted(unit * flat[s], key=lambda z: (z.real, z.imag)) for s in slices])

@@ -209,10 +209,16 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
     checks.append(Check("weight-blocks-preserved", weight_blocks_preserved(op)))
 
     scfg = config.spectral_config()
-    if config.run_wronski:
-        report = spectrum_analysis(op, scfg)
-    else:
-        report = joint_diagonalize(op, scfg)
+    try:
+        if config.run_wronski:
+            report = spectrum_analysis(op, scfg)
+        else:
+            report = joint_diagonalize(op, scfg)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # a numerical failure fails this stage; the report is still written
+        checks.append(Check("spectrum-analysis", False, value=f"{type(exc).__name__}: {exc}"))
+        return {"dimension": dim, "module_dimension": module.dim, "checks": checks, "characters": [],
+                "spectrum": None, "operator": op, "elapsed": time.perf_counter() - t0}
     characters = []
     memberships_ok = True
     for k, ch in enumerate(report.characters):
@@ -276,6 +282,9 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
         }
     if spectrum is None:
         spectrum = spectrum_pipeline(config)
+    if spectrum["spectrum"] is None:  # the spectrum stage failed: report its check
+        failed = [c for c in spectrum["checks"] if c.name == "spectrum-analysis"]
+        return {"checks": failed, "solutions": [], "elapsed": time.perf_counter() - t0}
     op = spectrum["operator"]
     dim = spectrum["dimension"]
     tol = config.tolerances
@@ -382,6 +391,8 @@ def verify_pipeline(config: InstanceConfig) -> dict:
         "dimension": spectrum["dimension"],
     }
     dim = spectrum["dimension"]
+    if spectrum["spectrum"] is None:  # the spectrum stage failed: nothing to count
+        return {**out, "elapsed": time.perf_counter() - t0}
     if config.run_bae and config.spec.all_vector_factors:
         bae = bae_pipeline(config, spectrum)
         out["bae"] = bae["solutions"]

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import ModuleSpec
+from .bae import gap_unit
 from .betheop import BetheOperator, exact_sample_points
 from .diffops import DiffOp, shifted_derivative_powers, QuasiExp
 from .polynomials import Poly, poly_lcm
@@ -144,6 +145,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
     units = [m / np.linalg.norm(m) for row in mats for m in row if np.any(m)]
 
     rng = np.random.default_rng(cfg.seed)
+    ambiguous, best = 0, np.inf  # why the combinations tried so far failed
     for attempt in range(cfg.max_retries):
         coeffs = rng.standard_normal(len(units))
         T = sum(c * u for c, u in zip(coeffs, units))
@@ -151,6 +153,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
         tscale = max(np.linalg.norm(T), 1.0)
         clusters = _cluster(eigvals, cfg.cluster_tol * tscale)
         if len(clusters) > 1 and _cluster_margin(eigvals, clusters) <= 10 * cfg.cluster_tol * tscale:
+            ambiguous += 1
             continue  # ambiguous clustering: fresh combination
         characters = []
         diagonalizable = True
@@ -163,6 +166,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
                 _, v = _refine_eigenpair(T, eigvals[idx], v)
                 res = _joint_residual(v, units)
                 if res > cfg.residual_tol * 100:
+                    best = min(best, res)
                     break
                 characters.append(EigenCharacter(v, _numerators(v, mats), res))
                 continue
@@ -200,7 +204,11 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
 
             characters.sort(key=lambda ch: h(ch, 1) + h(ch, op.rank))
             return SpectrumReport(characters, diagonalizable, cfg.seed)
-    raise RuntimeError("persistent clustering ambiguity in joint diagonalization")
+    causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
+    if ambiguous < cfg.max_retries:
+        limit = cfg.residual_tol * 100
+        causes.append(f"{cfg.max_retries - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
+    raise RuntimeError(f"joint diagonalization failed for all {cfg.max_retries} random combinations: " + ", ".join(causes))
 
 
 def _numerators(v, mats):
@@ -277,7 +285,11 @@ def kernel_from_operator(D: DiffOp, spec: ModuleSpec, cfg: SpectralConfig = None
     For each i the ansatz e^{K_i u}(u^{lam_i} + sum_j x_j u^{lam_i - j})
     turns D f = 0 into a linear system after clearing the common
     denominator; the least-squares residual must stay below the kernel
-    tolerance, otherwise there is no kernel of the prescribed shape.
+    tolerance, otherwise there is no kernel of the prescribed shape.  The
+    system is solved in units of s = :func:`gap_unit` of the points, as the
+    root search is: with u = s v the operator sum_k c_k(u) (d/du)^k becomes
+    sum_k c_k(s v) s^-k (d/dv)^k with exponents s K, and its kernel part
+    p~ gives p(u) = s^d p~(u / s).
     """
     cfg = cfg or SpectralConfig()
     N = spec.rank
@@ -293,12 +305,14 @@ def kernel_from_operator(D: DiffOp, spec: ModuleSpec, cfg: SpectralConfig = None
         for d in dens:
             if d.degree > 0 and d != den:
                 raise ValueError("coefficient denominators do not nest")
+    unit = gap_unit(spec.points)
     cleared = []
-    for c in D.coeffs:
-        cleared.append(c.num * den.exact_div(c.den))
+    for k, c in enumerate(D.coeffs):
+        cnum = c.num * den.exact_div(c.den)
+        cleared.append(Poly([a * unit ** (j - k) for j, a in enumerate(cnum.coeffs)]))
     polys = []
     for i in range(N):
-        kexp = to_complex(spec.exponents[i])
+        kexp = unit * to_complex(spec.exponents[i])
         d = lam[i]
 
         def image(p: Poly) -> Poly:
@@ -329,7 +343,7 @@ def kernel_from_operator(D: DiffOp, spec: ModuleSpec, cfg: SpectralConfig = None
         scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
         if resid > cfg.kernel_tol * scale * rows:
             raise ValueError("no quasi-exponential kernel of prescribed degrees")
-        coeffs = [complex(x[d - 1 - j]) for j in range(d)] + [1.0 + 0j]
+        coeffs = [complex(x[d - 1 - j]) * unit ** (d - j) for j in range(d)] + [1.0 + 0j]
         polys.append(Poly(coeffs))
     return QuasiExpSpace(tuple(to_complex(k) for k in spec.exponents), tuple(polys))
 

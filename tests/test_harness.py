@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,27 @@ def test_cli_config_error_exit_code(tmp_path, capsys, command, content):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "bae"])
+def test_cli_numerical_failure_is_a_failing_check(tmp_path, command):
+    """A residual tolerance no float eigenvector meets makes every random
+    combination of the joint diagonalization fail: the run exits 1 with a
+    failing check that names that cause, writes its report, and prints no
+    traceback."""
+    root = Path(__file__).resolve().parents[1]
+    out_path = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-m", "gaudin.cli", command, "--config", str(root / "fixtures" / "golden_n2.json"),
+            "--tol-residual", "1e-30", "--out", str(out_path)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    report = json.loads(out_path.read_text())
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["spectrum-analysis"]
+    assert "joint eigen-residual above 1.0e-28" in failed[0]["value"]
+    assert report["all_passed"] is False
 
 def test_gaussian_rational_instance():
     data = {

@@ -141,8 +141,7 @@ def test_wrong_partition_fails_float_membership_at_five_points(c):
     the float tolerances most; at c = 1000 they are 1/1000 apart and the
     indicial polynomials are tiny, so an absolute floor on their comparison
     would accept anything.  The kernels are recovered at c = 1 and scaled,
-    because kernel recovery does not succeed on this instance at c = 1/1000.
-    Each kernel must pass its own partitions and fail the swapped ones, which
+    so this test exercises the membership test alone.  Each kernel must pass its own partitions and fail the swapped ones, which
     keep the pole polynomial, at exactly the two swapped points.
     """
     kernels = five_point_kernels()
@@ -153,3 +152,31 @@ def test_wrong_partition_fails_float_membership_at_five_points(c):
         wrong = membership_test(Y, five_point_spec(c, [[1, 1], [2, 0]]), tol=1e-6)
         failed = {check.name for check in wrong.checks if not check.passed}
         assert failed == {"indicial-exponents-at-point-3", "indicial-exponents-at-point-4"}
+
+
+def _relative_distance(X, Y):
+    """Largest relative difference between matching coefficients of two spaces."""
+    return max(
+        abs(complex(a) - complex(b)) / max(abs(complex(a)), abs(complex(b)))
+        for p, q in zip(X.polys, Y.polys)
+        for a, b in zip(p.coeffs, q.coeffs)
+    )
+
+
+@pytest.mark.parametrize("c", [F(1), F(1, 1000), F(1000)], ids=["c=1", "c=1/1000", "c=1000"])
+def test_kernel_recovery_invariant_under_scaling(c):
+    """Kernel recovery on the five-point mixed-cell shape at every scale.
+
+    At c = 1/1000 the points reach 4000 and K_2 = 1/2000, so the kernel
+    system is badly scaled in u; it must be solved in units of the smallest
+    gap between the points.  Every kernel must be recovered, pass membership
+    and be the c = 1 kernel of some character, scaled by c.
+    """
+    analysis = spectrum_analysis(build_bethe_operator(five_point_spec(c, [[2, 0], [1, 1]])))
+    assert len(analysis.kernels) == 7
+    assert all(not isinstance(m, str) and m.ok for m in analysis.memberships)
+    scaled = [scaled_space(X, c) for X in five_point_kernels()]
+    matched = {min(range(7), key=lambda k: _relative_distance(Y, scaled[k])) for Y in analysis.kernels}
+    assert len(matched) == 7
+    for Y in analysis.kernels:
+        assert min(_relative_distance(Y, Z) for Z in scaled) <= 1e-9
