@@ -32,7 +32,7 @@ from .bae import (
 from .betheop import BetheOperator, build_bethe_operator
 from .diffops import DiffOp, QuasiExp, rdet, wronskian
 from .polynomials import Poly
-from .ratfun import RatFun, rational_reconstruct
+from .ratfun import RatFun
 from .spaces import (
     QuasiExpSpace,
     char_at_infinity,
@@ -74,7 +74,6 @@ __all__ = [
     "kernel_from_operator",
     "membership_test",
     "newton_solve",
-    "rational_reconstruct",
     "rdet",
     "root_coordinates_from_space",
     "spectrum_analysis",

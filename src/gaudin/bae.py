@@ -631,6 +631,7 @@ class EigenvectorReport:
     residual: float
     passed: bool
     failures: list = field(default_factory=list)
+    values: dict = field(default_factory=dict)  # point -> factorized [h_1, ..., h_N]
 
 
 def verify_eigenvector(
@@ -638,33 +639,29 @@ def verify_eigenvector(
     spec: ModuleSpec,
     bethe_op,
     tol: float = 1e-8,
-    sample_points=None,
 ) -> EigenvectorReport:
     """Check that the weight function at the roots is a joint eigenvector.
 
     The predicted eigenvalues are the coefficients of the factorized
-    operator at the roots; the report carries the worst relative residual
-    over coefficients and sample points.
+    operator at the roots, evaluated at n + 2 integer points from 13 off
+    the poles; the report carries them and the worst relative residual
+    over coefficients and points.
     """
-    if sample_points is None:
-        sample_points = exact_sample_points(spec.points, spec.size + 2, start=13)
+    points = exact_sample_points(spec.points, spec.size + 2, start=13)
+    exponents = [to_complex(k) for k in spec.exponents]
+    values = {pt: factorized_values(t, exponents, pt) for pt in points}
     omega = weight_vector(t, spec)
     norm = float(np.linalg.norm(omega))
     if norm == 0:
-        return EigenvectorReport(residual=float("inf"), passed=False, failures=["zero vector"])
-    exponents = [to_complex(k) for k in spec.exponents]
+        return EigenvectorReport(float("inf"), False, ["zero vector"], values)
     worst = 0.0
     failures = []
-    for pt in sample_points:
-        values = factorized_values(t, exponents, pt)
+    for pt, hvals in values.items():
         for i in range(1, spec.rank + 1):
             m = bethe_op.block_evaluate(i, pt).to_complex_array()
-            hval = values[i - 1]
-            resid = float(np.linalg.norm(m @ omega - hval * omega)) / norm
-            scale = max(1.0, float(np.linalg.norm(m)))
-            rel = resid / scale
-            if rel > worst:
-                worst = rel
+            resid = float(np.linalg.norm(m @ omega - hvals[i - 1] * omega)) / norm
+            rel = resid / max(1.0, float(np.linalg.norm(m)))
+            worst = max(worst, rel)
             if rel > tol:
                 failures.append(f"coefficient {i} at point {pt}: residual {rel:.3e}")
-    return EigenvectorReport(residual=worst, passed=not failures, failures=failures)
+    return EigenvectorReport(worst, not failures, failures, values)

@@ -49,17 +49,8 @@ class BetheOperator:
         return self.spec.rank
 
     def coefficient(self, i: int) -> RatFun:
-        """B_i(u), i = 1..N; B_0 is the identity."""
-        if i == 0:
-            return RatFun.constant(Matrix.identity(self.module.dim))
+        """B_i(u), i = 1..N."""
         return self.coefficients[i - 1]
-
-    def evaluate(self, i: int, point) -> Matrix:
-        """Exact value of B_i at a sample point away from the poles."""
-        c = self.coefficient(i)
-        if c.is_zero():
-            return Matrix.zeros(self.module.dim, self.module.dim)
-        return c.evaluate(point)
 
     @cached_property
     def cleared(self) -> list:
@@ -130,22 +121,24 @@ def first_coefficient_residual(op: BetheOperator) -> RatFun:
     return total
 
 
-def leading_symbol(op: BetheOperator) -> Poly:
+def leading_symbol(op: BetheOperator):
     """Matrix polynomial sum_i B_{i0} a^{N-i} from the constant terms at infinity.
 
-    Equals prod_i (a - K_i) times the identity.
+    B_{i0} is the u^n coefficient of A_i, since the pole polynomial is
+    monic of degree n.  Equals prod_i (a - K_i) times the identity.  None
+    when some B_i has a pole off the points or an A_i has degree above n,
+    so that B_i has no constant term at infinity.
     """
-    N = op.rank
+    n = op.spec.size
+    try:
+        cleared = op.cleared
+    except ValueError:
+        return None
+    if any(a.degree > n for a in cleared):
+        return None
     dim = op.module.dim
-    coeffs = [None] * (N + 1)
-    coeffs[N] = Matrix.identity(dim)
-    for i in range(1, N + 1):
-        c = op.coefficient(i)
-        if c.is_zero():
-            coeffs[N - i] = Matrix.zeros(dim, dim)
-        else:
-            coeffs[N - i] = c.expand_at_infinity(1)[0]
-    return Poly(coeffs)
+    top = [a.coeffs[n] if a.degree == n else Matrix.zeros(dim, dim) for a in cleared]
+    return Poly(top[::-1] + [Matrix.identity(dim)])
 
 
 def expected_leading_symbol(op: BetheOperator) -> Poly:
@@ -254,39 +247,42 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
     )
 
 
-def commutativity_check(op: BetheOperator, sample_points=None) -> bool:
-    """All pairwise commutators of coefficient values vanish exactly.
+def _cleared_coefficients(op: BetheOperator):
+    """Every coefficient matrix C_ij of every A_i, or None when clearing fails."""
+    try:
+        return [c for a in op.cleared for c in a.coeffs]
+    except ValueError:
+        return None
 
-    Also checks commutation with every diagonal generator e_ii, i.e. with
-    the Cartan subalgebra, which forces weight-block structure.
+
+def commutativity_check(op: BetheOperator) -> bool:
+    """[B_i(u), B_k(v)] = 0 and [B_i(u), e_jj] = 0, exactly, for all u and v.
+
+    With C_ij the u^j coefficient of A_i, P(u)P(v)[B_i(u), B_k(v)] is
+    sum_jl [C_ij, C_kl] u^j v^l, so the identity holds exactly when the
+    non-scalar C_ij commute pairwise.  Commuting with every diagonal
+    generator e_jj, i.e. with the Cartan subalgebra, forces weight-block
+    structure.
     """
-    if sample_points is None:
-        sample_points = exact_sample_points(op.spec.points, 5)
-    values = [
-        op.evaluate(i, pt) for i in range(1, op.rank + 1) for pt in sample_points
-    ]
-    for a in range(len(values)):
-        for b in range(a + 1, len(values)):
-            if not values[a].commutator(values[b]).is_zero():
-                return False
+    coeffs = _cleared_coefficients(op)
+    if coeffs is None:
+        return False
+    mats = [c for c in coeffs if c.scalar_of_identity() is None]
     cartans = [op.module.cartan_matrix(i) for i in range(1, op.rank + 1)]
-    for v in values:
-        for h in cartans:
-            if not v.commutator(h).is_zero():
-                return False
-    return True
+    return all(
+        m.commutator(other).is_zero()
+        for a, m in enumerate(mats)
+        for other in mats[a + 1:] + cartans
+    )
 
 
-def weight_blocks_preserved(op: BetheOperator, sample_points=None) -> bool:
-    """Coefficient values vanish between different weight blocks."""
-    if sample_points is None:
-        sample_points = exact_sample_points(op.spec.points, 2)
+def weight_blocks_preserved(op: BetheOperator) -> bool:
+    """No coefficient matrix C_ij has an entry between different weight blocks."""
+    coeffs = _cleared_coefficients(op)
+    if coeffs is None:
+        return False
     label = np.empty(op.module.dim, dtype=int)
     for k, idx in enumerate(op.module.weights.values()):
         label[idx] = k
     off_block = label[:, None] != label[None, :]
-    return not any(
-        (op.evaluate(i, pt).support() & off_block).any()
-        for i in range(1, op.rank + 1)
-        for pt in sample_points
-    )
+    return not any((c.support() & off_block).any() for c in coeffs)

@@ -90,11 +90,6 @@ class DiffOp:
         return DiffOp(list(reversed(coeffs_desc)))
 
     @staticmethod
-    def first_order(a, c):
-        """a * d/du + c."""
-        return DiffOp([c, a])
-
-    @staticmethod
     def derivative_op(one=Fraction(1)):
         return DiffOp([RatFun.constant(one * 0), RatFun.constant(one)])
 

@@ -17,12 +17,11 @@ import numpy as np
 
 from . import __version__
 from .algebra import ModuleSpec, Partition, build_embedded_module
-from .bae import bae_residual, factorized_values, gap_unit, newton_solve, verify_eigenvector
+from .bae import bae_residual, gap_unit, newton_solve, verify_eigenvector
 from .betheop import (
     build_bethe_operator,
     check_polynomiality,
     commutativity_check,
-    exact_sample_points,
     expected_leading_symbol,
     first_coefficient_residual,
     leading_symbol,
@@ -31,17 +30,21 @@ from .betheop import (
 from .polynomials import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar, to_complex
 from .spaces import QuasiExpSpace, fundamental_operator, membership_test, wronskian_of_space
-from .spectral import (
-    SpectralConfig,
-    character_to_operator,
-    joint_diagonalize,
-    reconstruction_points,
-    spectrum_analysis,
-)
+from .spectral import SpectralConfig, joint_diagonalize, spectrum_analysis
 
 
 class ConfigError(ValueError):
     """The instance description is rejected before any computation."""
+
+
+OPTION_KEYS = ("seed", "run_bae", "run_wronski", "tolerances")
+TOLERANCE_KEYS = ("residual", "cluster", "dedup", "kernel_fit")
+
+
+def _reject_unknown(d: dict, known, kind: str):
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"unknown {kind} {key!r} (known: {', '.join(known)})")
 
 
 @dataclass
@@ -55,13 +58,13 @@ class Tolerances:
     def from_dict(d):
         if not isinstance(d, dict):
             raise ConfigError("tolerances must be an object")
+        _reject_unknown(d, TOLERANCE_KEYS, "tolerance")
         t = Tolerances()
-        for key in ("residual", "cluster", "dedup", "kernel_fit"):
-            if key in d:
-                try:
-                    setattr(t, key, float(d[key]))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"tolerance {key!r}: {exc}") from exc
+        for key, value in d.items():
+            try:
+                setattr(t, key, float(value))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"tolerance {key!r}: {exc}") from exc
         return t
 
 
@@ -70,7 +73,6 @@ class InstanceConfig:
     spec: ModuleSpec
     run_bae: bool = True
     run_wronski: bool = True
-    samples: int = 5
     seed: int = 2024
     tolerances: Tolerances = field(default_factory=Tolerances)
     space: QuasiExpSpace = None
@@ -99,8 +101,8 @@ class InstanceConfig:
         options = data.get("options", {})
         if not isinstance(options, dict):
             raise ConfigError("options must be an object")
+        _reject_unknown(options, OPTION_KEYS, "option")
         try:
-            samples = int(options.get("samples", 5))
             seed = int(options.get("seed", 2024))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad option: {exc}") from exc
@@ -108,7 +110,6 @@ class InstanceConfig:
             spec=spec,
             run_bae=bool(options.get("run_bae", True)),
             run_wronski=bool(options.get("run_wronski", True)),
-            samples=samples,
             seed=seed,
             tolerances=Tolerances.from_dict(options.get("tolerances", {})),
             space=space,
@@ -167,16 +168,6 @@ def cleared_numerators(D, spec: ModuleSpec):
     ]
 
 
-def operator_distance(numers_a, numers_b) -> float:
-    """Max relative coefficient distance between cleared numerator arrays."""
-    worst = 0.0
-    for row_a, row_b in zip(numers_a, numers_b):
-        scale = max([abs(c) for c in row_a + row_b] + [1.0])
-        for x, y in zip(row_a, row_b):
-            worst = max(worst, abs(x - y) / scale)
-    return worst
-
-
 def _is_real_data(spec: ModuleSpec) -> bool:
     return not any(
         isinstance(v, GaussianRational) and v.im != 0 for v in spec.exponents + spec.points
@@ -199,13 +190,7 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
     checks.append(Check("local-values-scalar", not any("not scalar" in f for f in poly_report.failures)))
     checks.append(Check("indicial-identity", poly_report.indicial_ok))
     checks.append(Check("coefficient-degree-bound", all(d <= spec.size for d in poly_report.degrees), value=poly_report.degrees))
-    sample_count = max(2, config.samples)
-    checks.append(
-        Check(
-            "commutativity",
-            commutativity_check(op, exact_sample_points(spec.points, sample_count)),
-        )
-    )
+    checks.append(Check("commutativity", commutativity_check(op)))
     checks.append(Check("weight-blocks-preserved", weight_blocks_preserved(op)))
 
     scfg = config.spectral_config()
@@ -296,9 +281,7 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
 
     exponents = [to_complex(k) for k in spec.exponents]
     entries = []
-    report = spectrum["spectrum"]
-    operators = report.operators or [character_to_operator(ch, op) for ch in report.characters]
-    char_numers = [cleared_numerators(D, spec) for D in operators]
+    characters = spectrum["spectrum"].characters
     den_c = Poly([to_complex(c) for c in spec.pole_polynomial().coeffs])
     used = set()
     for sol in sols:
@@ -306,19 +289,18 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
             type(sol)([tuple(to_complex(x) for x in lv) for lv in sol.levels]), exponents
         )
         res_norm = max((abs(r) for r in res), default=0.0)
+        # match against the characters at the points the eigenvector check used
         ev = verify_eigenvector(sol, spec, op, tol=config.tolerances.kernel_fit * 10)
-        pts = reconstruction_points(spec, spec.size + 2, avoid=sol.flat_upper())
-        sol_values = {pt: factorized_values(sol, exponents, pt) for pt in pts}
         best, best_dist = None, float("inf")
-        for k, cn in enumerate(char_numers):
+        for k, ch in enumerate(characters):
             if k in used:
                 continue
             worst = 0.0
-            for pt, values in sol_values.items():
+            for pt, values in ev.values.items():
                 z = complex(pt)
-                for i in range(1, spec.rank + 1):
-                    hc = sum(cn[i - 1][j] * z**j for j in range(len(cn[i - 1]))) / den_c(z)
-                    worst = max(worst, abs(values[i - 1] - hc) / max(abs(hc), 1.0))
+                for h, row in zip(values, ch.numerators):
+                    hc = sum(c * z**j for j, c in enumerate(row)) / den_c(z)
+                    worst = max(worst, abs(h - hc) / max(abs(hc), 1.0))
             if worst < best_dist:
                 best, best_dist = k, worst
         matched = best is not None and best_dist <= 1e-8
@@ -341,7 +323,7 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     checks.append(
         Check(
             "factorized-operators-match-characters",
-            len(used) == len(entries) == len(char_numers),
+            len(used) == len(entries) == len(characters),
         )
     )
     return {
@@ -389,6 +371,7 @@ def verify_pipeline(config: InstanceConfig) -> dict:
         "checks": list(spectrum["checks"]),
         "characters": spectrum["characters"],
         "dimension": spectrum["dimension"],
+        "module_dimension": spectrum["module_dimension"],
     }
     dim = spectrum["dimension"]
     if spectrum["spectrum"] is None:  # the spectrum stage failed: nothing to count

@@ -237,9 +237,6 @@ class Matrix:
             out = out + 1j * (self.im / self.den).astype(float)
         return out
 
-    def to_complex_list(self):
-        return self.to_complex_array().tolist()
-
     def submatrix(self, row_idx, col_idx):
         ix = np.ix_(list(row_idx), list(col_idx))
         return Matrix._of(self.re[ix], self.im[ix] if self.im is not None else None, self.den)

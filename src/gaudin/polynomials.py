@@ -193,9 +193,6 @@ class Poly:
                 num[k + j] = num[k + j] - c * oc
         return Poly(quot), Poly(num[:d])
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def __mod__(self, other):
         return self.divmod(other)[1]
 

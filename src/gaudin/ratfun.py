@@ -14,12 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import Matrix
-from .polynomials import Poly, newton_interpolate, poly_gcd
+from .polynomials import Poly, poly_gcd
 from .scalars import is_exact
-
-
-class DegreeBoundError(ValueError):
-    """Samples are inconsistent with the promised numerator degree bound."""
 
 
 def _is_exact_poly(p: Poly) -> bool:
@@ -184,30 +180,3 @@ def ratfun_pole_order(f: RatFun, point) -> int:
         order += 1
         den = q
     return order
-
-
-def rational_reconstruct(samples, deg_num: int, known_denominator: Poly, tol=None) -> RatFun:
-    """Recover num/known_denominator from point samples of the value.
-
-    ``samples`` is a list of (point, value) pairs with at least deg_num + 1
-    entries; extra samples act as consistency witnesses.  With exact inputs
-    the consistency check is exact equality; for floats pass a tolerance.
-    Raises DegreeBoundError when a witness sample disagrees, which signals a
-    wrong polynomiality hypothesis.
-    """
-    if len(samples) < deg_num + 1:
-        raise ValueError("not enough samples for the requested degree bound")
-    pts = [p for p, _ in samples]
-    if len(set(pts)) != len(pts):
-        raise ValueError("sample points must be distinct")
-    targets = [v * known_denominator(p) for p, v in samples]
-    num = newton_interpolate(pts[: deg_num + 1], targets[: deg_num + 1])
-    for p, t in zip(pts[deg_num + 1 :], targets[deg_num + 1 :]):
-        got = num(p)
-        if tol is None:
-            if got != t:
-                raise DegreeBoundError(f"degree bound violated at point {p}")
-        else:
-            if abs(got - t) > tol * max(abs(t), 1.0):
-                raise DegreeBoundError(f"degree bound violated at point {p}")
-    return RatFun(num, known_denominator, reduce=(tol is None))

@@ -34,29 +34,10 @@ class SpectralConfig:
     cluster_tol: float = 1e-7
     kernel_tol: float = 1e-8
     seed: int = 2024
-    max_retries: int = 6
 
 
-def reconstruction_points(spec: ModuleSpec, count: int, avoid=(), min_dist: float = 0.12):
-    """Exact rational points interleaving the evaluation points.
-
-    Numerator reconstruction from samples is only well conditioned when the
-    samples surround the poles, so these points walk through the b-range in
-    half-integer steps (quarter-shifted to dodge the points themselves).
-    Extra locations to stay away from (for instance almost-cancelling poles
-    of a factorized operator) go in ``avoid``.
-    """
-    reals = [to_complex(b).real for b in spec.points]
-    lo = int(min(reals)) - 2
-    keep_away = [to_complex(b) for b in spec.points] + [to_complex(a) for a in avoid]
-    out = []
-    k = 0
-    while len(out) < count:
-        cand = Fraction(4 * lo + 1 + 2 * k, 4)  # lo + 1/4, lo + 3/4, ...
-        if all(abs(complex(cand) - a) > min_dist for a in keep_away):
-            out.append(cand)
-        k += 1
-    return out
+# fresh random combinations tried before joint diagonalization gives up
+MAX_RETRIES = 6
 
 
 @dataclass
@@ -146,7 +127,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
 
     rng = np.random.default_rng(cfg.seed)
     ambiguous, best = 0, np.inf  # why the combinations tried so far failed
-    for attempt in range(cfg.max_retries):
+    for attempt in range(MAX_RETRIES):
         coeffs = rng.standard_normal(len(units))
         T = sum(c * u for c, u in zip(coeffs, units))
         eigvals, eigvecs = np.linalg.eig(T)
@@ -205,10 +186,10 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
             characters.sort(key=lambda ch: h(ch, 1) + h(ch, op.rank))
             return SpectrumReport(characters, diagonalizable, cfg.seed)
     causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
-    if ambiguous < cfg.max_retries:
+    if ambiguous < MAX_RETRIES:
         limit = cfg.residual_tol * 100
-        causes.append(f"{cfg.max_retries - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
-    raise RuntimeError(f"joint diagonalization failed for all {cfg.max_retries} random combinations: " + ", ".join(causes))
+        causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
+    raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes))
 
 
 def _numerators(v, mats):

@@ -1,14 +1,19 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here shares code paths with the library: dimensions come from
+The oracles share no code paths with the library: dimensions come from
 tableau enumeration, weight bases from filtering raw index tuples, and
-derivatives from the elementary rule applied term by term.
+derivatives from the elementary rule applied term by term.  The sampling
+helpers at the end (interpolating points, rational reconstruction from
+samples, numerator distance) serve the tests only.
 """
 
 import cmath
+from fractions import Fraction
 from itertools import product
 
-from gaudin.polynomials import Poly
+from gaudin.polynomials import Poly, newton_interpolate
+from gaudin.ratfun import RatFun
+from gaudin.scalars import to_complex
 
 
 def kostka_number(shape, content) -> int:
@@ -119,3 +124,66 @@ def numeric_wronskian(funcs, point) -> complex:
         return total
 
     return det(rows)
+
+
+def reconstruction_points(spec, count: int, avoid=(), min_dist: float = 0.12):
+    """Exact rational points interleaving the evaluation points.
+
+    Numerator reconstruction from samples is only well conditioned when the
+    samples surround the poles, so these points walk through the b-range in
+    half-integer steps (quarter-shifted to dodge the points themselves).
+    Extra locations to stay away from (for instance almost-cancelling poles
+    of a factorized operator) go in ``avoid``.
+    """
+    reals = [to_complex(b).real for b in spec.points]
+    lo = int(min(reals)) - 2
+    keep_away = [to_complex(b) for b in spec.points] + [to_complex(a) for a in avoid]
+    out = []
+    k = 0
+    while len(out) < count:
+        cand = Fraction(4 * lo + 1 + 2 * k, 4)  # lo + 1/4, lo + 3/4, ...
+        if all(abs(complex(cand) - a) > min_dist for a in keep_away):
+            out.append(cand)
+        k += 1
+    return out
+
+
+class DegreeBoundError(ValueError):
+    """Samples are inconsistent with the promised numerator degree bound."""
+
+
+def rational_reconstruct(samples, deg_num: int, known_denominator: Poly, tol=None) -> RatFun:
+    """Recover num/known_denominator from point samples of the value.
+
+    ``samples`` is a list of (point, value) pairs with at least deg_num + 1
+    entries; extra samples act as consistency witnesses.  With exact inputs
+    the consistency check is exact equality; for floats pass a tolerance.
+    Raises DegreeBoundError when a witness sample disagrees, which signals a
+    wrong polynomiality hypothesis.
+    """
+    if len(samples) < deg_num + 1:
+        raise ValueError("not enough samples for the requested degree bound")
+    pts = [p for p, _ in samples]
+    if len(set(pts)) != len(pts):
+        raise ValueError("sample points must be distinct")
+    targets = [v * known_denominator(p) for p, v in samples]
+    num = newton_interpolate(pts[: deg_num + 1], targets[: deg_num + 1])
+    for p, t in zip(pts[deg_num + 1 :], targets[deg_num + 1 :]):
+        got = num(p)
+        if tol is None:
+            if got != t:
+                raise DegreeBoundError(f"degree bound violated at point {p}")
+        else:
+            if abs(got - t) > tol * max(abs(t), 1.0):
+                raise DegreeBoundError(f"degree bound violated at point {p}")
+    return RatFun(num, known_denominator, reduce=(tol is None))
+
+
+def operator_distance(numers_a, numers_b) -> float:
+    """Max relative coefficient distance between cleared numerator arrays."""
+    worst = 0.0
+    for row_a, row_b in zip(numers_a, numers_b):
+        scale = max([abs(c) for c in row_a + row_b] + [1.0])
+        for x, y in zip(row_a, row_b):
+            worst = max(worst, abs(x - y) / scale)
+    return worst

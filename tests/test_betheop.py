@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 from gaudin.algebra import ModuleSpec
@@ -12,6 +13,7 @@ from gaudin.betheop import (
     weight_blocks_preserved,
 )
 from gaudin.linalg import Matrix
+from gaudin.polynomials import Poly
 from gaudin.ratfun import RatFun
 
 F = Fraction
@@ -71,14 +73,45 @@ def test_weight_blocks(exact_family_ops):
         assert weight_blocks_preserved(op)
 
 
-def test_commutativity_detects_failure(golden_op):
-    # sanity: a corrupted pair of values does not commute
-    a = golden_op.evaluate(2, F(3))
-    bad = a + Matrix([[F(0), F(1), F(0), F(0)],
-                      [F(0), F(0), F(0), F(0)],
-                      [F(0), F(0), F(0), F(0)],
-                      [F(0), F(0), F(0), F(0)]])
-    assert not a.commutator(bad).is_zero()
+def _mutant(op, i, extra: RatFun):
+    """A copy of op with B_i replaced by B_i + extra."""
+    coeffs = list(op.coefficients)
+    coeffs[i - 1] = coeffs[i - 1] + extra
+    return replace(op, coefficients=coeffs)
+
+
+def _unit(dim, i, j):
+    m = [[F(0)] * dim for _ in range(dim)]
+    m[i][j] = F(1)
+    return Matrix(m)
+
+
+def test_checks_detect_a_mutant_hidden_from_sample_points(golden_op):
+    """B_2 + q(u) X / P, with q vanishing at the first five sample points and
+    X = e_{0,1} joining two weight blocks, agrees with B_2 at every point a
+    sampled check would use; the identities on the cleared coefficients
+    still see X."""
+    spec = golden_op.spec
+    q = Poly.from_roots(exact_sample_points(spec.points, 5))
+    X = _unit(golden_op.module.dim, 0, 1)
+    mutant = _mutant(golden_op, 2, RatFun(Poly([c * X for c in q.coeffs]), spec.pole_polynomial()))
+    for pt in exact_sample_points(spec.points, 5):
+        assert mutant.coefficient(2).evaluate(pt) == golden_op.coefficient(2).evaluate(pt)
+    assert not commutativity_check(mutant)
+    assert not weight_blocks_preserved(mutant)
+    # deg A_2 = 5 > n = 2: B_2 grows at infinity
+    assert leading_symbol(mutant) != expected_leading_symbol(mutant)
+
+
+def test_checks_fail_without_raising_on_a_pole_off_the_points(golden_op):
+    """B_1 + I/(u - 7) cannot be cleared by the pole polynomial."""
+    dim = golden_op.module.dim
+    extra = RatFun(Poly([Matrix.identity(dim)]), Poly([F(-7), F(1)]))
+    mutant = _mutant(golden_op, 1, extra)
+    assert not commutativity_check(mutant)
+    assert not weight_blocks_preserved(mutant)
+    assert leading_symbol(mutant) != expected_leading_symbol(mutant)
+    assert not check_polynomiality(mutant).ok
 
 
 def test_weyl_style_full_tensor_polynomiality():
@@ -98,7 +131,7 @@ def test_block_evaluate_matches_full_evaluation(exact_family_ops):
         idx = op.module.weight_indices(op.spec.weight)
         for pt in exact_sample_points(op.spec.points, 3, start=-2):
             for i in range(1, op.rank + 1):
-                assert op.block_evaluate(i, pt) == op.evaluate(i, pt).submatrix(idx, idx)
+                assert op.block_evaluate(i, pt) == op.coefficient(i).evaluate(pt).submatrix(idx, idx)
 
 
 def test_cleared_equals_reduced_product(exact_family_ops):

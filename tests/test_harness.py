@@ -57,6 +57,16 @@ def test_config_rejects_bad_scalar():
         InstanceConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "options, key",
+    [({"samples": 5}, "samples"), ({"tolerances": {"residul": 1e-9}}, "residul")],
+    ids=["removed-option", "misspelt-tolerance"],
+)
+def test_config_rejects_unknown_keys(options, key):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        InstanceConfig.from_dict({**GOLDEN, "options": options})
+
+
 def test_report_determinism():
     cfg1 = InstanceConfig.from_dict(GOLDEN)
     cfg2 = InstanceConfig.from_dict(GOLDEN)
@@ -107,6 +117,7 @@ def test_cli_roundtrip(tmp_path):
     assert code == 0
     report = json.loads(out_path.read_text())
     assert report["all_passed"] is True
+    assert report["module_dimension"] == 4
     assert main(["report", str(out_path)]) == 0
 
 
@@ -117,6 +128,8 @@ def test_cli_roundtrip(tmp_path):
         ("spectrum", {**GOLDEN, "options": {"tolerances": {"residual": "abc"}}}),
         ("spectrum", {**GOLDEN, "options": {"seed": "abc"}}),
         ("spectrum", {**GOLDEN, "options": {"samples": "abc"}}),
+        ("spectrum", {**GOLDEN, "options": {"samples": 5}}),
+        ("spectrum", {**GOLDEN, "options": {"tolerances": {"residul": 1e-9}}}),
         ("report", None),
         ("report", "{not json"),
         ("report", GOLDEN),
@@ -126,6 +139,8 @@ def test_cli_roundtrip(tmp_path):
         "tolerance-not-numeric",
         "seed-not-integer",
         "samples-not-integer",
+        "samples-option-removed",
+        "tolerance-key-misspelt",
         "report-missing-file",
         "report-invalid-json",
         "report-not-a-report",
@@ -177,7 +192,7 @@ def test_gaussian_rational_instance():
 
 def test_option_toggles():
     data = copy.deepcopy(GOLDEN)
-    data["options"] = {"run_wronski": False, "run_bae": False, "samples": 3}
+    data["options"] = {"run_wronski": False, "run_bae": False}
     cfg = InstanceConfig.from_dict(data)
     out = verify_pipeline(cfg)
     names = [c.name for c in out["checks"]]

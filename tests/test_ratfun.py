@@ -4,8 +4,10 @@ import pytest
 
 from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly, poly_gcd
-from gaudin.ratfun import DegreeBoundError, RatFun, rational_reconstruct, ratfun_pole_order
+from gaudin.ratfun import RatFun, ratfun_pole_order
 from gaudin.scalars import GaussianRational as GR
+
+from oracles import DegreeBoundError, rational_reconstruct
 
 F = Fraction
 
