@@ -30,7 +30,7 @@ from .bae import (
     weight_function,
 )
 from .betheop import BetheOperator, build_bethe_operator
-from .diffops import DiffOp, QuasiExp, rdet, wronskian
+from .diffops import DiffOp, QuasiExp, wronskian
 from .polynomials import Poly
 from .ratfun import RatFun
 from .spaces import (
@@ -74,7 +74,6 @@ __all__ = [
     "kernel_from_operator",
     "membership_test",
     "newton_solve",
-    "rdet",
     "root_coordinates_from_space",
     "spectrum_analysis",
     "weight_function",

@@ -15,7 +15,6 @@ from itertools import product
 
 from .linalg import Matrix, nullspace
 from .polynomials import Poly
-from .ratfun import RatFun
 from .scalars import iszero, promote_field
 
 
@@ -353,7 +352,8 @@ class EmbeddedModule:
         self._weights = {}
         for k, (w, _, _) in enumerate(members):
             self._weights.setdefault(w, []).append(k)
-        self._point_matrices = {}  # (i, j) -> e_point_matrices(i, j)
+        self._blocks = {}  # (i, j, nu) -> generator_block(i, j, nu)
+        self.leaks = set()  # keys of generator blocks whose images leave their weight
 
     @property
     def weights(self):
@@ -363,9 +363,9 @@ class EmbeddedModule:
         lam = lam.padded(self.spec.rank) if isinstance(lam, Partition) else tuple(lam)
         return list(self._weights.get(lam, []))
 
-    def express(self, vec: dict) -> list:
-        """Coordinates of an ambient vector in the embedded basis (exact)."""
-        coeffs = [Fraction(0)] * self.dim
+    def express(self, vec: dict) -> dict:
+        """Nonzero coordinates {member index: c} of an ambient vector in the embedded basis (exact)."""
+        coeffs = {}
         work = dict(vec)
         for k in self._by_lead:
             _, lead, member = self.members[k]
@@ -383,41 +383,36 @@ class EmbeddedModule:
             raise ValueError("vector does not lie in the embedded module")
         return coeffs
 
-    def matrix_of(self, apply_fn) -> Matrix:
-        """Matrix (columns indexed by input basis member) of a linear map."""
-        cols = []
-        for _, _, vec in self.members:
-            cols.append(self.express(apply_fn(vec)))
-        return Matrix([[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+    def generator_block(self, i: int, j: int, nu) -> tuple:
+        """Per point s, the matrix of e_ij in factor s from weight nu to nu + e_i - e_j.
 
-    def e_point_matrices(self, i: int, j: int) -> list:
-        """Per evaluation point s, the matrix of e_ij acting in block s (memoized)."""
-        key = (i, j)
-        if key not in self._point_matrices:
-            self._point_matrices[key] = tuple(
-                self.matrix_of(lambda vec: apply_e_block(i, j, positions, vec))
-                for positions in self.factor_positions
-            )
-        return list(self._point_matrices[key])
-
-    def e_series(self, i: int, j: int) -> RatFun:
-        """Matrix of e_ij(u): sum_s (e_ij in block s) / (u - b_s)."""
-        mats = self.e_point_matrices(i, j)
-        points = self.spec.points
-        den = Poly.from_roots(points)
-        num = None
-        for s, mat in enumerate(mats):
-            rest = Poly.from_roots([b for r, b in enumerate(points) if r != s])
-            term = Poly([c * mat for c in rest.coeffs])
-            num = term if num is None else num + term
-        return RatFun(num, den)
-
-    def cartan_matrix(self, i: int) -> Matrix:
-        """Matrix of the constant diagonal generator e_ii: the sum of its point blocks."""
-        total = Matrix.zeros(self.dim, self.dim)
-        for mat in self.e_point_matrices(i, i):
-            total = total + mat
-        return total
+        Columns are the weight-nu members, rows the members of the target
+        weight; both are empty when the weight has no members.  The block is
+        built from the images of the weight-nu members only and memoized.
+        Each image is expressed over the whole basis, so a coordinate outside
+        the target weight is seen: the block's key (i, j, nu) then goes into
+        ``leaks`` and that coordinate is dropped from the block.
+        """
+        nu = tuple(nu)
+        key = (i, j, nu)
+        if key not in self._blocks:
+            target = list(nu)
+            target[i - 1] += 1
+            target[j - 1] -= 1
+            cols = self._weights.get(nu, [])
+            rows = self._weights.get(tuple(target), [])
+            inside = set(rows)
+            mats = []
+            for positions in self.factor_positions:
+                images = [self.express(apply_e_block(i, j, positions, self.members[k][2])) for k in cols]
+                if any(r not in inside for img in images for r in img):
+                    self.leaks.add(key)
+                if rows and cols:
+                    mats.append(Matrix([[img.get(r, 0) for img in images] for r in rows]))
+                else:
+                    mats.append(Matrix.zeros(len(rows), len(cols)))
+            self._blocks[key] = tuple(mats)
+        return self._blocks[key]
 
 
 def build_embedded_module(spec: ModuleSpec) -> EmbeddedModule:

@@ -1,10 +1,11 @@
-"""The universal differential operator acting on an embedded module.
+"""The universal differential operator on the target weight block.
 
 The operator is the row determinant of the rank-N matrix whose diagonal
 carries d/du - K_i - e_ii(u) and whose (i, j) entry off the diagonal is
--e_ji(u); note the transposed generator indexing.  Expanding on a concrete
-module gives a monic operator of order N whose coefficients are exact
-matrix-valued rational functions with poles at the evaluation points only.
+-e_ji(u); note the transposed generator indexing.  Expanded on the
+weight-lam block of a concrete module it is a monic operator of order N
+whose coefficients B_i are exact matrix-valued rational functions with
+poles at the evaluation points only.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-
-import numpy as np
+from itertools import zip_longest
 
 from .algebra import EmbeddedModule, ModuleSpec
-from .diffops import DiffOp, rdet
 from .linalg import Matrix
 from .polynomials import Poly, falling_product
 from .ratfun import RatFun
@@ -37,16 +36,19 @@ def exact_sample_points(avoid, count: int, start: int = 2):
 
 @dataclass
 class BetheOperator:
-    """Monic order-N operator with matrix rational-function coefficients."""
+    """Monic order-N operator with matrix rational-function coefficients on the block."""
 
     spec: ModuleSpec
     module: EmbeddedModule
-    operator: DiffOp
-    coefficients: list  # B_1 .. B_N as matrix-valued RatFun on the full module
+    coefficients: list  # B_1 .. B_N on the weight-lam block, as num / P1^N
 
     @property
     def rank(self) -> int:
         return self.spec.rank
+
+    @property
+    def dim(self) -> int:
+        return len(self.module.weight_indices(self.spec.weight))
 
     def coefficient(self, i: int) -> RatFun:
         """B_i(u), i = 1..N."""
@@ -56,68 +58,110 @@ class BetheOperator:
     def cleared(self) -> list:
         """A_i = B_i * prod_s (u - b_s)^{n_s}, i = 1..N, as exact matrix polynomials.
 
-        Each A_i is num(B_i) times the quotient of the pole polynomial by
+        Each A_i is num(B_i) times the pole polynomial divided exactly by
         den(B_i); a nonzero remainder means B_i has a pole the evaluation
         points do not allow, and raises ValueError.
         """
         pole = self.spec.pole_polynomial()
         out = []
         for i, c in enumerate(self.coefficients, 1):
-            quot, rem = pole.divmod(c.den)
+            quot, rem = (c.num * pole).divmod(c.den)
             if not rem.is_zero():
                 raise ValueError(f"B_{i} * pole polynomial is not polynomial")
-            out.append(c.num * quot)
+            out.append(quot)
         return out
-
-    def block(self, i: int) -> RatFun:
-        """B_i on the target weight block as A_i|block over the pole polynomial."""
-        idx = self.module.weight_indices(self.spec.weight)
-        num = self.cleared[i - 1].map(lambda m: m.submatrix(idx, idx))
-        return RatFun(num, self.spec.pole_polynomial(), reduce=False)
 
     def block_evaluate(self, i: int, point) -> Matrix:
         """Exact value of B_i on the target weight block at a point off the poles."""
-        c = self.block(i)
-        if c.is_zero():
-            dim = len(self.module.weight_indices(self.spec.weight))
-            return Matrix.zeros(dim, dim)
-        return c.evaluate(point)
+        a = self.cleared[i - 1]
+        if a.is_zero():
+            return Matrix.zeros(self.dim, self.dim)
+        return a(point) / self.spec.pole_polynomial()(point)
+
+
+def _cofactors(p1: Poly, points) -> list:
+    """prod_{r != s} (u - b_r) for each point b_s."""
+    return [p1.exact_div(Poly([-b, b * 0 + 1])) for b in points]
+
+
+def _series(module: EmbeddedModule, i: int, j: int, nu, cofactors: list) -> Poly:
+    """G with e_ij(u) = G / P1 on the weight-nu columns: sum_s E_s prod_{r != s} (u - b_r)."""
+    total = Poly()
+    for rest, mat in zip(cofactors, module.generator_block(i, j, nu)):
+        total = total + Poly([c * mat for c in rest.coeffs])
+    return total
 
 
 def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> BetheOperator:
-    """Expand the row determinant on the full embedded module."""
+    """Expand the row determinant on the weight-lam block, graded by weight.
+
+    The expansion runs from the bottom row up over memoized minors.  M(S),
+    the row determinant of rows k..N-1 on the columns S (|S| = N - k), maps
+    the weight-lam columns into the one weight
+    nu_S = lam + sum_{j in S} e_j - sum_{i >= k} e_i, so it is a
+    dim(nu_S) x dim(lam) matrix operator, and
+
+        M(S + {j}) = sum_{j not in S} (-1)^{#{s in S : s < j}} a_{k-1,j} M(S),
+
+    N 2^(N-1) compositions in all.  M(S) is kept as the numerators of its
+    d/du-coefficients over P1^{|S|}, P1 = prod_s (u - b_s): an entry carries
+    e(u) = G(u) / P1, and d/du takes N / P1^m to (N' P1 - m N P1') / P1^{m+1},
+    so no gcd is ever taken.
+    """
     if module is None:
         module = EmbeddedModule(spec)
     N = spec.rank
-    dim = module.dim
-    ident = RatFun.constant(Matrix.identity(dim))
-    entries = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            series = module.e_series(j + 1, i + 1)  # -e_ji(u) at row i, column j
-            if i == j:
-                zero_order = RatFun.constant(Matrix.identity(dim) * (-spec.exponents[i])) - series
-                row.append(DiffOp([zero_order, ident]))
-            else:
-                row.append(DiffOp([-series]))
-        entries.append(row)
-    op = rdet(entries)
-    if op.order != N:
-        raise ValueError(f"row determinant has order {op.order}, expected {N}")
-    if not op.is_monic:
-        raise ValueError("row determinant is not monic")
-    coeffs = [op.coeff_of_dpower_from_top(i) for i in range(1, N + 1)]
-    return BetheOperator(spec=spec, module=module, operator=op, coefficients=coeffs)
+    lam = spec.weight.padded(N)
+    p1 = Poly.from_roots(spec.points)
+    dp1 = p1.derivative()
+    cofactors = _cofactors(p1, spec.points)
+    minors = {(): (lam, [Poly([Matrix.identity(len(module.weight_indices(lam)))])])}
+    for k in reversed(range(N)):
+        m = N - 1 - k  # every minor in hand is over P1^m
+        extended = {}
+        for S, (nu, nums) in minors.items():
+            for j in range(N):
+                if j in S:
+                    continue
+                target = list(nu)
+                target[j] += 1
+                target[k] -= 1
+                target = tuple(target)
+                if j != k and not module.weight_indices(target):
+                    continue  # no members of that weight: the term is zero
+                G = _series(module, j + 1, k + 1, nu, cofactors)  # -e_jk(u) sits at row k, column j
+                if j == k:  # (d/du - K_k - G / P1) after M(S)
+                    scalar = dp1.scale(m) + p1.scale(spec.exponents[k])
+                    padded = nums + [Poly()]
+                    term = [
+                        a.derivative() * p1 - a * scalar - G * a + (padded[r - 1] * p1 if r else Poly())
+                        for r, a in enumerate(padded)
+                    ]
+                else:
+                    term = [-(G * a) for a in nums]
+                if sum(s < j for s in S) % 2:
+                    term = [-a for a in term]
+                key = tuple(sorted(S + (j,)))
+                if key in extended:
+                    term = [a + b for a, b in zip_longest(extended[key][1], term, fillvalue=Poly())]
+                extended[key] = (target, term)
+        minors = extended
+    _, nums = minors[tuple(range(N))]
+    den = p1 ** N
+    coeffs = [RatFun(nums[N - i], den, reduce=False) for i in range(1, N + 1)]
+    return BetheOperator(spec=spec, module=module, coefficients=coeffs)
 
 
 def first_coefficient_residual(op: BetheOperator) -> RatFun:
-    """B_1(u) + sum_i (K_i + e_ii(u)); identically zero by construction."""
+    """B_1(u) + sum_i (K_i + e_ii(u)) on the block; identically zero by construction."""
+    spec = op.spec
+    lam = spec.weight.padded(op.rank)
+    p1 = Poly.from_roots(spec.points)
+    cofactors = _cofactors(p1, spec.points)
     total = op.coefficient(1)
-    dim = op.module.dim
     for i in range(1, op.rank + 1):
-        total = total + op.module.e_series(i, i)
-        total = total + RatFun.constant(Matrix.identity(dim) * op.spec.exponents[i - 1])
+        total = total + RatFun(_series(op.module, i, i, lam, cofactors), p1, reduce=False)
+        total = total + RatFun.constant(Matrix.identity(op.dim) * spec.exponents[i - 1])
     return total
 
 
@@ -136,13 +180,13 @@ def leading_symbol(op: BetheOperator):
         return None
     if any(a.degree > n for a in cleared):
         return None
-    dim = op.module.dim
+    dim = op.dim
     top = [a.coeffs[n] if a.degree == n else Matrix.zeros(dim, dim) for a in cleared]
     return Poly(top[::-1] + [Matrix.identity(dim)])
 
 
 def expected_leading_symbol(op: BetheOperator) -> Poly:
-    dim = op.module.dim
+    dim = op.dim
     scalar = Poly.from_roots(op.spec.exponents)
     return Poly([c * Matrix.identity(dim) for c in scalar.coeffs])
 
@@ -177,7 +221,7 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
     """
     spec = op.spec
     N = spec.rank
-    dim = op.module.dim
+    dim = op.dim
     n = spec.size
     pole = spec.pole_polynomial()
     failures = []
@@ -213,11 +257,11 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
             j = n_s - i
             local = tc[j] if 0 <= j < len(tc) else zero
             c = local.scalar_of_identity()
-            if c is None:
+            if c is None and dim:  # every matrix on an empty block is scalar
                 failures.append(
                     f"leading local coefficient of B_{i} at point {b_s} is not scalar"
                 )
-            else:
+            elif c is not None:
                 scalar_values[i, s] = c
         # indicial identity at b_s
         lhs = Poly()
@@ -256,33 +300,27 @@ def _cleared_coefficients(op: BetheOperator):
 
 
 def commutativity_check(op: BetheOperator) -> bool:
-    """[B_i(u), B_k(v)] = 0 and [B_i(u), e_jj] = 0, exactly, for all u and v.
+    """[B_i(u), B_k(v)] = 0 and [B_i(u), e_jj] = 0 on the block, exactly, for all u and v.
 
     With C_ij the u^j coefficient of A_i, P(u)P(v)[B_i(u), B_k(v)] is
-    sum_jl [C_ij, C_kl] u^j v^l, so the identity holds exactly when the
-    non-scalar C_ij commute pairwise.  Commuting with every diagonal
-    generator e_jj, i.e. with the Cartan subalgebra, forces weight-block
-    structure.
+    sum_jl [C_ij, C_kl] u^j v^l, so the first identity holds exactly when
+    the non-scalar C_ij commute pairwise.  On the block's columns
+    [C, e_jj] = (lam_j - e_jj) C, which vanishes exactly when C keeps them
+    in weight lam: the Cartan part is the test of ``weight_blocks_preserved``.
     """
     coeffs = _cleared_coefficients(op)
-    if coeffs is None:
+    if coeffs is None or not weight_blocks_preserved(op):
         return False
     mats = [c for c in coeffs if c.scalar_of_identity() is None]
-    cartans = [op.module.cartan_matrix(i) for i in range(1, op.rank + 1)]
-    return all(
-        m.commutator(other).is_zero()
-        for a, m in enumerate(mats)
-        for other in mats[a + 1:] + cartans
-    )
+    return all(m.commutator(other).is_zero() for a, m in enumerate(mats) for other in mats[a + 1:])
 
 
 def weight_blocks_preserved(op: BetheOperator) -> bool:
-    """No coefficient matrix C_ij has an entry between different weight blocks."""
-    coeffs = _cleared_coefficients(op)
-    if coeffs is None:
-        return False
-    label = np.empty(op.module.dim, dtype=int)
-    for k, idx in enumerate(op.module.weights.values()):
-        label[idx] = k
-    off_block = label[:, None] != label[None, :]
-    return not any((c.support() & off_block).any() for c in coeffs)
+    """Every C_ij maps the weight-lam columns into weight lam.
+
+    The build composes generator blocks between single weights, so this
+    holds exactly when every generator image it used stayed inside its
+    target weight; the module lists the blocks whose images did not.  Fails
+    too when clearing fails.
+    """
+    return _cleared_coefficients(op) is not None and not op.module.leaks

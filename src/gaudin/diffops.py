@@ -1,4 +1,4 @@
-"""Quasi-exponentials, linear differential operators, and row determinants.
+"""Quasi-exponentials, linear differential operators, and Wronskians.
 
 A quasi-exponential is e^{k u} p(u) with p a polynomial.  Operators are
 stored as lists of rational-function coefficients by power of d/du; the
@@ -9,7 +9,6 @@ written order of every product.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .polynomials import Poly, binomial, poly_det
 from .ratfun import RatFun
@@ -108,18 +107,6 @@ class DiffOp:
     def coeff_of_dpower_from_top(self, i) -> RatFun:
         """h_i in the monic normal form: coefficient of (d/du)^(order - i)."""
         return self.coeff(self.order - i)
-
-    @property
-    def is_monic(self) -> bool:
-        if self.is_zero():
-            return False
-        top = self.coeffs[-1]
-        if top.den.degree != 0:
-            return False
-        if top.is_matrix_valued():
-            c = top.num.coeff(0).scalar_of_identity()
-            return top.num.degree == 0 and c == 1
-        return top.num.degree == 0 and top.num.coeff(0) == 1
 
     def __add__(self, other):
         if not isinstance(other, DiffOp):
@@ -234,24 +221,3 @@ def compose_chain(ops) -> DiffOp:
         out = out.compose(op)
     return out
 
-
-def rdet(entries) -> DiffOp:
-    """Row determinant of a matrix of differential operators.
-
-    Signed sum over permutations of the ordered compositions
-    entries[0][s(0)] entries[1][s(1)] ... , multiplied in row order; this is
-    the right notion of determinant when entries do not commute.
-    """
-    n = len(entries)
-    if any(len(row) != n for row in entries):
-        raise ValueError("row determinant needs a square matrix")
-    if n > 5:
-        raise ValueError("permutation expansion limited to 5x5 matrices")
-    total = DiffOp([])
-    for sigma in permutations(range(n)):
-        term = compose_chain(entries[i][sigma[i]] for i in range(n))
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j]
-        )
-        total = total + (term if inversions % 2 == 0 else -term)
-    return total

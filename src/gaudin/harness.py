@@ -37,6 +37,7 @@ class ConfigError(ValueError):
     """The instance description is rejected before any computation."""
 
 
+CONFIG_KEYS = ("N", "K", "b", "partitions", "weight", "space", "options")
 OPTION_KEYS = ("seed", "run_bae", "run_wronski", "tolerances")
 TOLERANCE_KEYS = ("residual", "cluster", "dedup", "kernel_fit")
 
@@ -80,6 +81,9 @@ class InstanceConfig:
 
     @staticmethod
     def from_dict(data) -> "InstanceConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be an object")
+        _reject_unknown(data, CONFIG_KEYS, "config key")
         try:
             rank = int(data["N"])
             exponents = [parse_scalar(k) for k in data["K"]]

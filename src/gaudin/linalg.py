@@ -206,21 +206,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def support(self) -> np.ndarray:
-        """Boolean array marking the nonzero entries."""
-        mask = self.re != 0
-        if self.im is not None:
-            mask |= self.im != 0
-        return mask
-
-    def probe(self):
-        """A fixed integer combination of the entries, the same for every matrix of one shape."""
-        weights = np.arange(self.rows * self.cols) * 7919 % 1009 + 1
-        re = Fraction(int(np.dot(self.re.ravel(), weights)), self.den)
-        if self.im is None:
-            return re
-        return GaussianRational(re, Fraction(int(np.dot(self.im.ravel(), weights)), self.den))
-
     def scalar_of_identity(self):
         """Return c when the matrix equals c*I, else None (also for 0x0)."""
         if not self.is_square() or not self.rows:

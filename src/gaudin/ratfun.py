@@ -3,15 +3,14 @@
 Numerators may be scalar or matrix polynomials; denominators are always
 scalar, which matches every operator in this problem (poles sit at the
 evaluation points with scalar multiplicity).  Reduction by gcd happens only
-over exact coefficient fields; float-valued rational functions are kept as
-built and compared through evaluation.
+for exact scalar numerators; matrix-valued and float-valued rational
+functions are kept as built and compared by cross-multiplication or
+evaluation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .linalg import Matrix
 from .polynomials import Poly, poly_gcd
@@ -19,10 +18,8 @@ from .scalars import is_exact
 
 
 def _is_exact_poly(p: Poly) -> bool:
-    if p.is_zero():
-        return True
-    c = p.coeffs[0]
-    return isinstance(c, Matrix) or is_exact(c)
+    """Exact scalar coefficients (matrix coefficients do not count)."""
+    return p.is_zero() or is_exact(p.coeffs[0])
 
 
 class RatFun:
@@ -50,19 +47,6 @@ class RatFun:
 
     @staticmethod
     def _reduced(num, den):
-        if isinstance(num.coeffs[0], Matrix):
-            # The gcd of den with a fixed combination of the entries is a
-            # multiple of the gcd of den with every entry.  One exact division
-            # of the whole matrix polynomial confirms it; a remainder shrinks
-            # it by the gcd with one of its nonzero entries.
-            g = poly_gcd(num.map(Matrix.probe), den)
-            while g.degree > 0:
-                quot, rem = num.divmod(g)
-                if rem.is_zero():
-                    return quot, den.exact_div(g)
-                i, j = np.argwhere(rem.leading.support())[0]
-                g = poly_gcd(g, Poly([c.get(i, j) for c in rem.coeffs]))
-            return num, den
         g = poly_gcd(num, den)
         if g.degree <= 0:
             return num, den

@@ -73,8 +73,7 @@ class SpectrumReport:
 def _block_coefficient_matrices(op: BetheOperator, dim: int) -> list:
     """[[C_ij for j = 0..n] for i = 1..N]: the u^j coefficients of A_i on the block."""
     out = []
-    for i in range(1, op.rank + 1):
-        num = op.block(i).num
+    for num in op.cleared:
         out.append([
             num.coeffs[j].to_complex_array()
             if j <= num.degree

@@ -3,14 +3,23 @@
 The oracles share no code paths with the library: dimensions come from
 tableau enumeration, weight bases from filtering raw index tuples, and
 derivatives from the elementary rule applied term by term.  The sampling
-helpers at the end (interpolating points, rational reconstruction from
-samples, numerator distance) serve the tests only.
+helpers (interpolating points, rational reconstruction from samples,
+numerator distance) serve the tests only.
+
+The reference for the block build of the Bethe operator comes last: the
+row determinant expanded over all N! permutations, with generic Leibniz
+composition, on the whole module (every generator as a dim x dim matrix),
+cut to the block only at the end.  It uses the library's module basis and
+exact arithmetic, nothing of its operator build.
 """
 
 import cmath
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import comb
 
+from gaudin.algebra import apply_e_block
+from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly, newton_interpolate
 from gaudin.ratfun import RatFun
 from gaudin.scalars import to_complex
@@ -187,3 +196,121 @@ def operator_distance(numers_a, numers_b) -> float:
         for x, y in zip(row_a, row_b):
             worst = max(worst, abs(x - y) / scale)
     return worst
+
+
+def rdet(entries):
+    """Row determinant of a square matrix of operators.
+
+    Signed sum over permutations of the ordered compositions
+    entries[0][s(0)] entries[1][s(1)] ..., multiplied in row order (and
+    composed from the right); this is the right notion of determinant when
+    entries do not commute.  Entries need ``compose``, ``+`` and unary ``-``.
+    """
+    n = len(entries)
+    if any(len(row) != n for row in entries):
+        raise ValueError("row determinant needs a square matrix")
+    total = None
+    for sigma in permutations(range(n)):
+        term = entries[n - 1][sigma[n - 1]]
+        for i in reversed(range(n - 1)):
+            term = entries[i][sigma[i]].compose(term)
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
+        if inversions % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def matrix_of(module, apply_fn) -> Matrix:
+    """Matrix (columns indexed by input basis member) of a linear map on the whole module."""
+    cols = [module.express(apply_fn(vec)) for _, _, vec in module.members]
+    return Matrix([[col.get(i, 0) for col in cols] for i in range(module.dim)])
+
+
+def e_point_matrices(module, i: int, j: int) -> list:
+    """Per evaluation point s, the matrix of e_ij acting in block s of the whole module."""
+    return [
+        matrix_of(module, lambda vec: apply_e_block(i, j, positions, vec))
+        for positions in module.factor_positions
+    ]
+
+
+def _series_numerator(module, i: int, j: int) -> Poly:
+    """G with e_ij(u) = G / prod_s (u - b_s) on the whole module."""
+    points = module.spec.points
+    num = Poly()
+    for s, mat in enumerate(e_point_matrices(module, i, j)):
+        rest = Poly.from_roots([b for r, b in enumerate(points) if r != s])
+        num = num + Poly([c * mat for c in rest.coeffs])
+    return num
+
+
+def e_series(module, i: int, j: int) -> RatFun:
+    """Matrix of e_ij(u) on the whole module: sum_s (e_ij in block s) / (u - b_s)."""
+    return RatFun(_series_numerator(module, i, j), Poly.from_roots(module.spec.points))
+
+
+class PoleOp:
+    """sum_k nums[k] / P1^m (d/du)^k, with matrix-polynomial numerators."""
+
+    def __init__(self, nums, m, p1):
+        self.nums, self.m, self.p1 = list(nums), m, p1
+
+    def _lifted(self, m, length):
+        lift = self.p1 ** (m - self.m)
+        return [a * lift for a in self.nums] + [Poly()] * (length - len(self.nums))
+
+    def __add__(self, other):
+        m, length = max(self.m, other.m), max(len(self.nums), len(other.nums))
+        pairs = zip(self._lifted(m, length), other._lifted(m, length))
+        return PoleOp([a + b for a, b in pairs], m, self.p1)
+
+    def __neg__(self):
+        return PoleOp([-a for a in self.nums], self.m, self.p1)
+
+    def compose(self, other):
+        """(a d^i)(b d^j) = sum_r C(i, r) a b^(r) d^(i + j - r), all over P1^(m + m' + order)."""
+        top = len(self.nums) - 1
+        dp1 = self.p1.derivative()
+        ders = [other.nums]  # numerators of the r-th derivatives, over P1^(m' + r)
+        for r in range(top):
+            ders.append([b.derivative() * self.p1 - b * dp1.scale(other.m + r) for b in ders[-1]])
+        out = [Poly()] * (top + len(other.nums))
+        for i, a in enumerate(self.nums):
+            for r in range(i + 1):
+                lift = self.p1 ** (top - r)
+                for j, b in enumerate(ders[r]):
+                    out[i + j - r] = out[i + j - r] + (a * b * lift).scale(comb(i, r))
+        return PoleOp(out, self.m + other.m + top, self.p1)
+
+
+def full_module_cleared(spec, module) -> list:
+    """A_i = B_i * prod_s (u - b_s)^{n_s} on the whole module, i = 1..N.
+
+    Entry (k, j) of the row determinant is d/du - K_k - e_kk(u) on the
+    diagonal and -e_jk(u) off it.  Raises ValueError when some A_i is not a
+    polynomial.
+    """
+    N = spec.rank
+    p1 = Poly.from_roots(spec.points)
+    ident = Matrix.identity(module.dim)
+    entries = []
+    for k in range(N):
+        row = []
+        for j in range(N):
+            g = _series_numerator(module, j + 1, k + 1)
+            if j == k:
+                kp1 = p1.scale(spec.exponents[k])
+                row.append(PoleOp([-(g + kp1.map(lambda c: c * ident)), p1.map(lambda c: c * ident)], 1, p1))
+            else:
+                row.append(PoleOp([-g], 1, p1))
+        entries.append(row)
+    op = rdet(entries)
+    pole = spec.pole_polynomial()
+    out = []
+    for i in range(1, N + 1):
+        quot, rem = (op.nums[N - i] * pole).divmod(op.p1 ** op.m)
+        if not rem.is_zero():
+            raise ValueError(f"B_{i} * pole polynomial is not polynomial")
+        out.append(quot)
+    return out

@@ -19,7 +19,7 @@ from gaudin.polynomials import Poly
 from gaudin.ratfun import RatFun
 from gaudin.scalars import GaussianRational
 
-from oracles import brute_weight_indices, tensor_weight_dimension
+from oracles import brute_weight_indices, e_point_matrices, e_series, tensor_weight_dimension
 
 F = Fraction
 
@@ -171,13 +171,13 @@ def test_embedded_examples_from_lowering():
 def test_e_series_single_factor_scalar():
     spec = ModuleSpec(1, ("0",), ((1,),), ("2",), (1,))
     module = build_embedded_module(spec)
-    series = module.e_series(1, 1)
+    series = e_series(module, 1, 1)
     for pt in (F(3), F(7)):
         assert series.evaluate(pt).get(0, 0) == 1 / (pt - 2)
 
 
 def test_e_series_diagonal_example(golden_module):
-    series = golden_module.e_series(1, 1)
+    series = e_series(golden_module, 1, 1)
     idx = golden_module.weight_indices((1, 1))
     # block basis order is lexicographic: (1,2) then (2,1); e_11 acts in the
     # factor whose index is 1, so the diagonal is (1/u, 1/(u-1))
@@ -191,7 +191,7 @@ def test_e_series_diagonal_example(golden_module):
 def test_trace_identity(golden_module):
     total = None
     for i in (1, 2):
-        s = golden_module.e_series(i, i)
+        s = e_series(golden_module, i, i)
         total = s if total is None else total + s
     expect = RatFun(Poly([F(1)]), Poly([F(0), F(1)])) + RatFun(Poly([F(1)]), Poly([F(-1), F(1)]))
     dim = golden_module.dim
@@ -202,7 +202,7 @@ def test_weight_shift_structure(golden_module):
     """e_ij(u) maps the weight-mu block into the weight mu + e_i - e_j block."""
     module = golden_module
     weights = module.weights
-    series = module.e_series(1, 2)
+    series = e_series(module, 1, 2)
     val = series.evaluate(F(3))
     for w_src, idx_src in weights.items():
         target = (w_src[0] + 1, w_src[1] - 1)
@@ -215,9 +215,24 @@ def test_weight_shift_structure(golden_module):
     assert val.submatrix(idx, idx).is_zero()
 
 
+def test_generator_blocks_are_cuts_of_the_whole_module_matrices():
+    """e_ij in factor s from weight nu, built from the weight-nu members
+    alone, is the (nu + e_i - e_j, nu) block of its whole-module matrix."""
+    spec = ModuleSpec(3, ("0", "1", "2"), ((2, 1), (1,)), ("0", "1"), (2, 1, 1))
+    module = build_embedded_module(spec)
+    for i, j in product(range(1, 4), repeat=2):
+        whole = e_point_matrices(module, i, j)
+        for nu, cols in module.weights.items():
+            target = tuple(w + (k == i - 1) - (k == j - 1) for k, w in enumerate(nu))
+            rows = module.weight_indices(target)
+            for got, full in zip(module.generator_block(i, j, nu), whole):
+                assert got == full.submatrix(rows, cols)
+    assert not module.leaks
+
+
 def test_gaussian_rational_points():
     spec = ModuleSpec(1, ("0",), ((1,),), ("i",), (1,))
     module = build_embedded_module(spec)
-    series = module.e_series(1, 1)
+    series = e_series(module, 1, 1)
     got = series.evaluate(GaussianRational(1, 1))
     assert got.get(0, 0) == GaussianRational(1, 0) / GaussianRational(1, 0)  # 1/(1+i-i) = 1

@@ -1,7 +1,10 @@
+import pathlib
 from dataclasses import replace
 from fractions import Fraction
 
-from gaudin.algebra import ModuleSpec
+import pytest
+
+from gaudin.algebra import EmbeddedModule, ModuleSpec, build_embedded_module
 from gaudin.betheop import (
     build_bethe_operator,
     check_polynomiality,
@@ -12,11 +15,16 @@ from gaudin.betheop import (
     leading_symbol,
     weight_blocks_preserved,
 )
+from gaudin.harness import InstanceConfig
 from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly
 from gaudin.ratfun import RatFun
 
+from conftest import COUNT_FAMILY, EXACT_FAMILY, make_spec
+from oracles import full_module_cleared
+
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_sample_points_avoid_poles():
@@ -27,7 +35,7 @@ def test_sample_points_avoid_poles():
 def test_single_row_operator():
     spec = ModuleSpec(1, ("2",), ((1,),), ("3",), (1,))
     op = build_bethe_operator(spec)
-    assert op.operator.order == 1
+    assert len(op.coefficients) == 1
     b1 = op.coefficient(1)
     # B_1 = -K - 1/(u-b)
     for pt in (F(5), F(9)):
@@ -46,7 +54,7 @@ def test_leading_symbol_family(exact_family_ops):
 
 def test_first_coefficient_block_formula(golden_op):
     # B_1 block = -(K_1+K_2) - (1/u + 1/(u-1)) times the identity
-    b1 = golden_op.block(1)
+    b1 = golden_op.coefficient(1)
     for pt in (F(3), F(5), F(11)):
         expect = -(F(0) + F(1)) - (1 / pt + 1 / (pt - 1))
         got = b1.evaluate(pt)
@@ -73,6 +81,52 @@ def test_weight_blocks(exact_family_ops):
         assert weight_blocks_preserved(op)
 
 
+def _oracle_specs():
+    specs = [(f"exact{k}", make_spec(d)) for k, d in enumerate(EXACT_FAMILY)]
+    specs += [(f"count{k}", make_spec(d)) for k, d in enumerate(COUNT_FAMILY)]
+    specs += [(p.stem, InstanceConfig.from_file(p).spec) for p in sorted(FIXTURES.glob("*.json"))]
+    return specs
+
+
+@pytest.mark.parametrize("spec", [s for _, s in _oracle_specs()], ids=[n for n, _ in _oracle_specs()])
+def test_block_build_matches_full_module_oracle(spec):
+    """The cleared A_i of the graded block build are, exactly, the cleared
+    A_i of the permutation expansion on the whole module cut to the block."""
+    module = build_embedded_module(spec)
+    op = build_bethe_operator(spec, module)
+    idx = module.weight_indices(spec.weight)
+    full = full_module_cleared(spec, module)
+    assert op.cleared == [a.map(lambda c: c.submatrix(idx, idx)) for a in full]
+
+
+def test_n4_four_points_block_passes_every_exact_check():
+    """N = 4, b = 0..3, lam = (1,1,1,1): a 256-dim module, built on its
+    24-dim block only."""
+    spec = ModuleSpec(4, ("0", "1", "5/2", "9/2"), ((1,),) * 4, ("0", "1", "2", "3"), (1, 1, 1, 1))
+    op = build_bethe_operator(spec)
+    assert op.module.dim == 256 and op.dim == 24
+    assert first_coefficient_residual(op).is_zero()
+    assert leading_symbol(op) == expected_leading_symbol(op)
+    report = check_polynomiality(op)
+    assert report.ok, report.failures
+    assert all(d <= spec.size for d in report.degrees)
+    assert commutativity_check(op)
+    assert weight_blocks_preserved(op)
+
+
+# --- mutants --------------------------------------------------------------
+#
+# Each case takes the checks as predicates that are True when a check
+# passes, so that it can also be run against a stubbed always-True check.
+
+CHECKS = {
+    "commutativity": commutativity_check,
+    "weight-blocks": weight_blocks_preserved,
+    "leading-symbol": lambda op: leading_symbol(op) == expected_leading_symbol(op),
+    "polynomiality": lambda op: check_polynomiality(op).ok,
+}
+
+
 def _mutant(op, i, extra: RatFun):
     """A copy of op with B_i replaced by B_i + extra."""
     coeffs = list(op.coefficients)
@@ -86,57 +140,102 @@ def _unit(dim, i, j):
     return Matrix(m)
 
 
-def test_checks_detect_a_mutant_hidden_from_sample_points(golden_op):
-    """B_2 + q(u) X / P, with q vanishing at the first five sample points and
-    X = e_{0,1} joining two weight blocks, agrees with B_2 at every point a
-    sampled check would use; the identities on the cleared coefficients
-    still see X."""
+class _LeakyModule(EmbeddedModule):
+    """Expresses every vector with an extra coordinate on a member of another weight."""
+
+    def express(self, vec):
+        coords = super().express(vec)
+        if coords:
+            weight = self.members[next(iter(coords))][0]
+            other = next(k for k, (w, _, _) in enumerate(self.members) if w != weight)
+            coords[other] = coords.get(other, 0) + 1
+        return coords
+
+
+def _leaky_module_case(checks, golden_op):
+    """A module whose generator images leak into another weight."""
+    spec = golden_op.spec
+    op = build_bethe_operator(spec, _LeakyModule(spec))
+    assert op.module.leaks
+    assert not checks["weight-blocks"](op)
+    assert not checks["commutativity"](op)
+
+
+def _hidden_mutant_case(checks, golden_op):
+    """B_2 + q(u) X / P on the block, with q vanishing at the first five
+    sample points and X = e_{0,1} not commuting with B_2: it agrees with B_2
+    at every point a sampled check would use."""
     spec = golden_op.spec
     q = Poly.from_roots(exact_sample_points(spec.points, 5))
-    X = _unit(golden_op.module.dim, 0, 1)
-    mutant = _mutant(golden_op, 2, RatFun(Poly([c * X for c in q.coeffs]), spec.pole_polynomial()))
+    X = _unit(golden_op.dim, 0, 1)
+    mutant = _mutant(golden_op, 2, RatFun(Poly([c * X for c in q.coeffs]), spec.pole_polynomial(), reduce=False))
     for pt in exact_sample_points(spec.points, 5):
         assert mutant.coefficient(2).evaluate(pt) == golden_op.coefficient(2).evaluate(pt)
-    assert not commutativity_check(mutant)
-    assert not weight_blocks_preserved(mutant)
+    assert not checks["commutativity"](mutant)
     # deg A_2 = 5 > n = 2: B_2 grows at infinity
-    assert leading_symbol(mutant) != expected_leading_symbol(mutant)
+    assert not checks["leading-symbol"](mutant)
+
+
+def _pole_mutant_case(checks, golden_op):
+    """B_1 + I/(u - 7) cannot be cleared by the pole polynomial."""
+    extra = RatFun(Poly([Matrix.identity(golden_op.dim)]), Poly([F(-7), F(1)]))
+    mutant = _mutant(golden_op, 1, extra)
+    for name in ("commutativity", "weight-blocks", "leading-symbol", "polynomiality"):
+        assert not checks[name](mutant), name
+
+
+def test_checks_detect_a_leaky_module(golden_op):
+    _leaky_module_case(CHECKS, golden_op)
+
+
+def test_checks_detect_a_mutant_hidden_from_sample_points(golden_op):
+    _hidden_mutant_case(CHECKS, golden_op)
 
 
 def test_checks_fail_without_raising_on_a_pole_off_the_points(golden_op):
-    """B_1 + I/(u - 7) cannot be cleared by the pole polynomial."""
-    dim = golden_op.module.dim
-    extra = RatFun(Poly([Matrix.identity(dim)]), Poly([F(-7), F(1)]))
-    mutant = _mutant(golden_op, 1, extra)
-    assert not commutativity_check(mutant)
-    assert not weight_blocks_preserved(mutant)
-    assert leading_symbol(mutant) != expected_leading_symbol(mutant)
-    assert not check_polynomiality(mutant).ok
+    _pole_mutant_case(CHECKS, golden_op)
+
+
+@pytest.mark.parametrize(
+    "case, names",
+    [
+        (_leaky_module_case, ["weight-blocks", "commutativity"]),
+        (_hidden_mutant_case, ["commutativity", "leading-symbol"]),
+        (_pole_mutant_case, ["commutativity", "weight-blocks", "leading-symbol", "polynomiality"]),
+    ],
+    ids=["leaky-module", "hidden-mutant", "pole-off-points"],
+)
+def test_mutant_cases_fail_against_an_always_true_check(golden_op, case, names):
+    """Each check a mutant case relies on is load-bearing: with that one
+    check replaced by a stub that always passes, the case fails."""
+    for name in names:
+        with pytest.raises(AssertionError):
+            case({**CHECKS, name: lambda op: True}, golden_op)
 
 
 def test_weyl_style_full_tensor_polynomiality():
     """On the full tensor power of vector representations, clearing by the
     product over points of (u - z_s) already yields matrix polynomials."""
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,), (1,)), ("0", "1", "2"), (2, 1))
-    op = build_bethe_operator(spec)
-    pole = spec.pole_polynomial()
-    for i in (1, 2):
-        prod = op.coefficient(i) * RatFun(pole)
-        assert prod.den.degree == 0
+    cleared = full_module_cleared(spec, build_embedded_module(spec))  # raises if not polynomial
+    assert all(a.degree <= spec.size for a in cleared)
 
 
 def test_block_evaluate_matches_full_evaluation(exact_family_ops):
-    """A_i|block / P at a point is B_i at that point cut to the block."""
+    """A_i|block / P at a point is B_i of the whole module at that point cut to the block."""
     for op in exact_family_ops:
         idx = op.module.weight_indices(op.spec.weight)
+        full = full_module_cleared(op.spec, op.module)
+        pole = op.spec.pole_polynomial()
         for pt in exact_sample_points(op.spec.points, 3, start=-2):
             for i in range(1, op.rank + 1):
-                assert op.block_evaluate(i, pt) == op.coefficient(i).evaluate(pt).submatrix(idx, idx)
+                value = full[i - 1](pt) / pole(pt) if not full[i - 1].is_zero() else Matrix.zeros(op.module.dim, op.module.dim)
+                assert op.block_evaluate(i, pt) == value.submatrix(idx, idx)
 
 
 def test_cleared_equals_reduced_product(exact_family_ops):
-    """num * (P / den) is the numerator of the reduced product B_i * P."""
+    """A_i is B_i times the pole polynomial, as rational functions."""
     for op in exact_family_ops:
         pole = op.spec.pole_polynomial()
         for i in range(1, op.rank + 1):
-            assert op.cleared[i - 1] == (op.coefficient(i) * RatFun(pole)).num
+            assert RatFun(op.cleared[i - 1]) == op.coefficient(i) * RatFun(pole)

@@ -4,12 +4,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin.diffops import DiffOp, QuasiExp, compose_chain, rdet, wronskian
+from gaudin.diffops import DiffOp, QuasiExp, compose_chain, wronskian
 from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly
 from gaudin.ratfun import RatFun
 
-from oracles import numeric_wronskian
+from oracles import numeric_wronskian, rdet
 
 F = Fraction
 

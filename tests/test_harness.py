@@ -58,13 +58,18 @@ def test_config_rejects_bad_scalar():
 
 
 @pytest.mark.parametrize(
-    "options, key",
-    [({"samples": 5}, "samples"), ({"tolerances": {"residul": 1e-9}}, "residul")],
-    ids=["removed-option", "misspelt-tolerance"],
+    "extra, key",
+    [
+        ({"options": {"samples": 5}}, "samples"),
+        ({"options": {"tolerances": {"residul": 1e-9}}}, "residul"),
+        ({"spcae": {"polys": [["1"], ["0", "1"]]}}, "spcae"),
+        ({"optoins": {"seed": 7}}, "optoins"),
+    ],
+    ids=["removed-option", "misspelt-tolerance", "misspelt-space", "misspelt-options"],
 )
-def test_config_rejects_unknown_keys(options, key):
+def test_config_rejects_unknown_keys(extra, key):
     with pytest.raises(ConfigError, match=f"'{key}'"):
-        InstanceConfig.from_dict({**GOLDEN, "options": options})
+        InstanceConfig.from_dict({**GOLDEN, **extra})
 
 
 def test_report_determinism():
@@ -130,6 +135,7 @@ def test_cli_roundtrip(tmp_path):
         ("spectrum", {**GOLDEN, "options": {"samples": "abc"}}),
         ("spectrum", {**GOLDEN, "options": {"samples": 5}}),
         ("spectrum", {**GOLDEN, "options": {"tolerances": {"residul": 1e-9}}}),
+        ("verify", {**GOLDEN, "optoins": {"seed": 7}}),
         ("report", None),
         ("report", "{not json"),
         ("report", GOLDEN),
@@ -141,6 +147,7 @@ def test_cli_roundtrip(tmp_path):
         "samples-not-integer",
         "samples-option-removed",
         "tolerance-key-misspelt",
+        "top-level-key-misspelt",
         "report-missing-file",
         "report-invalid-json",
         "report-not-a-report",
@@ -175,6 +182,26 @@ def test_cli_numerical_failure_is_a_failing_check(tmp_path, command):
     assert [c["name"] for c in failed] == ["spectrum-analysis"]
     assert "joint eigen-residual above 1.0e-28" in failed[0]["value"]
     assert report["all_passed"] is False
+
+
+def test_cli_rank_six_instance_verifies(tmp_path):
+    """N = 6 is past the reach of a permutation expansion of the row
+    determinant (720 terms); the graded build verifies it end to end."""
+    root = Path(__file__).resolve().parents[1]
+    cfg_path = tmp_path / "rank6.json"
+    cfg_path.write_text(json.dumps({
+        "N": 6, "K": ["0", "1", "5/2", "9/2", "7", "10"],
+        "partitions": [[1], [1]], "b": ["0", "1"], "weight": [1, 1],
+    }))
+    out_path = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-m", "gaudin.cli", "verify", "--config", str(cfg_path), "--out", str(out_path)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    report = json.loads(out_path.read_text())
+    assert report["all_passed"] is True
+    assert report["dimension"] == 2
 
 def test_gaussian_rational_instance():
     data = {
