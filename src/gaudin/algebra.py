@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .linalg import Matrix, nullspace
 from .polynomials import Poly
@@ -108,6 +109,16 @@ class ModuleSpec:
         for b, n in zip(self.points, self.factor_sizes):
             roots.extend([b] * n)
         return Poly.from_roots(roots)
+
+    def indicial_target(self, s: int) -> Poly:
+        """prod_{r != s} (b_s - b_r)^{n_r} prod_l (a - lam^(s)_l - N + l), in a.
+
+        Both sides' indicial polynomial at b_s.
+        """
+        b_s, N = self.points[s], self.rank
+        const = prod((b_s - b) ** n for b, n in zip(self.points, self.factor_sizes) if b != b_s)
+        lam = self.partitions[s].padded(N)
+        return Poly.from_roots([lam[l] + N - 1 - l for l in range(N)]).scale(const)
 
 
 def weight_of_index(J, N):

@@ -17,7 +17,7 @@ from itertools import zip_longest
 
 from .algebra import EmbeddedModule, ModuleSpec
 from .linalg import Matrix
-from .polynomials import Poly, falling_product
+from .polynomials import Poly, indicial_polynomial
 from .ratfun import RatFun
 
 
@@ -217,7 +217,8 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
             = prod_{r != s} (b_s - b_r)^{n_r} * prod_l (a - lam^(s)_l - N + l),
 
     where C_{i, j, s} is the (u - b_s)^j Taylor coefficient of the cleared
-    A_i and missing (negative-j) coefficients are zero.
+    A_i (A_0 = P), missing ones zero: ``indicial_polynomial`` against
+    ``spec.indicial_target(s)``.
     """
     spec = op.spec
     N = spec.rank
@@ -239,12 +240,8 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
             failures.append(f"cleared A_{i} has degree {d} > {n}")
 
     indicial_ok = True
-    for s, (b_s, n_s, part) in enumerate(
-        zip(spec.points, spec.factor_sizes, spec.partitions)
-    ):
-        taylors = []
-        a0 = pole.taylor_at(b_s, n + 1)
-        taylors.append([c * Matrix.identity(dim) for c in a0])
+    for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
+        taylors = [[c * Matrix.identity(dim) for c in pole.taylor_at(b_s, n + 1)]]
         for i in range(1, N + 1):
             ai = cleared[i - 1]
             tc = ai.taylor_at(b_s, n + 1) if not ai.is_zero() else [zero] * (n + 1)
@@ -263,22 +260,8 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
                 )
             elif c is not None:
                 scalar_values[i, s] = c
-        # indicial identity at b_s
-        lhs = Poly()
-        for i in range(0, N + 1):
-            j = n_s - i
-            tc = taylors[i]
-            local = tc[j] if 0 <= j < len(tc) else zero
-            lhs = lhs + falling_product(N - i).scale(local)
-        const = Fraction(1)
-        for r, (b_r, n_r) in enumerate(zip(spec.points, spec.factor_sizes)):
-            if r != s:
-                const = const * (b_s - b_r) ** n_r
-        expected_scalar = Poly.from_roots(
-            [l_val + N - (l_idx + 1) for l_idx, l_val in enumerate(part.padded(N))]
-        ).scale(const)
-        expected = Poly([c * Matrix.identity(dim) for c in expected_scalar.coeffs])
-        if lhs != expected:
+        expected = Poly([c * Matrix.identity(dim) for c in spec.indicial_target(s).coeffs])
+        if indicial_polynomial(taylors, n_s) != expected:
             indicial_ok = False
             failures.append(f"indicial identity fails at point {b_s}")
 

@@ -16,6 +16,8 @@ from .harness import (
     InstanceConfig,
     bae_pipeline,
     dump_report,
+    parse_seed,
+    parse_tolerance,
     render_table,
     run_report,
     spectrum_pipeline,
@@ -68,15 +70,14 @@ def main(argv=None) -> int:
         return 0 if report.get("all_passed") else 1
     try:
         config = InstanceConfig.from_file(args.config)
+        if args.seed is not None:
+            config.seed = parse_seed(args.seed)
+        for key, value in (("residual", args.tol_residual), ("cluster", args.tol_cluster)):
+            if value is not None:
+                setattr(config.tolerances, key, parse_tolerance(key, value))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.tol_residual is not None:
-        config.tolerances.residual = args.tol_residual
-    if args.tol_cluster is not None:
-        config.tolerances.cluster = args.tol_cluster
 
     try:
         if args.command == "spectrum":

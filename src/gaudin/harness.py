@@ -9,6 +9,7 @@ reports keyed by descriptive check names.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,6 +49,34 @@ def _reject_unknown(d: dict, known, kind: str):
             raise ConfigError(f"unknown {kind} {key!r} (known: {', '.join(known)})")
 
 
+def _json_list(value, what: str) -> list:
+    """A JSON list; a string would otherwise be read one character at a time."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _parsed(what: str, convert, value, valid, rule: str):
+    try:
+        out = convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    if not valid(out):
+        raise ConfigError(f"{what} must be {rule}, got {out}")
+    return out
+
+
+def parse_seed(value) -> int:
+    """A seed from the config or the command line."""
+    return _parsed("seed", int, value, lambda s: s >= 0, "a non-negative integer")
+
+
+def parse_tolerance(key: str, value) -> float:
+    """A tolerance from the config or the command line; with inf or nan every comparison passes."""
+    return _parsed(f"tolerance {key!r}", float, value, lambda t: t > 0 and math.isfinite(t),
+                   "finite and positive")
+
+
 @dataclass
 class Tolerances:
     residual: float = 1e-9
@@ -62,10 +91,7 @@ class Tolerances:
         _reject_unknown(d, TOLERANCE_KEYS, "tolerance")
         t = Tolerances()
         for key, value in d.items():
-            try:
-                setattr(t, key, float(value))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"tolerance {key!r}: {exc}") from exc
+            setattr(t, key, parse_tolerance(key, value))
         return t
 
 
@@ -86,10 +112,13 @@ class InstanceConfig:
         _reject_unknown(data, CONFIG_KEYS, "config key")
         try:
             rank = int(data["N"])
-            exponents = [parse_scalar(k) for k in data["K"]]
-            points = [parse_scalar(b) for b in data["b"]]
-            partitions = [Partition(p) for p in data["partitions"]]
-            weight = Partition(data["weight"])
+            exponents = [parse_scalar(k) for k in _json_list(data["K"], "K")]
+            points = [parse_scalar(b) for b in _json_list(data["b"], "b")]
+            partitions = [
+                Partition(_json_list(p, "each partition"))
+                for p in _json_list(data["partitions"], "partitions")
+            ]
+            weight = Partition(_json_list(data["weight"], "weight"))
             spec = ModuleSpec(rank, exponents, partitions, points, weight)
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -97,7 +126,8 @@ class InstanceConfig:
         if "space" in data:
             try:
                 polys = [
-                    Poly([parse_scalar(c) for c in coeffs]) for coeffs in data["space"]["polys"]
+                    Poly([parse_scalar(c) for c in _json_list(coeffs, "each space polynomial")])
+                    for coeffs in _json_list(data["space"]["polys"], "space polys")
                 ]
                 space = QuasiExpSpace(tuple(spec.exponents), tuple(polys))
             except (KeyError, ValueError, TypeError) as exc:
@@ -106,15 +136,11 @@ class InstanceConfig:
         if not isinstance(options, dict):
             raise ConfigError("options must be an object")
         _reject_unknown(options, OPTION_KEYS, "option")
-        try:
-            seed = int(options.get("seed", 2024))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad option: {exc}") from exc
         return InstanceConfig(
             spec=spec,
             run_bae=bool(options.get("run_bae", True)),
             run_wronski=bool(options.get("run_wronski", True)),
-            seed=seed,
+            seed=parse_seed(options.get("seed", 2024)),
             tolerances=Tolerances.from_dict(options.get("tolerances", {})),
             space=space,
             raw=data,
@@ -160,16 +186,13 @@ def _poly_pairs(p: Poly):
     return [_complex_pair(c) for c in p.coeffs]
 
 
-def cleared_numerators(D, spec: ModuleSpec):
+def cleared_numerators(G, spec: ModuleSpec):
     """Numerator coefficient arrays of h_i over the pole polynomial, i = 1..N.
 
-    D is an eigen-operator from ``character_to_operator``, whose every h_i
-    already carries the pole polynomial as its denominator.
+    G = [P, P h_1, ..., P h_N] is an eigen-operator from
+    ``character_to_operator``; each P h_i is padded to n + 1 coefficients.
     """
-    return [
-        [complex(D.coeff_of_dpower_from_top(i).num.coeff(k)) for k in range(spec.size + 1)]
-        for i in range(1, spec.rank + 1)
-    ]
+    return [[complex(g.coeff(k)) for k in range(spec.size + 1)] for g in G[1:]]
 
 
 def _is_real_data(spec: ModuleSpec) -> bool:
@@ -217,10 +240,10 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
             "cluster_size": ch.cluster_size,
             "vector": [_complex_pair(z) for z in ch.vector],
         }
-        D = report.operators[k] if k < len(report.operators) else None
-        if D is not None:
+        G = report.operators[k] if k < len(report.operators) else None
+        if G is not None:
             entry["coefficient_numerators"] = [
-                [_complex_pair(c) for c in row] for row in cleared_numerators(D, spec)
+                [_complex_pair(c) for c in row] for row in cleared_numerators(G, spec)
             ]
         X = report.kernels[k] if k < len(report.kernels) else None
         if X is not None:
@@ -302,8 +325,7 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
             worst = 0.0
             for pt, values in ev.values.items():
                 z = complex(pt)
-                for h, row in zip(values, ch.numerators):
-                    hc = sum(c * z**j for j, c in enumerate(row)) / den_c(z)
+                for h, hc in zip(values, ch.values(z, den_c(z))):
                     worst = max(worst, abs(h - hc) / max(abs(hc), 1.0))
             if worst < best_dist:
                 best, best_dist = k, worst

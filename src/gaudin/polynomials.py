@@ -31,10 +31,6 @@ class Poly:
         return Poly([c])
 
     @staticmethod
-    def x(one=Fraction(1)):
-        return Poly([one * 0, one])
-
-    @staticmethod
     def from_roots(roots, one=Fraction(1)):
         """Monic polynomial with the given roots."""
         p = Poly([one])
@@ -231,14 +227,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    """Monic lcm over a scalar field (exact coefficients only)."""
-    if a.is_zero() or b.is_zero():
-        return Poly()
-    g = poly_gcd(a, b)
-    return (a * b.exact_div(g)).monic()
-
-
 def format_poly(p: Poly, var: str = "u") -> str:
     if p.is_zero():
         return "0"
@@ -304,6 +292,20 @@ def falling_product(alpha_count: int, one=Fraction(1)) -> Poly:
     for j in range(alpha_count):
         p = p * Poly([-j * one, one])
     return p
+
+
+def indicial_polynomial(taylors, n_s: int) -> Poly:
+    """sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)) for the operator sum_i G_i (d/du)^{N-i}.
+
+    taylors[i] lists the Taylor coefficients t_{i, j} of G_i at a point where
+    G_0 vanishes to order n_s (missing ones are zero); N = len(taylors) - 1.
+    """
+    N = len(taylors) - 1
+    chi = Poly()
+    for i, tc in enumerate(taylors):
+        if 0 <= n_s - i < len(tc):
+            chi = chi + falling_product(N - i).scale(tc[n_s - i])
+    return chi
 
 
 def binomial(n: int, k: int) -> int:

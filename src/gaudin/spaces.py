@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import ModuleSpec, Partition
 from .diffops import DiffOp, QuasiExp, shifted_derivative_powers, wronskian
-from .polynomials import Poly, falling_product, poly_det
+from .polynomials import Poly, falling_product, indicial_polynomial, poly_det
 from .ratfun import RatFun, ratfun_pole_order
 from .scalars import is_exact, to_complex
 
@@ -370,27 +370,12 @@ def membership_test(space: QuasiExpSpace, spec: ModuleSpec, tol=None) -> Members
                 )
                 if not small:
                     regular = False
-        chi = Poly()
-        chi_floor = 0.0
-        for i in range(N + 1):
-            tc = taylors[i]
-            j = n_s - i
-            if 0 <= j < len(tc):
-                falling = falling_product(N - i)
-                chi = chi + falling.scale(tc[j])
-                if tol is not None:
-                    chi_floor += bounds[i][j] * max(abs(c) for c in falling.coeffs)
-        const = None
-        for r, (b_r, n_r) in enumerate(zip(spec.points, spec.factor_sizes)):
-            if r != s:
-                term = (b_s - b_r) ** n_r
-                const = term if const is None else const * term
-        if const is None:
-            const = Fraction(1)
-        expected = Poly.from_roots(
-            [e for e in (part.padded(N)[j] + N - (j + 1) for j in range(N))]
-        ).scale(const)
-        chi_ok = regular and _poly_close(chi, expected, tol, chi_floor)
+        chi = indicial_polynomial(taylors, n_s)
+        chi_floor = None if tol is None else sum(
+            bounds[i][n_s - i] * max(abs(c) for c in falling_product(N - i).coeffs)
+            for i, tc in enumerate(taylors) if 0 <= n_s - i < len(tc)
+        )
+        chi_ok = regular and _poly_close(chi, spec.indicial_target(s), tol, chi_floor)
         exps = expected_exponents(part, N)
         repeated = False
         if tol is None and regular and not chi.is_zero():

@@ -7,23 +7,23 @@ coefficient matrices C_ij of the A_i commute and share their joint
 eigenvectors with the B_i, so this module converts them to complex floats,
 diagonalizes a seeded generic combination, and reads every eigenvalue
 function straight from them: h_i = (sum_j v* C_ij v u^j) / P for the unit
-joint eigenvector v.  Nothing is sampled or interpolated.  Finally it solves
-for the quasi-exponential kernel of each eigen-operator.
+joint eigenvector v.  Nothing is sampled or interpolated.  Each eigen-operator
+is kept cleared, as [G_0, ..., G_N] = [P, P h_1, ..., P h_N] for
+sum_i G_i (d/du)^{N-i}, the form ``cleared_operator_polys`` gives a space of
+quasi-exponentials; its quasi-exponential kernel is solved for last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .algebra import ModuleSpec
 from .bae import gap_unit
 from .betheop import BetheOperator, exact_sample_points
-from .diffops import DiffOp, shifted_derivative_powers, QuasiExp
-from .polynomials import Poly, poly_lcm
-from .ratfun import RatFun, _is_exact_poly
+from .diffops import shifted_derivative_powers, QuasiExp
+from .polynomials import Poly
 from .scalars import to_complex
 from .spaces import QuasiExpSpace, membership_test
 
@@ -55,13 +55,17 @@ class EigenCharacter:
     simple: bool = True
     generalized_dim: int = 1
 
+    def values(self, z, pz) -> list:
+        """[h_1(z), ..., h_N(z)], with pz the pole polynomial at z."""
+        return [sum(c * z**j for j, c in enumerate(row)) / pz for row in self.numerators]
+
 
 @dataclass
 class SpectrumReport:
     characters: list
     diagonalizable: bool
     combination_seed: int
-    operators: list = field(default_factory=list)  # per character DiffOp
+    operators: list = field(default_factory=list)  # per character [G_0, ..., G_N], G_0 = P
     kernels: list = field(default_factory=list)  # per character QuasiExpSpace or None
     memberships: list = field(default_factory=list)  # per character MembershipReport or str
 
@@ -178,11 +182,11 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
             point = exact_sample_points(spec.points, 1, start=13)[0]
             z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
 
-            def h(ch, i):
-                value = sum(c * z**j for j, c in enumerate(ch.numerators[i - 1])) / pz
-                return round(value.real, 6), round(value.imag, 6)
+            def key(ch):
+                h = ch.values(z, pz)
+                return [(round(v.real, 6), round(v.imag, 6)) for v in (h[0], h[-1])]
 
-            characters.sort(key=lambda ch: h(ch, 1) + h(ch, op.rank))
+            characters.sort(key=key)
             return SpectrumReport(characters, diagonalizable, cfg.seed)
     causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
     if ambiguous < MAX_RETRIES:
@@ -247,49 +251,34 @@ def _refine_cluster(q, units, cfg, rng):
     return found
 
 
-def character_to_operator(ch: EigenCharacter, op: BetheOperator) -> DiffOp:
-    """Monic scalar operator whose coefficients are the eigenvalue functions.
+def character_to_operator(ch: EigenCharacter, op: BetheOperator) -> list:
+    """The eigen-operator in cleared form: [P, P h_1, ..., P h_N].
 
-    h_i is the character's numerator row over the pole polynomial
-    prod (u - b_s)^{n_s}, left unreduced.
+    P is the pole polynomial prod (u - b_s)^{n_s} and P h_i is the
+    character's numerator row, left unreduced.
     """
-    den = Poly([to_complex(c) for c in op.spec.pole_polynomial().coeffs])
-    coeffs = [RatFun.constant(1.0 + 0j)]
-    coeffs += [RatFun(Poly(row), den, reduce=False) for row in ch.numerators]
-    return DiffOp.from_leading(coeffs)
+    pole = Poly([to_complex(c) for c in op.spec.pole_polynomial().coeffs])
+    return [pole] + [Poly(row) for row in ch.numerators]
 
 
-def kernel_from_operator(D: DiffOp, spec: ModuleSpec, cfg: SpectralConfig = None) -> QuasiExpSpace:
+def kernel_from_operator(G: list, spec: ModuleSpec, cfg: SpectralConfig = None) -> QuasiExpSpace:
     """Quasi-exponential kernel with exponents K and degrees lam.
 
-    For each i the ansatz e^{K_i u}(u^{lam_i} + sum_j x_j u^{lam_i - j})
-    turns D f = 0 into a linear system after clearing the common
-    denominator; the least-squares residual must stay below the kernel
-    tolerance, otherwise there is no kernel of the prescribed shape.  The
-    system is solved in units of s = :func:`gap_unit` of the points, as the
-    root search is: with u = s v the operator sum_k c_k(u) (d/du)^k becomes
-    sum_k c_k(s v) s^-k (d/dv)^k with exponents s K, and its kernel part
-    p~ gives p(u) = s^d p~(u / s).
+    G = [G_0, ..., G_N] is a cleared operator sum_i G_i (d/du)^{N-i}.  For
+    each i the ansatz e^{K_i u}(u^{lam_i} + sum_j x_j u^{lam_i - j}) turns
+    it into a linear system; the least-squares residual must stay below the
+    kernel tolerance, otherwise there is no kernel of the prescribed shape.
+    The system is solved in units of s = :func:`gap_unit` of the points, as
+    the root search is: with u = s v the operator sum_k c_k(u) (d/du)^k
+    becomes sum_k c_k(s v) s^-k (d/dv)^k with exponents s K, and its kernel
+    part p~ gives p(u) = s^d p~(u / s).
     """
     cfg = cfg or SpectralConfig()
     N = spec.rank
     lam = spec.weight.padded(N)
-    dens = [c.den for c in D.coeffs]
-    if all(_is_exact_poly(d) for d in dens):
-        den = Poly([Fraction(1)])
-        for d in dens:
-            den = poly_lcm(den, d)
-    else:
-        # float operators carry one shared denominator (plus constants)
-        den = max(dens, key=lambda d: d.degree)
-        for d in dens:
-            if d.degree > 0 and d != den:
-                raise ValueError("coefficient denominators do not nest")
     unit = gap_unit(spec.points)
-    cleared = []
-    for k, c in enumerate(D.coeffs):
-        cnum = c.num * den.exact_div(c.den)
-        cleared.append(Poly([a * unit ** (j - k) for j, a in enumerate(cnum.coeffs)]))
+    # cleared[k] multiplies (d/du)^k
+    cleared = [Poly([a * unit ** (j - k) for j, a in enumerate(g.coeffs)]) for k, g in enumerate(G[::-1])]
     polys = []
     for i in range(N):
         kexp = unit * to_complex(spec.exponents[i])
@@ -333,10 +322,10 @@ def spectrum_analysis(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
     cfg = cfg or SpectralConfig()
     report = joint_diagonalize(op, cfg)
     for ch in report.characters:
-        D = character_to_operator(ch, op)
-        report.operators.append(D)
+        G = character_to_operator(ch, op)
+        report.operators.append(G)
         try:
-            X = kernel_from_operator(D, op.spec, cfg)
+            X = kernel_from_operator(G, op.spec, cfg)
             report.kernels.append(X)
         except ValueError as exc:
             report.kernels.append(None)

@@ -41,6 +41,15 @@ def test_module_spec_validation():
         ModuleSpec(2, ("0", "1"), ((1,),), ("0",), (1, 1))
 
 
+def test_indicial_target_examples():
+    """const * prod_l (a - lam_l - N + l), const = prod_{r != s} (b_s - b_r)^{n_r}."""
+    golden = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
+    assert golden.indicial_target(0) == Poly([F(0), F(2), F(-1)])  # -(a)(a - 2)
+    assert golden.indicial_target(1) == Poly([F(0), F(-2), F(1)])  # (a)(a - 2)
+    single = ModuleSpec(2, ("0", "1"), ((1, 1),), ("3",), (1, 1))
+    assert single.indicial_target(0) == Poly.from_roots([F(2), F(1)])
+
+
 def test_enumerate_weight_basis_examples():
     assert enumerate_weight_basis(2, 2, (1, 1)) == [(1, 2), (2, 1)]
     assert len(enumerate_weight_basis(2, 4, (2, 2))) == 6

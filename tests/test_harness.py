@@ -127,18 +127,33 @@ def test_cli_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, content",
+    "command, content, flags",
     [
-        ("spectrum", {**GOLDEN, "b": ["0", "0"]}),
-        ("spectrum", {**GOLDEN, "options": {"tolerances": {"residual": "abc"}}}),
-        ("spectrum", {**GOLDEN, "options": {"seed": "abc"}}),
-        ("spectrum", {**GOLDEN, "options": {"samples": "abc"}}),
-        ("spectrum", {**GOLDEN, "options": {"samples": 5}}),
-        ("spectrum", {**GOLDEN, "options": {"tolerances": {"residul": 1e-9}}}),
-        ("verify", {**GOLDEN, "optoins": {"seed": 7}}),
-        ("report", None),
-        ("report", "{not json"),
-        ("report", GOLDEN),
+        ("spectrum", {**GOLDEN, "b": ["0", "0"]}, []),
+        ("spectrum", {**GOLDEN, "options": {"tolerances": {"residual": "abc"}}}, []),
+        ("spectrum", {**GOLDEN, "options": {"seed": "abc"}}, []),
+        ("spectrum", {**GOLDEN, "options": {"samples": "abc"}}, []),
+        ("spectrum", {**GOLDEN, "options": {"samples": 5}}, []),
+        ("spectrum", {**GOLDEN, "options": {"tolerances": {"residul": 1e-9}}}, []),
+        ("verify", {**GOLDEN, "optoins": {"seed": 7}}, []),
+        ("verify", {**GOLDEN, "options": {"seed": -5}}, []),
+        ("verify", GOLDEN, ["--seed", "-1"]),
+        ("verify", {**GOLDEN, "options": {"tolerances": {"cluster": "nan"}}}, []),
+        ("verify", {**GOLDEN, "options": {"tolerances": {"dedup": "inf"}}}, []),
+        ("verify", {**GOLDEN, "options": {"tolerances": {"kernel_fit": 0}}}, []),
+        ("verify", {**GOLDEN, "options": {"tolerances": {"residual": -1e-9}}}, []),
+        ("verify", GOLDEN, ["--tol-residual", "inf"]),
+        ("verify", GOLDEN, ["--tol-cluster", "nan"]),
+        ("verify", GOLDEN, ["--tol-cluster=-1e-7"]),
+        ("verify", {**GOLDEN, "K": "01"}, []),
+        ("verify", {**GOLDEN, "b": "01"}, []),
+        ("verify", {**GOLDEN, "partitions": "11"}, []),
+        ("verify", {**GOLDEN, "partitions": ["1", "1"]}, []),
+        ("verify", {**GOLDEN, "weight": "11"}, []),
+        ("wronski", {**GOLDEN, "space": {"polys": ["01", ["1"]]}}, []),
+        ("report", None, []),
+        ("report", "{not json", []),
+        ("report", GOLDEN, []),
     ],
     ids=[
         "repeated-points",
@@ -148,17 +163,32 @@ def test_cli_roundtrip(tmp_path):
         "samples-option-removed",
         "tolerance-key-misspelt",
         "top-level-key-misspelt",
+        "seed-negative",
+        "seed-flag-negative",
+        "tolerance-nan",
+        "tolerance-infinite",
+        "tolerance-zero",
+        "tolerance-negative",
+        "tolerance-flag-infinite",
+        "tolerance-flag-nan",
+        "tolerance-flag-negative",
+        "K-string",
+        "b-string",
+        "partitions-string",
+        "partition-string",
+        "weight-string",
+        "space-poly-string",
         "report-missing-file",
         "report-invalid-json",
         "report-not-a-report",
     ],
 )
-def test_cli_config_error_exit_code(tmp_path, capsys, command, content):
+def test_cli_config_error_exit_code(tmp_path, capsys, command, content, flags):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     argv = [command, str(path)] if command == "report" else [command, "--config", str(path)]
-    assert main(argv) == 2
+    assert main(argv + flags) == 2
     assert "error" in capsys.readouterr().err
 
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from gaudin.polynomials import (
     Poly,
     falling_product,
+    indicial_polynomial,
     newton_interpolate,
     poly_det,
     poly_gcd,
-    poly_lcm,
 )
 
 F = Fraction
@@ -32,9 +32,12 @@ def test_gcd_example():
     assert poly_gcd(P(-1, 0, 1), P(1, -2, 1)) == P(-1, 1)
 
 
-def test_lcm():
-    a, b = P(-1, 1) * P(1, 1), P(-1, 1) * P(2, 1)
-    assert poly_lcm(a, b) == (P(-1, 1) * P(1, 1) * P(2, 1)).monic()
+def test_indicial_polynomial_rank_one():
+    """u d/du - 1 at 0: G_0 = u vanishes to order 1, exponent a = 1 (kernel u)."""
+    taylors = [P(0, 1).taylor_at(F(0), 2), P(-1).taylor_at(F(0), 2)]
+    assert indicial_polynomial(taylors, 1) == P(-1, 1)
+    # a coefficient past the end of its list counts as zero
+    assert indicial_polynomial([[F(0), F(1)], []], 1) == P(0, 1)
 
 
 def test_divmod_exactness():

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from gaudin.algebra import ModuleSpec
 from gaudin.betheop import build_bethe_operator, exact_sample_points
-from gaudin.spaces import fundamental_operator, random_exact_space
+from gaudin.spaces import cleared_operator_polys, random_exact_space
 from gaudin.spectral import (
     SpectralConfig,
     character_to_operator,
@@ -13,6 +14,8 @@ from gaudin.spectral import (
     kernel_from_operator,
     spectrum_analysis,
 )
+
+from conftest import COUNT_FAMILY, GOLDEN, make_spec
 
 F = Fraction
 
@@ -30,11 +33,10 @@ def test_rank_one_character():
     report = joint_diagonalize(op)
     assert report.count == 1
     ch = report.characters[0]
-    D = character_to_operator(ch, op)
-    h1 = D.coeff_of_dpower_from_top(1)
+    G = character_to_operator(ch, op)
     for pt in (5.0, 9.0):
         expect = -2 - 1 / pt
-        assert abs(complex(h1.evaluate(pt)) - expect) < 1e-10
+        assert abs(G[1](pt) / G[0](pt) - expect) < 1e-10
 
 
 def test_golden_instance_two_characters(golden_op):
@@ -57,11 +59,10 @@ def test_determinism(golden_op):
 def test_trace_identity_on_characters(golden_op):
     """h_1 is the same universal function on every character."""
     report = spectrum_analysis(golden_op)
-    for D in report.operators:
-        h1 = D.coeff_of_dpower_from_top(1)
+    for G in report.operators:
         for pt in (4.0, 6.0):
             expect = -(0 + 1) - (1 / pt + 1 / (pt - 1))
-            assert abs(complex(h1.evaluate(pt)) - expect) < 1e-9
+            assert abs(G[1](pt) / G[0](pt) - expect) < 1e-9
 
 
 def test_kernel_round_trip_random():
@@ -69,8 +70,7 @@ def test_kernel_round_trip_random():
     spec = ModuleSpec(2, ("0", "1"), ((2, 1), (1, 0)), ("0", "1"), (2, 2))
     for _ in range(3):
         X = random_exact_space(2, (F(0), F(1)), (2, 2), rng)
-        D = fundamental_operator(X)
-        Y = kernel_from_operator(D, spec)
+        Y = kernel_from_operator(cleared_operator_polys(X), spec)
         for p, q in zip(X.polys, Y.polys):
             for k in range(max(p.degree, q.degree) + 1):
                 assert abs(complex(p.coeff(k)) - complex(q.coeff(k))) < 1e-10
@@ -111,3 +111,22 @@ def test_degenerate_weight_block():
     op = build_bethe_operator(spec)
     report = joint_diagonalize(op)
     assert report.count == 1
+
+
+@pytest.mark.parametrize("data", [GOLDEN] + COUNT_FAMILY, ids=["golden", "count-0", "count-1", "count-2"])
+def test_eigen_operator_is_cleared_operator_of_its_kernel(data):
+    """Both sides give one operator: each character's [P, P h_1, ..., P h_N]
+    equals ``cleared_operator_polys`` of its recovered kernel, coefficient by
+    coefficient, relative to the larger coefficient of the two polynomials."""
+    spec = make_spec(data)
+    report = spectrum_analysis(build_bethe_operator(spec))
+    assert report.count == len(report.kernels) > 0
+    for G, X in zip(report.operators, report.kernels):
+        assert X is not None
+        H = cleared_operator_polys(X)
+        assert len(G) == len(H) == spec.rank + 1
+        for g, h in zip(G, H):
+            top = max(g.degree, h.degree)
+            scale = max(abs(complex(c)) for c in g.coeffs + h.coeffs)
+            for k in range(top + 1):
+                assert abs(complex(g.coeff(k)) - complex(h.coeff(k))) <= 1e-9 * scale
