@@ -24,20 +24,17 @@ from .algebra import (
 from .bae import (
     RootCoordinates,
     bae_residual,
-    factorized_operator,
     newton_solve,
     root_coordinates_from_space,
     weight_function,
 )
 from .betheop import BetheOperator, build_bethe_operator
-from .diffops import DiffOp, QuasiExp, wronskian
+from .diffops import QuasiExp, wronskian
 from .polynomials import Poly
-from .ratfun import RatFun
 from .spaces import (
     QuasiExpSpace,
     char_at_infinity,
     fundamental_operator,
-    indicial_data,
     membership_test,
     wronskian_of_space,
 )
@@ -51,13 +48,11 @@ from .spectral import (
 
 __all__ = [
     "BetheOperator",
-    "DiffOp",
     "ModuleSpec",
     "Partition",
     "Poly",
     "QuasiExp",
     "QuasiExpSpace",
-    "RatFun",
     "RootCoordinates",
     "SpectralConfig",
     "bae_residual",
@@ -66,10 +61,8 @@ __all__ = [
     "char_at_infinity",
     "character_to_operator",
     "enumerate_weight_basis",
-    "factorized_operator",
     "find_singular_vector",
     "fundamental_operator",
-    "indicial_data",
     "joint_diagonalize",
     "kernel_from_operator",
     "membership_test",

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
+from math import comb
 
 import numpy as np
 
 from .algebra import ModuleSpec, Partition, enumerate_indices, enumerate_weight_basis
 from .betheop import exact_sample_points
-from .diffops import DiffOp, compose_chain, wronskian
-from .polynomials import Poly, binomial
-from .ratfun import RatFun
+from .diffops import wronskian
 from .scalars import to_complex
 from .spaces import QuasiExpSpace
 
@@ -52,9 +51,6 @@ class RootCoordinates:
     @property
     def upper(self) -> tuple:
         return self.levels[1:]
-
-    def flat_upper(self):
-        return [t for level in self.upper for t in level]
 
     def sorted_key(self):
         out = []
@@ -423,28 +419,6 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     return RootSearch(sorted(out, key=lambda t: t.sorted_key()), counters)
 
 
-def factorized_operator(t: RootCoordinates, exponents) -> DiffOp:
-    """(d/du - x^1) ... (d/du - x^N) with the telescoping local factors.
-
-    x^a(u) = K_a + sum_j 1/(u - t^(a-1)_j) - sum_j 1/(u - t^(a)_j); the
-    composition is monic of order N with rational coefficients.  Use this
-    over exact scalars; for float roots the unreduced composition loses
-    precision, so evaluate through :func:`factorized_values` instead.
-    """
-    N = len(exponents)
-    levels = [list(level) for level in t.levels] + [[]]
-    one = exponents[0] * 0 + 1 if not isinstance(exponents[0], complex) else 1.0 + 0j
-    factors = []
-    for a in range(1, N + 1):
-        chi = RatFun(Poly([exponents[a - 1]]))
-        for x in levels[a - 1]:
-            chi = chi + RatFun(Poly([one]), Poly([-x, one]), reduce=False)
-        for x in levels[a]:
-            chi = chi - RatFun(Poly([one]), Poly([-x, one]), reduce=False)
-        factors.append(DiffOp([-chi, RatFun(Poly([one]))]))
-    return compose_chain(factors)
-
-
 def _jet_mul(a, b, depth):
     out = [0j] * depth
     for i, x in enumerate(a):
@@ -500,7 +474,7 @@ def factorized_values(t: RootCoordinates, exponents, point) -> list:
                 for r in range(i + 1):
                     term = _jet_mul(ca, der, depth)
                     if r > 0:
-                        term = [binomial(i, r) * x for x in term]
+                        term = [comb(i, r) * x for x in term]
                     k = i + j - r
                     if k in new:
                         new[k] = [x + y for x, y in zip(new[k], term)]

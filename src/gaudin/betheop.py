@@ -4,8 +4,9 @@ The operator is the row determinant of the rank-N matrix whose diagonal
 carries d/du - K_i - e_ii(u) and whose (i, j) entry off the diagonal is
 -e_ji(u); note the transposed generator indexing.  Expanded on the
 weight-lam block of a concrete module it is a monic operator of order N
-whose coefficients B_i are exact matrix-valued rational functions with
-poles at the evaluation points only.
+whose coefficients B_i are exact matrix polynomials N_i over one known
+scalar denominator, B_i = N_i / P1^N with P1 = prod_s (u - b_s), so every
+pole sits at an evaluation point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from itertools import zip_longest
 from .algebra import EmbeddedModule, ModuleSpec
 from .linalg import Matrix
 from .polynomials import Poly, indicial_polynomial
-from .ratfun import RatFun
 
 
 def exact_sample_points(avoid, count: int, start: int = 2):
@@ -36,11 +36,12 @@ def exact_sample_points(avoid, count: int, start: int = 2):
 
 @dataclass
 class BetheOperator:
-    """Monic order-N operator with matrix rational-function coefficients on the block."""
+    """Monic order-N operator on the block: B_i = numerators[i - 1] / denominator."""
 
     spec: ModuleSpec
     module: EmbeddedModule
-    coefficients: list  # B_1 .. B_N on the weight-lam block, as num / P1^N
+    numerators: list  # N_1 .. N_N, exact matrix polynomials on the weight-lam block
+    denominator: Poly  # scalar, P1^N from the build
 
     @property
     def rank(self) -> int:
@@ -50,22 +51,18 @@ class BetheOperator:
     def dim(self) -> int:
         return len(self.module.weight_indices(self.spec.weight))
 
-    def coefficient(self, i: int) -> RatFun:
-        """B_i(u), i = 1..N."""
-        return self.coefficients[i - 1]
-
     @cached_property
     def cleared(self) -> list:
         """A_i = B_i * prod_s (u - b_s)^{n_s}, i = 1..N, as exact matrix polynomials.
 
-        Each A_i is num(B_i) times the pole polynomial divided exactly by
-        den(B_i); a nonzero remainder means B_i has a pole the evaluation
+        Each A_i is N_i times the pole polynomial divided exactly by the
+        denominator; a nonzero remainder means B_i has a pole the evaluation
         points do not allow, and raises ValueError.
         """
         pole = self.spec.pole_polynomial()
         out = []
-        for i, c in enumerate(self.coefficients, 1):
-            quot, rem = (c.num * pole).divmod(c.den)
+        for i, num in enumerate(self.numerators, 1):
+            quot, rem = (num * pole).divmod(self.denominator)
             if not rem.is_zero():
                 raise ValueError(f"B_{i} * pole polynomial is not polynomial")
             out.append(quot)
@@ -147,22 +144,22 @@ def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> Bet
                 extended[key] = (target, term)
         minors = extended
     _, nums = minors[tuple(range(N))]
-    den = p1 ** N
-    coeffs = [RatFun(nums[N - i], den, reduce=False) for i in range(1, N + 1)]
-    return BetheOperator(spec=spec, module=module, coefficients=coeffs)
+    return BetheOperator(spec=spec, module=module, numerators=nums[N - 1::-1], denominator=p1 ** N)
 
 
-def first_coefficient_residual(op: BetheOperator) -> RatFun:
-    """B_1(u) + sum_i (K_i + e_ii(u)) on the block; identically zero by construction."""
+def first_coefficient_residual(op: BetheOperator) -> Poly:
+    """N_1 P1 + den (sum_i G_ii + P1 sum_i K_i) on the block, with e_ii(u) = G_ii / P1.
+
+    Zero exactly when B_1 = -sum_i (K_i + e_ii(u)), which holds by construction.
+    """
     spec = op.spec
     lam = spec.weight.padded(op.rank)
     p1 = Poly.from_roots(spec.points)
     cofactors = _cofactors(p1, spec.points)
-    total = op.coefficient(1)
+    total = p1.scale(sum(spec.exponents[1:], spec.exponents[0])).scale(Matrix.identity(op.dim))
     for i in range(1, op.rank + 1):
-        total = total + RatFun(_series(op.module, i, i, lam, cofactors), p1, reduce=False)
-        total = total + RatFun.constant(Matrix.identity(op.dim) * spec.exponents[i - 1])
-    return total
+        total = total + _series(op.module, i, i, lam, cofactors)
+    return op.numerators[0] * p1 + total * op.denominator
 
 
 def leading_symbol(op: BetheOperator):

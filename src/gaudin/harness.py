@@ -30,7 +30,7 @@ from .betheop import (
 )
 from .polynomials import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar, to_complex
-from .spaces import QuasiExpSpace, fundamental_operator, membership_test, wronskian_of_space
+from .spaces import QuasiExpSpace, fundamental_operator, membership_test, operator_text, wronskian_of_space
 from .spectral import SpectralConfig, joint_diagonalize, spectrum_analysis
 
 
@@ -53,6 +53,20 @@ def _json_list(value, what: str) -> list:
     """A JSON list; a string would otherwise be read one character at a time."""
     if not isinstance(value, list):
         raise ConfigError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a float, a string or a boolean is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_bool(value, what: str) -> bool:
+    """A JSON boolean; the string "false" would otherwise switch a stage on."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
     return value
 
 
@@ -111,7 +125,7 @@ class InstanceConfig:
             raise ConfigError("a config must be an object")
         _reject_unknown(data, CONFIG_KEYS, "config key")
         try:
-            rank = int(data["N"])
+            rank = _json_int(data["N"], "N")
             exponents = [parse_scalar(k) for k in _json_list(data["K"], "K")]
             points = [parse_scalar(b) for b in _json_list(data["b"], "b")]
             partitions = [
@@ -138,9 +152,9 @@ class InstanceConfig:
         _reject_unknown(options, OPTION_KEYS, "option")
         return InstanceConfig(
             spec=spec,
-            run_bae=bool(options.get("run_bae", True)),
-            run_wronski=bool(options.get("run_wronski", True)),
-            seed=parse_seed(options.get("seed", 2024)),
+            run_bae=_json_bool(options.get("run_bae", True), "run_bae"),
+            run_wronski=_json_bool(options.get("run_wronski", True), "run_wronski"),
+            seed=parse_seed(_json_int(options.get("seed", 2024), "seed")),
             tolerances=Tolerances.from_dict(options.get("tolerances", {})),
             space=space,
             raw=data,
@@ -369,7 +383,7 @@ def wronski_pipeline(config: InstanceConfig) -> dict:
         raise ConfigError("this command needs a space entry in the config")
     space = config.space
     wd = wronskian_of_space(space)
-    d = fundamental_operator(space)
+    gs = fundamental_operator(space)
     report = membership_test(space, spec, tol=None if space.is_exact_space() else 1e-8)
     checks.append(Check("membership", report.ok))
     for c in report.checks:
@@ -380,7 +394,7 @@ def wronski_pipeline(config: InstanceConfig) -> dict:
             "poly": _poly_pairs(wd.poly),
             "map": [_complex_pair(a) for a in wd.coefficients],
         },
-        "operator_text": str(d),
+        "operator_text": operator_text(gs),
         "exponents": {
             str(s): list(data.exponents) if data.exponents else None
             for s, data in report.indicial.items()

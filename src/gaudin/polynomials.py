@@ -10,7 +10,6 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .scalars import iszero
 
@@ -25,10 +24,6 @@ class Poly:
         while coeffs and iszero(coeffs[-1]):
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def constant(c):
-        return Poly([c])
 
     @staticmethod
     def from_roots(roots, one=Fraction(1)):
@@ -116,10 +111,8 @@ class Poly:
             out = [zero if c is None else c for c in out]
         return Poly(out)
 
-    def scale(self, c, right=False):
-        """Multiply every coefficient by c (on the right if requested)."""
-        if right:
-            return Poly([a * c for a in self.coeffs])
+    def scale(self, c):
+        """Multiply every coefficient by c, from the left."""
         return Poly([c * a for a in self.coeffs])
 
     def __pow__(self, k):
@@ -204,13 +197,6 @@ class Poly:
         lead = self.leading
         return Poly([c / lead for c in self.coeffs])
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.leading == 1
-
-    def map(self, fn):
-        return Poly([fn(c) for c in self.coeffs])
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
@@ -245,21 +231,6 @@ def format_poly(p: Poly, var: str = "u") -> str:
     for body in parts[1:]:
         out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
     return out
-
-
-def newton_interpolate(points, values) -> Poly:
-    """Polynomial of degree < len(points) through the samples (exact or float)."""
-    n = len(points)
-    if n == 0:
-        return Poly()
-    coeffs = list(values)
-    for j in range(1, n):
-        for i in reversed(range(j, n)):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - j])
-    poly = Poly([coeffs[-1]])
-    for k in reversed(range(n - 1)):
-        poly = poly * Poly([-points[k], points[k] * 0 + 1]) + Poly([coeffs[k]])
-    return poly
 
 
 def poly_det(rows) -> Poly:
@@ -306,7 +277,3 @@ def indicial_polynomial(taylors, n_s: int) -> Poly:
         if 0 <= n_s - i < len(tc):
             chi = chi + falling_product(N - i).scale(tc[n_s - i])
     return chi
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

@@ -106,9 +106,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __abs__(self):
         return abs(complex(self))
 

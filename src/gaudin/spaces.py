@@ -2,6 +2,9 @@
 
 A space is an N-dimensional span of e^{K_i u} p_i(u) with distinct
 exponents and monic polynomial parts whose degrees realize a partition.
+Its fundamental operator sum_i F_i (d/du)^(N-i), F_0 = 1, is kept as the
+polynomial list [G_0, ..., G_N] with F_i = G_i / G_0 and G_0 the monic
+Wronskian part, so no rational function is ever formed.
 Everything here works over exact scalars and, with a tolerance, over
 complex floats (for spaces recovered from numerical spectra).
 """
@@ -12,18 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ModuleSpec, Partition
-from .diffops import DiffOp, QuasiExp, shifted_derivative_powers, wronskian
-from .polynomials import Poly, falling_product, indicial_polynomial, poly_det
-from .ratfun import RatFun, ratfun_pole_order
+from .diffops import QuasiExp, shifted_derivative_powers, wronskian
+from .polynomials import Poly, falling_product, indicial_polynomial, poly_det, poly_gcd
 from .scalars import is_exact, to_complex
 
 
 class DegenerateSpaceError(ValueError):
     """The putative basis is linearly dependent (identically zero Wronskian)."""
-
-
-class IrregularSingularityError(ValueError):
-    """A coefficient is too singular for a regular singular point."""
 
 
 @dataclass(frozen=True)
@@ -71,16 +69,6 @@ class QuasiExpSpace:
 
     def basis(self) -> list:
         return [QuasiExp(k, p) for k, p in zip(self.exponents, self.polys)]
-
-
-def random_exact_space(N: int, exponents, lam, rng) -> QuasiExpSpace:
-    """Monic parts with small random rational coefficients (test fodder)."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    polys = []
-    for d in lam.padded(N):
-        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
-        polys.append(Poly(coeffs + [Fraction(1)]))
-    return QuasiExpSpace(tuple(exponents), tuple(polys))
 
 
 @dataclass(frozen=True)
@@ -147,62 +135,83 @@ def cleared_operator_polys(space: QuasiExpSpace) -> list:
     return out
 
 
-def fundamental_operator(space: QuasiExpSpace, check: bool = True) -> DiffOp:
-    """The unique monic order-N operator annihilating the space.
+def fundamental_operator(space: QuasiExpSpace) -> list:
+    """[G_0, ..., G_N]: the monic order-N operator annihilating the space is
+    sum_i (G_i / G_0) (d/du)^(N-i).
 
-    For exact spaces the first-coefficient identity F_1 = -Wr'/Wr is
-    verified on the spot; annihilation of the basis is asserted too.
+    For exact spaces two polynomial identities are asserted on the spot:
+    G_1 = -(G_0' + sum_i K_i G_0), which is F_1 = -Wr'/Wr, and
+    sum_i G_i f^(N-i) = 0 for each basis element f.
     """
     gs = cleared_operator_polys(space)
-    g0 = gs[0]
-    coeffs = [RatFun.constant(Fraction(1))]
-    exact = space.is_exact_space()
-    for i in range(1, space.rank + 1):
-        coeffs.append(RatFun(gs[i], g0, reduce=exact))
-    op = DiffOp.from_leading(coeffs)
-    if check and exact:
-        total = space.exponents[0] * 0
-        for k in space.exponents:
-            total = total + k
-        expected_f1 = RatFun(-(g0.derivative() + g0.scale(total)), g0)
-        if not (op.coeff_of_dpower_from_top(1) == expected_f1):
+    if space.is_exact_space():
+        g0, N = gs[0], space.rank
+        total = sum(space.exponents[1:], space.exponents[0])
+        if gs[1] != -(g0.derivative() + g0.scale(total)):
             raise AssertionError("first coefficient does not match -Wr'/Wr")
         for f in space.basis():
-            if not op.annihilates(f):
+            parts = shifted_derivative_powers(f, N)
+            if not sum((g * parts[N - i] for i, g in enumerate(gs)), Poly()).is_zero():
                 raise AssertionError("fundamental operator misses its kernel")
-    return op
+    return gs
 
 
-def char_at_infinity(op: DiffOp) -> Poly:
-    """Monic degree-N polynomial in a from the u -> infinity constant terms.
+def operator_text(gs) -> str:
+    """sum_i (G_i / G_0) D^(N-i) as text, highest order first.
 
-    The operator must be monic; raises ValueError when a coefficient grows
-    at infinity, i.e. the operator is not of quasi-exponential type.
+    Over exact scalars each quotient is first reduced by its gcd; a
+    denominator is made monic, and a coefficient equal to 1 is left out.
     """
-    N = op.order
-    coeffs = [Fraction(0)] * (N + 1)
-    coeffs[N] = Fraction(1)
-    for i in range(1, N + 1):
-        c = op.coeff_of_dpower_from_top(i)
-        if c.is_zero():
+    N = len(gs) - 1
+    exact = all(is_exact(c) for g in gs for c in g.coeffs)
+    parts = ["D" if N == 1 else f"D^{N}"]
+    for i, num in enumerate(gs[1:], 1):
+        if num.is_zero():
             continue
-        try:
-            coeffs[N - i] = c.expand_at_infinity(1)[0]
-        except ValueError as exc:
-            raise ValueError("not of quasi-exponential type") from exc
-    return Poly(coeffs)
+        den = gs[0]
+        if exact:
+            g = poly_gcd(num, den)
+            num, den = num.exact_div(g), den.exact_div(g)
+        lead = den.leading
+        if lead != 1:
+            num, den = Poly([c / lead for c in num.coeffs]), den.monic()
+        coeff = str(num) if den.degree == 0 else f"({num})/({den})"
+        dpow = "D" if N - i == 1 else f"D^{N - i}"
+        if i == N:
+            parts.append(f"({coeff})")
+        elif den.degree == 0 and num == Poly([Fraction(1)]):
+            parts.append(dpow)
+        else:
+            parts.append(f"({coeff})*{dpow}")
+    return " + ".join(parts)
 
 
-def second_symbol(op: DiffOp) -> Poly:
-    """The polynomial sum_i F_{i1} a^{N-i} from the 1/u terms at infinity."""
-    N = op.order
-    coeffs = [Fraction(0)] * N
-    for i in range(1, N + 1):
-        c = op.coeff_of_dpower_from_top(i)
-        if c.is_zero():
-            continue
-        coeffs[N - i] = c.expand_at_infinity(2)[1]
-    return Poly(coeffs)
+def _at_infinity(gs) -> list:
+    """(c_0, c_1) of F_i = G_i / G_0 = c_0 + c_1 / u + ... for i = 0..N.
+
+    Read from the u^d and u^(d-1) coefficients, d = deg G_0; raises
+    ValueError when some G_i has degree above d, i.e. the operator is not of
+    quasi-exponential type.
+    """
+    g0 = gs[0]
+    d, lead = g0.degree, g0.leading
+    if any(g.degree > d for g in gs):
+        raise ValueError("not of quasi-exponential type")
+    out = []
+    for g in gs:
+        c0 = g.coeff(d) / lead
+        out.append((c0, (g.coeff(d - 1) - g0.coeff(d - 1) * c0) / lead))
+    return out
+
+
+def char_at_infinity(gs) -> Poly:
+    """Monic degree-N polynomial sum_i F_{i0} a^(N-i) from the u -> infinity constant terms."""
+    return Poly([c0 for c0, _ in reversed(_at_infinity(gs))])
+
+
+def second_symbol(gs) -> Poly:
+    """The polynomial sum_i F_{i1} a^(N-i) from the 1/u terms at infinity."""
+    return Poly([c1 for _, c1 in reversed(_at_infinity(gs))])
 
 
 @dataclass(frozen=True)
@@ -210,7 +219,7 @@ class IndicialData:
     """Indicial polynomial at a point and its root multiset."""
 
     point: object
-    polynomial: Poly  # monic, degree N
+    polynomial: Poly
     exponents: tuple | None  # sorted integer roots, or None if not all integral
     repeated: bool
 
@@ -226,38 +235,6 @@ def _integer_roots(poly: Poly, low: int, high: int):
     if work.degree > 0:
         return None, False
     return tuple(sorted(roots)), len(set(roots)) != len(roots)
-
-
-def indicial_data(op: DiffOp, point, local_multiplicity: int) -> IndicialData:
-    """Frobenius indicial polynomial of a monic exact operator at a point.
-
-    The coefficient of order i may have a pole of order at most i; a deeper
-    pole raises IrregularSingularityError.
-    """
-    N = op.order
-    chi = falling_product(N)
-    for i in range(1, N + 1):
-        f = op.coeff_of_dpower_from_top(i)
-        if f.is_zero():
-            continue
-        p = ratfun_pole_order(f, point)
-        if p > i:
-            raise IrregularSingularityError(
-                f"pole of order {p} > {i} at {point}: not a regular singular point"
-            )
-        if p < i:
-            continue
-        num_t = f.num.taylor_at(point)
-        den_t = f.den.taylor_at(point)
-        o_n = next(k for k, c in enumerate(num_t) if c != 0)
-        o_d = next(k for k, c in enumerate(den_t) if c != 0)
-        g_i = num_t[o_n] / den_t[o_d]
-        chi = chi + falling_product(N - i).scale(g_i)
-    bound = local_multiplicity + N + 2
-    exponents, repeated = _integer_roots(chi, -1, max(bound, 3))
-    if exponents is None:
-        repeated = False
-    return IndicialData(point=point, polynomial=chi, exponents=exponents, repeated=repeated)
 
 
 def expected_exponents(partition: Partition, N: int) -> tuple:

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from gaudin.algebra import ModuleSpec, build_embedded_module
+from gaudin.algebra import ModuleSpec, Partition, build_embedded_module
 from gaudin.betheop import build_bethe_operator
+from gaudin.polynomials import Poly
+from gaudin.spaces import QuasiExpSpace
 
 np.seterr(all="ignore")
 
@@ -11,6 +15,16 @@ def make_spec(data) -> ModuleSpec:
     return ModuleSpec(
         data["N"], data["K"], data["partitions"], data["b"], data["weight"]
     )
+
+
+def random_exact_space(N: int, exponents, lam, rng) -> QuasiExpSpace:
+    """Monic parts with small random rational coefficients."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    polys = []
+    for d in lam.padded(N):
+        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
+        polys.append(Poly(coeffs + [Fraction(1)]))
+    return QuasiExpSpace(tuple(exponents), tuple(polys))
 
 
 GOLDEN = {"N": 2, "K": ("0", "1"), "partitions": ((1,), (1,)), "b": ("0", "1"), "weight": (1, 1)}

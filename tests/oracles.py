@@ -10,7 +10,9 @@ The reference for the block build of the Bethe operator comes last: the
 row determinant expanded over all N! permutations, with generic Leibniz
 composition, on the whole module (every generator as a dim x dim matrix),
 cut to the block only at the end.  It uses the library's module basis and
-exact arithmetic, nothing of its operator build.
+exact arithmetic, nothing of its operator build.  The same operator class
+composes the factorized operator of a set of Bethe roots, the exact
+reference for the library's float evaluation of it.
 """
 
 import cmath
@@ -20,8 +22,7 @@ from math import comb
 
 from gaudin.algebra import apply_e_block
 from gaudin.linalg import Matrix
-from gaudin.polynomials import Poly, newton_interpolate
-from gaudin.ratfun import RatFun
+from gaudin.polynomials import Poly
 from gaudin.scalars import to_complex
 
 
@@ -157,12 +158,27 @@ def reconstruction_points(spec, count: int, avoid=(), min_dist: float = 0.12):
     return out
 
 
+def newton_interpolate(points, values) -> Poly:
+    """Polynomial of degree < len(points) through the samples (exact or float)."""
+    n = len(points)
+    if n == 0:
+        return Poly()
+    coeffs = list(values)
+    for j in range(1, n):
+        for i in reversed(range(j, n)):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (points[i] - points[i - j])
+    poly = Poly([coeffs[-1]])
+    for k in reversed(range(n - 1)):
+        poly = poly * Poly([-points[k], points[k] * 0 + 1]) + Poly([coeffs[k]])
+    return poly
+
+
 class DegreeBoundError(ValueError):
     """Samples are inconsistent with the promised numerator degree bound."""
 
 
-def rational_reconstruct(samples, deg_num: int, known_denominator: Poly, tol=None) -> RatFun:
-    """Recover num/known_denominator from point samples of the value.
+def rational_reconstruct(samples, deg_num: int, known_denominator: Poly, tol=None) -> Poly:
+    """Recover the numerator num of num/known_denominator from point samples of the value.
 
     ``samples`` is a list of (point, value) pairs with at least deg_num + 1
     entries; extra samples act as consistency witnesses.  With exact inputs
@@ -185,7 +201,7 @@ def rational_reconstruct(samples, deg_num: int, known_denominator: Poly, tol=Non
         else:
             if abs(got - t) > tol * max(abs(t), 1.0):
                 raise DegreeBoundError(f"degree bound violated at point {p}")
-    return RatFun(num, known_denominator, reduce=(tol is None))
+    return num
 
 
 def operator_distance(numers_a, numers_b) -> float:
@@ -235,19 +251,17 @@ def e_point_matrices(module, i: int, j: int) -> list:
     ]
 
 
-def _series_numerator(module, i: int, j: int) -> Poly:
-    """G with e_ij(u) = G / prod_s (u - b_s) on the whole module."""
+def e_series(module, i: int, j: int) -> Poly:
+    """G with e_ij(u) = G / prod_s (u - b_s) on the whole module.
+
+    e_ij(u) is sum_s (e_ij in block s) / (u - b_s).
+    """
     points = module.spec.points
     num = Poly()
     for s, mat in enumerate(e_point_matrices(module, i, j)):
         rest = Poly.from_roots([b for r, b in enumerate(points) if r != s])
         num = num + Poly([c * mat for c in rest.coeffs])
     return num
-
-
-def e_series(module, i: int, j: int) -> RatFun:
-    """Matrix of e_ij(u) on the whole module: sum_s (e_ij in block s) / (u - b_s)."""
-    return RatFun(_series_numerator(module, i, j), Poly.from_roots(module.spec.points))
 
 
 class PoleOp:
@@ -298,10 +312,10 @@ def full_module_cleared(spec, module) -> list:
     for k in range(N):
         row = []
         for j in range(N):
-            g = _series_numerator(module, j + 1, k + 1)
+            g = e_series(module, j + 1, k + 1)
             if j == k:
                 kp1 = p1.scale(spec.exponents[k])
-                row.append(PoleOp([-(g + kp1.map(lambda c: c * ident)), p1.map(lambda c: c * ident)], 1, p1))
+                row.append(PoleOp([-(g + kp1.scale(ident)), p1.scale(ident)], 1, p1))
             else:
                 row.append(PoleOp([-g], 1, p1))
         entries.append(row)
@@ -313,4 +327,27 @@ def full_module_cleared(spec, module) -> list:
         if not rem.is_zero():
             raise ValueError(f"B_{i} * pole polynomial is not polynomial")
         out.append(quot)
+    return out
+
+
+def factorized_operator(t, exponents) -> PoleOp:
+    """(d/du - x^1) ... (d/du - x^N) with the telescoping local factors.
+
+    x^a(u) = K_a + sum_j 1/(u - t^(a-1)_j) - sum_j 1/(u - t^(a)_j), each
+    factor over p1, the product of (u - x) over every root; the composition
+    is monic of order N.  Exact scalars only: this is the exact reference
+    for ``bae.factorized_values``.
+    """
+    N = len(exponents)
+    levels = [list(level) for level in t.levels] + [[]]
+    p1 = Poly.from_roots([x for level in levels for x in level])
+    out = None
+    for a in range(1, N + 1):
+        chi = p1.scale(exponents[a - 1])
+        for x in levels[a - 1]:
+            chi = chi + p1.exact_div(Poly([-x, Fraction(1)]))
+        for x in levels[a]:
+            chi = chi - p1.exact_div(Poly([-x, Fraction(1)]))
+        factor = PoleOp([-chi, p1], 1, p1)
+        out = factor if out is None else out.compose(factor)
     return out

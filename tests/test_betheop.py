@@ -18,7 +18,6 @@ from gaudin.betheop import (
 from gaudin.harness import InstanceConfig
 from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly
-from gaudin.ratfun import RatFun
 
 from conftest import COUNT_FAMILY, EXACT_FAMILY, make_spec
 from oracles import full_module_cleared
@@ -35,11 +34,10 @@ def test_sample_points_avoid_poles():
 def test_single_row_operator():
     spec = ModuleSpec(1, ("2",), ((1,),), ("3",), (1,))
     op = build_bethe_operator(spec)
-    assert len(op.coefficients) == 1
-    b1 = op.coefficient(1)
+    assert len(op.numerators) == 1
     # B_1 = -K - 1/(u-b)
     for pt in (F(5), F(9)):
-        assert b1.evaluate(pt).get(0, 0) == -2 - 1 / (pt - 3)
+        assert op.block_evaluate(1, pt).get(0, 0) == -2 - 1 / (pt - 3)
 
 
 def test_first_coefficient_identity_family(exact_family_ops):
@@ -54,10 +52,9 @@ def test_leading_symbol_family(exact_family_ops):
 
 def test_first_coefficient_block_formula(golden_op):
     # B_1 block = -(K_1+K_2) - (1/u + 1/(u-1)) times the identity
-    b1 = golden_op.coefficient(1)
     for pt in (F(3), F(5), F(11)):
         expect = -(F(0) + F(1)) - (1 / pt + 1 / (pt - 1))
-        got = b1.evaluate(pt)
+        got = golden_op.block_evaluate(1, pt)
         assert got.scalar_of_identity() == expect
 
 
@@ -96,7 +93,7 @@ def test_block_build_matches_full_module_oracle(spec):
     op = build_bethe_operator(spec, module)
     idx = module.weight_indices(spec.weight)
     full = full_module_cleared(spec, module)
-    assert op.cleared == [a.map(lambda c: c.submatrix(idx, idx)) for a in full]
+    assert op.cleared == [Poly([c.submatrix(idx, idx) for c in a.coeffs]) for a in full]
 
 
 def test_n4_four_points_block_passes_every_exact_check():
@@ -120,6 +117,7 @@ def test_n4_four_points_block_passes_every_exact_check():
 # passes, so that it can also be run against a stubbed always-True check.
 
 CHECKS = {
+    "first-coefficient": lambda op: first_coefficient_residual(op).is_zero(),
     "commutativity": commutativity_check,
     "weight-blocks": weight_blocks_preserved,
     "leading-symbol": lambda op: leading_symbol(op) == expected_leading_symbol(op),
@@ -127,11 +125,11 @@ CHECKS = {
 }
 
 
-def _mutant(op, i, extra: RatFun):
-    """A copy of op with B_i replaced by B_i + extra."""
-    coeffs = list(op.coefficients)
-    coeffs[i - 1] = coeffs[i - 1] + extra
-    return replace(op, coefficients=coeffs)
+def _mutant(op, i, num: Poly, den: Poly):
+    """A copy of op with B_i replaced by B_i + num / den, over the denominator op.denominator * den."""
+    nums = [a * den for a in op.numerators]
+    nums[i - 1] = nums[i - 1] + num * op.denominator
+    return replace(op, numerators=nums, denominator=op.denominator * den)
 
 
 def _unit(dim, i, j):
@@ -168,9 +166,9 @@ def _hidden_mutant_case(checks, golden_op):
     spec = golden_op.spec
     q = Poly.from_roots(exact_sample_points(spec.points, 5))
     X = _unit(golden_op.dim, 0, 1)
-    mutant = _mutant(golden_op, 2, RatFun(Poly([c * X for c in q.coeffs]), spec.pole_polynomial(), reduce=False))
+    mutant = _mutant(golden_op, 2, q.scale(X), spec.pole_polynomial())
     for pt in exact_sample_points(spec.points, 5):
-        assert mutant.coefficient(2).evaluate(pt) == golden_op.coefficient(2).evaluate(pt)
+        assert mutant.block_evaluate(2, pt) == golden_op.block_evaluate(2, pt)
     assert not checks["commutativity"](mutant)
     # deg A_2 = 5 > n = 2: B_2 grows at infinity
     assert not checks["leading-symbol"](mutant)
@@ -178,10 +176,19 @@ def _hidden_mutant_case(checks, golden_op):
 
 def _pole_mutant_case(checks, golden_op):
     """B_1 + I/(u - 7) cannot be cleared by the pole polynomial."""
-    extra = RatFun(Poly([Matrix.identity(golden_op.dim)]), Poly([F(-7), F(1)]))
-    mutant = _mutant(golden_op, 1, extra)
-    for name in ("commutativity", "weight-blocks", "leading-symbol", "polynomiality"):
+    mutant = _mutant(golden_op, 1, Poly([Matrix.identity(golden_op.dim)]), Poly([F(-7), F(1)]))
+    for name in ("first-coefficient", "commutativity", "weight-blocks", "leading-symbol", "polynomiality"):
         assert not checks[name](mutant), name
+
+
+def _shifted_first_coefficient_case(checks, golden_op):
+    """B_1 + I: still a cleared, commuting, scalar-shifted operator, but
+    B_1 is no longer -sum_i (K_i + e_ii(u)) and its constant term at
+    infinity moves."""
+    mutant = _mutant(golden_op, 1, Poly([Matrix.identity(golden_op.dim)]), Poly([F(1)]))
+    assert checks["commutativity"](mutant) and checks["polynomiality"](mutant)
+    assert not checks["first-coefficient"](mutant)
+    assert not checks["leading-symbol"](mutant)
 
 
 def test_checks_detect_a_leaky_module(golden_op):
@@ -196,14 +203,19 @@ def test_checks_fail_without_raising_on_a_pole_off_the_points(golden_op):
     _pole_mutant_case(CHECKS, golden_op)
 
 
+def test_checks_detect_a_shifted_first_coefficient(golden_op):
+    _shifted_first_coefficient_case(CHECKS, golden_op)
+
+
 @pytest.mark.parametrize(
     "case, names",
     [
         (_leaky_module_case, ["weight-blocks", "commutativity"]),
         (_hidden_mutant_case, ["commutativity", "leading-symbol"]),
-        (_pole_mutant_case, ["commutativity", "weight-blocks", "leading-symbol", "polynomiality"]),
+        (_pole_mutant_case, ["first-coefficient", "commutativity", "weight-blocks", "leading-symbol", "polynomiality"]),
+        (_shifted_first_coefficient_case, ["first-coefficient", "leading-symbol"]),
     ],
-    ids=["leaky-module", "hidden-mutant", "pole-off-points"],
+    ids=["leaky-module", "hidden-mutant", "pole-off-points", "first-coefficient-shifted"],
 )
 def test_mutant_cases_fail_against_an_always_true_check(golden_op, case, names):
     """Each check a mutant case relies on is load-bearing: with that one
@@ -234,8 +246,8 @@ def test_block_evaluate_matches_full_evaluation(exact_family_ops):
 
 
 def test_cleared_equals_reduced_product(exact_family_ops):
-    """A_i is B_i times the pole polynomial, as rational functions."""
+    """A_i is B_i times the pole polynomial: A_i den = N_i P."""
     for op in exact_family_ops:
         pole = op.spec.pole_polynomial()
         for i in range(1, op.rank + 1):
-            assert RatFun(op.cleared[i - 1]) == op.coefficient(i) * RatFun(pole)
+            assert op.cleared[i - 1] * op.denominator == op.numerators[i - 1] * pole

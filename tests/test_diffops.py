@@ -4,22 +4,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin.diffops import DiffOp, QuasiExp, compose_chain, wronskian
+from gaudin.diffops import QuasiExp, shifted_derivative_powers, wronskian
 from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly
-from gaudin.ratfun import RatFun
 
-from oracles import numeric_wronskian, rdet
+from oracles import PoleOp, numeric_wronskian, rdet
 
 F = Fraction
 
 
 def P(*coeffs):
     return Poly([F(c) for c in coeffs])
-
-
-def ratc(c):
-    return RatFun.constant(F(c))
 
 
 def test_wronskian_two_exponentials():
@@ -58,35 +53,63 @@ def test_wronskian_matches_numeric():
         assert abs(direct - ours) <= 1e-9 * max(1.0, abs(direct))
 
 
+# --- the oracles' operator class ------------------------------------------
+#
+# PoleOp is sum_k nums[k] / p1^m (d/du)^k; the row determinant and the
+# factorized operator of the oracles are built on its Leibniz composition.
+
+ONE = P(1)
+U = P(0, 1)
+
+
+def _const(*coeffs):
+    """sum_k coeffs[k] (d/du)^k with constant scalar coefficients."""
+    return PoleOp([P(c) for c in coeffs], 0, ONE)
+
+
+def _same(a, b) -> bool:
+    return all(n.is_zero() for n in (a + -b).nums)
+
+
+def _coeff_is(op, k, num, den=ONE) -> bool:
+    """The (d/du)^k coefficient of op is num / den."""
+    a = op.nums[k] if k < len(op.nums) else Poly()
+    return a * den == num * op.p1 ** op.m
+
+
+def _apply(op, f):
+    """Polynomial part, over p1^m, of op applied to the quasi-exponential f."""
+    parts = shifted_derivative_powers(f, len(op.nums) - 1)
+    return sum((a * p for a, p in zip(op.nums, parts)), Poly())
+
+
 def test_compose_basic():
-    dd = DiffOp.derivative_op()
-    assert dd.compose(dd).order == 2
+    dd = PoleOp([Poly(), ONE], 0, U)
+    assert len(dd.compose(dd).nums) == 3
     # (d - 1/u) after d has no zero-order term on the right factor
-    left = DiffOp([RatFun(P(-1), P(0, 1)), ratc(1)])
+    left = PoleOp([P(-1), U], 1, U)
     out = left.compose(dd)
-    assert out.order == 2
-    assert out.coeff(0).is_zero()
-    assert out.coeff(1) == RatFun(P(-1), P(0, 1))
+    assert len(out.nums) == 3
+    assert out.nums[0].is_zero()
+    assert _coeff_is(out, 1, P(-1), U)
 
 
 def test_compose_first_order_leibniz():
     # (a d + c)(b d + e) = ab d^2 + (a b' + a e + c b) d + (a e' + c e)
-    a, c = ratc(2), RatFun(P(1), P(0, 1))
-    b, e = RatFun(P(0, 1)), RatFun(P(3, 1))
-    left = DiffOp([c, a])
-    right = DiffOp([e, b])
+    # with a = 2, c = 1/u, b = u, e = u + 3
+    left = PoleOp([P(1), P(0, 2)], 1, U)
+    right = PoleOp([P(3, 1), U], 0, U)
     out = left.compose(right)
-    assert out.coeff(2) == a * b
-    assert out.coeff(1) == a * b.derivative() + a * e + c * b
-    assert out.coeff(0) == a * e.derivative() + c * e
+    assert _coeff_is(out, 2, P(0, 2))
+    assert _coeff_is(out, 1, P(9, 2))  # 2 + 2(u + 3) + 1
+    assert _coeff_is(out, 0, P(3, 3), U)  # 2 + (u + 3)/u
 
 
 def test_compose_agrees_with_sequential_application():
     rng = random.Random(5)
 
     def random_first_order():
-        c = RatFun(Poly([F(rng.randint(-4, 4)), F(rng.randint(-4, 4))]))
-        return DiffOp([c, ratc(1)])
+        return PoleOp([Poly([F(rng.randint(-4, 4)), F(rng.randint(-4, 4))]), ONE], 0, ONE)
 
     tests = [
         QuasiExp(F(0), P(1)),
@@ -97,81 +120,72 @@ def test_compose_agrees_with_sequential_application():
     ]
     for _ in range(6):
         ops = [random_first_order() for _ in range(3)]
-        composed = compose_chain(ops)
+        composed = ops[0].compose(ops[1]).compose(ops[2])
         for f in tests:
-            k, direct = composed.apply(f)
             # apply right to left, carrying polynomial parts exactly
-            poly = RatFun(f.poly)
+            poly = f.poly
             for op in reversed(ops):
-                c0, c1 = op.coeff(0), op.coeff(1)
+                c0, c1 = op.nums
                 poly = c1 * (poly.scale(f.exponent) + poly.derivative()) + c0 * poly
-            assert direct == poly
+            assert _apply(composed, f) == poly
 
 
 def test_rdet_diagonal():
     entries = [
-        [DiffOp([ratc(-3), ratc(1)]), DiffOp([ratc(0)])],
-        [DiffOp([ratc(0)]), DiffOp([ratc(-7), ratc(1)])],
+        [_const(-3, 1), _const(0)],
+        [_const(0), _const(-7, 1)],
     ]
     out = rdet(entries)
-    expect = entries[0][0].compose(entries[1][1])
-    assert out == expect
+    assert _same(out, entries[0][0].compose(entries[1][1]))
 
 
 def test_rdet_one_by_one():
-    entry = DiffOp([RatFun(P(-2), P(0, 1)), ratc(1)])
-    assert rdet([[entry]]) == entry
+    entry = PoleOp([P(-2), U], 1, U)
+    assert _same(rdet([[entry]]), entry)
 
 
 def test_rdet_constant_two_by_two():
     a, b, c, d = F(2), F(3), F(5), F(7)
     entries = [
-        [DiffOp([ratc(-a), ratc(1)]), DiffOp([ratc(-c)])],
-        [DiffOp([ratc(-d)]), DiffOp([ratc(-b), ratc(1)])],
+        [_const(-a, 1), _const(-c)],
+        [_const(-d), _const(-b, 1)],
     ]
     out = rdet(entries)
-    assert out.coeff(2) == ratc(1)
-    assert out.coeff(1) == ratc(-(a + b))
-    assert out.coeff(0) == ratc(a * b - d * c)
+    assert _coeff_is(out, 2, P(1))
+    assert _coeff_is(out, 1, P(-(a + b)))
+    assert _coeff_is(out, 0, P(a * b - d * c))
 
 
 def test_apply_kernel_and_powers():
     k = F(3)
-    d_minus_k = DiffOp([ratc(-k), ratc(1)])
-    _, r = d_minus_k.apply(QuasiExp(k, P(1)))
-    assert r.is_zero()
-    dd = DiffOp.derivative_op().compose(DiffOp.derivative_op())
-    _, r2 = dd.apply(QuasiExp(F(0), P(0, 0, 1)))
-    assert r2 == RatFun(P(2))
+    assert _apply(_const(-k, 1), QuasiExp(k, P(1))).is_zero()
+    dd = _const(0, 1).compose(_const(0, 1))
+    assert _apply(dd, QuasiExp(F(0), P(0, 0, 1))) == P(2)
 
 
-def _random_matrix_ratfun(rng, dim=2):
-    num = Poly(
+def _random_matrix_poly(rng, dim=2):
+    return Poly(
         [
             Matrix([[F(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)])
             for _ in range(2)
         ]
     )
-    return RatFun(num, Poly([F(1)]), reduce=False)
 
 
 def test_matrix_composition_order_sensitive_but_consistent():
     rng = random.Random(11)
-    ident = RatFun.constant(Matrix.identity(2))
+    ident = Poly([Matrix.identity(2)])
     for _ in range(4):
-        A = DiffOp([_random_matrix_ratfun(rng), ident])
-        B = DiffOp([_random_matrix_ratfun(rng), ident])
+        A = PoleOp([_random_matrix_poly(rng), ident], 0, ONE)
+        B = PoleOp([_random_matrix_poly(rng), ident], 0, ONE)
         AB, BA = A.compose(B), B.compose(A)
-        assert not (AB == BA)  # generically order matters
+        assert not _same(AB, BA)  # generically order matters
         # both agree with sequential application on a vector quasi-exponential
         col = Poly([Matrix([[F(1)], [F(2)]]), Matrix([[F(0)], [F(1)]])])
         f = QuasiExp(F(1), col)
         for first, second, combined in ((B, A, AB), (A, B, BA)):
-            k1, mid = first.apply(f)
-            c0, c1 = second.coeff(0), second.coeff(1)
-            seq = c1 * (mid.scale(f.exponent) + mid.derivative()) + c0 * mid
-            _, direct = combined.apply(f)
-            assert direct == seq
+            mid = QuasiExp(f.exponent, _apply(first, f))
+            assert _apply(combined, f) == _apply(second, mid)
 
 
 small = st.integers(-5, 5).map(F)

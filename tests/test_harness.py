@@ -105,7 +105,16 @@ def test_wronski_pipeline_rank_one():
     out = wronski_pipeline(cfg)
     assert all(c.passed for c in out["checks"])
     assert out["exponents"]["0"] == [1]
-    assert "D" in out["operator_text"]
+    assert out["operator_text"] == "D + ((-3*u + 5)/(u - 2))"
+
+
+def test_wronski_operator_text_reduces_each_coefficient():
+    """Span(u, e^u u) over one point of cell (1,1): G_1/G_0 and G_2/G_0 are
+    reduced by their gcd with G_0 = u^2 before printing."""
+    cfg = InstanceConfig.from_file(Path(__file__).resolve().parents[1] / "fixtures" / "wronski_cell_n2.json")
+    out = wronski_pipeline(cfg)
+    assert all(c.passed for c in out["checks"])
+    assert out["operator_text"] == "D^2 + ((-u - 2)/(u))*D + ((u + 2)/(u^2))"
 
 
 def test_wronski_pipeline_requires_space():
@@ -154,6 +163,10 @@ def test_cli_roundtrip(tmp_path):
         ("report", None, []),
         ("report", "{not json", []),
         ("report", GOLDEN, []),
+        ("verify", {**GOLDEN, "options": {"run_bae": "false"}}, []),
+        ("verify", {**GOLDEN, "options": {"seed": 2.7}}, []),
+        ("verify", {**GOLDEN, "options": {"seed": True}}, []),
+        ("verify", {**GOLDEN, "N": 2.9}, []),
     ],
     ids=[
         "repeated-points",
@@ -181,6 +194,10 @@ def test_cli_roundtrip(tmp_path):
         "report-missing-file",
         "report-invalid-json",
         "report-not-a-report",
+        "run-bae-string",
+        "seed-fractional",
+        "seed-bool",
+        "N-fractional",
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, command, content, flags):

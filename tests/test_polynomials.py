@@ -8,10 +8,11 @@ from gaudin.polynomials import (
     Poly,
     falling_product,
     indicial_polynomial,
-    newton_interpolate,
     poly_det,
     poly_gcd,
 )
+
+from oracles import newton_interpolate
 
 F = Fraction
 

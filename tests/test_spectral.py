@@ -6,7 +6,7 @@ import pytest
 
 from gaudin.algebra import ModuleSpec
 from gaudin.betheop import build_bethe_operator, exact_sample_points
-from gaudin.spaces import cleared_operator_polys, random_exact_space
+from gaudin.spaces import cleared_operator_polys
 from gaudin.spectral import (
     SpectralConfig,
     character_to_operator,
@@ -15,7 +15,7 @@ from gaudin.spectral import (
     spectrum_analysis,
 )
 
-from conftest import COUNT_FAMILY, GOLDEN, make_spec
+from conftest import COUNT_FAMILY, GOLDEN, make_spec, random_exact_space
 
 F = Fraction
 
