@@ -10,13 +10,14 @@ for free: g(u) acts as the block-diagonal g divided by (u - b_s).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import prod
 
 from .linalg import Matrix, nullspace
 from .polynomials import Poly
-from .scalars import iszero, promote_field
+from .scalars import iszero, promote_field, to_complex
 
 
 @dataclass(frozen=True)
@@ -103,22 +104,46 @@ class ModuleSpec:
     def all_vector_factors(self) -> bool:
         return all(n == 1 for n in self.factor_sizes)
 
-    def pole_polynomial(self) -> Poly:
-        """prod over s of (u - b_s)^{n_s}."""
+    # The values below depend on the instance only and are built once: the
+    # spec is frozen and a Poly is immutable.  A cached_property writes to the
+    # instance dict past the frozen __setattr__, and a spec made by
+    # ``dataclasses.replace`` starts without them.
+
+    @cached_property
+    def _pole(self) -> Poly:
         roots = []
         for b, n in zip(self.points, self.factor_sizes):
             roots.extend([b] * n)
         return Poly.from_roots(roots)
+
+    @cached_property
+    def _complex_pole(self) -> Poly:
+        return Poly([to_complex(c) for c in self._pole.coeffs])
+
+    @cached_property
+    def _indicial_targets(self) -> tuple:
+        N = self.rank
+        out = []
+        for b_s, part in zip(self.points, self.partitions):
+            const = prod((b_s - b) ** n for b, n in zip(self.points, self.factor_sizes) if b != b_s)
+            lam = part.padded(N)
+            out.append(Poly.from_roots([lam[l] + N - 1 - l for l in range(N)]).scale(const))
+        return tuple(out)
+
+    def pole_polynomial(self) -> Poly:
+        """prod over s of (u - b_s)^{n_s}."""
+        return self._pole
+
+    def complex_pole_polynomial(self) -> Poly:
+        """The pole polynomial with complex float coefficients."""
+        return self._complex_pole
 
     def indicial_target(self, s: int) -> Poly:
         """prod_{r != s} (b_s - b_r)^{n_r} prod_l (a - lam^(s)_l - N + l), in a.
 
         Both sides' indicial polynomial at b_s.
         """
-        b_s, N = self.points[s], self.rank
-        const = prod((b_s - b) ** n for b, n in zip(self.points, self.factor_sizes) if b != b_s)
-        lam = self.partitions[s].padded(N)
-        return Poly.from_roots([lam[l] + N - 1 - l for l in range(N)]).scale(const)
+        return self._indicial_targets[s]
 
 
 def weight_of_index(J, N):

@@ -608,6 +608,11 @@ class EigenvectorReport:
     values: dict = field(default_factory=dict)  # point -> factorized [h_1, ..., h_N]
 
 
+def eigenvector_points(spec: ModuleSpec) -> list:
+    """The n + 2 integer points from 13 off the poles where eigenvalues are compared."""
+    return exact_sample_points(spec.points, spec.size + 2, start=13)
+
+
 def verify_eigenvector(
     t: RootCoordinates,
     spec: ModuleSpec,
@@ -617,13 +622,14 @@ def verify_eigenvector(
     """Check that the weight function at the roots is a joint eigenvector.
 
     The predicted eigenvalues are the coefficients of the factorized
-    operator at the roots, evaluated at n + 2 integer points from 13 off
-    the poles; the report carries them and the worst relative residual
-    over coefficients and points.
+    operator at the roots, evaluated at the :func:`eigenvector_points`; the
+    report carries them and the worst relative residual over coefficients
+    and points.  The block values B_i there come from
+    ``bethe_op.block_array``, so every solution checked against one
+    operator shares them.
     """
-    points = exact_sample_points(spec.points, spec.size + 2, start=13)
     exponents = [to_complex(k) for k in spec.exponents]
-    values = {pt: factorized_values(t, exponents, pt) for pt in points}
+    values = {pt: factorized_values(t, exponents, pt) for pt in eigenvector_points(spec)}
     omega = weight_vector(t, spec)
     norm = float(np.linalg.norm(omega))
     if norm == 0:
@@ -632,7 +638,7 @@ def verify_eigenvector(
     failures = []
     for pt, hvals in values.items():
         for i in range(1, spec.rank + 1):
-            m = bethe_op.block_evaluate(i, pt).to_complex_array()
+            m = bethe_op.block_array(i, pt)
             resid = float(np.linalg.norm(m @ omega - hvals[i - 1] * omega)) / norm
             rel = resid / max(1.0, float(np.linalg.norm(m)))
             worst = max(worst, rel)

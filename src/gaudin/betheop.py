@@ -16,6 +16,8 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
 
+import numpy as np
+
 from .algebra import EmbeddedModule, ModuleSpec
 from .linalg import Matrix
 from .polynomials import Poly, indicial_polynomial
@@ -42,6 +44,9 @@ class BetheOperator:
     module: EmbeddedModule
     numerators: list  # N_1 .. N_N, exact matrix polynomials on the weight-lam block
     denominator: Poly  # scalar, P1^N from the build
+    # (i, point) -> block_evaluate(i, point) as a complex array; not an init
+    # field, so an operator made by ``dataclasses.replace`` starts empty
+    _block_arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -74,6 +79,15 @@ class BetheOperator:
         if a.is_zero():
             return Matrix.zeros(self.dim, self.dim)
         return a(point) / self.spec.pole_polynomial()(point)
+
+    def block_array(self, i: int, point) -> np.ndarray:
+        """``block_evaluate(i, point)`` as a read-only complex array, evaluated once per (i, point)."""
+        key = (i, point)
+        if key not in self._block_arrays:
+            arr = self.block_evaluate(i, point).to_complex_array()
+            arr.flags.writeable = False
+            self._block_arrays[key] = arr
+        return self._block_arrays[key]
 
 
 def _cofactors(p1: Poly, points) -> list:

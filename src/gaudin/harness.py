@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import ModuleSpec, Partition, build_embedded_module
-from .bae import bae_residual, gap_unit, newton_solve, verify_eigenvector
+from .bae import bae_residual, eigenvector_points, gap_unit, newton_solve, verify_eigenvector
 from .betheop import (
     build_bethe_operator,
     check_polynomiality,
@@ -323,7 +323,10 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     exponents = [to_complex(k) for k in spec.exponents]
     entries = []
     characters = spectrum["spectrum"].characters
-    den_c = Poly([to_complex(c) for c in spec.pole_polynomial().coeffs])
+    # every character's [h_1, ..., h_N] at the points the eigenvector check uses
+    den_c = spec.complex_pole_polynomial()
+    zs = [complex(pt) for pt in eigenvector_points(spec)]
+    char_values = [[ch.values(z, den_c(z)) for z in zs] for ch in characters]
     used = set()
     for sol in sols:
         res = bae_residual(
@@ -333,13 +336,12 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
         # match against the characters at the points the eigenvector check used
         ev = verify_eigenvector(sol, spec, op, tol=config.tolerances.kernel_fit * 10)
         best, best_dist = None, float("inf")
-        for k, ch in enumerate(characters):
+        for k, predicted in enumerate(char_values):
             if k in used:
                 continue
             worst = 0.0
-            for pt, values in ev.values.items():
-                z = complex(pt)
-                for h, hc in zip(values, ch.values(z, den_c(z))):
+            for values, hcs in zip(ev.values.values(), predicted):
+                for h, hc in zip(values, hcs):
                     worst = max(worst, abs(h - hc) / max(abs(hc), 1.0))
             if worst < best_dist:
                 best, best_dist = k, worst
@@ -384,7 +386,7 @@ def wronski_pipeline(config: InstanceConfig) -> dict:
     space = config.space
     wd = wronskian_of_space(space)
     gs = fundamental_operator(space)
-    report = membership_test(space, spec, tol=None if space.is_exact_space() else 1e-8)
+    report = membership_test(gs, spec, tol=None if space.is_exact_space() else 1e-8)
     checks.append(Check("membership", report.ok))
     for c in report.checks:
         checks.append(Check(f"membership/{c.name}", c.passed, value=c.detail or None))

@@ -222,10 +222,6 @@ class Matrix:
             out = out + 1j * (self.im / self.den).astype(float)
         return out
 
-    def submatrix(self, row_idx, col_idx):
-        ix = np.ix_(list(row_idx), list(col_idx))
-        return Matrix._of(self.re[ix], self.im[ix] if self.im is not None else None, self.den)
-
     def commutator(self, other):
         return self * other - other * self
 
@@ -291,17 +287,3 @@ def nullspace(rows, ncols):
         basis.append([v / lead for v in vec])
     return basis
 
-
-def solve_unique(rows, rhs):
-    """Solve A x = b for full-column-rank A; raises on inconsistency."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) != ncols:
-        raise ValueError("linear system is not full rank")
-    sol = [None] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = red[r][ncols]
-    return sol

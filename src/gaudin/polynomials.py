@@ -10,6 +10,7 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .scalars import iszero
 
@@ -257,8 +258,10 @@ def poly_det(rows) -> Poly:
     return Poly() if total is None else total
 
 
-def falling_product(alpha_count: int, one=Fraction(1)) -> Poly:
-    """The polynomial a(a-1)...(a-alpha_count+1) in the variable a."""
+@cache
+def falling_product(alpha_count: int) -> Poly:
+    """The polynomial a(a-1)...(a-alpha_count+1) in the variable a, built once per count."""
+    one = Fraction(1)
     p = Poly([one])
     for j in range(alpha_count):
         p = p * Poly([-j * one, one])

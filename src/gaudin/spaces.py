@@ -279,21 +279,22 @@ def _abs_taylor(g: Poly, b, count: int) -> list:
     return mags.taylor_at(abs(complex(to_complex(b))), count)
 
 
-def membership_test(space: QuasiExpSpace, spec: ModuleSpec, tol=None) -> MembershipReport:
-    """Does the space lie over the prescribed points with prescribed exponents?
+def membership_test(gs: list, spec: ModuleSpec, tol=None) -> MembershipReport:
+    """Does the space with ``gs = cleared_operator_polys(space)`` lie over the
+    prescribed points with prescribed exponents?
 
     Verifies that the monic Wronskian part is exactly the pole polynomial of
     the spec (so the Wronski map lands on the point dictated by the
     evaluation points), that the fundamental operator has no finite
     singularity away from those points, and that the local exponents at
     each point match the shifted partition.  With ``tol`` the comparisons
-    are numerical; otherwise they are exact.
+    are numerical and every point is converted to complex once; otherwise
+    they are exact.
     """
     checks = []
     indicial = {}
     N = spec.rank
     n = spec.size
-    gs = cleared_operator_polys(space)
     g0 = gs[0]
     target = spec.pole_polynomial()
 
@@ -330,12 +331,15 @@ def membership_test(space: QuasiExpSpace, spec: ModuleSpec, tol=None) -> Members
     )
 
     for s, (b_s, n_s, part) in enumerate(zip(spec.points, spec.factor_sizes, spec.partitions)):
-        taylors = [g.taylor_at(b_s, n + 1) if not g.is_zero() else [] for g in gs]
+        # A complex coefficient times an exact b_s goes through complex(b_s)
+        # anyway; converting once gives the same floats at native speed.
+        shift = b_s if tol is None else complex(to_complex(b_s))
+        taylors = [g.taylor_at(shift, n + 1) if not g.is_zero() else [] for g in gs]
         # A float Taylor coefficient at b_s carries the roundoff of the shift,
         # which the same shift applied to |g_i| at |b_s| bounds.  That bound is
         # the only floor of the indicial comparison: with close points both
         # indicial polynomials are tiny, and a floor of 1 would accept any.
-        bounds = [_abs_taylor(g, b_s, n + 1) for g in gs] if tol is not None else None
+        bounds = [_abs_taylor(g, shift, n + 1) for g in gs] if tol is not None else None
         regular = True
         for i in range(N + 1):
             tc = taylors[i]

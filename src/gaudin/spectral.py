@@ -25,7 +25,7 @@ from .betheop import BetheOperator, exact_sample_points
 from .diffops import shifted_derivative_powers, QuasiExp
 from .polynomials import Poly
 from .scalars import to_complex
-from .spaces import QuasiExpSpace, membership_test
+from .spaces import QuasiExpSpace, cleared_operator_polys, membership_test
 
 
 @dataclass
@@ -257,8 +257,7 @@ def character_to_operator(ch: EigenCharacter, op: BetheOperator) -> list:
     P is the pole polynomial prod (u - b_s)^{n_s} and P h_i is the
     character's numerator row, left unreduced.
     """
-    pole = Poly([to_complex(c) for c in op.spec.pole_polynomial().coeffs])
-    return [pole] + [Poly(row) for row in ch.numerators]
+    return [op.spec.complex_pole_polynomial()] + [Poly(row) for row in ch.numerators]
 
 
 def kernel_from_operator(G: list, spec: ModuleSpec, cfg: SpectralConfig = None) -> QuasiExpSpace:
@@ -331,5 +330,5 @@ def spectrum_analysis(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
             report.kernels.append(None)
             report.memberships.append(f"kernel recovery failed: {exc}")
             continue
-        report.memberships.append(membership_test(X, op.spec, tol=1e-6))
+        report.memberships.append(membership_test(cleared_operator_polys(X), op.spec, tol=1e-6))
     return report

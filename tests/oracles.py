@@ -237,6 +237,14 @@ def rdet(entries):
     return total
 
 
+def submatrix(m: Matrix, rows, cols) -> Matrix:
+    """The block of m on the given row and column indices, read entry by entry."""
+    rows, cols = list(rows), list(cols)
+    if not rows or not cols:
+        return Matrix.zeros(len(rows), len(cols))
+    return Matrix([[m.get(i, j) for j in cols] for i in rows])
+
+
 def matrix_of(module, apply_fn) -> Matrix:
     """Matrix (columns indexed by input basis member) of a linear map on the whole module."""
     cols = [module.express(apply_fn(vec)) for _, _, vec in module.members]

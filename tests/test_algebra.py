@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +19,7 @@ from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational
 
-from oracles import brute_weight_indices, e_point_matrices, e_series, tensor_weight_dimension
+from oracles import brute_weight_indices, e_point_matrices, e_series, submatrix, tensor_weight_dimension
 
 F = Fraction
 
@@ -47,6 +48,20 @@ def test_indicial_target_examples():
     assert golden.indicial_target(1) == Poly([F(0), F(-2), F(1)])  # (a)(a - 2)
     single = ModuleSpec(2, ("0", "1"), ((1, 1),), ("3",), (1, 1))
     assert single.indicial_target(0) == Poly.from_roots([F(2), F(1)])
+
+
+def test_spec_polynomials_are_built_once_per_spec():
+    """The pole polynomial and indicial targets are kept on the frozen spec;
+    a spec made by ``dataclasses.replace`` builds its own."""
+    golden = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
+    assert golden.pole_polynomial() is golden.pole_polynomial()
+    assert golden.complex_pole_polynomial() is golden.complex_pole_polynomial()
+    assert golden.indicial_target(1) is golden.indicial_target(1)
+    assert golden.complex_pole_polynomial() == Poly([0j, -1 + 0j, 1 + 0j])
+    moved = replace(golden, points=("0", "2"))
+    assert moved.pole_polynomial() == Poly.from_roots([F(0), F(2)])
+    assert moved.indicial_target(1) == Poly([F(0), F(-4), F(2)])  # 2 a (a - 2)
+    assert golden.pole_polynomial() == Poly.from_roots([F(0), F(1)])
 
 
 def test_enumerate_weight_basis_examples():
@@ -189,7 +204,7 @@ def test_e_series_diagonal_example(golden_module):
     # block basis order is lexicographic: (1,2) then (2,1); e_11 acts in the
     # factor whose index is 1, so the diagonal is (1/u, 1/(u-1))
     for pt in (F(5), F(7)):
-        val = (series(pt) / (pt * (pt - 1))).submatrix(idx, idx)
+        val = submatrix(series(pt) / (pt * (pt - 1)), idx, idx)
         assert val.get(0, 0) == 1 / pt
         assert val.get(1, 1) == 1 / (pt - 1)
         assert val.get(0, 1) == 0 and val.get(1, 0) == 0
@@ -209,12 +224,12 @@ def test_weight_shift_structure(golden_module):
     for w_src, idx_src in weights.items():
         target = (w_src[0] + 1, w_src[1] - 1)
         for w_dst, idx_dst in weights.items():
-            block = val.submatrix(idx_dst, idx_src)
+            block = submatrix(val, idx_dst, idx_src)
             if w_dst != target and not block.is_zero():
                 raise AssertionError(f"e_12(u) leaks from {w_src} to {w_dst}")
     # off-diagonal generator is zero ON a fixed weight block
     idx = module.weight_indices((1, 1))
-    assert val.submatrix(idx, idx).is_zero()
+    assert submatrix(val, idx, idx).is_zero()
 
 
 def test_generator_blocks_are_cuts_of_the_whole_module_matrices():
@@ -228,7 +243,7 @@ def test_generator_blocks_are_cuts_of_the_whole_module_matrices():
             target = tuple(w + (k == i - 1) - (k == j - 1) for k, w in enumerate(nu))
             rows = module.weight_indices(target)
             for got, full in zip(module.generator_block(i, j, nu), whole):
-                assert got == full.submatrix(rows, cols)
+                assert got == submatrix(full, rows, cols)
     assert not module.leaks
 
 

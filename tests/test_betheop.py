@@ -20,7 +20,7 @@ from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly
 
 from conftest import COUNT_FAMILY, EXACT_FAMILY, make_spec
-from oracles import full_module_cleared
+from oracles import full_module_cleared, submatrix
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -93,7 +93,7 @@ def test_block_build_matches_full_module_oracle(spec):
     op = build_bethe_operator(spec, module)
     idx = module.weight_indices(spec.weight)
     full = full_module_cleared(spec, module)
-    assert op.cleared == [Poly([c.submatrix(idx, idx) for c in a.coeffs]) for a in full]
+    assert op.cleared == [Poly([submatrix(c, idx, idx) for c in a.coeffs]) for a in full]
 
 
 def test_n4_four_points_block_passes_every_exact_check():
@@ -242,7 +242,22 @@ def test_block_evaluate_matches_full_evaluation(exact_family_ops):
         for pt in exact_sample_points(op.spec.points, 3, start=-2):
             for i in range(1, op.rank + 1):
                 value = full[i - 1](pt) / pole(pt) if not full[i - 1].is_zero() else Matrix.zeros(op.module.dim, op.module.dim)
-                assert op.block_evaluate(i, pt) == value.submatrix(idx, idx)
+                assert op.block_evaluate(i, pt) == submatrix(value, idx, idx)
+
+
+def test_block_array_is_kept_per_operator(golden_op):
+    """block_array evaluates once per (i, point), read-only; an operator made by
+    ``dataclasses.replace`` after that evaluates its own values."""
+    pt = exact_sample_points(golden_op.spec.points, 1, start=13)[0]
+    first = golden_op.block_array(1, pt)
+    assert golden_op.block_array(1, pt) is first
+    assert not first.flags.writeable
+    shifted = _mutant(golden_op, 1, Poly([Matrix.identity(golden_op.dim)]), Poly([F(1)]))  # B_1 + I
+    own = shifted.block_array(1, pt)
+    assert own is not first
+    assert (own == shifted.block_evaluate(1, pt).to_complex_array()).all()
+    assert not (own == first).all()
+    assert golden_op.block_array(1, pt) is first
 
 
 def test_cleared_equals_reduced_product(exact_family_ops):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from gaudin import spaces
+from gaudin.betheop import BetheOperator
 from gaudin.cli import main
 from gaudin.harness import (
     ConfigError,
@@ -115,6 +117,41 @@ def test_wronski_operator_text_reduces_each_coefficient():
     out = wronski_pipeline(cfg)
     assert all(c.passed for c in out["checks"])
     assert out["operator_text"] == "D^2 + ((-u - 2)/(u))*D + ((u + 2)/(u^2))"
+
+
+def test_wronski_builds_the_minors_once(monkeypatch):
+    """The operator text and the membership test share one cleared_operator_polys."""
+    calls = []
+    original = spaces.cleared_operator_polys
+
+    def counted(space):
+        calls.append(space)
+        return original(space)
+
+    monkeypatch.setattr(spaces, "cleared_operator_polys", counted)
+    out = wronski_pipeline(InstanceConfig.from_file(Path(__file__).resolve().parents[1] / "fixtures" / "wronski_cell_n2.json"))
+    assert all(c.passed for c in out["checks"])
+    assert len(calls) == 1
+
+
+def test_block_values_are_shared_by_every_solution(monkeypatch):
+    """verify evaluates each B_i at each of the n + 2 eigenvector points once,
+    however many Bethe solutions are checked against them."""
+    calls = []
+    original = BetheOperator.block_evaluate
+
+    def counted(self, i, point):
+        calls.append((i, point))
+        return original(self, i, point)
+
+    monkeypatch.setattr(BetheOperator, "block_evaluate", counted)
+    cfg = InstanceConfig.from_file(Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json")
+    out = verify_pipeline(cfg)
+    assert all(c.passed for c in out["checks"])
+    assert len(out["bae"]) == 2
+    spec = cfg.spec
+    assert len(calls) == spec.rank * (spec.size + 2)
+    assert len(set(calls)) == len(calls)
 
 
 def test_wronski_pipeline_requires_space():

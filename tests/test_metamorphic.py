@@ -14,7 +14,7 @@ import pytest
 from gaudin.betheop import build_bethe_operator
 from gaudin.harness import InstanceConfig, spectrum_pipeline, verify_pipeline
 from gaudin.polynomials import Poly
-from gaudin.spaces import QuasiExpSpace, membership_test
+from gaudin.spaces import QuasiExpSpace, cleared_operator_polys, membership_test
 from gaudin.spectral import spectrum_analysis
 
 F = Fraction
@@ -97,7 +97,7 @@ def test_wrong_partition_fails_float_membership(c):
     assert len(analysis.kernels) == 1
     X, = analysis.kernels
     assert analysis.memberships[0].ok
-    wrong = membership_test(X, mixed_cell_spec(c, [[1, 1], [2, 0]]), tol=1e-6)
+    wrong = membership_test(cleared_operator_polys(X), mixed_cell_spec(c, [[1, 1], [2, 0]]), tol=1e-6)
     failed = {check.name for check in wrong.checks if not check.passed}
     assert failed == {"indicial-exponents-at-point-0", "indicial-exponents-at-point-1"}
 
@@ -147,9 +147,9 @@ def test_wrong_partition_fails_float_membership_at_five_points(c):
     kernels = five_point_kernels()
     assert len(kernels) == 7
     for X in kernels:
-        Y = scaled_space(X, c)
-        assert membership_test(Y, five_point_spec(c, [[2, 0], [1, 1]]), tol=1e-6).ok
-        wrong = membership_test(Y, five_point_spec(c, [[1, 1], [2, 0]]), tol=1e-6)
+        G = cleared_operator_polys(scaled_space(X, c))
+        assert membership_test(G, five_point_spec(c, [[2, 0], [1, 1]]), tol=1e-6).ok
+        wrong = membership_test(G, five_point_spec(c, [[1, 1], [2, 0]]), tol=1e-6)
         failed = {check.name for check in wrong.checks if not check.passed}
         assert failed == {"indicial-exponents-at-point-3", "indicial-exponents-at-point-4"}
 

@@ -11,6 +11,7 @@ from gaudin.polynomials import (
     poly_det,
     poly_gcd,
 )
+from gaudin.scalars import GaussianRational
 
 from oracles import newton_interpolate
 
@@ -54,6 +55,27 @@ def test_shift_and_taylor():
     p = P(0, 0, 1)  # u^2
     assert p.shifted(F(1)) == P(1, 2, 1)
     assert p.taylor_at(F(3), 4) == [F(9), F(6), F(1), F(0)]
+
+
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+small_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+exact_points = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=50),
+    st.builds(GaussianRational, st.fractions(-5, 5, max_denominator=9), st.fractions(-5, 5, max_denominator=9)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(small_complex, min_size=1, max_size=7), exact_points)
+def test_float_taylor_shift_by_exact_point_is_the_complex_shift(coeffs, b):
+    """Shifting complex coefficients by an exact point converts the point to
+    complex at every product, so converting it once gives the same bits."""
+    p = Poly(coeffs)
+    by_exact, by_complex = p.taylor_at(b, 8), p.taylor_at(complex(b), 8)
+    assert [_bits(complex(c)) for c in by_exact] == [_bits(complex(c)) for c in by_complex]
 
 
 def test_evaluate_horner():
