@@ -9,13 +9,14 @@ for free: g(u) acts as the block-diagonal g divided by (u - b_s).
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from math import prod
 
-from .linalg import Matrix, nullspace
+from .linalg import Matrix
 from .polynomials import Poly
 from .scalars import iszero, promote_field, to_complex
 
@@ -164,7 +165,22 @@ def enumerate_indices(N: int, n: int, counts) -> list:
         raise ValueError(f"bad count vector {counts} for rank {N}")
     if sum(counts) != n:
         raise ValueError(f"weight {tuple(counts)} is not a weight of n={n} factors")
-    return _indices_with_counts(N, n, counts)
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for i in range(N):
+            if counts[i]:
+                counts[i] -= 1
+                prefix.append(i + 1)
+                rec(prefix)
+                prefix.pop()
+                counts[i] += 1
+
+    rec([])
+    return out
 
 
 def enumerate_weight_basis(N: int, n: int, lam) -> list:
@@ -176,179 +192,107 @@ def enumerate_weight_basis(N: int, n: int, lam) -> list:
     return enumerate_indices(N, n, lam.padded(N))
 
 
-def act_e(i: int, j: int, s: int, J) -> tuple:
-    """e_ij on factor s of a pure tensor; returns (new index, coeff) or None."""
-    if J[s - 1] != j:
-        return None
-    new = list(J)
-    new[s - 1] = i
-    return tuple(new), 1
-
-
-def apply_e_factor(i, j, s, vec):
-    """Extend e_ij on factor s linearly over a sparse dict vector."""
+def apply_e_block(i, j, positions, vec):
+    """Sum of e_ij over the given factor positions (diagonal block action) on a sparse vector."""
     out = {}
     for J, c in vec.items():
-        hit = act_e(i, j, s, J)
-        if hit is None:
-            continue
-        K, f = hit
-        out[K] = out.get(K, c * 0) + c * f
+        for s in positions:
+            if J[s - 1] == j:
+                K = J[: s - 1] + (i,) + J[s:]
+                out[K] = out.get(K, c * 0) + c
     return {K: c for K, c in out.items() if not iszero(c)}
-
-
-def apply_e_block(i, j, factors, vec):
-    """Sum of e_ij over the given factor positions (diagonal block action)."""
-    out = {}
-    for s in factors:
-        for J, c in apply_e_factor(i, j, s, vec).items():
-            out[J] = out.get(J, c * 0) + c
-    return {K: c for K, c in out.items() if not iszero(c)}
-
-
-def vec_weight(vec, N):
-    J = next(iter(vec))
-    return weight_of_index(J, N)
 
 
 def find_singular_vector(N: int, size: int, mu) -> dict:
-    """One exact singular vector of weight mu in V^{(x)size}.
+    """The singular vector of weight mu in V^{(x)size}: a product of column wedges.
 
-    Solves the joint kernel of the simple raising operators e_{i,i+1}
-    restricted to the weight-mu subspace; the reduced-row-echelon solution
-    with the smallest free column is returned, scaled so its first nonzero
-    coordinate is 1.  Annihilation by all e_ij with i < j follows from the
-    simple-root case and is asserted in the test suite.
+    A column of height h of the diagram of mu gives the wedge
+    e_1 ^ ... ^ e_h = sum over permutations P of sgn(P) e_P(1) (x) ... (x) e_P(h),
+    which every e_ij with i < j kills, and the wedges are multiplied
+    shortest column first.  The smallest index tuple is (1..h_1, 1..h_2, ...)
+    with coefficient 1.
     """
     mu = mu if isinstance(mu, Partition) else Partition(mu)
     if mu.weight != size:
         raise ValueError("partition size must match the number of factors")
-    basis = enumerate_weight_basis(N, size, mu)
-    rows = []
-    for i in range(1, N):
-        counts = list(mu.padded(N))
-        if counts[i] == 0:
+    mu.padded(N)  # a ValueError for more than N parts
+    vec = {(): Fraction(1)}
+    for k in range(max(mu.parts, default=0), 0, -1):
+        h = sum(1 for p in mu.parts if p >= k)
+        wedge = {P: (-1) ** sum(a > b for a, b in combinations(P, 2)) for P in permutations(range(1, h + 1))}
+        vec = {J + P: c * sign for J, c in vec.items() for P, sign in wedge.items()}
+    return vec
+
+
+def reduce(rows, vec):
+    """Forward substitution of a sparse vector against rows with distinct leads.
+
+    ``rows`` maps a lead tuple to a sparse row whose smallest tuple is that
+    lead, with coefficient 1.  The tuples of the working vector are visited
+    in increasing order, and only those present: at a lead with coefficient
+    c, c times its row is subtracted, which changes only larger tuples.
+    Returns the coordinates {lead: c} and the remainder, which holds no lead.
+    """
+    coords = {}
+    work = {J: c for J, c in vec.items() if not iszero(c)}
+    pending = sorted(work)
+    k = 0
+    while k < len(pending):
+        J = pending[k]
+        k += 1
+        row, c = rows.get(J), work.get(J)
+        if row is None or c is None:
             continue
-        counts[i - 1] += 1
-        counts[i] -= 1
-        target = {J: r for r, J in enumerate(_indices_with_counts(N, size, counts))}
-        block = [[Fraction(0)] * len(basis) for _ in range(len(target))]
-        for col, J in enumerate(basis):
-            for s in range(1, size + 1):
-                hit = act_e(i, i + 1, s, J)
-                if hit is None:
-                    continue
-                K, f = hit
-                block[target[K]][col] += f
-        rows.extend(block)
-    kernel = nullspace(rows, len(basis))
-    if not kernel:
-        raise ValueError(f"no singular vector of weight {mu.parts} in V^(x){size}")
-    coords = kernel[0]
-    return {J: c for J, c in zip(basis, coords) if not iszero(c)}
-
-
-def _indices_with_counts(N, n, counts):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for i in range(N):
-            if remaining[i]:
-                remaining[i] -= 1
-                prefix.append(i + 1)
-                rec(prefix, remaining)
-                prefix.pop()
-                remaining[i] += 1
-
-    rec([], list(counts))
-    return out
-
-
-class _EchelonStore:
-    """Per-weight echelon rows used during the lowering-span construction."""
-
-    def __init__(self, N, size):
-        self.rank = N
-        self.size = size
-        self.index_lists = {}
-        self.rows = {}  # weight -> list of (pivot position, coord list)
-
-    def _coords(self, vec, weight):
-        if weight not in self.index_lists:
-            self.index_lists[weight] = {
-                J: k for k, J in enumerate(_indices_with_counts(self.rank, self.size, weight))
-            }
-        lookup = self.index_lists[weight]
-        coords = [Fraction(0)] * len(lookup)
-        for J, c in vec.items():
-            coords[lookup[J]] = c
-        return coords
-
-    def insert(self, vec):
-        """Reduce against stored rows; insert if independent.  Returns True if new."""
-        weight = vec_weight(vec, self.rank)
-        coords = self._coords(vec, weight)
-        rows = self.rows.setdefault(weight, [])
-        for pivot, row in rows:
-            c = coords[pivot]
-            if not iszero(c):
-                coords = [a - c * b for a, b in zip(coords, row)]
-        pivot = next((k for k, c in enumerate(coords) if not iszero(c)), None)
-        if pivot is None:
-            return False
-        lead = coords[pivot]
-        coords = [c / lead for c in coords]
-        rows.append((pivot, coords))
-        rows.sort(key=lambda pr: pr[0])
-        return True
-
-    def basis(self):
-        """Weight -> list of sparse vectors, echelon rows sorted by pivot."""
-        out = {}
-        for weight in sorted(self.rows, reverse=True):
-            lookup = _indices_with_counts(self.rank, self.size, weight)
-            vecs = []
-            for pivot, coords in self.rows[weight]:
-                vecs.append(
-                    (pivot, {lookup[k]: c for k, c in enumerate(coords) if not iszero(c)})
-                )
-            out[weight] = vecs
-        return out
+        coords[J] = c
+        for K, m in row.items():
+            if K not in work:
+                insort(pending, K)  # K > J: it lands among the tuples still to visit
+            r = work.get(K, c * 0) - c * m
+            if iszero(r):
+                work.pop(K, None)
+            else:
+                work[K] = r
+    return coords, work
 
 
 def irreducible_factor_basis(N: int, mu) -> dict:
-    """Weight-graded basis of L_mu realized inside V^{(x)|mu|}.
+    """Basis of L_mu realized inside V^{(x)|mu|}, as {lead tuple: row}.
 
     Spans the singular vector by breadth-first words in the lowering
-    operators e_{i+1,i}, with exact rank updates; every basis row keeps a
-    recorded pivot index so membership reduces to forward substitution.
+    operators e_{i+1,i}.  Each image is reduced against the rows found so
+    far; a nonzero remainder, scaled to 1 at its smallest tuple, is a new
+    row led by that tuple.
     """
     mu = mu if isinstance(mu, Partition) else Partition(mu)
-    size = mu.weight
-    store = _EchelonStore(N, size)
-    seed = find_singular_vector(N, size, mu)
-    store.insert(seed)
-    frontier = [seed]
+    positions = range(1, mu.weight + 1)
+    rows = {}
+
+    def spans_new(vec):
+        _, rest = reduce(rows, vec)
+        if rest:
+            lead = min(rest)
+            rows[lead] = {J: c / rest[lead] for J, c in rest.items()}
+        return bool(rest)
+
+    frontier = [find_singular_vector(N, mu.weight, mu)]
+    spans_new(frontier[0])
     while frontier:
         fresh = []
         for vec in frontier:
             for i in range(1, N):
-                image = apply_e_block(i + 1, i, range(1, size + 1), vec)
-                if image and store.insert(image):
+                image = apply_e_block(i + 1, i, positions, vec)
+                if image and spans_new(image):
                     fresh.append(image)
         frontier = fresh
-    return store.basis()
+    return rows
 
 
 class EmbeddedModule:
     """Basis of a tensor product of irreducible factors inside V^{(x)n}.
 
     Basis members carry a definite weight and a distinguished lead index
-    tuple; lead tuples are distinct, so expressing any ambient vector in the
-    basis is a forward substitution in lex order of the leads.
+    tuple, their smallest, with coefficient 1; lead tuples are distinct, so
+    expressing any ambient vector in the basis is a forward substitution.
     """
 
     def __init__(self, spec: ModuleSpec):
@@ -367,24 +311,18 @@ class EmbeddedModule:
         factor_bases = [irreducible_factor_basis(N, p) for p in spec.partitions]
 
         members = []  # (weight, lead tuple, sparse vector)
-        for combo in product(*[sorted(fb, reverse=True) for fb in factor_bases]):
-            total = tuple(sum(w[i] for w in combo) for i in range(N))
-            index_lists = [
-                _indices_with_counts(N, n_s, w) for n_s, w in zip(sizes, combo)
-            ]
-            for rows in product(*[fb[w] for fb, w in zip(factor_bases, combo)]):
-                lead = tuple()
-                vec = {(): Fraction(1)}
-                for (pivot, fvec), idx_list in zip(rows, index_lists):
-                    lead = lead + idx_list[pivot]
-                    vec = {
-                        J + J2: c * c2 for J, c in vec.items() for J2, c2 in fvec.items()
-                    }
-                members.append((total, lead, vec))
+        for rows in product(*[fb.items() for fb in factor_bases]):
+            lead = ()
+            vec = {(): Fraction(1)}
+            for flead, fvec in rows:
+                lead += flead
+                vec = {J + J2: c * c2 for J, c in vec.items() for J2, c2 in fvec.items()}
+            members.append((weight_of_index(lead, N), lead, vec))
         members.sort(key=lambda m: (tuple(-x for x in m[0]), m[1]))
         self.members = members
         self.dim = len(members)
-        self._by_lead = sorted(range(self.dim), key=lambda k: members[k][1])
+        self._rows = {lead: vec for _, lead, vec in members}
+        self._index = {lead: k for k, (_, lead, _) in enumerate(members)}
         self._weights = {}
         for k, (w, _, _) in enumerate(members):
             self._weights.setdefault(w, []).append(k)
@@ -400,24 +338,15 @@ class EmbeddedModule:
         return list(self._weights.get(lam, []))
 
     def express(self, vec: dict) -> dict:
-        """Nonzero coordinates {member index: c} of an ambient vector in the embedded basis (exact)."""
-        coeffs = {}
-        work = dict(vec)
-        for k in self._by_lead:
-            _, lead, member = self.members[k]
-            c = work.get(lead)
-            if c is None or iszero(c):
-                continue
-            coeffs[k] = c
-            for J, m in member.items():
-                r = work.get(J, c * 0) - c * m
-                if iszero(r):
-                    work.pop(J, None)
-                else:
-                    work[J] = r
-        if any(not iszero(c) for c in work.values()):
+        """Nonzero coordinates {member index: c} of an ambient vector in the embedded basis (exact).
+
+        The forward substitution of :func:`reduce` visits only the tuples of
+        the vector and of the members it subtracts.
+        """
+        coords, rest = reduce(self._rows, vec)
+        if rest:
             raise ValueError("vector does not lie in the embedded module")
-        return coeffs
+        return {self._index[J]: c for J, c in coords.items()}
 
     def generator_block(self, i: int, j: int, nu) -> tuple:
         """Per point s, the matrix of e_ij in factor s from weight nu to nu + e_i - e_j.

@@ -1,4 +1,4 @@
-"""Exact dense matrices and row reduction over Q or Q(i).
+"""Exact dense matrices over Q or Q(i).
 
 A Matrix stores its entries as whole arrays over one denominator: a numpy
 ``dtype=object`` array of Python ``int`` numerators for the real parts, a
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import GaussianRational, iszero
+from .scalars import GaussianRational
 
 
 def _split(c):
@@ -228,62 +228,4 @@ class Matrix:
     def __repr__(self):
         entries = [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
         return f"Matrix({entries!r})"
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (new rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not iszero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        rows[r] = [a / lead for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not iszero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def nullspace(rows, ncols):
-    """Deterministic kernel basis of the linear map given by the rows.
-
-    Basis vectors are the standard RREF solutions, ordered by their free
-    column; each is rescaled so its first nonzero coordinate is 1.
-    """
-    if not rows:
-        one = Fraction(1)
-        return [
-            [one if j == k else one * 0 for j in range(ncols)] for k in range(ncols)
-        ]
-    red, pivots = rref(rows)
-    zero = red[0][0] * 0 if red else Fraction(0)
-    one = zero + 1
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][free]
-        lead = next((v for v in vec if not iszero(v)), None)
-        basis.append([v / lead for v in vec])
-    return basis
 

@@ -29,6 +29,10 @@ def random_exact_space(N: int, exponents, lam, rng) -> QuasiExpSpace:
 
 GOLDEN = {"N": 2, "K": ("0", "1"), "partitions": ((1,), (1,)), "b": ("0", "1"), "weight": (1, 1)}
 
+# (K_2 - K_1)^2 + 4/(b_1 - b_2)^2 = 0: the 2-dim weight block is one Jordan
+# block, so the Bethe algebra does not act semisimply
+JORDAN = {"N": 2, "K": ("0", "1"), "partitions": ((1,), (1,)), "b": ("0", "2i"), "weight": (1, 1)}
+
 # the instance family for the exact-identity criteria
 EXACT_FAMILY = [
     {"N": 1, "K": ("1",), "partitions": ((1,),), "b": ("0",), "weight": (1,)},

@@ -9,7 +9,6 @@ from gaudin.algebra import (
     ModuleSpec,
     Partition,
     apply_e_block,
-    apply_e_factor,
     build_embedded_module,
     enumerate_indices,
     enumerate_weight_basis,
@@ -86,8 +85,8 @@ def test_enumerate_indices_non_partition_weight():
 
 
 def test_act_e_examples():
-    assert apply_e_factor(2, 1, 1, {(1, 2): F(1)}) == {(2, 2): F(1)}
-    assert apply_e_factor(1, 2, 1, {(1, 2): F(1)}) == {}
+    assert apply_e_block(2, 1, [1], {(1, 2): F(1)}) == {(2, 2): F(1)}
+    assert apply_e_block(1, 2, [1], {(1, 2): F(1)}) == {}
 
 
 def _operator_matrix(N, n, i, j, source_basis, target_basis):
@@ -138,9 +137,38 @@ def test_singular_vector_examples():
     v = find_singular_vector(2, 2, (1, 1))
     assert v == {(1, 2): F(1), (2, 1): F(-1)}
     assert find_singular_vector(2, 2, (2, 0)) == {(1, 1): F(1)}
+    assert find_singular_vector(2, 3, (2, 1)) == {(1, 1, 2): F(1), (1, 2, 1): F(-1)}
+    # e_1 (x) (e_1 ^ e_2 ^ e_3): the shortest column comes first
+    assert find_singular_vector(3, 4, (2, 1, 1)) == {
+        (1, 1, 2, 3): F(1),
+        (1, 1, 3, 2): F(-1),
+        (1, 2, 1, 3): F(-1),
+        (1, 2, 3, 1): F(1),
+        (1, 3, 1, 2): F(1),
+        (1, 3, 2, 1): F(-1),
+    }
 
 
-@pytest.mark.parametrize("N,mu", [(2, (1, 1)), (2, (2, 1)), (3, (1, 1, 1)), (3, (2, 1, 0))])
+def test_singular_vector_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        find_singular_vector(2, 3, (1, 1))  # size mismatch
+    with pytest.raises(ValueError):
+        find_singular_vector(2, 3, (1, 1, 1))  # more than N parts
+
+
+@pytest.mark.parametrize(
+    "N,mu",
+    [
+        (2, (1, 1)),
+        (2, (2, 1)),
+        (3, (1, 1, 1)),
+        (3, (2, 1, 0)),
+        (3, (3, 1)),
+        (3, (2, 2, 1)),
+        (3, (3, 2, 1)),
+        (4, (2, 1, 1, 1)),
+    ],
+)
 def test_singular_vector_annihilated_by_all_raising(N, mu):
     size = sum(mu)
     v = find_singular_vector(N, size, mu)
@@ -189,6 +217,16 @@ def test_embedded_examples_from_lowering():
     module2 = build_embedded_module(spec2)
     _, _, vec2 = module2.members[module2.weight_indices((1, 1, 0))[0]]
     assert vec2[(1, 2)] / vec2[(2, 1)] == -1
+
+
+def test_express_visits_the_members_and_rejects_what_lies_outside():
+    spec = ModuleSpec(2, ("0", "1"), ((2, 0),), ("0",), (1, 1))
+    module = build_embedded_module(spec)
+    [k] = module.weight_indices((1, 1))
+    _, _, vec = module.members[k]
+    assert module.express({J: 3 * c for J, c in vec.items()}) == {k: 3}
+    with pytest.raises(ValueError):
+        module.express({(1, 2): F(1)})  # not symmetric: outside Sym^2 V
 
 
 def test_e_series_single_factor_scalar():

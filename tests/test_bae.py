@@ -29,7 +29,7 @@ from gaudin.polynomials import Poly
 from gaudin.scalars import to_complex
 from gaudin.spaces import QuasiExpSpace, char_at_infinity, cleared_operator_polys, membership_test
 
-from conftest import COUNT_FAMILY, GOLDEN, make_spec
+from conftest import COUNT_FAMILY, GOLDEN, JORDAN, make_spec
 from oracles import factorized_operator
 
 F = Fraction
@@ -331,3 +331,12 @@ def test_newton_random_family_alone_for_complex_points():
     sols = newton_solve(spec, seed=2024)
     assert _families(sols) == {"structured": (0, 0), "random": (3000, 6)}
     assert all(c["new"] <= c["converged"] <= c["starts"] for c in sols.counters.values())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="1/t + 1/(t - 2i) = 1 has the double root t = 1 + i; damped Newton stops about 1e-6 from it "
+    "and the absolute dedup_tol 1e-8 keeps each stop as a new solution (ROADMAP item 3)",
+)
+def test_newton_count_at_a_double_root():
+    assert len(newton_solve(make_spec(JORDAN))) <= 2

@@ -21,6 +21,8 @@ from gaudin.harness import (
     wronski_pipeline,
 )
 
+from conftest import JORDAN
+
 GOLDEN = {
     "N": 2,
     "K": ["0", "1"],
@@ -266,6 +268,23 @@ def test_cli_numerical_failure_is_a_failing_check(tmp_path, command):
     assert [c["name"] for c in failed] == ["spectrum-analysis"]
     assert "joint eigen-residual above 1.0e-28" in failed[0]["value"]
     assert report["all_passed"] is False
+
+
+@pytest.mark.parametrize("seed", [2024, 1, 7])
+def test_cli_jordan_instance_fails_without_traceback(tmp_path, seed):
+    """A non-semisimple block is a failing check, not a crash: exit 1, the
+    report written, no traceback."""
+    root = Path(__file__).resolve().parents[1]
+    cfg_path = tmp_path / "jordan.json"
+    cfg_path.write_text(json.dumps(JORDAN))
+    out_path = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-m", "gaudin.cli", "verify", "--config", str(cfg_path), "--seed", str(seed),
+            "--out", str(out_path)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert json.loads(out_path.read_text())["all_passed"] is False
 
 
 def test_cli_rank_six_instance_verifies(tmp_path):

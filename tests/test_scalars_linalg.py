@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaudin.linalg import Matrix, nullspace, rref
+from gaudin.linalg import Matrix
 from gaudin.scalars import GaussianRational, format_scalar, parse_scalar
 
 from oracles import submatrix
@@ -59,19 +59,6 @@ def test_matrix_product_and_identity():
 def test_scalar_of_identity():
     assert (F(3) * Matrix.identity(2)).scalar_of_identity() == F(3)
     assert Matrix([[F(1), F(1)], [F(0), F(1)]]).scalar_of_identity() is None
-
-
-def test_rref_and_nullspace():
-    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
-    red, pivots = rref(rows)
-    assert pivots == [0]
-    basis = nullspace(rows, 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert sum(a * x for a, x in zip(rows[0], vec)) == 0
-        # first nonzero coordinate normalized to 1
-        lead = next(v for v in vec if v != 0)
-        assert lead == 1
 
 
 # --- Matrix against a nested-list reference over Q and Q(i) ----------------

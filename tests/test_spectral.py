@@ -15,7 +15,7 @@ from gaudin.spectral import (
     spectrum_analysis,
 )
 
-from conftest import COUNT_FAMILY, GOLDEN, make_spec, random_exact_space
+from conftest import COUNT_FAMILY, GOLDEN, JORDAN, make_spec, random_exact_space
 
 F = Fraction
 
@@ -103,6 +103,18 @@ def test_maximal_commutativity_proxy(golden_op):
     span = [v] + [m @ v for m in mats] + [m1 @ (m2 @ v) for m1 in mats for m2 in mats]
     rank = np.linalg.matrix_rank(np.array(span))
     assert rank == mats[0].shape[0]
+
+
+@pytest.mark.parametrize("seed", [2024, 1, 7])
+def test_jordan_block_is_one_non_simple_character(seed):
+    """On a non-semisimple block the generalized eigenspace holds a single
+    eigenvector: one character, flagged, and the action not diagonalizable."""
+    report = joint_diagonalize(build_bethe_operator(make_spec(JORDAN)), SpectralConfig(seed=seed))
+    assert report.diagonalizable is False
+    assert report.count == 1
+    ch = report.characters[0]
+    assert ch.cluster_size == 2
+    assert ch.simple is False
 
 
 def test_degenerate_weight_block():
