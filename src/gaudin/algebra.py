@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import prod
+from math import lcm, prod
 
-from .linalg import Matrix
+import numpy as np
+
 from .polynomials import Poly
-from .scalars import iszero, promote_field, to_complex
+from .scalars import promote_field, to_complex
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def apply_e_block(i, j, positions, vec):
             if J[s - 1] == j:
                 K = J[: s - 1] + (i,) + J[s:]
                 out[K] = out.get(K, c * 0) + c
-    return {K: c for K, c in out.items() if not iszero(c)}
+    return {K: c for K, c in out.items() if c != 0}
 
 
 def find_singular_vector(N: int, size: int, mu) -> dict:
@@ -234,7 +235,7 @@ def reduce(rows, vec):
     Returns the coordinates {lead: c} and the remainder, which holds no lead.
     """
     coords = {}
-    work = {J: c for J, c in vec.items() if not iszero(c)}
+    work = {J: c for J, c in vec.items() if c != 0}
     pending = sorted(work)
     k = 0
     while k < len(pending):
@@ -248,7 +249,7 @@ def reduce(rows, vec):
             if K not in work:
                 insort(pending, K)  # K > J: it lands among the tuples still to visit
             r = work.get(K, c * 0) - c * m
-            if iszero(r):
+            if r == 0:
                 work.pop(K, None)
             else:
                 work[K] = r
@@ -349,14 +350,16 @@ class EmbeddedModule:
         return {self._index[J]: c for J, c in coords.items()}
 
     def generator_block(self, i: int, j: int, nu) -> tuple:
-        """Per point s, the matrix of e_ij in factor s from weight nu to nu + e_i - e_j.
+        """The matrices E_s of e_ij in factor s from weight nu to nu + e_i - e_j, as (stack, den).
 
-        Columns are the weight-nu members, rows the members of the target
-        weight; both are empty when the weight has no members.  The block is
-        built from the images of the weight-nu members only and memoized.
-        Each image is expressed over the whole basis, so a coordinate outside
-        the target weight is seen: the block's key (i, j, nu) then goes into
-        ``leaks`` and that coordinate is dropped from the block.
+        ``stack`` is one integer array of shape (points, rows, cols) and
+        E_s = stack[s] / den.  Columns are the weight-nu members, rows the
+        members of the target weight; both are empty when the weight has no
+        members.  The block is built from the images of the weight-nu members
+        only and memoized.  Each image is expressed over the whole basis, so a
+        coordinate outside the target weight is seen: the block's key
+        (i, j, nu) then goes into ``leaks`` and that coordinate is dropped
+        from the block.
         """
         nu = tuple(nu)
         key = (i, j, nu)
@@ -365,18 +368,21 @@ class EmbeddedModule:
             target[i - 1] += 1
             target[j - 1] -= 1
             cols = self._weights.get(nu, [])
-            rows = self._weights.get(tuple(target), [])
-            inside = set(rows)
-            mats = []
-            for positions in self.factor_positions:
-                images = [self.express(apply_e_block(i, j, positions, self.members[k][2])) for k in cols]
-                if any(r not in inside for img in images for r in img):
-                    self.leaks.add(key)
-                if rows and cols:
-                    mats.append(Matrix([[img.get(r, 0) for img in images] for r in rows]))
-                else:
-                    mats.append(Matrix.zeros(len(rows), len(cols)))
-            self._blocks[key] = tuple(mats)
+            rows = {r: a for a, r in enumerate(self._weights.get(tuple(target), []))}
+            images = [
+                [self.express(apply_e_block(i, j, positions, self.members[k][2])) for k in cols]
+                for positions in self.factor_positions
+            ]
+            if any(r not in rows for per_point in images for img in per_point for r in img):
+                self.leaks.add(key)
+            den = lcm(*(c.denominator for per_point in images for img in per_point for c in img.values()))
+            stack = np.zeros((len(images), len(rows), len(cols)), dtype=object)
+            for s, per_point in enumerate(images):
+                for col, img in enumerate(per_point):
+                    for r, c in img.items():
+                        if r in rows:
+                            stack[s, rows[r], col] = c.numerator * (den // c.denominator)
+            self._blocks[key] = (stack, den)
         return self._blocks[key]
 
 

@@ -19,7 +19,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .algebra import EmbeddedModule, ModuleSpec
-from .linalg import Matrix
+from .linalg import MatrixPoly, pairwise_commute
 from .polynomials import Poly, indicial_polynomial
 
 
@@ -42,7 +42,7 @@ class BetheOperator:
 
     spec: ModuleSpec
     module: EmbeddedModule
-    numerators: list  # N_1 .. N_N, exact matrix polynomials on the weight-lam block
+    numerators: list  # N_1 .. N_N, MatrixPolys on the weight-lam block
     denominator: Poly  # scalar, P1^N from the build
     # (i, point) -> block_evaluate(i, point) as a complex array; not an init
     # field, so an operator made by ``dataclasses.replace`` starts empty
@@ -58,7 +58,7 @@ class BetheOperator:
 
     @cached_property
     def cleared(self) -> list:
-        """A_i = B_i * prod_s (u - b_s)^{n_s}, i = 1..N, as exact matrix polynomials.
+        """A_i = B_i * prod_s (u - b_s)^{n_s}, i = 1..N, as MatrixPolys.
 
         Each A_i is N_i times the pole polynomial divided exactly by the
         denominator; a nonzero remainder means B_i has a pole the evaluation
@@ -67,24 +67,21 @@ class BetheOperator:
         pole = self.spec.pole_polynomial()
         out = []
         for i, num in enumerate(self.numerators, 1):
-            quot, rem = (num * pole).divmod(self.denominator)
-            if not rem.is_zero():
-                raise ValueError(f"B_{i} * pole polynomial is not polynomial")
-            out.append(quot)
+            try:
+                out.append((num * pole).exact_div(self.denominator))
+            except ValueError:
+                raise ValueError(f"B_{i} * pole polynomial is not polynomial") from None
         return out
 
-    def block_evaluate(self, i: int, point) -> Matrix:
-        """Exact value of B_i on the target weight block at a point off the poles."""
-        a = self.cleared[i - 1]
-        if a.is_zero():
-            return Matrix.zeros(self.dim, self.dim)
-        return a(point) / self.spec.pole_polynomial()(point)
+    def block_evaluate(self, i: int, point) -> MatrixPoly:
+        """Exact value of B_i on the target weight block at a point off the poles, as a constant."""
+        return self.cleared[i - 1](point) * (1 / self.spec.pole_polynomial()(point))
 
     def block_array(self, i: int, point) -> np.ndarray:
         """``block_evaluate(i, point)`` as a read-only complex array, evaluated once per (i, point)."""
         key = (i, point)
         if key not in self._block_arrays:
-            arr = self.block_evaluate(i, point).to_complex_array()
+            arr = self.block_evaluate(i, point).to_complex(1)[0]
             arr.flags.writeable = False
             self._block_arrays[key] = arr
         return self._block_arrays[key]
@@ -95,12 +92,9 @@ def _cofactors(p1: Poly, points) -> list:
     return [p1.exact_div(Poly([-b, b * 0 + 1])) for b in points]
 
 
-def _series(module: EmbeddedModule, i: int, j: int, nu, cofactors: list) -> Poly:
+def _series(module: EmbeddedModule, i: int, j: int, nu, cofactors: list) -> MatrixPoly:
     """G with e_ij(u) = G / P1 on the weight-nu columns: sum_s E_s prod_{r != s} (u - b_r)."""
-    total = Poly()
-    for rest, mat in zip(cofactors, module.generator_block(i, j, nu)):
-        total = total + Poly([c * mat for c in rest.coeffs])
-    return total
+    return MatrixPoly.combination(cofactors, *module.generator_block(i, j, nu))
 
 
 def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> BetheOperator:
@@ -126,7 +120,7 @@ def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> Bet
     p1 = Poly.from_roots(spec.points)
     dp1 = p1.derivative()
     cofactors = _cofactors(p1, spec.points)
-    minors = {(): (lam, [Poly([Matrix.identity(len(module.weight_indices(lam)))])])}
+    minors = {(): (lam, [MatrixPoly.identity(len(module.weight_indices(lam)))])}
     for k in reversed(range(N)):
         m = N - 1 - k  # every minor in hand is over P1^m
         extended = {}
@@ -143,10 +137,10 @@ def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> Bet
                 G = _series(module, j + 1, k + 1, nu, cofactors)  # -e_jk(u) sits at row k, column j
                 if j == k:  # (d/du - K_k - G / P1) after M(S)
                     scalar = dp1.scale(m) + p1.scale(spec.exponents[k])
-                    padded = nums + [Poly()]
+                    zero = MatrixPoly.zero(*nums[0].shape)
                     term = [
-                        a.derivative() * p1 - a * scalar - G * a + (padded[r - 1] * p1 if r else Poly())
-                        for r, a in enumerate(padded)
+                        a.derivative() * p1 - a * scalar - G * a + before * p1
+                        for before, a in zip([zero] + nums, nums + [zero])
                     ]
                 else:
                     term = [-(G * a) for a in nums]
@@ -154,14 +148,15 @@ def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> Bet
                     term = [-a for a in term]
                 key = tuple(sorted(S + (j,)))
                 if key in extended:
-                    term = [a + b for a, b in zip_longest(extended[key][1], term, fillvalue=Poly())]
+                    zero = MatrixPoly.zero(*term[0].shape)
+                    term = [a + b for a, b in zip_longest(extended[key][1], term, fillvalue=zero)]
                 extended[key] = (target, term)
         minors = extended
     _, nums = minors[tuple(range(N))]
     return BetheOperator(spec=spec, module=module, numerators=nums[N - 1::-1], denominator=p1 ** N)
 
 
-def first_coefficient_residual(op: BetheOperator) -> Poly:
+def first_coefficient_residual(op: BetheOperator) -> MatrixPoly:
     """N_1 P1 + den (sum_i G_ii + P1 sum_i K_i) on the block, with e_ii(u) = G_ii / P1.
 
     Zero exactly when B_1 = -sum_i (K_i + e_ii(u)), which holds by construction.
@@ -170,14 +165,14 @@ def first_coefficient_residual(op: BetheOperator) -> Poly:
     lam = spec.weight.padded(op.rank)
     p1 = Poly.from_roots(spec.points)
     cofactors = _cofactors(p1, spec.points)
-    total = p1.scale(sum(spec.exponents[1:], spec.exponents[0])).scale(Matrix.identity(op.dim))
+    total = p1.scale(sum(spec.exponents[1:], spec.exponents[0])) * MatrixPoly.identity(op.dim)
     for i in range(1, op.rank + 1):
         total = total + _series(op.module, i, i, lam, cofactors)
     return op.numerators[0] * p1 + total * op.denominator
 
 
 def leading_symbol(op: BetheOperator):
-    """Matrix polynomial sum_i B_{i0} a^{N-i} from the constant terms at infinity.
+    """MatrixPoly sum_i B_{i0} a^{N-i} from the constant terms at infinity.
 
     B_{i0} is the u^n coefficient of A_i, since the pole polynomial is
     monic of degree n.  Equals prod_i (a - K_i) times the identity.  None
@@ -191,15 +186,20 @@ def leading_symbol(op: BetheOperator):
         return None
     if any(a.degree > n for a in cleared):
         return None
-    dim = op.dim
-    top = [a.coeffs[n] if a.degree == n else Matrix.zeros(dim, dim) for a in cleared]
-    return Poly(top[::-1] + [Matrix.identity(dim)])
+    N = op.rank
+    symbol = MatrixPoly.identity(op.dim) * _power(N)
+    for i, a in enumerate(cleared, 1):
+        if a.degree == n:
+            symbol = symbol + a[n] * _power(N - i)
+    return symbol
 
 
-def expected_leading_symbol(op: BetheOperator) -> Poly:
-    dim = op.dim
-    scalar = Poly.from_roots(op.spec.exponents)
-    return Poly([c * Matrix.identity(dim) for c in scalar.coeffs])
+def _power(k: int) -> Poly:
+    return Poly([Fraction(0)] * k + [Fraction(1)])
+
+
+def expected_leading_symbol(op: BetheOperator) -> MatrixPoly:
+    return Poly.from_roots(op.spec.exponents) * MatrixPoly.identity(op.dim)
 
 
 @dataclass
@@ -239,7 +239,8 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
     failures = []
     pole_orders = {}
     scalar_values = {}
-    zero = Matrix.zeros(dim, dim)
+    identity = MatrixPoly.identity(dim)
+    pole_block = pole * identity  # A_0
 
     try:
         cleared = op.cleared
@@ -252,27 +253,26 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
 
     indicial_ok = True
     for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
-        taylors = [[c * Matrix.identity(dim) for c in pole.taylor_at(b_s, n + 1)]]
+        taylors = [pole_block.taylor_at(b_s, n + 1)]
         for i in range(1, N + 1):
-            ai = cleared[i - 1]
-            tc = ai.taylor_at(b_s, n + 1) if not ai.is_zero() else [zero] * (n + 1)
+            tc = cleared[i - 1].taylor_at(b_s, n + 1)
             taylors.append(tc)
+            local = tc.scalars()  # per Taylor coefficient: c when it is c * I, else None
             # observed pole order of B_i at b_s = n_s - vanishing order of A_i
-            vanish = 0
-            while vanish < len(tc) and tc[vanish].is_zero():
-                vanish += 1
+            vanish = next((k for k, c in enumerate(local) if c is None or c != 0), n + 1)
             pole_orders[i, s] = max(0, n_s - vanish)
             j = n_s - i
-            local = tc[j] if 0 <= j < len(tc) else zero
-            c = local.scalar_of_identity()
-            if c is None and dim:  # every matrix on an empty block is scalar
+            if not dim:  # every matrix on an empty block is scalar
+                continue
+            c = local[j] if 0 <= j < len(local) else Fraction(0)
+            if c is None:
                 failures.append(
                     f"leading local coefficient of B_{i} at point {b_s} is not scalar"
                 )
-            elif c is not None:
+            else:
                 scalar_values[i, s] = c
-        expected = Poly([c * Matrix.identity(dim) for c in spec.indicial_target(s).coeffs])
-        if indicial_polynomial(taylors, n_s) != expected:
+        # on an empty block every matrix identity holds
+        if dim and indicial_polynomial(taylors, n_s) != spec.indicial_target(s) * identity:
             indicial_ok = False
             failures.append(f"indicial identity fails at point {b_s}")
 
@@ -285,10 +285,10 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
     )
 
 
-def _cleared_coefficients(op: BetheOperator):
-    """Every coefficient matrix C_ij of every A_i, or None when clearing fails."""
+def _cleared_or_none(op: BetheOperator):
+    """The cleared A_i, or None when clearing fails."""
     try:
-        return [c for a in op.cleared for c in a.coeffs]
+        return op.cleared
     except ValueError:
         return None
 
@@ -302,11 +302,18 @@ def commutativity_check(op: BetheOperator) -> bool:
     [C, e_jj] = (lam_j - e_jj) C, which vanishes exactly when C keeps them
     in weight lam: the Cartan part is the test of ``weight_blocks_preserved``.
     """
-    coeffs = _cleared_coefficients(op)
-    if coeffs is None or not weight_blocks_preserved(op):
+    cleared = _cleared_or_none(op)
+    if cleared is None or not weight_blocks_preserved(op):
         return False
-    mats = [c for c in coeffs if c.scalar_of_identity() is None]
-    return all(m.commutator(other).is_zero() for a, m in enumerate(mats) for other in mats[a + 1:])
+    # commuting does not see scaling, so each C_ij enters over its own denominator
+    picked = [(a, k) for a in cleared for k, c in enumerate(a.scalars()) if c is None]
+    if not picked:
+        return True
+    re = np.stack([a.re[k] for a, k in picked])
+    im = None
+    if any(a.im is not None for a, _ in picked):
+        im = np.stack([a.im[k] if a.im is not None else np.zeros_like(a.re[k]) for a, k in picked])
+    return pairwise_commute(re, im)
 
 
 def weight_blocks_preserved(op: BetheOperator) -> bool:
@@ -317,4 +324,4 @@ def weight_blocks_preserved(op: BetheOperator) -> bool:
     target weight; the module lists the blocks whose images did not.  Fails
     too when clearing fails.
     """
-    return _cleared_coefficients(op) is not None and not op.module.leaks
+    return _cleared_or_none(op) is not None and not op.module.leaks

@@ -1,17 +1,29 @@
-"""Exact dense matrices over Q or Q(i).
+"""Exact matrix polynomials over Q or Q(i), one integer stack each.
 
-A Matrix stores its entries as whole arrays over one denominator: a numpy
-``dtype=object`` array of Python ``int`` numerators for the real parts, a
-second such array for the imaginary parts when the matrix is over Q(i)
-(``None`` over Q), and one positive ``int`` denominator.  The triple is kept
-reduced, meaning the gcd of the denominator and every numerator is 1, so
-equal matrices have equal arrays and equal hashes.  Sums, products, scalar
-multiples and the zero and identity tests are a few whole-array operations
-on Python ints (a product runs in int64 when a bound on its operands rules
-out overflow); a Fraction is built only when ``get`` reads one entry.
+A MatrixPoly C_0 + C_1 u + ... + C_d u^d with rows x cols coefficients is
+stored as whole arrays over one denominator: an integer array ``re`` of
+numerators of shape (d + 1, rows, cols), a second such array ``im`` for the
+imaginary parts (``None`` when they are all zero), and one positive ``int``
+``den``.  The triple is kept reduced: the top coefficient is nonzero, and
+the gcd of the denominator and every numerator is 1, so equal polynomials
+have equal arrays.  A single matrix is a polynomial of degree at most 0; the
+zero polynomial has no coefficients, and neither has any polynomial with an
+empty (0-row or 0-column) block.
 
-The Matrix class doubles as a coefficient ring for matrix-valued
-polynomials: products keep operand order and never assume commutativity.
+An array is int64 when every entry is below 2**62 in absolute value, and
+holds Python ints (``dtype=object``) otherwise.  Every operation bounds its
+result in Python ints first and runs in int64 when the bound stays below
+2**62, so no int64 operation can overflow; otherwise it runs on Python
+ints.
+
+Sums, negation and exact scalar multiples are whole-array operations.  A
+product is one block matmul of every pair of coefficients, then one shifted
+add per degree.  Every linear map along the degree axis is one contraction
+with an exact scalar matrix: a scalar polynomial multiple (a Toeplitz
+matrix), the derivative, a Taylor shift (binomials times powers of the
+point), evaluation (its first row) and the quotient by a monic scalar
+polynomial.  Products keep operand order and never assume that the
+coefficients commute.
 """
 
 from __future__ import annotations
@@ -21,7 +33,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .polynomials import Poly
 from .scalars import GaussianRational
+
+# An int64 array holds entries below this in absolute value, so that a sum
+# or difference of two of them still fits int64.
+_LIMIT = 2**62
 
 
 def _split(c):
@@ -38,122 +55,265 @@ def _split(c):
     return None
 
 
-def _ints(rows, cols, values):
-    out = np.empty(rows * cols, dtype=object)
-    out[:] = values
-    return out.reshape(rows, cols)
+def _bound(a) -> int:
+    """max |a| of an integer array, as a Python int."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _matmul(x, y):
-    """Exact product of int arrays; in int64 when no sum of products can overflow it."""
-    if x.size and y.size:
-        bound = max(x.max(), -x.min()) * max(y.max(), -y.min()) * x.shape[1]
-        if bound < 2**63:
-            return (x.astype(np.int64) @ y.astype(np.int64)).astype(object)
-    return x @ y
+def _as_int64(a):
+    """a as int64, or None when an entry does not fit."""
+    if a.dtype == np.int64:
+        return a
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        return None
 
 
-def _zeros(rows, cols):
-    return np.zeros((rows, cols), dtype=object)
+def _canonical(a):
+    """The integer array a as int64 when every entry is below _LIMIT in absolute value, else as Python ints."""
+    a64 = _as_int64(a)
+    if a64 is not None and _bound(a64) < _LIMIT:
+        return a64
+    return a.astype(object)
 
 
-def _or_zeros(a, like):
-    return a if a is not None else _zeros(*like.shape)
+def _scalars(values, shape):
+    """Integer arrays (re, im, den) of exact scalars over one denominator; im None if all real."""
+    parts = [_split(c) for c in values]
+    if any(p is None for p in parts):
+        raise TypeError("exact scalars expected")
+    den = math.lcm(*(d for _, _, d in parts))
+    re = np.empty(len(parts), dtype=object)
+    re[:] = [r * (den // d) for r, _, d in parts]
+    im = None
+    if any(i for _, i, _ in parts):
+        im = np.empty(len(parts), dtype=object)
+        im[:] = [(i or 0) * (den // d) for _, i, d in parts]
+        im = _canonical(im.reshape(shape))
+    return _canonical(re.reshape(shape)), im, den
 
 
-class Matrix:
-    """Immutable exact matrix over Q or Q(i): (re + i*im) / den with int arrays."""
+def _lincomb(pairs):
+    """sum of c * a over pairs of a Python int c and an integer array a (all one shape), exactly."""
+    fast = all(a.dtype == np.int64 and abs(c) < _LIMIT for c, a in pairs)
+    fast = fast and sum(abs(c) * _bound(a) for c, a in pairs) < _LIMIT
+    out = None
+    for c, a in pairs:
+        term = a * c if fast else a.astype(object) * c
+        out = term if out is None else out + term
+    return out
 
-    __slots__ = ("rows", "cols", "re", "im", "den")
 
-    def __init__(self, data):
-        data = [list(row) for row in data]
-        rows = len(data)
-        cols = len(data[0]) if data else 0
-        if any(len(row) != cols for row in data):
-            raise ValueError("ragged matrix")
-        parts = [_split(a) for row in data for a in row]
-        if any(p is None for p in parts):
-            raise TypeError("matrix entries must be exact scalars")
-        den = math.lcm(*(d for _, _, d in parts))
-        re = _ints(rows, cols, [r * (den // d) for r, _, d in parts])
-        im = None
-        if any(i is not None for _, i, _ in parts):
-            im = _ints(rows, cols, [(i or 0) * (den // d) for _, i, d in parts])
-        self._set(re, im, den)
+def _matmul(x, y, terms=1):
+    """x @ y of integer arrays (broadcast over leading axes), exactly.
 
-    def _set(self, re, im, den):
-        if den != 1:
-            g = math.gcd(den, *re.flat, *(im.flat if im is not None else ()))
+    In int64 when terms sums of such products stay below _LIMIT, judged by
+    max|x| * max|y| * inner * terms in Python ints; otherwise on Python ints.
+    """
+    x64, y64 = _as_int64(x), _as_int64(y)
+    if x64 is not None and y64 is not None and _bound(x64) * _bound(y64) * x.shape[-1] * terms < _LIMIT:
+        return x64 @ y64
+    return x.astype(object) @ y.astype(object)
+
+
+def _convolve(x, y):
+    """Coefficients of the product of two stacked matrix polynomials (degree axis first)."""
+    pairs = _matmul(x[:, None], y[None, :], terms=min(len(x), len(y)))
+    out = np.zeros((len(x) + len(y) - 1,) + pairs.shape[2:], dtype=pairs.dtype)
+    for i, row in enumerate(pairs):
+        out[i:i + len(y)] += row
+    return out
+
+
+def _contract(t, x):
+    """t @ x along the degree axis: t is (m, k), x is (k, rows, cols)."""
+    return _matmul(t, x.reshape(len(x), -1)).reshape((t.shape[0],) + x.shape[1:])
+
+
+def _complex(product, a, b, c, d):
+    """(a + ib)(c + id) for a bilinear product; b or d None stands for zero."""
+    if b is None and d is None:
+        return product(a, c), None
+    if d is None:
+        return product(a, c), product(b, c)
+    if b is None:
+        return product(a, c), product(a, d)
+    ac, bd = product(a, c), product(b, d)  # three products, not four
+    cross = product(_lincomb([(1, a), (1, b)]), _lincomb([(1, c), (1, d)]))
+    return _lincomb([(1, ac), (-1, bd)]), _lincomb([(1, cross), (-1, ac), (-1, bd)])
+
+
+def _gcd(a) -> int:
+    if a.dtype == np.int64:
+        return int(np.gcd.reduce(a, axis=None)) if a.size else 0
+    return math.gcd(*a.flat)
+
+
+def _padded(a, length):
+    if len(a) == length:
+        return a
+    return np.concatenate([a, np.zeros((length - len(a),) + a.shape[1:], dtype=a.dtype)])
+
+
+def _floats(a, den) -> np.ndarray:
+    """The quotients a / den, each correctly rounded (as Python's int / int)."""
+    return (a.astype(object) / den).astype(float)
+
+
+def _taylor_matrix(b, degree: int, count: int):
+    """Integer arrays (re, im, den) of T[k, j] = C(j, k) b^(j - k), for k < count and j <= degree.
+
+    With b = beta / q, T[k, j] = C(j, k) beta^(j - k) q^(degree - j + k) / q^degree.
+    """
+    parts = _split(b)
+    if parts is None:
+        raise TypeError("exact point expected")
+    br, bi, q = parts
+    bi = bi or 0
+    powers = [(1, 0)]
+    for _ in range(degree):
+        r, i = powers[-1]
+        powers.append((r * br - i * bi, r * bi + i * br))
+    re = np.zeros((count, degree + 1), dtype=object)
+    im = np.zeros((count, degree + 1), dtype=object) if bi else None
+    for k in range(min(count, degree + 1)):
+        for j in range(k, degree + 1):
+            c = math.comb(j, k) * q ** (degree - j + k)
+            re[k, j] = c * powers[j - k][0]
+            if im is not None:
+                im[k, j] = c * powers[j - k][1]
+    return _canonical(re), _canonical(im) if im is not None else None, q**degree
+
+
+def _banded(values, rows: int, cols: int):
+    """T[i + j, i] = values[j] for every i < cols and j < len(values), cut to rows rows."""
+    t = np.zeros((rows, cols), dtype=values.dtype)
+    for i in range(cols):
+        t[i:i + len(values), i] = values[:rows - i]
+    return t
+
+
+def pairwise_commute(re, im=None) -> bool:
+    """C_j C_k = C_k C_j for every pair of matrices C_k = re[k] + i*im[k] of one (count, n, n) stack."""
+    for k in range(len(re) - 1):
+        a, b = re[k], im[k] if im is not None else None
+        c, d = re[k + 1:], im[k + 1:] if im is not None else None
+        left = _complex(_matmul, a, b, c, d)
+        right = _complex(_matmul, c, d, a, b)
+        if any(np.any(x != y) for x, y in zip(left, right) if x is not None):
+            return False
+    return True
+
+
+class MatrixPoly:
+    """Immutable exact matrix polynomial: sum_k (re[k] + i*im[k]) / den * u^k."""
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re, im=None, den=1):
+        re = _canonical(np.asarray(re))
+        im = _canonical(np.asarray(im)) if im is not None else None
+        top = len(re)
+        while top and not re[top - 1].any() and (im is None or not im[top - 1].any()):
+            top -= 1
+        re = re[:top]
+        if im is not None:
+            im = im[:top] if im[:top].any() else None
+        if den != 1 and top:
+            g = math.gcd(den, _gcd(re), _gcd(im) if im is not None else 0)
             if g != 1:
-                re = re // g
-                im = im // g if im is not None else None
+                re = _canonical(re // g)
+                im = _canonical(im // g) if im is not None else None
                 den //= g
-        self.rows, self.cols = re.shape
-        self.re, self.im, self.den = re, im, den
-
-    @classmethod
-    def _of(cls, re, im, den):
-        """The reduced matrix (re + i*im) / den; im is None over Q."""
-        out = cls.__new__(cls)
-        out._set(re, im, den)
-        return out
+        self.re, self.im, self.den = re, im, den if top else 1
 
     @staticmethod
-    def zeros(rows, cols, zero=Fraction(0)):
-        im = _zeros(rows, cols) if isinstance(zero, GaussianRational) else None
-        return Matrix._of(_zeros(rows, cols), im, 1)
+    def zero(rows: int, cols: int) -> MatrixPoly:
+        return MatrixPoly(np.zeros((0, rows, cols), dtype=np.int64))
 
     @staticmethod
-    def identity(n, one=Fraction(1)):
-        return Matrix._of(np.identity(n, dtype=object), None, 1) * one
+    def identity(n: int) -> MatrixPoly:
+        return MatrixPoly(np.identity(n, dtype=np.int64)[None])
 
-    def get(self, i, j):
-        re = Fraction(self.re[i, j], self.den)
-        if self.im is None:
-            return re
-        return GaussianRational(re, Fraction(self.im[i, j], self.den))
+    @staticmethod
+    def combination(polys, stack, den=1) -> MatrixPoly:
+        """sum_s polys[s] * stack[s] / den: scalar polynomials times one integer stack of matrices."""
+        if not polys:
+            return MatrixPoly.zero(*stack.shape[1:])
+        length = max(p.degree for p in polys) + 1
+        coeffs = [p.coeff(k) for k in range(length) for p in polys]
+        t_re, t_im, t_den = _scalars(coeffs, (length, len(polys)))
+        re, im = _complex(_contract, t_re, t_im, stack, None)
+        return MatrixPoly(re, im, t_den * den)
+
+    @property
+    def shape(self) -> tuple:
+        return self.re.shape[1:]
+
+    @property
+    def degree(self) -> int:
+        return len(self.re) - 1
+
+    def is_zero(self) -> bool:
+        return not len(self.re)
+
+    def __len__(self) -> int:
+        """The number of coefficients, degree + 1."""
+        return len(self.re)
+
+    def __getitem__(self, k: int) -> MatrixPoly:
+        """The coefficient of u^k, as a constant."""
+        if not 0 <= k < len(self.re):
+            raise IndexError("no such coefficient")
+        im = self.im[k:k + 1] if self.im is not None else None
+        return MatrixPoly(self.re[k:k + 1], im, self.den)
 
     def _combine(self, other, sign):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix addition")
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch in matrix polynomial addition")
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other if sign == 1 else -other
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
-        re = self.re * a + other.re * b
+        length = max(len(self.re), len(other.re))
+        re = _lincomb([(a, _padded(self.re, length)), (b, _padded(other.re, length))])
         im = None
         if self.im is not None or other.im is not None:
-            im = _or_zeros(self.im, self.re) * a + _or_zeros(other.im, other.re) * b
-        return Matrix._of(re, im, den)
+            im = _lincomb([(c, _padded(part, length)) for c, part in ((a, self.im), (b, other.im)) if part is not None])
+        return MatrixPoly(re, im, den)
 
     def __add__(self, other):
-        if not isinstance(other, Matrix):
+        if not isinstance(other, MatrixPoly):
             return NotImplemented
         return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
+        if not isinstance(other, MatrixPoly):
             return NotImplemented
         return self._combine(other, -1)
 
     def __neg__(self):
-        return Matrix._of(-self.re, -self.im if self.im is not None else None, self.den)
+        return MatrixPoly(-self.re, -self.im if self.im is not None else None, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in matrix product")
-            a, b, c, d = self.re, self.im, other.re, other.im
-            if b is None and d is None:
-                re, im = _matmul(a, c), None
-            elif d is None:
-                re, im = _matmul(a, c), _matmul(b, c)
-            elif b is None:
-                re, im = _matmul(a, c), _matmul(a, d)
-            else:
-                # (a + ib)(c + id) with three products
-                ac, bd = _matmul(a, c), _matmul(b, d)
-                re, im = ac - bd, _matmul(a + b, c + d) - ac - bd
-            return Matrix._of(re, im, self.den * other.den)
+        if isinstance(other, MatrixPoly):
+            if self.shape[1] != other.shape[0]:
+                raise ValueError("shape mismatch in matrix polynomial product")
+            if self.is_zero() or other.is_zero():
+                return MatrixPoly.zero(self.shape[0], other.shape[1])
+            re, im = _complex(_convolve, self.re, self.im, other.re, other.im)
+            return MatrixPoly(re, im, self.den * other.den)
+        if isinstance(other, Poly):
+            return self._times_poly(other)
+        return self._scaled(other)
+
+    def __rmul__(self, other):
+        # scalars and scalar polynomials commute with matrices
+        if isinstance(other, Poly):
+            return self._times_poly(other)
         return self._scaled(other)
 
     def _scaled(self, scalar):
@@ -161,71 +321,112 @@ class Matrix:
         if parts is None:
             return NotImplemented
         s_re, s_im, s_den = parts
-        if s_im is None and s_re == s_den == 1:
+        eye = np.identity(len(self.re), dtype=object)
+        return self._transformed(eye * s_re, eye * s_im if s_im else None, s_den)
+
+    def _transformed(self, t_re, t_im, t_den):
+        """The stack contracted with the exact scalar matrix (t_re + i*t_im) / t_den along the degree axis."""
+        if self.is_zero():
             return self
-        if s_im is None:
-            re = self.re * s_re
-            im = self.im * s_re if self.im is not None else None
-        elif self.im is None:
-            re, im = self.re * s_re, self.re * s_im
-        else:
-            re = self.re * s_re - self.im * s_im
-            im = self.re * s_im + self.im * s_re
-        return Matrix._of(re, im, self.den * s_den)
+        re, im = _complex(_contract, t_re, t_im, self.re, self.im)
+        return MatrixPoly(re, im, t_den * self.den)
 
-    def __rmul__(self, other):
-        # scalars commute with matrices
-        return self._scaled(other)
+    def _times_poly(self, p: Poly):
+        """The product with a scalar polynomial: one Toeplitz contraction."""
+        if self.is_zero() or p.is_zero():
+            return MatrixPoly.zero(*self.shape)
+        rows, cols = len(self.re) + p.degree, len(self.re)
+        p_re, p_im, p_den = _scalars(p.coeffs, (p.degree + 1,))
+        t_im = _banded(p_im, rows, cols) if p_im is not None else None
+        return self._transformed(_banded(p_re, rows, cols), t_im, p_den)
 
-    def __truediv__(self, scalar):
-        if _split(scalar) is None:
-            return NotImplemented
-        return self._scaled(Fraction(1) / scalar)
+    def derivative(self) -> MatrixPoly:
+        if len(self.re) < 2:
+            return MatrixPoly.zero(*self.shape)
+        d = len(self.re) - 1
+        t = np.zeros((d, d + 1), dtype=np.int64)
+        t[np.arange(d), np.arange(1, d + 1)] = np.arange(1, d + 1)
+        return self._transformed(t, None, 1)
 
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols, self.den) != (other.rows, other.cols, other.den):
-            return False
-        if not np.array_equal(self.re, other.re):
-            return False
-        if self.im is None or other.im is None:
-            im = self.im if other.im is None else other.im
-            return im is None or not im.any()
-        return np.array_equal(self.im, other.im)
+    def taylor_at(self, b, count: int) -> MatrixPoly:
+        """The first count coefficients of the expansion in powers of (u - b), as a polynomial."""
+        if self.is_zero():
+            return self
+        return self._transformed(*_taylor_matrix(b, self.degree, count))
 
-    def __hash__(self):
-        key = (self.rows, self.cols, self.den, tuple(self.re.flat))
-        if self.im is not None and self.im.any():
-            key += tuple(self.im.flat)
-        return hash(key)
+    def __call__(self, x) -> MatrixPoly:
+        """The value at an exact point, as a constant."""
+        return self.taylor_at(x, 1)
 
-    def is_zero(self) -> bool:
-        return not self.re.any() and (self.im is None or not self.im.any())
+    def exact_div(self, monic: Poly) -> MatrixPoly:
+        """The quotient by a monic scalar polynomial with exact coefficients.
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+        With D = monic of degree e and 1/(x^e D(1/x)) = sum_m c_m x^m, the
+        quotient coefficient of u^k is sum_{j >= k + e} c_{j - k - e} C_j:
+        one contraction.  Raises ValueError when the remainder
+        self - quotient * D is not zero.
+        """
+        e = monic.degree
+        if e < 0 or monic.leading != 1:
+            raise ValueError("division by a monic scalar polynomial only")
+        steps = len(self.re) - e
+        if steps <= 0:
+            if not self.is_zero():
+                raise ValueError("inexact polynomial division")
+            return self
+        rev = monic.coeffs[::-1]
+        c = [Fraction(1)]
+        for m in range(1, steps):
+            c.append(-sum((rev[j] * c[m - j] for j in range(1, min(m, e) + 1)), Fraction(0)))
+        c_re, c_im, c_den = _scalars(c, (steps,))
+        # row k holds c_0, c_1, ... from column k + e on
+        lead = np.zeros((steps, e), dtype=np.int64)
+        t_re = np.concatenate([lead, _banded(c_re, steps, steps).T], axis=1)
+        t_im = np.concatenate([lead, _banded(c_im, steps, steps).T], axis=1) if c_im is not None else None
+        quot = self._transformed(t_re, t_im, c_den)
+        if quot * monic != self:
+            raise ValueError("inexact polynomial division")
+        return quot
 
-    def scalar_of_identity(self):
-        """Return c when the matrix equals c*I, else None (also for 0x0)."""
-        if not self.is_square() or not self.rows:
-            return None
-        eye = np.identity(self.rows, dtype=object)
+    def scalars(self) -> list:
+        """Per degree of a square polynomial, c when the coefficient is c times the identity, else None."""
+        diag = np.arange(self.shape[0])
+        scalar = np.ones(len(self.re), dtype=bool)
         for part in (self.re, self.im):
-            if part is not None and not np.array_equal(part, part[0, 0] * eye):
-                return None
-        return self.get(0, 0)
-
-    def to_complex_array(self) -> np.ndarray:
-        out = (self.re / self.den).astype(complex)
-        if self.im is not None:
-            out = out + 1j * (self.im / self.den).astype(float)
+            if part is not None:
+                off = part.copy()
+                off[:, diag, diag] = 0
+                values = part[:, diag, diag]
+                scalar &= ~np.any(off != 0, axis=(1, 2)) & np.all(values == values[:, :1], axis=1)
+        out = []
+        for k, ok in enumerate(scalar):
+            if not ok:
+                out.append(None)
+                continue
+            value = Fraction(int(self.re[k, 0, 0]), self.den)
+            if self.im is not None:
+                value = GaussianRational(value, Fraction(int(self.im[k, 0, 0]), self.den))
+            out.append(value)
         return out
 
-    def commutator(self, other):
-        return self * other - other * self
+    def to_complex(self, count: int) -> np.ndarray:
+        """The first count coefficients as one complex array of shape (count, rows, cols)."""
+        out = np.zeros((count,) + self.shape, dtype=complex)
+        k = min(count, len(self.re))
+        out.real[:k] = _floats(self.re[:k], self.den)
+        if self.im is not None:
+            out.imag[:k] = _floats(self.im[:k], self.den)
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, MatrixPoly):
+            return NotImplemented
+        if self.re.shape != other.re.shape or self.den != other.den:
+            return False
+        if (self.im is None) != (other.im is None):
+            return False
+        return np.array_equal(self.re, other.re) and (self.im is None or np.array_equal(self.im, other.im))
 
     def __repr__(self):
-        entries = [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
-        return f"Matrix({entries!r})"
-
+        im = None if self.im is None else self.im.tolist()
+        return f"MatrixPoly(re={self.re.tolist()!r}, im={im!r}, den={self.den})"

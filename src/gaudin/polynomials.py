@@ -1,18 +1,13 @@
-"""Dense univariate polynomials over an abstract coefficient ring.
+"""Dense univariate polynomials with scalar coefficients.
 
-Coefficients may be exact scalars, complex floats, or exact matrices; the
-ring only needs ``+``, ``-``, ``*`` and a zero test.  Multiplication keeps
-the written order of coefficient products, so matrix-valued polynomials are
-safe.  Division-based operations (gcd, divmod) require scalar field
-coefficients.
+Coefficients are exact scalars (``Fraction``, ``GaussianRational``) or
+complex floats.  Matrix-valued polynomials are ``linalg.MatrixPoly``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-
-from .scalars import iszero
 
 
 class Poly:
@@ -22,7 +17,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
-        while coeffs and iszero(coeffs[-1]):
+        while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
@@ -102,7 +97,7 @@ class Poly:
             return Poly()
         out = [None] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if iszero(ca):
+            if ca == 0:
                 continue
             for j, cb in enumerate(b):
                 term = ca * cb
@@ -113,8 +108,12 @@ class Poly:
         return Poly(out)
 
     def scale(self, c):
-        """Multiply every coefficient by c, from the left."""
+        """Multiply every coefficient by c."""
         return Poly([c * a for a in self.coeffs])
+
+    def __rmul__(self, c):
+        # c * p for a scalar c
+        return self.scale(c)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -125,8 +124,9 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __call__(self, x):
@@ -177,7 +177,7 @@ class Poly:
         for k in reversed(range(len(quot))):
             c = num[k + d] / lead
             quot[k] = c
-            if iszero(c):
+            if c == 0:
                 continue
             for j, oc in enumerate(other.coeffs):
                 num[k + j] = num[k + j] - c * oc
@@ -220,7 +220,7 @@ def format_poly(p: Poly, var: str = "u") -> str:
     parts = []
     for k in reversed(range(len(p.coeffs))):
         c = p.coeffs[k]
-        if iszero(c):
+        if c == 0:
             continue
         if k == 0:
             body = f"{c}"
@@ -268,15 +268,16 @@ def falling_product(alpha_count: int) -> Poly:
     return p
 
 
-def indicial_polynomial(taylors, n_s: int) -> Poly:
+def indicial_polynomial(taylors, n_s: int):
     """sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)) for the operator sum_i G_i (d/du)^{N-i}.
 
     taylors[i] lists the Taylor coefficients t_{i, j} of G_i at a point where
     G_0 vanishes to order n_s (missing ones are zero); N = len(taylors) - 1.
+    For a scalar operator it is a list of scalars and the result a Poly in a;
+    for an operator on a block it is the Taylor expansion of G_i as a
+    MatrixPoly, whose items are its constant coefficients, and the result a
+    MatrixPoly in a.
     """
     N = len(taylors) - 1
-    chi = Poly()
-    for i, tc in enumerate(taylors):
-        if 0 <= n_s - i < len(tc):
-            chi = chi + falling_product(N - i).scale(tc[n_s - i])
-    return chi
+    terms = [tc[n_s - i] * falling_product(N - i) for i, tc in enumerate(taylors) if 0 <= n_s - i < len(tc)]
+    return sum(terms[1:], terms[0]) if terms else Poly()

@@ -203,14 +203,6 @@ def to_complex(x) -> complex:
     return complex(x)
 
 
-def iszero(x) -> bool:
-    """Zero test usable across every coefficient ring in the package."""
-    probe = getattr(x, "is_zero", None)
-    if probe is not None:
-        return probe() if callable(probe) else bool(probe)
-    return x == 0
-
-
 def promote_field(values):
     """Return the input scalars, lifted to Q(i) if any has an imaginary part."""
     values = [parse_scalar(v) if isinstance(v, (str, int)) else v for v in values]

@@ -15,6 +15,7 @@ quasi-exponentials; its quasi-exponential kernel is solved for last.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,17 +75,12 @@ class SpectrumReport:
         return len(self.characters)
 
 
-def _block_coefficient_matrices(op: BetheOperator, dim: int) -> list:
-    """[[C_ij for j = 0..n] for i = 1..N]: the u^j coefficients of A_i on the block."""
-    out = []
-    for num in op.cleared:
-        out.append([
-            num.coeffs[j].to_complex_array()
-            if j <= num.degree
-            else np.zeros((dim, dim), dtype=complex)
-            for j in range(op.spec.size + 1)
-        ])
-    return out
+def _block_coefficient_matrices(op: BetheOperator) -> list:
+    """[[C_ij for j = 0..n] for i = 1..N]: the u^j coefficients of A_i on the block.
+
+    Each row is one complex array of shape (n + 1, dim, dim).
+    """
+    return [a.to_complex(op.spec.size + 1) for a in op.cleared]
 
 
 def _cluster(eigvals, tol):
@@ -112,9 +108,10 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
     """One EigenCharacter per joint eigenvector of the block coefficients.
 
     A generic real combination of the coefficient matrices C_ij, each scaled
-    to unit norm, is diagonalized.  The scaling makes the combination the
-    same for the rescaled instance (cK, b/c), whose C_ij differ only by
-    powers of c.  Clusters within tolerance are refined and verified
+    to unit norm, is diagonalized; its coefficients are standard normal
+    draws of ``random.Random(cfg.seed)``.  The scaling makes the
+    combination the same for the rescaled instance (cK, b/c), whose C_ij
+    differ only by powers of c.  Clusters within tolerance are refined and verified
     against every C_ij.  Clusters whose eigenspace is smaller than their
     multiplicity are flagged (the action is then not diagonalizable) and
     reported through generalized eigenspace generators.  Characters are
@@ -125,13 +122,13 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
     dim = len(op.module.weight_indices(spec.weight))
     if dim == 0:
         return SpectrumReport([], True, cfg.seed)
-    mats = _block_coefficient_matrices(op, dim)
+    mats = _block_coefficient_matrices(op)
     units = [m / np.linalg.norm(m) for row in mats for m in row if np.any(m)]
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     ambiguous, best = 0, np.inf  # why the combinations tried so far failed
     for attempt in range(MAX_RETRIES):
-        coeffs = rng.standard_normal(len(units))
+        coeffs = _normal_draws(rng, len(units))
         T = sum(c * u for c, u in zip(coeffs, units))
         eigvals, eigvecs = np.linalg.eig(T)
         tscale = max(np.linalg.norm(T), 1.0)
@@ -235,9 +232,14 @@ def _refine_eigenpair(T, mu, v, sweeps=4):
     return mu, v / np.linalg.norm(v)
 
 
+def _normal_draws(rng: random.Random, count: int) -> list:
+    """count standard normal draws; the stdlib generator, since numpy.random costs a 15 ms import."""
+    return [rng.gauss(0.0, 1.0) for _ in range(count)]
+
+
 def _refine_cluster(q, units, cfg, rng):
     """Common eigenvectors of the coefficients restricted to a subspace."""
-    coeffs = rng.standard_normal(len(units))
+    coeffs = _normal_draws(rng, len(units))
     R = sum(c * (q.conj().T @ u @ q) for c, u in zip(coeffs, units))
     vals, vecs = np.linalg.eig(R)
     found = []

@@ -14,11 +14,10 @@ from gaudin.algebra import (
     enumerate_weight_basis,
     find_singular_vector,
 )
-from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational
 
-from oracles import brute_weight_indices, e_point_matrices, e_series, submatrix, tensor_weight_dimension
+from oracles import Matrix, brute_weight_indices, e_point_matrices, e_series, submatrix, tensor_weight_dimension
 
 F = Fraction
 
@@ -280,8 +279,10 @@ def test_generator_blocks_are_cuts_of_the_whole_module_matrices():
         for nu, cols in module.weights.items():
             target = tuple(w + (k == i - 1) - (k == j - 1) for k, w in enumerate(nu))
             rows = module.weight_indices(target)
-            for got, full in zip(module.generator_block(i, j, nu), whole):
-                assert got == submatrix(full, rows, cols)
+            stack, den = module.generator_block(i, j, nu)
+            assert stack.shape == (len(whole), len(rows), len(cols))
+            for got, full in zip(stack, whole):
+                assert Matrix._of(got, None, den) == submatrix(full, rows, cols)
     assert not module.leaks
 
 

@@ -2,6 +2,7 @@ import pathlib
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gaudin.algebra import EmbeddedModule, ModuleSpec, build_embedded_module
@@ -16,11 +17,11 @@ from gaudin.betheop import (
     weight_blocks_preserved,
 )
 from gaudin.harness import InstanceConfig
-from gaudin.linalg import Matrix
+from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly
 
 from conftest import COUNT_FAMILY, EXACT_FAMILY, make_spec
-from oracles import full_module_cleared, submatrix
+from oracles import Matrix, constant, full_module_cleared, submatrix, unstacked
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -37,7 +38,7 @@ def test_single_row_operator():
     assert len(op.numerators) == 1
     # B_1 = -K - 1/(u-b)
     for pt in (F(5), F(9)):
-        assert op.block_evaluate(1, pt).get(0, 0) == -2 - 1 / (pt - 3)
+        assert constant(op.block_evaluate(1, pt)).get(0, 0) == -2 - 1 / (pt - 3)
 
 
 def test_first_coefficient_identity_family(exact_family_ops):
@@ -54,7 +55,7 @@ def test_first_coefficient_block_formula(golden_op):
     # B_1 block = -(K_1+K_2) - (1/u + 1/(u-1)) times the identity
     for pt in (F(3), F(5), F(11)):
         expect = -(F(0) + F(1)) - (1 / pt + 1 / (pt - 1))
-        got = golden_op.block_evaluate(1, pt)
+        got = constant(golden_op.block_evaluate(1, pt))
         assert got.scalar_of_identity() == expect
 
 
@@ -93,7 +94,7 @@ def test_block_build_matches_full_module_oracle(spec):
     op = build_bethe_operator(spec, module)
     idx = module.weight_indices(spec.weight)
     full = full_module_cleared(spec, module)
-    assert op.cleared == [Poly([submatrix(c, idx, idx) for c in a.coeffs]) for a in full]
+    assert [unstacked(a) for a in op.cleared] == [Poly([submatrix(c, idx, idx) for c in a.coeffs]) for a in full]
 
 
 def test_n4_four_points_block_passes_every_exact_check():
@@ -125,7 +126,7 @@ CHECKS = {
 }
 
 
-def _mutant(op, i, num: Poly, den: Poly):
+def _mutant(op, i, num: MatrixPoly, den: Poly):
     """A copy of op with B_i replaced by B_i + num / den, over the denominator op.denominator * den."""
     nums = [a * den for a in op.numerators]
     nums[i - 1] = nums[i - 1] + num * op.denominator
@@ -133,9 +134,9 @@ def _mutant(op, i, num: Poly, den: Poly):
 
 
 def _unit(dim, i, j):
-    m = [[F(0)] * dim for _ in range(dim)]
-    m[i][j] = F(1)
-    return Matrix(m)
+    m = np.zeros((1, dim, dim), dtype=object)
+    m[0, i, j] = 1
+    return MatrixPoly(m)
 
 
 class _LeakyModule(EmbeddedModule):
@@ -166,7 +167,7 @@ def _hidden_mutant_case(checks, golden_op):
     spec = golden_op.spec
     q = Poly.from_roots(exact_sample_points(spec.points, 5))
     X = _unit(golden_op.dim, 0, 1)
-    mutant = _mutant(golden_op, 2, q.scale(X), spec.pole_polynomial())
+    mutant = _mutant(golden_op, 2, q * X, spec.pole_polynomial())
     for pt in exact_sample_points(spec.points, 5):
         assert mutant.block_evaluate(2, pt) == golden_op.block_evaluate(2, pt)
     assert not checks["commutativity"](mutant)
@@ -176,7 +177,7 @@ def _hidden_mutant_case(checks, golden_op):
 
 def _pole_mutant_case(checks, golden_op):
     """B_1 + I/(u - 7) cannot be cleared by the pole polynomial."""
-    mutant = _mutant(golden_op, 1, Poly([Matrix.identity(golden_op.dim)]), Poly([F(-7), F(1)]))
+    mutant = _mutant(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(-7), F(1)]))
     for name in ("first-coefficient", "commutativity", "weight-blocks", "leading-symbol", "polynomiality"):
         assert not checks[name](mutant), name
 
@@ -185,7 +186,7 @@ def _shifted_first_coefficient_case(checks, golden_op):
     """B_1 + I: still a cleared, commuting, scalar-shifted operator, but
     B_1 is no longer -sum_i (K_i + e_ii(u)) and its constant term at
     infinity moves."""
-    mutant = _mutant(golden_op, 1, Poly([Matrix.identity(golden_op.dim)]), Poly([F(1)]))
+    mutant = _mutant(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(1)]))
     assert checks["commutativity"](mutant) and checks["polynomiality"](mutant)
     assert not checks["first-coefficient"](mutant)
     assert not checks["leading-symbol"](mutant)
@@ -242,7 +243,7 @@ def test_block_evaluate_matches_full_evaluation(exact_family_ops):
         for pt in exact_sample_points(op.spec.points, 3, start=-2):
             for i in range(1, op.rank + 1):
                 value = full[i - 1](pt) / pole(pt) if not full[i - 1].is_zero() else Matrix.zeros(op.module.dim, op.module.dim)
-                assert op.block_evaluate(i, pt) == submatrix(value, idx, idx)
+                assert constant(op.block_evaluate(i, pt)) == submatrix(value, idx, idx)
 
 
 def test_block_array_is_kept_per_operator(golden_op):
@@ -252,10 +253,10 @@ def test_block_array_is_kept_per_operator(golden_op):
     first = golden_op.block_array(1, pt)
     assert golden_op.block_array(1, pt) is first
     assert not first.flags.writeable
-    shifted = _mutant(golden_op, 1, Poly([Matrix.identity(golden_op.dim)]), Poly([F(1)]))  # B_1 + I
+    shifted = _mutant(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(1)]))  # B_1 + I
     own = shifted.block_array(1, pt)
     assert own is not first
-    assert (own == shifted.block_evaluate(1, pt).to_complex_array()).all()
+    assert (own == shifted.block_evaluate(1, pt).to_complex(1)[0]).all()
     assert not (own == first).all()
     assert golden_op.block_array(1, pt) is first
 

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaudin.diffops import QuasiExp, shifted_derivative_powers, wronskian
-from gaudin.linalg import Matrix
 from gaudin.polynomials import Poly
 
-from oracles import PoleOp, numeric_wronskian, rdet
+from oracles import Matrix, PoleOp, numeric_wronskian, rdet
 
 F = Fraction
 

@@ -345,3 +345,50 @@ def test_cli_table_output(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "all checks passed" in captured.out
+
+
+# The modules gaudin imports at module level from outside the package.  A new
+# one adds to the start-up time of every run, so it must be added here
+# knowingly.
+PACKAGE_IMPORTS = {
+    "__future__", "argparse", "bisect", "dataclasses", "fractions", "functools", "itertools",
+    "json", "math", "numpy", "random", "re", "sys", "time",
+}
+
+FOOTPRINT = """
+import importlib, json, sys
+for name in sys.argv[1].split(","):
+    importlib.import_module(name)
+deps = set(sys.modules)
+import gaudin.cli
+loaded = sorted(set(sys.modules) - deps)
+code = gaudin.cli.main(["verify", "--config", sys.argv[2], "--out", sys.argv[3]])
+print(json.dumps({"loaded": loaded, "code": code, "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_verify_pass_footprint(tmp_path):
+    """A verify pass without Bethe roots never loads numpy.random, and
+    ``import gaudin`` loads nothing beyond its own modules and what its
+    module-level imports load."""
+    import ast
+
+    root = Path(__file__).resolve().parent.parent
+    imports = set()
+    for path in sorted((root / "src" / "gaudin").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                imports |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.add(node.module)
+    assert imports == PACKAGE_IMPORTS
+    config = root / "fixtures" / "exact_n3.json"
+    assert json.loads(config.read_text())["options"]["run_bae"] is False
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-c", FOOTPRINT, ",".join(sorted(imports)), str(config), str(tmp_path / "r.json")]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out["code"] == 0
+    assert not out["numpy.random"]
+    assert all(name == "gaudin" or name.startswith("gaudin.") for name in out["loaded"]), out["loaded"]

@@ -1,0 +1,244 @@
+"""The stacked MatrixPoly against the Poly-of-Matrix reference, over Q and Q(i).
+
+Every operation of ``gaudin.linalg.MatrixPoly`` is compared with the same
+operation on a Poly whose coefficients are the reference ``Matrix`` objects
+of the oracles, on random rectangular and empty blocks.  Large entries force
+the Python-int path; small ones take int64.
+"""
+
+import warnings
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaudin.linalg import MatrixPoly, pairwise_commute
+from gaudin.polynomials import Poly
+from gaudin.scalars import GaussianRational
+
+from oracles import Matrix, constant, stacked, unstacked
+
+F = Fraction
+GR = GaussianRational
+
+# entry magnitudes: the last two are beyond the int64 path (2**62)
+SCALES = [1, 2**20, 2**40, 2**62, 2**80]
+
+
+@st.composite
+def scalars(draw, field, scale=1, zeros=True):
+    def rational():
+        num = draw(st.integers(-9, 9) if zeros else st.integers(1, 9))
+        return F(num * scale, draw(st.sampled_from([1, 2, 3, 7])))
+
+    if field == "Q":
+        return rational()
+    return GR(rational(), rational())
+
+
+@st.composite
+def matrix_polys(draw, field, rows, cols, scale=1, max_degree=3):
+    """A reference Poly of rows x cols Matrix coefficients."""
+    degree = draw(st.integers(-1, max_degree))
+    coeffs = []
+    for _ in range(degree + 1):
+        if rows and cols and draw(st.booleans()):
+            coeffs.append(Matrix([[draw(scalars(field, scale)) for _ in range(cols)] for _ in range(rows)]))
+        else:
+            coeffs.append(Matrix.zeros(rows, cols))
+    return Poly(coeffs)
+
+
+@st.composite
+def scalar_polys(draw, field, max_degree=3):
+    return Poly([draw(scalars(field)) for _ in range(draw(st.integers(0, max_degree + 1)))])
+
+
+fields = st.sampled_from(["Q", "Q(i)"])
+sizes = st.integers(0, 3)
+scales = st.sampled_from(SCALES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields, sizes, sizes, scales)
+def test_sum_difference_negation(data, field, rows, cols, scale):
+    a = data.draw(matrix_polys(field, rows, cols, scale))
+    b = data.draw(matrix_polys(field, rows, cols, scale))
+    A, B = stacked(a, rows, cols), stacked(b, rows, cols)
+    assert unstacked(A) == a
+    assert unstacked(A + B) == a + b
+    assert unstacked(A - B) == a - b
+    assert unstacked(-A) == -a
+    assert (A + B) - B == A  # reduced: equal polynomials have equal arrays
+    assert (A - A).is_zero()
+    assert A.shape == (rows, cols) and len(A) == len(a.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields, sizes, sizes, sizes, scales)
+def test_product(data, field, rows, inner, cols, scale):
+    a = data.draw(matrix_polys(field, rows, inner, scale))
+    b = data.draw(matrix_polys(field, inner, cols, scale))
+    product = stacked(a, rows, inner) * stacked(b, inner, cols)
+    assert product.shape == (rows, cols)
+    assert unstacked(product) == a * b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields, sizes, sizes, scales)
+def test_scalar_and_scalar_polynomial_multiples(data, field, rows, cols, scale):
+    a = data.draw(matrix_polys(field, rows, cols, scale))
+    A = stacked(a, rows, cols)
+    s = data.draw(scalars(field))
+    assert unstacked(A * s) == a.scale(s)
+    assert unstacked(s * A) == a.scale(s)
+    p = data.draw(scalar_polys(field))
+    assert unstacked(A * p) == a * p
+    assert unstacked(p * A) == p * a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields, sizes, sizes, scales)
+def test_derivative_evaluation_and_taylor_shift(data, field, rows, cols, scale):
+    a = data.draw(matrix_polys(field, rows, cols, scale))
+    A = stacked(a, rows, cols)
+    assert unstacked(A.derivative()) == a.derivative()
+    x = data.draw(scalars(field))
+    if a.is_zero():
+        assert A(x).is_zero()
+    else:
+        assert constant(A(x)) == a(x)
+    count = data.draw(st.integers(1, 5))
+    assert unstacked(A.taylor_at(x, count)) == Poly(a.taylor_at(x, count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), fields, sizes, sizes, scales)
+def test_exact_division_by_a_monic_polynomial(data, field, rows, cols, scale):
+    roots = data.draw(st.lists(scalars(field), min_size=0, max_size=3))
+    monic = Poly.from_roots(roots)
+    q = data.draw(matrix_polys(field, rows, cols, scale))
+    assert unstacked(stacked(q * monic, rows, cols).exact_div(monic)) == q
+    r = data.draw(matrix_polys(field, rows, cols, scale, max_degree=len(roots) - 1))
+    if not r.is_zero():
+        with pytest.raises(ValueError):
+            (q * monic + r).exact_div(monic)  # the reference raises too
+        with pytest.raises(ValueError):
+            stacked(q * monic + r, rows, cols).exact_div(monic)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), fields, st.integers(1, 3), scales)
+def test_scalar_coefficients_and_commutation(data, field, n, scale):
+    a = data.draw(matrix_polys(field, n, n, scale))
+    c = data.draw(scalars(field, zeros=False))
+    a = a + Poly([c * Matrix.identity(n)])  # at least one scalar coefficient
+    A = stacked(a, n, n)
+    assert A.scalars() == [m.scalar_of_identity() for m in a.coeffs]
+    commute = all(x.commutator(y).is_zero() for x in a.coeffs for y in a.coeffs)
+    assert pairwise_commute(A.re, A.im) == commute
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), fields, sizes, sizes, st.sampled_from([1, 2**40, 2**80]))
+def test_complex_conversion(data, field, rows, cols, scale):
+    a = data.draw(matrix_polys(field, rows, cols, scale))
+    count = data.draw(st.integers(1, 5))
+    got = stacked(a, rows, cols).to_complex(count)
+    assert got.shape == (count, rows, cols)
+    for k in range(count):
+        m = a.coeff(k) if k <= a.degree else Matrix.zeros(rows, cols)
+        for i in range(rows):
+            for j in range(cols):
+                assert got[k, i, j] == complex(m.get(i, j))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), fields, st.integers(1, 3), sizes, sizes)
+def test_combination_of_a_stack(data, field, points, rows, cols):
+    polys = [data.draw(scalar_polys(field)) for _ in range(points)]
+    stack = np.array(
+        data.draw(st.lists(st.integers(-50, 50), min_size=points * rows * cols, max_size=points * rows * cols)),
+        dtype=np.int64,
+    ).reshape(points, rows, cols)
+    den = data.draw(st.sampled_from([1, 2, 6]))
+    expect = Poly()
+    for p, m in zip(polys, stack):
+        mat = Matrix._of(m.astype(object), None, den)
+        expect = expect + p * Poly([mat])
+    assert unstacked(MatrixPoly.combination(polys, stack, den)) == expect
+
+
+def test_empty_blocks():
+    """0-row and 0-column blocks: every polynomial on them is zero, with its shape kept."""
+    empty = MatrixPoly.zero(0, 3)
+    assert empty.is_zero() and empty.shape == (0, 3) and len(empty) == 0
+    assert MatrixPoly.identity(0).is_zero()
+    full = stacked(Poly([Matrix([[F(1)], [F(2)], [F(3)]])]), 3, 1)
+    assert (empty * full).shape == (0, 1) and (empty * full).is_zero()
+    assert (full * MatrixPoly.zero(1, 0)).shape == (3, 0)
+    assert empty.taylor_at(F(2), 3) == empty and empty.derivative() == empty
+    assert empty.to_complex(2).shape == (2, 0, 3)
+    assert empty != MatrixPoly.zero(3, 0)
+
+
+def test_equality_across_denominators_and_fields():
+    a = stacked(Poly([Matrix([[F(1, 7), F(2, 3)], [F(0), F(5, 21)]])]), 2, 2)
+    b = stacked(Poly([Matrix([[F(3, 10), F(1, 4)], [F(9, 5), F(0)]])]), 2, 2)
+    assert (a + b) - b == a  # the sum lives over 420
+    assert a * 21 == stacked(Poly([Matrix([[F(3), F(14)], [F(0), F(5)]])]), 2, 2)
+    g = stacked(Poly([Matrix([[GR(F(1, 7)), GR(F(2, 3))], [GR(0), GR(F(5, 21))]])]), 2, 2)
+    assert g == a and g.im is None  # zero imaginary parts are dropped
+    assert (g * GR(0, 1)) * GR(0, -1) == a
+
+
+@pytest.mark.parametrize(
+    "big, inner, int64",
+    [(2**30 - 1, 4, True), (2**30, 4, False), (2**29, 15, True), (2**29, 16, False), (2**40, 3, False)],
+)
+def test_product_near_and_beyond_the_int64_bound(big, inner, int64):
+    """Products stay exact on both sides of the bound max|A| * max|B| * inner < 2**62.
+
+    The integer matrix J with J[i][j] = (-1)**(i + j) * big has J*J = inner * big * J,
+    so every entry of the product is as large as the bound allows; a result below
+    2**62 is stored as int64 and one above it as Python ints.
+    """
+    bound = big * big * inner
+    assert (bound < 2**62) == int64  # the side of the bound this case is on
+    ref = [[F((-1) ** (i + j) * big) for j in range(inner)] for i in range(inner)]
+    m = Poly([Matrix(ref)])
+    got = stacked(m, inner, inner) * stacked(m, inner, inner)
+    assert unstacked(got) == m * m
+    assert (got.re.dtype == np.int64) == int64
+    # over Q(i) each of the three real products meets its own bound as well
+    g = Poly([Matrix([[GR(x, x) for x in row] for row in ref])])
+    assert unstacked(stacked(g, inner, inner) * stacked(g, inner, inner)) == g * g
+
+
+def test_python_int_bound_refuses_where_an_int64_bound_would_wrap():
+    """With entries 2**32 the int64 product of the two maxima wraps to 0, so a
+    bound computed in numpy would take the int64 path and overflow; the bound in
+    Python ints refuses it, and the product stays exact."""
+    big = 2**32
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert int(np.int64(big) * np.int64(big)) == 0
+    m = Poly([Matrix([[F(big), F(-big)], [F(big), F(big)]]), Matrix([[F(1), F(0)], [F(0), F(big)]])])
+    A = stacked(m, 2, 2)
+    assert A.re.dtype == np.int64  # each entry fits
+    product = A * A
+    assert unstacked(product) == m * m
+    assert product.re.dtype == object
+    assert unstacked(A * (2**70)) == m.scale(F(2**70))
+
+
+def test_product_bound_counts_the_sum_over_degrees():
+    """The u^2 coefficient of (c + cu + cu^2)^2 sums three products c^2: with
+    c^2 below 2**62 but 3 c^2 above 2**63, the bound must count the terms."""
+    c = 2_000_000_000
+    assert c * c < 2**62 and 3 * c * c > 2**63
+    m = Poly([Matrix([[F(c)]])] * 3)
+    A = stacked(m, 1, 1)
+    assert unstacked(A * A) == m * m

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gaudin.linalg import Matrix
 from gaudin.scalars import GaussianRational, format_scalar, parse_scalar
 
-from oracles import submatrix
+from oracles import Matrix, submatrix
 
 F = Fraction
 GR = GaussianRational
