@@ -29,7 +29,6 @@ from .bae import (
     weight_function,
 )
 from .betheop import BetheOperator, build_bethe_operator
-from .diffops import QuasiExp, wronskian
 from .polynomials import Poly
 from .spaces import (
     QuasiExpSpace,
@@ -51,7 +50,6 @@ __all__ = [
     "ModuleSpec",
     "Partition",
     "Poly",
-    "QuasiExp",
     "QuasiExpSpace",
     "RootCoordinates",
     "SpectralConfig",
@@ -70,6 +68,5 @@ __all__ = [
     "root_coordinates_from_space",
     "spectrum_analysis",
     "weight_function",
-    "wronskian",
     "wronskian_of_space",
 ]

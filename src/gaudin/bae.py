@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import ModuleSpec, Partition, enumerate_indices, enumerate_weight_basis
 from .betheop import exact_sample_points
-from .diffops import wronskian
+from .polynomials import poly_det
 from .scalars import to_complex
 from .spaces import QuasiExpSpace
 
@@ -489,15 +489,16 @@ def factorized_values(t: RootCoordinates, exponents, point) -> list:
 def root_coordinates_from_space(space: QuasiExpSpace, tol: float = 1e-9):
     """Root coordinates of a space from its trailing-subset Wronskians.
 
-    y_a is the monic polynomial part of Wr(g_{a+1}, ..., g_N); its degree is
-    l_a and its roots give level a.  Returns (RootCoordinates, generic flag).
+    y_a is the monic polynomial part of Wr(g_{a+1}, ..., g_N), the
+    determinant of the trailing (N-a) x (N-a) sub-table of the derivative
+    table; its degree is l_a and its roots give level a.  Returns
+    (RootCoordinates, generic flag).
     """
     N = space.rank
-    basis = space.basis()
+    table = space.derivatives(N - 1)
     levels = []
     for a in range(N):
-        wr = wronskian(basis[a:])
-        poly = wr.poly
+        poly = poly_det([row[:N - a] for row in table[a:]])
         if poly.is_zero():
             raise ValueError("degenerate trailing Wronskian")
         monic = poly.monic()
@@ -506,11 +507,6 @@ def root_coordinates_from_space(space: QuasiExpSpace, tol: float = 1e-9):
         levels.append(sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag)))
     t = RootCoordinates(levels)
     return t, t.is_generic(tol=tol)
-
-
-def admissible_indices(spec: ModuleSpec) -> list:
-    """Weight-basis index tuples; admissibility is exactly the weight condition."""
-    return enumerate_weight_basis(spec.rank, spec.size, spec.weight)
 
 
 def weight_function_counts(t: RootCoordinates, rank: int, counts) -> dict:
@@ -596,7 +592,7 @@ def _bijection_tuples(s_sets, profile):
 def weight_vector(t: RootCoordinates, spec: ModuleSpec) -> np.ndarray:
     """Dense coordinates of the weight function on the lex weight basis."""
     values = weight_function(t, spec)
-    basis = admissible_indices(spec)
+    basis = enumerate_weight_basis(spec.rank, spec.size, spec.weight)
     return np.array([to_complex(values[J]) for J in basis], dtype=complex)
 
 

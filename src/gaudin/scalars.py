@@ -198,8 +198,6 @@ def is_exact(x) -> bool:
 
 
 def to_complex(x) -> complex:
-    if isinstance(x, GaussianRational):
-        return complex(x)
     return complex(x)
 
 

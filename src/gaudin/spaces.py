@@ -2,9 +2,14 @@
 
 A space is an N-dimensional span of e^{K_i u} p_i(u) with distinct
 exponents and monic polynomial parts whose degrees realize a partition.
-Its fundamental operator sum_i F_i (d/du)^(N-i), F_0 = 1, is kept as the
-polynomial list [G_0, ..., G_N] with F_i = G_i / G_0 and G_0 the monic
-Wronskian part, so no rational function is ever formed.
+Everything on this side is read from one table, the polynomial parts
+(K_i + d/du)^m p_i of the derivatives of the basis
+(:func:`shifted_derivative_powers`): the Wronskian is the determinant of
+its first N columns, the fundamental operator comes from its N+1 maximal
+minors, and the trailing Wronskians of the Bethe roots are determinants of
+its trailing sub-tables.  The fundamental operator sum_i F_i (d/du)^(N-i),
+F_0 = 1, is kept as the polynomial list [G_0, ..., G_N] with F_i = G_i / G_0
+and G_0 the monic Wronskian part, so no rational function is ever formed.
 Everything here works over exact scalars and, with a tolerance, over
 complex floats (for spaces recovered from numerical spectra).
 """
@@ -15,13 +20,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import ModuleSpec, Partition
-from .diffops import QuasiExp, shifted_derivative_powers, wronskian
 from .polynomials import Poly, falling_product, indicial_polynomial, poly_det, poly_gcd
 from .scalars import is_exact, to_complex
 
 
 class DegenerateSpaceError(ValueError):
     """The putative basis is linearly dependent (identically zero Wronskian)."""
+
+
+def shifted_derivative_powers(k, p: Poly, top: int) -> list:
+    """Polynomial parts of f, f', ..., f^(top) for f = e^{k u} p: (k + d/du)
+    applied repeatedly to p."""
+    out = [p]
+    for _ in range(top):
+        out.append(out[-1].scale(k) + out[-1].derivative())
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,8 +80,10 @@ class QuasiExpSpace:
             all(is_exact(c) for c in p.coeffs) for p in self.polys
         )
 
-    def basis(self) -> list:
-        return [QuasiExp(k, p) for k, p in zip(self.exponents, self.polys)]
+    def derivatives(self, top: int) -> list:
+        """The derivative table: row i holds the polynomial parts of the
+        derivatives 0..top of e^{K_i u} p_i."""
+        return [shifted_derivative_powers(k, p, top) for k, p in zip(self.exponents, self.polys)]
 
 
 @dataclass(frozen=True)
@@ -92,19 +107,20 @@ def exponent_prefactor(exponents) -> object:
 def wronskian_of_space(space: QuasiExpSpace) -> WronskiData:
     """Strip the exponential and the alternant prefactor; read off the map.
 
-    The monic polynomial part has degree exactly n = |lam|; a_s is the
-    signed coefficient of u^{n-s}.
+    The Wronskian's polynomial part is the determinant of the N x N
+    derivative table.  The monic polynomial part has degree exactly
+    n = |lam|; a_s is the signed coefficient of u^{n-s}.
     """
-    wr = wronskian(space.basis())
-    if wr.poly.is_zero():
+    wr = poly_det(space.derivatives(space.rank - 1))
+    if wr.is_zero():
         raise DegenerateSpaceError("degenerate space: zero Wronskian")
     prefactor = exponent_prefactor(space.exponents)
     n = space.size
-    if wr.poly.degree != n:
+    if wr.degree != n:
         raise DegenerateSpaceError(
-            f"Wronskian degree {wr.poly.degree}, expected {n}: degenerate space"
+            f"Wronskian degree {wr.degree}, expected {n}: degenerate space"
         )
-    poly = Poly([c / prefactor for c in wr.poly.coeffs])
+    poly = Poly([c / prefactor for c in wr.coeffs])
     coefficients = tuple((-1) ** s * poly.coeff(n - s) for s in range(1, n + 1))
     return WronskiData(prefactor=prefactor, poly=poly, coefficients=coefficients)
 
@@ -112,12 +128,12 @@ def wronskian_of_space(space: QuasiExpSpace) -> WronskiData:
 def cleared_operator_polys(space: QuasiExpSpace) -> list:
     """Polynomials G_0..G_N with G_i = (monic Wronskian part) * F_i.
 
-    Computed as signed maximal minors of the (N+1)-column derivative matrix
-    of the basis, normalized so G_0 is monic; no rational-function division
-    happens, so the same code serves exact and float spaces.
+    Computed as signed maximal minors of the N x (N+1) derivative table,
+    normalized so G_0 is monic; no rational-function division happens, so
+    the same code serves exact and float spaces.
     """
     N = space.rank
-    rows = [shifted_derivative_powers(f, N) for f in space.basis()]
+    rows = space.derivatives(N)
     minors = []
     for c in range(N + 1):
         cols = [r for r in range(N + 1) if r != c]
@@ -147,10 +163,9 @@ def fundamental_operator(space: QuasiExpSpace) -> list:
     if space.is_exact_space():
         g0, N = gs[0], space.rank
         total = sum(space.exponents[1:], space.exponents[0])
-        if gs[1] != -(g0.derivative() + g0.scale(total)):
+        if gs[1] != -shifted_derivative_powers(total, g0, 1)[1]:
             raise AssertionError("first coefficient does not match -Wr'/Wr")
-        for f in space.basis():
-            parts = shifted_derivative_powers(f, N)
+        for parts in space.derivatives(N):
             if not sum((g * parts[N - i] for i, g in enumerate(gs)), Poly()).is_zero():
                 raise AssertionError("fundamental operator misses its kernel")
     return gs

@@ -23,7 +23,6 @@ import numpy as np
 from .algebra import ModuleSpec
 from .bae import gap_unit
 from .betheop import BetheOperator, exact_sample_points
-from .diffops import shifted_derivative_powers, QuasiExp
 from .polynomials import Poly
 from .scalars import to_complex
 from .spaces import QuasiExpSpace, cleared_operator_polys, membership_test
@@ -54,7 +53,6 @@ class EigenCharacter:
     residual: float
     cluster_size: int = 1
     simple: bool = True
-    generalized_dim: int = 1
 
     def values(self, z, pz) -> list:
         """[h_1(z), ..., h_N(z)], with pz the pole polynomial at z."""
@@ -65,7 +63,6 @@ class EigenCharacter:
 class SpectrumReport:
     characters: list
     diagonalizable: bool
-    combination_seed: int
     operators: list = field(default_factory=list)  # per character [G_0, ..., G_N], G_0 = P
     kernels: list = field(default_factory=list)  # per character QuasiExpSpace or None
     memberships: list = field(default_factory=list)  # per character MembershipReport or str
@@ -121,7 +118,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
     if dim == 0:
-        return SpectrumReport([], True, cfg.seed)
+        return SpectrumReport([], True)
     mats = _block_coefficient_matrices(op)
     units = [m / np.linalg.norm(m) for row in mats for m in row if np.any(m)]
 
@@ -170,7 +167,6 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
                         residual=res,
                         cluster_size=size,
                         simple=False,
-                        generalized_dim=size,
                     )
                 )
             if eig_dim < size:
@@ -184,7 +180,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
                 return [(round(v.real, 6), round(v.imag, 6)) for v in (h[0], h[-1])]
 
             characters.sort(key=key)
-            return SpectrumReport(characters, diagonalizable, cfg.seed)
+            return SpectrumReport(characters, diagonalizable)
     causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
     if ambiguous < MAX_RETRIES:
         limit = cfg.residual_tol * 100
@@ -210,8 +206,10 @@ def _refine_eigenpair(T, mu, v, sweeps=4):
     """Newton iteration on (T - mu)v = 0 with a fixed normalization row.
 
     numpy's eig is only first-order accurate for non-normal matrices; a few
-    Newton sweeps push the eigenpair to machine precision, which the
-    downstream rational reconstructions rely on.
+    Newton sweeps push the eigenpair to machine precision.  Two float checks
+    downstream rely on it: the kernel least squares of
+    :func:`kernel_from_operator`, accepted at ``kernel_tol``, and the match
+    of Bethe-root eigenvalues against the characters at 1e-8.
     """
     dim = T.shape[0]
     c = v.conj()
@@ -272,50 +270,43 @@ def kernel_from_operator(G: list, spec: ModuleSpec, cfg: SpectralConfig = None) 
     The system is solved in units of s = :func:`gap_unit` of the points, as
     the root search is: with u = s v the operator sum_k c_k(u) (d/du)^k
     becomes sum_k c_k(s v) s^-k (d/dv)^k with exponents s K, and its kernel
-    part p~ gives p(u) = s^d p~(u / s).
+    part p~ gives p(u) = s^d p~(u / s).  On coefficient vectors of degree
+    at most d, (kappa + d/dv) is the (d+1) x (d+1) matrix kappa I + D, so
+    the column of v^m is sum_k c_k * (kappa I + D)^k e_m, a convolution.
     """
     cfg = cfg or SpectralConfig()
     N = spec.rank
     lam = spec.weight.padded(N)
     unit = gap_unit(spec.points)
-    # cleared[k] multiplies (d/du)^k
-    cleared = [Poly([a * unit ** (j - k) for j, a in enumerate(g.coeffs)]) for k, g in enumerate(G[::-1])]
-    polys = []
+    # row k: the coefficients of c_k(s v) s^-k, which multiplies (d/dv)^k
+    width = max(len(g.coeffs) for g in G)
+    cleared = np.zeros((N + 1, width), dtype=complex)
+    for k, g in enumerate(G[::-1]):
+        for j, a in enumerate(g.coeffs):
+            cleared[k, j] = to_complex(a) * unit ** (j - k)
+    coeff_lists = []
     for i in range(N):
         kexp = unit * to_complex(spec.exponents[i])
         d = lam[i]
-
-        def image(p: Poly) -> Poly:
-            parts = shifted_derivative_powers(QuasiExp(kexp, p), len(cleared) - 1)
-            total = Poly()
-            for k, cnum in enumerate(cleared):
-                total = total + cnum * parts[k]
-            return total
-
-        rhs_poly = image(Poly([0.0] * d + [1.0 + 0j]))
-        cols = [image(Poly([0.0] * (d - j) + [1.0 + 0j])) for j in range(1, d + 1)]
-        rows = max([rhs_poly.degree] + [c.degree for c in cols if not c.is_zero()] + [0]) + 1
-        A = np.zeros((rows, d), dtype=complex)
-        b = np.zeros(rows, dtype=complex)
-        for r in range(rows):
-            b[r] = -complex(rhs_poly.coeff(r)) if rhs_poly.degree >= r else 0.0
-            for j, cp in enumerate(cols):
-                A[r, j] = complex(cp.coeff(r)) if cp.degree >= r else 0.0
-        if d == 0:
-            resid = float(np.linalg.norm(b))
-            scale = max(1.0, float(np.max(np.abs(b))) if rows else 1.0)
-            if resid > cfg.kernel_tol * max(scale, 1.0) * rows:
-                raise ValueError("no quasi-exponential kernel of prescribed degrees")
-            polys.append(Poly([1.0 + 0j]))
-            continue
+        shift = kexp * np.eye(d + 1) + np.diag(np.arange(1.0, d + 1), 1)
+        powers = [np.eye(d + 1, dtype=complex)]  # (kappa I + D)^k for k = 0..N
+        for _ in range(N):
+            powers.append(shift @ powers[-1])
+        powers = np.array(powers)
+        # column m, row r + j: sum_k c_k[r] times the v^j coefficient of (kappa + d/dv)^k v^m
+        image = np.zeros((width + d, d + 1), dtype=complex)
+        for j in range(d + 1):
+            image[j:j + width] += cleared.T @ powers[:, j, :]
+        nonzero = np.flatnonzero(np.any(image != 0, axis=1))
+        rows = (nonzero[-1] if len(nonzero) else 0) + 1
+        A, b = image[:rows, :d], -image[:rows, d]
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
         resid = float(np.linalg.norm(A @ x - b))
-        scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
+        scale = max(1.0, float(np.max(np.abs(image[:rows]))))
         if resid > cfg.kernel_tol * scale * rows:
             raise ValueError("no quasi-exponential kernel of prescribed degrees")
-        coeffs = [complex(x[d - 1 - j]) * unit ** (d - j) for j in range(d)] + [1.0 + 0j]
-        polys.append(Poly(coeffs))
-    return QuasiExpSpace(tuple(to_complex(k) for k in spec.exponents), tuple(polys))
+        coeff_lists.append([complex(x[j]) * unit ** (d - j) for j in range(d)] + [1.0 + 0j])
+    return QuasiExpSpace(tuple(to_complex(k) for k in spec.exponents), tuple(Poly(c) for c in coeff_lists))
 
 
 def spectrum_analysis(op: BetheOperator, cfg: SpectralConfig = None) -> SpectrumReport:

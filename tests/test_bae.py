@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 import warnings
 from fractions import Fraction
@@ -25,6 +26,7 @@ from gaudin.bae import (
     weight_vector,
 )
 from gaudin.betheop import build_bethe_operator
+from gaudin.harness import InstanceConfig
 from gaudin.polynomials import Poly
 from gaudin.scalars import to_complex
 from gaudin.spaces import QuasiExpSpace, char_at_infinity, cleared_operator_polys, membership_test
@@ -161,6 +163,20 @@ def test_root_coordinates_from_space_golden():
     got = sorted(z.real for z in found)
     expect = sorted([(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2])
     assert all(abs(a - b) < 1e-8 for a, b in zip(got, expect))
+
+
+def test_exact_space_root_is_a_newton_solution():
+    """The level-1 root of the exact point of the intersection in
+    fixtures/wronski_n3.json, -1 from its trailing Wronskian, is one of the
+    Bethe solutions the Newton search finds for the same instance."""
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    cfg = InstanceConfig.from_file(fixtures / "wronski_n3.json")
+    t, generic = root_coordinates_from_space(cfg.space)
+    assert generic
+    assert t.levels[1] == (-1,) and t.levels[2] == ()
+    found = [sol.levels[1][0] for sol in newton_solve(cfg.spec, seed=2024)]
+    assert len(found) == 3
+    assert min(abs(z - t.levels[1][0]) for z in found) <= 1e-9
 
 
 def test_trailing_level_degree():

@@ -6,7 +6,8 @@ import pytest
 
 from gaudin.algebra import ModuleSpec
 from gaudin.betheop import build_bethe_operator, exact_sample_points
-from gaudin.spaces import cleared_operator_polys
+from gaudin.polynomials import Poly
+from gaudin.spaces import QuasiExpSpace, cleared_operator_polys
 from gaudin.spectral import (
     SpectralConfig,
     character_to_operator,
@@ -65,15 +66,34 @@ def test_trace_identity_on_characters(golden_op):
             assert abs(G[1](pt) / G[0](pt) - expect) < 1e-9
 
 
+def _scaled_space(X, c):
+    """The functions c^d f(u / c) for f in X: exponents K / c, monic parts c^d p(u / c)."""
+    polys = [Poly([a * c ** (p.degree - j) for j, a in enumerate(p.coeffs)]) for p in X.polys]
+    return QuasiExpSpace(tuple(k / c for k in X.exponents), tuple(polys))
+
+
 def test_kernel_round_trip_random():
-    rng = random.Random(21)
-    spec = ModuleSpec(2, ("0", "1"), ((2, 1), (1, 0)), ("0", "1"), (2, 2))
-    for _ in range(3):
-        X = random_exact_space(2, (F(0), F(1)), (2, 2), rng)
-        Y = kernel_from_operator(cleared_operator_polys(X), spec)
-        for p, q in zip(X.polys, Y.polys):
-            for k in range(max(p.degree, q.degree) + 1):
-                assert abs(complex(p.coeff(k)) - complex(q.coeff(k))) < 1e-10
+    """The kernel of a space's cleared operator is the space, coefficient by
+    coefficient, relative to the largest coefficient of its part; also where
+    the gap unit of the points is 1000 or 1/1000."""
+    cases = [
+        (2, ("0", "1"), ((2, 1), (1, 0)), ("0", "1"), (2, 2), 1),
+        (3, ("0", "1", "2"), ((1,),) * 4, ("0", "1", "2", "3"), (2, 1, 1), 1),
+        # the instances (0, 1/2) and (0, 1) at b = (0, 1), rescaled by 1000 and 1/1000
+        (2, ("0", "1/2000"), ((2, 1), (1, 0)), ("0", "1000"), (2, 2), 1000),
+        (2, ("0", "1000"), ((2, 1), (1, 0)), ("0", "1/1000"), (2, 2), F(1, 1000)),
+    ]
+    for N, K, partitions, b, lam, scale in cases:
+        rng = random.Random(21)
+        spec = ModuleSpec(N, K, partitions, b, lam)
+        for _ in range(3):
+            X = random_exact_space(N, tuple(k * scale for k in spec.exponents), lam, rng)
+            X = _scaled_space(X, scale)
+            Y = kernel_from_operator(cleared_operator_polys(X), spec)
+            for p, q in zip(X.polys, Y.polys):
+                size = max(abs(complex(c)) for c in p.coeffs)
+                for k in range(max(p.degree, q.degree) + 1):
+                    assert abs(complex(p.coeff(k)) - complex(q.coeff(k))) < 1e-12 * size
 
 
 def test_kernel_first_order():
