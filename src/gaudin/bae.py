@@ -9,6 +9,7 @@ one), which keeps the weight function well defined.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
@@ -214,20 +215,30 @@ def _solve(A, b):
 
 
 def damped_newton(X, eqs, tol, max_iter, limit):
-    """Damped Newton from every row of X; returns the rows that converged.
+    """Damped Newton from every row of X; returns (converged rows, stalled count).
 
     A row converges once max|F| is at most tol.  Each row is damped on its
     own: its step, the solution of J step = -F, is halved, at most 25 times,
     until max|F| drops.  A row fails when it cannot move, meets a singular
     step, or its trial points leave |x| <= limit; such trial points are never
-    evaluated.
+    evaluated.  It is retired as stalled when its max|F| is not below
+    ``STALL_RATIO`` times its value ``STALL_WINDOW`` iterations earlier; the
+    second value returned counts those rows.
     """
     X = np.asarray(X, dtype=complex)
     chunks = [
         _newton_chunk(X[at:at + NEWTON_CHUNK].copy(), eqs, tol, max_iter, limit)
         for at in range(0, len(X), NEWTON_CHUNK)
     ]
-    return np.concatenate(chunks) if chunks else X[:0]
+    if not chunks:
+        return X[:0], 0
+    return np.concatenate([found for found, _ in chunks]), sum(stalled for _, stalled in chunks)
+
+
+# The step lengths 2^-k, k < 25, tried longest first in groups of doubling
+# size, so a row that needs many halvings costs a few batched evaluations,
+# not one per halving.
+_DAMPS = np.split(0.5 ** np.arange(25), [1, 2, 4, 8, 16])
 
 
 def _newton_chunk(X, eqs, tol, max_iter, limit):
@@ -236,23 +247,29 @@ def _newton_chunk(X, eqs, tol, max_iter, limit):
         R, inv, ok = eqs.residual(np.where(inside[:, None], Y, 0))
         return ok & inside, [R, inv]
 
-    halvings = 0.5 ** np.arange(25)
     ok, state = evaluate(X)
     active, done = ok, np.zeros(len(X), dtype=bool)
-    for _ in range(max_iter):
+    # history[k % STALL_WINDOW] holds each active row's merit at iteration k
+    history, stalled = np.full((STALL_WINDOW, len(X)), np.inf), 0
+    for k in range(max_iter):
         R, inv = state
-        converged = active & (np.abs(R).max(axis=1) <= tol)
-        done |= converged
-        active &= ~converged
         rows = np.flatnonzero(active)
+        merit = np.abs(R[rows]).max(axis=1)
+        past = history[k % STALL_WINDOW]
+        converged = merit <= tol
+        stall = ~converged & (merit >= STALL_RATIO * past[rows])
+        past[rows] = merit
+        done[rows[converged]] = True
+        stalled += int(stall.sum())
+        keep = ~(converged | stall)
+        active[rows[~keep]] = False
+        rows, merit = rows[keep], merit[keep]
         if not rows.size:
             break
         step, solved = _solve(eqs.jacobian(inv[rows]), -R[rows])
-        merit, moved = np.abs(R[rows]).max(axis=1), np.zeros(len(rows), dtype=bool)
-        # each row takes its longest step that lowers max|F|; the steps are
-        # tried longest first, in groups of doubling size, so a row that needs
-        # many halvings costs a few batched evaluations, not one per halving
-        for damps in np.split(halvings, [1, 2, 4, 8, 16]):
+        moved = np.zeros(len(rows), dtype=bool)
+        # each row takes its longest step that lowers max|F|
+        for damps in _DAMPS:
             trying = np.flatnonzero(solved & ~moved)
             if not trying.size:
                 break
@@ -268,7 +285,7 @@ def _newton_chunk(X, eqs, tol, max_iter, limit):
                 old[take] = new[pick]
             moved[trying[hit]] = True
         active[rows[~moved]] = False
-    return X[done]
+    return X[done], stalled
 
 
 def _orbit(flat, slices):
@@ -281,7 +298,7 @@ class RootSearch(list):
     """The solutions of :func:`newton_solve`, sorted.
 
     ``counters[family]`` records, for each family of starts, how many
-    started, converged and gave a new solution.
+    started, converged, were retired as stalled and gave a new solution.
     """
 
     def __init__(self, solutions, counters):
@@ -293,9 +310,42 @@ class RootSearch(list):
 # gap between the points, and gets at most MAX_ITER Newton steps.
 RESIDUAL_TOL = 1e-12
 MAX_ITER = 100
+# A start whose max|F| has not fallen below STALL_RATIO times its value
+# STALL_WINDOW iterations earlier is retired as stalled.  It sits on a
+# plateau: a real start for real points cannot leave the real line, and with
+# every root far out max|F| stays near the exponent gap.  A window of 10
+# iterations lost roots on N=4 with 4 points.
+STALL_WINDOW = 20
+STALL_RATIO = 0.9
 # Random starts per expected solution: 50 misses small basins at desk scale;
 # 500 is still cheap and has found every generic configuration in practice.
 RANDOM_PER_SOLUTION = 500
+
+
+class _Draws:
+    """Bulk draws from one ``random.Random(seed)``.
+
+    Every 8 bytes of ``randbytes`` give a uniform on [0, 1) as
+    (uint64 >> 11) * 2^-53; normals come from these by Box-Muller and
+    integers by floor.  The standard library's generator spares each pass
+    the 15 ms import of numpy.random.
+    """
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def uniform(self, a, b, shape):
+        words = np.frombuffer(self.rng.randbytes(8 * int(np.prod(shape))), dtype=np.uint64)
+        return a + (b - a) * ((words >> 11) * 2.0 ** -53).reshape(shape)
+
+    def complex_normal(self, scale, shape):
+        """scale * (x + iy) with x and y independent standard normals."""
+        u, v = self.uniform(0.0, 1.0, (2,) + shape)
+        return scale * np.sqrt(-2.0 * np.log1p(-u)) * np.exp(2j * np.pi * v)
+
+    def integers(self, high, size):
+        """size integers drawn uniformly from 0, ..., high - 1."""
+        return self.uniform(0.0, high, size).astype(np.intp)
 
 
 def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) -> list:
@@ -316,7 +366,9 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     N = spec.rank
     upper_sizes = level_profile(spec.weight, N)[1:]
     total = sum(upper_sizes)
-    counters = {family: {"starts": 0, "converged": 0, "new": 0} for family in ("structured", "random")}
+    counters = {
+        family: {"starts": 0, "converged": 0, "stalled": 0, "new": 0} for family in ("structured", "random")
+    }
     if total == 0:
         return RootSearch([root_coordinates(spec, [[] for _ in upper_sizes])], counters)
     expected = len(enumerate_weight_basis(N, spec.size, spec.weight))
@@ -332,12 +384,12 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     radius = max(2.0 * max([abs(z) for z in level0 + exponents] + [1.0]), 1.5 * reach)
     lo = min([b.real for b in level0] + [0.0]) - 1.0
     hi = max([b.real for b in level0] + [1.0]) + 1.0
-    rng = np.random.default_rng(seed)
+    draw = _Draws(seed)
     solutions = []
     known = np.empty((0, total), dtype=complex)  # every reordering of every solution
 
     def uniform(a, b, rows):
-        return rng.uniform(a, b, (rows, total))
+        return draw.uniform(a, b, (rows, total))
 
     def unseen(rows, ys):
         """The rows farther than dedup_tol (max norm) from every y."""
@@ -348,14 +400,14 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     def search(family, X):
         """One batched Newton call; admits the new solutions, returns the converged rows."""
         nonlocal known
-        found = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
+        found, stalled = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
         rows, new = unseen(found[eqs.generic(found, dedup_tol)], known), 0
         while len(rows):
             solutions.append(rows[0])
             orbit = _orbit(rows[0], slices)
             known = np.concatenate([known, orbit])
             rows, new = unseen(rows, orbit), new + 1
-        for key, n in (("starts", len(X)), ("converged", len(found)), ("new", new)):
+        for key, n in (("starts", len(X)), ("converged", len(found)), ("stalled", stalled), ("new", new)):
             counters[family][key] += n
         return found
 
@@ -386,7 +438,7 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     pool = np.empty((0, total), dtype=complex)
     if all(abs(b.imag) <= 1e-12 for b in level0):
         base = structured_seeds()
-        jitter = [rng.normal(0, w, base.shape) + 1j * rng.normal(0, w, base.shape) for w in (0.08, 0.2)]
+        jitter = [draw.complex_normal(w, base.shape) for w in (0.08, 0.2)]
         pool = search("structured", np.concatenate([base, base + jitter[0], base + jitter[1]]))
 
     def random_starts(mode, rows):
@@ -400,11 +452,10 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
         if mode == 3 or not len(pool):
             return uniform(0.0, radius, rows) + 1j * uniform(-radius / 2, radius / 2, rows)
         # recombine a structured find: jitter every root, replace one
-        base = pool[rng.integers(len(pool), size=rows)]
-        jitter = rng.normal(0.0, 0.4, base.shape) + 1j * rng.normal(0.0, 0.4, base.shape)
-        X = base + jitter * (1.0 + np.abs(base))
-        X[np.arange(rows), rng.integers(total, size=rows)] = (
-            rng.uniform(-radius, radius, rows) + 1j * rng.uniform(-radius, radius, rows)
+        base = pool[draw.integers(len(pool), rows)]
+        X = base + draw.complex_normal(0.4, base.shape) * (1.0 + np.abs(base))
+        X[np.arange(rows), draw.integers(total, rows)] = (
+            draw.uniform(-radius, radius, rows) + 1j * draw.uniform(-radius, radius, rows)
         )
         return X
 

@@ -231,7 +231,8 @@ def _refine_eigenpair(T, mu, v, sweeps=4):
 
 
 def _normal_draws(rng: random.Random, count: int) -> list:
-    """count standard normal draws; the stdlib generator, since numpy.random costs a 15 ms import."""
+    """count standard normal draws from the standard library's generator, which
+    the Bethe-root search uses too: no pass loads numpy.random (a 15 ms import)."""
     return [rng.gauss(0.0, 1.0) for _ in range(count)]
 
 

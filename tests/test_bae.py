@@ -9,11 +9,14 @@ import pytest
 
 from gaudin.algebra import ModuleSpec
 from gaudin.bae import (
+    MAX_ITER,
+    RESIDUAL_TOL,
     BetheEquations,
     NonGenericError,
     RootCoordinates,
     _solve,
     bae_residual,
+    damped_newton,
     factorized_values,
     level_profile,
     newton_solve,
@@ -26,7 +29,7 @@ from gaudin.bae import (
     weight_vector,
 )
 from gaudin.betheop import build_bethe_operator
-from gaudin.harness import InstanceConfig
+from gaudin.harness import InstanceConfig, verify_pipeline
 from gaudin.polynomials import Poly
 from gaudin.scalars import to_complex
 from gaudin.spaces import QuasiExpSpace, char_at_infinity, cleared_operator_polys, membership_test
@@ -340,6 +343,51 @@ def test_newton_random_family_completes_real_data():
     assert sols.counters["structured"]["new"] == 9
     assert _families(sols)["random"] == (5000, 1)
     assert len(sols) == 10
+
+
+# The six root configurations (level 1) of the bae-real benchmark instance,
+# COUNT_FAMILY[0], in the order newton_solve sorts them.
+BAE_REAL_ROOTS = [
+    (0.364306186032214, 6.6356938139677855),
+    (0.4340674161016936, 2.4511637921054326),
+    (1.1853654834011367 - 0.327922163677378j, 1.1853654834011367 + 0.327922163677378j),
+    (1.4931912408035408, 6.044153809032066),
+    (2.6830395939556433, 4.316960406044357),
+    (7.603346387577496 - 3.404034602709745j, 7.603346387577496 + 3.404034602709745j),
+]
+
+
+@pytest.mark.parametrize("seed", [2024, *range(1, 10)])
+def test_newton_bae_real_roots_do_not_depend_on_seed(seed):
+    """Retiring stalled starts loses no root of bae-real at any seed."""
+    found = [[complex(z) for z in sol.upper[0]] for sol in newton_solve(make_spec(COUNT_FAMILY[0]), seed=seed)]
+    assert len(found) == len(BAE_REAL_ROOTS)
+    for want in BAE_REAL_ROOTS:
+        tol = 1e-9 * max(abs(w) for w in want)
+        # a conjugate pair's order within the level is set by rounding
+        assert any(all(min(abs(g - w) for g in got) <= tol for w in want) for got in found), want
+
+
+def test_bae_real_reports_stalled_starts():
+    """The fixture count_n2_n4 is the bae-real benchmark instance."""
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    cfg = InstanceConfig.from_file(fixtures / "count_n2_n4.json")
+    counters = verify_pipeline(cfg)["counters"]["newton"]
+    assert counters["structured"]["stalled"] > 0
+    assert all(c["starts"] >= c["converged"] + c["stalled"] for c in counters.values())
+
+
+def test_stall_rule_retires_a_plateau_start():
+    """With both roots about 10^3 radius out (radius 12 for bae-real), max|F|
+    sits near |K_2 - K_1| = 1/2 for more than the stall window, so the start
+    is retired as stalled and returns no root."""
+    eqs = BetheEquations((0, 1, 2, 3), (0, 0.5), (2,))
+    radius = 12.0
+    X = 1e3 * radius * np.array([[-1.28 + 0.98j, 0.91 + 0.03j]])
+    assert abs(np.abs(eqs.residual(X)[0]).max() - 0.5) < 1e-3
+    found, stalled = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
+    assert len(found) == 0
+    assert stalled == 1
 
 
 def test_newton_random_family_alone_for_complex_points():

@@ -367,28 +367,46 @@ print(json.dumps({"loaded": loaded, "code": code, "numpy.random": "numpy.random"
 """
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _verify_footprint(config, tmp_path):
+    """Run one verify pass in a fresh interpreter after importing
+    PACKAGE_IMPORTS; returns its exit code, the modules ``import gaudin``
+    added and whether numpy.random was loaded at the end."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-c", FOOTPRINT, ",".join(sorted(PACKAGE_IMPORTS)), str(config), str(tmp_path / "r.json")]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
 def test_verify_pass_footprint(tmp_path):
     """A verify pass without Bethe roots never loads numpy.random, and
     ``import gaudin`` loads nothing beyond its own modules and what its
     module-level imports load."""
     import ast
 
-    root = Path(__file__).resolve().parent.parent
     imports = set()
-    for path in sorted((root / "src" / "gaudin").glob("*.py")):
+    for path in sorted((ROOT / "src" / "gaudin").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Import):
                 imports |= {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imports.add(node.module)
     assert imports == PACKAGE_IMPORTS
-    config = root / "fixtures" / "exact_n3.json"
+    config = ROOT / "fixtures" / "exact_n3.json"
     assert json.loads(config.read_text())["options"]["run_bae"] is False
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    argv = [sys.executable, "-c", FOOTPRINT, ",".join(sorted(imports)), str(config), str(tmp_path / "r.json")]
-    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    out = json.loads(run.stdout.splitlines()[-1])
+    out = _verify_footprint(config, tmp_path)
     assert out["code"] == 0
     assert not out["numpy.random"]
     assert all(name == "gaudin" or name.startswith("gaudin.") for name in out["loaded"]), out["loaded"]
+
+
+def test_verify_pass_with_bethe_roots_never_loads_numpy_random(tmp_path):
+    """The Newton starts come from the standard library's generator too."""
+    config = ROOT / "fixtures" / "golden_n2.json"
+    assert json.loads(config.read_text()).get("options", {}).get("run_bae", True) is True
+    out = _verify_footprint(config, tmp_path)
+    assert out["code"] == 0
+    assert not out["numpy.random"]
