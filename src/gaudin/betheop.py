@@ -208,7 +208,8 @@ class PolynomialityReport:
 
     degrees: list
     pole_orders: dict  # (i, s) -> observed pole order of B_i at b_s
-    scalar_values: dict  # (i, s) -> leading local coefficient as a scalar
+    polynomial: bool  # the pole polynomial clears every B_i
+    scalar: bool  # no leading local coefficient of a B_i at a b_s is found non-scalar
     indicial_ok: bool
     failures: list = field(default_factory=list)
 
@@ -238,14 +239,14 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
     pole = spec.pole_polynomial()
     failures = []
     pole_orders = {}
-    scalar_values = {}
+    scalar = True
     identity = MatrixPoly.identity(dim)
     pole_block = pole * identity  # A_0
 
     try:
         cleared = op.cleared
     except ValueError as exc:
-        return PolynomialityReport([], {}, {}, False, [str(exc)])
+        return PolynomialityReport([], {}, polynomial=False, scalar=True, indicial_ok=False, failures=[str(exc)])
     degrees = [a.degree for a in cleared]
     for i, d in enumerate(degrees, 1):
         if d > n:
@@ -264,13 +265,9 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
             j = n_s - i
             if not dim:  # every matrix on an empty block is scalar
                 continue
-            c = local[j] if 0 <= j < len(local) else Fraction(0)
-            if c is None:
-                failures.append(
-                    f"leading local coefficient of B_{i} at point {b_s} is not scalar"
-                )
-            else:
-                scalar_values[i, s] = c
+            if 0 <= j < len(local) and local[j] is None:
+                scalar = False
+                failures.append(f"leading local coefficient of B_{i} at point {b_s} is not scalar")
         # on an empty block every matrix identity holds
         if dim and indicial_polynomial(taylors, n_s) != spec.indicial_target(s) * identity:
             indicial_ok = False
@@ -279,7 +276,8 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
     return PolynomialityReport(
         degrees=degrees,
         pole_orders=pole_orders,
-        scalar_values=scalar_values,
+        polynomial=True,
+        scalar=scalar,
         indicial_ok=indicial_ok,
         failures=failures,
     )

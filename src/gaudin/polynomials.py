@@ -6,8 +6,11 @@ complex floats.  Matrix-valued polynomials are ``linalg.MatrixPoly``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+
+import numpy as np
 
 
 class Poly:
@@ -140,29 +143,18 @@ class Poly:
     def derivative(self):
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def shifted(self, b):
-        """Return p(u + b) by repeated synthetic division by (u - b)."""
-        work = list(self.coeffs)
-        out = []
-        while work:
-            carry = work[-1]
-            stages = [carry]
-            for c in reversed(work[:-1]):
-                carry = c + carry * b
-                stages.append(carry)
-            out.append(stages.pop())
-            work = list(reversed(stages))
-        return Poly(out)
-
     def taylor_at(self, b, count=None):
-        """Coefficients of the expansion of p in powers of (u - b)."""
-        shifted = self.shifted(b)
-        coeffs = list(shifted.coeffs)
-        if count is not None:
-            zero = self._zero()
-            coeffs += [zero] * (count - len(coeffs))
-            coeffs = coeffs[:count]
-        return coeffs
+        """The first count (default all) coefficients of p in powers of (u - b).
+
+        With float coefficients the point is taken as complex(b) first, so an
+        exact point shifts a complex polynomial in complex arithmetic.
+        """
+        count = len(self.coeffs) if count is None else count
+        if not self.coeffs:
+            return [self._zero()] * count
+        if any(isinstance(c, (float, complex)) for c in self.coeffs):
+            b = complex(b)
+        return list(taylor_matrix(b, self.degree, count) @ np.array(self.coeffs, dtype=object))
 
     def divmod(self, other):
         """Quotient and remainder; requires invertible leading coefficient."""
@@ -258,13 +250,34 @@ def poly_det(rows) -> Poly:
     return Poly() if total is None else total
 
 
+@lru_cache(maxsize=256, typed=True)
+def taylor_matrix(b, degree: int, count: int) -> np.ndarray:
+    """T[k, j] = C(j, k) b^(j - k) for k < count and j <= degree, read-only and built once.
+
+    T times the coefficients of a polynomial of degree at most ``degree`` is
+    its first ``count`` coefficients in powers of (u - b).  The entries lie in
+    the field of b: exact scalars in an object array, or complex floats.
+    """
+    powers = [b ** 0]
+    for _ in range(degree):
+        powers.append(powers[-1] * b)
+    zero = powers[0] * 0
+    rows = [[math.comb(j, k) * powers[j - k] if j >= k else zero for j in range(degree + 1)] for k in range(count)]
+    t = np.array(rows).reshape(count, degree + 1)
+    t.flags.writeable = False
+    return t
+
+
 @cache
 def falling_product(alpha_count: int) -> Poly:
-    """The polynomial a(a-1)...(a-alpha_count+1) in the variable a, built once per count."""
-    one = Fraction(1)
-    p = Poly([one])
+    """The polynomial a(a-1)...(a-alpha_count+1) in the variable a, built once per count.
+
+    Its int coefficients keep a product with a Taylor coefficient in that
+    coefficient's field, exact or complex.
+    """
+    p = Poly([1])
     for j in range(alpha_count):
-        p = p * Poly([-j * one, one])
+        p = p * Poly([-j, 1])
     return p
 
 
@@ -273,10 +286,11 @@ def indicial_polynomial(taylors, n_s: int):
 
     taylors[i] lists the Taylor coefficients t_{i, j} of G_i at a point where
     G_0 vanishes to order n_s (missing ones are zero); N = len(taylors) - 1.
-    For a scalar operator it is a list of scalars and the result a Poly in a;
-    for an operator on a block it is the Taylor expansion of G_i as a
-    MatrixPoly, whose items are its constant coefficients, and the result a
-    MatrixPoly in a.
+    For a scalar operator it is row i of the Taylor table of ``membership_test``,
+    exact or complex, and the result a Poly in a over the same field; for an
+    operator on a block it is the Taylor expansion of G_i as a MatrixPoly,
+    whose items are its constant coefficients, and the result a MatrixPoly
+    in a.  This is the one indicial formula of both sides.
     """
     N = len(taylors) - 1
     terms = [tc[n_s - i] * falling_product(N - i) for i, tc in enumerate(taylors) if 0 <= n_s - i < len(tc)]

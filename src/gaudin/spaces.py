@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import ModuleSpec, Partition
-from .polynomials import Poly, falling_product, indicial_polynomial, poly_det, poly_gcd
-from .scalars import is_exact, to_complex
+from .polynomials import Poly, falling_product, indicial_polynomial, poly_det, poly_gcd, taylor_matrix
+from .scalars import is_exact
 
 
 class DegenerateSpaceError(ValueError):
@@ -233,23 +235,19 @@ def second_symbol(gs) -> Poly:
 class IndicialData:
     """Indicial polynomial at a point and its root multiset."""
 
-    point: object
     polynomial: Poly
     exponents: tuple | None  # sorted integer roots, or None if not all integral
-    repeated: bool
 
 
 def _integer_roots(poly: Poly, low: int, high: int):
+    """The roots of a nonzero exact poly in [low, high], sorted with multiplicity,
+    or None unless every root is one of them.  The multiplicity at c is the
+    number of leading zero Taylor coefficients at c."""
     roots = []
-    work = poly
-    for cand in range(low, high + 1):
-        c = Fraction(cand)
-        while work.degree > 0 and work(c) == 0:
-            roots.append(cand)
-            work = work.exact_div(Poly([-c, Fraction(1)]))
-    if work.degree > 0:
-        return None, False
-    return tuple(sorted(roots)), len(set(roots)) != len(roots)
+    for c in range(low, high + 1):
+        taylor = poly.taylor_at(Fraction(c))
+        roots += [c] * next(k for k, t in enumerate(taylor) if t != 0)
+    return tuple(roots) if len(roots) == poly.degree else None
 
 
 def expected_exponents(partition: Partition, N: int) -> tuple:
@@ -271,125 +269,83 @@ class MembershipReport:
     checks: list = field(default_factory=list)
     indicial: dict = field(default_factory=dict)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
-
-def _poly_close(a: Poly, b: Poly, tol, floor=1.0) -> bool:
-    if tol is None:
-        return a == b
-    top = max(a.degree, b.degree, 0)
-    scale = max([abs(complex(c)) for c in a.coeffs + b.coeffs] + [floor])
-    for k in range(top + 1):
-        x = complex(a.coeff(k)) if a.degree >= k else 0.0
-        y = complex(b.coeff(k)) if b.degree >= k else 0.0
-        if abs(x - y) > tol * scale:
-            return False
-    return True
-
-
-def _abs_taylor(g: Poly, b, count: int) -> list:
-    """Taylor coefficients of |g| at |b|: entry j bounds the roundoff of g.taylor_at(b)[j]."""
-    mags = Poly([abs(complex(c)) for c in g.coeffs])
-    return mags.taylor_at(abs(complex(to_complex(b))), count)
+def _roundoff(rows, point, count: int) -> np.ndarray:
+    """T(|b|) |G| for the coefficient rows G: entry (i, j) bounds the roundoff
+    of Taylor coefficient j of row i at b."""
+    return np.abs(rows) @ taylor_matrix(abs(point), rows.shape[1] - 1, count).T
 
 
 def membership_test(gs: list, spec: ModuleSpec, tol=None) -> MembershipReport:
     """Does the space with ``gs = cleared_operator_polys(space)`` lie over the
     prescribed points with prescribed exponents?
 
-    Verifies that the monic Wronskian part is exactly the pole polynomial of
-    the spec (so the Wronski map lands on the point dictated by the
-    evaluation points), that the fundamental operator has no finite
-    singularity away from those points, and that the local exponents at
-    each point match the shifted partition.  With ``tol`` the comparisons
-    are numerical and every point is converted to complex once; otherwise
-    they are exact.
+    Every check reads one Taylor table per point b_s: row i holds the
+    coefficients of G_i in powers of (u - b_s), the coefficient rows of gs
+    times ``taylor_matrix`` at b_s taken into the field of the coefficients,
+    exact or complex.  The leading zeros of row 0, counted up to n_s, give
+    the order to which the monic G_0 vanishes at b_s.  The checks:
+
+    - ``wronskian-matches-pole-polynomial``: G_0 is the pole polynomial
+      prod_s (u - b_s)^{n_s}, that is deg G_0 = n and each order is n_s;
+    - ``poles-confined-to-points``: the orders add up to at least deg G_0,
+      so G_0 has no root off the points;
+    - ``indicial-exponents-at-point-s``: G_i vanishes to order n_s - i for
+      i < n_s (regularity), and ``indicial_polynomial`` of the table equals
+      ``spec.indicial_target(s)``, whose roots are the shifted partition.
+
+    A value passes as zero through one rule.  Without ``tol`` it must be
+    exactly zero, and no float is formed.  With ``tol`` it must be at most
+    tol times its roundoff floor: a Taylor coefficient carries the roundoff
+    of the shift, which the table of |G_i| at |b_s| bounds.  That bound is
+    also the floor of the indicial comparison, since with close points both
+    indicial polynomials are tiny and a floor of 1 would accept any.
     """
-    checks = []
-    indicial = {}
-    N = spec.rank
-    n = spec.size
+    N, n = spec.rank, spec.size
     g0 = gs[0]
-    target = spec.pole_polynomial()
+    one = g0.leading ** 0  # 1 in the field of the coefficients
+    width = max(len(g.coeffs) for g in gs)
+    rows = np.array([g.coeffs + (0 * one,) * (width - len(g.coeffs)) for g in gs])
+    falling = np.array([max(abs(c) for c in falling_product(N - i).coeffs) for i in range(N + 1)])
 
-    wr_ok = _poly_close(g0, target, tol)
-    checks.append(
-        MembershipCheck(
-            "wronskian-matches-pole-polynomial",
-            wr_ok,
-            f"got {g0}",
-        )
-    )
+    def zero(values, scale):
+        """Elementwise: values == 0 without tol, |values| <= tol * scale() with it.
 
-    # pole confinement: deflate the Wronskian by the known roots
-    gscale = max([abs(complex(c)) for c in g0.coeffs] + [1.0]) if tol is not None else None
-    work = g0
-    for b, n_s in zip(spec.points, spec.factor_sizes):
-        if tol is not None:
-            b = complex(to_complex(b))
-        for _ in range(n_s):
-            quot, rem = work.divmod(Poly([-b, b * 0 + 1]))
-            rem_small = rem.is_zero() or (
-                tol is not None and abs(complex(rem.coeff(0))) <= tol * gscale
-            )
-            if not rem_small:
-                break
-            work = quot
-    poles_ok = work.degree <= 0
-    checks.append(
-        MembershipCheck(
-            "poles-confined-to-points",
-            poles_ok,
-            "" if poles_ok else "pole outside b",
-        )
-    )
+        The scale is formed only with tol, so an exact operator forms no float.
+        """
+        if tol is None:
+            return values == 0
+        return np.abs(values) <= tol * scale()
 
+    point_checks, indicial, orders = [], {}, []
     for s, (b_s, n_s, part) in enumerate(zip(spec.points, spec.factor_sizes, spec.partitions)):
-        # A complex coefficient times an exact b_s goes through complex(b_s)
-        # anyway; converting once gives the same floats at native speed.
-        shift = b_s if tol is None else complex(to_complex(b_s))
-        taylors = [g.taylor_at(shift, n + 1) if not g.is_zero() else [] for g in gs]
-        # A float Taylor coefficient at b_s carries the roundoff of the shift,
-        # which the same shift applied to |g_i| at |b_s| bounds.  That bound is
-        # the only floor of the indicial comparison: with close points both
-        # indicial polynomials are tiny, and a floor of 1 would accept any.
-        bounds = [_abs_taylor(g, shift, n + 1) for g in gs] if tol is not None else None
-        regular = True
-        for i in range(N + 1):
-            tc = taylors[i]
-            tscale = max([abs(complex(c)) for c in tc] + [1.0]) if tol is not None else None
-            for j in range(min(n_s - i, len(tc))):
-                cj = tc[j]
-                small = (cj == 0) if tol is None else (
-                    abs(complex(cj)) <= tol * max(tscale, bounds[i][j])
-                )
-                if not small:
-                    regular = False
-        chi = indicial_polynomial(taylors, n_s)
-        chi_floor = None if tol is None else sum(
-            bounds[i][n_s - i] * max(abs(c) for c in falling_product(N - i).coeffs)
-            for i, tc in enumerate(taylors) if 0 <= n_s - i < len(tc)
-        )
-        chi_ok = regular and _poly_close(chi, spec.indicial_target(s), tol, chi_floor)
-        exps = expected_exponents(part, N)
-        repeated = False
-        if tol is None and regular and not chi.is_zero():
-            roots, repeated = _integer_roots(chi.monic(), -1, n + N + 2)
-            if repeated:
-                chi_ok = False
-            got = roots
-        else:
-            got = exps if chi_ok else None
-        indicial[s] = IndicialData(
-            point=b_s, polynomial=chi, exponents=got, repeated=repeated
-        )
-        checks.append(
-            MembershipCheck(
-                f"indicial-exponents-at-point-{s}",
-                chi_ok,
-                f"expected exponents {exps}",
-            )
-        )
+        point = b_s * one
+        table = rows @ taylor_matrix(point, width - 1, n + 1).T
+        # with tol, a Taylor coefficient is measured against the largest
+        # entry of its row (at least 1) and its own roundoff bound
+        vanish = zero(table[:, :n_s], lambda: np.maximum(
+            np.abs(table).max(axis=1, keepdims=True).clip(1.0), _roundoff(rows, point, n_s + 1)[:, :n_s]))
+        orders.append(next((j for j in range(n_s) if not vanish[0, j]), n_s))
+        regular = all(vanish[i, :n_s - i].all() for i in range(min(n_s, N + 1)))
 
+        chi = indicial_polynomial(table.tolist(), n_s)
+        # the target in the field of the table: float against float, exact against exact
+        target = Poly(np.array(spec.indicial_target(s).coeffs, dtype=table.dtype).tolist())
+        terms = np.arange(min(n_s, N) + 1)  # the rows i with a term t_{i, n_s - i} in chi
+        chi_ok = regular and bool(zero(np.array((chi - target).coeffs), lambda: max(
+            [abs(c) for c in chi.coeffs + target.coeffs]
+            + [_roundoff(rows, point, n_s + 1)[terms, n_s - terms] @ falling[terms]])).all())
+        exps = expected_exponents(part, N)
+        got = exps if chi_ok else None
+        if tol is None and regular and not chi_ok and not chi.is_zero():
+            got = _integer_roots(chi, -1, n + N + 2)  # the exponents an exact space has instead
+        indicial[s] = IndicialData(polynomial=chi, exponents=got)
+        point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", chi_ok, f"expected exponents {exps}"))
+
+    wr_ok = g0.degree == n == sum(orders)
+    poles_ok = sum(orders) >= g0.degree
+    checks = [
+        MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {g0}"),
+        MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
+    ] + point_checks
     return MembershipReport(ok=all(c.passed for c in checks), checks=checks, indicial=indicial)

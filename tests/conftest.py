@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -5,10 +6,9 @@ import pytest
 
 from gaudin.algebra import ModuleSpec, Partition, build_embedded_module
 from gaudin.betheop import build_bethe_operator
+from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly
 from gaudin.spaces import QuasiExpSpace
-
-np.seterr(all="ignore")
 
 
 def make_spec(data) -> ModuleSpec:
@@ -25,6 +25,20 @@ def random_exact_space(N: int, exponents, lam, rng) -> QuasiExpSpace:
         coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
         polys.append(Poly(coeffs + [Fraction(1)]))
     return QuasiExpSpace(tuple(exponents), tuple(polys))
+
+
+def mutant_operator(op, i, num: MatrixPoly, den: Poly):
+    """A copy of op with B_i replaced by B_i + num / den, over the denominator op.denominator * den."""
+    nums = [a * den for a in op.numerators]
+    nums[i - 1] = nums[i - 1] + num * op.denominator
+    return replace(op, numerators=nums, denominator=op.denominator * den)
+
+
+def unit_matrix(dim, i, j) -> MatrixPoly:
+    """The constant matrix polynomial e_ij on a block of dimension dim."""
+    m = np.zeros((1, dim, dim), dtype=object)
+    m[0, i, j] = 1
+    return MatrixPoly(m)
 
 
 GOLDEN = {"N": 2, "K": ("0", "1"), "partitions": ((1,), (1,)), "b": ("0", "1"), "weight": (1, 1)}

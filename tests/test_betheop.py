@@ -1,8 +1,6 @@
 import pathlib
-from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from gaudin.algebra import EmbeddedModule, ModuleSpec, build_embedded_module
@@ -20,7 +18,7 @@ from gaudin.harness import InstanceConfig
 from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly
 
-from conftest import COUNT_FAMILY, EXACT_FAMILY, make_spec
+from conftest import COUNT_FAMILY, EXACT_FAMILY, make_spec, mutant_operator, unit_matrix
 from oracles import Matrix, constant, full_module_cleared, submatrix, unstacked
 
 F = Fraction
@@ -126,19 +124,6 @@ CHECKS = {
 }
 
 
-def _mutant(op, i, num: MatrixPoly, den: Poly):
-    """A copy of op with B_i replaced by B_i + num / den, over the denominator op.denominator * den."""
-    nums = [a * den for a in op.numerators]
-    nums[i - 1] = nums[i - 1] + num * op.denominator
-    return replace(op, numerators=nums, denominator=op.denominator * den)
-
-
-def _unit(dim, i, j):
-    m = np.zeros((1, dim, dim), dtype=object)
-    m[0, i, j] = 1
-    return MatrixPoly(m)
-
-
 class _LeakyModule(EmbeddedModule):
     """Expresses every vector with an extra coordinate on a member of another weight."""
 
@@ -166,8 +151,8 @@ def _hidden_mutant_case(checks, golden_op):
     at every point a sampled check would use."""
     spec = golden_op.spec
     q = Poly.from_roots(exact_sample_points(spec.points, 5))
-    X = _unit(golden_op.dim, 0, 1)
-    mutant = _mutant(golden_op, 2, q * X, spec.pole_polynomial())
+    X = unit_matrix(golden_op.dim, 0, 1)
+    mutant = mutant_operator(golden_op, 2, q * X, spec.pole_polynomial())
     for pt in exact_sample_points(spec.points, 5):
         assert mutant.block_evaluate(2, pt) == golden_op.block_evaluate(2, pt)
     assert not checks["commutativity"](mutant)
@@ -177,7 +162,7 @@ def _hidden_mutant_case(checks, golden_op):
 
 def _pole_mutant_case(checks, golden_op):
     """B_1 + I/(u - 7) cannot be cleared by the pole polynomial."""
-    mutant = _mutant(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(-7), F(1)]))
+    mutant = mutant_operator(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(-7), F(1)]))
     for name in ("first-coefficient", "commutativity", "weight-blocks", "leading-symbol", "polynomiality"):
         assert not checks[name](mutant), name
 
@@ -186,7 +171,7 @@ def _shifted_first_coefficient_case(checks, golden_op):
     """B_1 + I: still a cleared, commuting, scalar-shifted operator, but
     B_1 is no longer -sum_i (K_i + e_ii(u)) and its constant term at
     infinity moves."""
-    mutant = _mutant(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(1)]))
+    mutant = mutant_operator(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(1)]))
     assert checks["commutativity"](mutant) and checks["polynomiality"](mutant)
     assert not checks["first-coefficient"](mutant)
     assert not checks["leading-symbol"](mutant)
@@ -253,7 +238,7 @@ def test_block_array_is_kept_per_operator(golden_op):
     first = golden_op.block_array(1, pt)
     assert golden_op.block_array(1, pt) is first
     assert not first.flags.writeable
-    shifted = _mutant(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(1)]))  # B_1 + I
+    shifted = mutant_operator(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(1)]))  # B_1 + I
     own = shifted.block_array(1, pt)
     assert own is not first
     assert (own == shifted.block_evaluate(1, pt).to_complex(1)[0]).all()

@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gaudin import spaces
+from gaudin import harness, spaces
 from gaudin.betheop import BetheOperator
 from gaudin.cli import main
+from gaudin.linalg import MatrixPoly
 from gaudin.harness import (
     ConfigError,
     InstanceConfig,
@@ -21,7 +23,7 @@ from gaudin.harness import (
     wronski_pipeline,
 )
 
-from conftest import JORDAN
+from conftest import JORDAN, mutant_operator, unit_matrix
 
 GOLDEN = {
     "N": 2,
@@ -154,6 +156,28 @@ def test_block_values_are_shared_by_every_solution(monkeypatch):
     spec = cfg.spec
     assert len(calls) == spec.rank * (spec.size + 2)
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        # B_1 + I/(u - 7): the pole polynomial cannot clear B_1
+        (lambda op: mutant_operator(op, 1, MatrixPoly.identity(op.dim), spaces.Poly([Fraction(-7), Fraction(1)])),
+         "cleared-coefficients-polynomial"),
+        # B_1 + e_01/(u - b_0): cleared, but the residue of B_1 at b_0 is not a scalar matrix
+        (lambda op: mutant_operator(op, 1, unit_matrix(op.dim, 0, 1), spaces.Poly([Fraction(0), Fraction(1)])),
+         "local-values-scalar"),
+    ],
+    ids=["pole-off-points", "non-scalar-residue"],
+)
+def test_spectrum_pipeline_fails_the_local_structure_checks(monkeypatch, mutate, failing):
+    """Each mutant of the golden operator fails its local-structure check in
+    the report, and only that one of the two."""
+    build = harness.build_bethe_operator
+    monkeypatch.setattr(harness, "build_bethe_operator", lambda spec, module=None: mutate(build(spec, module)))
+    out = spectrum_pipeline(InstanceConfig.from_dict(GOLDEN))
+    passed = {c.name: c.passed for c in out["checks"]}
+    assert {name for name in ("cleared-coefficients-polynomial", "local-values-scalar") if not passed[name]} == {failing}
 
 
 def test_wronski_pipeline_requires_space():

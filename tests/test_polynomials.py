@@ -53,7 +53,7 @@ def test_divmod_exactness():
 
 def test_shift_and_taylor():
     p = P(0, 0, 1)  # u^2
-    assert p.shifted(F(1)) == P(1, 2, 1)
+    assert Poly(p.taylor_at(F(1))) == P(1, 2, 1)  # p(u + 1)
     assert p.taylor_at(F(3), 4) == [F(9), F(6), F(1), F(0)]
 
 
@@ -71,8 +71,8 @@ exact_points = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.lists(small_complex, min_size=1, max_size=7), exact_points)
 def test_float_taylor_shift_by_exact_point_is_the_complex_shift(coeffs, b):
-    """Shifting complex coefficients by an exact point converts the point to
-    complex at every product, so converting it once gives the same bits."""
+    """Complex coefficients are shifted by complex(b) even when b is exact,
+    so an exact point gives the same bits as its complex value."""
     p = Poly(coeffs)
     by_exact, by_complex = p.taylor_at(b, 8), p.taylor_at(complex(b), 8)
     assert [_bits(complex(c)) for c in by_exact] == [_bits(complex(c)) for c in by_complex]

@@ -178,6 +178,42 @@ def test_membership_wrong_cell_fails():
     assert any("indicial" in name for name in failed)
 
 
+# Two vector factors at 0 and 1 (P = u^2 - u), and one factor of cell (1,1) at 0 (P = u^2).
+TWO_POINTS = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
+CELL_AT_ZERO = ModuleSpec(2, ("0", "1"), ((1, 1),), ("0",), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "spec, gs, verdicts",
+    [
+        # G_0 = P, and G_1 = -(G_0' + G_0) gives both indicial polynomials
+        (TWO_POINTS, [P(0, -1, 1), P(1, -1, -1), P(0, 1)], [True, True, True, True]),
+        # G_0 = P (u + 1): a pole at -1, where G_0'(0) still fits the point 0
+        (TWO_POINTS, [P(0, -1, 0, 1), P(1, -1, -1), P(0, 1)], [False, False, True, False]),
+        # G_0 = u^2 (u - 1): the double root at 0 counts once, n_s = 1 there
+        (TWO_POINTS, [P(0, 0, -1, 1), P(1, -1, -1), P(0, 1)], [False, False, False, True]),
+        # span{u, e^u u} with G_1 + 1: G_1 no longer vanishes at 0, where n_s = 2
+        (CELL_AT_ZERO, [P(0, 0, 1), P(1, -2, -1), P(2, 1)], [True, True, False]),
+    ],
+    ids=["pole-polynomial", "root-off-the-points", "double-root-at-a-vector-point", "irregular-G1"],
+)
+def test_membership_verdicts_agree_exact_and_float(spec, gs, verdicts):
+    """The exact rule and the float rule give the same verdict on every check."""
+    floats = [Poly([complex(c) for c in g.coeffs]) for g in gs]
+    for report in (membership_test(gs, spec), membership_test(floats, spec, tol=1e-6)):
+        assert [c.passed for c in report.checks] == verdicts
+
+
+def test_membership_at_a_point_beyond_float_range():
+    """An exact space compares exactly: a point of 10^400 has no float, and the test passes."""
+    b = F(10) ** 400
+    X = QuasiExpSpace((F(3),), (P(-b, 1),))
+    spec = ModuleSpec(1, ("3",), ((1,),), (str(b),), (1,))
+    report = membership_test(cleared_operator_polys(X), spec)
+    assert report.ok
+    assert report.indicial[0].exponents == (1,)
+
+
 def test_exponent_sum_fuchs_count():
     """Sum of exponents at b_s minus N(N-1)/2 equals the local multiplicity."""
     cases = [
