@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
-from math import comb
 
 import numpy as np
 
@@ -470,71 +469,40 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     return RootSearch(sorted(out, key=lambda t: t.sorted_key()), counters)
 
 
-def _jet_mul(a, b, depth):
-    out = [0j] * depth
-    for i, x in enumerate(a):
-        if i >= depth:
-            break
-        for j, y in enumerate(b):
-            if i + j >= depth:
-                break
-            out[i + j] += x * y
-    return out
+def factorized_values(t: RootCoordinates, exponents, points) -> np.ndarray:
+    """[h_1, ..., h_N] of the factorized operator at every point, stably.
 
-
-def _jet_diff(a):
-    return [(m + 1) * a[m + 1] for m in range(len(a) - 1)] + [0j]
-
-
-def factorized_values(t: RootCoordinates, exponents, point) -> list:
-    """[h_1(point), ..., h_N(point)] of the factorized operator, stably.
-
-    Represents every local factor by the Taylor jet of its coefficient at
-    the point (directly from the pole sums, so no cancellation) and composes
-    the jets; this sidesteps the degree blow-up of symbolic composition in
-    floating point.
+    (d - chi_1) ... (d - chi_N) = d^N + h_1 d^(N-1) + ... + h_N, with
+    chi_a = K_a + sum_j 1/(u - t^(a-1)_j) - sum_j 1/(u - t^(a)_j).  Every
+    coefficient c_k is kept as its Taylor jet of length N at each point,
+    read straight from the pole sums, so nothing cancels.  The factors are
+    applied from the right, (d - chi) sum c_k d^k = sum (c_k' + c_(k-1) -
+    chi c_k) d^k; each of the N - 1 derivatives costs one jet entry.
+    Returns a complex array of shape (points, N).
     """
     N = len(exponents)
-    depth = N + 1
-    levels = [[complex(to_complex(x)) for x in level] for level in t.levels] + [[]]
-    point = complex(to_complex(point))
+    z = np.array([to_complex(p) for p in points], dtype=complex)[:, None, None]
+    m = np.arange(N)
+    sign = (-1.0) ** m
 
-    def chi_jet(a):
-        jet = [0j] * depth
-        jet[0] = complex(to_complex(exponents[a - 1]))
-        for x in levels[a - 1]:
-            d = point - x
-            for m in range(depth):
-                jet[m] += (-1) ** m / d ** (m + 1)
-        for x in levels[a]:
-            d = point - x
-            for m in range(depth):
-                jet[m] -= (-1) ** m / d ** (m + 1)
-        return jet
+    def poles(level):
+        """Taylor jets of sum_x 1/(u - x) at every point: (-1)^m / (z - x)^(m+1)."""
+        x = np.array([to_complex(v) for v in level], dtype=complex)
+        return (sign * (1 / (z - x[:, None])) ** (m + 1)).sum(axis=1)
 
-    one = [0j] * depth
-    one[0] = 1.0 + 0j
-    # operator as {power of d/du: coefficient jet}
-    op = {1: list(one), 0: [-c for c in chi_jet(1)]}
-    for a in range(2, N + 1):
-        factor = {1: list(one), 0: [-c for c in chi_jet(a)]}
-        new = {}
-        for i, ca in op.items():
-            for j, cb in factor.items():
-                der = cb
-                for r in range(i + 1):
-                    term = _jet_mul(ca, der, depth)
-                    if r > 0:
-                        term = [comb(i, r) * x for x in term]
-                    k = i + j - r
-                    if k in new:
-                        new[k] = [x + y for x, y in zip(new[k], term)]
-                    else:
-                        new[k] = term
-                    if r < i:
-                        der = _jet_diff(der)
-        op = new
-    return [op[N - i][0] for i in range(1, N + 1)]
+    levels = list(t.levels) + [()]
+    c = np.zeros((len(z), N + 1, N), dtype=complex)  # [point, power of d, jet entry]
+    c[:, 0, 0] = 1.0
+    for a in range(N, 0, -1):
+        chi = poles(levels[a - 1]) - poles(levels[a])
+        chi[:, 0] += to_complex(exponents[a - 1])
+        out = np.zeros_like(c)
+        out[:, :, :-1] = c[:, :, 1:] * m[1:]  # c_k'
+        out[:, 1:] += c[:, :-1]  # c_(k-1)
+        for i in range(N):  # chi c_k, the jet product truncated at length N
+            out[:, :, i:] -= chi[:, None, i, None] * c[:, :, :N - i]
+        c = out
+    return c[:, N - 1::-1, 0]
 
 
 def root_coordinates_from_space(space: QuasiExpSpace, tol: float = 1e-9):
@@ -569,13 +537,13 @@ def weight_function_counts(t: RootCoordinates, rank: int, counts) -> dict:
 
     omega = sum over admissible J of omega_J e_J, where omega_J sums over
     tuples of bijections beta_i from S_i(J) = {s : j_s > i} onto level i,
-    the product over s in S(J) of
+    i = 1..N-1, the product over slots s of one chain of simple poles
 
-        1/(t^(1)_{beta_1(s)} - t^(0)_s)
-          * prod_{i=2..j_s-1} 1/(t^(i)_{beta_i(s)} - t^(i-1)_{beta_{i-1}(s)}).
+        prod_{i=1..j_s-1} 1/(t^(i)_{beta_i(s)} - t^(i-1)_{beta_{i-1}(s)}),
 
-    The product range ends at j_s - 1 per tensor slot; each factor is a
-    simple pole between consecutive levels, j_s - 1 factors in total.
+    with beta_0(s) = s, so the first link is the pole to the point of slot s.
+    The tuples are one product of the permutations of every upper level.
+    Exact scalars give exact values.
     """
     N = rank
     n = sum(counts)
@@ -584,30 +552,22 @@ def weight_function_counts(t: RootCoordinates, rank: int, counts) -> dict:
     for a in range(N):
         if len(levels[a]) != profile[a]:
             raise ValueError(f"level {a} should carry {profile[a]} roots")
+    choices = list(product(*(permutations(range(size)) for size in profile[1:])))
     out = {}
     for J in enumerate_indices(N, n, counts):
-        s_sets = {i: [s for s in range(1, n + 1) if J[s - 1] > i] for i in range(1, N)}
-        total = None
-        for beta in _bijection_tuples(s_sets, profile):
-            term = None
-            for s in range(1, n + 1):
-                js = J[s - 1]
-                if js == 1:
-                    continue
-                d = levels[1][beta[1][s]] - levels[0][s - 1]
-                if d == 0:
-                    raise NonGenericError("non-generic configuration")
-                factor = 1 / d
-                for i in range(2, js):
+        slots = [[s for s in range(n) if J[s] > i] for i in range(1, N)]
+        total = 0
+        for choice in choices:
+            beta = [range(n)] + [dict(zip(members, perm)) for members, perm in zip(slots, choice)]
+            term = 1
+            for s, js in enumerate(J):
+                for i in range(1, js):
                     d = levels[i][beta[i][s]] - levels[i - 1][beta[i - 1][s]]
                     if d == 0:
                         raise NonGenericError("non-generic configuration")
-                    factor = factor * (1 / d)
-                term = factor if term is None else term * factor
-            if term is None:
-                term = 1
-            total = term if total is None else total + term
-        out[J] = total if total is not None else 0
+                    term = term * (1 / d)
+            total = total + term
+        out[J] = total
     return out
 
 
@@ -616,28 +576,6 @@ def weight_function(t: RootCoordinates, spec: ModuleSpec) -> dict:
     if not spec.all_vector_factors:
         raise ValueError("weight function needs distinct simple points (all sizes one)")
     return weight_function_counts(t, spec.rank, spec.weight.padded(spec.rank))
-
-
-def _bijection_tuples(s_sets, profile):
-    """All tuples of bijections beta_i : S_i -> {0..l_i-1}."""
-    levels = sorted(s_sets)
-    choices = []
-    for i in levels:
-        members = s_sets[i]
-        perms = list(permutations(range(profile[i]))) if members else [()]
-        choices.append((i, members, perms))
-
-    def rec(k, current):
-        if k == len(choices):
-            yield dict(current)
-            return
-        i, members, perms = choices[k]
-        for perm in perms:
-            current[i] = {s: perm[idx] for idx, s in enumerate(members)}
-            yield from rec(k + 1, current)
-        current.pop(i, None)
-
-    yield from rec(0, {})
 
 
 def weight_vector(t: RootCoordinates, spec: ModuleSpec) -> np.ndarray:
@@ -652,7 +590,7 @@ class EigenvectorReport:
     residual: float
     passed: bool
     failures: list = field(default_factory=list)
-    values: dict = field(default_factory=dict)  # point -> factorized [h_1, ..., h_N]
+    values: np.ndarray = None  # factorized [h_1, ..., h_N], one row per eigenvector point
 
 
 def eigenvector_points(spec: ModuleSpec) -> list:
@@ -669,21 +607,21 @@ def verify_eigenvector(
     """Check that the weight function at the roots is a joint eigenvector.
 
     The predicted eigenvalues are the coefficients of the factorized
-    operator at the roots, evaluated at the :func:`eigenvector_points`; the
-    report carries them and the worst relative residual over coefficients
-    and points.  The block values B_i there come from
-    ``bethe_op.block_array``, so every solution checked against one
-    operator shares them.
+    operator at the roots, evaluated at the :func:`eigenvector_points` by
+    one :func:`factorized_values` call; the report carries them, in that
+    order, and the worst relative residual over coefficients and points.
+    The block values B_i there come from ``bethe_op.block_array``, so every
+    solution checked against one operator shares them.
     """
-    exponents = [to_complex(k) for k in spec.exponents]
-    values = {pt: factorized_values(t, exponents, pt) for pt in eigenvector_points(spec)}
+    points = eigenvector_points(spec)
+    values = factorized_values(t, spec.exponents, points)
     omega = weight_vector(t, spec)
     norm = float(np.linalg.norm(omega))
     if norm == 0:
         return EigenvectorReport(float("inf"), False, ["zero vector"], values)
     worst = 0.0
     failures = []
-    for pt, hvals in values.items():
+    for pt, hvals in zip(points, values):
         for i in range(1, spec.rank + 1):
             m = bethe_op.block_array(i, pt)
             resid = float(np.linalg.norm(m @ omega - hvals[i - 1] * omega)) / norm

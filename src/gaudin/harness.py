@@ -327,28 +327,24 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     # every character's [h_1, ..., h_N] at the points the eigenvector check uses
     den_c = spec.complex_pole_polynomial()
     zs = [complex(pt) for pt in eigenvector_points(spec)]
-    char_values = [[ch.values(z, den_c(z)) for z in zs] for ch in characters]
-    used = set()
+    char_values = np.array([[ch.values(z, den_c(z)) for z in zs] for ch in characters], dtype=complex)
+    char_values = char_values.reshape(-1, len(zs), spec.rank)  # (characters, points, N), also for none
+    char_scale = np.maximum(np.abs(char_values), 1.0)
+    taken = np.zeros(len(characters), dtype=bool)
     for sol in sols:
         res = bae_residual(
             type(sol)([tuple(to_complex(x) for x in lv) for lv in sol.levels]), exponents
         )
         res_norm = max((abs(r) for r in res), default=0.0)
-        # match against the characters at the points the eigenvector check used
-        ev = verify_eigenvector(sol, spec, op, tol=config.tolerances.kernel_fit * 10)
-        best, best_dist = None, float("inf")
-        for k, predicted in enumerate(char_values):
-            if k in used:
-                continue
-            worst = 0.0
-            for values, hcs in zip(ev.values.values(), predicted):
-                for h, hc in zip(values, hcs):
-                    worst = max(worst, abs(h - hc) / max(abs(hc), 1.0))
-            if worst < best_dist:
-                best, best_dist = k, worst
-        matched = best is not None and best_dist <= 1e-8
-        if matched:
-            used.add(best)
+        ev = verify_eigenvector(sol, spec, op, tol=tol.kernel_fit * 10)
+        # the nearest still-free character, in the worst relative distance over points and coefficients
+        free = np.flatnonzero(~taken)
+        dist = (np.abs(ev.values - char_values[free]) / char_scale[free]).max(axis=(1, 2))
+        best = best_dist = None
+        if free.size:
+            k = np.argmin(dist)
+            best, best_dist = int(free[k]), float(dist[k])
+            taken[best] = best_dist <= tol.kernel_fit
         entries.append(
             {
                 "roots": [[_complex_pair(x) for x in lv] for lv in sol.upper],
@@ -356,7 +352,7 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
                 "eigenvector_residual": ev.residual,
                 "eigenvector_ok": ev.passed,
                 "matched_character": best,
-                "match_distance": None if best is None else best_dist,
+                "match_distance": best_dist,
             }
         )
     # the search accepts residuals in units of the smallest gap between the points
@@ -366,7 +362,7 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     checks.append(
         Check(
             "factorized-operators-match-characters",
-            len(used) == len(entries) == len(characters),
+            int(taken.sum()) == len(entries) == len(characters),
         )
     )
     return {

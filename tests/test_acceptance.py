@@ -111,7 +111,7 @@ def test_criterion_4_golden_instance(golden_op):
         numers = []
         for i in (1, 2):
             samples = [
-                (complex(pt), factorized_values(sol, exps, pt)[i - 1]) for pt in pts
+                (complex(pt), factorized_values(sol, exps, [pt])[0][i - 1]) for pt in pts
             ]
             rec = rational_reconstruct(samples, spec.size, den, tol=1e-8)
             numers.append([complex(rec.coeff(k)) for k in range(spec.size + 1)])

@@ -108,15 +108,25 @@ def test_factorized_operator_rank_one():
         assert _h(D, 1, pt) == -(3 + 1 / pt + 1 / (pt - 2))
 
 
-def test_factorized_values_match_exact_composition():
-    t = RootCoordinates([(F(0), F(1), F(2)), (F(5), F(7)), (F(3),)])
-    K = (F(0), F(1), F(5, 2))
+@pytest.mark.parametrize(
+    "levels, K, points",
+    [
+        ([(0, 1, 2), (5, 7), (3,)], (0, 1, F(5, 2)), (9, F(1, 2))),
+        ([(0, 1, 2, 3), (5, 7, -2), (F(3, 2), 9), (F(11, 3),)], (0, 1, F(5, 2), F(9, 2)), (13, F(1, 2), -5)),
+    ],
+    ids=["n3", "n4"],
+)
+def test_factorized_values_match_exact_composition(levels, K, points):
+    t = RootCoordinates([tuple(F(x) for x in level) for level in levels])
+    K = tuple(F(k) for k in K)
+    points = [F(pt) for pt in points]
     D = factorized_operator(t, K)
-    for pt in (F(9), F(1, 2)):
-        values = factorized_values(t, K, pt)
-        for i in (1, 2, 3):
+    values = factorized_values(t, K, points)
+    assert values.shape == (len(points), len(K))
+    for pt, row in zip(points, values):
+        for i in range(1, len(K) + 1):
             exact = _h(D, i, pt)
-            assert abs(complex(exact) - values[i - 1]) <= 1e-9 * max(1, abs(complex(exact)))
+            assert abs(complex(exact) - row[i - 1]) <= 1e-9 * max(1, abs(complex(exact)))
 
 
 def test_factorized_char_at_infinity():
@@ -202,6 +212,20 @@ def test_weight_function_worked_example_exact():
         assert got[(1, 3)] == expect_13
 
 
+def test_weight_function_two_roots_on_one_level_exact():
+    """With two roots on level 1 each omega_J sums over both bijections."""
+    spec = ModuleSpec(2, ("0", "1/2"), ((1,),) * 4, ("0", "1", "3", "7"), (2, 2))
+    t1, t2 = F(5, 2), F(-4, 3)
+    t = root_coordinates(spec, [[t1, t2]])
+    b = t.levels[0]
+    vals = weight_function(t, spec)
+    assert len(vals) == 6
+    for J, value in vals.items():
+        s1, s2 = [s for s, j in enumerate(J) if j == 2]
+        expect = 1 / ((t1 - b[s1]) * (t2 - b[s2])) + 1 / ((t2 - b[s1]) * (t1 - b[s2]))
+        assert value == expect
+
+
 def test_weight_function_golden_shape():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
     t = root_coordinates(spec, [[F(5)]])
@@ -225,8 +249,8 @@ def test_weight_function_permutation_invariance():
     v1, v2 = weight_vector(t1, spec), weight_vector(t2, spec)
     assert np.allclose(v1, v2)
     for pt in (9.0, 11.0):
-        x1 = factorized_values(t1, [0.0, 0.5], pt)
-        x2 = factorized_values(t2, [0.0, 0.5], pt)
+        x1 = factorized_values(t1, [0.0, 0.5], [pt])[0]
+        x2 = factorized_values(t2, [0.0, 0.5], [pt])[0]
         assert np.allclose(x1, x2)
 
 

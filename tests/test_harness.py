@@ -362,6 +362,18 @@ def test_bae_without_wronski():
     assert [s["matched_character"] for s in out["bae"]] in ([0, 1], [1, 0])
 
 
+def test_match_tolerance_comes_from_the_config():
+    """A Bethe solution matches a character only within tolerances.kernel_fit."""
+    data = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json").read_text())
+    out = verify_pipeline(InstanceConfig.from_dict(data))
+    assert all(c.passed for c in out["checks"])
+    closest = min(s["match_distance"] for s in out["bae"])
+    assert closest > 0
+    data["options"]["tolerances"] = {"kernel_fit": closest / 2}
+    verdicts = {c.name: c.passed for c in verify_pipeline(InstanceConfig.from_dict(data))["checks"]}
+    assert verdicts["factorized-operators-match-characters"] is False
+
+
 def test_cli_table_output(tmp_path, capsys):
     cfg_path = tmp_path / "golden.json"
     cfg_path.write_text(json.dumps(GOLDEN))

@@ -3,11 +3,14 @@
 The substitution u = c*v maps the instance (K, b) to the equivalent instance
 (cK, b/c), so `gaudin spectrum` must give both the same check verdicts and
 the same number of characters, and `gaudin verify` the same verdicts and the
-same number of Bethe-root solutions.
+same number of Bethe-root solutions.  Reordering the tensor factors, that
+is permuting b together with the partitions, must not change them either.
 """
 
 import functools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +183,29 @@ def test_kernel_recovery_invariant_under_scaling(c):
     assert len(matched) == 7
     for Y in analysis.kernels:
         assert min(_relative_distance(Y, Z) for Z in scaled) <= 1e-9
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def fixture_data(name):
+    return json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def reordered_verdicts(name, order):
+    """Verdicts and counts of `verify` with the tensor factors taken in this order."""
+    data = fixture_data(name)
+    for key in ("b", "partitions"):
+        data[key] = [data[key][s] for s in order]
+    out = verify_pipeline(InstanceConfig.from_dict(data))
+    verdicts = [(check.name, bool(check.passed)) for check in out["checks"]]
+    return verdicts, len(out["characters"]), len(out.get("bae", []))
+
+
+@pytest.mark.parametrize("name", ["golden_n2", "count_n2_n4", "mixed_cells", "hook_n3"])
+@pytest.mark.parametrize("how", ["reversed", "rotated"])
+def test_verify_invariant_under_reordering(name, how):
+    identity = tuple(range(len(fixture_data(name)["b"])))
+    order = identity[::-1] if how == "reversed" else identity[1:] + identity[:1]
+    assert reordered_verdicts(name, order) == reordered_verdicts(name, identity)
