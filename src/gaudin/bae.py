@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 
 from .algebra import ModuleSpec, Partition, enumerate_indices, enumerate_weight_basis
-from .betheop import exact_sample_points
+from .betheop import eigenvector_points
 from .polynomials import poly_det
 from .scalars import to_complex
 from .spaces import QuasiExpSpace
@@ -122,7 +122,7 @@ def bae_residual(t: RootCoordinates, exponents) -> list:
 
 
 # Starts per batched Newton pass.  The working arrays hold chunk x (coupled
-# pairs) entries, up to 9 times that while damping, so a fixed chunk keeps
+# pairs) entries, under twice that while damping, so a fixed chunk keeps
 # memory flat in the number of starts.
 NEWTON_CHUNK = 256
 
@@ -214,15 +214,19 @@ def _solve(A, b):
 
 
 def damped_newton(X, eqs, tol, max_iter, limit):
-    """Damped Newton from every row of X; returns (converged rows, stalled count).
+    """Damped Newton from every row of X; returns (converged rows, stalled count, evaluations).
 
     A row converges once max|F| is at most tol.  Each row is damped on its
-    own: its step, the solution of J step = -F, is halved, at most 25 times,
-    until max|F| drops.  A row fails when it cannot move, meets a singular
-    step, or its trial points leave |x| <= limit; such trial points are never
+    own: it takes the longest step 2^-k s, k < 25, that lowers max|F|, where
+    s solves J s = -F.  The rows run in chunks of ``NEWTON_CHUNK``; within a
+    chunk one batched evaluation tries, for every row still without a step,
+    its next ceil(NEWTON_CHUNK / rows) step lengths, so a lone row tries all
+    25 at once.  A row fails when it cannot move, meets a singular step, or
+    its trial points leave |x| <= limit; such trial points are never
     evaluated.  It is retired as stalled when its max|F| is not below
-    ``STALL_RATIO`` times its value ``STALL_WINDOW`` iterations earlier; the
-    second value returned counts those rows.
+    ``STALL_RATIO`` times its value ``STALL_WINDOW`` iterations earlier.  The
+    second value returned counts those rows, the third the batched residual
+    evaluations.
     """
     X = np.asarray(X, dtype=complex)
     chunks = [
@@ -230,18 +234,25 @@ def damped_newton(X, eqs, tol, max_iter, limit):
         for at in range(0, len(X), NEWTON_CHUNK)
     ]
     if not chunks:
-        return X[:0], 0
-    return np.concatenate([found for found, _ in chunks]), sum(stalled for _, stalled in chunks)
+        return X[:0], 0, 0
+    found, stalled, evaluations = zip(*chunks)
+    return np.concatenate(found), sum(stalled), sum(evaluations)
 
 
-# The step lengths 2^-k, k < 25, tried longest first in groups of doubling
-# size, so a row that needs many halvings costs a few batched evaluations,
-# not one per halving.
-_DAMPS = np.split(0.5 ** np.arange(25), [1, 2, 4, 8, 16])
+# The step lengths 2^-k, k < 25, tried longest first.  Each damping
+# evaluation gives every row still without a step its next
+# ceil(NEWTON_CHUNK / rows) of them, fewer than 2 NEWTON_CHUNK trial points
+# in all, so a few rows cost one evaluation per iteration, not one per group
+# of halvings.
+_DAMPS = 0.5 ** np.arange(25)
 
 
 def _newton_chunk(X, eqs, tol, max_iter, limit):
+    evaluations = 0
+
     def evaluate(Y):
+        nonlocal evaluations
+        evaluations += 1
         inside = np.all(np.abs(Y) <= limit, axis=1)
         R, inv, ok = eqs.residual(np.where(inside[:, None], Y, 0))
         return ok & inside, [R, inv]
@@ -267,11 +278,16 @@ def _newton_chunk(X, eqs, tol, max_iter, limit):
             break
         step, solved = _solve(eqs.jacobian(inv[rows]), -R[rows])
         moved = np.zeros(len(rows), dtype=bool)
-        # each row takes its longest step that lowers max|F|
-        for damps in _DAMPS:
+        # each row takes its longest step that lowers max|F|; any split of
+        # _DAMPS into consecutive groups picks the same one
+        tried = 0
+        while tried < len(_DAMPS):
             trying = np.flatnonzero(solved & ~moved)
             if not trying.size:
                 break
+            width = -(-NEWTON_CHUNK // trying.size)  # ceil(NEWTON_CHUNK / rows)
+            damps = _DAMPS[tried:tried + width]
+            tried += len(damps)
             Y = (X[rows[trying], None, :] + damps[:, None] * step[trying, None, :]).reshape(-1, X.shape[1])
             ok, trial = evaluate(Y)
             lower = np.abs(trial[0]).max(axis=1) < np.repeat(merit[trying], len(damps))
@@ -284,7 +300,7 @@ def _newton_chunk(X, eqs, tol, max_iter, limit):
                 old[take] = new[pick]
             moved[trying[hit]] = True
         active[rows[~moved]] = False
-    return X[done], stalled
+    return X[done], stalled, evaluations
 
 
 def _orbit(flat, slices):
@@ -297,7 +313,8 @@ class RootSearch(list):
     """The solutions of :func:`newton_solve`, sorted.
 
     ``counters[family]`` records, for each family of starts, how many
-    started, converged, were retired as stalled and gave a new solution.
+    started, converged, were retired as stalled and gave a new solution,
+    and how many batched residual evaluations the search made.
     """
 
     def __init__(self, solutions, counters):
@@ -366,7 +383,8 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     upper_sizes = level_profile(spec.weight, N)[1:]
     total = sum(upper_sizes)
     counters = {
-        family: {"starts": 0, "converged": 0, "stalled": 0, "new": 0} for family in ("structured", "random")
+        family: {"starts": 0, "converged": 0, "stalled": 0, "new": 0, "evaluations": 0}
+        for family in ("structured", "random")
     }
     if total == 0:
         return RootSearch([root_coordinates(spec, [[] for _ in upper_sizes])], counters)
@@ -399,14 +417,15 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     def search(family, X):
         """One batched Newton call; admits the new solutions, returns the converged rows."""
         nonlocal known
-        found, stalled = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
+        found, stalled, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
         rows, new = unseen(found[eqs.generic(found, dedup_tol)], known), 0
         while len(rows):
             solutions.append(rows[0])
             orbit = _orbit(rows[0], slices)
             known = np.concatenate([known, orbit])
             rows, new = unseen(rows, orbit), new + 1
-        for key, n in (("starts", len(X)), ("converged", len(found)), ("stalled", stalled), ("new", new)):
+        for key, n in (("starts", len(X)), ("converged", len(found)), ("stalled", stalled), ("new", new),
+                       ("evaluations", evaluations)):
             counters[family][key] += n
         return found
 
@@ -543,7 +562,8 @@ def weight_function_counts(t: RootCoordinates, rank: int, counts) -> dict:
 
     with beta_0(s) = s, so the first link is the pole to the point of slot s.
     The tuples are one product of the permutations of every upper level.
-    Exact scalars give exact values.
+    Exact scalars give exact values; when an upper root is a float, the
+    points are converted to complex once, not in every first link.
     """
     N = rank
     n = sum(counts)
@@ -552,6 +572,8 @@ def weight_function_counts(t: RootCoordinates, rank: int, counts) -> dict:
     for a in range(N):
         if len(levels[a]) != profile[a]:
             raise ValueError(f"level {a} should carry {profile[a]} roots")
+    if any(isinstance(x, (float, complex)) for level in levels[1:] for x in level):
+        levels = (tuple(to_complex(b) for b in levels[0]),) + levels[1:]
     choices = list(product(*(permutations(range(size)) for size in profile[1:])))
     out = {}
     for J in enumerate_indices(N, n, counts):
@@ -593,11 +615,6 @@ class EigenvectorReport:
     values: np.ndarray = None  # factorized [h_1, ..., h_N], one row per eigenvector point
 
 
-def eigenvector_points(spec: ModuleSpec) -> list:
-    """The n + 2 integer points from 13 off the poles where eigenvalues are compared."""
-    return exact_sample_points(spec.points, spec.size + 2, start=13)
-
-
 def verify_eigenvector(
     t: RootCoordinates,
     spec: ModuleSpec,
@@ -609,9 +626,12 @@ def verify_eigenvector(
     The predicted eigenvalues are the coefficients of the factorized
     operator at the roots, evaluated at the :func:`eigenvector_points` by
     one :func:`factorized_values` call; the report carries them, in that
-    order, and the worst relative residual over coefficients and points.
-    The block values B_i there come from ``bethe_op.block_array``, so every
-    solution checked against one operator shares them.
+    order, and the worst relative residual
+    ||B_i omega - h_i omega|| / (||omega|| max(1, ||B_i||)) over points and
+    coefficients.  The block values and their norms are the operator's
+    ``eigenvector_blocks``, shared by every solution checked against it, so
+    the residuals at every point and coefficient are one stacked product.
+    A residual that is not at most tol, NaN included, is a failure.
     """
     points = eigenvector_points(spec)
     values = factorized_values(t, spec.exponents, points)
@@ -619,14 +639,12 @@ def verify_eigenvector(
     norm = float(np.linalg.norm(omega))
     if norm == 0:
         return EigenvectorReport(float("inf"), False, ["zero vector"], values)
-    worst = 0.0
-    failures = []
-    for pt, hvals in zip(points, values):
-        for i in range(1, spec.rank + 1):
-            m = bethe_op.block_array(i, pt)
-            resid = float(np.linalg.norm(m @ omega - hvals[i - 1] * omega)) / norm
-            rel = resid / max(1.0, float(np.linalg.norm(m)))
-            worst = max(worst, rel)
-            if rel > tol:
-                failures.append(f"coefficient {i} at point {pt}: residual {rel:.3e}")
-    return EigenvectorReport(worst, not failures, failures, values)
+    B, scales = bethe_op.eigenvector_blocks
+    rel = np.linalg.norm(B @ omega - values[..., None] * omega, axis=-1) / norm / scales
+    failures = [
+        f"coefficient {i} at point {pt}: residual {r:.3e}"
+        for pt, row in zip(points, rel)
+        for i, r in enumerate(row, 1)
+        if not r <= tol
+    ]
+    return EigenvectorReport(float(rel.max()), not failures, failures, values)

@@ -44,9 +44,6 @@ class BetheOperator:
     module: EmbeddedModule
     numerators: list  # N_1 .. N_N, MatrixPolys on the weight-lam block
     denominator: Poly  # scalar, P1^N from the build
-    # (i, point) -> block_evaluate(i, point) as a complex array; not an init
-    # field, so an operator made by ``dataclasses.replace`` starts empty
-    _block_arrays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -77,14 +74,31 @@ class BetheOperator:
         """Exact value of B_i on the target weight block at a point off the poles, as a constant."""
         return self.cleared[i - 1](point) * (1 / self.spec.pole_polynomial()(point))
 
-    def block_array(self, i: int, point) -> np.ndarray:
-        """``block_evaluate(i, point)`` as a read-only complex array, evaluated once per (i, point)."""
-        key = (i, point)
-        if key not in self._block_arrays:
-            arr = self.block_evaluate(i, point).to_complex(1)[0]
-            arr.flags.writeable = False
-            self._block_arrays[key] = arr
-        return self._block_arrays[key]
+    @cached_property
+    def eigenvector_blocks(self) -> tuple:
+        """(B, scales): every B_i at the :func:`eigenvector_points`, as read-only arrays.
+
+        B[p, i - 1] is ``block_evaluate(i, points[p])`` as a complex matrix,
+        so B has shape (points, N, dim, dim), and scales[p, i - 1] is
+        max(1, ||B[p, i - 1]||) in the Frobenius norm.  Both are computed
+        once per operator; like ``cleared``, an operator made by
+        ``dataclasses.replace`` computes its own.
+        """
+        B = np.array(
+            [
+                [self.block_evaluate(i, pt).to_complex(1)[0] for i in range(1, self.rank + 1)]
+                for pt in eigenvector_points(self.spec)
+            ],
+            dtype=complex,
+        )
+        scales = np.maximum(np.linalg.norm(B, axis=(-2, -1)), 1.0)
+        B.flags.writeable = scales.flags.writeable = False
+        return B, scales
+
+
+def eigenvector_points(spec: ModuleSpec) -> list:
+    """The n + 2 integer points from 13 off the poles where eigenvalues are compared."""
+    return exact_sample_points(spec.points, spec.size + 2, start=13)
 
 
 def _cofactors(p1: Poly, points) -> list:

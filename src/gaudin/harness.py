@@ -18,11 +18,12 @@ import numpy as np
 
 from . import __version__
 from .algebra import ModuleSpec, Partition, build_embedded_module
-from .bae import bae_residual, eigenvector_points, gap_unit, newton_solve, verify_eigenvector
+from .bae import bae_residual, gap_unit, newton_solve, verify_eigenvector
 from .betheop import (
     build_bethe_operator,
     check_polynomiality,
     commutativity_check,
+    eigenvector_points,
     expected_leading_symbol,
     first_coefficient_residual,
     leading_symbol,

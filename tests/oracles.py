@@ -601,3 +601,24 @@ def factorized_operator(t, exponents) -> PoleOp:
         factor = PoleOp([-chi, p1], 1, p1)
         out = factor if out is None else out.compose(factor)
     return out
+
+
+def eigenvector_check_loop(op, points, values, omega, tol):
+    """The eigenvector check one (point, coefficient) at a time.
+
+    values[p, i - 1] is the predicted eigenvalue h_i at points[p]; every
+    B_i(point) comes from its own ``op.block_evaluate`` call.  Returns the
+    worst relative residual ||B_i omega - h_i omega|| / (||omega|| max(1, ||B_i||))
+    and the failures above tol, point by point, coefficient by coefficient:
+    the reference for the stacked ``bae.verify_eigenvector``.
+    """
+    norm = np.linalg.norm(omega)
+    worst, failures = 0.0, []
+    for pt, hvals in zip(points, values):
+        for i in range(1, op.rank + 1):
+            m = op.block_evaluate(i, pt).to_complex(1)[0]
+            rel = np.linalg.norm(m @ omega - hvals[i - 1] * omega) / norm / max(1.0, np.linalg.norm(m))
+            worst = max(worst, rel)
+            if rel > tol:
+                failures.append(f"coefficient {i} at point {pt}: residual {rel:.3e}")
+    return worst, failures

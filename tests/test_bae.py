@@ -9,8 +9,11 @@ import pytest
 
 from gaudin.algebra import ModuleSpec
 from gaudin.bae import (
+    _DAMPS,
     MAX_ITER,
+    NEWTON_CHUNK,
     RESIDUAL_TOL,
+    STALL_WINDOW,
     BetheEquations,
     NonGenericError,
     RootCoordinates,
@@ -28,16 +31,17 @@ from gaudin.bae import (
     weight_function_counts,
     weight_vector,
 )
-from gaudin.betheop import build_bethe_operator
+from gaudin.betheop import build_bethe_operator, eigenvector_points
 from gaudin.harness import InstanceConfig, verify_pipeline
 from gaudin.polynomials import Poly
 from gaudin.scalars import to_complex
 from gaudin.spaces import QuasiExpSpace, char_at_infinity, cleared_operator_polys, membership_test
 
 from conftest import COUNT_FAMILY, GOLDEN, JORDAN, make_spec
-from oracles import factorized_operator
+from oracles import eigenvector_check_loop, factorized_operator
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def P(*coeffs):
@@ -182,8 +186,7 @@ def test_exact_space_root_is_a_newton_solution():
     """The level-1 root of the exact point of the intersection in
     fixtures/wronski_n3.json, -1 from its trailing Wronskian, is one of the
     Bethe solutions the Newton search finds for the same instance."""
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    cfg = InstanceConfig.from_file(fixtures / "wronski_n3.json")
+    cfg = InstanceConfig.from_file(FIXTURES / "wronski_n3.json")
     t, generic = root_coordinates_from_space(cfg.space)
     assert generic
     assert t.levels[1] == (-1,) and t.levels[2] == ()
@@ -270,6 +273,22 @@ def test_verify_eigenvector_negative_control(golden_op):
     report = verify_eigenvector(bad, spec, golden_op, tol=1e-8)
     assert not report.passed
     assert report.residual > 1e-4
+
+
+def test_stacked_eigenvector_check_matches_the_loop(golden_op):
+    """On a true solution and on a perturbed one, the stacked check gives the
+    per-(point, coefficient) loop's worst residual and failure lines."""
+    spec = golden_op.spec
+    sol = newton_solve(spec, seed=2024)[0]
+    bad = root_coordinates(spec, [[to_complex(sol.upper[0][0]) + 0.1]])
+    for t, passed in ((sol, True), (bad, False)):
+        report = verify_eigenvector(t, spec, golden_op, tol=1e-8)
+        points = eigenvector_points(spec)
+        worst, failures = eigenvector_check_loop(golden_op, points, report.values, weight_vector(t, spec), 1e-8)
+        assert report.passed is passed
+        assert report.residual == pytest.approx(worst, rel=1e-12)
+        assert report.failures == failures
+        assert bool(failures) is not passed
 
 
 def test_integral_gap_instance_has_non_generic_point():
@@ -392,26 +411,83 @@ def test_newton_bae_real_roots_do_not_depend_on_seed(seed):
         assert any(all(min(abs(g - w) for g in got) <= tol for w in want) for got in found), want
 
 
+def _pinned(counters) -> dict:
+    """(starts, converged, stalled, new) of every family of Newton starts."""
+    return {family: tuple(c[key] for key in ("starts", "converged", "stalled", "new")) for family, c in counters.items()}
+
+
 def test_bae_real_reports_stalled_starts():
     """The fixture count_n2_n4 is the bae-real benchmark instance."""
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    cfg = InstanceConfig.from_file(fixtures / "count_n2_n4.json")
+    cfg = InstanceConfig.from_file(FIXTURES / "count_n2_n4.json")
     counters = verify_pipeline(cfg)["counters"]["newton"]
     assert counters["structured"]["stalled"] > 0
     assert all(c["starts"] >= c["converged"] + c["stalled"] for c in counters.values())
+    assert _pinned(counters) == {"structured": (45, 23, 3, 6), "random": (0, 0, 0, 0)}
+    assert {family: c["evaluations"] for family, c in counters.items()} == {"structured": 68, "random": 0}
+
+
+@pytest.mark.parametrize(
+    "name, structured",
+    [("build_n3", (225, 75, 24, 12)), ("golden_n2", (9, 7, 0, 2))],
+)
+def test_newton_counters_of_the_structured_fixtures(name, structured):
+    """Every start takes the same path whatever the batching of its damping."""
+    cfg = InstanceConfig.from_file(FIXTURES / f"{name}.json")
+    counters = verify_pipeline(cfg)["counters"]["newton"]
+    assert _pinned(counters) == {"structured": structured, "random": (0, 0, 0, 0)}
+
+
+# the bae-real equations in units of the gap, its start radius, and a start
+# with both roots about 10^3 radius out
+BAE_REAL_EQUATIONS = ((0, 1, 2, 3), (0, 0.5), (2,))
+BAE_REAL_RADIUS = 12.0
+PLATEAU_START = 1e3 * BAE_REAL_RADIUS * np.array([[-1.28 + 0.98j, 0.91 + 0.03j]])
 
 
 def test_stall_rule_retires_a_plateau_start():
-    """With both roots about 10^3 radius out (radius 12 for bae-real), max|F|
-    sits near |K_2 - K_1| = 1/2 for more than the stall window, so the start
-    is retired as stalled and returns no root."""
-    eqs = BetheEquations((0, 1, 2, 3), (0, 0.5), (2,))
-    radius = 12.0
-    X = 1e3 * radius * np.array([[-1.28 + 0.98j, 0.91 + 0.03j]])
+    """From the plateau start max|F| sits near |K_2 - K_1| = 1/2 for more
+    than the stall window, so the start is retired as stalled and returns no
+    root."""
+    eqs = BetheEquations(*BAE_REAL_EQUATIONS)
+    X = PLATEAU_START
     assert abs(np.abs(eqs.residual(X)[0]).max() - 0.5) < 1e-3
-    found, stalled = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
+    found, stalled, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * BAE_REAL_RADIUS)
     assert len(found) == 0
     assert stalled == 1
+    assert evaluations == 1 + STALL_WINDOW  # the start, then one per iteration until the stall
+
+
+class _RecordingEquations(BetheEquations):
+    """BetheEquations that record the rows of every residual evaluation."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.batches = []
+
+    def residual(self, X):
+        self.batches.append(len(X))
+        return super().residual(X)
+
+
+@pytest.mark.parametrize("iterations", [1, 3, 6])
+def test_a_lone_start_makes_one_evaluation_per_iteration(iterations):
+    """A lone row tries every step length in one batched evaluation.  The
+    plateau start needs a halved step in each of these iterations and is
+    still searching after them."""
+    eqs = _RecordingEquations(*BAE_REAL_EQUATIONS)
+    found, stalled, evaluations = damped_newton(PLATEAU_START, eqs, RESIDUAL_TOL, iterations, 1e6 * BAE_REAL_RADIUS)
+    assert len(found) == stalled == 0
+    assert eqs.batches == [1] + [len(_DAMPS)] * iterations
+    assert evaluations == len(eqs.batches)
+
+
+def test_damping_batches_stay_under_two_chunks():
+    eqs = _RecordingEquations(*BAE_REAL_EQUATIONS)
+    X = _random_rows(np.random.default_rng(7), 300, 2) * BAE_REAL_RADIUS
+    found, _, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * BAE_REAL_RADIUS)
+    assert len(found)
+    assert evaluations == len(eqs.batches)
+    assert max(eqs.batches) <= 2 * NEWTON_CHUNK - 1
 
 
 def test_newton_random_family_alone_for_complex_points():
@@ -419,6 +495,7 @@ def test_newton_random_family_alone_for_complex_points():
     sols = newton_solve(spec, seed=2024)
     assert _families(sols) == {"structured": (0, 0), "random": (3000, 6)}
     assert all(c["new"] <= c["converged"] <= c["starts"] for c in sols.counters.values())
+    assert _pinned(sols.counters) == {"structured": (0, 0, 0, 0), "random": (3000, 2538, 113, 6)}
 
 
 @pytest.mark.xfail(

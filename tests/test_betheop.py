@@ -1,6 +1,7 @@
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gaudin.algebra import EmbeddedModule, ModuleSpec, build_embedded_module
@@ -8,6 +9,7 @@ from gaudin.betheop import (
     build_bethe_operator,
     check_polynomiality,
     commutativity_check,
+    eigenvector_points,
     exact_sample_points,
     expected_leading_symbol,
     first_coefficient_residual,
@@ -231,19 +233,25 @@ def test_block_evaluate_matches_full_evaluation(exact_family_ops):
                 assert constant(op.block_evaluate(i, pt)) == submatrix(value, idx, idx)
 
 
-def test_block_array_is_kept_per_operator(golden_op):
-    """block_array evaluates once per (i, point), read-only; an operator made by
-    ``dataclasses.replace`` after that evaluates its own values."""
-    pt = exact_sample_points(golden_op.spec.points, 1, start=13)[0]
-    first = golden_op.block_array(1, pt)
-    assert golden_op.block_array(1, pt) is first
-    assert not first.flags.writeable
+def test_eigenvector_blocks_are_kept_per_operator(golden_op):
+    """eigenvector_blocks evaluates once per operator, read-only; an operator
+    made by ``dataclasses.replace`` after that evaluates its own values."""
+    first, scales = golden_op.eigenvector_blocks
+    points = eigenvector_points(golden_op.spec)
+    assert first.shape == (len(points), golden_op.rank, golden_op.dim, golden_op.dim)
+    assert golden_op.eigenvector_blocks[0] is first
+    assert not first.flags.writeable and not scales.flags.writeable
+    for p, pt in enumerate(points):
+        for i in range(1, golden_op.rank + 1):
+            block = golden_op.block_evaluate(i, pt).to_complex(1)[0]
+            assert (first[p, i - 1] == block).all()
+            assert scales[p, i - 1] == pytest.approx(max(1.0, np.linalg.norm(block)), rel=1e-14)
     shifted = mutant_operator(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([F(1)]))  # B_1 + I
-    own = shifted.block_array(1, pt)
+    own = shifted.eigenvector_blocks[0]
     assert own is not first
-    assert (own == shifted.block_evaluate(1, pt).to_complex(1)[0]).all()
-    assert not (own == first).all()
-    assert golden_op.block_array(1, pt) is first
+    assert np.allclose(own[:, 0], first[:, 0] + np.eye(golden_op.dim), rtol=0, atol=1e-14)
+    assert (own[:, 1:] == first[:, 1:]).all()
+    assert golden_op.eigenvector_blocks[0] is first
 
 
 def test_cleared_equals_reduced_product(exact_family_ops):
