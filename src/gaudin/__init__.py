@@ -38,7 +38,7 @@ from .spaces import (
     wronskian_of_space,
 )
 from .spectral import (
-    SpectralConfig,
+    Tolerances,
     character_to_operator,
     joint_diagonalize,
     kernel_from_operator,
@@ -52,7 +52,7 @@ __all__ = [
     "Poly",
     "QuasiExpSpace",
     "RootCoordinates",
-    "SpectralConfig",
+    "Tolerances",
     "bae_residual",
     "build_bethe_operator",
     "build_embedded_module",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm, prod
@@ -155,8 +155,9 @@ def weight_of_index(J, N):
     return tuple(counts)
 
 
-def enumerate_indices(N: int, n: int, counts) -> list:
-    """Index tuples with the given letter counts, in lexicographic order.
+@lru_cache(maxsize=256)
+def enumerate_indices(N: int, n: int, counts: tuple) -> tuple:
+    """Index tuples with the given letter counts, in lexicographic order, built once per (N, n, counts).
 
     Any non-negative count vector is allowed; weight subspaces exist for
     every weight, not only for partitions.
@@ -181,10 +182,10 @@ def enumerate_indices(N: int, n: int, counts) -> list:
                 counts[i] += 1
 
     rec([])
-    return out
+    return tuple(out)
 
 
-def enumerate_weight_basis(N: int, n: int, lam) -> list:
+def enumerate_weight_basis(N: int, n: int, lam) -> tuple:
     """All index tuples of weight lam in lexicographic order.
 
     The count is the multinomial n! / prod(lam_i!).

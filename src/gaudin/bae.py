@@ -547,8 +547,8 @@ def root_coordinates_from_space(space: QuasiExpSpace, tol: float = 1e-9):
     return t, t.is_generic(tol=tol)
 
 
-def weight_function_counts(t: RootCoordinates, rank: int, counts) -> dict:
-    """The universal weight function as coordinates on a weight basis.
+def weight_function(t: RootCoordinates, rank: int, counts) -> list:
+    """The universal weight function omega at the roots, in ``enumerate_indices`` order.
 
     Works for any non-negative weight vector, not only partitions; the
     level profile is l_a = counts_{a+1} + ... + counts_N, level 0 of t must
@@ -564,6 +564,7 @@ def weight_function_counts(t: RootCoordinates, rank: int, counts) -> dict:
     The tuples are one product of the permutations of every upper level.
     Exact scalars give exact values; when an upper root is a float, the
     points are converted to complex once, not in every first link.
+    Entry k is omega_J for J = enumerate_indices(rank, n, counts)[k].
     """
     N = rank
     n = sum(counts)
@@ -575,8 +576,8 @@ def weight_function_counts(t: RootCoordinates, rank: int, counts) -> dict:
     if any(isinstance(x, (float, complex)) for level in levels[1:] for x in level):
         levels = (tuple(to_complex(b) for b in levels[0]),) + levels[1:]
     choices = list(product(*(permutations(range(size)) for size in profile[1:])))
-    out = {}
-    for J in enumerate_indices(N, n, counts):
+    out = []
+    for J in enumerate_indices(N, n, tuple(counts)):
         slots = [[s for s in range(n) if J[s] > i] for i in range(1, N)]
         total = 0
         for choice in choices:
@@ -589,22 +590,8 @@ def weight_function_counts(t: RootCoordinates, rank: int, counts) -> dict:
                         raise NonGenericError("non-generic configuration")
                     term = term * (1 / d)
             total = total + term
-        out[J] = total
+        out.append(total)
     return out
-
-
-def weight_function(t: RootCoordinates, spec: ModuleSpec) -> dict:
-    """Weight function on the target weight subspace of a vector-factor spec."""
-    if not spec.all_vector_factors:
-        raise ValueError("weight function needs distinct simple points (all sizes one)")
-    return weight_function_counts(t, spec.rank, spec.weight.padded(spec.rank))
-
-
-def weight_vector(t: RootCoordinates, spec: ModuleSpec) -> np.ndarray:
-    """Dense coordinates of the weight function on the lex weight basis."""
-    values = weight_function(t, spec)
-    basis = enumerate_weight_basis(spec.rank, spec.size, spec.weight)
-    return np.array([to_complex(values[J]) for J in basis], dtype=complex)
 
 
 @dataclass
@@ -631,11 +618,15 @@ def verify_eigenvector(
     coefficients.  The block values and their norms are the operator's
     ``eigenvector_blocks``, shared by every solution checked against it, so
     the residuals at every point and coefficient are one stacked product.
-    A residual that is not at most tol, NaN included, is a failure.
+    A residual that is not at most tol, NaN included, is a failure.  The
+    spec must have vector factors only: omega's order, ``enumerate_indices``
+    of the weight, is then the order of the block's members.
     """
+    if not spec.all_vector_factors:
+        raise ValueError("weight function needs distinct simple points (all sizes one)")
     points = eigenvector_points(spec)
     values = factorized_values(t, spec.exponents, points)
-    omega = weight_vector(t, spec)
+    omega = np.array([to_complex(w) for w in weight_function(t, spec.rank, spec.weight.padded(spec.rank))])
     norm = float(np.linalg.norm(omega))
     if norm == 0:
         return EigenvectorReport(float("inf"), False, ["zero vector"], values)

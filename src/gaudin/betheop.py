@@ -12,7 +12,7 @@ pole sits at an evaluation point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -96,9 +96,10 @@ class BetheOperator:
         return B, scales
 
 
-def eigenvector_points(spec: ModuleSpec) -> list:
-    """The n + 2 integer points from 13 off the poles where eigenvalues are compared."""
-    return exact_sample_points(spec.points, spec.size + 2, start=13)
+@lru_cache(maxsize=256)
+def eigenvector_points(spec: ModuleSpec) -> tuple:
+    """The n + 2 integer points from 13 off the poles where eigenvalues are compared, built once per spec."""
+    return tuple(exact_sample_points(spec.points, spec.size + 2, start=13))
 
 
 def _cofactors(p1: Poly, points) -> list:

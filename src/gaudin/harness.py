@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +32,7 @@ from .betheop import (
 from .polynomials import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar, to_complex
 from .spaces import QuasiExpSpace, fundamental_operator, membership_test, operator_text, wronskian_of_space
-from .spectral import SpectralConfig, joint_diagonalize, spectrum_analysis
+from .spectral import Tolerances, joint_diagonalize, spectrum_analysis
 
 
 class ConfigError(ValueError):
@@ -41,7 +41,7 @@ class ConfigError(ValueError):
 
 CONFIG_KEYS = ("N", "K", "b", "partitions", "weight", "space", "options")
 OPTION_KEYS = ("seed", "run_bae", "run_wronski", "tolerances")
-TOLERANCE_KEYS = ("residual", "cluster", "dedup", "kernel_fit")
+TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
 
 def _reject_unknown(d: dict, known, kind: str):
@@ -87,27 +87,19 @@ def parse_seed(value) -> int:
 
 
 def parse_tolerance(key: str, value) -> float:
-    """A tolerance from the config or the command line; with inf or nan every comparison passes."""
+    """A tolerance from the config or the command line; inf, nan or true (read as 1.0) would pass any fit."""
+    if isinstance(value, bool):
+        raise ConfigError(f"tolerance {key!r} must be a number, got {value!r}")
     return _parsed(f"tolerance {key!r}", float, value, lambda t: t > 0 and math.isfinite(t),
                    "finite and positive")
 
 
-@dataclass
-class Tolerances:
-    residual: float = 1e-9
-    cluster: float = 1e-7
-    dedup: float = 1e-8
-    kernel_fit: float = 1e-8
-
-    @staticmethod
-    def from_dict(d):
-        if not isinstance(d, dict):
-            raise ConfigError("tolerances must be an object")
-        _reject_unknown(d, TOLERANCE_KEYS, "tolerance")
-        t = Tolerances()
-        for key, value in d.items():
-            setattr(t, key, parse_tolerance(key, value))
-        return t
+def parse_tolerances(d) -> Tolerances:
+    """The config's ``tolerances`` object; a key left out keeps its default."""
+    if not isinstance(d, dict):
+        raise ConfigError("tolerances must be an object")
+    _reject_unknown(d, TOLERANCE_KEYS, "tolerance")
+    return Tolerances(**{key: parse_tolerance(key, value) for key, value in d.items()})
 
 
 @dataclass
@@ -156,7 +148,7 @@ class InstanceConfig:
             run_bae=_json_bool(options.get("run_bae", True), "run_bae"),
             run_wronski=_json_bool(options.get("run_wronski", True), "run_wronski"),
             seed=parse_seed(_json_int(options.get("seed", 2024), "seed")),
-            tolerances=Tolerances.from_dict(options.get("tolerances", {})),
+            tolerances=parse_tolerances(options.get("tolerances", {})),
             space=space,
             raw=data,
         )
@@ -169,14 +161,6 @@ class InstanceConfig:
             except ValueError as exc:
                 raise ConfigError(f"invalid JSON: {exc}") from exc
         return InstanceConfig.from_dict(data)
-
-    def spectral_config(self) -> SpectralConfig:
-        return SpectralConfig(
-            residual_tol=self.tolerances.residual,
-            cluster_tol=self.tolerances.cluster,
-            kernel_tol=self.tolerances.kernel_fit,
-            seed=self.seed,
-        )
 
 
 @dataclass
@@ -235,12 +219,11 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
     checks.append(Check("commutativity", commutativity_check(op)))
     checks.append(Check("weight-blocks-preserved", weight_blocks_preserved(op)))
 
-    scfg = config.spectral_config()
     try:
         if config.run_wronski:
-            report = spectrum_analysis(op, scfg)
+            report = spectrum_analysis(op, config.tolerances, config.seed)
         else:
-            report = joint_diagonalize(op, scfg)
+            report = joint_diagonalize(op, config.tolerances, config.seed)
     except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
         # a numerical failure, or an operator the pole polynomial cannot
         # clear, fails this stage; the report is still written

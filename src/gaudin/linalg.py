@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .polynomials import Poly
+from .polynomials import Poly, taylor_matrix
 from .scalars import GaussianRational
 
 # An int64 array holds entries below this in absolute value, so that a sum
@@ -92,6 +93,16 @@ def _scalars(values, shape):
         im[:] = [(i or 0) * (den // d) for _, i, d in parts]
         im = _canonical(im.reshape(shape))
     return _canonical(re.reshape(shape)), im, den
+
+
+@lru_cache(maxsize=256, typed=True)
+def _taylor_scalars(b, degree: int, count: int):
+    """``taylor_matrix(b, degree, count)`` as read-only integer arrays (re, im, den), converted once."""
+    re, im, den = _scalars(taylor_matrix(b, degree, count).flat, (count, degree + 1))
+    re.flags.writeable = False
+    if im is not None:
+        im.flags.writeable = False
+    return re, im, den
 
 
 def _lincomb(pairs):
@@ -159,31 +170,6 @@ def _padded(a, length):
 def _floats(a, den) -> np.ndarray:
     """The quotients a / den, each correctly rounded (as Python's int / int)."""
     return (a.astype(object) / den).astype(float)
-
-
-def _taylor_matrix(b, degree: int, count: int):
-    """Integer arrays (re, im, den) of T[k, j] = C(j, k) b^(j - k), for k < count and j <= degree.
-
-    With b = beta / q, T[k, j] = C(j, k) beta^(j - k) q^(degree - j + k) / q^degree.
-    """
-    parts = _split(b)
-    if parts is None:
-        raise TypeError("exact point expected")
-    br, bi, q = parts
-    bi = bi or 0
-    powers = [(1, 0)]
-    for _ in range(degree):
-        r, i = powers[-1]
-        powers.append((r * br - i * bi, r * bi + i * br))
-    re = np.zeros((count, degree + 1), dtype=object)
-    im = np.zeros((count, degree + 1), dtype=object) if bi else None
-    for k in range(min(count, degree + 1)):
-        for j in range(k, degree + 1):
-            c = math.comb(j, k) * q ** (degree - j + k)
-            re[k, j] = c * powers[j - k][0]
-            if im is not None:
-                im[k, j] = c * powers[j - k][1]
-    return _canonical(re), _canonical(im) if im is not None else None, q**degree
 
 
 def _banded(values, rows: int, cols: int):
@@ -349,10 +335,17 @@ class MatrixPoly:
         return self._transformed(t, None, 1)
 
     def taylor_at(self, b, count: int) -> MatrixPoly:
-        """The first count coefficients of the expansion in powers of (u - b), as a polynomial."""
+        """The first count coefficients of the expansion in powers of (u - b), by the table ``taylor_matrix``.
+
+        The table is cut from the one with max(degree + 1, count) columns, so
+        every polynomial expanded at b to count terms, and the membership
+        test, share one table.
+        """
         if self.is_zero():
             return self
-        return self._transformed(*_taylor_matrix(b, self.degree, count))
+        cols = self.degree + 1
+        re, im, den = _taylor_scalars(b, max(cols, count) - 1, count)
+        return self._transformed(re[:, :cols], im[:, :cols] if im is not None else None, den)
 
     def __call__(self, x) -> MatrixPoly:
         """The value at an exact point, as a constant."""

@@ -25,8 +25,9 @@ class Poly:
         self.coeffs = tuple(coeffs)
 
     @staticmethod
-    def from_roots(roots, one=Fraction(1)):
+    def from_roots(roots):
         """Monic polynomial with the given roots."""
+        one = Fraction(1)
         p = Poly([one])
         for r in roots:
             p = p * Poly([-r * one, one])

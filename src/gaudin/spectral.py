@@ -22,18 +22,20 @@ import numpy as np
 
 from .algebra import ModuleSpec
 from .bae import gap_unit
-from .betheop import BetheOperator, exact_sample_points
+from .betheop import BetheOperator, eigenvector_points
 from .polynomials import Poly
 from .scalars import to_complex
 from .spaces import QuasiExpSpace, cleared_operator_polys, membership_test
 
 
 @dataclass
-class SpectralConfig:
-    residual_tol: float = 1e-9
-    cluster_tol: float = 1e-7
-    kernel_tol: float = 1e-8
-    seed: int = 2024
+class Tolerances:
+    """The float tolerances of a run: the config's ``tolerances`` object, parsed by ``harness``."""
+
+    residual: float = 1e-9
+    cluster: float = 1e-7
+    dedup: float = 1e-8
+    kernel_fit: float = 1e-8
 
 
 # fresh random combinations tried before joint diagonalization gives up
@@ -101,20 +103,20 @@ def _cluster_margin(eigvals, clusters):
     return best
 
 
-def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> SpectrumReport:
+def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 2024) -> SpectrumReport:
     """One EigenCharacter per joint eigenvector of the block coefficients.
 
     A generic real combination of the coefficient matrices C_ij, each scaled
     to unit norm, is diagonalized; its coefficients are standard normal
-    draws of ``random.Random(cfg.seed)``.  The scaling makes the
+    draws of ``random.Random(seed)``.  The scaling makes the
     combination the same for the rescaled instance (cK, b/c), whose C_ij
     differ only by powers of c.  Clusters within tolerance are refined and verified
     against every C_ij.  Clusters whose eigenspace is smaller than their
     multiplicity are flagged (the action is then not diagonalizable) and
     reported through generalized eigenspace generators.  Characters are
-    sorted by (h_1, h_N) at the first integer point from 13 off the poles.
+    sorted by (h_1, h_N) at the first of the :func:`eigenvector_points`.
     """
-    cfg = cfg or SpectralConfig()
+    tol = tol or Tolerances()
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
     if dim == 0:
@@ -122,15 +124,15 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
     mats = _block_coefficient_matrices(op)
     units = [m / np.linalg.norm(m) for row in mats for m in row if np.any(m)]
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     ambiguous, best = 0, np.inf  # why the combinations tried so far failed
     for attempt in range(MAX_RETRIES):
         coeffs = _normal_draws(rng, len(units))
         T = sum(c * u for c, u in zip(coeffs, units))
         eigvals, eigvecs = np.linalg.eig(T)
         tscale = max(np.linalg.norm(T), 1.0)
-        clusters = _cluster(eigvals, cfg.cluster_tol * tscale)
-        if len(clusters) > 1 and _cluster_margin(eigvals, clusters) <= 10 * cfg.cluster_tol * tscale:
+        clusters = _cluster(eigvals, tol.cluster * tscale)
+        if len(clusters) > 1 and _cluster_margin(eigvals, clusters) <= 10 * tol.cluster * tscale:
             ambiguous += 1
             continue  # ambiguous clustering: fresh combination
         characters = []
@@ -143,7 +145,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
                 v = v / np.linalg.norm(v)
                 _, v = _refine_eigenpair(T, eigvals[idx], v)
                 res = _joint_residual(v, units)
-                if res > cfg.residual_tol * 100:
+                if res > tol.residual * 100:
                     best = min(best, res)
                     break
                 characters.append(EigenCharacter(v, _numerators(v, mats), res))
@@ -157,7 +159,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
             basis = vh[dim - max(null_dim, size):].conj().T  # generalized eigenspace
             sub = basis[:, -size:] if basis.shape[1] >= size else basis
             q, _ = np.linalg.qr(sub)
-            found = _refine_cluster(q, units, cfg, rng)
+            found = _refine_cluster(q, units, tol.residual, rng)
             eig_dim = len(found)
             for v, res in found:
                 characters.append(
@@ -172,7 +174,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
             if eig_dim < size:
                 diagonalizable = False
         else:
-            point = exact_sample_points(spec.points, 1, start=13)[0]
+            point = eigenvector_points(spec)[0]
             z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
 
             def key(ch):
@@ -183,7 +185,7 @@ def joint_diagonalize(op: BetheOperator, cfg: SpectralConfig = None) -> Spectrum
             return SpectrumReport(characters, diagonalizable)
     causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
     if ambiguous < MAX_RETRIES:
-        limit = cfg.residual_tol * 100
+        limit = tol.residual * 100
         causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
     raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes))
 
@@ -202,18 +204,18 @@ def _joint_residual(v, units):
     return worst
 
 
-def _refine_eigenpair(T, mu, v, sweeps=4):
+def _refine_eigenpair(T, mu, v):
     """Newton iteration on (T - mu)v = 0 with a fixed normalization row.
 
-    numpy's eig is only first-order accurate for non-normal matrices; a few
+    numpy's eig is only first-order accurate for non-normal matrices; four
     Newton sweeps push the eigenpair to machine precision.  Two float checks
     downstream rely on it: the kernel least squares of
-    :func:`kernel_from_operator`, accepted at ``kernel_tol``, and the match
-    of Bethe-root eigenvalues against the characters at 1e-8.
+    :func:`kernel_from_operator` and the match of Bethe-root eigenvalues
+    against the characters, both accepted at ``kernel_fit``.
     """
     dim = T.shape[0]
     c = v.conj()
-    for _ in range(sweeps):
+    for _ in range(4):
         F = np.concatenate([(T - mu * np.eye(dim)) @ v, [c @ v - 1.0]])
         J = np.zeros((dim + 1, dim + 1), dtype=complex)
         J[:dim, :dim] = T - mu * np.eye(dim)
@@ -236,7 +238,7 @@ def _normal_draws(rng: random.Random, count: int) -> list:
     return [rng.gauss(0.0, 1.0) for _ in range(count)]
 
 
-def _refine_cluster(q, units, cfg, rng):
+def _refine_cluster(q, units, residual_tol, rng):
     """Common eigenvectors of the coefficients restricted to a subspace."""
     coeffs = _normal_draws(rng, len(units))
     R = sum(c * (q.conj().T @ u @ q) for c, u in zip(coeffs, units))
@@ -246,7 +248,7 @@ def _refine_cluster(q, units, cfg, rng):
         v = q @ vecs[:, k]
         v = v / np.linalg.norm(v)
         worst = _joint_residual(v, units)
-        if worst <= cfg.residual_tol * 100:
+        if worst <= residual_tol * 100:
             if all(np.abs(np.vdot(u[0], v)) < 1 - 1e-8 for u in found):
                 found.append((v, worst))
     return found
@@ -261,13 +263,13 @@ def character_to_operator(ch: EigenCharacter, op: BetheOperator) -> list:
     return [op.spec.complex_pole_polynomial()] + [Poly(row) for row in ch.numerators]
 
 
-def kernel_from_operator(G: list, spec: ModuleSpec, cfg: SpectralConfig = None) -> QuasiExpSpace:
+def kernel_from_operator(G: list, spec: ModuleSpec, tol: Tolerances = None) -> QuasiExpSpace:
     """Quasi-exponential kernel with exponents K and degrees lam.
 
     G = [G_0, ..., G_N] is a cleared operator sum_i G_i (d/du)^{N-i}.  For
     each i the ansatz e^{K_i u}(u^{lam_i} + sum_j x_j u^{lam_i - j}) turns
-    it into a linear system; the least-squares residual must stay below the
-    kernel tolerance, otherwise there is no kernel of the prescribed shape.
+    it into a linear system; the least-squares residual must stay below
+    ``tol.kernel_fit``, otherwise there is no kernel of the prescribed shape.
     The system is solved in units of s = :func:`gap_unit` of the points, as
     the root search is: with u = s v the operator sum_k c_k(u) (d/du)^k
     becomes sum_k c_k(s v) s^-k (d/dv)^k with exponents s K, and its kernel
@@ -275,7 +277,7 @@ def kernel_from_operator(G: list, spec: ModuleSpec, cfg: SpectralConfig = None) 
     at most d, (kappa + d/dv) is the (d+1) x (d+1) matrix kappa I + D, so
     the column of v^m is sum_k c_k * (kappa I + D)^k e_m, a convolution.
     """
-    cfg = cfg or SpectralConfig()
+    tol = tol or Tolerances()
     N = spec.rank
     lam = spec.weight.padded(N)
     unit = gap_unit(spec.points)
@@ -304,21 +306,20 @@ def kernel_from_operator(G: list, spec: ModuleSpec, cfg: SpectralConfig = None) 
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
         resid = float(np.linalg.norm(A @ x - b))
         scale = max(1.0, float(np.max(np.abs(image[:rows]))))
-        if resid > cfg.kernel_tol * scale * rows:
+        if resid > tol.kernel_fit * scale * rows:
             raise ValueError("no quasi-exponential kernel of prescribed degrees")
         coeff_lists.append([complex(x[j]) * unit ** (d - j) for j in range(d)] + [1.0 + 0j])
     return QuasiExpSpace(tuple(to_complex(k) for k in spec.exponents), tuple(Poly(c) for c in coeff_lists))
 
 
-def spectrum_analysis(op: BetheOperator, cfg: SpectralConfig = None) -> SpectrumReport:
+def spectrum_analysis(op: BetheOperator, tol: Tolerances = None, seed: int = 2024) -> SpectrumReport:
     """Full pipeline: diagonalize, build eigen-operators, recover kernels, test."""
-    cfg = cfg or SpectralConfig()
-    report = joint_diagonalize(op, cfg)
+    report = joint_diagonalize(op, tol, seed)
     for ch in report.characters:
         G = character_to_operator(ch, op)
         report.operators.append(G)
         try:
-            X = kernel_from_operator(G, op.spec, cfg)
+            X = kernel_from_operator(G, op.spec, tol)
             report.kernels.append(X)
         except ValueError as exc:
             report.kernels.append(None)

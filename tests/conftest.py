@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaudin.algebra import ModuleSpec, Partition, build_embedded_module
+from gaudin.algebra import ModuleSpec, Partition, build_embedded_module, enumerate_indices
+from gaudin.bae import weight_function
 from gaudin.betheop import build_bethe_operator
 from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly
@@ -15,6 +16,11 @@ def make_spec(data) -> ModuleSpec:
     return ModuleSpec(
         data["N"], data["K"], data["partitions"], data["b"], data["weight"]
     )
+
+
+def weight_function_by_index(t, rank: int, counts) -> dict:
+    """The weight function at the roots t as {J: omega_J}, J in ``enumerate_indices`` order."""
+    return dict(zip(enumerate_indices(rank, sum(counts), counts), weight_function(t, rank, counts)))
 
 
 def random_exact_space(N: int, exponents, lam, rng) -> QuasiExpSpace:

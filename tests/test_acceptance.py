@@ -16,7 +16,6 @@ from gaudin.bae import (
     factorized_values,
     newton_solve,
     verify_eigenvector,
-    weight_function_counts,
 )
 from gaudin.betheop import (
     build_bethe_operator,
@@ -40,7 +39,7 @@ from gaudin.spaces import (
 from gaudin.spaces import char_at_infinity
 from gaudin.spectral import kernel_from_operator, spectrum_analysis
 
-from conftest import COUNT_FAMILY, make_spec, random_exact_space
+from conftest import COUNT_FAMILY, make_spec, random_exact_space, weight_function_by_index
 from oracles import operator_distance, rational_reconstruct, reconstruction_points, tensor_weight_dimension
 
 F = Fraction
@@ -193,7 +192,7 @@ def test_criterion_7_weight_function_example():
     for _ in range(3):
         t01, t02, t1, t2 = (F(v) for v in rng.sample(range(2, 60), 4))
         t = RootCoordinates([(t01, t02), (t1,), (t2,)])
-        got = weight_function_counts(t, 3, (1, 0, 1))
+        got = weight_function_by_index(t, 3, (1, 0, 1))
         assert got[(3, 1)] == 1 / ((t2 - t1) * (t1 - t01))
         assert got[(1, 3)] == 1 / ((t2 - t1) * (t1 - t02))
         assert set(got) == {(3, 1), (1, 3)}

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaudin.algebra import ModuleSpec
+from gaudin import betheop
+from gaudin.algebra import ModuleSpec, build_embedded_module, enumerate_indices
 from gaudin.bae import (
     _DAMPS,
     MAX_ITER,
@@ -28,8 +29,6 @@ from gaudin.bae import (
     root_coordinates_from_space,
     verify_eigenvector,
     weight_function,
-    weight_function_counts,
-    weight_vector,
 )
 from gaudin.betheop import build_bethe_operator, eigenvector_points
 from gaudin.harness import InstanceConfig, verify_pipeline
@@ -37,7 +36,7 @@ from gaudin.polynomials import Poly
 from gaudin.scalars import to_complex
 from gaudin.spaces import QuasiExpSpace, char_at_infinity, cleared_operator_polys, membership_test
 
-from conftest import COUNT_FAMILY, GOLDEN, JORDAN, make_spec
+from conftest import COUNT_FAMILY, GOLDEN, JORDAN, make_spec, weight_function_by_index
 from oracles import eigenvector_check_loop, factorized_operator
 
 F = Fraction
@@ -146,8 +145,8 @@ def test_weight_function_homogeneity():
     c = F(3)
     base = RootCoordinates([(t01, t02), (t1,), (t2,)])
     scaled = RootCoordinates([(c * t01, c * t02), (c * t1,), (c * t2,)])
-    v0 = weight_function_counts(base, 3, (1, 0, 1))
-    v1 = weight_function_counts(scaled, 3, (1, 0, 1))
+    v0 = weight_function_by_index(base, 3, (1, 0, 1))
+    v1 = weight_function_by_index(scaled, 3, (1, 0, 1))
     for J, val in v0.items():
         assert v1[J] == val / c**2  # l_1 + l_2 = 2 pole factors per term
 
@@ -208,7 +207,7 @@ def test_weight_function_worked_example_exact():
         vals = rng.sample(range(2, 40), 4)
         t01, t02, t1, t2 = (F(v) for v in vals)
         t = RootCoordinates([(t01, t02), (t1,), (t2,)])
-        got = weight_function_counts(t, 3, (1, 0, 1))
+        got = weight_function_by_index(t, 3, (1, 0, 1))
         expect_31 = 1 / ((t2 - t1) * (t1 - t01))
         expect_13 = 1 / ((t2 - t1) * (t1 - t02))
         assert got[(3, 1)] == expect_31
@@ -221,7 +220,7 @@ def test_weight_function_two_roots_on_one_level_exact():
     t1, t2 = F(5, 2), F(-4, 3)
     t = root_coordinates(spec, [[t1, t2]])
     b = t.levels[0]
-    vals = weight_function(t, spec)
+    vals = weight_function_by_index(t, 2, (2, 2))
     assert len(vals) == 6
     for J, value in vals.items():
         s1, s2 = [s for s, j in enumerate(J) if j == 2]
@@ -232,7 +231,7 @@ def test_weight_function_two_roots_on_one_level_exact():
 def test_weight_function_golden_shape():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
     t = root_coordinates(spec, [[F(5)]])
-    vals = weight_function(t, spec)
+    vals = weight_function_by_index(t, 2, (1, 1))
     assert vals[(2, 1)] == 1 / (F(5) - 0)
     assert vals[(1, 2)] == 1 / (F(5) - 1)
 
@@ -240,7 +239,7 @@ def test_weight_function_golden_shape():
 def test_weight_function_highest_weight_trivial():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,), (1,)), ("0", "1", "2"), (3, 0))
     t = root_coordinates(spec, [[]])
-    vals = weight_function(t, spec)
+    vals = weight_function_by_index(t, 2, (3, 0))
     assert vals == {(1, 1, 1): 1}
 
 
@@ -249,7 +248,7 @@ def test_weight_function_permutation_invariance():
     a, b = 4.5 + 0.25j, 6.0 - 1.0j
     t1 = root_coordinates(spec, [[a, b]])
     t2 = root_coordinates(spec, [[b, a]])
-    v1, v2 = weight_vector(t1, spec), weight_vector(t2, spec)
+    v1, v2 = np.array(weight_function(t1, 2, (2, 2))), np.array(weight_function(t2, 2, (2, 2)))
     assert np.allclose(v1, v2)
     for pt in (9.0, 11.0):
         x1 = factorized_values(t1, [0.0, 0.5], [pt])[0]
@@ -284,11 +283,60 @@ def test_stacked_eigenvector_check_matches_the_loop(golden_op):
     for t, passed in ((sol, True), (bad, False)):
         report = verify_eigenvector(t, spec, golden_op, tol=1e-8)
         points = eigenvector_points(spec)
-        worst, failures = eigenvector_check_loop(golden_op, points, report.values, weight_vector(t, spec), 1e-8)
+        omega = np.array(weight_function(t, spec.rank, spec.weight.padded(spec.rank)), dtype=complex)
+        worst, failures = eigenvector_check_loop(golden_op, points, report.values, omega, 1e-8)
         assert report.passed is passed
         assert report.residual == pytest.approx(worst, rel=1e-12)
         assert report.failures == failures
         assert bool(failures) is not passed
+
+
+# The two benchmark workloads: bae-real is COUNT_FAMILY[0] (fixtures/count_n2_n4.json).
+EIGENOP_N2 = {"N": 2, "K": ("0", "1/2"), "partitions": ((1,),) * 5, "b": ("0", "1", "2", "3", "4"), "weight": (3, 2)}
+VECTOR_FACTOR_SPECS = {
+    **{f.stem: s for f in sorted(FIXTURES.glob("*.json")) if (s := InstanceConfig.from_file(f).spec).all_vector_factors},
+    "bae-real": make_spec(COUNT_FAMILY[0]),
+    "eigenop-n2": make_spec(EIGENOP_N2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_FACTOR_SPECS))
+def test_weight_function_order_is_the_block_member_order(name):
+    """verify_eigenvector multiplies omega, in enumerate_indices order, by
+    blocks whose rows follow the module's members of the weight: the lead
+    tuples of those members are the same index tuples in the same order."""
+    spec = VECTOR_FACTOR_SPECS[name]
+    module = build_embedded_module(spec)
+    leads = [module.members[k][1] for k in module.weight_indices(spec.weight)]
+    assert list(enumerate_indices(spec.rank, spec.size, spec.weight.padded(spec.rank))) == leads
+
+
+def test_check_points_and_weight_basis_are_built_once(monkeypatch):
+    """The check points and the weight basis are cached: a second call returns
+    the same object, and checking the six bae-real solutions draws the check
+    points from exact_sample_points at most once."""
+    spec = make_spec(COUNT_FAMILY[0])
+    assert eigenvector_points(spec) is eigenvector_points(make_spec(COUNT_FAMILY[0]))
+    assert enumerate_indices(2, 4, (2, 2)) is enumerate_indices(2, 4, (2, 2))
+    op = build_bethe_operator(spec)
+    sols = newton_solve(spec, seed=2024)
+    assert len(sols) == 6
+    calls, original = [], betheop.exact_sample_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    eigenvector_points.cache_clear()
+    monkeypatch.setattr(betheop, "exact_sample_points", counted)
+    assert all(verify_eigenvector(sol, spec, op, tol=1e-8).passed for sol in sols)
+    assert len(calls) <= 1
+
+
+def test_verify_eigenvector_needs_vector_factors():
+    spec = ModuleSpec(2, ("0", "1"), ((2, 0), (1, 1)), ("0", "1"), (2, 2))
+    with pytest.raises(ValueError, match="all sizes one"):
+        verify_eigenvector(RootCoordinates([(F(0), F(1)), (F(5), F(7))]), spec, None)
 
 
 def test_integral_gap_instance_has_non_generic_point():

@@ -230,6 +230,7 @@ def test_cli_roundtrip(tmp_path):
         ("verify", {**GOLDEN, "options": {"seed": 2.7}}, []),
         ("verify", {**GOLDEN, "options": {"seed": True}}, []),
         ("verify", {**GOLDEN, "N": 2.9}, []),
+        ("verify", {**GOLDEN, "options": {"tolerances": {"kernel_fit": True}}}, []),
     ],
     ids=[
         "repeated-points",
@@ -261,6 +262,7 @@ def test_cli_roundtrip(tmp_path):
         "seed-fractional",
         "seed-bool",
         "N-fractional",
+        "tolerance-bool",
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, command, content, flags):

@@ -9,7 +9,6 @@ from gaudin.betheop import build_bethe_operator, exact_sample_points
 from gaudin.polynomials import Poly
 from gaudin.spaces import QuasiExpSpace, cleared_operator_polys
 from gaudin.spectral import (
-    SpectralConfig,
     character_to_operator,
     joint_diagonalize,
     kernel_from_operator,
@@ -49,8 +48,8 @@ def test_golden_instance_two_characters(golden_op):
 
 
 def test_determinism(golden_op):
-    a = joint_diagonalize(golden_op, SpectralConfig(seed=7))
-    b = joint_diagonalize(golden_op, SpectralConfig(seed=7))
+    a = joint_diagonalize(golden_op, seed=7)
+    b = joint_diagonalize(golden_op, seed=7)
     assert a.count == b.count
     for x, y in zip(a.characters, b.characters):
         assert np.allclose(x.vector, y.vector)
@@ -129,7 +128,7 @@ def test_maximal_commutativity_proxy(golden_op):
 def test_jordan_block_is_one_non_simple_character(seed):
     """On a non-semisimple block the generalized eigenspace holds a single
     eigenvector: one character, flagged, and the action not diagonalizable."""
-    report = joint_diagonalize(build_bethe_operator(make_spec(JORDAN)), SpectralConfig(seed=seed))
+    report = joint_diagonalize(build_bethe_operator(make_spec(JORDAN)), seed=seed)
     assert report.diagonalizable is False
     assert report.count == 1
     ch = report.characters[0]
