@@ -274,6 +274,7 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
         "module_dimension": module.dim,
         "checks": checks,
         "characters": characters,
+        "counters": {"spectral": report.counters},
         "spectrum": report,
         "operator": op,
         "elapsed": time.perf_counter() - t0,
@@ -367,7 +368,7 @@ def wronski_pipeline(config: InstanceConfig) -> dict:
     space = config.space
     wd = wronskian_of_space(space)
     gs = fundamental_operator(space)
-    report = membership_test(gs, spec)
+    report = membership_test([gs], spec)[0]
     checks.append(Check("membership", report.ok))
     for c in report.checks:
         checks.append(Check(f"membership/{c.name}", c.passed, value=c.detail or None))
@@ -399,10 +400,11 @@ def verify_pipeline(config: InstanceConfig) -> dict:
     dim = spectrum["dimension"]
     if spectrum["spectrum"] is None:  # the spectrum stage failed: nothing to count
         return {**out, "elapsed": time.perf_counter() - t0}
+    out["counters"] = dict(spectrum["counters"])
     if config.run_bae and config.spec.all_vector_factors:
         bae = bae_pipeline(config, spectrum)
         out["bae"] = bae["solutions"]
-        out["counters"] = bae["counters"]
+        out["counters"].update(bae["counters"])
         out["checks"].extend(bae["checks"])
         counts = [dim, spectrum["spectrum"].count, len(bae["solutions"])]
         out["checks"].append(Check("count-triple-equality", len(set(counts)) == 1, value=counts))

@@ -257,13 +257,20 @@ def taylor_matrix(b, degree: int, count: int) -> np.ndarray:
 
     T times the coefficients of a polynomial of degree at most ``degree`` is
     its first ``count`` coefficients in powers of (u - b).  The entries lie in
-    the field of b: exact scalars in an object array, or complex floats.
+    the field of b: exact scalars in an object array, or complex floats.  For a
+    ``Fraction`` b = p / q each entry is C(j, k) p^(j - k) / q^(j - k), computed
+    in integers and made a Fraction once; an int b needs only integers.
     """
-    powers = [b ** 0]
-    for _ in range(degree):
-        powers.append(powers[-1] * b)
-    zero = powers[0] * 0
-    rows = [[math.comb(j, k) * powers[j - k] if j >= k else zero for j in range(degree + 1)] for k in range(count)]
+    if isinstance(b, Fraction):
+        p, q, zero = b.numerator, b.denominator, Fraction(0)
+        rows = [[Fraction(math.comb(j, k) * p ** (j - k), q ** (j - k)) if j >= k else zero
+                 for j in range(degree + 1)] for k in range(count)]
+    else:
+        powers = [b ** 0]
+        for _ in range(degree):
+            powers.append(powers[-1] * b)
+        zero = powers[0] * 0
+        rows = [[math.comb(j, k) * powers[j - k] if j >= k else zero for j in range(degree + 1)] for k in range(count)]
     t = np.array(rows).reshape(count, degree + 1)
     t.flags.writeable = False
     return t
@@ -287,11 +294,11 @@ def indicial_polynomial(taylors, n_s: int):
 
     taylors[i] lists the Taylor coefficients t_{i, j} of G_i at a point where
     G_0 vanishes to order n_s (missing ones are zero); N = len(taylors) - 1.
-    For a scalar operator it is row i of the Taylor table of ``membership_test``,
-    exact or complex, and the result a Poly in a over the same field; for an
-    operator on a block it is the Taylor expansion of G_i as a MatrixPoly,
-    whose items are its constant coefficients, and the result a MatrixPoly
-    in a.  This is the one indicial formula of both sides.
+    For an operator on a block it is the Taylor expansion of G_i as a
+    MatrixPoly, whose items are its constant coefficients, and the result a
+    MatrixPoly in a.  ``membership_test`` forms the same sum for a stack of
+    scalar operators as one product of its Taylor tables with the
+    coefficients of the falling products.
     """
     N = len(taylors) - 1
     terms = [tc[n_s - i] * falling_product(N - i) for i, tc in enumerate(taylors) if 0 <= n_s - i < len(tc)]

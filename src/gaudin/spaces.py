@@ -16,13 +16,14 @@ complex floats (for spaces recovered from numerical spectra).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import ModuleSpec, Partition
-from .polynomials import Poly, falling_product, indicial_polynomial, poly_det, poly_gcd, taylor_matrix
+from .polynomials import Poly, falling_product, poly_det, poly_gcd, taylor_matrix
 from .scalars import is_exact
 
 
@@ -271,27 +272,42 @@ class MembershipReport:
 
 
 def _roundoff(rows, point, count: int) -> np.ndarray:
-    """T(|b|) |G| for the coefficient rows G: entry (i, j) bounds the roundoff
+    """T(|b|) |G| for the coefficient rows G: entry (..., i, j) bounds the roundoff
     of Taylor coefficient j of row i at b."""
-    return np.abs(rows) @ taylor_matrix(abs(point), rows.shape[1] - 1, count).T
+    return np.abs(rows) @ taylor_matrix(abs(point), rows.shape[-1] - 1, count).T
 
 
-def membership_test(gs: list, spec: ModuleSpec, tol=None) -> MembershipReport:
-    """Does the space with ``gs = cleared_operator_polys(space)`` lie over the
-    prescribed points with prescribed exponents?
+def rounded(p: Poly) -> Poly:
+    """``p`` with float coefficients rounded to 6 significant digits of its
+    largest one, signed zeros cleared, so that text printed from a float
+    operator does not move with roundoff.  Exact ``p`` is returned as is."""
+    if p.is_zero() or all(is_exact(c) for c in p.coeffs):
+        return p
+    places = 5 - math.floor(math.log10(max(abs(c) for c in p.coeffs)))
+    return Poly([complex(round(c.real, places) + 0.0, round(c.imag, places) + 0.0) for c in map(complex, p.coeffs)])
+
+
+def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
+    """For each gs in the stack: does the space with ``gs = cleared_operator_polys(space)``
+    lie over the prescribed points with prescribed exponents?  One
+    MembershipReport per operator, in stack order.
 
     Every check reads one Taylor table per point b_s: row i holds the
     coefficients of G_i in powers of (u - b_s), the coefficient rows of gs
     times ``taylor_matrix`` at b_s taken into the field of the coefficients,
-    exact or complex.  The leading zeros of row 0, counted up to n_s, give
+    exact or complex.  The table of every operator of the stack comes from
+    one product.  The leading zeros of row 0, counted up to n_s, give
     the order to which the monic G_0 vanishes at b_s.  The checks:
 
     - ``wronskian-matches-pole-polynomial``: G_0 is the pole polynomial
-      prod_s (u - b_s)^{n_s}, that is deg G_0 = n and each order is n_s;
+      prod_s (u - b_s)^{n_s}, that is deg G_0 = n and each order is n_s
+      (the detail prints G_0, float coefficients ``rounded``);
     - ``poles-confined-to-points``: the orders add up to at least deg G_0,
       so G_0 has no root off the points;
     - ``indicial-exponents-at-point-s``: G_i vanishes to order n_s - i for
-      i < n_s (regularity), and ``indicial_polynomial`` of the table equals
+      i < n_s (regularity), and the indicial polynomial of the table,
+      sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)) (``indicial_polynomial``, here
+      one product with the coefficients of the falling products), equals
       ``spec.indicial_target(s)``, whose roots are the shifted partition.
 
     A value passes as zero through one rule.  Without ``tol`` it must be
@@ -301,12 +317,15 @@ def membership_test(gs: list, spec: ModuleSpec, tol=None) -> MembershipReport:
     also the floor of the indicial comparison, since with close points both
     indicial polynomials are tiny and a floor of 1 would accept any.
     """
+    if not stack:
+        return []
     N, n = spec.rank, spec.size
-    g0 = gs[0]
-    one = g0.leading ** 0  # 1 in the field of the coefficients
-    width = max(len(g.coeffs) for g in gs)
-    rows = np.array([g.coeffs + (0 * one,) * (width - len(g.coeffs)) for g in gs])
-    falling = np.array([max(abs(c) for c in falling_product(N - i).coeffs) for i in range(N + 1)])
+    one = stack[0][0].leading ** 0  # 1 in the field of the coefficients
+    width = max(len(g.coeffs) for gs in stack for g in gs)
+    rows = np.array([[g.coeffs + (0 * one,) * (width - len(g.coeffs)) for g in gs] for gs in stack])
+    # falling[i]: the coefficients of a(a-1)...(a-(N-i-1)), padded to N + 1
+    falling = np.array([falling_product(N - i).coeffs + (0,) * i for i in range(N + 1)])
+    largest = np.abs(falling).max(axis=1)
 
     def zero(values, scale):
         """Elementwise: values == 0 without tol, |values| <= tol * scale() with it.
@@ -317,35 +336,46 @@ def membership_test(gs: list, spec: ModuleSpec, tol=None) -> MembershipReport:
             return values == 0
         return np.abs(values) <= tol * scale()
 
-    point_checks, indicial, orders = [], {}, []
-    for s, (b_s, n_s, part) in enumerate(zip(spec.points, spec.factor_sizes, spec.partitions)):
+    orders, regular, chis, chi_ok = [], [], [], []
+    for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
         point = b_s * one
         table = rows @ taylor_matrix(point, width - 1, n + 1).T
+        roundoff = _roundoff(rows, point, n_s + 1) if tol is not None else None
         # with tol, a Taylor coefficient is measured against the largest
         # entry of its row (at least 1) and its own roundoff bound
-        vanish = zero(table[:, :n_s], lambda: np.maximum(
-            np.abs(table).max(axis=1, keepdims=True).clip(1.0), _roundoff(rows, point, n_s + 1)[:, :n_s]))
-        orders.append(next((j for j in range(n_s) if not vanish[0, j]), n_s))
-        regular = all(vanish[i, :n_s - i].all() for i in range(min(n_s, N + 1)))
-
-        chi = indicial_polynomial(table.tolist(), n_s)
-        # the target in the field of the table: float against float, exact against exact
-        target = Poly(np.array(spec.indicial_target(s).coeffs, dtype=table.dtype).tolist())
+        vanish = zero(table[:, :, :n_s], lambda: np.maximum(
+            np.abs(table).max(axis=2, keepdims=True).clip(1.0), roundoff[:, :, :n_s]))
+        orders.append(np.cumprod(vanish[:, 0], axis=1).sum(axis=1))  # leading zeros of row 0
+        required = np.arange(n_s) < n_s - np.arange(N + 1)[:, None]  # rows i < n_s vanish to order n_s - i
+        regular.append(np.all(vanish | ~required, axis=(1, 2)))
         terms = np.arange(min(n_s, N) + 1)  # the rows i with a term t_{i, n_s - i} in chi
-        chi_ok = regular and bool(zero(np.array((chi - target).coeffs), lambda: max(
-            [abs(c) for c in chi.coeffs + target.coeffs]
-            + [_roundoff(rows, point, n_s + 1)[terms, n_s - terms] @ falling[terms]])).all())
-        exps = expected_exponents(part, N)
-        got = exps if chi_ok else None
-        if tol is None and regular and not chi_ok and not chi.is_zero():
-            got = _integer_roots(chi, -1, n + N + 2)  # the exponents an exact space has instead
-        indicial[s] = IndicialData(polynomial=chi, exponents=got)
-        point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", chi_ok, f"expected exponents {exps}"))
+        chi = table[:, terms, n_s - terms] @ falling[terms]
+        # the target in the field of the table: float against float, exact against exact
+        target = np.array(spec.indicial_target(s).coeffs, dtype=table.dtype)
+        chis.append(chi)
+        chi_ok.append(regular[-1] & zero(chi - target, lambda: np.maximum(
+            np.abs(chi).max(axis=1, initial=np.abs(target).max()),
+            roundoff[:, terms, n_s - terms] @ largest[terms])[:, None]).all(axis=1))
 
-    wr_ok = g0.degree == n == sum(orders)
-    poles_ok = sum(orders) >= g0.degree
-    checks = [
-        MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {g0}"),
-        MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
-    ] + point_checks
-    return MembershipReport(ok=all(c.passed for c in checks), checks=checks, indicial=indicial)
+    expected = [expected_exponents(part, N) for part in spec.partitions]
+    totals = np.sum(orders, axis=0).tolist()
+    reports = []
+    for c, gs in enumerate(stack):
+        g0, total = gs[0], totals[c]
+        point_checks, indicial = [], {}
+        for s, exps in enumerate(expected):
+            chi = Poly(chis[s][c].tolist())
+            got = exps if chi_ok[s][c] else None
+            if tol is None and regular[s][c] and not chi_ok[s][c] and not chi.is_zero():
+                got = _integer_roots(chi, -1, n + N + 2)  # the exponents an exact space has instead
+            indicial[s] = IndicialData(polynomial=chi, exponents=got)
+            point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", bool(chi_ok[s][c]),
+                                                f"expected exponents {exps}"))
+        wr_ok = g0.degree == n == total
+        poles_ok = total >= g0.degree
+        checks = [
+            MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {rounded(g0)}"),
+            MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
+        ] + point_checks
+        reports.append(MembershipReport(ok=all(ch.passed for ch in checks), checks=checks, indicial=indicial))
+    return reports

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ModuleSpec
-from .bae import gap_unit
+from .bae import _solve, gap_unit
 from .betheop import BetheOperator, eigenvector_points
 from .polynomials import Poly
 from .scalars import to_complex
@@ -40,6 +40,15 @@ class Tolerances:
 
 # fresh random combinations tried before joint diagonalization gives up
 MAX_RETRIES = 6
+
+# membership_test's tol for recovered kernels: a Taylor coefficient counts
+# as zero when it is at most this times its roundoff floor
+MEMBERSHIP_TOL = 1e-6
+
+# complex entries (16 bytes each) of the bordered Newton systems that
+# _refine_eigenpair stacks at once: every pair of a block up to dimension
+# 35, 52 pairs at a time at dimension 70, 4 at dimension 252
+REFINE_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -68,6 +77,7 @@ class SpectrumReport:
     operators: list = field(default_factory=list)  # per character [G_0, ..., G_N], G_0 = P
     kernels: list = field(default_factory=list)  # per character QuasiExpSpace or None
     memberships: list = field(default_factory=list)  # per character MembershipReport or str
+    counters: dict = field(default_factory=dict)  # see joint_diagonalize and spectrum_analysis
 
     @property
     def count(self) -> int:
@@ -95,12 +105,9 @@ def _cluster(eigvals, tol):
 
 
 def _cluster_margin(eigvals, clusters):
-    reps = [eigvals[c[0]] for c in clusters]
-    best = np.inf
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            best = min(best, abs(reps[a] - reps[b]))
-    return best
+    """The smallest distance between two cluster representatives."""
+    reps = eigvals[[c[0] for c in clusters]]
+    return np.abs(reps[:, None] - reps[None, :])[np.triu_indices(len(reps), 1)].min(initial=np.inf)
 
 
 def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 2024) -> SpectrumReport:
@@ -115,65 +122,68 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     multiplicity are flagged (the action is then not diagonalizable) and
     reported through generalized eigenspace generators.  Characters are
     sorted by (h_1, h_N) at the first of the :func:`eigenvector_points`.
+
+    The simple clusters are refined and checked together, in one stacked
+    pass, before the clusters are taken in order; a combination fails at
+    the first simple cluster whose residual is too large, and only the
+    multiple clusters before it are refined, each with its own draws, so
+    the draws do not depend on the stacking.  ``counters`` records the
+    combinations tried, how many had ambiguous clusters, and the accepted
+    one's cluster margin: the smallest gap between its clusters relative to
+    max(|T|, 1), which must exceed 10 times the ``cluster`` tolerance (None
+    for one cluster).
     """
     tol = tol or Tolerances()
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
+    counters = {"combinations": 0, "ambiguous": 0, "cluster_margin": None, "kernel_fit_worst": None}
     if dim == 0:
-        return SpectrumReport([], True)
-    mats = _block_coefficient_matrices(op)
-    units = [m / np.linalg.norm(m) for row in mats for m in row if np.any(m)]
+        return SpectrumReport([], True, counters=counters)
+    mats = np.array(_block_coefficient_matrices(op))  # (N, n + 1, dim, dim)
+    units = np.array([m / np.linalg.norm(m) for m in mats.reshape(-1, dim, dim) if np.any(m)]).reshape(-1, dim, dim)
 
     rng = random.Random(seed)
-    ambiguous, best = 0, np.inf  # why the combinations tried so far failed
+    limit = tol.residual * 100
+    best = np.inf  # the smallest failing residual so far
     for attempt in range(MAX_RETRIES):
-        coeffs = _normal_draws(rng, len(units))
-        T = sum(c * u for c, u in zip(coeffs, units))
+        counters["combinations"] = attempt + 1
+        T = sum(c * u for c, u in zip(_normal_draws(rng, len(units)), units))
         eigvals, eigvecs = np.linalg.eig(T)
         tscale = max(np.linalg.norm(T), 1.0)
         clusters = _cluster(eigvals, tol.cluster * tscale)
-        if len(clusters) > 1 and _cluster_margin(eigvals, clusters) <= 10 * tol.cluster * tscale:
-            ambiguous += 1
+        margin = _cluster_margin(eigvals, clusters)
+        if len(clusters) > 1 and margin <= 10 * tol.cluster * tscale:
+            counters["ambiguous"] += 1
             continue  # ambiguous clustering: fresh combination
-        characters = []
-        diagonalizable = True
+        simple = [c[0] for c in clusters if len(c) == 1]
+        V = _refine_eigenpair(T, eigvals[simple], eigvecs[:, simple])
+        refined = iter(zip(V.T, _joint_residual(V, units)))
+        found, diagonalizable = [], True  # (vector, residual, cluster size) per character
         for cluster in clusters:
             size = len(cluster)
             if size == 1:
-                idx = cluster[0]
-                v = eigvecs[:, idx]
-                v = v / np.linalg.norm(v)
-                _, v = _refine_eigenpair(T, eigvals[idx], v)
-                res = _joint_residual(v, units)
-                if res > tol.residual * 100:
+                v, res = next(refined)
+                if res > limit:
                     best = min(best, res)
                     break
-                characters.append(EigenCharacter(v, _numerators(v, mats), res))
+                found.append((v, res, 1))
                 continue
             # multiplicity: work inside the generalized eigenspace
-            mu = np.mean([eigvals[k] for k in cluster])
-            A = T - mu * np.eye(dim)
-            B = np.linalg.matrix_power(A, size)
+            mu = np.mean(eigvals[cluster])
+            B = np.linalg.matrix_power(T - mu * np.eye(dim), size)
             _, s, vh = np.linalg.svd(B)
             null_dim = int(np.sum(s <= max(s[0], 1.0) * 1e-10)) if len(s) else 0
             basis = vh[dim - max(null_dim, size):].conj().T  # generalized eigenspace
             sub = basis[:, -size:] if basis.shape[1] >= size else basis
             q, _ = np.linalg.qr(sub)
-            found = _refine_cluster(q, units, tol.residual, rng)
-            eig_dim = len(found)
-            for v, res in found:
-                characters.append(
-                    EigenCharacter(
-                        vector=v,
-                        numerators=_numerators(v, mats),
-                        residual=res,
-                        cluster_size=size,
-                        simple=False,
-                    )
-                )
-            if eig_dim < size:
-                diagonalizable = False
+            common = _refine_cluster(q, units, tol.residual, rng)
+            found += [(v, res, size) for v, res in common]
+            diagonalizable = diagonalizable and len(common) == size
         else:
+            W = np.array([v for v, _, _ in found]).reshape(-1, dim).T
+            nums = _numerators(W, mats).tolist()
+            characters = [EigenCharacter(W[:, c], nums[c], float(res), size, size == 1)
+                          for c, (_, res, size) in enumerate(found)]
             point = eigenvector_points(spec)[0]
             z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
 
@@ -182,54 +192,64 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
                 return [(round(v.real, 6), round(v.imag, 6)) for v in (h[0], h[-1])]
 
             characters.sort(key=key)
-            return SpectrumReport(characters, diagonalizable)
+            counters["cluster_margin"] = float(margin / tscale) if len(clusters) > 1 else None
+            return SpectrumReport(characters, diagonalizable, counters=counters)
+    ambiguous = counters["ambiguous"]
     causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
     if ambiguous < MAX_RETRIES:
-        limit = tol.residual * 100
         causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
     raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes))
 
 
-def _numerators(v, mats):
-    """[[v* C_ij v for j = 0..n] for i = 1..N] for a unit vector v."""
-    return [[complex(v.conj() @ (m @ v)) for m in row] for row in mats]
+def _numerators(V, mats):
+    """(characters, N, n + 1): v* C_ij v for every unit column v of V and every C_ij in mats (N, n + 1, dim, dim)."""
+    return np.einsum("ak,ijak->kij", V.conj(), mats @ V)
 
 
-def _joint_residual(v, units):
-    """Worst eigen-residual of a unit vector over the unit-norm coefficient matrices."""
-    worst = 0.0
-    for m in units:
-        h = v.conj() @ (m @ v)
-        worst = max(worst, float(np.linalg.norm(m @ v - h * v)))
-    return worst
+def _joint_residual(V, units):
+    """For each unit column v of V, its worst eigen-residual |U v - (v* U v) v| over the unit-norm matrices U."""
+    UV = units @ V
+    h = np.einsum("ik,uik->uk", V.conj(), UV)
+    return np.linalg.norm(UV - h[:, None, :] * V, axis=1).max(axis=0, initial=0.0)
 
 
-def _refine_eigenpair(T, mu, v):
-    """Newton iteration on (T - mu)v = 0 with a fixed normalization row.
+def _refine_eigenpair(T, mu, V):
+    """Newton iteration on (T - mu_k) v_k = 0, with a fixed normalization row, for every column of V.
 
     numpy's eig is only first-order accurate for non-normal matrices; four
-    Newton sweeps push the eigenpair to machine precision.  Two float checks
+    Newton sweeps push each eigenpair to machine precision.  Two float checks
     downstream rely on it: the kernel least squares of
     :func:`kernel_from_operator` and the match of Bethe-root eigenvalues
-    against the characters, both accepted at ``kernel_fit``.
+    against the characters, both accepted at ``kernel_fit``.  Each sweep
+    solves the bordered systems of all pairs still moving at once; a pair
+    stops at a singular system, or after the step taken from a residual
+    below 1e-15.  The pairs run in chunks of at most ``REFINE_ENTRIES``
+    entries of bordered systems, so a block of dimension d holds a few such
+    stacks, not d of them.  Takes the eigenvectors as columns, of any norm,
+    and returns them refined and of unit norm.
     """
     dim = T.shape[0]
-    c = v.conj()
-    for _ in range(4):
-        F = np.concatenate([(T - mu * np.eye(dim)) @ v, [c @ v - 1.0]])
-        J = np.zeros((dim + 1, dim + 1), dtype=complex)
-        J[:dim, :dim] = T - mu * np.eye(dim)
-        J[:dim, dim] = -v
-        J[dim, :dim] = c
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            break
-        v = v + delta[:dim]
-        mu = mu + delta[dim]
-        if float(np.linalg.norm(F)) < 1e-15:
-            break
-    return mu, v / np.linalg.norm(v)
+    V, mu = (V / np.linalg.norm(V, axis=0)).T, np.array(mu, dtype=complex)
+    c = V.conj()
+    chunk = max(1, REFINE_ENTRIES // (dim + 1) ** 2)
+    for at in range(0, len(V), chunk):
+        moving = np.arange(at, min(at + chunk, len(V)))
+        for _ in range(4):
+            if not moving.size:
+                break
+            v = V[moving]
+            F = np.concatenate([v @ T.T - mu[moving, None] * v, np.sum(c[moving] * v, axis=1, keepdims=True) - 1.0],
+                               axis=1)
+            J = np.zeros((moving.size, dim + 1, dim + 1), dtype=complex)
+            J[:, :dim, :dim] = T
+            J[:, range(dim), range(dim)] -= mu[moving, None]
+            J[:, :dim, dim] = -v
+            J[:, dim, :dim] = c[moving]
+            delta, solved = _solve(J, -F)
+            V[moving[solved]] += delta[solved, :dim]
+            mu[moving[solved]] += delta[solved, dim]
+            moving = moving[solved & (np.linalg.norm(F, axis=1) >= 1e-15)]
+    return (V / np.linalg.norm(V, axis=1, keepdims=True)).T
 
 
 def _normal_draws(rng: random.Random, count: int) -> list:
@@ -239,18 +259,16 @@ def _normal_draws(rng: random.Random, count: int) -> list:
 
 
 def _refine_cluster(q, units, residual_tol, rng):
-    """Common eigenvectors of the coefficients restricted to a subspace."""
-    coeffs = _normal_draws(rng, len(units))
-    R = sum(c * (q.conj().T @ u @ q) for c, u in zip(coeffs, units))
-    vals, vecs = np.linalg.eig(R)
+    """Common eigenvectors of the coefficients restricted to a subspace, with their residuals."""
+    R = sum(c * (q.conj().T @ u @ q) for c, u in zip(_normal_draws(rng, len(units)), units))
+    _, vecs = np.linalg.eig(R)
+    V = q @ vecs
+    V = V / np.linalg.norm(V, axis=0)
+    res = _joint_residual(V, units)
     found = []
-    for k in range(len(vals)):
-        v = q @ vecs[:, k]
-        v = v / np.linalg.norm(v)
-        worst = _joint_residual(v, units)
-        if worst <= residual_tol * 100:
-            if all(np.abs(np.vdot(u[0], v)) < 1 - 1e-8 for u in found):
-                found.append((v, worst))
+    for k in np.flatnonzero(res <= residual_tol * 100):
+        if all(np.abs(np.vdot(u, V[:, k])) < 1 - 1e-8 for u, _ in found):
+            found.append((V[:, k], res[k]))
     return found
 
 
@@ -263,10 +281,10 @@ def character_to_operator(ch: EigenCharacter, op: BetheOperator) -> list:
     return [op.spec.complex_pole_polynomial()] + [Poly(row) for row in ch.numerators]
 
 
-def kernel_from_operator(G: list, spec: ModuleSpec, tol: Tolerances = None) -> QuasiExpSpace:
-    """Quasi-exponential kernel with exponents K and degrees lam.
+def kernel_from_operator(Gs: list, spec: ModuleSpec, tol: Tolerances = None) -> tuple:
+    """Quasi-exponential kernels with exponents K and degrees lam, one per cleared operator.
 
-    G = [G_0, ..., G_N] is a cleared operator sum_i G_i (d/du)^{N-i}.  For
+    Each G = [G_0, ..., G_N] in Gs is a cleared operator sum_i G_i (d/du)^{N-i}.  For
     each i the ansatz e^{K_i u}(u^{lam_i} + sum_j x_j u^{lam_i - j}) turns
     it into a linear system; the least-squares residual must stay below
     ``tol.kernel_fit``, otherwise there is no kernel of the prescribed shape.
@@ -276,18 +294,28 @@ def kernel_from_operator(G: list, spec: ModuleSpec, tol: Tolerances = None) -> Q
     part p~ gives p(u) = s^d p~(u / s).  On coefficient vectors of degree
     at most d, (kappa + d/dv) is the (d+1) x (d+1) matrix kappa I + D, so
     the column of v^m is sum_k c_k * (kappa I + D)^k e_m, a convolution.
+
+    All operators are solved together: per exponent one contraction gives
+    every image and one stacked pseudo-inverse every least-squares fit.
+    Each fit keeps its own rows (up to its last nonzero one), scale and
+    bound.  Returns (kernels, fits): kernels[c] is a QuasiExpSpace, or None
+    when a fit of G c leaves a residual above its bound; fits[c] is the
+    largest residual of G c over its bound.
     """
     tol = tol or Tolerances()
     N = spec.rank
     lam = spec.weight.padded(N)
     unit = gap_unit(spec.points)
-    # row k: the coefficients of c_k(s v) s^-k, which multiplies (d/dv)^k
-    width = max(len(g.coeffs) for g in G)
-    cleared = np.zeros((N + 1, width), dtype=complex)
-    for k, g in enumerate(G[::-1]):
-        for j, a in enumerate(g.coeffs):
-            cleared[k, j] = to_complex(a) * unit ** (j - k)
-    coeff_lists = []
+    # row k of operator c: the coefficients of c_k(s v) s^-k, which multiplies (d/dv)^k
+    width = max((len(g.coeffs) for G in Gs for g in G), default=1)
+    cleared = np.zeros((len(Gs), N + 1, width), dtype=complex)
+    for c, G in enumerate(Gs):
+        for k, g in enumerate(G[::-1]):
+            cleared[c, k, :len(g.coeffs)] = [to_complex(a) for a in g.coeffs]
+    cleared *= unit ** (np.arange(width) - np.arange(N + 1)[:, None])
+    failed = np.zeros(len(Gs), dtype=bool)
+    fits = np.zeros(len(Gs))
+    polys = []
     for i in range(N):
         kexp = unit * to_complex(spec.exponents[i])
         d = lam[i]
@@ -295,35 +323,44 @@ def kernel_from_operator(G: list, spec: ModuleSpec, tol: Tolerances = None) -> Q
         powers = [np.eye(d + 1, dtype=complex)]  # (kappa I + D)^k for k = 0..N
         for _ in range(N):
             powers.append(shift @ powers[-1])
-        powers = np.array(powers)
-        # column m, row r + j: sum_k c_k[r] times the v^j coefficient of (kappa + d/dv)^k v^m
-        image = np.zeros((width + d, d + 1), dtype=complex)
+        # parts[c, j, r, m] = sum_k c_k[r] times the v^j coefficient of (kappa + d/dv)^k v^m,
+        # which lands in row r + j, column m of the image of operator c
+        parts = np.swapaxes(cleared, 1, 2)[:, None] @ np.array(powers).transpose(1, 0, 2)
+        image = np.zeros((len(Gs), width + d, d + 1), dtype=complex)
         for j in range(d + 1):
-            image[j:j + width] += cleared.T @ powers[:, j, :]
-        nonzero = np.flatnonzero(np.any(image != 0, axis=1))
-        rows = (nonzero[-1] if len(nonzero) else 0) + 1
-        A, b = image[:rows, :d], -image[:rows, d]
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = float(np.linalg.norm(A @ x - b))
-        scale = max(1.0, float(np.max(np.abs(image[:rows]))))
-        if resid > tol.kernel_fit * scale * rows:
-            raise ValueError("no quasi-exponential kernel of prescribed degrees")
-        coeff_lists.append([complex(x[j]) * unit ** (d - j) for j in range(d)] + [1.0 + 0j])
-    return QuasiExpSpace(tuple(to_complex(k) for k in spec.exponents), tuple(Poly(c) for c in coeff_lists))
+            image[:, j:j + width] += parts[:, j]
+        nonzero = np.any(image != 0, axis=2)
+        rows = np.where(nonzero.any(axis=1), width + d - np.argmax(nonzero[:, ::-1], axis=1), 1)
+        A, b = image[:, :, :d], -image[:, :, d, None]
+        # numpy's lstsq cut-off for each fit of its own rows x d system
+        x = np.linalg.pinv(A, rcond=np.finfo(float).eps * np.maximum(rows, d)) @ b
+        resid = np.linalg.norm(A @ x - b, axis=(1, 2))
+        bound = tol.kernel_fit * np.maximum(1.0, np.abs(image).max(axis=(1, 2))) * rows
+        failed |= resid > bound
+        fits = np.maximum(fits, resid / bound)
+        polys.append(np.concatenate([x[:, :, 0] * unit ** (d - np.arange(d)), np.ones((len(Gs), 1))], axis=1))
+    exponents = tuple(to_complex(k) for k in spec.exponents)
+    kernels = [None if failed[c] else QuasiExpSpace(exponents, tuple(Poly(p[c].tolist()) for p in polys))
+               for c in range(len(Gs))]
+    return kernels, fits.tolist()
+
+
+KERNEL_FAILURE = "kernel recovery failed: no quasi-exponential kernel of prescribed degrees"
 
 
 def spectrum_analysis(op: BetheOperator, tol: Tolerances = None, seed: int = 2024) -> SpectrumReport:
-    """Full pipeline: diagonalize, build eigen-operators, recover kernels, test."""
+    """Full pipeline: diagonalize, build eigen-operators, recover kernels, test.
+
+    Kernels are recovered and tested for all characters at once; a failed
+    fit marks its own character only.  ``counters["kernel_fit_worst"]`` is
+    the largest least-squares residual over its bound.
+    """
+    tol = tol or Tolerances()
     report = joint_diagonalize(op, tol, seed)
-    for ch in report.characters:
-        G = character_to_operator(ch, op)
-        report.operators.append(G)
-        try:
-            X = kernel_from_operator(G, op.spec, tol)
-            report.kernels.append(X)
-        except ValueError as exc:
-            report.kernels.append(None)
-            report.memberships.append(f"kernel recovery failed: {exc}")
-            continue
-        report.memberships.append(membership_test(cleared_operator_polys(X), op.spec, tol=1e-6))
+    report.operators = [character_to_operator(ch, op) for ch in report.characters]
+    report.kernels, fits = kernel_from_operator(report.operators, op.spec, tol)
+    report.counters["kernel_fit_worst"] = max(fits, default=None)
+    tests = iter(membership_test([cleared_operator_polys(X) for X in report.kernels if X is not None],
+                                 op.spec, tol=MEMBERSHIP_TOL))
+    report.memberships = [KERNEL_FAILURE if X is None else next(tests) for X in report.kernels]
     return report

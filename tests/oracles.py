@@ -17,10 +17,17 @@ polynomial (``gaudin.linalg.MatrixPoly``).  ``stacked`` and ``unstacked``
 convert between the two.  The same operator class
 composes the factorized operator of a set of Bethe roots, the exact
 reference for the library's float evaluation of it.
+
+The last reference is the spectral stage one character at a time
+(``spectral_stage_loop``).  It shares the library's float conversion,
+clustering, draws and Taylor tables, and differs from the stacked stage
+exactly where that stage batches: one Newton refinement, residual,
+numerator row, lstsq kernel fit and membership test per character.
 """
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -28,9 +35,32 @@ from math import comb
 import numpy as np
 
 from gaudin.algebra import apply_e_block
+from gaudin.bae import gap_unit
+from gaudin.betheop import eigenvector_points
 from gaudin.linalg import MatrixPoly
-from gaudin.polynomials import Poly
+from gaudin.polynomials import Poly, falling_product, indicial_polynomial, taylor_matrix
 from gaudin.scalars import GaussianRational, to_complex
+from gaudin.spaces import (
+    IndicialData,
+    MembershipCheck,
+    MembershipReport,
+    QuasiExpSpace,
+    cleared_operator_polys,
+    expected_exponents,
+    rounded,
+)
+from gaudin.spectral import (
+    KERNEL_FAILURE,
+    MAX_RETRIES,
+    MEMBERSHIP_TOL,
+    EigenCharacter,
+    SpectrumReport,
+    Tolerances,
+    _block_coefficient_matrices,
+    _cluster,
+    _normal_draws,
+    character_to_operator,
+)
 
 
 # --- exact matrices, one object each: the reference coefficient ring ------
@@ -622,3 +652,189 @@ def eigenvector_check_loop(op, points, values, omega, tol):
             if rel > tol:
                 failures.append(f"coefficient {i} at point {pt}: residual {rel:.3e}")
     return worst, failures
+
+
+# --- the spectral stage one character at a time ----------------------------
+
+
+def _refine_eigenpair_loop(T, mu, v):
+    """Newton on (T - mu)v = 0 with a fixed normalization row, for one eigenpair."""
+    dim = T.shape[0]
+    c = v.conj()
+    for _ in range(4):
+        F = np.concatenate([(T - mu * np.eye(dim)) @ v, [c @ v - 1.0]])
+        J = np.zeros((dim + 1, dim + 1), dtype=complex)
+        J[:dim, :dim] = T - mu * np.eye(dim)
+        J[:dim, dim] = -v
+        J[dim, :dim] = c
+        try:
+            delta = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            break
+        v = v + delta[:dim]
+        mu = mu + delta[dim]
+        if float(np.linalg.norm(F)) < 1e-15:
+            break
+    return v / np.linalg.norm(v)
+
+
+def _joint_residual_loop(v, units):
+    worst = 0.0
+    for m in units:
+        h = v.conj() @ (m @ v)
+        worst = max(worst, float(np.linalg.norm(m @ v - h * v)))
+    return worst
+
+
+def _kernel_loop(G, spec, tol):
+    """The kernel of one cleared operator by numpy's lstsq, or None when a fit fails."""
+    N = spec.rank
+    lam = spec.weight.padded(N)
+    unit = gap_unit(spec.points)
+    width = max(len(g.coeffs) for g in G)
+    cleared = np.zeros((N + 1, width), dtype=complex)
+    for k, g in enumerate(G[::-1]):
+        for j, a in enumerate(g.coeffs):
+            cleared[k, j] = to_complex(a) * unit ** (j - k)
+    coeff_lists = []
+    for i in range(N):
+        kexp = unit * to_complex(spec.exponents[i])
+        d = lam[i]
+        shift = kexp * np.eye(d + 1) + np.diag(np.arange(1.0, d + 1), 1)
+        powers = [np.eye(d + 1, dtype=complex)]
+        for _ in range(N):
+            powers.append(shift @ powers[-1])
+        powers = np.array(powers)
+        image = np.zeros((width + d, d + 1), dtype=complex)
+        for j in range(d + 1):
+            image[j:j + width] += cleared.T @ powers[:, j, :]
+        nonzero = np.flatnonzero(np.any(image != 0, axis=1))
+        rows = (nonzero[-1] if len(nonzero) else 0) + 1
+        A, b = image[:rows, :d], -image[:rows, d]
+        x, *_ = np.linalg.lstsq(A, b, rcond=None)
+        if float(np.linalg.norm(A @ x - b)) > tol.kernel_fit * max(1.0, float(np.max(np.abs(image[:rows])))) * rows:
+            return None
+        coeff_lists.append([complex(x[j]) * unit ** (d - j) for j in range(d)] + [1.0 + 0j])
+    return QuasiExpSpace(tuple(to_complex(k) for k in spec.exponents), tuple(Poly(c) for c in coeff_lists))
+
+
+def _membership_loop(gs, spec, tol):
+    """The membership test of one operator, with ``indicial_polynomial`` term by term."""
+    N, n = spec.rank, spec.size
+    g0 = gs[0]
+    one = g0.leading ** 0
+    width = max(len(g.coeffs) for g in gs)
+    rows = np.array([g.coeffs + (0 * one,) * (width - len(g.coeffs)) for g in gs])
+    falling = np.array([max(abs(c) for c in falling_product(N - i).coeffs) for i in range(N + 1)])
+    point_checks, indicial, orders = [], {}, []
+    for s, (b_s, n_s, part) in enumerate(zip(spec.points, spec.factor_sizes, spec.partitions)):
+        point = b_s * one
+        table = rows @ taylor_matrix(point, width - 1, n + 1).T
+        bound = np.abs(rows) @ taylor_matrix(abs(point), width - 1, n_s + 1).T
+        vanish = np.abs(table[:, :n_s]) <= tol * np.maximum(
+            np.abs(table).max(axis=1, keepdims=True).clip(1.0), bound[:, :n_s])
+        orders.append(next((j for j in range(n_s) if not vanish[0, j]), n_s))
+        regular = all(vanish[i, :n_s - i].all() for i in range(min(n_s, N + 1)))
+        chi = indicial_polynomial(table.tolist(), n_s)
+        target = Poly(np.array(spec.indicial_target(s).coeffs, dtype=table.dtype).tolist())
+        terms = np.arange(min(n_s, N) + 1)
+        floor = max([abs(c) for c in chi.coeffs + target.coeffs] + [bound[terms, n_s - terms] @ falling[terms]])
+        chi_ok = regular and bool((np.abs(np.array((chi - target).coeffs)) <= tol * floor).all())
+        exps = expected_exponents(part, N)
+        indicial[s] = IndicialData(polynomial=chi, exponents=exps if chi_ok else None)
+        point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", chi_ok, f"expected exponents {exps}"))
+    wr_ok = g0.degree == n == sum(orders)
+    poles_ok = sum(orders) >= g0.degree
+    checks = [
+        MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {rounded(g0)}"),
+        MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
+    ] + point_checks
+    return MembershipReport(ok=all(c.passed for c in checks), checks=checks, indicial=indicial)
+
+
+def spectral_stage_loop(op, tol=None, seed=2024):
+    """The spectral stage one character at a time: the reference for the
+    stacked ``spectral.spectrum_analysis``.
+
+    Each simple eigenpair is refined by its own Newton sweeps and checked
+    against every unit coefficient matrix in turn, its numerators are one
+    v* C_ij v each, its kernel is one lstsq fit per exponent, and its
+    membership test forms the indicial polynomial with
+    ``indicial_polynomial``.  The draws of ``random.Random(seed)`` are taken
+    in the library's order, so both give the same characters in the same
+    order.  Returns a SpectrumReport with characters, operators, kernels and
+    memberships filled in (counters left empty).
+    """
+    tol = tol or Tolerances()
+    spec = op.spec
+    dim = len(op.module.weight_indices(spec.weight))
+    if dim == 0:
+        return SpectrumReport([], True)
+    mats = _block_coefficient_matrices(op)
+    units = [m / np.linalg.norm(m) for row in mats for m in row if np.any(m)]
+
+    def numerators(v):
+        return [[complex(v.conj() @ (m @ v)) for m in row] for row in mats]
+
+    rng = random.Random(seed)
+    ambiguous, best = 0, np.inf
+    for _ in range(MAX_RETRIES):
+        coeffs = _normal_draws(rng, len(units))
+        T = sum(c * u for c, u in zip(coeffs, units))
+        eigvals, eigvecs = np.linalg.eig(T)
+        tscale = max(np.linalg.norm(T), 1.0)
+        clusters = _cluster(eigvals, tol.cluster * tscale)
+        reps = [eigvals[c[0]] for c in clusters]
+        margin = min((abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1:]), default=np.inf)
+        if len(clusters) > 1 and margin <= 10 * tol.cluster * tscale:
+            ambiguous += 1
+            continue
+        characters, diagonalizable = [], True
+        for cluster in clusters:
+            size = len(cluster)
+            if size == 1:
+                v = eigvecs[:, cluster[0]]
+                v = _refine_eigenpair_loop(T, eigvals[cluster[0]], v / np.linalg.norm(v))
+                res = _joint_residual_loop(v, units)
+                if res > tol.residual * 100:
+                    best = min(best, res)
+                    break
+                characters.append(EigenCharacter(v, numerators(v), res))
+                continue
+            mu = np.mean([eigvals[k] for k in cluster])
+            B = np.linalg.matrix_power(T - mu * np.eye(dim), size)
+            _, s, vh = np.linalg.svd(B)
+            null_dim = int(np.sum(s <= max(s[0], 1.0) * 1e-10)) if len(s) else 0
+            basis = vh[dim - max(null_dim, size):].conj().T
+            sub = basis[:, -size:] if basis.shape[1] >= size else basis
+            q, _ = np.linalg.qr(sub)
+            R = sum(c * (q.conj().T @ u @ q) for c, u in zip(_normal_draws(rng, len(units)), units))
+            vals, vecs = np.linalg.eig(R)
+            found = []
+            for k in range(len(vals)):
+                v = q @ vecs[:, k]
+                v = v / np.linalg.norm(v)
+                worst = _joint_residual_loop(v, units)
+                if worst <= tol.residual * 100 and all(np.abs(np.vdot(u, v)) < 1 - 1e-8 for u, _ in found):
+                    found.append((v, worst))
+            characters += [EigenCharacter(v, numerators(v), res, size, False) for v, res in found]
+            diagonalizable = diagonalizable and len(found) == size
+        else:
+            point = eigenvector_points(spec)[0]
+            z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
+            characters.sort(key=lambda ch: [(round(h.real, 6), round(h.imag, 6))
+                                            for h in (ch.values(z, pz)[0], ch.values(z, pz)[-1])])
+            report = SpectrumReport(characters, diagonalizable)
+            for ch in characters:
+                G = character_to_operator(ch, op)
+                X = _kernel_loop(G, spec, tol)
+                report.operators.append(G)
+                report.kernels.append(X)
+                report.memberships.append(
+                    KERNEL_FAILURE if X is None else _membership_loop(cleared_operator_polys(X), spec, MEMBERSHIP_TOL))
+            return report
+    causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
+    if ambiguous < MAX_RETRIES:
+        limit = tol.residual * 100
+        causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
+    raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes))

@@ -345,7 +345,7 @@ def test_integral_gap_instance_has_non_generic_point():
     coordinates; this is why the count instances use non-integral gaps."""
     X = QuasiExpSpace((F(0), F(1)), (P(4, -4, 1), P(1, -2, 1)))
     spec = ModuleSpec(2, ("0", "1"), ((1,),) * 4, ("0", "1", "2", "3"), (2, 2))
-    assert membership_test(cleared_operator_polys(X), spec).ok
+    assert membership_test([cleared_operator_polys(X)], spec)[0].ok
     t, generic = root_coordinates_from_space(X, tol=1e-6)
     assert not generic  # y_1 = (u-1)^2 has a double root
     sols = newton_solve(spec, seed=2024)

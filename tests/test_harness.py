@@ -376,6 +376,21 @@ def test_match_tolerance_comes_from_the_config():
     assert verdicts["factorized-operators-match-characters"] is False
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_reports_carry_spectral_counters(tmp_path, command):
+    """spectrum and verify reports record the combinations tried, how many
+    were ambiguous, the accepted cluster margin and the worst kernel fit."""
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json"),
+                 "--out", str(out)]) == 0
+    counters = json.loads(out.read_text())["counters"]
+    assert counters["spectral"].keys() == {"combinations", "ambiguous", "cluster_margin", "kernel_fit_worst"}
+    assert counters["spectral"]["combinations"] == 1 and counters["spectral"]["ambiguous"] == 0
+    assert counters["spectral"]["cluster_margin"] > 1e-6
+    assert 0 < counters["spectral"]["kernel_fit_worst"] <= 1
+    assert ("newton" in counters) == (command == "verify")
+
+
 def test_cli_table_output(tmp_path, capsys):
     cfg_path = tmp_path / "golden.json"
     cfg_path.write_text(json.dumps(GOLDEN))

@@ -100,7 +100,7 @@ def test_wrong_partition_fails_float_membership(c):
     assert len(analysis.kernels) == 1
     X, = analysis.kernels
     assert analysis.memberships[0].ok
-    wrong = membership_test(cleared_operator_polys(X), mixed_cell_spec(c, [[1, 1], [2, 0]]), tol=1e-6)
+    wrong = membership_test([cleared_operator_polys(X)], mixed_cell_spec(c, [[1, 1], [2, 0]]), tol=1e-6)[0]
     failed = {check.name for check in wrong.checks if not check.passed}
     assert failed == {"indicial-exponents-at-point-0", "indicial-exponents-at-point-1"}
 
@@ -151,8 +151,8 @@ def test_wrong_partition_fails_float_membership_at_five_points(c):
     assert len(kernels) == 7
     for X in kernels:
         G = cleared_operator_polys(scaled_space(X, c))
-        assert membership_test(G, five_point_spec(c, [[2, 0], [1, 1]]), tol=1e-6).ok
-        wrong = membership_test(G, five_point_spec(c, [[1, 1], [2, 0]]), tol=1e-6)
+        assert membership_test([G], five_point_spec(c, [[2, 0], [1, 1]]), tol=1e-6)[0].ok
+        wrong = membership_test([G], five_point_spec(c, [[1, 1], [2, 0]]), tol=1e-6)[0]
         failed = {check.name for check in wrong.checks if not check.passed}
         assert failed == {"indicial-exponents-at-point-3", "indicial-exponents-at-point-4"}
 

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from gaudin.polynomials import (
     indicial_polynomial,
     poly_det,
     poly_gcd,
+    taylor_matrix,
 )
 from gaudin.scalars import GaussianRational
 
@@ -55,6 +58,27 @@ def test_shift_and_taylor():
     p = P(0, 0, 1)  # u^2
     assert Poly(p.taylor_at(F(1))) == P(1, 2, 1)  # p(u + 1)
     assert p.taylor_at(F(3), 4) == [F(9), F(6), F(1), F(0)]
+
+
+def _taylor_by_products(b, degree, count):
+    """The Taylor table C(j, k) b^(j - k) from products in the field of b."""
+    powers = [b ** 0]
+    for _ in range(degree):
+        powers.append(powers[-1] * b)
+    zero = powers[0] * 0
+    rows = [[math.comb(j, k) * powers[j - k] if j >= k else zero for j in range(degree + 1)] for k in range(count)]
+    return np.array(rows).reshape(count, degree + 1)
+
+
+@pytest.mark.parametrize("b", [3, -2, 0, Fraction(3), Fraction(-7, 3), Fraction(1, 1000), Fraction(0),
+                               GaussianRational(F(1, 2), F(-3)), 2.5 - 1j, complex(3)], ids=repr)
+@pytest.mark.parametrize("degree, count", [(5, 6), (0, 1), (3, 5), (6, 2)])
+def test_taylor_matrix_is_the_table_of_products(b, degree, count):
+    """The table built in integers for an int or Fraction b equals the table of
+    products entry by entry, by == and by type, as do the other fields' tables."""
+    got, want = taylor_matrix.__wrapped__(b, degree, count), _taylor_by_products(b, degree, count)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert [(x, type(x)) for x in got.flat] == [(y, type(y)) for y in want.flat]
 
 
 def _bits(z: complex) -> tuple:

@@ -12,6 +12,7 @@ from gaudin.spaces import (
     expected_exponents,
     fundamental_operator,
     membership_test,
+    rounded,
     second_symbol,
     shifted_derivative_powers,
     wronskian_of_space,
@@ -128,7 +129,7 @@ def test_constant_term_at_infinity_example():
 def test_indicial_first_order():
     X = QuasiExpSpace((F(0),), (P(-5, 1),))
     spec = ModuleSpec(1, ("0",), ((1,),), ("5",), (1,))
-    data = membership_test(cleared_operator_polys(X), spec).indicial[0]
+    data = membership_test([cleared_operator_polys(X)], spec)[0].indicial[0]
     assert data.exponents == (1,)
     assert data.polynomial == P(-1, 1)
 
@@ -144,7 +145,7 @@ def test_membership_positive_symmetric_cell():
     # X = span{u, e^u u} lies over b=0 with partition (1,1)
     X = QuasiExpSpace((F(0), F(1)), (P(0, 1), P(0, 1)))
     spec = ModuleSpec(2, ("0", "1"), ((1, 1),), ("0",), (1, 1))
-    report = membership_test(cleared_operator_polys(X), spec)
+    report = membership_test([cleared_operator_polys(X)], spec)[0]
     assert report.ok
     assert report.indicial[0].exponents == (1, 2)
 
@@ -153,7 +154,7 @@ def test_membership_positive_row_cell():
     # X = span{(u+2), e^u (u-2)} lies over b=0 with partition (2,0)
     X = QuasiExpSpace((F(0), F(1)), (P(2, 1), P(-2, 1)))
     spec = ModuleSpec(2, ("0", "1"), ((2, 0),), ("0",), (1, 1))
-    report = membership_test(cleared_operator_polys(X), spec)
+    report = membership_test([cleared_operator_polys(X)], spec)[0]
     assert report.ok
     assert report.indicial[0].exponents == (0, 3)
 
@@ -162,7 +163,7 @@ def test_membership_negative_random():
     rng = random.Random(6)
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
     X = random_exact_space(2, (F(0), F(1)), (1, 1), rng)
-    report = membership_test(cleared_operator_polys(X), spec)
+    report = membership_test([cleared_operator_polys(X)], spec)[0]
     assert not report.ok
     reasons = {c.name: c.detail for c in report.checks if not c.passed}
     assert "pole outside b" in reasons.get("poles-confined-to-points", "")
@@ -172,7 +173,7 @@ def test_membership_wrong_cell_fails():
     # the (2,0)-cell point must fail the (1,1)-cell test over the same fiber
     X = QuasiExpSpace((F(0), F(1)), (P(2, 1), P(-2, 1)))
     spec = ModuleSpec(2, ("0", "1"), ((1, 1),), ("0",), (1, 1))
-    report = membership_test(cleared_operator_polys(X), spec)
+    report = membership_test([cleared_operator_polys(X)], spec)[0]
     assert not report.ok
     failed = [c.name for c in report.checks if not c.passed]
     assert any("indicial" in name for name in failed)
@@ -200,8 +201,22 @@ CELL_AT_ZERO = ModuleSpec(2, ("0", "1"), ((1, 1),), ("0",), (1, 1))
 def test_membership_verdicts_agree_exact_and_float(spec, gs, verdicts):
     """The exact rule and the float rule give the same verdict on every check."""
     floats = [Poly([complex(c) for c in g.coeffs]) for g in gs]
-    for report in (membership_test(gs, spec), membership_test(floats, spec, tol=1e-6)):
+    for report in (membership_test([gs], spec)[0], membership_test([floats], spec, tol=1e-6)[0]):
         assert [c.passed for c in report.checks] == verdicts
+
+
+def test_wronskian_detail_does_not_move_with_roundoff():
+    """The float detail prints G_0 rounded to 6 significant digits of its
+    largest coefficient: two roundings of u^2 - u give one text, and the
+    exact detail prints the exact G_0."""
+    spec = ModuleSpec(2, ("0", "1"), ((1, 0), (1, 0)), ("0", "1"), (1, 1))
+    gs = [P(0, -1, 1), P(), P()]
+    details = {membership_test([[Poly([complex(c) + e for c in g.coeffs]) for g in gs]], spec, tol=1e-6)[0]
+               .checks[0].detail for e in (0, 1.11e-16, -5.55e-17 + 3e-17j)}
+    assert details == {"got u^2 - u"}
+    assert membership_test([gs], spec)[0].checks[0].detail == "got u^2 - u"
+    assert str(rounded(Poly([12345.678 - 1e-12j, -2.0000000000000004, 1]))) == "u^2 + (-2+0j)*u + (12345.7+0j)"
+    assert rounded(P(F(1, 3), 1)) == P(F(1, 3), 1)
 
 
 def test_membership_at_a_point_beyond_float_range():
@@ -209,7 +224,7 @@ def test_membership_at_a_point_beyond_float_range():
     b = F(10) ** 400
     X = QuasiExpSpace((F(3),), (P(-b, 1),))
     spec = ModuleSpec(1, ("3",), ((1,),), (str(b),), (1,))
-    report = membership_test(cleared_operator_polys(X), spec)
+    report = membership_test([cleared_operator_polys(X)], spec)[0]
     assert report.ok
     assert report.indicial[0].exponents == (1,)
 
@@ -223,7 +238,7 @@ def test_exponent_sum_fuchs_count():
          ModuleSpec(2, ("0", "1"), ((2, 0),), ("0",), (1, 1))),
     ]
     for X, spec in cases:
-        report = membership_test(cleared_operator_polys(X), spec)
+        report = membership_test([cleared_operator_polys(X)], spec)[0]
         assert report.ok
         N = spec.rank
         for s, data in report.indicial.items():

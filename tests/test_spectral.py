@@ -1,14 +1,21 @@
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gaudin import spectral
 from gaudin.algebra import ModuleSpec
 from gaudin.betheop import build_bethe_operator, exact_sample_points
+from gaudin.harness import InstanceConfig
 from gaudin.polynomials import Poly
 from gaudin.spaces import QuasiExpSpace, cleared_operator_polys
 from gaudin.spectral import (
+    KERNEL_FAILURE,
+    Tolerances,
+    _cluster_margin,
     character_to_operator,
     joint_diagonalize,
     kernel_from_operator,
@@ -16,6 +23,9 @@ from gaudin.spectral import (
 )
 
 from conftest import COUNT_FAMILY, GOLDEN, JORDAN, make_spec, random_exact_space
+from oracles import spectral_stage_loop
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 F = Fraction
 
@@ -88,7 +98,7 @@ def test_kernel_round_trip_random():
         for _ in range(3):
             X = random_exact_space(N, tuple(k * scale for k in spec.exponents), lam, rng)
             X = _scaled_space(X, scale)
-            Y = kernel_from_operator(cleared_operator_polys(X), spec)
+            Y = kernel_from_operator([cleared_operator_polys(X)], spec)[0][0]
             for p, q in zip(X.polys, Y.polys):
                 size = max(abs(complex(c)) for c in p.coeffs)
                 for k in range(max(p.degree, q.degree) + 1):
@@ -161,3 +171,116 @@ def test_eigen_operator_is_cleared_operator_of_its_kernel(data):
             scale = max(abs(complex(c)) for c in g.coeffs + h.coeffs)
             for k in range(top + 1):
                 assert abs(complex(g.coeff(k)) - complex(h.coeff(k))) <= 1e-9 * scale
+
+
+# N=2, K=(0,1/2), b=0..7, lambda=(4,4): 256 -> 70 characters
+WIDE = {"N": 2, "K": ("0", "1/2"), "partitions": ((1,),) * 8, "b": tuple(str(i) for i in range(8)),
+        "weight": (4, 4)}
+
+
+def _stage_cases():
+    cases = [pytest.param(InstanceConfig.from_file(path), id=path.stem) for path in sorted(FIXTURES.glob("*.json"))]
+    return cases + [pytest.param(InstanceConfig(make_spec(data)), id=name)
+                    for name, data in (("wide-n2", WIDE), ("jordan", JORDAN))]
+
+
+def _relative(x, y) -> float:
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    return float(np.abs(x - y).max(initial=0.0) / max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0), 1e-300))
+
+
+def _coefficients(p: Poly, size: int) -> list:
+    return [complex(p.coeff(k)) for k in range(size)]
+
+
+@pytest.mark.parametrize("config", _stage_cases())
+def test_stacked_stage_matches_the_loop(config):
+    """The stacked spectral stage against the loop that takes one character
+    at a time: the same characters in the same order, the same membership
+    check names, verdicts and details, and vectors, numerators and kernels
+    within 1e-9 relative; G_0, which the Wronskian detail prints rounded,
+    also within 1e-9 as a polynomial."""
+    op = build_bethe_operator(config.spec)
+    stacked = spectrum_analysis(op, config.tolerances, config.seed)
+    loop = spectral_stage_loop(op, config.tolerances, config.seed)
+    assert stacked.count == loop.count > 0
+    assert stacked.diagonalizable == loop.diagonalizable
+    for a, b in zip(stacked.characters, loop.characters):
+        assert (a.cluster_size, a.simple) == (b.cluster_size, b.simple)
+        assert _relative(a.vector, b.vector) <= 1e-9
+        assert _relative(a.numerators, b.numerators) <= 1e-9
+    for X, Y, m, r in zip(stacked.kernels, loop.kernels, stacked.memberships, loop.memberships):
+        assert (X is None) == (Y is None)
+        if X is None:
+            assert m == r == KERNEL_FAILURE
+            continue
+        for p, q in zip(X.polys, Y.polys):
+            size = max(p.degree, q.degree) + 1
+            assert _relative(_coefficients(p, size), _coefficients(q, size)) <= 1e-9
+        assert m.ok == r.ok
+        assert [(c.name, c.passed) for c in m.checks] == [(c.name, c.passed) for c in r.checks]
+        assert [c.detail for c in m.checks] == [c.detail for c in r.checks]
+        g, h = cleared_operator_polys(X)[0], cleared_operator_polys(Y)[0]
+        size = max(g.degree, h.degree) + 1
+        assert _relative(_coefficients(g, size), _coefficients(h, size)) <= 1e-9
+        assert {s: d.exponents for s, d in m.indicial.items()} == {s: d.exponents for s, d in r.indicial.items()}
+
+
+def test_one_failed_kernel_fit_marks_only_its_character(monkeypatch):
+    """Numerators perturbed on one character make its kernel fit fail: that
+    character alone reports the failure, the others keep their memberships."""
+    op = build_bethe_operator(make_spec(COUNT_FAMILY[0]))
+    clean = spectrum_analysis(op)
+    diagonalize = spectral.joint_diagonalize
+
+    def perturbed(*args):
+        report = diagonalize(*args)
+        report.characters[2].numerators[-1][0] += 1.0
+        return report
+
+    monkeypatch.setattr(spectral, "joint_diagonalize", perturbed)
+    report = spectrum_analysis(op)
+    assert report.count == clean.count == 6
+    assert report.kernels[2] is None
+    assert report.memberships[2] == KERNEL_FAILURE == "kernel recovery failed: no quasi-exponential kernel of prescribed degrees"
+    assert report.counters["kernel_fit_worst"] > 1 >= clean.counters["kernel_fit_worst"]
+    for k in (0, 1, 3, 4, 5):
+        m, r = report.memberships[k], clean.memberships[k]
+        assert m.ok and [(c.name, c.passed, c.detail) for c in m.checks] == [(c.name, c.passed, c.detail) for c in r.checks]
+
+
+def test_failed_diagonalization_message_is_the_loop_message():
+    """A residual tolerance no float eigenvector meets fails every combination
+    with the message of the loop: the same causes and limit, and a smallest
+    residual at roundoff level (its digits are roundoff of either arithmetic)."""
+    op = build_bethe_operator(make_spec(GOLDEN))
+    tol = Tolerances(residual=1e-30)
+    messages = []
+    for stage in (spectrum_analysis, spectral_stage_loop):
+        with pytest.raises(RuntimeError) as info:
+            stage(op, tol)
+        messages.append(str(info.value))
+    smallest = r"\(smallest ([0-9.e+-]+)\)$"
+    assert re.sub(smallest, "", messages[0]) == re.sub(smallest, "", messages[1]) == (
+        "joint diagonalization failed for all 6 random combinations: "
+        "6 left a joint eigen-residual above 1.0e-28 ")
+    assert all(0 < float(re.search(smallest, m).group(1)) < 1e-14 for m in messages)
+
+
+def test_spectral_counters(golden_op):
+    """The counters of an accepted combination: one combination tried, none
+    ambiguous, the cluster margin above its threshold, every fit within its
+    bound; without kernel recovery the fit counter stays None."""
+    report = spectrum_analysis(golden_op)
+    counters = report.counters
+    assert counters["combinations"] == 1 and counters["ambiguous"] == 0
+    assert counters["cluster_margin"] > 10 * Tolerances().cluster
+    assert 0 < counters["kernel_fit_worst"] <= 1
+    assert joint_diagonalize(golden_op).counters["kernel_fit_worst"] is None
+
+
+def test_cluster_margin_is_the_smallest_gap_between_representatives():
+    eigvals = np.array([0.0, 3.0, 1.0 + 1.0j, 3.0 + 1e-9])
+    assert _cluster_margin(eigvals, [[1, 3], [2]]) == pytest.approx(abs(3.0 - (1 + 1j)))
+    assert _cluster_margin(eigvals, [[0], [2], [1, 3]]) == pytest.approx(abs(1 + 1j))
+    assert _cluster_margin(eigvals, [[0, 1, 2, 3]]) == np.inf
