@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import EmbeddedModule, ModuleSpec
 from .linalg import MatrixPoly, pairwise_commute
-from .polynomials import Poly, indicial_polynomial
+from .polynomials import Poly, indicial_coefficients
 
 
 def exact_sample_points(avoid, count: int, start: int = 2):
@@ -102,9 +102,11 @@ def eigenvector_points(spec: ModuleSpec) -> tuple:
     return tuple(exact_sample_points(spec.points, spec.size + 2, start=13))
 
 
-def _cofactors(p1: Poly, points) -> list:
-    """prod_{r != s} (u - b_r) for each point b_s."""
-    return [p1.exact_div(Poly([-b, b * 0 + 1])) for b in points]
+@lru_cache(maxsize=256)
+def _point_polys(spec: ModuleSpec) -> tuple:
+    """(P1, cofactors): P1 = prod_s (u - b_s) and prod_{r != s} (u - b_r) for each point b_s, built once per spec."""
+    p1 = Poly.from_roots(spec.points)
+    return p1, tuple(p1.exact_div(Poly([-b, b * 0 + 1])) for b in spec.points)
 
 
 def _series(module: EmbeddedModule, i: int, j: int, nu, cofactors: list) -> MatrixPoly:
@@ -132,9 +134,8 @@ def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> Bet
         module = EmbeddedModule(spec)
     N = spec.rank
     lam = spec.weight.padded(N)
-    p1 = Poly.from_roots(spec.points)
+    p1, cofactors = _point_polys(spec)
     dp1 = p1.derivative()
-    cofactors = _cofactors(p1, spec.points)
     minors = {(): (lam, [MatrixPoly.identity(len(module.weight_indices(lam)))])}
     for k in reversed(range(N)):
         m = N - 1 - k  # every minor in hand is over P1^m
@@ -178,8 +179,7 @@ def first_coefficient_residual(op: BetheOperator) -> MatrixPoly:
     """
     spec = op.spec
     lam = spec.weight.padded(op.rank)
-    p1 = Poly.from_roots(spec.points)
-    cofactors = _cofactors(p1, spec.points)
+    p1, cofactors = _point_polys(spec)
     total = p1.scale(sum(spec.exponents[1:], spec.exponents[0])) * MatrixPoly.identity(op.dim)
     for i in range(1, op.rank + 1):
         total = total + _series(op.module, i, i, lam, cofactors)
@@ -187,34 +187,28 @@ def first_coefficient_residual(op: BetheOperator) -> MatrixPoly:
 
 
 def leading_symbol(op: BetheOperator):
-    """MatrixPoly sum_i B_{i0} a^{N-i} from the constant terms at infinity.
+    """The scalar polynomial sum_i c_i a^{N-i}, c_0 = 1, from the constant terms at infinity.
 
-    B_{i0} is the u^n coefficient of A_i, since the pole polynomial is
-    monic of degree n.  Equals prod_i (a - K_i) times the identity.  None
-    when some B_i has a pole off the points or an A_i has degree above n,
-    so that B_i has no constant term at infinity.
+    B_i tends to c_i I when the u^n coefficient of A_i is c_i I, since the
+    pole polynomial is monic of degree n.  Equals prod_i (a - K_i).  None
+    when such a coefficient is not scalar, or when some B_i has a pole off
+    the points or an A_i has degree above n, so that B_i has no constant
+    term at infinity.
     """
     n = op.spec.size
-    try:
-        cleared = op.cleared
-    except ValueError:
+    cleared = _cleared_or_none(op)
+    if cleared is None or any(a.degree > n for a in cleared):
         return None
-    if any(a.degree > n for a in cleared):
+    if not op.dim:  # on an empty block every matrix is c I for every c, and every identity holds
+        return expected_leading_symbol(op)
+    tops = [a.scalars()[n] if a.degree == n else 0 for a in cleared]
+    if None in tops:
         return None
-    N = op.rank
-    symbol = MatrixPoly.identity(op.dim) * _power(N)
-    for i, a in enumerate(cleared, 1):
-        if a.degree == n:
-            symbol = symbol + a[n] * _power(N - i)
-    return symbol
+    return Poly(tops[::-1] + [1])
 
 
-def _power(k: int) -> Poly:
-    return Poly([Fraction(0)] * k + [Fraction(1)])
-
-
-def expected_leading_symbol(op: BetheOperator) -> MatrixPoly:
-    return Poly.from_roots(op.spec.exponents) * MatrixPoly.identity(op.dim)
+def expected_leading_symbol(op: BetheOperator) -> Poly:
+    return Poly.from_roots(op.spec.exponents)
 
 
 @dataclass
@@ -244,19 +238,19 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
             = prod_{r != s} (b_s - b_r)^{n_r} * prod_l (a - lam^(s)_l - N + l),
 
     where C_{i, j, s} is the (u - b_s)^j Taylor coefficient of the cleared
-    A_i (A_0 = P), missing ones zero: ``indicial_polynomial`` against
-    ``spec.indicial_target(s)``.
+    A_i (A_0 = P), missing ones zero.  The falling products have distinct
+    degrees, so the identity holds exactly when each C_{i, n_s - i, s} in it
+    is a scalar c_i I and the c_i meet the target: ``indicial_coefficients``
+    on the scalar parts of the first n_s + 1 Taylor coefficients, against
+    ``spec.indicial_target(s)``.  On an empty block every identity holds.
     """
     spec = op.spec
     N = spec.rank
-    dim = op.dim
     n = spec.size
     pole = spec.pole_polynomial()
     failures = []
     pole_orders = {}
     scalar = True
-    identity = MatrixPoly.identity(dim)
-    pole_block = pole * identity  # A_0
 
     try:
         cleared = op.cleared
@@ -269,22 +263,19 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
 
     indicial_ok = True
     for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
-        taylors = [pole_block.taylor_at(b_s, n + 1)]
+        table = [pole.taylor_at(b_s, n_s + 1)]  # A_0 = P
         for i in range(1, N + 1):
-            tc = cleared[i - 1].taylor_at(b_s, n + 1)
-            taylors.append(tc)
-            local = tc.scalars()  # per Taylor coefficient: c when it is c * I, else None
+            local = cleared[i - 1].taylor_at(b_s, n_s + 1).scalars()  # c when the term is c I, else None
             # observed pole order of B_i at b_s = n_s - vanishing order of A_i
-            vanish = next((k for k, c in enumerate(local) if c is None or c != 0), n + 1)
+            vanish = next((k for k, c in enumerate(local) if c is None or c != 0), n_s + 1)
             pole_orders[i, s] = max(0, n_s - vanish)
-            j = n_s - i
-            if not dim:  # every matrix on an empty block is scalar
-                continue
-            if 0 <= j < len(local) and local[j] is None:
-                scalar = False
-                failures.append(f"leading local coefficient of B_{i} at point {b_s} is not scalar")
-        # on an empty block every matrix identity holds
-        if dim and indicial_polynomial(taylors, n_s) != spec.indicial_target(s) * identity:
+            table.append(local + [0] * (n_s + 1 - len(local)))
+        if not op.dim:  # on an empty block every matrix is scalar
+            continue
+        nonscalar = [i for i in range(1, min(n_s, N) + 1) if table[i][n_s - i] is None]
+        scalar = scalar and not nonscalar
+        failures += [f"leading local coefficient of B_{i} at point {b_s} is not scalar" for i in nonscalar]
+        if nonscalar or Poly(indicial_coefficients(np.array(table, dtype=object), n_s)) != spec.indicial_target(s):
             indicial_ok = False
             failures.append(f"indicial identity fails at point {b_s}")
 

@@ -64,6 +64,11 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_partition(value, what: str) -> Partition:
+    """A JSON list of JSON integers; 1.5, true or "1" is refused, not read as 1."""
+    return Partition([_json_int(p, f"each part of {what}") for p in _json_list(value, what)])
+
+
 def _json_bool(value, what: str) -> bool:
     """A JSON boolean; the string "false" would otherwise switch a stage on."""
     if not isinstance(value, bool):
@@ -121,11 +126,8 @@ class InstanceConfig:
             rank = _json_int(data["N"], "N")
             exponents = [parse_scalar(k) for k in _json_list(data["K"], "K")]
             points = [parse_scalar(b) for b in _json_list(data["b"], "b")]
-            partitions = [
-                Partition(_json_list(p, "each partition"))
-                for p in _json_list(data["partitions"], "partitions")
-            ]
-            weight = Partition(_json_list(data["weight"], "weight"))
+            partitions = [_json_partition(p, "each partition") for p in _json_list(data["partitions"], "partitions")]
+            weight = _json_partition(data["weight"], "weight")
             spec = ModuleSpec(rank, exponents, partitions, points, weight)
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc

@@ -248,13 +248,6 @@ class MatrixPoly:
         """The number of coefficients, degree + 1."""
         return len(self.re)
 
-    def __getitem__(self, k: int) -> MatrixPoly:
-        """The coefficient of u^k, as a constant."""
-        if not 0 <= k < len(self.re):
-            raise IndexError("no such coefficient")
-        im = self.im[k:k + 1] if self.im is not None else None
-        return MatrixPoly(self.re[k:k + 1], im, self.den)
-
     def _combine(self, other, sign):
         if self.shape != other.shape:
             raise ValueError("shape mismatch in matrix polynomial addition")
@@ -338,8 +331,7 @@ class MatrixPoly:
         """The first count coefficients of the expansion in powers of (u - b), by the table ``taylor_matrix``.
 
         The table is cut from the one with max(degree + 1, count) columns, so
-        every polynomial expanded at b to count terms, and the membership
-        test, share one table.
+        every polynomial expanded at b to count terms shares one table.
         """
         if self.is_zero():
             return self

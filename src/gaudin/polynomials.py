@@ -289,17 +289,16 @@ def falling_product(alpha_count: int) -> Poly:
     return p
 
 
-def indicial_polynomial(taylors, n_s: int):
-    """sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)) for the operator sum_i G_i (d/du)^{N-i}.
+def indicial_coefficients(table, n_s: int) -> np.ndarray:
+    """sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)), ascending in a, for the operator sum_i G_i (d/du)^{N-i}.
 
-    taylors[i] lists the Taylor coefficients t_{i, j} of G_i at a point where
-    G_0 vanishes to order n_s (missing ones are zero); N = len(taylors) - 1.
-    For an operator on a block it is the Taylor expansion of G_i as a
-    MatrixPoly, whose items are its constant coefficients, and the result a
-    MatrixPoly in a.  ``membership_test`` forms the same sum for a stack of
-    scalar operators as one product of its Taylor tables with the
-    coefficients of the falling products.
+    table[..., i, j] = t_{i, j}, for i = 0..N and j = 0..n_s at least, is the
+    (u - b)^j Taylor coefficient of G_i at a point b where G_0 vanishes to
+    order n_s; leading axes stack operators.  Exact (``dtype=object``) or
+    complex.  The indicial polynomial of both sides:
+    ``betheop.check_polynomiality`` and ``spaces.membership_test`` call it.
     """
-    N = len(taylors) - 1
-    terms = [tc[n_s - i] * falling_product(N - i) for i, tc in enumerate(taylors) if 0 <= n_s - i < len(tc)]
-    return sum(terms[1:], terms[0]) if terms else Poly()
+    N = table.shape[-2] - 1
+    terms = np.arange(min(n_s, N) + 1)
+    falling = np.array([falling_product(N - i).coeffs + (0,) * i for i in terms.tolist()])
+    return table[..., terms, n_s - terms] @ falling

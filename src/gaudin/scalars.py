@@ -164,7 +164,10 @@ def parse_scalar(text):
         sign, body, imag = m.groups()
         if body is None and not imag:
             raise ValueError(f"cannot parse scalar term {term!r} in {text!r}")
-        value = Fraction(body) if body is not None else Fraction(1)
+        try:
+            value = Fraction(body) if body is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {text!r}") from None
         if sign == "-":
             value = -value
         if imag:

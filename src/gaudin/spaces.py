@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import ModuleSpec, Partition
-from .polynomials import Poly, falling_product, poly_det, poly_gcd, taylor_matrix
+from .polynomials import Poly, falling_product, indicial_coefficients, poly_det, poly_gcd, taylor_matrix
 from .scalars import is_exact
 
 
@@ -306,9 +306,10 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
       so G_0 has no root off the points;
     - ``indicial-exponents-at-point-s``: G_i vanishes to order n_s - i for
       i < n_s (regularity), and the indicial polynomial of the table,
-      sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)) (``indicial_polynomial``, here
-      one product with the coefficients of the falling products), equals
-      ``spec.indicial_target(s)``, whose roots are the shifted partition.
+      sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)) (``indicial_coefficients``,
+      the routine ``betheop.check_polynomiality`` uses, for the whole stack
+      at once), equals ``spec.indicial_target(s)``, whose roots are the
+      shifted partition.
 
     A value passes as zero through one rule.  Without ``tol`` it must be
     exactly zero, and no float is formed.  With ``tol`` it must be at most
@@ -323,9 +324,8 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
     one = stack[0][0].leading ** 0  # 1 in the field of the coefficients
     width = max(len(g.coeffs) for gs in stack for g in gs)
     rows = np.array([[g.coeffs + (0 * one,) * (width - len(g.coeffs)) for g in gs] for gs in stack])
-    # falling[i]: the coefficients of a(a-1)...(a-(N-i-1)), padded to N + 1
-    falling = np.array([falling_product(N - i).coeffs + (0,) * i for i in range(N + 1)])
-    largest = np.abs(falling).max(axis=1)
+    # largest[i]: the largest coefficient of a(a-1)...(a-(N-i-1)) in absolute value
+    largest = np.array([max(abs(c) for c in falling_product(N - i).coeffs) for i in range(N + 1)])
 
     def zero(values, scale):
         """Elementwise: values == 0 without tol, |values| <= tol * scale() with it.
@@ -348,8 +348,8 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
         orders.append(np.cumprod(vanish[:, 0], axis=1).sum(axis=1))  # leading zeros of row 0
         required = np.arange(n_s) < n_s - np.arange(N + 1)[:, None]  # rows i < n_s vanish to order n_s - i
         regular.append(np.all(vanish | ~required, axis=(1, 2)))
+        chi = indicial_coefficients(table, n_s)
         terms = np.arange(min(n_s, N) + 1)  # the rows i with a term t_{i, n_s - i} in chi
-        chi = table[:, terms, n_s - terms] @ falling[terms]
         # the target in the field of the table: float against float, exact against exact
         target = np.array(spec.indicial_target(s).coeffs, dtype=table.dtype)
         chis.append(chi)
@@ -358,7 +358,7 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
             roundoff[:, terms, n_s - terms] @ largest[terms])[:, None]).all(axis=1))
 
     expected = [expected_exponents(part, N) for part in spec.partitions]
-    totals = np.sum(orders, axis=0).tolist()
+    totals = sum(orders, np.zeros(len(stack), dtype=int)).tolist()  # zero with no points
     reports = []
     for c, gs in enumerate(stack):
         g0, total = gs[0], totals[c]

@@ -147,7 +147,7 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     best = np.inf  # the smallest failing residual so far
     for attempt in range(MAX_RETRIES):
         counters["combinations"] = attempt + 1
-        T = sum(c * u for c, u in zip(_normal_draws(rng, len(units)), units))
+        T = sum((c * u for c, u in zip(_normal_draws(rng, len(units)), units)), np.zeros((dim, dim), dtype=complex))
         eigvals, eigvecs = np.linalg.eig(T)
         tscale = max(np.linalg.norm(T), 1.0)
         clusters = _cluster(eigvals, tol.cluster * tscale)

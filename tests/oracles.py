@@ -38,7 +38,7 @@ from gaudin.algebra import apply_e_block
 from gaudin.bae import gap_unit
 from gaudin.betheop import eigenvector_points
 from gaudin.linalg import MatrixPoly
-from gaudin.polynomials import Poly, falling_product, indicial_polynomial, taylor_matrix
+from gaudin.polynomials import Poly, falling_product, taylor_matrix
 from gaudin.scalars import GaussianRational, to_complex
 from gaudin.spaces import (
     IndicialData,
@@ -718,6 +718,18 @@ def _kernel_loop(G, spec, tol):
     return QuasiExpSpace(tuple(to_complex(k) for k in spec.exponents), tuple(Poly(c) for c in coeff_lists))
 
 
+def indicial_polynomial(taylors, n_s: int):
+    """sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)) for the operator sum_i G_i (d/du)^{N-i}, term by term.
+
+    taylors[i] lists the Taylor coefficients t_{i, j} of G_i at a point where
+    G_0 vanishes to order n_s (missing ones are zero); N = len(taylors) - 1.
+    The reference for ``gaudin.polynomials.indicial_coefficients``.
+    """
+    N = len(taylors) - 1
+    terms = [tc[n_s - i] * falling_product(N - i) for i, tc in enumerate(taylors) if 0 <= n_s - i < len(tc)]
+    return sum(terms[1:], terms[0]) if terms else Poly()
+
+
 def _membership_loop(gs, spec, tol):
     """The membership test of one operator, with ``indicial_polynomial`` term by term."""
     N, n = spec.rank, spec.size
@@ -780,7 +792,7 @@ def spectral_stage_loop(op, tol=None, seed=2024):
     ambiguous, best = 0, np.inf
     for _ in range(MAX_RETRIES):
         coeffs = _normal_draws(rng, len(units))
-        T = sum(c * u for c, u in zip(coeffs, units))
+        T = sum((c * u for c, u in zip(coeffs, units)), np.zeros((dim, dim), dtype=complex))
         eigvals, eigvecs = np.linalg.eig(T)
         tscale = max(np.linalg.norm(T), 1.0)
         clusters = _cluster(eigvals, tol.cluster * tscale)

@@ -51,6 +51,14 @@ def test_leading_symbol_family(exact_family_ops):
         assert leading_symbol(op) == expected_leading_symbol(op)
 
 
+def test_leading_symbol_is_a_scalar_polynomial(golden_op):
+    """The symbol at infinity is prod_i (a - K_i) as a scalar Poly; a u^n
+    coefficient of some A_i that is not scalar leaves it undefined."""
+    assert leading_symbol(golden_op) == Poly.from_roots(golden_op.spec.exponents)
+    mutant = mutant_operator(golden_op, 1, unit_matrix(golden_op.dim, 0, 1), Poly([F(1)]))  # B_1 + e_01
+    assert leading_symbol(mutant) is None
+
+
 def test_first_coefficient_block_formula(golden_op):
     # B_1 block = -(K_1+K_2) - (1/u + 1/(u-1)) times the identity
     for pt in (F(3), F(5), F(11)):

@@ -180,6 +180,46 @@ def test_spectrum_pipeline_fails_the_local_structure_checks(monkeypatch, mutate,
     assert {name for name in ("cleared-coefficients-polynomial", "local-values-scalar") if not passed[name]} == {failing}
 
 
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        # B_1 + I/(u - b_0): cleared, with a scalar residue at b_0, but a different one
+        (lambda op: mutant_operator(op, 1, MatrixPoly.identity(op.dim), spaces.Poly([Fraction(0), Fraction(1)])),
+         {"indicial-identity", "first-coefficient-identity"}),
+        # B_1 + e_01/(u - b_0): the residue at b_0 is not a scalar matrix
+        (lambda op: mutant_operator(op, 1, unit_matrix(op.dim, 0, 1), spaces.Poly([Fraction(0), Fraction(1)])),
+         {"local-values-scalar", "indicial-identity", "first-coefficient-identity"}),
+    ],
+    ids=["scalar-residue", "non-scalar-residue"],
+)
+def test_spectrum_pipeline_fails_the_indicial_identity(monkeypatch, mutate, failing):
+    """A residue of B_1 at b_0 that is scalar but wrong fails the indicial
+    identity and nothing else of the local structure; one that is not
+    scalar fails both the scalar check and the indicial identity."""
+    build = harness.build_bethe_operator
+    monkeypatch.setattr(harness, "build_bethe_operator", lambda spec, module=None: mutate(build(spec, module)))
+    out = spectrum_pipeline(InstanceConfig.from_dict(GOLDEN))
+    passed = {c.name: c.passed for c in out["checks"]}
+    exact = ("first-coefficient-identity", "leading-symbol-identity", "cleared-coefficients-polynomial",
+             "local-values-scalar", "indicial-identity")
+    assert {name for name in exact if not passed[name]} == failing
+
+
+def test_cli_empty_weight_block_passes_every_exact_identity(tmp_path):
+    """lam = (2) in the one factor L_(1,1) has no vectors: on the 0-dimensional
+    block every identity holds, and verify exits 0."""
+    cfg_path = tmp_path / "empty.json"
+    cfg_path.write_text(json.dumps({"N": 2, "K": ["0", "1"], "b": ["0"], "partitions": [[1, 1]], "weight": [2]}))
+    out_path = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    assert report["dimension"] == 0 and report["all_passed"] is True
+    passed = {c["name"]: c["passed"] for c in report["checks"]}
+    for name in ("first-coefficient-identity", "leading-symbol-identity", "cleared-coefficients-polynomial",
+                 "local-values-scalar", "indicial-identity", "commutativity", "weight-blocks-preserved"):
+        assert passed[name], name
+
+
 def test_wronski_pipeline_requires_space():
     cfg = InstanceConfig.from_dict(GOLDEN)
     with pytest.raises(ConfigError):
@@ -231,6 +271,12 @@ def test_cli_roundtrip(tmp_path):
         ("verify", {**GOLDEN, "options": {"seed": True}}, []),
         ("verify", {**GOLDEN, "N": 2.9}, []),
         ("verify", {**GOLDEN, "options": {"tolerances": {"kernel_fit": True}}}, []),
+        ("verify", {**GOLDEN, "b": ["0", "1/0"]}, []),
+        ("wronski", {**GOLDEN, "space": {"polys": [["1/0", "1"], ["1"]]}}, []),
+        ("verify", {**GOLDEN, "partitions": [[1.5], [1]]}, []),
+        ("verify", {**GOLDEN, "partitions": [[True], [1]]}, []),
+        ("verify", {**GOLDEN, "partitions": [["1"], [1]]}, []),
+        ("verify", {**GOLDEN, "weight": [1, 1.0]}, []),
     ],
     ids=[
         "repeated-points",
@@ -263,6 +309,12 @@ def test_cli_roundtrip(tmp_path):
         "seed-bool",
         "N-fractional",
         "tolerance-bool",
+        "b-zero-denominator",
+        "space-zero-denominator",
+        "partition-part-fractional",
+        "partition-part-bool",
+        "partition-part-string",
+        "weight-part-float",
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, capsys, command, content, flags):

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from gaudin.polynomials import (
     Poly,
     falling_product,
-    indicial_polynomial,
+    indicial_coefficients,
     poly_det,
     poly_gcd,
     taylor_matrix,
 )
 from gaudin.scalars import GaussianRational
 
-from oracles import newton_interpolate
+from oracles import indicial_polynomial, newton_interpolate
 
 F = Fraction
 
@@ -43,6 +43,22 @@ def test_indicial_polynomial_rank_one():
     assert indicial_polynomial(taylors, 1) == P(-1, 1)
     # a coefficient past the end of its list counts as zero
     assert indicial_polynomial([[F(0), F(1)], []], 1) == P(0, 1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_s", [0, 1, 2, 5])
+def test_indicial_coefficients_match_the_term_by_term_sum(N, n_s):
+    """The stacked indicial routine equals the sum formed term by term: exactly
+    on an exact table, and row by row on a stack of complex tables."""
+    rng = np.random.default_rng(10 * N + n_s)
+    tables = [[[F(int(rng.integers(-6, 7)), int(rng.integers(1, 4))) for _ in range(n_s + 1)]
+               for _ in range(N + 1)] for _ in range(3)]
+    expected = [indicial_polynomial(t, n_s) for t in tables]
+    assert Poly(indicial_coefficients(np.array(tables[0], dtype=object), n_s)) == expected[0]
+    stacked = indicial_coefficients(np.array(tables, dtype=complex), n_s)
+    assert stacked.shape == (3, N + 1)
+    for row, chi in zip(stacked, expected):
+        assert np.allclose(row, [complex(chi.coeff(k)) for k in range(N + 1)], rtol=1e-14, atol=1e-14)
 
 
 def test_divmod_exactness():

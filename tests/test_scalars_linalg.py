@@ -33,7 +33,7 @@ def test_format_roundtrip(text):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1,2", "x", "1//2"):
+    for bad in ("", "1,2", "x", "1//2", "1/0", "1+2/0i"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
