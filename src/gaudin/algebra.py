@@ -3,8 +3,8 @@
 Vectors in V^{(x)n} are sparse dicts keyed by index tuples J = (j_1..j_n),
 1 <= j_s <= N, where e_J = e_{j_1,1}v+ (x) ... (x) e_{j_n,1}v+.  Irreducible
 factors L_mu sit inside V^{(x)|mu|} as the span of a singular vector under
-lowering operators, so the evaluation action of the current algebra comes
-for free: g(u) acts as the block-diagonal g divided by (u - b_s).
+lowering operators.  g(u) = sum_s g^{(s)} / (u - b_s) acts on one factor at
+a time, so each e_ij is computed on each factor's own basis.
 """
 
 from __future__ import annotations
@@ -148,13 +148,6 @@ class ModuleSpec:
         return self._indicial_targets[s]
 
 
-def weight_of_index(J, N):
-    counts = [0] * N
-    for j in J:
-        counts[j - 1] += 1
-    return tuple(counts)
-
-
 @lru_cache(maxsize=256)
 def enumerate_indices(N: int, n: int, counts: tuple) -> tuple:
     """Index tuples with the given letter counts, in lexicographic order, built once per (N, n, counts).
@@ -290,44 +283,32 @@ def irreducible_factor_basis(N: int, mu) -> dict:
 
 
 class EmbeddedModule:
-    """Basis of a tensor product of irreducible factors inside V^{(x)n}.
+    """Basis of a tensor product of irreducible factors: a member is a tuple t of factor basis indices.
 
-    Basis members carry a definite weight and a distinguished lead index
-    tuple, their smallest, with coefficient 1; lead tuples are distinct, so
-    expressing any ambient vector in the basis is a forward substitution.
+    t_s numbers the rows of :func:`irreducible_factor_basis` of factor s,
+    0 <= t_s < d_s.  ``members`` lists (weight, lead) by decreasing weight,
+    then lead; a lead joins the factors' leads.  The mixed-radix code
+    sum_s t_s d_{s+1}...d_last of a tuple maps to its member index.
     """
 
     def __init__(self, spec: ModuleSpec):
         self.spec = spec
         N = spec.rank
-        sizes = spec.factor_sizes
-        offsets = []
-        acc = 0
-        for n_s in sizes:
-            offsets.append(acc)
-            acc += n_s
-        self.size = acc
-        self.factor_positions = [
-            range(offsets[s] + 1, offsets[s] + sizes[s] + 1) for s in range(len(sizes))
-        ]
-        factor_bases = [irreducible_factor_basis(N, p) for p in spec.partitions]
-
-        members = []  # (weight, lead tuple, sparse vector)
-        for rows in product(*[fb.items() for fb in factor_bases]):
-            lead = ()
-            vec = {(): Fraction(1)}
-            for flead, fvec in rows:
-                lead += flead
-                vec = {J + J2: c * c2 for J, c in vec.items() for J2, c2 in fvec.items()}
-            members.append((weight_of_index(lead, N), lead, vec))
-        members.sort(key=lambda m: (tuple(-x for x in m[0]), m[1]))
-        self.members = members
+        self._bases = {mu: irreducible_factor_basis(N, mu) for mu in set(spec.partitions)}
+        self._dims = [len(self._bases[mu]) for mu in spec.partitions]
+        self._strides = [prod(self._dims[s + 1:]) for s in range(len(self._dims))]
+        leads = [sum(t, ()) for t in product(*(list(self._bases[mu]) for mu in spec.partitions))]  # in code order
+        members = [(tuple(lead.count(i) for i in range(1, N + 1)), lead) for lead in leads]
+        codes = sorted(range(len(members)), key=lambda c: (tuple(-x for x in members[c][0]), members[c][1]))
+        self.members = [members[c] for c in codes]
         self.dim = len(members)
-        self._rows = {lead: vec for _, lead, vec in members}
-        self._index = {lead: k for k, (_, lead, _) in enumerate(members)}
+        self._codes = np.array(codes, dtype=np.intp)  # code of each member
+        self._member_of_code = np.empty_like(self._codes)
+        self._member_of_code[self._codes] = np.arange(self.dim)
         self._weights = {}
-        for k, (w, _, _) in enumerate(members):
+        for k, (w, _) in enumerate(self.members):
             self._weights.setdefault(w, []).append(k)
+        self._actions = {}  # (mu, i, j) -> factor_action(mu, i, j)
         self._blocks = {}  # (i, j, nu) -> generator_block(i, j, nu)
         self.leaks = set()  # keys of generator blocks whose images leave their weight
 
@@ -339,16 +320,26 @@ class EmbeddedModule:
         lam = lam.padded(self.spec.rank) if isinstance(lam, Partition) else tuple(lam)
         return list(self._weights.get(lam, []))
 
-    def express(self, vec: dict) -> dict:
-        """Nonzero coordinates {member index: c} of an ambient vector in the embedded basis (exact).
+    def factor_action(self, mu: Partition, i: int, j: int) -> tuple:
+        """e_ij on the basis of L_mu as integer arrays (num, den), memoized.
 
-        The forward substitution of :func:`reduce` visits only the tuples of
-        the vector and of the members it subtracts.
+        num[b, a] / den[b, a], in lowest terms, is the b-th coordinate of the
+        image of the a-th basis vector, reduced against the factor's rows.
         """
-        coords, rest = reduce(self._rows, vec)
-        if rest:
-            raise ValueError("vector does not lie in the embedded module")
-        return {self._index[J]: c for J, c in coords.items()}
+        key = (mu, i, j)
+        if key not in self._actions:
+            rows = self._bases[mu]
+            index = {lead: b for b, lead in enumerate(rows)}
+            num = np.zeros((len(rows), len(rows)), dtype=object)
+            den = np.ones_like(num)
+            for a, vec in enumerate(rows.values()):
+                coords, rest = reduce(rows, apply_e_block(i, j, range(1, mu.weight + 1), vec))
+                if rest:
+                    raise ValueError(f"L_{mu.parts} is not closed under e_{i}{j}")
+                for lead, c in coords.items():
+                    num[index[lead], a], den[index[lead], a] = c.numerator, c.denominator
+            self._actions[key] = (num, den)
+        return self._actions[key]
 
     def generator_block(self, i: int, j: int, nu) -> tuple:
         """The matrices E_s of e_ij in factor s from weight nu to nu + e_i - e_j, as (stack, den).
@@ -356,11 +347,10 @@ class EmbeddedModule:
         ``stack`` is one integer array of shape (points, rows, cols) and
         E_s = stack[s] / den.  Columns are the weight-nu members, rows the
         members of the target weight; both are empty when the weight has no
-        members.  The block is built from the images of the weight-nu members
-        only and memoized.  Each image is expressed over the whole basis, so a
-        coordinate outside the target weight is seen: the block's key
-        (i, j, nu) then goes into ``leaks`` and that coordinate is dropped
-        from the block.
+        members.  e_ij in factor s moves only t_s, by :meth:`factor_action`,
+        so images are found by arithmetic on the codes; the block is
+        memoized.  An image outside the target weight puts the key (i, j, nu)
+        into ``leaks`` and is dropped from the block.
         """
         nu = tuple(nu)
         key = (i, j, nu)
@@ -369,20 +359,22 @@ class EmbeddedModule:
             target[i - 1] += 1
             target[j - 1] -= 1
             cols = self._weights.get(nu, [])
-            rows = {r: a for a, r in enumerate(self._weights.get(tuple(target), []))}
-            images = [
-                [self.express(apply_e_block(i, j, positions, self.members[k][2])) for k in cols]
-                for positions in self.factor_positions
-            ]
-            if any(r not in rows for per_point in images for img in per_point for r in img):
-                self.leaks.add(key)
-            den = lcm(*(c.denominator for per_point in images for img in per_point for c in img.values()))
+            rows = self._weights.get(tuple(target), [])
+            codes = self._codes[cols]
+            images = []  # per factor: member, column, numerator and denominator of each nonzero
+            for mu, d, stride in zip(self.spec.partitions, self._dims, self._strides):
+                num, den = self.factor_action(mu, i, j)
+                t = codes // stride % d
+                b, c = np.nonzero(num[:, t])
+                images.append((self._member_of_code[codes[c] + (b - t[c]) * stride], c, num[b, t[c]], den[b, t[c]]))
+            den = lcm(*(x for *_, dens in images for x in dens))
             stack = np.zeros((len(images), len(rows), len(cols)), dtype=object)
-            for s, per_point in enumerate(images):
-                for col, img in enumerate(per_point):
-                    for r, c in img.items():
-                        if r in rows:
-                            stack[s, rows[r], col] = c.numerator * (den // c.denominator)
+            for s, (members, c, nums, dens) in enumerate(images):
+                r = members - (rows[0] if rows else 0)  # the members of one weight are consecutive
+                inside = (r >= 0) & (r < len(rows))
+                if not inside.all():
+                    self.leaks.add(key)
+                stack[s, r[inside], c[inside]] = nums[inside] * (den // dens[inside])
             self._blocks[key] = (stack, den)
         return self._blocks[key]
 

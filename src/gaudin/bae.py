@@ -53,10 +53,7 @@ class RootCoordinates:
         return self.levels[1:]
 
     def sorted_key(self):
-        out = []
-        for level in self.upper:
-            out.append(tuple(sorted(((to_complex(t).real, to_complex(t).imag) for t in level))))
-        return tuple(out)
+        return tuple(tuple(sorted((to_complex(t).real, to_complex(t).imag) for t in level)) for level in self.upper)
 
     def is_generic(self, tol=1e-9) -> bool:
         levels = [tuple(to_complex(t) for t in level) for level in self.levels]

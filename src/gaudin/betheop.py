@@ -19,7 +19,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .algebra import EmbeddedModule, ModuleSpec
-from .linalg import MatrixPoly, pairwise_commute
+from .linalg import MatrixPoly, pairwise_commute, scalar_table
 from .polynomials import Poly, indicial_coefficients
 
 
@@ -104,12 +104,12 @@ def eigenvector_points(spec: ModuleSpec) -> tuple:
 
 @lru_cache(maxsize=256)
 def _point_polys(spec: ModuleSpec) -> tuple:
-    """(P1, cofactors): P1 = prod_s (u - b_s) and prod_{r != s} (u - b_r) for each point b_s, built once per spec."""
+    """P1 = prod_s (u - b_s) and the ``scalar_table`` of each prod_{r != s} (u - b_r), built once per spec."""
     p1 = Poly.from_roots(spec.points)
-    return p1, tuple(p1.exact_div(Poly([-b, b * 0 + 1])) for b in spec.points)
+    return p1, scalar_table([p1.exact_div(Poly([-b, b * 0 + 1])) for b in spec.points])
 
 
-def _series(module: EmbeddedModule, i: int, j: int, nu, cofactors: list) -> MatrixPoly:
+def _series(module: EmbeddedModule, i: int, j: int, nu, cofactors: tuple) -> MatrixPoly:
     """G with e_ij(u) = G / P1 on the weight-nu columns: sum_s E_s prod_{r != s} (u - b_r)."""
     return MatrixPoly.combination(cofactors, *module.generator_block(i, j, nu))
 

@@ -43,15 +43,13 @@ def build_parser():
         description="Exact Gaudin Bethe algebra and quasi-exponential cross-checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common(common)
     for name, help_text in (
         ("spectrum", "build the operator, diagonalize, recover kernels"),
         ("bae", "solve the Bethe ansatz equations and verify eigenvectors"),
         ("wronski", "analyze a user-supplied quasi-exponential space"),
         ("verify", "full cross-check suite with count identities"),
     ):
-        sub.add_parser(name, help=help_text, parents=[common])
+        _add_common(sub.add_parser(name, help=help_text))
     p = sub.add_parser("report", help="pretty-print a stored report")
     p.add_argument("path", help="report JSON file")
     return parser

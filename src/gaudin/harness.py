@@ -202,14 +202,24 @@ def _is_real_data(spec: ModuleSpec) -> bool:
     )
 
 
+def _lap(stages: dict, name: str, since: float) -> float:
+    """Records the seconds from since to now as stage name; returns now."""
+    now = time.perf_counter()
+    stages[name] = now - since
+    return now
+
+
 def spectrum_pipeline(config: InstanceConfig) -> dict:
     """Exact identities, commutativity, diagonalization, kernel recovery."""
     spec = config.spec
     checks = []
-    t0 = time.perf_counter()
+    stages = {}
+    t = t0 = time.perf_counter()
     module = build_embedded_module(spec)
     dim = len(module.weight_indices(spec.weight))
+    t = _lap(stages, "module", t)
     op = build_bethe_operator(spec, module)
+    t = _lap(stages, "operator", t)
 
     checks.append(Check("first-coefficient-identity", first_coefficient_residual(op).is_zero()))
     checks.append(Check("leading-symbol-identity", leading_symbol(op) == expected_leading_symbol(op)))
@@ -220,6 +230,7 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
     checks.append(Check("coefficient-degree-bound", all(d <= spec.size for d in poly_report.degrees), value=poly_report.degrees))
     checks.append(Check("commutativity", commutativity_check(op)))
     checks.append(Check("weight-blocks-preserved", weight_blocks_preserved(op)))
+    t = _lap(stages, "exact_checks", t)
 
     try:
         if config.run_wronski:
@@ -230,8 +241,10 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
         # a numerical failure, or an operator the pole polynomial cannot
         # clear, fails this stage; the report is still written
         checks.append(Check("spectrum-analysis", False, value=f"{type(exc).__name__}: {exc}"))
+        _lap(stages, "spectral", t)
         return {"dimension": dim, "module_dimension": module.dim, "checks": checks, "characters": [],
-                "spectrum": None, "operator": op, "elapsed": time.perf_counter() - t0}
+                "spectrum": None, "operator": op, "stages": stages, "elapsed": time.perf_counter() - t0}
+    _lap(stages, "spectral", t)
     characters = []
     memberships_ok = True
     for k, ch in enumerate(report.characters):
@@ -279,6 +292,7 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
         "counters": {"spectral": report.counters},
         "spectrum": report,
         "operator": op,
+        "stages": stages,
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -298,11 +312,14 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
         spectrum = spectrum_pipeline(config)
     if spectrum["spectrum"] is None:  # the spectrum stage failed: report its check
         failed = [c for c in spectrum["checks"] if c.name == "spectrum-analysis"]
-        return {"checks": failed, "solutions": [], "elapsed": time.perf_counter() - t0}
+        return {"checks": failed, "solutions": [], "stages": spectrum["stages"], "elapsed": time.perf_counter() - t0}
     op = spectrum["operator"]
     dim = spectrum["dimension"]
     tol = config.tolerances
+    stages = spectrum["stages"]  # the Bethe stages join the spectrum's, also in a verify report
+    t = time.perf_counter()
     sols = newton_solve(spec, seed=config.seed, dedup_tol=tol.dedup)
+    t = _lap(stages, "roots", t)
     if _is_real_data(spec):
         checks.append(Check("solution-count-equals-dimension", len(sols) == dim, value=[len(sols), dim]))
     else:
@@ -352,10 +369,12 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
             int(taken.sum()) == len(entries) == len(characters),
         )
     )
+    _lap(stages, "eigenvectors", t)
     return {
         "checks": checks,
         "solutions": entries,
         "counters": {"newton": sols.counters},
+        "stages": stages,
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -398,6 +417,7 @@ def verify_pipeline(config: InstanceConfig) -> dict:
         "characters": spectrum["characters"],
         "dimension": spectrum["dimension"],
         "module_dimension": spectrum["module_dimension"],
+        "stages": spectrum["stages"],
     }
     dim = spectrum["dimension"]
     if spectrum["spectrum"] is None:  # the spectrum stage failed: nothing to count
@@ -433,7 +453,7 @@ def run_report(command: str, config: InstanceConfig, result: dict) -> dict:
                 "wronskian", "operator_text", "exponents", "counters"):
         if key in result:
             report[key] = result[key]
-    report["timings"] = {"elapsed_seconds": result.get("elapsed", 0.0)}
+    report["timings"] = {"elapsed_seconds": result.get("elapsed", 0.0), "stages": result.get("stages", {})}
     return report
 
 
@@ -452,13 +472,12 @@ def render_table(report: dict) -> str:
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    """The report as compact JSON with sorted keys, through json's C encoder."""
+    return json.dumps(report, separators=(",", ":"), sort_keys=True, default=_json_default)
 
 
 def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return format_scalar(obj)
-    if isinstance(obj, GaussianRational):
+    if isinstance(obj, (Fraction, GaussianRational)):
         return format_scalar(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]

@@ -95,6 +95,12 @@ def _scalars(values, shape):
     return _canonical(re.reshape(shape)), im, den
 
 
+def scalar_table(polys) -> tuple:
+    """Integer arrays (re, im, den) of shape (degree + 1, len(polys)), p_s = sum_k (re[k, s] + i*im[k, s]) / den u^k."""
+    length = max((p.degree for p in polys), default=-1) + 1
+    return _scalars([p.coeff(k) for k in range(length) for p in polys], (length, len(polys)))
+
+
 @lru_cache(maxsize=256, typed=True)
 def _taylor_scalars(b, degree: int, count: int):
     """``taylor_matrix(b, degree, count)`` as read-only integer arrays (re, im, den), converted once."""
@@ -223,13 +229,11 @@ class MatrixPoly:
         return MatrixPoly(np.identity(n, dtype=np.int64)[None])
 
     @staticmethod
-    def combination(polys, stack, den=1) -> MatrixPoly:
-        """sum_s polys[s] * stack[s] / den: scalar polynomials times one integer stack of matrices."""
-        if not polys:
+    def combination(table, stack, den=1) -> MatrixPoly:
+        """sum_s p_s * stack[s] / den: the scalar polynomials p_s of a ``scalar_table`` times one integer stack."""
+        if not len(stack):
             return MatrixPoly.zero(*stack.shape[1:])
-        length = max(p.degree for p in polys) + 1
-        coeffs = [p.coeff(k) for k in range(length) for p in polys]
-        t_re, t_im, t_den = _scalars(coeffs, (length, len(polys)))
+        t_re, t_im, t_den = table
         re, im = _complex(_contract, t_re, t_im, stack, None)
         return MatrixPoly(re, im, t_den * den)
 

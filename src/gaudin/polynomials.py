@@ -74,16 +74,7 @@ class Poly:
             return other
         if not b:
             return self
-        n = max(len(a), len(b))
-        out = []
-        for k in range(n):
-            if k < len(a) and k < len(b):
-                out.append(a[k] + b[k])
-            elif k < len(a):
-                out.append(a[k])
-            else:
-                out.append(b[k])
-        return Poly(out)
+        return Poly([x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):]))
 
     def __neg__(self):
         return Poly([-c for c in self.coeffs])

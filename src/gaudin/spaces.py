@@ -137,21 +137,11 @@ def cleared_operator_polys(space: QuasiExpSpace) -> list:
     """
     N = space.rank
     rows = space.derivatives(N)
-    minors = []
-    for c in range(N + 1):
-        cols = [r for r in range(N + 1) if r != c]
-        minors.append(poly_det([[row[r] for r in cols] for row in rows]))
-    g0 = minors[N]
-    if g0.is_zero():
+    minors = [poly_det([[row[r] for r in range(N + 1) if r != c] for row in rows]) for c in range(N + 1)]
+    if minors[N].is_zero():
         raise DegenerateSpaceError("degenerate space: zero Wronskian")
-    lead = g0.leading
-    out = []
-    for i in range(N + 1):
-        raw = minors[N - i]
-        if i % 2 == 1:
-            raw = -raw
-        out.append(Poly([c / lead for c in raw.coeffs]))
-    return out
+    lead = minors[N].leading
+    return [Poly([(-c if i % 2 else c) / lead for c in minors[N - i].coeffs]) for i in range(N + 1)]
 
 
 def fundamental_operator(space: QuasiExpSpace) -> list:

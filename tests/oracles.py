@@ -6,6 +6,12 @@ derivatives from the elementary rule applied term by term.  The sampling
 helpers (interpolating points, rational reconstruction from samples,
 numerator distance) serve the tests only.
 
+The module's generators have an ambient reference: every member as a
+vector of V^{(x)n} (the tensor product of its factors' rows), acted on
+position by position and expressed over the whole basis by forward
+substitution (``member_vectors``, ``express``, ``ambient_generator_block``),
+where the library moves factor basis indices instead.
+
 The reference for the block build of the Bethe operator comes last: the
 row determinant expanded over all N! permutations, with generic Leibniz
 composition, on the whole module (every generator as a dim x dim matrix),
@@ -29,12 +35,13 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import accumulate, permutations, product
 from math import comb
 
 import numpy as np
 
-from gaudin.algebra import apply_e_block
+from gaudin.algebra import apply_e_block, irreducible_factor_basis, reduce
 from gaudin.bae import gap_unit
 from gaudin.betheop import eigenvector_points
 from gaudin.linalg import MatrixPoly
@@ -517,9 +524,75 @@ def submatrix(m: Matrix, rows, cols) -> Matrix:
     return Matrix([[m.get(i, j) for j in cols] for i in rows])
 
 
+@lru_cache(maxsize=64)
+def member_vectors(module) -> tuple:
+    """Every member of the module as an ambient V^{(x)n} vector, in member order.
+
+    A member's lead is the concatenation of its factors' leads, so it is
+    split by the factor sizes, and the member is the tensor product of the
+    factor rows those leads name.
+    """
+    spec = module.spec
+    bases = [irreducible_factor_basis(spec.rank, mu) for mu in spec.partitions]
+    out = []
+    for _, lead in module.members:
+        vec, at = {(): Fraction(1)}, 0
+        for rows, n_s in zip(bases, spec.factor_sizes):
+            row = rows[lead[at:at + n_s]]
+            at += n_s
+            vec = {J + K: c * d for J, c in vec.items() for K, d in row.items()}
+        out.append(vec)
+    return tuple(out)
+
+
+def express(module, vec: dict) -> dict:
+    """Nonzero coordinates {member index: c} of an ambient vector in the module basis, by forward substitution.
+
+    Members have distinct leads, their smallest tuples with coefficient 1.
+    Raises ValueError when the vector does not lie in the module.
+    """
+    rows = {lead: v for (_, lead), v in zip(module.members, member_vectors(module))}
+    coords, rest = reduce(rows, vec)
+    if rest:
+        raise ValueError("vector does not lie in the embedded module")
+    index = {lead: k for k, (_, lead) in enumerate(module.members)}
+    return {index[J]: c for J, c in coords.items()}
+
+
+def factor_positions(spec) -> list:
+    """The ambient positions (1-based) of each tensor factor."""
+    ends = list(accumulate(spec.factor_sizes))
+    return [range(end - n_s + 1, end + 1) for end, n_s in zip(ends, spec.factor_sizes)]
+
+
+def ambient_generator_block(module, i: int, j: int, nu) -> tuple:
+    """(stack, den, leaked) of e_ij in each factor from weight nu, through the ambient space.
+
+    Each weight-nu member vector is acted on in V^{(x)n} and expressed over
+    the whole basis; ``leaked`` says whether some image has a coordinate
+    outside weight nu + e_i - e_j, which the stack drops.
+    """
+    target = tuple(w + (k == i - 1) - (k == j - 1) for k, w in enumerate(nu))
+    cols, rows = module.weight_indices(nu), module.weight_indices(target)
+    vectors = member_vectors(module)
+    images = [
+        [express(module, apply_e_block(i, j, positions, vectors[k])) for k in cols]
+        for positions in factor_positions(module.spec)
+    ]
+    den = math.lcm(*(c.denominator for per in images for img in per for c in img.values()))
+    stack = np.zeros((len(images), len(rows), len(cols)), dtype=object)
+    for s, per in enumerate(images):
+        for col, img in enumerate(per):
+            for r, c in img.items():
+                if r in rows:
+                    stack[s, rows.index(r), col] = c.numerator * (den // c.denominator)
+    leaked = any(r not in rows for per in images for img in per for r in img)
+    return stack, den, leaked
+
+
 def matrix_of(module, apply_fn) -> Matrix:
     """Matrix (columns indexed by input basis member) of a linear map on the whole module."""
-    cols = [module.express(apply_fn(vec)) for _, _, vec in module.members]
+    cols = [express(module, apply_fn(vec)) for vec in member_vectors(module)]
     return Matrix([[col.get(i, 0) for col in cols] for i in range(module.dim)])
 
 
@@ -527,7 +600,7 @@ def e_point_matrices(module, i: int, j: int) -> list:
     """Per evaluation point s, the matrix of e_ij acting in block s of the whole module."""
     return [
         matrix_of(module, lambda vec: apply_e_block(i, j, positions, vec))
-        for positions in module.factor_positions
+        for positions in factor_positions(module.spec)
     ]
 
 

@@ -1,9 +1,12 @@
+import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaudin.algebra import (
     ModuleSpec,
@@ -14,12 +17,24 @@ from gaudin.algebra import (
     enumerate_weight_basis,
     find_singular_vector,
 )
+from gaudin.harness import InstanceConfig
 from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational
 
-from oracles import Matrix, brute_weight_indices, e_point_matrices, e_series, submatrix, tensor_weight_dimension
+from oracles import (
+    Matrix,
+    ambient_generator_block,
+    brute_weight_indices,
+    e_point_matrices,
+    e_series,
+    express,
+    member_vectors,
+    submatrix,
+    tensor_weight_dimension,
+)
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_partition_validation():
@@ -207,14 +222,14 @@ def test_embedded_examples_from_lowering():
     module = build_embedded_module(spec)
     idx = module.weight_indices((1, 1))
     assert len(idx) == 1
-    _, _, vec = module.members[idx[0]]
+    vec = member_vectors(module)[idx[0]]
     # one lowering applied to (1,1): symmetric combination
     ratio = vec[(1, 2)] / vec[(2, 1)]
     assert ratio == 1
 
     spec2 = ModuleSpec(3, ("0", "1", "2"), ((1, 1, 0),), ("0",), (1, 1, 0))
     module2 = build_embedded_module(spec2)
-    _, _, vec2 = module2.members[module2.weight_indices((1, 1, 0))[0]]
+    vec2 = member_vectors(module2)[module2.weight_indices((1, 1, 0))[0]]
     assert vec2[(1, 2)] / vec2[(2, 1)] == -1
 
 
@@ -222,10 +237,10 @@ def test_express_visits_the_members_and_rejects_what_lies_outside():
     spec = ModuleSpec(2, ("0", "1"), ((2, 0),), ("0",), (1, 1))
     module = build_embedded_module(spec)
     [k] = module.weight_indices((1, 1))
-    _, _, vec = module.members[k]
-    assert module.express({J: 3 * c for J, c in vec.items()}) == {k: 3}
+    vec = member_vectors(module)[k]
+    assert express(module, {J: 3 * c for J, c in vec.items()}) == {k: 3}
     with pytest.raises(ValueError):
-        module.express({(1, 2): F(1)})  # not symmetric: outside Sym^2 V
+        express(module, {(1, 2): F(1)})  # not symmetric: outside Sym^2 V
 
 
 def test_e_series_single_factor_scalar():
@@ -284,6 +299,41 @@ def test_generator_blocks_are_cuts_of_the_whole_module_matrices():
             for got, full in zip(stack, whole):
                 assert Matrix._of(got, None, den) == submatrix(full, rows, cols)
     assert not module.leaks
+
+
+def _assert_blocks_match_the_ambient_path(module):
+    """Every generator block, for every (i, j) and every weight, equals the
+    one built through the ambient space, entry by entry and over the same
+    denominator, and no image leaves its weight."""
+    N = module.spec.rank
+    for i, j in product(range(1, N + 1), repeat=2):
+        for nu in module.weights:
+            stack, den = module.generator_block(i, j, nu)
+            want, want_den, leaked = ambient_generator_block(module, i, j, nu)
+            assert den == want_den and stack.shape == want.shape and (stack == want).all(), (i, j, nu)
+            assert not leaked
+    assert not module.leaks
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_generator_blocks_match_the_ambient_path_on_every_fixture(path):
+    """Higher factors in mixed_cells and hook_n3, Q(i) points in gauss_n2."""
+    _assert_blocks_match_the_ambient_path(build_embedded_module(InstanceConfig.from_file(path).spec))
+
+
+SMALL_PARTITIONS = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_generator_blocks_match_the_ambient_path_on_drawn_modules(data):
+    """N <= 3, at most 4 factors, each of at most 3 boxes and at most N rows."""
+    N = data.draw(st.integers(1, 3))
+    shapes = [p for p in SMALL_PARTITIONS if len(p) <= N]
+    partitions = data.draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=4))
+    top = [sum(p[k] if k < len(p) else 0 for p in partitions) for k in range(N)]
+    spec = ModuleSpec(N, [str(k) for k in range(N)], partitions, [str(s) for s in range(len(partitions))], top)
+    _assert_blocks_match_the_ambient_path(build_embedded_module(spec))
 
 
 def test_gaussian_rational_points():

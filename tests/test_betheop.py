@@ -135,15 +135,18 @@ CHECKS = {
 
 
 class _LeakyModule(EmbeddedModule):
-    """Expresses every vector with an extra coordinate on a member of another weight."""
+    """Gives each image of e_ij in a factor an extra coefficient on a basis vector of another weight.
 
-    def express(self, vec):
-        coords = super().express(vec)
-        if coords:
-            weight = self.members[next(iter(coords))][0]
-            other = next(k for k, (w, _, _) in enumerate(self.members) if w != weight)
-            coords[other] = coords.get(other, 0) + 1
-        return coords
+    Every factor of golden is V, whose basis vectors e_1 and e_2 have
+    different weights: the extra coefficient sits on the one the image misses.
+    """
+
+    def factor_action(self, mu, i, j):
+        num, den = super().factor_action(mu, i, j)
+        leaky = num.copy()
+        for b, a in zip(*np.nonzero(num)):
+            leaky[1 - b, a] += 1
+        return leaky, den
 
 
 def _leaky_module_case(checks, golden_op):

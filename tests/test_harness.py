@@ -88,10 +88,26 @@ def test_report_determinism():
     assert dump_report(r1) == dump_report(r2)
 
 
+
+SPECTRUM_STAGES = {"module", "operator", "exact_checks", "spectral"}
+
+
+@pytest.mark.parametrize("run_bae,stages", [(True, SPECTRUM_STAGES | {"roots", "eigenvectors"}),
+                                            (False, SPECTRUM_STAGES)])
+def test_report_times_each_stage(run_bae, stages):
+    """timings.stages holds the seconds of each stage that ran: none negative,
+    and together at most the elapsed time."""
+    cfg = InstanceConfig.from_dict({**GOLDEN, "options": {"run_bae": run_bae}})
+    timings = json.loads(dump_report(run_report("verify", cfg, verify_pipeline(cfg))))["timings"]
+    assert set(timings["stages"]) == stages
+    assert all(t >= 0 for t in timings["stages"].values())
+    assert sum(timings["stages"].values()) <= timings["elapsed_seconds"]
+
 def test_report_serializes_and_renders():
     cfg = InstanceConfig.from_dict(GOLDEN)
     report = run_report("spectrum", cfg, spectrum_pipeline(cfg))
     text = dump_report(report)
+    assert "\n" not in text  # compact
     parsed = json.loads(text)
     assert parsed["all_passed"] is True
     table = render_table(parsed)
@@ -325,6 +341,76 @@ def test_cli_config_error_exit_code(tmp_path, capsys, command, content, flags):
     assert main(argv + flags) == 2
     assert "error" in capsys.readouterr().err
 
+
+ROOT_HELP = """\
+usage: gaudin [-h] {spectrum,bae,wronski,verify,report} ...
+
+Exact Gaudin Bethe algebra and quasi-exponential cross-checks
+
+positional arguments:
+  {spectrum,bae,wronski,verify,report}
+    spectrum            build the operator, diagonalize, recover kernels
+    bae                 solve the Bethe ansatz equations and verify
+                        eigenvectors
+    wronski             analyze a user-supplied quasi-exponential space
+    verify              full cross-check suite with count identities
+    report              pretty-print a stored report
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# the usage line wraps by the length of the command's name
+_LONG_USAGE = "{pad}[--tol-residual TOL_RESIDUAL]\n{pad}[--tol-cluster TOL_CLUSTER] [--json | --table]\n"
+_SHORT_USAGE = "{pad}[--tol-residual TOL_RESIDUAL] [--tol-cluster TOL_CLUSTER]\n{pad}[--json | --table]\n"
+COMMAND_USAGE = {name: "usage: gaudin {name} [-h] --config CONFIG [--out OUT] [--seed SEED]\n" + rest
+                 for name, rest in (("spectrum", _LONG_USAGE), ("bae", _SHORT_USAGE),
+                                    ("wronski", _LONG_USAGE), ("verify", _SHORT_USAGE))}
+
+COMMAND_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       path to the instance JSON
+  --out OUT             write the report here (default stdout)
+  --seed SEED           override the instance seed
+  --tol-residual TOL_RESIDUAL
+  --tol-cluster TOL_CLUSTER
+  --json
+  --table
+"""
+
+REPORT_HELP = """\
+usage: gaudin report [-h] path
+
+positional arguments:
+  path        report JSON file
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+
+def _cli_output(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+@pytest.mark.parametrize("name", ["spectrum", "bae", "wronski", "verify"])
+def test_cli_command_help_and_usage_error(monkeypatch, capsys, name):
+    """Each command's help lists the common flags in one fixed text, and a
+    missing --config is a usage error with exit status 2."""
+    usage = COMMAND_USAGE[name].format(name=name, pad=" " * len(f"usage: gaudin {name} "))
+    assert _cli_output(monkeypatch, capsys, [name, "--help"]) == (0, usage + COMMAND_OPTIONS, "")
+    error = f"gaudin {name}: error: the following arguments are required: --config\n"
+    assert _cli_output(monkeypatch, capsys, [name]) == (2, "", usage + error)
+
+
+def test_cli_root_and_report_help(monkeypatch, capsys):
+    assert _cli_output(monkeypatch, capsys, ["--help"]) == (0, ROOT_HELP, "")
+    assert _cli_output(monkeypatch, capsys, ["report", "--help"]) == (0, REPORT_HELP, "")
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum", "bae"])

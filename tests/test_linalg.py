@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin.linalg import MatrixPoly, pairwise_commute
+from gaudin.linalg import MatrixPoly, pairwise_commute, scalar_table
 from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational
 
@@ -168,7 +168,7 @@ def test_combination_of_a_stack(data, field, points, rows, cols):
     for p, m in zip(polys, stack):
         mat = Matrix._of(m.astype(object), None, den)
         expect = expect + p * Poly([mat])
-    assert unstacked(MatrixPoly.combination(polys, stack, den)) == expect
+    assert unstacked(MatrixPoly.combination(scalar_table(polys), stack, den)) == expect
 
 
 def test_empty_blocks():
