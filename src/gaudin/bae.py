@@ -9,9 +9,11 @@ one), which keeps the weight function well defined.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations, product
+from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -53,7 +55,7 @@ class RootCoordinates:
         return self.levels[1:]
 
     def sorted_key(self):
-        return tuple(tuple(sorted((to_complex(t).real, to_complex(t).imag) for t in level)) for level in self.upper)
+        return tuple(tuple((z.real, z.imag) for z in level_order(map(to_complex, level))) for level in self.upper)
 
     def is_generic(self, tol=1e-9) -> bool:
         levels = [tuple(to_complex(t) for t in level) for level in self.levels]
@@ -68,6 +70,16 @@ class RootCoordinates:
                     if abs(x - y) <= tol:
                         return False
         return True
+
+
+SAME_REAL = 1e-9  # relative to the moduli; the real parts of a conjugate pair differ by roundoff
+
+
+def level_order(level) -> list:
+    """Complex roots by real part; a run whose real parts agree within ``SAME_REAL`` goes by imaginary part."""
+    zs = sorted(level, key=lambda z: z.real)
+    run = accumulate((abs(y.real - x.real) > SAME_REAL * max(abs(x), abs(y)) for x, y in zip(zs, zs[1:])), initial=0)
+    return [z for _, z in sorted(zip(run, zs), key=lambda p: (p[0], p[1].imag))]
 
 
 def root_coordinates(spec: ModuleSpec, upper_levels) -> RootCoordinates:
@@ -479,46 +491,48 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
         search("random", np.concatenate([random_starts(mode, len(range(mode, starts, 5))) for mode in range(5)]))
 
     out = [
-        root_coordinates(spec, [sorted(unit * flat[s], key=lambda z: (z.real, z.imag)) for s in slices])
+        root_coordinates(spec, [level_order(unit * flat[s]) for s in slices])
         for flat in solutions
     ]
     return RootSearch(sorted(out, key=lambda t: t.sorted_key()), counters)
 
 
-def factorized_values(t: RootCoordinates, exponents, points) -> np.ndarray:
-    """[h_1, ..., h_N] of the factorized operator at every point, stably.
+def _nodes(solutions) -> np.ndarray:
+    """Every solution's roots, level by level from level 0, as one complex array of shape (solutions, nodes)."""
+    return np.array([[to_complex(x) for level in sol.levels for x in level] for sol in solutions], dtype=complex)
+
+
+def factorized_values(solutions, exponents, points) -> np.ndarray:
+    """[h_1, ..., h_N] of every solution's factorized operator at every point, stably.
 
     (d - chi_1) ... (d - chi_N) = d^N + h_1 d^(N-1) + ... + h_N, with
     chi_a = K_a + sum_j 1/(u - t^(a-1)_j) - sum_j 1/(u - t^(a)_j).  Every
     coefficient c_k is kept as its Taylor jet of length N at each point,
     read straight from the pole sums, so nothing cancels.  The factors are
     applied from the right, (d - chi) sum c_k d^k = sum (c_k' + c_(k-1) -
-    chi c_k) d^k; each of the N - 1 derivatives costs one jet entry.
-    Returns a complex array of shape (points, N).
+    chi c_k) d^k; each of the N - 1 derivatives costs one jet entry.  Every
+    step runs once for the stacked solutions (a non-empty sequence of root
+    coordinates of one profile).  Returns shape (solutions, points, N).
     """
     N = len(exponents)
     z = np.array([to_complex(p) for p in points], dtype=complex)[:, None, None]
     m = np.arange(N)
-    sign = (-1.0) ** m
-
-    def poles(level):
-        """Taylor jets of sum_x 1/(u - x) at every point: (-1)^m / (z - x)^(m+1)."""
-        x = np.array([to_complex(v) for v in level], dtype=complex)
-        return (sign * (1 / (z - x[:, None])) ** (m + 1)).sum(axis=1)
-
-    levels = list(t.levels) + [()]
-    c = np.zeros((len(z), N + 1, N), dtype=complex)  # [point, power of d, jet entry]
-    c[:, 0, 0] = 1.0
+    # Taylor jets of 1/(u - x) at every point, (-1)^m / (z - x)^(m+1), for every root x, summed per level
+    jets = (-1.0) ** m * (1 / (z - _nodes(solutions)[:, None, :, None])) ** (m + 1)
+    ends = np.cumsum([len(level) for level in solutions[0].levels])
+    poles = [jets[:, :, end - len(level):end].sum(axis=2) for end, level in zip(ends, solutions[0].levels)] + [0]
+    c = np.zeros((len(solutions), len(z), N + 1, N), dtype=complex)  # [solution, point, power of d, jet entry]
+    c[..., 0, 0] = 1.0
     for a in range(N, 0, -1):
-        chi = poles(levels[a - 1]) - poles(levels[a])
-        chi[:, 0] += to_complex(exponents[a - 1])
+        chi = poles[a - 1] - poles[a]
+        chi[..., 0] += to_complex(exponents[a - 1])
         out = np.zeros_like(c)
-        out[:, :, :-1] = c[:, :, 1:] * m[1:]  # c_k'
-        out[:, 1:] += c[:, :-1]  # c_(k-1)
+        out[..., :-1] = c[..., 1:] * m[1:]  # c_k'
+        out[..., 1:, :] += c[..., :-1, :]  # c_(k-1)
         for i in range(N):  # chi c_k, the jet product truncated at length N
-            out[:, :, i:] -= chi[:, None, i, None] * c[:, :, :N - i]
+            out[..., i:] -= chi[..., None, i, None] * c[..., :N - i]
         c = out
-    return c[:, N - 1::-1, 0]
+    return c[..., N - 1::-1, 0]
 
 
 def root_coordinates_from_space(space: QuasiExpSpace, tol: float = 1e-9):
@@ -539,13 +553,38 @@ def root_coordinates_from_space(space: QuasiExpSpace, tol: float = 1e-9):
         monic = poly.monic()
         coeffs = [to_complex(c) for c in reversed(monic.coeffs)]
         roots = np.roots(coeffs) if len(coeffs) > 1 else np.array([])
-        levels.append(sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag)))
+        levels.append(level_order([complex(r) for r in roots]))
     t = RootCoordinates(levels)
     return t, t.is_generic(tol=tol)
 
 
+@lru_cache(maxsize=256)
+def _chain_table(rank: int, counts: tuple) -> np.ndarray:
+    """The weight function's pole chains as one integer array, built once per (rank, counts).
+
+    [k, c, m] is the (upper, lower) node pair of link m, slot by slot, of
+    J = enumerate_indices(rank, n, counts)[k] under the c-th tuple of level
+    bijections, with the nodes numbered level by level from level 0.
+    """
+    n = sum(counts)
+    profile = profile_from_counts(counts, rank)
+    start = [sum(profile[:a]) for a in range(rank)]
+    choices = list(product(*(permutations(range(size)) for size in profile[1:])))
+    Js = enumerate_indices(rank, n, counts)
+    rows = []
+    for J in Js:
+        slots = [[s for s in range(n) if J[s] > i] for i in range(1, rank)]
+        for choice in choices:
+            beta = [range(n)] + [dict(zip(members, perm)) for members, perm in zip(slots, choice)]
+            rows.append([(start[i] + beta[i][s], start[i - 1] + beta[i - 1][s])
+                         for s, js in enumerate(J) for i in range(1, js)])
+    table = np.array(rows, dtype=np.intp).reshape(len(Js), len(choices), sum(profile[1:]), 2)
+    table.flags.writeable = False
+    return table
+
+
 def weight_function(t: RootCoordinates, rank: int, counts) -> list:
-    """The universal weight function omega at the roots, in ``enumerate_indices`` order.
+    """The universal weight function omega at the roots, in ``enumerate_indices`` order, exactly.
 
     Works for any non-negative weight vector, not only partitions; the
     level profile is l_a = counts_{a+1} + ... + counts_N, level 0 of t must
@@ -558,36 +597,26 @@ def weight_function(t: RootCoordinates, rank: int, counts) -> list:
         prod_{i=1..j_s-1} 1/(t^(i)_{beta_i(s)} - t^(i-1)_{beta_{i-1}(s)}),
 
     with beta_0(s) = s, so the first link is the pole to the point of slot s.
-    The tuples are one product of the permutations of every upper level.
+    The chains are the rows of one table built once per (rank, counts),
+    which :func:`verify_eigenvector` gathers for every solution at once.
     Exact scalars give exact values; when an upper root is a float, the
     points are converted to complex once, not in every first link.
     Entry k is omega_J for J = enumerate_indices(rank, n, counts)[k].
     """
-    N = rank
-    n = sum(counts)
-    profile = profile_from_counts(counts, N)
+    profile = profile_from_counts(counts, rank)
     levels = t.levels
-    for a in range(N):
+    for a in range(rank):
         if len(levels[a]) != profile[a]:
             raise ValueError(f"level {a} should carry {profile[a]} roots")
     if any(isinstance(x, (float, complex)) for level in levels[1:] for x in level):
         levels = (tuple(to_complex(b) for b in levels[0]),) + levels[1:]
-    choices = list(product(*(permutations(range(size)) for size in profile[1:])))
+    nodes = [x for level in levels for x in level]
     out = []
-    for J in enumerate_indices(N, n, tuple(counts)):
-        slots = [[s for s in range(n) if J[s] > i] for i in range(1, N)]
-        total = 0
-        for choice in choices:
-            beta = [range(n)] + [dict(zip(members, perm)) for members, perm in zip(slots, choice)]
-            term = 1
-            for s, js in enumerate(J):
-                for i in range(1, js):
-                    d = levels[i][beta[i][s]] - levels[i - 1][beta[i - 1][s]]
-                    if d == 0:
-                        raise NonGenericError("non-generic configuration")
-                    term = term * (1 / d)
-            total = total + term
-        out.append(total)
+    for chains in _chain_table(rank, tuple(counts)).tolist():
+        links = [[nodes[up] - nodes[low] for up, low in chain] for chain in chains]
+        if any(d == 0 for chain in links for d in chain):
+            raise NonGenericError("non-generic configuration")
+        out.append(sum(math.prod(1 / d for d in chain) for chain in links))
     return out
 
 
@@ -599,40 +628,42 @@ class EigenvectorReport:
     values: np.ndarray = None  # factorized [h_1, ..., h_N], one row per eigenvector point
 
 
-def verify_eigenvector(
-    t: RootCoordinates,
-    spec: ModuleSpec,
-    bethe_op,
-    tol: float = 1e-8,
-) -> EigenvectorReport:
-    """Check that the weight function at the roots is a joint eigenvector.
+def verify_eigenvector(solutions, spec: ModuleSpec, bethe_op, tol: float = 1e-8) -> list:
+    """Check that the weight function at each solution's roots is a joint eigenvector, one report each.
 
-    The predicted eigenvalues are the coefficients of the factorized
-    operator at the roots, evaluated at the :func:`eigenvector_points` by
-    one :func:`factorized_values` call; the report carries them, in that
-    order, and the worst relative residual
-    ||B_i omega - h_i omega|| / (||omega|| max(1, ||B_i||)) over points and
-    coefficients.  The block values and their norms are the operator's
-    ``eigenvector_blocks``, shared by every solution checked against it, so
-    the residuals at every point and coefficient are one stacked product.
-    A residual that is not at most tol, NaN included, is a failure.  The
-    spec must have vector factors only: omega's order, ``enumerate_indices``
-    of the weight, is then the order of the block's members.
+    Each report carries its solution's factorized [h_1, ..., h_N] at the
+    :func:`eigenvector_points`, from one :func:`factorized_values` call for
+    all, and its worst relative residual ||B_i omega - h_i omega|| /
+    (||omega|| max(1, ||B_i||)) over points and coefficients.  omega comes
+    for every solution from one gather over the table of pole chains, and
+    with the operator's ``eigenvector_blocks`` every residual is one stacked
+    product.  A residual that is not at most tol, NaN included, fails, and
+    coincident coupled roots raise :class:`NonGenericError`.  The factors
+    must be vectors: omega's order, ``enumerate_indices`` of the weight, is
+    then the order of the block's members.
     """
     if not spec.all_vector_factors:
         raise ValueError("weight function needs distinct simple points (all sizes one)")
+    if not len(solutions):
+        return []
     points = eigenvector_points(spec)
-    values = factorized_values(t, spec.exponents, points)
-    omega = np.array([to_complex(w) for w in weight_function(t, spec.rank, spec.weight.padded(spec.rank))])
-    norm = float(np.linalg.norm(omega))
-    if norm == 0:
-        return EigenvectorReport(float("inf"), False, ["zero vector"], values)
+    values = factorized_values(solutions, spec.exponents, points)
+    table = _chain_table(spec.rank, spec.weight.padded(spec.rank))
+    X = _nodes(solutions)
+    d = X[:, table[..., 0]] - X[:, table[..., 1]]
+    if not d.all():
+        raise NonGenericError("non-generic configuration")
+    omega = (1 / d).prod(axis=-1).sum(axis=-1)
+    norms = np.linalg.norm(omega, axis=1)
     B, scales = bethe_op.eigenvector_blocks
-    rel = np.linalg.norm(B @ omega - values[..., None] * omega, axis=-1) / norm / scales
-    failures = [
-        f"coefficient {i} at point {pt}: residual {r:.3e}"
-        for pt, row in zip(points, rel)
-        for i, r in enumerate(row, 1)
-        if not r <= tol
-    ]
-    return EigenvectorReport(float(rel.max()), not failures, failures, values)
+    Bw = np.moveaxis(B @ omega.T, -1, 0)  # (solutions, points, N, dim)
+    rel = np.linalg.norm(Bw - values[..., None] * omega[:, None, None, :], axis=-1)
+    rel = rel / np.where(norms > 0, norms, 1.0)[:, None, None] / scales
+    reports = []
+    for v, r, worst, norm in zip(values, rel, rel.max(axis=(1, 2)), norms):
+        failures = ["zero vector"] if norm == 0 else [
+            f"coefficient {i + 1} at point {points[p]}: residual {r[p, i]:.3e}"
+            for p, i in zip(*np.nonzero(~(r <= tol)))
+        ]
+        reports.append(EigenvectorReport(float(worst) if norm else float("inf"), not failures, failures, v))
+    return reports

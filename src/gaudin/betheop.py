@@ -70,27 +70,27 @@ class BetheOperator:
                 raise ValueError(f"B_{i} * pole polynomial is not polynomial") from None
         return out
 
-    def block_evaluate(self, i: int, point) -> MatrixPoly:
-        """Exact value of B_i on the target weight block at a point off the poles, as a constant."""
-        return self.cleared[i - 1](point) * (1 / self.spec.pole_polynomial()(point))
+    def block_evaluate(self, i: int, points) -> list:
+        """Exact values of B_i = A_i / P on the target weight block at a sequence of points off the poles, as constants.
+
+        One contraction of A_i's integer coefficient stack with the points'
+        table of powers, each row over P(point), gives every value.
+        """
+        return self.cleared[i - 1].at(points, _inverse_pole_values(self.spec, tuple(points)))
 
     @cached_property
     def eigenvector_blocks(self) -> tuple:
         """(B, scales): every B_i at the :func:`eigenvector_points`, as read-only arrays.
 
-        B[p, i - 1] is ``block_evaluate(i, points[p])`` as a complex matrix,
-        so B has shape (points, N, dim, dim), and scales[p, i - 1] is
+        B[p, i - 1] is ``block_evaluate(i, points)[p]`` as a complex matrix,
+        each entry correctly rounded, from one call per coefficient, so B has
+        shape (points, N, dim, dim), and scales[p, i - 1] is
         max(1, ||B[p, i - 1]||) in the Frobenius norm.  Both are computed
         once per operator; like ``cleared``, an operator made by
         ``dataclasses.replace`` computes its own.
         """
-        B = np.array(
-            [
-                [self.block_evaluate(i, pt).to_complex(1)[0] for i in range(1, self.rank + 1)]
-                for pt in eigenvector_points(self.spec)
-            ],
-            dtype=complex,
-        )
+        per_point = zip(*(self.block_evaluate(i, eigenvector_points(self.spec)) for i in range(1, self.rank + 1)))
+        B = np.array([[v.to_complex(1)[0] for v in values] for values in per_point], dtype=complex)
         scales = np.maximum(np.linalg.norm(B, axis=(-2, -1)), 1.0)
         B.flags.writeable = scales.flags.writeable = False
         return B, scales
@@ -100,6 +100,12 @@ class BetheOperator:
 def eigenvector_points(spec: ModuleSpec) -> tuple:
     """The n + 2 integer points from 13 off the poles where eigenvalues are compared, built once per spec."""
     return tuple(exact_sample_points(spec.points, spec.size + 2, start=13))
+
+
+@lru_cache(maxsize=256)
+def _inverse_pole_values(spec: ModuleSpec, points: tuple) -> tuple:
+    """1 / P(x) at each point, built once per spec and points."""
+    return tuple(1 / spec.pole_polynomial()(x) for x in points)
 
 
 @lru_cache(maxsize=256)

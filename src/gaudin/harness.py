@@ -178,6 +178,17 @@ class Check:
         return out
 
 
+def _float_check(name: str, measured, tolerance: float, passed=None) -> Check:
+    """A check valued {measured, tolerance, margin}: the worst value (None as inf), and tolerance - measured.
+
+    It passes when measured <= tolerance, or as ``passed`` says; a non-finite measured is null and fails."""
+    worst = float(np.max([math.inf if m is None else m for m in measured], initial=0.0))
+    if not math.isfinite(worst):
+        return Check(name, False, {"measured": None, "tolerance": tolerance, "margin": None})
+    passed = worst <= tolerance if passed is None else passed
+    return Check(name, passed, {"measured": worst, "tolerance": tolerance, "margin": tolerance - worst})
+
+
 def _complex_pair(z):
     z = to_complex(z)
     return [z.real, z.imag]
@@ -329,25 +340,28 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     entries = []
     characters = spectrum["spectrum"].characters
     # every character's [h_1, ..., h_N] at the points the eigenvector check uses
-    den_c = spec.complex_pole_polynomial()
-    zs = [complex(pt) for pt in eigenvector_points(spec)]
-    char_values = np.array([[ch.values(z, den_c(z)) for z in zs] for ch in characters], dtype=complex)
-    char_values = char_values.reshape(-1, len(zs), spec.rank)  # (characters, points, N), also for none
+    zs = np.array([complex(pt) for pt in eigenvector_points(spec)])
+    pz = np.array([spec.complex_pole_polynomial()(z) for z in zs])
+    nums = np.array([ch.numerators for ch in characters], dtype=complex).reshape(len(characters), spec.rank, -1)
+    powers = np.vander(zs, nums.shape[-1], increasing=True) / pz[:, None]
+    char_values = (nums @ powers.T).transpose(0, 2, 1)  # (characters, points, N), also for none
     char_scale = np.maximum(np.abs(char_values), 1.0)
     taken = np.zeros(len(characters), dtype=bool)
-    for sol in sols:
+    reports = verify_eigenvector(sols, spec, op, tol=tol.kernel_fit * 10)
+    # every solution's worst relative distance over points and coefficients to every character
+    values = np.array([ev.values for ev in reports]).reshape(len(sols), 1, len(zs), spec.rank)
+    dists = (np.abs(values - char_values) / char_scale).max(axis=(2, 3))
+    for sol, ev, row in zip(sols, reports, dists):
         res = bae_residual(
             type(sol)([tuple(to_complex(x) for x in lv) for lv in sol.levels]), exponents
         )
         res_norm = max((abs(r) for r in res), default=0.0)
-        ev = verify_eigenvector(sol, spec, op, tol=tol.kernel_fit * 10)
-        # the nearest still-free character, in the worst relative distance over points and coefficients
+        # the nearest still-free character
         free = np.flatnonzero(~taken)
-        dist = (np.abs(ev.values - char_values[free]) / char_scale[free]).max(axis=(1, 2))
         best = best_dist = None
         if free.size:
-            k = np.argmin(dist)
-            best, best_dist = int(free[k]), float(dist[k])
+            best = int(free[np.argmin(row[free])])
+            best_dist = float(row[best])
             taken[best] = best_dist <= tol.kernel_fit
         entries.append(
             {
@@ -361,14 +375,11 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
         )
     # the search accepts residuals in units of the smallest gap between the points
     unit = gap_unit(spec.points)
-    checks.append(Check("solutions-satisfy-equations", all(unit * e["bae_residual"] <= 1e-10 for e in entries)))
-    checks.append(Check("weight-function-eigenvectors", all(e["eigenvector_ok"] for e in entries)))
-    checks.append(
-        Check(
-            "factorized-operators-match-characters",
-            int(taken.sum()) == len(entries) == len(characters),
-        )
-    )
+    checks.append(_float_check("solutions-satisfy-equations", [unit * e["bae_residual"] for e in entries], 1e-10))
+    checks.append(_float_check("weight-function-eigenvectors", [e["eigenvector_residual"] for e in entries],
+                               tol.kernel_fit * 10))
+    checks.append(_float_check("factorized-operators-match-characters", [e["match_distance"] for e in entries],
+                               tol.kernel_fit, int(taken.sum()) == len(entries) == len(characters)))
     _lap(stages, "eigenvectors", t)
     return {
         "checks": checks,

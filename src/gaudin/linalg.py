@@ -21,9 +21,9 @@ product is one block matmul of every pair of coefficients, then one shifted
 add per degree.  Every linear map along the degree axis is one contraction
 with an exact scalar matrix: a scalar polynomial multiple (a Toeplitz
 matrix), the derivative, a Taylor shift (binomials times powers of the
-point), evaluation (its first row) and the quotient by a monic scalar
-polynomial.  Products keep operand order and never assume that the
-coefficients commute.
+point), evaluation at many points (a table of their powers) and the
+quotient by a monic scalar polynomial.  Products keep operand order and
+never assume that the coefficients commute.
 """
 
 from __future__ import annotations
@@ -343,9 +343,29 @@ class MatrixPoly:
         re, im, den = _taylor_scalars(b, max(cols, count) - 1, count)
         return self._transformed(re[:, :cols], im[:, :cols] if im is not None else None, den)
 
-    def __call__(self, x) -> MatrixPoly:
-        """The value at an exact point, as a constant."""
-        return self.taylor_at(x, 1)
+    def at(self, points, scales) -> list:
+        """scales[p] times the value at points[p], for exact points and scales, as constants.
+
+        With x = (a + ib)/e and s = (c + id)/f, row p of the table is
+        (c + id)(a + ib)^k e^(D-k), k <= D = degree, over f e^D, so one
+        contraction with the coefficient stack gives every value.
+        """
+        if self.is_zero():
+            return [self] * len(points)
+        rows, dens, D = [], [], self.degree
+        for x, s in zip(points, scales):
+            (a, b, e), (c, d, f) = _split(x), _split(s)
+            row, c, d, b = [], c * e**D, (d or 0) * e**D, b or 0
+            for _ in range(D + 1):
+                row.append((c, d))
+                c, d = (c * a - d * b) // e, (c * b + d * a) // e
+            rows.append(row)
+            dens.append(f * e**D)
+        table = np.array(rows, dtype=object).reshape(len(rows), D + 1, 2)
+        t_im = _canonical(table[..., 1]) if table[..., 1].any() else None
+        re, im = _complex(_contract, _canonical(table[..., 0]), t_im, self.re, self.im)
+        return [MatrixPoly(re[p:p + 1], None if im is None else im[p:p + 1], f * self.den)
+                for p, f in enumerate(dens)]
 
     def exact_div(self, monic: Poly) -> MatrixPoly:
         """The quotient by a monic scalar polynomial with exact coefficients.

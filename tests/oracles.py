@@ -41,8 +41,8 @@ from math import comb
 
 import numpy as np
 
-from gaudin.algebra import apply_e_block, irreducible_factor_basis, reduce
-from gaudin.bae import gap_unit
+from gaudin.algebra import apply_e_block, enumerate_indices, irreducible_factor_basis, reduce
+from gaudin.bae import EigenvectorReport, NonGenericError, factorized_values, gap_unit, weight_function
 from gaudin.betheop import eigenvector_points
 from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly, falling_product, taylor_matrix
@@ -719,12 +719,63 @@ def eigenvector_check_loop(op, points, values, omega, tol):
     worst, failures = 0.0, []
     for pt, hvals in zip(points, values):
         for i in range(1, op.rank + 1):
-            m = op.block_evaluate(i, pt).to_complex(1)[0]
+            m = op.block_evaluate(i, [pt])[0].to_complex(1)[0]
             rel = np.linalg.norm(m @ omega - hvals[i - 1] * omega) / norm / max(1.0, np.linalg.norm(m))
             worst = max(worst, rel)
             if rel > tol:
                 failures.append(f"coefficient {i} at point {pt}: residual {rel:.3e}")
     return worst, failures
+
+
+def verify_eigenvector_by_solution(solutions, spec, op, tol):
+    """The eigenvector check one solution at a time, one report each.
+
+    Each solution gets its own ``factorized_values`` call, its omega from
+    the exact ``weight_function`` converted to complex, and the check of
+    :func:`eigenvector_check_loop`, with its own ``block_evaluate`` call
+    per point and coefficient: the reference for the stacked
+    ``bae.verify_eigenvector``.
+    """
+    points = eigenvector_points(spec)
+    reports = []
+    for t in solutions:
+        values = factorized_values([t], spec.exponents, points)[0]
+        omega = np.array([to_complex(w) for w in weight_function(t, spec.rank, spec.weight.padded(spec.rank))])
+        if np.linalg.norm(omega) == 0:
+            reports.append(EigenvectorReport(float("inf"), False, ["zero vector"], values))
+            continue
+        worst, failures = eigenvector_check_loop(op, points, values, omega, tol)
+        reports.append(EigenvectorReport(worst, not failures, failures, values))
+    return reports
+
+
+def weight_function_by_bijections(t, rank: int, counts) -> list:
+    """omega_J for every J in ``enumerate_indices`` order, summed over the level bijections directly.
+
+    For each J and each tuple of bijections beta_i from {s : j_s > i} onto
+    level i, the product over slots s of prod_{i=1..j_s-1}
+    1/(t^(i)_{beta_i(s)} - t^(i-1)_{beta_{i-1}(s)}), beta_0(s) = s, with no
+    table of chains: the reference for ``bae.weight_function``.
+    """
+    counts = tuple(counts) + (0,) * (rank - len(counts))
+    n = sum(counts)
+    levels = t.levels
+    out = []
+    for J in enumerate_indices(rank, n, counts):
+        slots = [[s for s in range(n) if J[s] > i] for i in range(1, rank)]
+        total = 0
+        for choice in product(*(permutations(range(len(level))) for level in levels[1:rank])):
+            beta = [range(n)] + [dict(zip(members, perm)) for members, perm in zip(slots, choice)]
+            term = 1
+            for s, js in enumerate(J):
+                for i in range(1, js):
+                    d = levels[i][beta[i][s]] - levels[i - 1][beta[i - 1][s]]
+                    if d == 0:
+                        raise NonGenericError("non-generic configuration")
+                    term = term * (1 / d)
+            total = total + term
+        out.append(total)
+    return out
 
 
 # --- the spectral stage one character at a time ----------------------------

@@ -110,7 +110,7 @@ def test_criterion_4_golden_instance(golden_op):
         numers = []
         for i in (1, 2):
             samples = [
-                (complex(pt), factorized_values(sol, exps, [pt])[0][i - 1]) for pt in pts
+                (complex(pt), factorized_values([sol], exps, [pt])[0][0][i - 1]) for pt in pts
             ]
             rec = rational_reconstruct(samples, spec.size, den, tol=1e-8)
             numers.append([complex(rec.coeff(k)) for k in range(spec.size + 1)])
@@ -124,7 +124,7 @@ def test_criterion_4_golden_instance(golden_op):
         assert hasattr(m, "ok") and m.ok
 
     for sol in sols:
-        ev = verify_eigenvector(sol, spec, golden_op, tol=1e-8)
+        ev = verify_eigenvector([sol], spec, golden_op, tol=1e-8)[0]
         assert ev.passed
     elapsed = time.time() - t0
     report(4, elapsed < 5, f"(2 characters, quadratic roots, operator match, {elapsed:.1f}s)")

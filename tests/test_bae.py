@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaudin import betheop
 from gaudin.algebra import ModuleSpec, build_embedded_module, enumerate_indices
@@ -14,6 +16,7 @@ from gaudin.bae import (
     MAX_ITER,
     NEWTON_CHUNK,
     RESIDUAL_TOL,
+    SAME_REAL,
     STALL_WINDOW,
     BetheEquations,
     NonGenericError,
@@ -22,6 +25,8 @@ from gaudin.bae import (
     bae_residual,
     damped_newton,
     factorized_values,
+    gap_unit,
+    level_order,
     level_profile,
     newton_solve,
     profile_from_counts,
@@ -37,7 +42,12 @@ from gaudin.scalars import to_complex
 from gaudin.spaces import QuasiExpSpace, char_at_infinity, cleared_operator_polys, membership_test
 
 from conftest import COUNT_FAMILY, GOLDEN, JORDAN, make_spec, weight_function_by_index
-from oracles import eigenvector_check_loop, factorized_operator
+from oracles import (
+    eigenvector_check_loop,
+    factorized_operator,
+    verify_eigenvector_by_solution,
+    weight_function_by_bijections,
+)
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -124,7 +134,7 @@ def test_factorized_values_match_exact_composition(levels, K, points):
     K = tuple(F(k) for k in K)
     points = [F(pt) for pt in points]
     D = factorized_operator(t, K)
-    values = factorized_values(t, K, points)
+    values = factorized_values([t], K, points)[0]
     assert values.shape == (len(points), len(K))
     for pt, row in zip(points, values):
         for i in range(1, len(K) + 1):
@@ -251,8 +261,8 @@ def test_weight_function_permutation_invariance():
     v1, v2 = np.array(weight_function(t1, 2, (2, 2))), np.array(weight_function(t2, 2, (2, 2)))
     assert np.allclose(v1, v2)
     for pt in (9.0, 11.0):
-        x1 = factorized_values(t1, [0.0, 0.5], [pt])[0]
-        x2 = factorized_values(t2, [0.0, 0.5], [pt])[0]
+        x1 = factorized_values([t1], [0.0, 0.5], [pt])[0][0]
+        x2 = factorized_values([t2], [0.0, 0.5], [pt])[0][0]
         assert np.allclose(x1, x2)
 
 
@@ -260,7 +270,7 @@ def test_verify_eigenvector_golden(golden_op):
     spec = golden_op.spec
     sols = newton_solve(spec, seed=2024)
     for sol in sols:
-        report = verify_eigenvector(sol, spec, golden_op, tol=1e-8)
+        report = verify_eigenvector([sol], spec, golden_op, tol=1e-8)[0]
         assert report.passed
         assert report.residual <= 1e-10
 
@@ -269,7 +279,7 @@ def test_verify_eigenvector_negative_control(golden_op):
     spec = golden_op.spec
     sols = newton_solve(spec, seed=2024)
     bad = root_coordinates(spec, [[to_complex(sols[0].upper[0][0]) + 0.1]])
-    report = verify_eigenvector(bad, spec, golden_op, tol=1e-8)
+    report = verify_eigenvector([bad], spec, golden_op, tol=1e-8)[0]
     assert not report.passed
     assert report.residual > 1e-4
 
@@ -281,7 +291,7 @@ def test_stacked_eigenvector_check_matches_the_loop(golden_op):
     sol = newton_solve(spec, seed=2024)[0]
     bad = root_coordinates(spec, [[to_complex(sol.upper[0][0]) + 0.1]])
     for t, passed in ((sol, True), (bad, False)):
-        report = verify_eigenvector(t, spec, golden_op, tol=1e-8)
+        report = verify_eigenvector([t], spec, golden_op, tol=1e-8)[0]
         points = eigenvector_points(spec)
         omega = np.array(weight_function(t, spec.rank, spec.weight.padded(spec.rank)), dtype=complex)
         worst, failures = eigenvector_check_loop(golden_op, points, report.values, omega, 1e-8)
@@ -311,6 +321,93 @@ def test_weight_function_order_is_the_block_member_order(name):
     assert list(enumerate_indices(spec.rank, spec.size, spec.weight.padded(spec.rank))) == leads
 
 
+@pytest.mark.parametrize("name", sorted(VECTOR_FACTOR_SPECS))
+def test_stacked_reports_match_the_per_solution_path(name):
+    """One verify_eigenvector call over the root set gives, solution by
+    solution, the residual, values, verdict and failure lines of the
+    per-solution path; the negative control, a copy of the first solution
+    with one root moved by a tenth of the smallest gap, fails in both."""
+    spec = VECTOR_FACTOR_SPECS[name]
+    op = build_bethe_operator(spec)
+    sols = list(newton_solve(spec, seed=2024))
+    found = len(sols)
+    levels = [list(level) for level in sols[0].upper]
+    moved = next((a for a, level in enumerate(levels) if level), None)
+    if moved is not None:
+        levels[moved][0] = to_complex(levels[moved][0]) + 0.1 * gap_unit(spec.points)
+        sols.append(root_coordinates(spec, levels))
+    got = verify_eigenvector(sols, spec, op, tol=1e-7)
+    want = verify_eigenvector_by_solution(sols, spec, op, tol=1e-7)
+    assert len(got) == len(want) == len(sols)
+    for a, b in zip(got, want):
+        # a true solution's residual is roundoff, about 1e-16, which no two
+        # summation orders repeat to 12 digits: below 1e-14 it is compared absolutely
+        assert a.residual == pytest.approx(b.residual, rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=0)
+        assert a.failures == b.failures
+        assert a.passed is b.passed
+    assert all(r.passed for r in got[:found])
+    if moved is not None:
+        assert not got[-1].passed and got[-1].residual > 1e-4
+
+
+def test_verify_eigenvector_of_no_solutions_is_empty(golden_op):
+    assert verify_eigenvector([], golden_op.spec, golden_op) == []
+
+
+def test_verify_eigenvector_refuses_a_root_on_a_point(golden_op):
+    """A root set with one root on an evaluation point raises NonGenericError,
+    and no RuntimeWarning is emitted on the way."""
+    spec = golden_op.spec
+    sols = [newton_solve(spec, seed=2024)[0], root_coordinates(spec, [[0.0]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonGenericError):
+            verify_eigenvector(sols, spec, golden_op)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_weight_function_table_matches_the_sum_over_bijections(data):
+    """On exact, pairwise distinct roots with N <= 3 and weight vectors of at
+    most 4 boxes, omega from the table of pole chains equals the direct sum
+    over the level bijections."""
+    N = data.draw(st.integers(1, 3))
+    counts = tuple(data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N).filter(lambda c: sum(c) <= 4)))
+    profile = profile_from_counts(counts, N)
+    roots = data.draw(st.lists(st.fractions(-6, 6, max_denominator=3), min_size=sum(profile),
+                               max_size=sum(profile), unique=True))
+    bounds = np.cumsum((0,) + profile)
+    t = RootCoordinates([roots[a:b] for a, b in zip(bounds, bounds[1:])])
+    assert weight_function(t, N, counts) == weight_function_by_bijections(t, N, counts)
+
+
+def test_conjugate_roots_sort_the_same_either_way():
+    """A conjugate pair whose real parts are 1 ulp apart is ordered by its
+    imaginary parts, whichever real part roundoff made the larger; roots
+    farther apart than SAME_REAL go by real part."""
+    x = 1.1853654834011367
+    y = math.nextafter(x, 2.0)
+    for lo, hi in ((x, y), (y, x)):
+        upper, lower = complex(lo, 0.328), complex(hi, -0.328)
+        for level in ([upper, lower], [lower, upper]):
+            assert level_order(level) == [lower, upper]
+            key = RootCoordinates([(F(0), F(1)), tuple(level)]).sorted_key()
+            assert key == (((hi, -0.328), (lo, 0.328)),)
+    far = x * (1 + 10 * SAME_REAL)
+    assert level_order([complex(far, -1.0), complex(x, 1.0)]) == [complex(x, 1.0), complex(far, -1.0)]
+
+
+def test_root_order_does_not_move_with_the_seed():
+    """On bae-real the seeds 2024 and 7 find the same six solutions, and
+    report each, conjugate pairs included, in the same order."""
+    spec = make_spec(COUNT_FAMILY[0])
+    first, second = newton_solve(spec, seed=2024), newton_solve(spec, seed=7)
+    assert len(first) == len(second) == 6
+    for a, b in zip(first, second):
+        assert np.allclose(np.array(a.upper, dtype=complex), np.array(b.upper, dtype=complex), rtol=0, atol=1e-8)
+
+
 def test_check_points_and_weight_basis_are_built_once(monkeypatch):
     """The check points and the weight basis are cached: a second call returns
     the same object, and checking the six bae-real solutions draws the check
@@ -329,14 +426,14 @@ def test_check_points_and_weight_basis_are_built_once(monkeypatch):
 
     eigenvector_points.cache_clear()
     monkeypatch.setattr(betheop, "exact_sample_points", counted)
-    assert all(verify_eigenvector(sol, spec, op, tol=1e-8).passed for sol in sols)
+    assert all(verify_eigenvector([sol], spec, op, tol=1e-8)[0].passed for sol in sols)
     assert len(calls) <= 1
 
 
 def test_verify_eigenvector_needs_vector_factors():
     spec = ModuleSpec(2, ("0", "1"), ((2, 0), (1, 1)), ("0", "1"), (2, 2))
     with pytest.raises(ValueError, match="all sizes one"):
-        verify_eigenvector(RootCoordinates([(F(0), F(1)), (F(5), F(7))]), spec, None)
+        verify_eigenvector([RootCoordinates([(F(0), F(1)), (F(5), F(7))])], spec, None)
 
 
 def test_integral_gap_instance_has_non_generic_point():

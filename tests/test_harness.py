@@ -154,15 +154,52 @@ def test_wronski_builds_the_minors_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_bethe_float_checks_report_their_margin():
+    """On golden_n2 each Bethe float check carries the worst value over the
+    solutions, the bound it was held to and their difference."""
+    cfg = InstanceConfig.from_file(Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json")
+    out = verify_pipeline(cfg)
+    values = {c.name: (c.passed, c.value) for c in out["checks"]}
+    entries = out["bae"]
+    assert len(entries) == 2
+    fit = cfg.tolerances.kernel_fit
+    for name, key, tolerance in (
+        ("solutions-satisfy-equations", "bae_residual", 1e-10),  # the gap unit is 1 on golden
+        ("weight-function-eigenvectors", "eigenvector_residual", 10 * fit),
+        ("factorized-operators-match-characters", "match_distance", fit),
+    ):
+        passed, value = values[name]
+        assert passed
+        assert set(value) == {"measured", "tolerance", "margin"}
+        assert value["measured"] == max(e[key] for e in entries)
+        assert 0 <= value["measured"] < 1e-12
+        assert value["tolerance"] == tolerance
+        assert value["margin"] == tolerance - value["measured"]
+
+
+def test_a_non_finite_measurement_is_null_and_fails():
+    """A float check passes on its worst value, or as it is told; a value
+    that is not finite is written as null and fails it either way."""
+    for worst in (float("nan"), float("inf"), None):
+        check = harness._float_check("x", [1e-12, worst], 1e-10, passed=True)
+        assert not check.passed
+        assert check.value == {"measured": None, "tolerance": 1e-10, "margin": None}
+    assert harness._float_check("x", [], 1e-10).value == {"measured": 0.0, "tolerance": 1e-10, "margin": 1e-10}
+    assert harness._float_check("x", [1e-12, 2e-10], 1e-10).passed is False
+    assert harness._float_check("x", [1e-12], 1e-10, passed=False).passed is False
+
+
 def test_block_values_are_shared_by_every_solution(monkeypatch):
     """verify evaluates each B_i at each of the n + 2 eigenvector points once,
-    however many Bethe solutions are checked against them."""
-    calls = []
+    however many Bethe solutions are checked against them, in one
+    block_evaluate call per coefficient."""
+    calls, batches = [], []
     original = BetheOperator.block_evaluate
 
-    def counted(self, i, point):
-        calls.append((i, point))
-        return original(self, i, point)
+    def counted(self, i, points):
+        batches.append(i)
+        calls.extend((i, pt) for pt in points)
+        return original(self, i, points)
 
     monkeypatch.setattr(BetheOperator, "block_evaluate", counted)
     cfg = InstanceConfig.from_file(Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json")
@@ -172,6 +209,7 @@ def test_block_values_are_shared_by_every_solution(monkeypatch):
     spec = cfg.spec
     assert len(calls) == spec.rank * (spec.size + 2)
     assert len(set(calls)) == len(calls)
+    assert sorted(batches) == list(range(1, spec.rank + 1))
 
 
 @pytest.mark.parametrize(

@@ -107,9 +107,9 @@ def test_derivative_evaluation_and_taylor_shift(data, field, rows, cols, scale):
     assert unstacked(A.derivative()) == a.derivative()
     x = data.draw(scalars(field))
     if a.is_zero():
-        assert A(x).is_zero()
+        assert A.at([x], [1])[0].is_zero()
     else:
-        assert constant(A(x)) == a(x)
+        assert constant(A.at([x], [1])[0]) == a(x)
     count = data.draw(st.integers(1, 5))
     assert unstacked(A.taylor_at(x, count)) == Poly(a.taylor_at(x, count))
 

@@ -124,7 +124,7 @@ def test_maximal_commutativity_proxy(golden_op):
     """Products of coefficient values act with full rank on a cyclic vector."""
     pts = exact_sample_points(golden_op.spec.points, 2, start=13)
     mats = [
-        golden_op.block_evaluate(i, pt).to_complex(1)[0]
+        golden_op.block_evaluate(i, [pt])[0].to_complex(1)[0]
         for i in (1, 2)
         for pt in pts
     ]
