@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
 from .algebra import EmbeddedModule, ModuleSpec
-from .linalg import MatrixPoly, pairwise_commute, scalar_table
+from .linalg import MatrixPoly, pairwise_commute, point_table, root_products
 from .polynomials import Poly, indicial_coefficients
 
 
@@ -73,8 +73,9 @@ class BetheOperator:
     def block_evaluate(self, i: int, points) -> list:
         """Exact values of B_i = A_i / P on the target weight block at a sequence of points off the poles, as constants.
 
-        One contraction of A_i's integer coefficient stack with the points'
-        table of powers, each row over P(point), gives every value.
+        One contraction of A_i's integer coefficient stack with the k = 0
+        rows of the points' ``point_table``, each row over P(point), gives
+        every value.
         """
         return self.cleared[i - 1].at(points, _inverse_pole_values(self.spec, tuple(points)))
 
@@ -108,13 +109,6 @@ def _inverse_pole_values(spec: ModuleSpec, points: tuple) -> tuple:
     return tuple(1 / spec.pole_polynomial()(x) for x in points)
 
 
-@lru_cache(maxsize=256)
-def _point_polys(spec: ModuleSpec) -> tuple:
-    """P1 = prod_s (u - b_s) and the ``scalar_table`` of each prod_{r != s} (u - b_r), built once per spec."""
-    p1 = Poly.from_roots(spec.points)
-    return p1, scalar_table([p1.exact_div(Poly([-b, b * 0 + 1])) for b in spec.points])
-
-
 def _series(module: EmbeddedModule, i: int, j: int, nu, cofactors: tuple) -> MatrixPoly:
     """G with e_ij(u) = G / P1 on the weight-nu columns: sum_s E_s prod_{r != s} (u - b_r)."""
     return MatrixPoly.combination(cofactors, *module.generator_block(i, j, nu))
@@ -140,7 +134,7 @@ def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> Bet
         module = EmbeddedModule(spec)
     N = spec.rank
     lam = spec.weight.padded(N)
-    p1, cofactors = _point_polys(spec)
+    p1, cofactors = root_products(spec.points)
     dp1 = p1.derivative()
     minors = {(): (lam, [MatrixPoly.identity(len(module.weight_indices(lam)))])}
     for k in reversed(range(N)):
@@ -185,7 +179,7 @@ def first_coefficient_residual(op: BetheOperator) -> MatrixPoly:
     """
     spec = op.spec
     lam = spec.weight.padded(op.rank)
-    p1, cofactors = _point_polys(spec)
+    p1, cofactors = root_products(spec.points)
     total = p1.scale(sum(spec.exponents[1:], spec.exponents[0])) * MatrixPoly.identity(op.dim)
     for i in range(1, op.rank + 1):
         total = total + _series(op.module, i, i, lam, cofactors)
@@ -249,11 +243,11 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
     is a scalar c_i I and the c_i meet the target: ``indicial_coefficients``
     on the scalar parts of the first n_s + 1 Taylor coefficients, against
     ``spec.indicial_target(s)``.  On an empty block every identity holds.
+    Every Taylor coefficient comes from one ``point_table`` contraction per
+    A_i (P as 1 x 1), and points with equal n_s share one indicial call.
     """
     spec = op.spec
-    N = spec.rank
-    n = spec.size
-    pole = spec.pole_polynomial()
+    N, n, sizes = spec.rank, spec.size, spec.factor_sizes
     failures = []
     pole_orders = {}
     scalar = True
@@ -267,23 +261,32 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
         if d > n:
             failures.append(f"cleared A_{i} has degree {d} > {n}")
 
-    indicial_ok = True
-    for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
-        table = [pole.taylor_at(b_s, n_s + 1)]  # A_0 = P
+    # local[s][i][k]: the (u - b_s)^k coefficient of A_i (A_0 = P), c when it is c I, else None
+    counts = tuple(m + 1 for m in sizes)
+    table, rows = point_table(spec.points, counts, max(degrees + [n])), sum(counts)
+    polys = [MatrixPoly.identity(1) * spec.pole_polynomial()] + cleared
+    columns = [(a.contract(*table).scalars() + [0] * rows)[:rows] for a in polys]
+    local = [[col[start:start + count] for col in columns] for start, count in zip(accumulate((0,) + counts), counts)]
+    for s, n_s in enumerate(sizes):
         for i in range(1, N + 1):
-            local = cleared[i - 1].taylor_at(b_s, n_s + 1).scalars()  # c when the term is c I, else None
             # observed pole order of B_i at b_s = n_s - vanishing order of A_i
-            vanish = next((k for k, c in enumerate(local) if c is None or c != 0), n_s + 1)
+            vanish = next((k for k, c in enumerate(local[s][i]) if c is None or c != 0), n_s + 1)
             pole_orders[i, s] = max(0, n_s - vanish)
-            table.append(local + [0] * (n_s + 1 - len(local)))
-        if not op.dim:  # on an empty block every matrix is scalar
-            continue
-        nonscalar = [i for i in range(1, min(n_s, N) + 1) if table[i][n_s - i] is None]
-        scalar = scalar and not nonscalar
-        failures += [f"leading local coefficient of B_{i} at point {b_s} is not scalar" for i in nonscalar]
-        if nonscalar or Poly(indicial_coefficients(np.array(table, dtype=object), n_s)) != spec.indicial_target(s):
-            indicial_ok = False
-            failures.append(f"indicial identity fails at point {b_s}")
+
+    indicial_ok = True
+    if op.dim:  # on an empty block every matrix is scalar and every identity holds
+        chis = {}
+        for m in set(sizes):  # the points with n_s = m at once
+            group = [s for s, n_s in enumerate(sizes) if n_s == m]
+            stacked = [[[0 if c is None else c for c in col] for col in local[s]] for s in group]
+            chis.update(zip(group, indicial_coefficients(np.array(stacked, dtype=object), m)))
+        for s, (b_s, n_s) in enumerate(zip(spec.points, sizes)):
+            nonscalar = [i for i in range(1, min(n_s, N) + 1) if local[s][i][n_s - i] is None]
+            scalar = scalar and not nonscalar
+            failures += [f"leading local coefficient of B_{i} at point {b_s} is not scalar" for i in nonscalar]
+            if nonscalar or Poly(chis[s]) != spec.indicial_target(s):
+                indicial_ok = False
+                failures.append(f"indicial identity fails at point {b_s}")
 
     return PolynomialityReport(
         degrees=degrees,

@@ -32,7 +32,7 @@ from .betheop import (
 from .polynomials import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar, to_complex
 from .spaces import QuasiExpSpace, fundamental_operator, membership_test, operator_text, wronskian_of_space
-from .spectral import Tolerances, joint_diagonalize, spectrum_analysis
+from .spectral import Tolerances, gate, joint_diagonalize, spectrum_analysis
 
 
 class ConfigError(ValueError):
@@ -179,14 +179,12 @@ class Check:
 
 
 def _float_check(name: str, measured, tolerance: float, passed=None) -> Check:
-    """A check valued {measured, tolerance, margin}: the worst value (None as inf), and tolerance - measured.
+    """A check valued ``gate`` of the worst value (None as inf) against the tolerance.
 
     It passes when measured <= tolerance, or as ``passed`` says; a non-finite measured is null and fails."""
-    worst = float(np.max([math.inf if m is None else m for m in measured], initial=0.0))
-    if not math.isfinite(worst):
-        return Check(name, False, {"measured": None, "tolerance": tolerance, "margin": None})
-    passed = worst <= tolerance if passed is None else passed
-    return Check(name, passed, {"measured": worst, "tolerance": tolerance, "margin": tolerance - worst})
+    value = gate(float(np.max([math.inf if m is None else m for m in measured], initial=0.0)), tolerance)
+    ok = value["measured"] is not None and (value["measured"] <= tolerance if passed is None else passed)
+    return Check(name, ok, value)
 
 
 def _complex_pair(z):

@@ -20,10 +20,11 @@ Sums, negation and exact scalar multiples are whole-array operations.  A
 product is one block matmul of every pair of coefficients, then one shifted
 add per degree.  Every linear map along the degree axis is one contraction
 with an exact scalar matrix: a scalar polynomial multiple (a Toeplitz
-matrix), the derivative, a Taylor shift (binomials times powers of the
-point), evaluation at many points (a table of their powers) and the
-quotient by a monic scalar polynomial.  Products keep operand order and
-never assume that the coefficients commute.
+matrix), the derivative, the quotient by a monic scalar polynomial, and the
+expansion at many points, where one integer ``point_table`` holds the
+Taylor shift at every point (binomials times powers of the point, over one
+common denominator) and its rows k = 0 evaluate.  Products keep operand
+order and never assume that the coefficients commute.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomials import Poly, taylor_matrix
+from .polynomials import Poly
 from .scalars import GaussianRational
 
 # An int64 array holds entries below this in absolute value, so that a sum
@@ -95,20 +96,62 @@ def _scalars(values, shape):
     return _canonical(re.reshape(shape)), im, den
 
 
-def scalar_table(polys) -> tuple:
-    """Integer arrays (re, im, den) of shape (degree + 1, len(polys)), p_s = sum_k (re[k, s] + i*im[k, s]) / den u^k."""
-    length = max((p.degree for p in polys), default=-1) + 1
-    return _scalars([p.coeff(k) for k in range(length) for p in polys], (length, len(polys)))
+def _common(points):
+    """Gaussian integers (a_s, c_s) and the lcm L of the denominators, with b_s = (a_s + i c_s) / L."""
+    parts = [_split(b) for b in points]
+    L = math.lcm(1, *(e for _, _, e in parts))
+    return [(a * (L // e), (c or 0) * (L // e)) for a, c, e in parts], L
 
 
-@lru_cache(maxsize=256, typed=True)
-def _taylor_scalars(b, degree: int, count: int):
-    """``taylor_matrix(b, degree, count)`` as read-only integer arrays (re, im, den), converted once."""
-    re, im, den = _scalars(taylor_matrix(b, degree, count).flat, (count, degree + 1))
-    re.flags.writeable = False
-    if im is not None:
-        im.flags.writeable = False
-    return re, im, den
+def _exact(re, im, den):
+    """The exact scalar (re + i*im) / den of integers; a Fraction when im is None."""
+    value = Fraction(int(re), den)
+    return value if im is None else GaussianRational(value, Fraction(int(im), den))
+
+
+@lru_cache(maxsize=256)
+def point_table(points: tuple, counts: tuple, degree: int) -> tuple:
+    """Read-only integer arrays (re, im, den): row (s, k), k < counts[s], holds C(j, k) b_s^(j - k), j <= degree.
+
+    With b_s = z_s / L, entry (s, k, j) is C(j, k) z_s^(j - k) L^(degree - j + k)
+    over L^degree, in Gaussian integers (im None when every b_s is real): one
+    contraction expands a polynomial at every point; the rows k = 0 evaluate it.
+    """
+    zs, L = _common(points)
+    rows = []
+    for (a, c), count in zip(zs, counts):
+        powers = [(L**degree, 0)]  # z^m L^(degree - m)
+        for _ in range(degree):
+            x, y = powers[-1]
+            powers.append(((x * a - y * c) // L, (x * c + y * a) // L))
+        rows += [[tuple(math.comb(j, k) * part for part in powers[j - k]) if j >= k else (0, 0)
+                  for j in range(degree + 1)] for k in range(count)]
+    table = np.array(rows, dtype=object).reshape(len(rows), degree + 1, 2)
+    re, im = _canonical(table[..., 0]), _canonical(table[..., 1]) if table[..., 1].any() else None
+    for part in (re, im) if im is not None else (re,):
+        part.flags.writeable = False
+    return re, im, L**degree
+
+
+@lru_cache(maxsize=256)
+def root_products(roots: tuple) -> tuple:
+    """P = prod_r (u - x_r) as a Poly, and (re, im, den) whose column s over den holds the coefficients
+    of prod_{r != s} (u - x_r), ascending, unreduced: with x_r = z_r / L, products of the integer factors
+    L u - z_r (L in place of the own one), all over L^len(roots).  Built once per roots.
+    """
+    zs, L = _common(roots)
+    n, cols = len(zs), []
+    for s in range(n + 1):
+        col = [(1, 0)]  # Gaussian integer coefficients, ascending
+        for r, (a, c) in enumerate(zs):  # times L, or L u - (a + ic)
+            col = ([(L * x, L * y) for x, y in col] if r == s else
+                   [(L * x1 - a * x0 + c * y0, L * y1 - a * y0 - c * x0)
+                    for (x0, y0), (x1, y1) in zip(col + [(0, 0)], [(0, 0)] + col)])
+        cols.append(col)
+    gauss = any(c for _, c in zs)
+    p = Poly([_exact(x, y if gauss else None, L**n) for x, y in cols[n]])
+    table = np.array(cols[:n], dtype=object).reshape(n, n, 2).transpose(1, 0, 2)
+    return p, (_canonical(table[..., 0]), _canonical(table[..., 1]) if gauss else None, L**n)
 
 
 def _lincomb(pairs):
@@ -230,7 +273,7 @@ class MatrixPoly:
 
     @staticmethod
     def combination(table, stack, den=1) -> MatrixPoly:
-        """sum_s p_s * stack[s] / den: the scalar polynomials p_s of a ``scalar_table`` times one integer stack."""
+        """sum_s p_s * stack[s] / den for scalar polynomials p_s = sum_k (re[k, s] + i*im[k, s]) / t_den u^k."""
         if not len(stack):
             return MatrixPoly.zero(*stack.shape[1:])
         t_re, t_im, t_den = table
@@ -305,13 +348,15 @@ class MatrixPoly:
             return NotImplemented
         s_re, s_im, s_den = parts
         eye = np.identity(len(self.re), dtype=object)
-        return self._transformed(eye * s_re, eye * s_im if s_im else None, s_den)
+        return self.contract(eye * s_re, eye * s_im if s_im else None, s_den)
 
-    def _transformed(self, t_re, t_im, t_den):
-        """The stack contracted with the exact scalar matrix (t_re + i*t_im) / t_den along the degree axis."""
+    def contract(self, t_re, t_im, t_den):
+        """The stack contracted along the degree axis with the first len(self) columns of the exact
+        scalar matrix (t_re + i*t_im) / t_den, such as a ``point_table``."""
         if self.is_zero():
             return self
-        re, im = _complex(_contract, t_re, t_im, self.re, self.im)
+        cols = len(self.re)
+        re, im = _complex(_contract, t_re[:, :cols], None if t_im is None else t_im[:, :cols], self.re, self.im)
         return MatrixPoly(re, im, t_den * self.den)
 
     def _times_poly(self, p: Poly):
@@ -321,7 +366,7 @@ class MatrixPoly:
         rows, cols = len(self.re) + p.degree, len(self.re)
         p_re, p_im, p_den = _scalars(p.coeffs, (p.degree + 1,))
         t_im = _banded(p_im, rows, cols) if p_im is not None else None
-        return self._transformed(_banded(p_re, rows, cols), t_im, p_den)
+        return self.contract(_banded(p_re, rows, cols), t_im, p_den)
 
     def derivative(self) -> MatrixPoly:
         if len(self.re) < 2:
@@ -329,43 +374,25 @@ class MatrixPoly:
         d = len(self.re) - 1
         t = np.zeros((d, d + 1), dtype=np.int64)
         t[np.arange(d), np.arange(1, d + 1)] = np.arange(1, d + 1)
-        return self._transformed(t, None, 1)
-
-    def taylor_at(self, b, count: int) -> MatrixPoly:
-        """The first count coefficients of the expansion in powers of (u - b), by the table ``taylor_matrix``.
-
-        The table is cut from the one with max(degree + 1, count) columns, so
-        every polynomial expanded at b to count terms shares one table.
-        """
-        if self.is_zero():
-            return self
-        cols = self.degree + 1
-        re, im, den = _taylor_scalars(b, max(cols, count) - 1, count)
-        return self._transformed(re[:, :cols], im[:, :cols] if im is not None else None, den)
+        return self.contract(t, None, 1)
 
     def at(self, points, scales) -> list:
         """scales[p] times the value at points[p], for exact points and scales, as constants.
 
-        With x = (a + ib)/e and s = (c + id)/f, row p of the table is
-        (c + id)(a + ib)^k e^(D-k), k <= D = degree, over f e^D, so one
-        contraction with the coefficient stack gives every value.
+        With scales[p] = (c + id)/f, the k = 0 row p of a ``point_table`` times
+        c + id goes into one contraction, and value p is over its den times f.
         """
         if self.is_zero():
             return [self] * len(points)
-        rows, dens, D = [], [], self.degree
-        for x, s in zip(points, scales):
-            (a, b, e), (c, d, f) = _split(x), _split(s)
-            row, c, d, b = [], c * e**D, (d or 0) * e**D, b or 0
-            for _ in range(D + 1):
-                row.append((c, d))
-                c, d = (c * a - d * b) // e, (c * b + d * a) // e
-            rows.append(row)
-            dens.append(f * e**D)
-        table = np.array(rows, dtype=object).reshape(len(rows), D + 1, 2)
+        re, im, den = point_table(tuple(points), (1,) * len(points), self.degree)
+        im, scales = (im if im is not None else np.zeros_like(re)).tolist(), [_split(s) for s in scales]
+        rows = [[(x * c - y * (d or 0), x * (d or 0) + y * c) for x, y in zip(x_re, x_im)]
+                for x_re, x_im, (c, d, _) in zip(re.tolist(), im, scales)]
+        table = np.array(rows, dtype=object).reshape(len(rows), self.degree + 1, 2)
         t_im = _canonical(table[..., 1]) if table[..., 1].any() else None
         re, im = _complex(_contract, _canonical(table[..., 0]), t_im, self.re, self.im)
-        return [MatrixPoly(re[p:p + 1], None if im is None else im[p:p + 1], f * self.den)
-                for p, f in enumerate(dens)]
+        return [MatrixPoly(re[p:p + 1], None if im is None else im[p:p + 1], den * f * self.den)
+                for p, (_, _, f) in enumerate(scales)]
 
     def exact_div(self, monic: Poly) -> MatrixPoly:
         """The quotient by a monic scalar polynomial with exact coefficients.
@@ -392,7 +419,7 @@ class MatrixPoly:
         lead = np.zeros((steps, e), dtype=np.int64)
         t_re = np.concatenate([lead, _banded(c_re, steps, steps).T], axis=1)
         t_im = np.concatenate([lead, _banded(c_im, steps, steps).T], axis=1) if c_im is not None else None
-        quot = self._transformed(t_re, t_im, c_den)
+        quot = self.contract(t_re, t_im, c_den)
         if quot * monic != self:
             raise ValueError("inexact polynomial division")
         return quot
@@ -407,16 +434,8 @@ class MatrixPoly:
                 off[:, diag, diag] = 0
                 values = part[:, diag, diag]
                 scalar &= ~np.any(off != 0, axis=(1, 2)) & np.all(values == values[:, :1], axis=1)
-        out = []
-        for k, ok in enumerate(scalar):
-            if not ok:
-                out.append(None)
-                continue
-            value = Fraction(int(self.re[k, 0, 0]), self.den)
-            if self.im is not None:
-                value = GaussianRational(value, Fraction(int(self.im[k, 0, 0]), self.den))
-            out.append(value)
-        return out
+        return [_exact(self.re[k, 0, 0], None if self.im is None else self.im[k, 0, 0], self.den) if ok else None
+                for k, ok in enumerate(scalar)]
 
     def to_complex(self, count: int) -> np.ndarray:
         """The first count coefficients as one complex array of shape (count, rows, cols)."""

@@ -93,39 +93,31 @@ class QuasiExpSpace:
 class WronskiData:
     """Normalized Wronskian: prefactor, monic polynomial part, Wronski map image."""
 
-    prefactor: object
+    prefactor: object  # the leading coefficient: prod_{i<j} (K_j - K_i) times those of the parts
     poly: Poly
     coefficients: tuple  # a_s with u^n + sum (-1)^s a_s u^{n-s}
 
 
-def exponent_prefactor(exponents) -> object:
-    out = None
-    for i in range(len(exponents)):
-        for j in range(i + 1, len(exponents)):
-            term = exponents[j] - exponents[i]
-            out = term if out is None else out * term
-    return out if out is not None else Fraction(1)
-
-
 def wronskian_of_space(space: QuasiExpSpace) -> WronskiData:
-    """Strip the exponential and the alternant prefactor; read off the map.
+    """Strip the exponential and the prefactor; read off the map.
 
     The Wronskian's polynomial part is the determinant of the N x N
-    derivative table.  The monic polynomial part has degree exactly
-    n = |lam|; a_s is the signed coefficient of u^{n-s}.
+    derivative table.  Divided by its leading coefficient, the alternant
+    prefactor when the parts are monic, it is the monic polynomial part of
+    every basis of the space, of degree exactly n = |lam|; a_s is the
+    signed coefficient of u^{n-s}.
     """
     wr = poly_det(space.derivatives(space.rank - 1))
     if wr.is_zero():
         raise DegenerateSpaceError("degenerate space: zero Wronskian")
-    prefactor = exponent_prefactor(space.exponents)
     n = space.size
     if wr.degree != n:
         raise DegenerateSpaceError(
             f"Wronskian degree {wr.degree}, expected {n}: degenerate space"
         )
-    poly = Poly([c / prefactor for c in wr.coeffs])
+    poly = wr.monic()
     coefficients = tuple((-1) ** s * poly.coeff(n - s) for s in range(1, n + 1))
-    return WronskiData(prefactor=prefactor, poly=poly, coefficients=coefficients)
+    return WronskiData(prefactor=wr.leading, poly=poly, coefficients=coefficients)
 
 
 def cleared_operator_polys(space: QuasiExpSpace) -> list:
@@ -261,12 +253,6 @@ class MembershipReport:
     indicial: dict = field(default_factory=dict)
 
 
-def _roundoff(rows, point, count: int) -> np.ndarray:
-    """T(|b|) |G| for the coefficient rows G: entry (..., i, j) bounds the roundoff
-    of Taylor coefficient j of row i at b."""
-    return np.abs(rows) @ taylor_matrix(abs(point), rows.shape[-1] - 1, count).T
-
-
 def rounded(p: Poly) -> Poly:
     """``p`` with float coefficients rounded to 6 significant digits of its
     largest one, signed zeros cleared, so that text printed from a float
@@ -282,12 +268,13 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
     lie over the prescribed points with prescribed exponents?  One
     MembershipReport per operator, in stack order.
 
-    Every check reads one Taylor table per point b_s: row i holds the
-    coefficients of G_i in powers of (u - b_s), the coefficient rows of gs
-    times ``taylor_matrix`` at b_s taken into the field of the coefficients,
-    exact or complex.  The table of every operator of the stack comes from
-    one product.  The leading zeros of row 0, counted up to n_s, give
-    the order to which the monic G_0 vanishes at b_s.  The checks:
+    Every check reads one Taylor table: row (s, i) holds the coefficients of
+    G_i in powers of (u - b_s), the coefficient rows of gs times the
+    ``taylor_matrix`` of every point stacked, in the field of the
+    coefficients, exact or complex: one product for the whole stack at every
+    point, and the checks run per group of points with equal n_s.  The
+    leading zeros of row (s, 0), up to n_s, give the order to which the
+    monic G_0 vanishes at b_s.  The checks:
 
     - ``wronskian-matches-pole-polynomial``: G_0 is the pole polynomial
       prod_s (u - b_s)^{n_s}, that is deg G_0 = n and each order is n_s
@@ -326,40 +313,49 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
             return values == 0
         return np.abs(values) <= tol * scale()
 
-    orders, regular, chis, chi_ok = [], [], [], []
-    for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
-        point = b_s * one
-        table = rows @ taylor_matrix(point, width - 1, n + 1).T
-        roundoff = _roundoff(rows, point, n_s + 1) if tol is not None else None
+    # table[c, s, i, j]: the (u - b_s)^j coefficient of G_i of operator c, j <= n, all points in one product;
+    # roundoff[c, s, i, j], T(|b_s|) |G_i|, bounds its roundoff
+    points, sizes = [b * one for b in spec.points], spec.factor_sizes
+
+    def expand(coeffs, at):
+        stacked = np.array([taylor_matrix(at(b), width - 1, n + 1) for b in points]).reshape(-1, width)
+        return (coeffs @ stacked.T).reshape(len(stack), N + 1, len(points), n + 1).swapaxes(1, 2)
+
+    table = expand(rows, lambda b: b)
+    roundoff = expand(np.abs(rows), abs) if tol is not None else None
+    orders, regular, chi_ok = (np.zeros((len(stack), len(points)), dtype=t) for t in (int, bool, bool))
+    chis = np.zeros((len(stack), len(points), N + 1), dtype=table.dtype)
+    for m in set(sizes):  # the points with n_s = m at once
+        group = [s for s, n_s in enumerate(sizes) if n_s == m]
+        local, bound = table[:, group], roundoff[:, group] if tol is not None else None
         # with tol, a Taylor coefficient is measured against the largest
         # entry of its row (at least 1) and its own roundoff bound
-        vanish = zero(table[:, :, :n_s], lambda: np.maximum(
-            np.abs(table).max(axis=2, keepdims=True).clip(1.0), roundoff[:, :, :n_s]))
-        orders.append(np.cumprod(vanish[:, 0], axis=1).sum(axis=1))  # leading zeros of row 0
-        required = np.arange(n_s) < n_s - np.arange(N + 1)[:, None]  # rows i < n_s vanish to order n_s - i
-        regular.append(np.all(vanish | ~required, axis=(1, 2)))
-        chi = indicial_coefficients(table, n_s)
-        terms = np.arange(min(n_s, N) + 1)  # the rows i with a term t_{i, n_s - i} in chi
-        # the target in the field of the table: float against float, exact against exact
-        target = np.array(spec.indicial_target(s).coeffs, dtype=table.dtype)
-        chis.append(chi)
-        chi_ok.append(regular[-1] & zero(chi - target, lambda: np.maximum(
-            np.abs(chi).max(axis=1, initial=np.abs(target).max()),
-            roundoff[:, terms, n_s - terms] @ largest[terms])[:, None]).all(axis=1))
+        vanish = zero(local[..., :m], lambda: np.maximum(
+            np.abs(local).max(axis=3, keepdims=True).clip(1.0), bound[..., :m]))
+        orders[:, group] = np.cumprod(vanish[:, :, 0], axis=2).sum(axis=2)  # leading zeros of row 0
+        required = np.arange(m) < m - np.arange(N + 1)[:, None]  # rows i < n_s vanish to order n_s - i
+        regular[:, group] = np.all(vanish | ~required, axis=(2, 3))
+        chi = chis[:, group] = indicial_coefficients(local, m)
+        terms = np.arange(min(m, N) + 1)  # the rows i with a term t_{i, n_s - i} in chi
+        # the targets in the field of the table: float against float, exact against exact
+        target = np.array([spec.indicial_target(s).coeffs for s in group], dtype=table.dtype)
+        chi_ok[:, group] = regular[:, group] & zero(chi - target, lambda: np.maximum(
+            np.maximum(np.abs(chi).max(axis=2), np.abs(target).max(axis=1)),
+            bound[..., terms, m - terms] @ largest[terms])[..., None]).all(axis=2)
 
     expected = [expected_exponents(part, N) for part in spec.partitions]
-    totals = sum(orders, np.zeros(len(stack), dtype=int)).tolist()  # zero with no points
+    totals, regular, chi_ok, chis = orders.sum(axis=1).tolist(), regular.tolist(), chi_ok.tolist(), chis.tolist()
     reports = []
     for c, gs in enumerate(stack):
         g0, total = gs[0], totals[c]
         point_checks, indicial = [], {}
         for s, exps in enumerate(expected):
-            chi = Poly(chis[s][c].tolist())
-            got = exps if chi_ok[s][c] else None
-            if tol is None and regular[s][c] and not chi_ok[s][c] and not chi.is_zero():
+            chi = Poly(chis[c][s])
+            got = exps if chi_ok[c][s] else None
+            if tol is None and regular[c][s] and not chi_ok[c][s] and not chi.is_zero():
                 got = _integer_roots(chi, -1, n + N + 2)  # the exponents an exact space has instead
             indicial[s] = IndicialData(polynomial=chi, exponents=got)
-            point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", bool(chi_ok[s][c]),
+            point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", chi_ok[c][s],
                                                 f"expected exponents {exps}"))
         wr_ok = g0.degree == n == total
         poles_ok = total >= g0.degree

@@ -131,19 +131,24 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     combinations tried, how many had ambiguous clusters, and the accepted
     one's cluster margin: the smallest gap between its clusters relative to
     max(|T|, 1), which must exceed 10 times the ``cluster`` tolerance (None
-    for one cluster).
+    for one cluster).  ``counters["gates"]`` reports each float gate: the
+    worst joint eigen-residual against 100 ``residual``, the cluster margin
+    against 10 ``cluster`` and the worst kernel fit over its bound against 1
+    (set by ``spectrum_analysis``), null where it did not run.
     """
     tol = tol or Tolerances()
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
-    counters = {"combinations": 0, "ambiguous": 0, "cluster_margin": None, "kernel_fit_worst": None}
+    limit = tol.residual * 100
+    counters = {"combinations": 0, "ambiguous": 0, "cluster_margin": None, "kernel_fit_worst": None, "gates": {
+        "joint_residual": gate(None, limit), "cluster_margin": gate(None, 10 * tol.cluster),
+        "kernel_fit": gate(None, 1.0)}}
     if dim == 0:
         return SpectrumReport([], True, counters=counters)
     mats = np.array(_block_coefficient_matrices(op))  # (N, n + 1, dim, dim)
     units = np.array([m / np.linalg.norm(m) for m in mats.reshape(-1, dim, dim) if np.any(m)]).reshape(-1, dim, dim)
 
     rng = random.Random(seed)
-    limit = tol.residual * 100
     best = np.inf  # the smallest failing residual so far
     for attempt in range(MAX_RETRIES):
         counters["combinations"] = attempt + 1
@@ -193,12 +198,23 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
 
             characters.sort(key=key)
             counters["cluster_margin"] = float(margin / tscale) if len(clusters) > 1 else None
+            counters["gates"].update(joint_residual=gate(max((ch.residual for ch in characters), default=None), limit),
+                                     cluster_margin=gate(counters["cluster_margin"], 10 * tol.cluster, floor=True))
             return SpectrumReport(characters, diagonalizable, counters=counters)
     ambiguous = counters["ambiguous"]
     causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
     if ambiguous < MAX_RETRIES:
         causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
     raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes))
+
+
+def gate(measured, tolerance: float, floor: bool = False) -> dict:
+    """{measured, tolerance, margin} of a float gate that passes below (above, with ``floor``) its tolerance:
+    a positive margin passes, and a measurement that is None or not finite reads null."""
+    if measured is None or not np.isfinite(measured):
+        return {"measured": None, "tolerance": tolerance, "margin": None}
+    margin = measured - tolerance if floor else tolerance - measured
+    return {"measured": measured, "tolerance": tolerance, "margin": margin}
 
 
 def _numerators(V, mats):
@@ -360,6 +376,7 @@ def spectrum_analysis(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     report.operators = [character_to_operator(ch, op) for ch in report.characters]
     report.kernels, fits = kernel_from_operator(report.operators, op.spec, tol)
     report.counters["kernel_fit_worst"] = max(fits, default=None)
+    report.counters["gates"]["kernel_fit"] = gate(report.counters["kernel_fit_worst"], 1.0)
     tests = iter(membership_test([cleared_operator_polys(X) for X in report.kernels if X is not None],
                                  op.spec, tol=MEMBERSHIP_TOL))
     report.memberships = [KERNEL_FAILURE if X is None else next(tests) for X in report.kernels]

@@ -29,6 +29,11 @@ The last reference is the spectral stage one character at a time
 clustering, draws and Taylor tables, and differs from the stacked stage
 exactly where that stage batches: one Newton refinement, residual,
 numerator row, lstsq kernel fit and membership test per character.
+
+Both sides' local conditions at the points have a point-by-point reference
+(``check_polynomiality_by_point``, ``membership_test_by_point``): one
+Taylor expansion per point, by ``taylor_matrix``, where the library
+contracts every point's stacked table at once.
 """
 
 import cmath
@@ -43,15 +48,16 @@ import numpy as np
 
 from gaudin.algebra import apply_e_block, enumerate_indices, irreducible_factor_basis, reduce
 from gaudin.bae import EigenvectorReport, NonGenericError, factorized_values, gap_unit, weight_function
-from gaudin.betheop import eigenvector_points
+from gaudin.betheop import PolynomialityReport, eigenvector_points
 from gaudin.linalg import MatrixPoly
-from gaudin.polynomials import Poly, falling_product, taylor_matrix
+from gaudin.polynomials import Poly, falling_product, indicial_coefficients, taylor_matrix
 from gaudin.scalars import GaussianRational, to_complex
 from gaudin.spaces import (
     IndicialData,
     MembershipCheck,
     MembershipReport,
     QuasiExpSpace,
+    _integer_roots,
     cleared_operator_polys,
     expected_exponents,
     rounded,
@@ -92,6 +98,17 @@ def _split(c):
     if isinstance(c, (int, Fraction)):
         return c.numerator, None, c.denominator
     return None
+
+
+def scalar_table(polys) -> tuple:
+    """Integer arrays (re, im, den), p_s = sum_k (re[k, s] + i*im[k, s]) / den u^k, over the lcm of the
+    coefficients' denominators: the table of scalar polynomials ``MatrixPoly.combination`` takes."""
+    length = max((p.degree for p in polys), default=-1) + 1
+    parts = [_split(p.coeff(k)) for k in range(length) for p in polys]
+    den = math.lcm(*(d for _, _, d in parts))
+    re = _ints(length, len(polys), [r * (den // d) for r, _, d in parts])
+    im = _ints(length, len(polys), [(i or 0) * (den // d) for _, i, d in parts])
+    return re, im if any(i for _, i, _ in parts) else None, den
 
 
 def _ints(rows, cols, values):
@@ -974,3 +991,100 @@ def spectral_stage_loop(op, tol=None, seed=2024):
         limit = tol.residual * 100
         causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
     raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes))
+
+
+# --- local data one point at a time ----------------------------------------
+
+
+def check_polynomiality_by_point(op) -> PolynomialityReport:
+    """``betheop.check_polynomiality`` one point at a time.
+
+    At each b_s the first n_s + 1 Taylor coefficients of P and of every
+    cleared A_i come from ``Poly.taylor_at`` on the Poly-of-Matrix form of
+    A_i (``unstacked``), each read as a scalar when it is c I, and the
+    indicial polynomial of that point alone is compared with its target.
+    """
+    spec = op.spec
+    N, n = spec.rank, spec.size
+    pole = spec.pole_polynomial()
+    failures, pole_orders, scalar = [], {}, True
+    try:
+        cleared = op.cleared
+    except ValueError as exc:
+        return PolynomialityReport([], {}, polynomial=False, scalar=True, indicial_ok=False, failures=[str(exc)])
+    degrees = [a.degree for a in cleared]
+    failures += [f"cleared A_{i} has degree {d} > {n}" for i, d in enumerate(degrees, 1) if d > n]
+    indicial_ok = True
+    for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
+        table = [pole.taylor_at(b_s, n_s + 1)]  # A_0 = P
+        for i in range(1, N + 1):
+            local = [m.scalar_of_identity() if isinstance(m, Matrix) else m
+                     for m in unstacked(cleared[i - 1]).taylor_at(b_s, n_s + 1)]
+            vanish = next((k for k, c in enumerate(local) if c is None or c != 0), n_s + 1)
+            pole_orders[i, s] = max(0, n_s - vanish)
+            table.append(local)
+        if not op.dim:
+            continue
+        nonscalar = [i for i in range(1, min(n_s, N) + 1) if table[i][n_s - i] is None]
+        scalar = scalar and not nonscalar
+        failures += [f"leading local coefficient of B_{i} at point {b_s} is not scalar" for i in nonscalar]
+        if nonscalar or Poly(indicial_coefficients(np.array(table, dtype=object), n_s)) != spec.indicial_target(s):
+            indicial_ok = False
+            failures.append(f"indicial identity fails at point {b_s}")
+    return PolynomialityReport(degrees, pole_orders, polynomial=True, scalar=scalar, indicial_ok=indicial_ok,
+                               failures=failures)
+
+
+def membership_test_by_point(stack, spec, tol=None) -> list:
+    """``spaces.membership_test`` with one Taylor table, one roundoff bound and
+    one indicial comparison per point, each for the whole stack."""
+    if not stack:
+        return []
+    N, n = spec.rank, spec.size
+    one = stack[0][0].leading ** 0
+    width = max(len(g.coeffs) for gs in stack for g in gs)
+    rows = np.array([[g.coeffs + (0 * one,) * (width - len(g.coeffs)) for g in gs] for gs in stack])
+    largest = np.array([max(abs(c) for c in falling_product(N - i).coeffs) for i in range(N + 1)])
+
+    def zero(values, scale):
+        return values == 0 if tol is None else np.abs(values) <= tol * scale()
+
+    orders, regular, chis, chi_ok = [], [], [], []
+    for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
+        point = b_s * one
+        table = rows @ taylor_matrix(point, width - 1, n + 1).T
+        roundoff = np.abs(rows) @ taylor_matrix(abs(point), width - 1, n_s + 1).T if tol is not None else None
+        vanish = zero(table[:, :, :n_s], lambda: np.maximum(
+            np.abs(table).max(axis=2, keepdims=True).clip(1.0), roundoff[:, :, :n_s]))
+        orders.append(np.cumprod(vanish[:, 0], axis=1).sum(axis=1))
+        required = np.arange(n_s) < n_s - np.arange(N + 1)[:, None]
+        regular.append(np.all(vanish | ~required, axis=(1, 2)))
+        chi = indicial_coefficients(table, n_s)
+        terms = np.arange(min(n_s, N) + 1)
+        target = np.array(spec.indicial_target(s).coeffs, dtype=table.dtype)
+        chis.append(chi)
+        chi_ok.append(regular[-1] & zero(chi - target, lambda: np.maximum(
+            np.abs(chi).max(axis=1, initial=np.abs(target).max()),
+            roundoff[:, terms, n_s - terms] @ largest[terms])[:, None]).all(axis=1))
+    expected = [expected_exponents(part, N) for part in spec.partitions]
+    totals = sum(orders, np.zeros(len(stack), dtype=int)).tolist()
+    reports = []
+    for c, gs in enumerate(stack):
+        g0, total = gs[0], totals[c]
+        point_checks, indicial = [], {}
+        for s, exps in enumerate(expected):
+            chi = Poly(chis[s][c].tolist())
+            got = exps if chi_ok[s][c] else None
+            if tol is None and regular[s][c] and not chi_ok[s][c] and not chi.is_zero():
+                got = _integer_roots(chi, -1, n + N + 2)
+            indicial[s] = IndicialData(polynomial=chi, exponents=got)
+            point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", bool(chi_ok[s][c]),
+                                                f"expected exponents {exps}"))
+        wr_ok = g0.degree == n == total
+        poles_ok = total >= g0.degree
+        checks = [
+            MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {rounded(g0)}"),
+            MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
+        ] + point_checks
+        reports.append(MembershipReport(ok=all(ch.passed for ch in checks), checks=checks, indicial=indicial))
+    return reports

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gaudin import harness, spaces
-from gaudin.betheop import BetheOperator
+from gaudin.betheop import BetheOperator, build_bethe_operator
 from gaudin.cli import main
 from gaudin.linalg import MatrixPoly
 from gaudin.harness import (
@@ -22,6 +22,8 @@ from gaudin.harness import (
     verify_pipeline,
     wronski_pipeline,
 )
+
+from gaudin.spectral import Tolerances, joint_diagonalize
 
 from conftest import JORDAN, mutant_operator, unit_matrix
 
@@ -137,6 +139,20 @@ def test_wronski_operator_text_reduces_each_coefficient():
     out = wronski_pipeline(cfg)
     assert all(c.passed for c in out["checks"])
     assert out["operator_text"] == "D^2 + ((-u - 2)/(u))*D + ((u + 2)/(u^2))"
+
+
+@pytest.mark.parametrize("name, polys", [
+    ("wronski_rank1", [["-4", "2"]]),
+    ("wronski_n3", [["0", "3/2", "-3/2"], ["2", "1"], ["5"]]),
+])
+def test_wronskian_does_not_move_with_the_scaling_of_the_basis(name, polys):
+    """Parts scaled by constants span the same space, so the monic Wronskian and the Wronski map stay."""
+    data = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / f"{name}.json").read_text())
+    monic = wronski_pipeline(InstanceConfig.from_dict(data))
+    scaled = wronski_pipeline(InstanceConfig.from_dict({**data, "space": {"polys": polys}}))
+    assert scaled["wronskian"] == monic["wronskian"]
+    assert scaled["operator_text"] == monic["operator_text"]
+    assert [c.passed for c in scaled["checks"]] == [c.passed for c in monic["checks"]]
 
 
 def test_wronski_builds_the_minors_once(monkeypatch):
@@ -560,11 +576,42 @@ def test_reports_carry_spectral_counters(tmp_path, command):
     assert main([command, "--config", str(Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json"),
                  "--out", str(out)]) == 0
     counters = json.loads(out.read_text())["counters"]
-    assert counters["spectral"].keys() == {"combinations", "ambiguous", "cluster_margin", "kernel_fit_worst"}
+    assert counters["spectral"].keys() == {"combinations", "ambiguous", "cluster_margin", "kernel_fit_worst", "gates"}
     assert counters["spectral"]["combinations"] == 1 and counters["spectral"]["ambiguous"] == 0
     assert counters["spectral"]["cluster_margin"] > 1e-6
     assert 0 < counters["spectral"]["kernel_fit_worst"] <= 1
     assert ("newton" in counters) == (command == "verify")
+
+
+def test_spectral_gates_report_their_margin():
+    """On golden_n2 each spectral float gate reads {measured, tolerance, margin}, a positive margin passing:
+    the worst joint eigen-residual against 100 residual, the cluster margin against 10 cluster, and the
+    worst kernel fit over its bound against 1."""
+    data = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json").read_text())
+    out = verify_pipeline(InstanceConfig.from_dict(data))
+    counters, characters = out["counters"]["spectral"], out["characters"]
+    gates = counters["gates"]
+    assert gates.keys() == {"joint_residual", "cluster_margin", "kernel_fit"}
+    tol = Tolerances()
+    assert gates["joint_residual"] == {"measured": max(ch["residual"] for ch in characters),
+                                       "tolerance": 100 * tol.residual,
+                                       "margin": 100 * tol.residual - max(ch["residual"] for ch in characters)}
+    assert gates["cluster_margin"] == {"measured": counters["cluster_margin"], "tolerance": 10 * tol.cluster,
+                                       "margin": counters["cluster_margin"] - 10 * tol.cluster}
+    assert gates["kernel_fit"] == {"measured": counters["kernel_fit_worst"], "tolerance": 1.0,
+                                   "margin": 1.0 - counters["kernel_fit_worst"]}
+    assert all(gate["margin"] > 0 for gate in gates.values())
+
+
+def test_spectral_gates_are_null_where_they_did_not_run():
+    """joint_diagonalize alone leaves the kernel-fit gate null, and a block with one cluster
+    leaves its cluster gate null."""
+    data = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "trivial_n1.json").read_text())
+    config = InstanceConfig.from_dict(data)
+    gates = joint_diagonalize(build_bethe_operator(config.spec), config.tolerances, config.seed).counters["gates"]
+    assert gates["kernel_fit"] == {"measured": None, "tolerance": 1.0, "margin": None}
+    assert gates["cluster_margin"] == {"measured": None, "tolerance": 10 * Tolerances().cluster, "margin": None}
+    assert gates["joint_residual"]["margin"] > 0
 
 
 def test_cli_table_output(tmp_path, capsys):

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin.linalg import MatrixPoly, pairwise_commute, scalar_table
-from gaudin.polynomials import Poly
+from gaudin.linalg import MatrixPoly, _exact, pairwise_commute, point_table, root_products
+from gaudin.polynomials import Poly, taylor_matrix
 from gaudin.scalars import GaussianRational
 
-from oracles import Matrix, constant, stacked, unstacked
+from oracles import Matrix, constant, scalar_table, stacked, unstacked
 
 F = Fraction
 GR = GaussianRational
@@ -111,7 +111,40 @@ def test_derivative_evaluation_and_taylor_shift(data, field, rows, cols, scale):
     else:
         assert constant(A.at([x], [1])[0]) == a(x)
     count = data.draw(st.integers(1, 5))
-    assert unstacked(A.taylor_at(x, count)) == Poly(a.taylor_at(x, count))
+    assert unstacked(taylor_at(A, x, count)) == Poly(a.taylor_at(x, count))
+
+
+def taylor_at(A, x, count):
+    """The first count coefficients of A in powers of (u - x), from the ``point_table`` of x alone."""
+    return A.contract(*point_table((x,), (count,), max(A.degree, 0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data(), fields, st.integers(0, 6))
+def test_point_table_matches_taylor_matrix(data, field, degree):
+    """Row (s, k) of the integer table over its denominator is row k of ``taylor_matrix`` at b_s."""
+    points = tuple(data.draw(st.lists(scalars(field), min_size=0, max_size=4, unique=True)))
+    counts = tuple(data.draw(st.lists(st.integers(0, 4), min_size=len(points), max_size=len(points))))
+    re, im, den = point_table(points, counts, degree)
+    assert re.shape == (sum(counts), degree + 1) and (im is None or im.shape == re.shape)
+    got = [[_exact(re[r, j], None if im is None else im[r, j], den) for j in range(degree + 1)] for r in range(len(re))]
+    expect = [list(row) for b, count in zip(points, counts) for row in taylor_matrix(b, degree, count)]
+    assert got == expect
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data(), fields)
+def test_root_products_match_the_quotients(data, field):
+    """The integer cofactor table is the ``scalar_table`` of every P / (u - x_s) after reduction, and P the product."""
+    roots = tuple(data.draw(st.lists(scalars(field), min_size=0, max_size=5, unique=True)))
+    p, (re, im, den) = root_products(roots)
+    assert p == Poly.from_roots(roots)
+    e_re, e_im, e_den = scalar_table([p.exact_div(Poly([-x, x * 0 + 1])) for x in roots])
+    assert re.shape == e_re.shape == (len(roots), len(roots))
+    im = im if im is not None else np.zeros_like(re)
+    e_im = e_im if e_im is not None else np.zeros_like(e_re)
+    for got, expect in ((re, e_re), (im, e_im)):
+        assert np.array_equal(got.astype(object) * e_den, expect.astype(object) * den)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,7 +212,7 @@ def test_empty_blocks():
     full = stacked(Poly([Matrix([[F(1)], [F(2)], [F(3)]])]), 3, 1)
     assert (empty * full).shape == (0, 1) and (empty * full).is_zero()
     assert (full * MatrixPoly.zero(1, 0)).shape == (3, 0)
-    assert empty.taylor_at(F(2), 3) == empty and empty.derivative() == empty
+    assert taylor_at(empty, F(2), 3) == empty and empty.derivative() == empty
     assert empty.to_complex(2).shape == (2, 0, 3)
     assert empty != MatrixPoly.zero(3, 0)
 
