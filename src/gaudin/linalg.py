@@ -23,8 +23,10 @@ with an exact scalar matrix: a scalar polynomial multiple (a Toeplitz
 matrix), the derivative, the quotient by a monic scalar polynomial, and the
 expansion at many points, where one integer ``point_table`` holds the
 Taylor shift at every point (binomials times powers of the point, over one
-common denominator) and its rows k = 0 evaluate.  Products keep operand
-order and never assume that the coefficients commute.
+common denominator) and its rows k = 0 evaluate.  It is the package's only
+Taylor shift: ``entries`` gives its values exactly or correctly rounded to
+complex floats, for scalar polynomials (``spaces.membership_test``).
+Products keep operand order and never assume that the coefficients commute.
 """
 
 from __future__ import annotations
@@ -219,6 +221,19 @@ def _padded(a, length):
 def _floats(a, den) -> np.ndarray:
     """The quotients a / den, each correctly rounded (as Python's int / int)."""
     return (a.astype(object) / den).astype(float)
+
+
+def entries(table, exact: bool) -> np.ndarray:
+    """The entries (re + i*im) / den of an integer table (re, im, den), such as a ``point_table``:
+    exact scalars in an object array, or complex floats with each part correctly rounded."""
+    re, im, den = table
+    if exact:
+        return np.frompyfunc(lambda x, y: _exact(x, y, den), 2, 1)(re, im)
+    out = np.zeros(re.shape, dtype=complex)
+    out.real = _floats(re, den)
+    if im is not None:
+        out.imag = _floats(im, den)
+    return out
 
 
 def _banded(values, rows: int, cols: int):
@@ -441,9 +456,7 @@ class MatrixPoly:
         """The first count coefficients as one complex array of shape (count, rows, cols)."""
         out = np.zeros((count,) + self.shape, dtype=complex)
         k = min(count, len(self.re))
-        out.real[:k] = _floats(self.re[:k], self.den)
-        if self.im is not None:
-            out.imag[:k] = _floats(self.im[:k], self.den)
+        out[:k] = entries((self.re[:k], None if self.im is None else self.im[:k], self.den), exact=False)
         return out
 
     def __eq__(self, other):

@@ -1,14 +1,15 @@
 """Dense univariate polynomials with scalar coefficients.
 
 Coefficients are exact scalars (``Fraction``, ``GaussianRational``) or
-complex floats.  Matrix-valued polynomials are ``linalg.MatrixPoly``.
+complex floats.  Matrix-valued polynomials are ``linalg.MatrixPoly``.  The
+indicial polynomial of both sides is formed here, from Taylor coefficients
+at the points that both sides read off one ``linalg.point_table``.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -135,19 +136,6 @@ class Poly:
     def derivative(self):
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def taylor_at(self, b, count=None):
-        """The first count (default all) coefficients of p in powers of (u - b).
-
-        With float coefficients the point is taken as complex(b) first, so an
-        exact point shifts a complex polynomial in complex arithmetic.
-        """
-        count = len(self.coeffs) if count is None else count
-        if not self.coeffs:
-            return [self._zero()] * count
-        if any(isinstance(c, (float, complex)) for c in self.coeffs):
-            b = complex(b)
-        return list(taylor_matrix(b, self.degree, count) @ np.array(self.coeffs, dtype=object))
-
     def divmod(self, other):
         """Quotient and remainder; requires invertible leading coefficient."""
         if other.is_zero():
@@ -240,31 +228,6 @@ def poly_det(rows) -> Poly:
             term = -term
         total = term if total is None else total + term
     return Poly() if total is None else total
-
-
-@lru_cache(maxsize=256, typed=True)
-def taylor_matrix(b, degree: int, count: int) -> np.ndarray:
-    """T[k, j] = C(j, k) b^(j - k) for k < count and j <= degree, read-only and built once.
-
-    T times the coefficients of a polynomial of degree at most ``degree`` is
-    its first ``count`` coefficients in powers of (u - b).  The entries lie in
-    the field of b: exact scalars in an object array, or complex floats.  For a
-    ``Fraction`` b = p / q each entry is C(j, k) p^(j - k) / q^(j - k), computed
-    in integers and made a Fraction once; an int b needs only integers.
-    """
-    if isinstance(b, Fraction):
-        p, q, zero = b.numerator, b.denominator, Fraction(0)
-        rows = [[Fraction(math.comb(j, k) * p ** (j - k), q ** (j - k)) if j >= k else zero
-                 for j in range(degree + 1)] for k in range(count)]
-    else:
-        powers = [b ** 0]
-        for _ in range(degree):
-            powers.append(powers[-1] * b)
-        zero = powers[0] * 0
-        rows = [[math.comb(j, k) * powers[j - k] if j >= k else zero for j in range(degree + 1)] for k in range(count)]
-    t = np.array(rows).reshape(count, degree + 1)
-    t.flags.writeable = False
-    return t
 
 
 @cache

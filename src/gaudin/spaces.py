@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import ModuleSpec, Partition
-from .polynomials import Poly, falling_product, indicial_coefficients, poly_det, poly_gcd, taylor_matrix
+from .linalg import entries, point_table
+from .polynomials import Poly, falling_product, indicial_coefficients, poly_det, poly_gcd
 from .scalars import is_exact
 
 
@@ -225,11 +226,12 @@ class IndicialData:
 def _integer_roots(poly: Poly, low: int, high: int):
     """The roots of a nonzero exact poly in [low, high], sorted with multiplicity,
     or None unless every root is one of them.  The multiplicity at c is the
-    number of leading zero Taylor coefficients at c."""
-    roots = []
-    for c in range(low, high + 1):
-        taylor = poly.taylor_at(Fraction(c))
-        roots += [c] * next(k for k, t in enumerate(taylor) if t != 0)
+    number of leading zero Taylor coefficients at c, all read from one
+    ``point_table`` contraction (over 1, since the points are integers)."""
+    candidates = range(low, high + 1)
+    shift, _, _ = point_table(tuple(candidates), (len(poly.coeffs),) * len(candidates), poly.degree)
+    nonzero = (shift @ np.array(poly.coeffs, dtype=object)).reshape(len(candidates), -1) != 0
+    roots = [c for c, k in zip(candidates, nonzero.argmax(axis=1).tolist()) for _ in range(k)]
     return tuple(roots) if len(roots) == poly.degree else None
 
 
@@ -269,10 +271,12 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
     MembershipReport per operator, in stack order.
 
     Every check reads one Taylor table: row (s, i) holds the coefficients of
-    G_i in powers of (u - b_s), the coefficient rows of gs times the
-    ``taylor_matrix`` of every point stacked, in the field of the
-    coefficients, exact or complex: one product for the whole stack at every
-    point, and the checks run per group of points with equal n_s.  The
+    G_i in powers of (u - b_s), the coefficient rows of gs times T, the
+    ``linalg.point_table`` of the points (the table ``betheop`` expands the
+    block side with), whose entries C(j, k) b_s^(j - k) are taken exactly
+    for exact coefficients and correctly rounded to complex floats for
+    float ones: one product for the whole stack at every point, and the
+    checks run per group of points with equal n_s.  The
     leading zeros of row (s, 0), up to n_s, give the order to which the
     monic G_0 vanishes at b_s.  The checks:
 
@@ -291,9 +295,10 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
     A value passes as zero through one rule.  Without ``tol`` it must be
     exactly zero, and no float is formed.  With ``tol`` it must be at most
     tol times its roundoff floor: a Taylor coefficient carries the roundoff
-    of the shift, which the table of |G_i| at |b_s| bounds.  That bound is
-    also the floor of the indicial comparison, since with close points both
-    indicial polynomials are tiny and a floor of 1 would accept any.
+    of the shift, which |G_i| times |T|, entrywise C(j, k) |b_s|^(j - k),
+    bounds.  That bound is also the floor of the indicial comparison, since
+    with close points both indicial polynomials are tiny and a floor of 1
+    would accept any.
     """
     if not stack:
         return []
@@ -313,18 +318,18 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
             return values == 0
         return np.abs(values) <= tol * scale()
 
-    # table[c, s, i, j]: the (u - b_s)^j coefficient of G_i of operator c, j <= n, all points in one product;
-    # roundoff[c, s, i, j], T(|b_s|) |G_i|, bounds its roundoff
-    points, sizes = [b * one for b in spec.points], spec.factor_sizes
+    # table[c, s, i, j]: the (u - b_s)^j coefficient of G_i of operator c, j <= n, all points in one product
+    # with the point table T in the field of the coefficients; roundoff[c, s, i, j], |G_i| |T|, bounds its roundoff
+    sizes = spec.factor_sizes
+    shift = entries(point_table(spec.points, (n + 1,) * len(sizes), width - 1), is_exact(one))
 
-    def expand(coeffs, at):
-        stacked = np.array([taylor_matrix(at(b), width - 1, n + 1) for b in points]).reshape(-1, width)
-        return (coeffs @ stacked.T).reshape(len(stack), N + 1, len(points), n + 1).swapaxes(1, 2)
+    def expand(coeffs, t):
+        return (coeffs @ t.T).reshape(len(stack), N + 1, len(sizes), n + 1).swapaxes(1, 2)
 
-    table = expand(rows, lambda b: b)
-    roundoff = expand(np.abs(rows), abs) if tol is not None else None
-    orders, regular, chi_ok = (np.zeros((len(stack), len(points)), dtype=t) for t in (int, bool, bool))
-    chis = np.zeros((len(stack), len(points), N + 1), dtype=table.dtype)
+    table = expand(rows, shift)
+    roundoff = expand(np.abs(rows), np.abs(shift)) if tol is not None else None
+    orders, regular, chi_ok = (np.zeros((len(stack), len(sizes)), dtype=t) for t in (int, bool, bool))
+    chis = np.zeros((len(stack), len(sizes), N + 1), dtype=table.dtype)
     for m in set(sizes):  # the points with n_s = m at once
         group = [s for s, n_s in enumerate(sizes) if n_s == m]
         local, bound = table[:, group], roundoff[:, group] if tol is not None else None

@@ -128,19 +128,19 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     the first simple cluster whose residual is too large, and only the
     multiple clusters before it are refined, each with its own draws, so
     the draws do not depend on the stacking.  ``counters`` records the
-    combinations tried, how many had ambiguous clusters, and the accepted
-    one's cluster margin: the smallest gap between its clusters relative to
-    max(|T|, 1), which must exceed 10 times the ``cluster`` tolerance (None
-    for one cluster).  ``counters["gates"]`` reports each float gate: the
-    worst joint eigen-residual against 100 ``residual``, the cluster margin
-    against 10 ``cluster`` and the worst kernel fit over its bound against 1
-    (set by ``spectrum_analysis``), null where it did not run.
+    combinations tried and how many had ambiguous clusters.
+    ``counters["gates"]`` reports each float gate: the worst joint
+    eigen-residual against 100 ``residual``; the accepted combination's
+    cluster margin, the smallest gap between its clusters relative to
+    max(|T|, 1), against 10 ``cluster`` (null for one cluster); and the
+    worst kernel fit over its bound against 1 (set by
+    ``spectrum_analysis``), null where it did not run.
     """
     tol = tol or Tolerances()
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
     limit = tol.residual * 100
-    counters = {"combinations": 0, "ambiguous": 0, "cluster_margin": None, "kernel_fit_worst": None, "gates": {
+    counters = {"combinations": 0, "ambiguous": 0, "gates": {
         "joint_residual": gate(None, limit), "cluster_margin": gate(None, 10 * tol.cluster),
         "kernel_fit": gate(None, 1.0)}}
     if dim == 0:
@@ -197,9 +197,8 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
                 return [(round(v.real, 6), round(v.imag, 6)) for v in (h[0], h[-1])]
 
             characters.sort(key=key)
-            counters["cluster_margin"] = float(margin / tscale) if len(clusters) > 1 else None
             counters["gates"].update(joint_residual=gate(max((ch.residual for ch in characters), default=None), limit),
-                                     cluster_margin=gate(counters["cluster_margin"], 10 * tol.cluster, floor=True))
+                                     cluster_margin=gate(float(margin / tscale), 10 * tol.cluster, floor=True))
             return SpectrumReport(characters, diagonalizable, counters=counters)
     ambiguous = counters["ambiguous"]
     causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
@@ -368,15 +367,14 @@ def spectrum_analysis(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     """Full pipeline: diagonalize, build eigen-operators, recover kernels, test.
 
     Kernels are recovered and tested for all characters at once; a failed
-    fit marks its own character only.  ``counters["kernel_fit_worst"]`` is
-    the largest least-squares residual over its bound.
+    fit marks its own character only.  ``counters["gates"]["kernel_fit"]``
+    measures the largest least-squares residual over its bound.
     """
     tol = tol or Tolerances()
     report = joint_diagonalize(op, tol, seed)
     report.operators = [character_to_operator(ch, op) for ch in report.characters]
     report.kernels, fits = kernel_from_operator(report.operators, op.spec, tol)
-    report.counters["kernel_fit_worst"] = max(fits, default=None)
-    report.counters["gates"]["kernel_fit"] = gate(report.counters["kernel_fit_worst"], 1.0)
+    report.counters["gates"]["kernel_fit"] = gate(max(fits, default=None), 1.0)
     tests = iter(membership_test([cleared_operator_polys(X) for X in report.kernels if X is not None],
                                  op.spec, tol=MEMBERSHIP_TOL))
     report.memberships = [KERNEL_FAILURE if X is None else next(tests) for X in report.kernels]

@@ -32,8 +32,9 @@ numerator row, lstsq kernel fit and membership test per character.
 
 Both sides' local conditions at the points have a point-by-point reference
 (``check_polynomiality_by_point``, ``membership_test_by_point``): one
-Taylor expansion per point, by ``taylor_matrix``, where the library
-contracts every point's stacked table at once.
+Taylor expansion per point, by ``taylor_matrix`` (``taylor_coefficients``
+for one polynomial), built in the field of the point, where the library
+contracts every point's integer ``point_table`` at once.
 """
 
 import cmath
@@ -50,7 +51,7 @@ from gaudin.algebra import apply_e_block, enumerate_indices, irreducible_factor_
 from gaudin.bae import EigenvectorReport, NonGenericError, factorized_values, gap_unit, weight_function
 from gaudin.betheop import PolynomialityReport, eigenvector_points
 from gaudin.linalg import MatrixPoly
-from gaudin.polynomials import Poly, falling_product, indicial_coefficients, taylor_matrix
+from gaudin.polynomials import Poly, falling_product, indicial_coefficients
 from gaudin.scalars import GaussianRational, to_complex
 from gaudin.spaces import (
     IndicialData,
@@ -996,11 +997,45 @@ def spectral_stage_loop(op, tol=None, seed=2024):
 # --- local data one point at a time ----------------------------------------
 
 
+@lru_cache(maxsize=256, typed=True)
+def taylor_matrix(b, degree: int, count: int) -> np.ndarray:
+    """T[k, j] = C(j, k) b^(j - k) for k < count and j <= degree, read-only and built once.
+
+    T times the coefficients of a polynomial of degree at most ``degree`` is
+    its first ``count`` coefficients in powers of (u - b).  The entries lie in
+    the field of b: exact scalars in an object array, or complex floats.  For a
+    ``Fraction`` b = p / q each entry is C(j, k) p^(j - k) / q^(j - k), computed
+    in integers and made a Fraction once; an int b needs only integers.
+    """
+    if isinstance(b, Fraction):
+        p, q, zero = b.numerator, b.denominator, Fraction(0)
+        rows = [[Fraction(comb(j, k) * p ** (j - k), q ** (j - k)) if j >= k else zero
+                 for j in range(degree + 1)] for k in range(count)]
+    else:
+        powers = [b ** 0]
+        for _ in range(degree):
+            powers.append(powers[-1] * b)
+        zero = powers[0] * 0
+        rows = [[comb(j, k) * powers[j - k] if j >= k else zero for j in range(degree + 1)] for k in range(count)]
+    t = np.array(rows).reshape(count, degree + 1)
+    t.flags.writeable = False
+    return t
+
+
+def taylor_coefficients(p: Poly, b, count=None) -> list:
+    """The first count (default all) coefficients of the exact p in powers of (u - b), by ``taylor_matrix``;
+    p's coefficients may be ``Matrix`` objects."""
+    count = len(p.coeffs) if count is None else count
+    if not p.coeffs:
+        return [p.coeff(0)] * count
+    return list(taylor_matrix(b, p.degree, count) @ np.array(p.coeffs, dtype=object))
+
+
 def check_polynomiality_by_point(op) -> PolynomialityReport:
     """``betheop.check_polynomiality`` one point at a time.
 
     At each b_s the first n_s + 1 Taylor coefficients of P and of every
-    cleared A_i come from ``Poly.taylor_at`` on the Poly-of-Matrix form of
+    cleared A_i come from ``taylor_coefficients`` on the Poly-of-Matrix form of
     A_i (``unstacked``), each read as a scalar when it is c I, and the
     indicial polynomial of that point alone is compared with its target.
     """
@@ -1016,10 +1051,10 @@ def check_polynomiality_by_point(op) -> PolynomialityReport:
     failures += [f"cleared A_{i} has degree {d} > {n}" for i, d in enumerate(degrees, 1) if d > n]
     indicial_ok = True
     for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
-        table = [pole.taylor_at(b_s, n_s + 1)]  # A_0 = P
+        table = [taylor_coefficients(pole, b_s, n_s + 1)]  # A_0 = P
         for i in range(1, N + 1):
             local = [m.scalar_of_identity() if isinstance(m, Matrix) else m
-                     for m in unstacked(cleared[i - 1]).taylor_at(b_s, n_s + 1)]
+                     for m in taylor_coefficients(unstacked(cleared[i - 1]), b_s, n_s + 1)]
             vanish = next((k for k, c in enumerate(local) if c is None or c != 0), n_s + 1)
             pole_orders[i, s] = max(0, n_s - vanish)
             table.append(local)

@@ -571,15 +571,16 @@ def test_match_tolerance_comes_from_the_config():
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_reports_carry_spectral_counters(tmp_path, command):
     """spectrum and verify reports record the combinations tried, how many
-    were ambiguous, the accepted cluster margin and the worst kernel fit."""
+    were ambiguous, and the gates that measure the accepted cluster margin
+    and the worst kernel fit."""
     out = tmp_path / "report.json"
     assert main([command, "--config", str(Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json"),
                  "--out", str(out)]) == 0
     counters = json.loads(out.read_text())["counters"]
-    assert counters["spectral"].keys() == {"combinations", "ambiguous", "cluster_margin", "kernel_fit_worst", "gates"}
+    assert counters["spectral"].keys() == {"combinations", "ambiguous", "gates"}
     assert counters["spectral"]["combinations"] == 1 and counters["spectral"]["ambiguous"] == 0
-    assert counters["spectral"]["cluster_margin"] > 1e-6
-    assert 0 < counters["spectral"]["kernel_fit_worst"] <= 1
+    assert counters["spectral"]["gates"]["cluster_margin"]["measured"] > 1e-6
+    assert 0 < counters["spectral"]["gates"]["kernel_fit"]["measured"] <= 1
     assert ("newton" in counters) == (command == "verify")
 
 
@@ -596,10 +597,10 @@ def test_spectral_gates_report_their_margin():
     assert gates["joint_residual"] == {"measured": max(ch["residual"] for ch in characters),
                                        "tolerance": 100 * tol.residual,
                                        "margin": 100 * tol.residual - max(ch["residual"] for ch in characters)}
-    assert gates["cluster_margin"] == {"measured": counters["cluster_margin"], "tolerance": 10 * tol.cluster,
-                                       "margin": counters["cluster_margin"] - 10 * tol.cluster}
-    assert gates["kernel_fit"] == {"measured": counters["kernel_fit_worst"], "tolerance": 1.0,
-                                   "margin": 1.0 - counters["kernel_fit_worst"]}
+    cluster, fit = gates["cluster_margin"]["measured"], gates["kernel_fit"]["measured"]
+    assert gates["cluster_margin"] == {"measured": cluster, "tolerance": 10 * tol.cluster,
+                                       "margin": cluster - 10 * tol.cluster}
+    assert gates["kernel_fit"] == {"measured": fit, "tolerance": 1.0, "margin": 1.0 - fit}
     assert all(gate["margin"] > 0 for gate in gates.values())
 
 

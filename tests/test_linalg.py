@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaudin.linalg import MatrixPoly, _exact, pairwise_commute, point_table, root_products
-from gaudin.polynomials import Poly, taylor_matrix
+from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational
 
-from oracles import Matrix, constant, scalar_table, stacked, unstacked
+from oracles import Matrix, constant, scalar_table, stacked, taylor_coefficients, taylor_matrix, unstacked
 
 F = Fraction
 GR = GaussianRational
@@ -111,7 +111,7 @@ def test_derivative_evaluation_and_taylor_shift(data, field, rows, cols, scale):
     else:
         assert constant(A.at([x], [1])[0]) == a(x)
     count = data.draw(st.integers(1, 5))
-    assert unstacked(taylor_at(A, x, count)) == Poly(a.taylor_at(x, count))
+    assert unstacked(taylor_at(A, x, count)) == Poly(taylor_coefficients(a, x, count))
 
 
 def taylor_at(A, x, count):
@@ -122,7 +122,7 @@ def taylor_at(A, x, count):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data(), fields, st.integers(0, 6))
 def test_point_table_matches_taylor_matrix(data, field, degree):
-    """Row (s, k) of the integer table over its denominator is row k of ``taylor_matrix`` at b_s."""
+    """Row (s, k) of the integer table over its denominator is row k of the reference ``taylor_matrix`` at b_s."""
     points = tuple(data.draw(st.lists(scalars(field), min_size=0, max_size=4, unique=True)))
     counts = tuple(data.draw(st.lists(st.integers(0, 4), min_size=len(points), max_size=len(points))))
     re, im, den = point_table(points, counts, degree)

@@ -2,9 +2,13 @@
 
 ``check_polynomiality`` expands every cleared coefficient at every point from
 one integer ``point_table``, and ``membership_test`` expands every operator
-of a stack at every point from one stacked Taylor table; the references in
-``oracles`` expand one point at a time.  The reports must be equal: exact
-fields identical, floats within 1e-12 relative.  The cases cover every
+of a stack at every point from the same table, its entries exact for an
+exact stack and correctly rounded for a float one; the references in
+``oracles`` expand one point at a time with a ``taylor_matrix`` built in the
+field of the point.  The reports must be equal: exact fields identical,
+floats within 1e-12 relative.  The exact and the float membership test must
+also agree on exact spaces, and the exponents an exact space has instead
+are read off by ``_integer_roots``, tested on its own.  The cases cover every
 fixture (``gauss_n2`` over Q(i), ``mixed_cells`` and ``hook_n3`` with points
 of different n_s, ``trivial_*`` without points), the Jordan instance, the
 two benchmark instances rescaled to (cK, b/c), and Q(i) and fractional points.
@@ -21,8 +25,8 @@ import pytest
 from gaudin.betheop import build_bethe_operator, check_polynomiality
 from gaudin.harness import InstanceConfig
 from gaudin.polynomials import Poly
-from gaudin.scalars import parse_scalar
-from gaudin.spaces import cleared_operator_polys, fundamental_operator, membership_test
+from gaudin.scalars import GaussianRational, parse_scalar
+from gaudin.spaces import _integer_roots, cleared_operator_polys, fundamental_operator, membership_test
 from gaudin.spectral import MEMBERSHIP_TOL, spectrum_analysis
 
 from conftest import JORDAN, mutant_operator, random_exact_space, unit_matrix
@@ -129,3 +133,37 @@ def test_exact_membership_matches_the_point_by_point_reference(name):
     spaces += [random_exact_space(spec.rank, spec.exponents, spec.weight, rng) for _ in range(3)]
     stack = [fundamental_operator(X) for X in spaces]
     assert_same_reports(membership_test(stack, spec), membership_test_by_point(stack, spec), exact=True)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_exact_and_float_membership_agree(name):
+    """The fixture's own space and random spaces: the exact test and the float test at MEMBERSHIP_TOL on
+    the complex copy of each operator give the same checks and verdicts."""
+    config = _config(name)
+    spec = config.spec
+    rng = random.Random(7)
+    spaces = [config.space] if config.space is not None else []
+    spaces += [random_exact_space(spec.rank, spec.exponents, spec.weight, rng) for _ in range(5)]
+    stack = [fundamental_operator(X) for X in spaces]
+    floats = [[Poly([complex(c) for c in g.coeffs]) for g in gs] for gs in stack]
+    for exact, rounded in zip(membership_test(stack, spec), membership_test(floats, spec, tol=MEMBERSHIP_TOL)):
+        assert exact.ok == rounded.ok
+        assert [(c.name, c.passed) for c in exact.checks] == [(c.name, c.passed) for c in rounded.checks]
+
+
+def _roots(*roots, scale=Fraction(1)):
+    return Poly.from_roots([Fraction(r) for r in roots]).scale(scale)
+
+
+@pytest.mark.parametrize("poly, low, high, expect", [
+    (_roots(2, 2, -1), -1, 5, (-1, 2, 2)),
+    (_roots(-1, 7, 3, 3, 3), -1, 7, (-1, 3, 3, 3, 7)),
+    (_roots(0, 4, scale=GaussianRational(Fraction(1, 2), Fraction(-3))), -1, 6, (0, 4)),
+    (Poly([GaussianRational(0, -1), Fraction(1)]), -1, 3, None),  # the root i
+    (_roots(1, Fraction(1, 2)), -1, 5, None),
+    (_roots(1, 8), -1, 7, None),  # 8 lies outside the range
+    (Poly([Fraction(3)]), -1, 2, ()),
+], ids=["double", "ends", "gaussian", "gaussian-root", "half", "outside", "constant"])
+def test_integer_roots(poly, low, high, expect):
+    """The integer roots in [low, high] with multiplicity, or None unless they are all the roots."""
+    assert _integer_roots(poly, low, high) == expect

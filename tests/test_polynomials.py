@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaudin.linalg import entries, point_table
 from gaudin.polynomials import (
     Poly,
     falling_product,
     indicial_coefficients,
     poly_det,
     poly_gcd,
-    taylor_matrix,
 )
 from gaudin.scalars import GaussianRational
 
@@ -37,9 +37,14 @@ def test_gcd_example():
     assert poly_gcd(P(-1, 0, 1), P(1, -2, 1)) == P(-1, 1)
 
 
+def shift(p, b, count):
+    """The first count coefficients of p in powers of (u - b), from the exact ``point_table`` of b."""
+    return list(entries(point_table((b,), (count,), p.degree), exact=True) @ np.array(p.coeffs, dtype=object))
+
+
 def test_indicial_polynomial_rank_one():
     """u d/du - 1 at 0: G_0 = u vanishes to order 1, exponent a = 1 (kernel u)."""
-    taylors = [P(0, 1).taylor_at(F(0), 2), P(-1).taylor_at(F(0), 2)]
+    taylors = [shift(P(0, 1), F(0), 2), shift(P(-1), F(0), 2)]
     assert indicial_polynomial(taylors, 1) == P(-1, 1)
     # a coefficient past the end of its list counts as zero
     assert indicial_polynomial([[F(0), F(1)], []], 1) == P(0, 1)
@@ -72,8 +77,8 @@ def test_divmod_exactness():
 
 def test_shift_and_taylor():
     p = P(0, 0, 1)  # u^2
-    assert Poly(p.taylor_at(F(1))) == P(1, 2, 1)  # p(u + 1)
-    assert p.taylor_at(F(3), 4) == [F(9), F(6), F(1), F(0)]
+    assert Poly(shift(p, F(1), 3)) == P(1, 2, 1)  # p(u + 1)
+    assert shift(p, F(3), 4) == [F(9), F(6), F(1), F(0)]
 
 
 def _taylor_by_products(b, degree, count):
@@ -90,18 +95,25 @@ def _taylor_by_products(b, degree, count):
                                GaussianRational(F(1, 2), F(-3)), 2.5 - 1j, complex(3)], ids=repr)
 @pytest.mark.parametrize("degree, count", [(5, 6), (0, 1), (3, 5), (6, 2)])
 def test_taylor_matrix_is_the_table_of_products(b, degree, count):
-    """The table built in integers for an int or Fraction b equals the table of
-    products entry by entry, by == and by type, as do the other fields' tables."""
-    got, want = taylor_matrix.__wrapped__(b, degree, count), _taylor_by_products(b, degree, count)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert [(x, type(x)) for x in got.flat] == [(y, type(y)) for y in want.flat]
+    """The ``point_table`` of b over its denominator equals the table of
+    products entry by entry: exactly for an exact b, Fractions for a real
+    one; for a complex b, whose products are exact in floating point here,
+    the float table of its exact value bit for bit."""
+    want = _taylor_by_products(b, degree, count)
+    if isinstance(b, complex):
+        got = entries(point_table((GaussianRational(F(b.real), F(b.imag)),), (count,), degree), exact=False)
+        assert got.shape == want.shape and [_bits(x) for x in got.flat] == [_bits(y) for y in want.flat]
+        return
+    got = entries(point_table((b,), (count,), degree), exact=True)
+    field = (Fraction, GaussianRational) if isinstance(b, GaussianRational) else Fraction
+    assert got.shape == want.shape and all(isinstance(x, field) for x in got.flat)
+    assert got.tolist() == want.tolist()
 
 
 def _bits(z: complex) -> tuple:
     return z.real.hex(), z.imag.hex()
 
 
-small_complex = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
 exact_points = st.one_of(
     st.fractions(min_value=-20, max_value=20, max_denominator=50),
     st.builds(GaussianRational, st.fractions(-5, 5, max_denominator=9), st.fractions(-5, 5, max_denominator=9)),
@@ -109,13 +121,14 @@ exact_points = st.one_of(
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(small_complex, min_size=1, max_size=7), exact_points)
-def test_float_taylor_shift_by_exact_point_is_the_complex_shift(coeffs, b):
-    """Complex coefficients are shifted by complex(b) even when b is exact,
-    so an exact point gives the same bits as its complex value."""
-    p = Poly(coeffs)
-    by_exact, by_complex = p.taylor_at(b, 8), p.taylor_at(complex(b), 8)
-    assert [_bits(complex(c)) for c in by_exact] == [_bits(complex(c)) for c in by_complex]
+@given(st.lists(exact_points, min_size=0, max_size=4, unique=True), st.integers(0, 12), st.integers(1, 13))
+def test_float_point_table_is_the_exact_table_correctly_rounded(points, degree, count):
+    """Each part of each float entry is the nearest float to that part of the exact entry."""
+    table = point_table(tuple(points), (count,) * len(points), degree)
+    exact, rounded = entries(table, exact=True), entries(table, exact=False)
+    parts = [(x.re, x.im) if isinstance(x, GaussianRational) else (x, 0) for x in exact.flat]
+    assert rounded.shape == exact.shape
+    assert [_bits(z) for z in rounded.flat] == [_bits(complex(float(x), float(y))) for x, y in parts]
 
 
 def test_evaluate_horner():

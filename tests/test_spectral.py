@@ -243,7 +243,7 @@ def test_one_failed_kernel_fit_marks_only_its_character(monkeypatch):
     assert report.count == clean.count == 6
     assert report.kernels[2] is None
     assert report.memberships[2] == KERNEL_FAILURE == "kernel recovery failed: no quasi-exponential kernel of prescribed degrees"
-    assert report.counters["kernel_fit_worst"] > 1 >= clean.counters["kernel_fit_worst"]
+    assert report.counters["gates"]["kernel_fit"]["measured"] > 1 >= clean.counters["gates"]["kernel_fit"]["measured"]
     for k in (0, 1, 3, 4, 5):
         m, r = report.memberships[k], clean.memberships[k]
         assert m.ok and [(c.name, c.passed, c.detail) for c in m.checks] == [(c.name, c.passed, c.detail) for c in r.checks]
@@ -270,13 +270,14 @@ def test_failed_diagonalization_message_is_the_loop_message():
 def test_spectral_counters(golden_op):
     """The counters of an accepted combination: one combination tried, none
     ambiguous, the cluster margin above its threshold, every fit within its
-    bound; without kernel recovery the fit counter stays None."""
+    bound; without kernel recovery the fit gate measures nothing."""
     report = spectrum_analysis(golden_op)
     counters = report.counters
+    assert counters.keys() == {"combinations", "ambiguous", "gates"}
     assert counters["combinations"] == 1 and counters["ambiguous"] == 0
-    assert counters["cluster_margin"] > 10 * Tolerances().cluster
-    assert 0 < counters["kernel_fit_worst"] <= 1
-    assert joint_diagonalize(golden_op).counters["kernel_fit_worst"] is None
+    assert counters["gates"]["cluster_margin"]["measured"] > 10 * Tolerances().cluster
+    assert 0 < counters["gates"]["kernel_fit"]["measured"] <= 1
+    assert joint_diagonalize(golden_op).counters["gates"]["kernel_fit"]["measured"] is None
 
 
 def test_cluster_margin_is_the_smallest_gap_between_representatives():
