@@ -13,11 +13,12 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import lcm, prod
 
 import numpy as np
 
+from .linalg import MatrixPoly, point_table
 from .polynomials import Poly
 from .scalars import promote_field, to_complex
 
@@ -124,13 +125,15 @@ class ModuleSpec:
 
     @cached_property
     def _indicial_targets(self) -> tuple:
-        N = self.rank
-        out = []
-        for b_s, part in zip(self.points, self.partitions):
-            const = prod((b_s - b) ** n for b, n in zip(self.points, self.factor_sizes) if b != b_s)
+        # prod_{r != s} (b_s - b_r)^{n_r} is the (u - b_s)^{n_s} Taylor coefficient of P: row
+        # (s, n_s) of the point table that check_polynomiality expands the cleared A_i with
+        N, counts = self.rank, tuple(n + 1 for n in self.factor_sizes)
+        taylor = (MatrixPoly.identity(1) * self._pole).contract(*point_table(self.points, counts, self.size)).scalars()
+        roots = {}  # one root polynomial per distinct partition
+        for part in set(self.partitions):
             lam = part.padded(N)
-            out.append(Poly.from_roots([lam[l] + N - 1 - l for l in range(N)]).scale(const))
-        return tuple(out)
+            roots[part] = Poly.from_roots([lam[l] + N - 1 - l for l in range(N)])
+        return tuple(roots[part].scale(taylor[row - 1]) for part, row in zip(self.partitions, accumulate(counts)))
 
     def pole_polynomial(self) -> Poly:
         """prod over s of (u - b_s)^{n_s}."""

@@ -225,12 +225,13 @@ def _solve(A, b):
 def damped_newton(X, eqs, tol, max_iter, limit):
     """Damped Newton from every row of X; returns (converged rows, stalled count, evaluations).
 
-    A row converges once max|F| is at most tol.  Each row is damped on its
-    own: it takes the longest step 2^-k s, k < 25, that lowers max|F|, where
-    s solves J s = -F.  The rows run in chunks of ``NEWTON_CHUNK``; within a
-    chunk one batched evaluation tries, for every row still without a step,
-    its next ceil(NEWTON_CHUNK / rows) step lengths, so a lone row tries all
-    25 at once.  A row fails when it cannot move, meets a singular step, or
+    A row converges once max|F| is at most tol, tested at the start and
+    after each of at most max_iter steps, the last one included.  Each row
+    is damped on its own: it takes the longest step 2^-k s, k < 25, that
+    lowers max|F|, where s solves J s = -F.  The rows run in chunks of
+    ``NEWTON_CHUNK``; within a chunk one batched evaluation tries, for every
+    row still without a step, its next ceil(NEWTON_CHUNK / rows) step
+    lengths, so a lone row tries all 25 at once.  A row fails when it cannot move, meets a singular step, or
     its trial points leave |x| <= limit; such trial points are never
     evaluated.  It is retired as stalled when its max|F| is not below
     ``STALL_RATIO`` times its value ``STALL_WINDOW`` iterations earlier.  The
@@ -270,15 +271,17 @@ def _newton_chunk(X, eqs, tol, max_iter, limit):
     active, done = ok, np.zeros(len(X), dtype=bool)
     # history[k % STALL_WINDOW] holds each active row's merit at iteration k
     history, stalled = np.full((STALL_WINDOW, len(X)), np.inf), 0
-    for k in range(max_iter):
+    for k in range(max_iter + 1):
         R, inv = state
         rows = np.flatnonzero(active)
         merit = np.abs(R[rows]).max(axis=1)
-        past = history[k % STALL_WINDOW]
         converged = merit <= tol
+        done[rows[converged]] = True
+        if k == max_iter:  # the state after the last permitted step is tested, not stepped from
+            break
+        past = history[k % STALL_WINDOW]
         stall = ~converged & (merit >= STALL_RATIO * past[rows])
         past[rows] = merit
-        done[rows[converged]] = True
         stalled += int(stall.sum())
         keep = ~(converged | stall)
         active[rows[~keep]] = False

@@ -2,12 +2,16 @@
 
 Subcommands: spectrum, bae, wronski, verify run one instance each from a
 JSON config; report pretty-prints a stored report.  Exit status is 0 only
-when every enabled check passes (2 for a bad config or an unreadable report).
+when every enabled check passes (2 for a bad config, an unreadable report
+or a report that cannot be written).
+
+One option table feeds both readers of a command line: a plain one is read
+from it directly, and everything else (help, usage errors, abbreviations)
+goes to the argparse parser, which is built, and imported, only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -25,53 +29,104 @@ from .harness import (
     wronski_pipeline,
 )
 
+COMMANDS = {
+    "spectrum": "build the operator, diagonalize, recover kernels",
+    "bae": "solve the Bethe ansatz equations and verify eigenvectors",
+    "wronski": "analyze a user-supplied quasi-exponential space",
+    "verify": "full cross-check suite with count identities",
+}
+
+# The options every command above takes: flag -> (value type, help); --config is required.
+OPTIONS = {
+    "--config": (str, "path to the instance JSON"),
+    "--out": (str, "write the report here (default stdout)"),
+    "--seed": (int, "override the instance seed"),
+    "--tol-residual": (float, None),
+    "--tol-cluster": (float, None),
+}
+# Mutually exclusive flags that set as_json (default True).
+FORMATS = {"--json": True, "--table": False}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
 
 def _add_common(p):
-    p.add_argument("--config", required=True, help="path to the instance JSON")
-    p.add_argument("--out", default=None, help="write the report here (default stdout)")
-    p.add_argument("--seed", type=int, default=None, help="override the instance seed")
-    p.add_argument("--tol-residual", type=float, default=None)
-    p.add_argument("--tol-cluster", type=float, default=None)
+    for flag, (kind, help_text) in OPTIONS.items():
+        p.add_argument(flag, type=kind, required=flag == "--config", help=help_text)
     fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="as_json", action="store_true", default=True)
-    fmt.add_argument("--table", dest="as_json", action="store_false")
+    for flag, value in FORMATS.items():
+        fmt.add_argument(flag, dest="as_json", action="store_true" if value else "store_false", default=True)
 
 
 def build_parser():
+    import argparse  # help, usage and errors only: a plain command line never loads it
+
     parser = argparse.ArgumentParser(
         prog="gaudin",
         description="Exact Gaudin Bethe algebra and quasi-exponential cross-checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "build the operator, diagonalize, recover kernels"),
-        ("bae", "solve the Bethe ansatz equations and verify eigenvectors"),
-        ("wronski", "analyze a user-supplied quasi-exponential space"),
-        ("verify", "full cross-check suite with count identities"),
-    ):
+    for name, help_text in COMMANDS.items():
         _add_common(sub.add_parser(name, help=help_text))
     p = sub.add_parser("report", help="pretty-print a stored report")
     p.add_argument("path", help="report JSON file")
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "report":
+def _plain_args(argv):
+    """vars(build_parser().parse_args(argv)) for a plain command line, else None.
+
+    Plain is ``report PATH``, or a command followed by exact long options of
+    OPTIONS, each as ``--opt value`` (value not starting with -) or
+    ``--opt=value``, with values nonempty and of the option's type, repeats
+    last-wins, at most one of FORMATS, and --config present.
+    """
+    if len(argv) == 2 and argv[0] == "report" and argv[1][:1] not in ("", "-"):
+        return {"command": "report", "path": argv[1]}
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    args = {"command": argv[0], **{_dest(flag): None for flag in OPTIONS}, "as_json": True}
+    formats = 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in FORMATS:
+            formats += 1
+            args["as_json"] = FORMATS[token]
+            continue
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "")
+        if flag not in OPTIONS or not value or (not eq and value[0] == "-"):
+            return None
         try:
-            with open(args.path) as fh:
+            args[_dest(flag)] = OPTIONS[flag][0](value)
+        except ValueError:
+            return None
+    return args if formats <= 1 and args["config"] is not None else None
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = vars(build_parser().parse_args(argv))
+    if args["command"] == "report":
+        try:
+            with open(args["path"]) as fh:
                 report = json.load(fh)
             text = render_table(report)
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"report error: cannot read a gaudin report from {args.path}: {exc!r}", file=sys.stderr)
+            print(f"report error: cannot read a gaudin report from {args['path']}: {exc!r}", file=sys.stderr)
             return 2
         print(text)
         return 0 if report.get("all_passed") else 1
     try:
-        config = InstanceConfig.from_file(args.config)
-        if args.seed is not None:
-            config.seed = parse_seed(args.seed)
-        for key, value in (("residual", args.tol_residual), ("cluster", args.tol_cluster)):
+        config = InstanceConfig.from_file(args["config"])
+        if args["seed"] is not None:
+            config.seed = parse_seed(args["seed"])
+        for key, value in (("residual", args["tol_residual"]), ("cluster", args["tol_cluster"])):
             if value is not None:
                 setattr(config.tolerances, key, parse_tolerance(key, value))
     except (ConfigError, OSError) as exc:
@@ -79,11 +134,11 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.command == "spectrum":
+        if args["command"] == "spectrum":
             result = spectrum_pipeline(config)
-        elif args.command == "bae":
+        elif args["command"] == "bae":
             result = bae_pipeline(config)
-        elif args.command == "wronski":
+        elif args["command"] == "wronski":
             result = wronski_pipeline(config)
         else:
             result = verify_pipeline(config)
@@ -91,11 +146,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_report(args.command, config, result)
-    text = dump_report(report) if args.as_json else render_table(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    report = run_report(args["command"], config, result)
+    text = dump_report(report) if args["as_json"] else render_table(report)
+    if args["out"]:
+        try:
+            with open(args["out"], "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"output error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0 if report["all_passed"] else 1

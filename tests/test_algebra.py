@@ -63,6 +63,21 @@ def test_indicial_target_examples():
     assert single.indicial_target(0) == Poly.from_roots([F(2), F(1)])
 
 
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_indicial_targets_are_the_product_formula_on_every_fixture(path):
+    """The constant read from the point table is prod_{r != s} (b_s - b_r)^{n_r}, exactly."""
+    spec = InstanceConfig.from_file(path).spec
+    N = spec.rank
+    for s, (b_s, part) in enumerate(zip(spec.points, spec.partitions)):
+        const = F(1)
+        for b, n in zip(spec.points, spec.factor_sizes):
+            if b != b_s:
+                const *= (b_s - b) ** n
+        lam = part.padded(N)
+        want = Poly.from_roots([lam[l] + N - 1 - l for l in range(N)]).scale(const)
+        assert spec.indicial_target(s) == want
+
+
 def test_spec_polynomials_are_built_once_per_spec():
     """The pole polynomial and indicial targets are kept on the frozen spec;
     a spec made by ``dataclasses.replace`` builds its own."""

@@ -602,6 +602,17 @@ def test_stall_rule_retires_a_plateau_start():
     assert evaluations == 1 + STALL_WINDOW  # the start, then one per iteration until the stall
 
 
+def test_the_state_after_the_last_permitted_step_is_tested():
+    """One step from 1e-7 off a root lands within RESIDUAL_TOL; with one
+    iteration allowed, that state converges without another evaluation."""
+    eqs = BetheEquations(*BAE_REAL_EQUATIONS)
+    X = np.array([BAE_REAL_ROOTS[0]]) + 1e-7
+    found, stalled, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, 1, 1e7)
+    assert len(found) == 1 and stalled == 0
+    assert evaluations == 2
+    assert np.abs(eqs.residual(found)[0]).max() <= RESIDUAL_TOL
+
+
 class _RecordingEquations(BetheEquations):
     """BetheEquations that record the rows of every residual evaluation."""
 
@@ -646,7 +657,7 @@ def test_newton_random_family_alone_for_complex_points():
 @pytest.mark.xfail(
     strict=True,
     reason="1/t + 1/(t - 2i) = 1 has the double root t = 1 + i; damped Newton stops about 1e-6 from it "
-    "and the absolute dedup_tol 1e-8 keeps each stop as a new solution (ROADMAP item 3)",
+    "and the absolute dedup_tol 1e-8 keeps each stop as a new solution (ROADMAP items 5 and 11)",
 )
 def test_newton_count_at_a_double_root():
     assert len(newton_solve(make_spec(JORDAN))) <= 2

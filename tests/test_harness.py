@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaudin import harness, spaces
 from gaudin.betheop import BetheOperator, build_bethe_operator
-from gaudin.cli import main
+from gaudin.cli import FORMATS, OPTIONS, _plain_args, build_parser, main
 from gaudin.linalg import MatrixPoly
 from gaudin.harness import (
     ConfigError,
@@ -467,6 +471,115 @@ def test_cli_root_and_report_help(monkeypatch, capsys):
     assert _cli_output(monkeypatch, capsys, ["report", "--help"]) == (0, REPORT_HELP, "")
 
 
+def _parsed(argv):
+    """vars(build_parser().parse_args(argv)), or the exit code argparse stops with."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _same(plain, parsed) -> bool:
+    """Equal attributes of equal types, nan equal to nan."""
+    return isinstance(parsed, dict) and plain.keys() == parsed.keys() and all(
+        type(a) is type(b) and (a == b or a != a and b != b) for a, b in ((plain[k], parsed[k]) for k in plain))
+
+
+_FLAGS = [*OPTIONS, "--conf", "--tol", "--se", "--jso", "-h", "--", "-x", "--json"]
+_VALUES = ["r.json", "7", "1e-7", "nan", "-1", "-1e-7", "abc", "", "-", "a=b", "--json", "verify"]
+# values each option's type accepts, signs, spaces and underscores included
+_TYPED = {str: ["r.json", "a=b", "verify", " x", "-x"], int: ["7", "+7", " 7", "1_0", "-1"],
+          float: ["1e-7", "-1e-7", "nan", "inf", "2"]}
+
+
+def _plain_chunk(flag, value):
+    """--opt value, or --opt=value where the value starts with - (argparse reads the other as an option)."""
+    return st.sampled_from([[f"{flag}={value}"]] + ([[flag, value]] if value[0] != "-" else []))
+
+
+_OPTION = st.sampled_from(list(OPTIONS)).flatmap(
+    lambda flag: st.sampled_from(_TYPED[OPTIONS[flag][0]]).flatmap(lambda value: _plain_chunk(flag, value)))
+_PLAIN_ARGV = st.tuples(
+    st.sampled_from(["verify", "spectrum", "bae", "wronski"]),
+    st.tuples(_plain_chunk("--config", "c.json"), st.sampled_from([[], ["--json"], ["--table"]]),
+              st.lists(_OPTION, max_size=4)).flatmap(lambda a: st.permutations([a[0], a[1], *a[2]])),
+).map(lambda a: [a[0], *(token for chunk in a[1] for token in chunk)])
+_PAIR = st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES))
+_CHUNK = st.one_of(
+    _OPTION,
+    _PAIR.map(list),
+    _PAIR.map(lambda fv: ["=".join(fv)]),
+    st.sampled_from(_FLAGS + _VALUES).map(lambda token: [token]),
+)
+_ANY_ARGV = st.one_of(
+    st.tuples(
+        st.sampled_from(["verify", "spectrum", "bae", "wronski", "report", "-h", "verif", ""]),
+        st.lists(st.one_of(_OPTION, _CHUNK), max_size=5),
+    ).map(lambda a: [a[0], *(token for chunk in a[1] for token in chunk)]),
+    # a plain line with one token put in anywhere after the command
+    st.tuples(_PLAIN_ARGV, st.sampled_from(_FLAGS + _VALUES), st.integers(1, 12)).map(
+        lambda a: a[0][:a[2]] + [a[1]] + a[0][a[2]:]),
+    st.lists(st.sampled_from(["report", "r.json", "-r", "", "--", "x=y"]), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_PLAIN_ARGV)
+def test_plain_command_lines_parse_as_argparse_does(argv):
+    """A command, exact options with values of their type and at most one
+    format flag, in any order: the option table answers, as argparse does."""
+    plain = _plain_args(argv)
+    assert plain is not None and _same(plain, _parsed(argv)), argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ANY_ARGV)
+def test_option_table_answers_only_as_argparse_does(argv):
+    """Prefixes, bad values, negative numbers and junk tokens: wherever the
+    option table answers, argparse gives the same attributes."""
+    plain = _plain_args(argv)
+    if plain is not None:
+        assert _same(plain, _parsed(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv, plain, parsed",
+    [
+        (["verify", "--config", "c.json", "--tol-cluster=-1e-7"], True, {"tol_cluster": -1e-7}),
+        (["verify", "--config", "a", "--seed", "3", "--seed=5", "--config=b", "--table"], True,
+         {"config": "b", "seed": 5, "as_json": False}),
+        (["bae", "--out=r.json", "--tol-residual", "1e-9", "--config=c.json", "--json"], True,
+         {"command": "bae", "out": "r.json", "tol_residual": 1e-9}),
+        (["report", "r.json"], True, {"command": "report", "path": "r.json"}),
+        # argparse reads these as before: the seed is a config error later, and the abbreviation is taken
+        (["verify", "--config", "c.json", "--seed", "-1"], False, {"seed": -1}),
+        (["verify", "--conf", "c.json"], False, {"config": "c.json"}),
+        (["verify", "--config", "c.json", "--json", "--table"], False, None),  # argparse's verdict varies by version
+        (["verify", "--config", "c.json", "--seed", "1.5"], False, 2),
+        (["verify", "--out", "r.json"], False, 2),
+        (["report", "--help"], False, 0),
+        ([], False, 2),
+    ],
+)
+def test_plain_command_line_cases(argv, plain, parsed):
+    """The option table answers the plain lines, and the others reach argparse."""
+    got = _parsed(argv)
+    if parsed is not None:
+        assert parsed.items() <= got.items() if isinstance(parsed, dict) else got == parsed
+    assert _same(_plain_args(argv), got) if plain else _plain_args(argv) is None
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, where):
+    cfg_path = tmp_path / "golden.json"
+    cfg_path.write_text(json.dumps(GOLDEN))
+    out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum", "bae"])
 def test_cli_numerical_failure_is_a_failing_check(tmp_path, command):
     """A residual tolerance no float eigenvector meets makes every random
@@ -628,7 +741,7 @@ def test_cli_table_output(tmp_path, capsys):
 # one adds to the start-up time of every run, so it must be added here
 # knowingly.
 PACKAGE_IMPORTS = {
-    "__future__", "argparse", "bisect", "dataclasses", "fractions", "functools", "itertools",
+    "__future__", "bisect", "dataclasses", "fractions", "functools", "itertools",
     "json", "math", "numpy", "random", "re", "sys", "time",
 }
 
@@ -640,7 +753,8 @@ deps = set(sys.modules)
 import gaudin.cli
 loaded = sorted(set(sys.modules) - deps)
 code = gaudin.cli.main(["verify", "--config", sys.argv[2], "--out", sys.argv[3]])
-print(json.dumps({"loaded": loaded, "code": code, "numpy.random": "numpy.random" in sys.modules}))
+print(json.dumps({"loaded": loaded, "code": code, "numpy.random": "numpy.random" in sys.modules,
+                  "parsers": sorted(set(sys.modules) & {"argparse", "gettext", "locale"})}))
 """
 
 
@@ -650,12 +764,15 @@ ROOT = Path(__file__).resolve().parent.parent
 def _verify_footprint(config, tmp_path):
     """Run one verify pass in a fresh interpreter after importing
     PACKAGE_IMPORTS; returns its exit code, the modules ``import gaudin``
-    added and whether numpy.random was loaded at the end."""
+    added and whether numpy.random was loaded at the end.  The command line
+    is a plain one, so the pass never loads argparse, gettext or locale."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [sys.executable, "-c", FOOTPRINT, ",".join(sorted(PACKAGE_IMPORTS)), str(config), str(tmp_path / "r.json")]
     run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout.splitlines()[-1])
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out["parsers"] == [], out["parsers"]
+    return out
 
 
 def test_verify_pass_footprint(tmp_path):
