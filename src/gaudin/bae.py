@@ -9,7 +9,6 @@ one), which keeps the weight function well defined.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -95,39 +94,24 @@ def root_coordinates(spec: ModuleSpec, upper_levels) -> RootCoordinates:
     return RootCoordinates(levels)
 
 
-def bae_residual(t: RootCoordinates, exponents) -> list:
-    """Left-hand side minus right-hand side of every Bethe ansatz equation.
+def bae_residual(solutions, exponents) -> np.ndarray:
+    """Left-hand side minus right-hand side of every Bethe ansatz equation, one row per solution.
 
-    Equations are indexed by level a = 1..N-1 and root j; the residual at
-    (a, j) is sum over the neighbouring levels of simple poles minus twice
-    the in-level interaction, minus (K_{a+1} - K_a).
+    ``solutions`` is a non-empty sequence of root coordinates of one level 0
+    and one level profile.  The equations are indexed by level a = 1..N-1
+    and root j; the residual at (a, j) is the sum over the neighbouring
+    levels of simple poles minus twice the in-level interaction, minus
+    (K_{a+1} - K_a).  Returns a (solutions, equations) complex array from
+    one :class:`BetheEquations` evaluation; coincident coupled roots raise
+    :class:`NonGenericError`.
     """
-    N = len(exponents)
-    levels = [list(level) for level in t.levels] + [[]]
-    out = []
-    for a in range(1, N):
-        level = levels[a]
-        for j, tj in enumerate(level):
-            acc = -(exponents[a] - exponents[a - 1])
-            for x in levels[a - 1]:
-                d = tj - x
-                if d == 0:
-                    raise NonGenericError("non-generic configuration")
-                acc = acc + 1 / d
-            for jp, x in enumerate(level):
-                if jp == j:
-                    continue
-                d = tj - x
-                if d == 0:
-                    raise NonGenericError("non-generic configuration")
-                acc = acc - 2 / d
-            for x in levels[a + 1]:
-                d = tj - x
-                if d == 0:
-                    raise NonGenericError("non-generic configuration")
-                acc = acc + 1 / d
-            out.append(acc)
-    return out
+    level0 = solutions[0].levels[0]
+    eqs = BetheEquations([to_complex(b) for b in level0], [to_complex(k) for k in exponents],
+                         [len(level) for level in solutions[0].upper])
+    R, _, ok = eqs.residual(_nodes(solutions)[:, len(level0):])
+    if not ok.all():
+        raise NonGenericError("non-generic configuration")
+    return R
 
 
 # Starts per batched Newton pass.  The working arrays hold chunk x (coupled
@@ -187,7 +171,7 @@ class BetheEquations:
 
     def generic(self, X, tol):
         """Rows whose coupled roots and points are all more than tol apart."""
-        return np.abs(X @ self.A - self.b).min(axis=1) > tol
+        return np.abs(X @ self.A - self.b).min(axis=1, initial=np.inf) > tol
 
     def residual(self, X):
         """(R, inv, ok) for finite rows X: residuals and 1/d over the pairs.
@@ -197,7 +181,7 @@ class BetheEquations:
         """
         inv = X @ self.A
         inv -= self.b
-        ok = np.abs(inv).min(axis=1) > _SINGULAR
+        ok = np.abs(inv).min(axis=1, initial=np.inf) > _SINGULAR
         inv[~ok] = 1.0
         np.reciprocal(inv, out=inv)
         return inv @ self.S - self.shift, inv, ok
@@ -505,6 +489,14 @@ def _nodes(solutions) -> np.ndarray:
     return np.array([[to_complex(x) for level in sol.levels for x in level] for sol in solutions], dtype=complex)
 
 
+def _weight_values(X, table) -> np.ndarray:
+    """omega at every row of nodes X: one gather of the pole-chain ``table`` of :func:`_chain_table`."""
+    d = X[:, table[..., 0]] - X[:, table[..., 1]]
+    if not d.all():
+        raise NonGenericError("non-generic configuration")
+    return (1 / d).prod(axis=-1).sum(axis=-1)
+
+
 def factorized_values(solutions, exponents, points) -> np.ndarray:
     """[h_1, ..., h_N] of every solution's factorized operator at every point, stably.
 
@@ -601,26 +593,17 @@ def weight_function(t: RootCoordinates, rank: int, counts) -> list:
 
     with beta_0(s) = s, so the first link is the pole to the point of slot s.
     The chains are the rows of one table built once per (rank, counts),
-    which :func:`verify_eigenvector` gathers for every solution at once.
-    Exact scalars give exact values; when an upper root is a float, the
-    points are converted to complex once, not in every first link.
+    and omega is one gather over it, the one :func:`verify_eigenvector`
+    makes for every solution at once, here on an object array of the roots
+    themselves: exact roots give exact values, and float roots floats.
     Entry k is omega_J for J = enumerate_indices(rank, n, counts)[k].
     """
     profile = profile_from_counts(counts, rank)
-    levels = t.levels
     for a in range(rank):
-        if len(levels[a]) != profile[a]:
+        if len(t.levels[a]) != profile[a]:
             raise ValueError(f"level {a} should carry {profile[a]} roots")
-    if any(isinstance(x, (float, complex)) for level in levels[1:] for x in level):
-        levels = (tuple(to_complex(b) for b in levels[0]),) + levels[1:]
-    nodes = [x for level in levels for x in level]
-    out = []
-    for chains in _chain_table(rank, tuple(counts)).tolist():
-        links = [[nodes[up] - nodes[low] for up, low in chain] for chain in chains]
-        if any(d == 0 for chain in links for d in chain):
-            raise NonGenericError("non-generic configuration")
-        out.append(sum(math.prod(1 / d for d in chain) for chain in links))
-    return out
+    nodes = np.array([[x for level in t.levels for x in level]], dtype=object)
+    return _weight_values(nodes, _chain_table(rank, tuple(counts)))[0].tolist()
 
 
 @dataclass
@@ -651,12 +634,7 @@ def verify_eigenvector(solutions, spec: ModuleSpec, bethe_op, tol: float = 1e-8)
         return []
     points = eigenvector_points(spec)
     values = factorized_values(solutions, spec.exponents, points)
-    table = _chain_table(spec.rank, spec.weight.padded(spec.rank))
-    X = _nodes(solutions)
-    d = X[:, table[..., 0]] - X[:, table[..., 1]]
-    if not d.all():
-        raise NonGenericError("non-generic configuration")
-    omega = (1 / d).prod(axis=-1).sum(axis=-1)
+    omega = _weight_values(_nodes(solutions), _chain_table(spec.rank, spec.weight.padded(spec.rank)))
     norms = np.linalg.norm(omega, axis=1)
     B, scales = bethe_op.eigenvector_blocks
     Bw = np.moveaxis(B @ omega.T, -1, 0)  # (solutions, points, N, dim)

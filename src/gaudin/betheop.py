@@ -73,11 +73,15 @@ class BetheOperator:
     def block_evaluate(self, i: int, points) -> list:
         """Exact values of B_i = A_i / P on the target weight block at a sequence of points off the poles, as constants.
 
-        One contraction of A_i's integer coefficient stack with the k = 0
-        rows of the points' ``point_table``, each row over P(point), gives
-        every value.
+        One contraction of A_i's integer coefficient stack with the points'
+        ``point_table`` (one k = 0 row each) gives every value of A_i, which
+        is then scaled by the exact 1/P(point).
         """
-        return self.cleared[i - 1].at(points, _inverse_pole_values(self.spec, tuple(points)))
+        a, points = self.cleared[i - 1], tuple(points)
+        values = a.contract(*point_table(points, (1,) * len(points), max(a.degree, 0)))
+        re, im, den = values.re, values.im, values.den
+        return [MatrixPoly(re[p:p + 1], None if im is None else im[p:p + 1], den) * scale
+                for p, scale in enumerate(_inverse_pole_values(self.spec, points))]
 
     @cached_property
     def eigenvector_blocks(self) -> tuple:

@@ -3,7 +3,8 @@
 Subcommands: spectrum, bae, wronski, verify run one instance each from a
 JSON config; report pretty-prints a stored report.  Exit status is 0 only
 when every enabled check passes (2 for a bad config, an unreadable report
-or a report that cannot be written).
+or a report that cannot be written).  An --out path that is a directory, or
+whose directory is missing or not writable, is refused before the run.
 
 One option table feeds both readers of a command line: a plain one is read
 from it directly, and everything else (help, usage errors, abbreviations)
@@ -13,6 +14,7 @@ goes to the argparse parser, which is built, and imported, only then.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from .harness import (
@@ -107,6 +109,18 @@ def _plain_args(argv):
     return args if formats <= 1 and args["config"] is not None else None
 
 
+def _unwritable(path: str):
+    """Why a report cannot be written to path, or None; checked without creating or truncating a file."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        return "it is a directory"
+    if not os.path.isdir(parent):
+        return f"no directory {parent}"
+    if not os.access(parent, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        return "permission denied"
+    return None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain_args(argv)
@@ -131,6 +145,10 @@ def main(argv=None) -> int:
                 setattr(config.tolerances, key, parse_tolerance(key, value))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    reason = args["out"] and _unwritable(args["out"])
+    if reason:  # before the run, not after it
+        print(f"output error: cannot write the report to {args['out']}: {reason}", file=sys.stderr)
         return 2
 
     try:

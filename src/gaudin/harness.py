@@ -334,7 +334,6 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     else:
         checks.append(Check("solution-count", True, value=[len(sols), dim]))
 
-    exponents = [to_complex(k) for k in spec.exponents]
     entries = []
     characters = spectrum["spectrum"].characters
     # every character's [h_1, ..., h_N] at the points the eigenvector check uses
@@ -349,11 +348,8 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     # every solution's worst relative distance over points and coefficients to every character
     values = np.array([ev.values for ev in reports]).reshape(len(sols), 1, len(zs), spec.rank)
     dists = (np.abs(values - char_values) / char_scale).max(axis=(2, 3))
-    for sol, ev, row in zip(sols, reports, dists):
-        res = bae_residual(
-            type(sol)([tuple(to_complex(x) for x in lv) for lv in sol.levels]), exponents
-        )
-        res_norm = max((abs(r) for r in res), default=0.0)
+    residuals = np.abs(bae_residual(sols, spec.exponents)).max(axis=1, initial=0.0).tolist() if sols else []
+    for sol, ev, row, res_norm in zip(sols, reports, dists, residuals):
         # the nearest still-free character
         free = np.flatnonzero(~taken)
         best = best_dist = None

@@ -23,9 +23,10 @@ with an exact scalar matrix: a scalar polynomial multiple (a Toeplitz
 matrix), the derivative, the quotient by a monic scalar polynomial, and the
 expansion at many points, where one integer ``point_table`` holds the
 Taylor shift at every point (binomials times powers of the point, over one
-common denominator) and its rows k = 0 evaluate.  It is the package's only
-Taylor shift: ``entries`` gives its values exactly or correctly rounded to
-complex floats, for scalar polynomials (``spaces.membership_test``).
+common denominator) and its rows k = 0 evaluate (``BetheOperator.block_evaluate``).
+It is the package's only Taylor shift and evaluation: ``entries`` gives its
+values exactly or correctly rounded to complex floats, for scalar
+polynomials (``spaces.membership_test``).
 Products keep operand order and never assume that the coefficients commute.
 """
 
@@ -390,24 +391,6 @@ class MatrixPoly:
         t = np.zeros((d, d + 1), dtype=np.int64)
         t[np.arange(d), np.arange(1, d + 1)] = np.arange(1, d + 1)
         return self.contract(t, None, 1)
-
-    def at(self, points, scales) -> list:
-        """scales[p] times the value at points[p], for exact points and scales, as constants.
-
-        With scales[p] = (c + id)/f, the k = 0 row p of a ``point_table`` times
-        c + id goes into one contraction, and value p is over its den times f.
-        """
-        if self.is_zero():
-            return [self] * len(points)
-        re, im, den = point_table(tuple(points), (1,) * len(points), self.degree)
-        im, scales = (im if im is not None else np.zeros_like(re)).tolist(), [_split(s) for s in scales]
-        rows = [[(x * c - y * (d or 0), x * (d or 0) + y * c) for x, y in zip(x_re, x_im)]
-                for x_re, x_im, (c, d, _) in zip(re.tolist(), im, scales)]
-        table = np.array(rows, dtype=object).reshape(len(rows), self.degree + 1, 2)
-        t_im = _canonical(table[..., 1]) if table[..., 1].any() else None
-        re, im = _complex(_contract, _canonical(table[..., 0]), t_im, self.re, self.im)
-        return [MatrixPoly(re[p:p + 1], None if im is None else im[p:p + 1], den * f * self.den)
-                for p, (_, _, f) in enumerate(scales)]
 
     def exact_div(self, monic: Poly) -> MatrixPoly:
         """The quotient by a monic scalar polynomial with exact coefficients.

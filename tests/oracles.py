@@ -22,7 +22,10 @@ one exact matrix each, where the library keeps one integer stack per
 polynomial (``gaudin.linalg.MatrixPoly``).  ``stacked`` and ``unstacked``
 convert between the two.  The same operator class
 composes the factorized operator of a set of Bethe roots, the exact
-reference for the library's float evaluation of it.
+reference for the library's float evaluation of it.  The Bethe equations
+and the weight function are summed root by root and bijection by bijection
+(``bae_residual_by_root``, ``weight_function_by_bijections``), where the
+library gathers every solution's poles in one array pass.
 
 The last reference is the spectral stage one character at a time
 (``spectral_stage_loop``).  It shares the library's float conversion,
@@ -48,7 +51,7 @@ from math import comb
 import numpy as np
 
 from gaudin.algebra import apply_e_block, enumerate_indices, irreducible_factor_basis, reduce
-from gaudin.bae import EigenvectorReport, NonGenericError, factorized_values, gap_unit, weight_function
+from gaudin.bae import EigenvectorReport, NonGenericError, factorized_values, gap_unit
 from gaudin.betheop import PolynomialityReport, eigenvector_points
 from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly, falling_product, indicial_coefficients
@@ -749,22 +752,49 @@ def verify_eigenvector_by_solution(solutions, spec, op, tol):
     """The eigenvector check one solution at a time, one report each.
 
     Each solution gets its own ``factorized_values`` call, its omega from
-    the exact ``weight_function`` converted to complex, and the check of
-    :func:`eigenvector_check_loop`, with its own ``block_evaluate`` call
-    per point and coefficient: the reference for the stacked
+    :func:`weight_function_by_bijections` converted to complex, and the
+    check of :func:`eigenvector_check_loop`, with its own ``block_evaluate``
+    call per point and coefficient: the reference for the stacked
     ``bae.verify_eigenvector``.
     """
     points = eigenvector_points(spec)
     reports = []
     for t in solutions:
         values = factorized_values([t], spec.exponents, points)[0]
-        omega = np.array([to_complex(w) for w in weight_function(t, spec.rank, spec.weight.padded(spec.rank))])
+        omega = weight_function_by_bijections(t, spec.rank, spec.weight.padded(spec.rank))
+        omega = np.array([to_complex(w) for w in omega])
         if np.linalg.norm(omega) == 0:
             reports.append(EigenvectorReport(float("inf"), False, ["zero vector"], values))
             continue
         worst, failures = eigenvector_check_loop(op, points, values, omega, tol)
         reports.append(EigenvectorReport(worst, not failures, failures, values))
     return reports
+
+
+def bae_residual_by_root(t, exponents) -> list:
+    """Every Bethe ansatz equation's residual at one root configuration, root by root.
+
+    At level a = 1..N-1 and root j: -(K_{a+1} - K_a) plus the simple poles
+    to the roots of level a - 1, minus twice those to the other roots of
+    level a, plus those to the roots of level a + 1, summed one pole at a
+    time in the roots' own scalars: the reference for the batched
+    ``bae.BetheEquations`` and ``bae.bae_residual``.
+    """
+    N = len(exponents)
+    levels = [list(level) for level in t.levels] + [[]]
+    out = []
+    for a in range(1, N):
+        level = levels[a]
+        for j, tj in enumerate(level):
+            acc = -(exponents[a] - exponents[a - 1])
+            poles = [(x, 1) for x in levels[a - 1]] + [(x, -2) for jp, x in enumerate(level) if jp != j]
+            for x, c in poles + [(x, 1) for x in levels[a + 1]]:
+                d = tj - x
+                if d == 0:
+                    raise NonGenericError("non-generic configuration")
+                acc = acc + c / d
+            out.append(acc)
+    return out
 
 
 def weight_function_by_bijections(t, rank: int, counts) -> list:

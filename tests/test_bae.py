@@ -38,11 +38,12 @@ from gaudin.bae import (
 from gaudin.betheop import build_bethe_operator, eigenvector_points
 from gaudin.harness import InstanceConfig, verify_pipeline
 from gaudin.polynomials import Poly
-from gaudin.scalars import to_complex
+from gaudin.scalars import GaussianRational, to_complex
 from gaudin.spaces import QuasiExpSpace, char_at_infinity, cleared_operator_polys, membership_test
 
 from conftest import COUNT_FAMILY, GOLDEN, JORDAN, make_spec, weight_function_by_index
 from oracles import (
+    bae_residual_by_root,
     eigenvector_check_loop,
     factorized_operator,
     verify_eigenvector_by_solution,
@@ -68,21 +69,43 @@ def test_residual_golden_quadratic():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
     for root in ((3 + math.sqrt(5)) / 2, (3 - math.sqrt(5)) / 2):
         t = root_coordinates(spec, [[complex(root)]])
-        res = bae_residual(t, [0.0, 1.0])
-        assert max(abs(r) for r in res) <= 1e-12
+        res = bae_residual([t], [0.0, 1.0])
+        assert res.shape == (1, 1) and np.abs(res).max() <= 1e-12
 
 
 def test_residual_trivial_highest_weight():
+    """The highest weight has no upper roots: one solution, no equations."""
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (2, 0))
     t = root_coordinates(spec, [[]])
-    assert bae_residual(t, [0.0, 1.0]) == []
+    assert bae_residual([t], [0.0, 1.0]).shape == (1, 0)
+
+
+def test_equations_without_upper_roots_give_an_empty_residual():
+    eqs = BetheEquations([0.0, 1.0, 2.0], [0.0, 0.5], (0,))
+    X = np.zeros((2, 0), dtype=complex)
+    R, inv, ok = eqs.residual(X)
+    assert R.shape == (2, 0) and inv.shape == (2, 0) and ok.all()
+    assert eqs.generic(X, 1e-8).all()
 
 
 def test_residual_rejects_coincident():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
     t = root_coordinates(spec, [[0.0]])
     with pytest.raises(NonGenericError):
-        bae_residual(t, [0.0, 1.0])
+        bae_residual([t], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("level2", [(5.0, 5.0), (3.0, 2.5)], ids=["within-level-2", "level-2-on-level-1"])
+def test_residual_rejects_coincident_roots_at_level_two(level2):
+    """N = 3: two equal level-2 roots, or a level-2 root on a level-1 root,
+    make the batch non-generic, even when the other rows are generic."""
+    points = (F(0), F(1), F(2), F(4))
+    good = RootCoordinates([points, (0.5, 2.5, 3.0), (1.5, 6.0)])
+    bad = RootCoordinates([points, (0.5, 2.5, 3.0), level2])
+    exponents = [0.0, 0.5, 1.5]
+    assert np.isfinite(bae_residual([good], exponents)).all()
+    with pytest.raises(NonGenericError):
+        bae_residual([good, bad], exponents)
 
 
 def test_newton_solve_golden_roots():
@@ -366,20 +389,31 @@ def test_verify_eigenvector_refuses_a_root_on_a_point(golden_op):
             verify_eigenvector(sols, spec, golden_op)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_weight_function_table_matches_the_sum_over_bijections(data):
-    """On exact, pairwise distinct roots with N <= 3 and weight vectors of at
-    most 4 boxes, omega from the table of pole chains equals the direct sum
-    over the level bijections."""
+    """On pairwise distinct roots with N <= 3 and weight vectors of at most 4
+    boxes, omega from the table of pole chains equals the direct sum over
+    the level bijections: exactly, in exact scalars, on rational and on Q(i)
+    roots, and to roundoff on complex float upper roots over exact points."""
     N = data.draw(st.integers(1, 3))
     counts = tuple(data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N).filter(lambda c: sum(c) <= 4)))
     profile = profile_from_counts(counts, N)
-    roots = data.draw(st.lists(st.fractions(-6, 6, max_denominator=3), min_size=sum(profile),
-                               max_size=sum(profile), unique=True))
+    kind = data.draw(st.sampled_from(["rational", "gaussian", "complex upper"]))
+    fractions = st.fractions(-6, 6, max_denominator=3)
+    scalar = fractions if kind == "rational" else st.builds(GaussianRational, fractions, fractions)
+    roots = data.draw(st.lists(scalar, min_size=sum(profile), max_size=sum(profile), unique=True))
+    if kind == "complex upper":
+        roots = roots[:profile[0]] + [to_complex(x) for x in roots[profile[0]:]]
     bounds = np.cumsum((0,) + profile)
     t = RootCoordinates([roots[a:b] for a, b in zip(bounds, bounds[1:])])
-    assert weight_function(t, N, counts) == weight_function_by_bijections(t, N, counts)
+    got, want = weight_function(t, N, counts), weight_function_by_bijections(t, N, counts)
+    if kind != "complex upper" or profile[0] == len(roots):
+        assert got == want
+        assert not any(isinstance(w, (float, complex)) for w in got)
+    else:
+        got, want = np.array(got, dtype=complex), np.array([to_complex(w) for w in want])
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=1.0)
 
 
 def test_conjugate_roots_sort_the_same_either_way():
@@ -460,6 +494,12 @@ def _random_rows(rng, rows, total):
     return rng.normal(0, 2, (rows, total)) + 1j * rng.normal(0, 2, (rows, total))
 
 
+def _exact_point(z):
+    """The float point z as an exact Fraction, or as a GaussianRational when it is not real."""
+    z = complex(z)
+    return F(z.real) if not z.imag else GaussianRational(F(z.real), F(z.imag))
+
+
 @pytest.mark.parametrize("points, exponents, sizes", BATCH_SHAPES, ids=["N=2", "N=3"])
 def test_batched_residual_matches_reference(points, exponents, sizes):
     eqs = BetheEquations(points, exponents, sizes)
@@ -468,8 +508,23 @@ def test_batched_residual_matches_reference(points, exponents, sizes):
     assert ok.all()
     for row, got in zip(X, R):
         levels = [list(points)] + [list(row[sum(sizes[:a]):sum(sizes[:a + 1])]) for a in range(len(sizes))]
-        want = np.array(bae_residual(RootCoordinates(levels), exponents))
+        want = np.array(bae_residual_by_root(RootCoordinates(levels), exponents))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("points, exponents, sizes", BATCH_SHAPES, ids=["N=2", "N=3"])
+def test_residual_of_several_solutions_matches_the_reference_row_by_row(points, exponents, sizes):
+    """One call for many solutions gives, row by row in the order given, the
+    residuals of the root-by-root reference, also on exact points."""
+    X = _random_rows(np.random.default_rng(7), 6, sum(sizes))
+    bounds = np.cumsum((0,) + sizes)
+    for level0 in (points, [_exact_point(z) for z in points]):
+        sols = [RootCoordinates([level0] + [row[a:b].tolist() for a, b in zip(bounds, bounds[1:])]) for row in X]
+        got = bae_residual(sols, exponents)
+        assert got.shape == (len(sols), sum(sizes)) and got.dtype == complex
+        for t, row in zip(sols, got):
+            want = np.array(bae_residual_by_root(t, exponents), dtype=complex)
+            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("points, exponents, sizes", BATCH_SHAPES, ids=["N=2", "N=3"])

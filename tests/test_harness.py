@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin import harness, spaces
+from gaudin import cli, harness, spaces
 from gaudin.betheop import BetheOperator, build_bethe_operator
 from gaudin.cli import FORMATS, OPTIONS, _plain_args, build_parser, main
 from gaudin.linalg import MatrixPoly
@@ -570,14 +570,49 @@ def test_plain_command_line_cases(argv, plain, parsed):
     assert _same(_plain_args(argv), got) if plain else _plain_args(argv) is None
 
 
+def _pipelines_must_not_run(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    for name in ("spectrum_pipeline", "bae_pipeline", "wronski_pipeline", "verify_pipeline"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, where):
+def test_cli_unwritable_out_is_an_output_error(tmp_path, capsys, monkeypatch, where):
+    """An --out path that is a directory or lies in a missing directory exits
+    2 with an output error once the config has loaded, before any pipeline
+    runs, and creates no file."""
     cfg_path = tmp_path / "golden.json"
     cfg_path.write_text(json.dumps(GOLDEN))
     out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
-    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("output error: ") and "Traceback" not in err
+    _pipelines_must_not_run(monkeypatch)
+    for command in ("verify", "spectrum", "bae", "wronski"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["golden.json"]
+
+
+def test_cli_checks_the_config_before_the_out_path(tmp_path, capsys, monkeypatch):
+    _pipelines_must_not_run(monkeypatch)
+    missing = tmp_path / "missing"
+    assert main(["verify", "--config", str(missing / "c.json"), "--out", str(missing / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cli_out_check_leaves_an_existing_report_alone(tmp_path, monkeypatch):
+    """A writable --out passes the check, which neither truncates an existing
+    file nor creates one: a pipeline that fails leaves the old report."""
+    cfg_path = tmp_path / "golden.json"
+    cfg_path.write_text(json.dumps(GOLDEN))
+    old = tmp_path / "r.json"
+    old.write_text("old report\n")
+    _pipelines_must_not_run(monkeypatch)
+    for out in (old, tmp_path / "new.json"):
+        with pytest.raises(AssertionError, match="the pipeline ran"):
+            main(["verify", "--config", str(cfg_path), "--out", str(out)])
+    assert old.read_text() == "old report\n" and not (tmp_path / "new.json").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum", "bae"])
@@ -739,10 +774,11 @@ def test_cli_table_output(tmp_path, capsys):
 
 # The modules gaudin imports at module level from outside the package.  A new
 # one adds to the start-up time of every run, so it must be added here
-# knowingly.
+# knowingly.  os (the CLI's check of --out) is already loaded at start-up,
+# by the site module.
 PACKAGE_IMPORTS = {
     "__future__", "bisect", "dataclasses", "fractions", "functools", "itertools",
-    "json", "math", "numpy", "random", "re", "sys", "time",
+    "json", "math", "numpy", "os", "random", "re", "sys", "time",
 }
 
 FOOTPRINT = """
