@@ -18,9 +18,8 @@ import numpy as np
 
 from .algebra import ModuleSpec, Partition, enumerate_indices, enumerate_weight_basis
 from .betheop import eigenvector_points
-from .polynomials import poly_det
 from .scalars import to_complex
-from .spaces import QuasiExpSpace
+from .spaces import QuasiExpSpace, trailing_minors
 
 
 class NonGenericError(ValueError):
@@ -539,14 +538,13 @@ def root_coordinates_from_space(space: QuasiExpSpace, tol: float = 1e-9):
     (RootCoordinates, generic flag).
     """
     N = space.rank
-    table = space.derivatives(N - 1)
+    det = trailing_minors(space.exponents, space.stacked())
     levels = []
     for a in range(N):
-        poly = poly_det([row[:N - a] for row in table[a:]])
-        if poly.is_zero():
+        wr = np.trim_zeros(det(tuple(range(N - a)))[0], "b")
+        if not len(wr):
             raise ValueError("degenerate trailing Wronskian")
-        monic = poly.monic()
-        coeffs = [to_complex(c) for c in reversed(monic.coeffs)]
+        coeffs = [to_complex(c / wr[-1]) for c in wr[::-1]]  # monic, highest degree first
         roots = np.roots(coeffs) if len(coeffs) > 1 else np.array([])
         levels.append(level_order([complex(r) for r in roots]))
     t = RootCoordinates(levels)

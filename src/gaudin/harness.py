@@ -30,7 +30,7 @@ from .betheop import (
     weight_blocks_preserved,
 )
 from .polynomials import Poly
-from .scalars import GaussianRational, format_scalar, parse_scalar, to_complex
+from .scalars import GaussianRational, format_scalar, parse_scalar
 from .spaces import QuasiExpSpace, fundamental_operator, membership_test, operator_text, wronskian_of_space
 from .spectral import Tolerances, gate, joint_diagonalize, spectrum_analysis
 
@@ -187,22 +187,16 @@ def _float_check(name: str, measured, tolerance: float, passed=None) -> Check:
     return Check(name, ok, value)
 
 
-def _complex_pair(z):
-    z = to_complex(z)
-    return [z.real, z.imag]
+def _pairs(a) -> list:
+    """An array of scalars as nested lists with [real, imaginary] of each, as complex floats, innermost."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _poly_pairs(p: Poly):
-    return [_complex_pair(c) for c in p.coeffs]
-
-
-def cleared_numerators(G, spec: ModuleSpec):
-    """Numerator coefficient arrays of h_i over the pole polynomial, i = 1..N.
-
-    G = [P, P h_1, ..., P h_N] is an eigen-operator from
-    ``character_to_operator``; each P h_i is padded to n + 1 coefficients.
-    """
-    return [[complex(g.coeff(k)) for k in range(spec.size + 1)] for g in G[1:]]
+def cleared_numerators(operators) -> list:
+    """The numerators P h_i, i = 1..N, of every eigen-operator [P, P h_1, ..., P h_N] of the
+    ``character_to_operator`` stack, as [character][i - 1][k] = [real, imaginary] of the u^k coefficient."""
+    return _pairs(operators[:, 1:])
 
 
 def _is_real_data(spec: ModuleSpec) -> bool:
@@ -255,37 +249,23 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
                 "spectrum": None, "operator": op, "stages": stages, "elapsed": time.perf_counter() - t0}
     _lap(stages, "spectral", t)
     characters = []
-    memberships_ok = True
+    vectors = _pairs([ch.vector for ch in report.characters])  # one list per quantity for all characters
+    if config.run_wronski:
+        numerators, kernels = cleared_numerators(report.operators), [_pairs(p) for p in report.kernels]
     for k, ch in enumerate(report.characters):
-        entry = {
-            "residual": ch.residual,
-            "simple": ch.simple,
-            "cluster_size": ch.cluster_size,
-            "vector": [_complex_pair(z) for z in ch.vector],
-        }
-        G = report.operators[k] if k < len(report.operators) else None
-        if G is not None:
-            entry["coefficient_numerators"] = [
-                [_complex_pair(c) for c in row] for row in cleared_numerators(G, spec)
-            ]
-        X = report.kernels[k] if k < len(report.kernels) else None
-        if X is not None:
-            entry["kernel_polys"] = [_poly_pairs(p) for p in X.polys]
-        m = report.memberships[k] if k < len(report.memberships) else None
-        if hasattr(m, "ok"):
-            entry["membership"] = m.ok
-            entry["membership_checks"] = [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in m.checks
-            ]
-            memberships_ok = memberships_ok and m.ok
-        elif config.run_wronski:
-            entry["membership"] = False
-            entry["membership_error"] = str(m)
-            memberships_ok = False
+        entry = {"residual": ch.residual, "simple": ch.simple, "cluster_size": ch.cluster_size, "vector": vectors[k]}
+        if config.run_wronski:
+            m = report.memberships[k]
+            entry.update(coefficient_numerators=numerators[k], membership=hasattr(m, "ok") and m.ok)
+            if hasattr(m, "ok"):
+                entry["kernel_polys"] = [p[k] for p in kernels]
+                entry["membership_checks"] = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in m.checks]
+            else:
+                entry["membership_error"] = m
         characters.append(entry)
 
     if config.run_wronski:
-        checks.append(Check("kernel-membership", memberships_ok))
+        checks.append(Check("kernel-membership", all(entry["membership"] for entry in characters)))
     if _is_real_data(spec):
         checks.append(Check("character-count-equals-dimension", report.count == dim, value=[report.count, dim]))
         checks.append(Check("eigenspaces-one-dimensional", report.diagonalizable and all(ch.simple or ch.cluster_size == 1 for ch in report.characters)))
@@ -359,7 +339,7 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
             taken[best] = best_dist <= tol.kernel_fit
         entries.append(
             {
-                "roots": [[_complex_pair(x) for x in lv] for lv in sol.upper],
+                "roots": [[[z.real, z.imag] for z in map(complex, lv)] for lv in sol.upper],
                 "bae_residual": res_norm,
                 "eigenvector_residual": ev.residual,
                 "eigenvector_ok": ev.passed,
@@ -401,8 +381,8 @@ def wronski_pipeline(config: InstanceConfig) -> dict:
     return {
         "checks": checks,
         "wronskian": {
-            "poly": _poly_pairs(wd.poly),
-            "map": [_complex_pair(a) for a in wd.coefficients],
+            "poly": _pairs(wd.poly.coeffs),
+            "map": _pairs(wd.coefficients),
         },
         "operator_text": operator_text(gs),
         "exponents": {

@@ -359,12 +359,16 @@ class MatrixPoly:
         return self._scaled(other)
 
     def _scaled(self, scalar):
+        """The product with an exact scalar (c + i*d) / e: the Gaussian product on the numerators."""
         parts = _split(scalar)
         if parts is None:
             return NotImplemented
-        s_re, s_im, s_den = parts
-        eye = np.identity(len(self.re), dtype=object)
-        return self.contract(eye * s_re, eye * s_im if s_im else None, s_den)
+        c, d, e = parts
+        re, im = [(c, self.re)], [(d, self.re)] if d else []
+        if self.im is not None:
+            re.append((-(d or 0), self.im))
+            im.append((c, self.im))
+        return MatrixPoly(_lincomb(re), _lincomb(im) if im else None, e * self.den)
 
     def contract(self, t_re, t_im, t_den):
         """The stack contracted along the degree axis with the first len(self) columns of the exact

@@ -206,30 +206,6 @@ def format_poly(p: Poly, var: str = "u") -> str:
     return out
 
 
-def poly_det(rows) -> Poly:
-    """Determinant of a square matrix of polynomials by cofactor expansion.
-
-    Commutative coefficients only; fine for the Wronskian-sized matrices
-    (dimension at most 6) used here.
-    """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty determinant")
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = entry * poly_det(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return Poly() if total is None else total
-
-
 @cache
 def falling_product(alpha_count: int) -> Poly:
     """The polynomial a(a-1)...(a-alpha_count+1) in the variable a, built once per count.

@@ -3,15 +3,16 @@
 A space is an N-dimensional span of e^{K_i u} p_i(u) with distinct
 exponents and monic polynomial parts whose degrees realize a partition.
 Everything on this side is read from one table, the polynomial parts
-(K_i + d/du)^m p_i of the derivatives of the basis
-(:func:`shifted_derivative_powers`): the Wronskian is the determinant of
-its first N columns, the fundamental operator comes from its N+1 maximal
-minors, and the trailing Wronskians of the Bethe roots are determinants of
-its trailing sub-tables.  The fundamental operator sum_i F_i (d/du)^(N-i),
-F_0 = 1, is kept as the polynomial list [G_0, ..., G_N] with F_i = G_i / G_0
-and G_0 the monic Wronskian part, so no rational function is ever formed.
-Everything here works over exact scalars and, with a tolerance, over
-complex floats (for spaces recovered from numerical spectra).
+(K_i + d/du)^m p_i of the derivatives of the basis (:func:`shifted_derivatives`):
+the Wronskian is the determinant of its first N columns, the fundamental
+operator comes from its N+1 maximal minors, and the trailing Wronskians of
+the Bethe roots are determinants of its trailing sub-tables, all by
+:func:`trailing_minors`, for a stack of spaces at once.  The fundamental
+operator sum_i F_i (d/du)^(N-i), F_0 = 1, is kept as the polynomial list
+[G_0, ..., G_N] with F_i = G_i / G_0 and G_0 the monic Wronskian part, so no
+rational function is ever formed.  Everything here works over exact scalars
+and, with a tolerance, over complex floats (for spaces recovered from
+numerical spectra).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .algebra import ModuleSpec, Partition
 from .linalg import entries, point_table
-from .polynomials import Poly, falling_product, indicial_coefficients, poly_det, poly_gcd
+from .polynomials import Poly, falling_product, indicial_coefficients, poly_gcd
 from .scalars import is_exact
 
 
@@ -32,13 +33,21 @@ class DegenerateSpaceError(ValueError):
     """The putative basis is linearly dependent (identically zero Wronskian)."""
 
 
-def shifted_derivative_powers(k, p: Poly, top: int) -> list:
-    """Polynomial parts of f, f', ..., f^(top) for f = e^{k u} p: (k + d/du)
-    applied repeatedly to p."""
+def shifted_derivatives(k, p, top: int) -> np.ndarray:
+    """(..., top + 1, width): the coefficients of (k + d/du)^m p for m = 0..top, ascending, for a stack p
+    (..., width) of coefficient arrays; the polynomial parts of the derivatives of e^{k u} p."""
+    steps = np.arange(1, p.shape[-1]).astype(p.dtype)
     out = [p]
     for _ in range(top):
-        out.append(out[-1].scale(k) + out[-1].derivative())
-    return out
+        x = k * out[-1]
+        x[..., :-1] += out[-1][..., 1:] * steps
+        out.append(x)
+    return np.stack(out, axis=-2)
+
+
+def shifted_derivative_powers(k, p: Poly, top: int) -> list:
+    """Polynomial parts of f, f', ..., f^(top) for f = e^{k u} p, as Polys."""
+    return [Poly(row) for row in shifted_derivatives(k, np.array(p.coeffs, dtype=object), top).tolist()]
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,10 @@ class QuasiExpSpace:
             all(is_exact(c) for c in p.coeffs) for p in self.polys
         )
 
+    def stacked(self) -> list:
+        """The parts as a stack of one space: per exponent an object array (1, lam_i + 1), ascending."""
+        return [np.array([p.coeffs], dtype=object) for p in self.polys]
+
     def derivatives(self, top: int) -> list:
         """The derivative table: row i holds the polynomial parts of the
         derivatives 0..top of e^{K_i u} p_i."""
@@ -99,42 +112,65 @@ class WronskiData:
     coefficients: tuple  # a_s with u^n + sum (-1)^s a_s u^{n-s}
 
 
+def trailing_minors(exponents, parts):
+    """det(cols), for a tuple of columns: the determinants of the last len(cols) rows of the N x (N + 1)
+    derivative tables of a stack of spaces over those columns, as (spaces, degree + 1) coefficients.
+    ``parts[i]`` (spaces, lam_i + 1) holds the coefficients of p_i, complex or exact (``dtype=object``).
+    Each determinant is a Laplace expansion along its first row, formed once and shared."""
+    N = len(exponents)
+    table = [shifted_derivatives(k, p, N) for k, p in zip(exponents, parts)]
+    dets = {(c,): table[-1][:, c] for c in range(N + 1)}  # the last row's entries
+
+    def det(cols):
+        if cols not in dets:
+            row = table[N - len(cols)]
+            for t, c in enumerate(cols):
+                minor, a = det(cols[:t] + cols[t + 1:]), row[:, c]
+                term = np.zeros((len(a), a.shape[-1] + minor.shape[-1] - 1), np.result_type(a, minor))
+                for j in range(a.shape[-1]):  # the product a * minor, in Poly's order
+                    term[:, j:j + minor.shape[-1]] += a[:, j, None] * minor
+                dets[cols] = term if not t else dets[cols] - term if t % 2 else dets[cols] + term
+        return dets[cols]
+
+    return det
+
+
+def cleared_operators(exponents, parts) -> np.ndarray:
+    """(spaces, N + 1, n + 1): [G_0, ..., G_N] of a stack of spaces (as in ``trailing_minors``), G_i the
+    maximal minor without column N - i times (-1)^i over the leading coefficient of the Wronskian, the
+    minor without column N: G_0 is monic, and no division by a polynomial happens, exact or float."""
+    N, det = len(exponents), trailing_minors(exponents, parts)
+    minors = np.stack([det(tuple(c for c in range(N + 1) if c != k)) for k in range(N, -1, -1)], axis=1)
+    wr = minors[:, 0, ::-1] != 0
+    if not wr.any(axis=1).all():
+        raise DegenerateSpaceError("degenerate space: zero Wronskian")
+    gs = minors / minors[np.arange(len(minors)), 0, -1 - np.argmax(wr, axis=1)][:, None, None]
+    gs[:, 1::2] = -gs[:, 1::2]
+    return gs
+
+
 def wronskian_of_space(space: QuasiExpSpace) -> WronskiData:
     """Strip the exponential and the prefactor; read off the map.
 
-    The Wronskian's polynomial part is the determinant of the N x N
-    derivative table.  Divided by its leading coefficient, the alternant
+    The Wronskian's polynomial part is the minor of the first N columns of
+    the derivative table.  Divided by its leading coefficient, the alternant
     prefactor when the parts are monic, it is the monic polynomial part of
     every basis of the space, of degree exactly n = |lam|; a_s is the
     signed coefficient of u^{n-s}.
     """
-    wr = poly_det(space.derivatives(space.rank - 1))
-    if wr.is_zero():
-        raise DegenerateSpaceError("degenerate space: zero Wronskian")
+    wr = Poly(trailing_minors(space.exponents, space.stacked())(tuple(range(space.rank)))[0].tolist())
     n = space.size
-    if wr.degree != n:
-        raise DegenerateSpaceError(
-            f"Wronskian degree {wr.degree}, expected {n}: degenerate space"
-        )
+    if wr.degree != n:  # the zero Wronskian has degree -1
+        raise DegenerateSpaceError("degenerate space: zero Wronskian" if wr.is_zero() else
+                                   f"Wronskian degree {wr.degree}, expected {n}: degenerate space")
     poly = wr.monic()
     coefficients = tuple((-1) ** s * poly.coeff(n - s) for s in range(1, n + 1))
     return WronskiData(prefactor=wr.leading, poly=poly, coefficients=coefficients)
 
 
 def cleared_operator_polys(space: QuasiExpSpace) -> list:
-    """Polynomials G_0..G_N with G_i = (monic Wronskian part) * F_i.
-
-    Computed as signed maximal minors of the N x (N+1) derivative table,
-    normalized so G_0 is monic; no rational-function division happens, so
-    the same code serves exact and float spaces.
-    """
-    N = space.rank
-    rows = space.derivatives(N)
-    minors = [poly_det([[row[r] for r in range(N + 1) if r != c] for row in rows]) for c in range(N + 1)]
-    if minors[N].is_zero():
-        raise DegenerateSpaceError("degenerate space: zero Wronskian")
-    lead = minors[N].leading
-    return [Poly([(-c if i % 2 else c) / lead for c in minors[N - i].coeffs]) for i in range(N + 1)]
+    """Polynomials G_0..G_N with G_i = (monic Wronskian part) * F_i: ``cleared_operators`` of the space."""
+    return [Poly(g) for g in cleared_operators(space.exponents, space.stacked())[0].tolist()]
 
 
 def fundamental_operator(space: QuasiExpSpace) -> list:
@@ -252,7 +288,8 @@ class MembershipCheck:
 class MembershipReport:
     ok: bool
     checks: list = field(default_factory=list)
-    indicial: dict = field(default_factory=dict)
+    read_indicial: object = field(default=dict, repr=False, compare=False)  # () -> the ``indicial`` dict
+    indicial = property(lambda self: self.read_indicial(), doc="{s: IndicialData} per point, formed when read")
 
 
 def rounded(p: Poly) -> Poly:
@@ -265,10 +302,22 @@ def rounded(p: Poly) -> Poly:
     return Poly([complex(round(c.real, places) + 0.0, round(c.imag, places) + 0.0) for c in map(complex, p.coeffs)])
 
 
-def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
+def operator_stack(stack) -> np.ndarray:
+    """Cleared operators [G_0, ..., G_N] as one array (operators, N + 1, width), exact (``dtype=object``)
+    or complex: an array as it is, and lists of Polys padded with zeros."""
+    if isinstance(stack, np.ndarray) or not len(stack):
+        return np.asarray(stack)
+    zero = 0 * stack[0][0].leading
+    width = max(len(g.coeffs) for gs in stack for g in gs)
+    return np.array([[g.coeffs + (zero,) * (width - len(g.coeffs)) for g in gs] for gs in stack],
+                    dtype=object if is_exact(zero) else complex)
+
+
+def membership_test(stack, spec: ModuleSpec, tol=None) -> list:
     """For each gs in the stack: does the space with ``gs = cleared_operator_polys(space)``
     lie over the prescribed points with prescribed exponents?  One
-    MembershipReport per operator, in stack order.
+    MembershipReport per operator, in stack order, of an ``operator_stack``
+    (such as ``cleared_operators`` gives, or a list of Poly lists).
 
     Every check reads one Taylor table: row (s, i) holds the coefficients of
     G_i in powers of (u - b_s), the coefficient rows of gs times T, the
@@ -290,7 +339,7 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
       sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)) (``indicial_coefficients``,
       the routine ``betheop.check_polynomiality`` uses, for the whole stack
       at once), equals ``spec.indicial_target(s)``, whose roots are the
-      shifted partition.
+      shifted partition; a report forms its ``indicial`` data when read.
 
     A value passes as zero through one rule.  Without ``tol`` it must be
     exactly zero, and no float is formed.  With ``tol`` it must be at most
@@ -300,12 +349,10 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
     with close points both indicial polynomials are tiny and a floor of 1
     would accept any.
     """
-    if not stack:
+    rows = operator_stack(stack)
+    if not len(rows):
         return []
     N, n = spec.rank, spec.size
-    one = stack[0][0].leading ** 0  # 1 in the field of the coefficients
-    width = max(len(g.coeffs) for gs in stack for g in gs)
-    rows = np.array([[g.coeffs + (0 * one,) * (width - len(g.coeffs)) for g in gs] for gs in stack])
     # largest[i]: the largest coefficient of a(a-1)...(a-(N-i-1)) in absolute value
     largest = np.array([max(abs(c) for c in falling_product(N - i).coeffs) for i in range(N + 1)])
 
@@ -321,15 +368,15 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
     # table[c, s, i, j]: the (u - b_s)^j coefficient of G_i of operator c, j <= n, all points in one product
     # with the point table T in the field of the coefficients; roundoff[c, s, i, j], |G_i| |T|, bounds its roundoff
     sizes = spec.factor_sizes
-    shift = entries(point_table(spec.points, (n + 1,) * len(sizes), width - 1), is_exact(one))
+    shift = entries(point_table(spec.points, (n + 1,) * len(sizes), rows.shape[-1] - 1), rows.dtype == object)
 
     def expand(coeffs, t):
-        return (coeffs @ t.T).reshape(len(stack), N + 1, len(sizes), n + 1).swapaxes(1, 2)
+        return (coeffs @ t.T).reshape(len(rows), N + 1, len(sizes), n + 1).swapaxes(1, 2)
 
     table = expand(rows, shift)
     roundoff = expand(np.abs(rows), np.abs(shift)) if tol is not None else None
-    orders, regular, chi_ok = (np.zeros((len(stack), len(sizes)), dtype=t) for t in (int, bool, bool))
-    chis = np.zeros((len(stack), len(sizes), N + 1), dtype=table.dtype)
+    orders, regular, chi_ok = (np.zeros((len(rows), len(sizes)), dtype=t) for t in (int, bool, bool))
+    chis = np.zeros((len(rows), len(sizes), N + 1), dtype=table.dtype)
     for m in set(sizes):  # the points with n_s = m at once
         group = [s for s, n_s in enumerate(sizes) if n_s == m]
         local, bound = table[:, group], roundoff[:, group] if tol is not None else None
@@ -349,24 +396,28 @@ def membership_test(stack: list, spec: ModuleSpec, tol=None) -> list:
             bound[..., terms, m - terms] @ largest[terms])[..., None]).all(axis=2)
 
     expected = [expected_exponents(part, N) for part in spec.partitions]
-    totals, regular, chi_ok, chis = orders.sum(axis=1).tolist(), regular.tolist(), chi_ok.tolist(), chis.tolist()
+    totals, regular, chi_ok = orders.sum(axis=1).tolist(), regular.tolist(), chi_ok.tolist()
+
+    def indicial(c, s, chi) -> IndicialData:
+        if chi_ok[c][s]:
+            return IndicialData(chi, expected[s])
+        # an exact space that fails reads off the exponents it has instead
+        exact = tol is None and regular[c][s] and not chi.is_zero()
+        return IndicialData(chi, _integer_roots(chi, -1, n + N + 2) if exact else None)
+
+    names = [(f"indicial-exponents-at-point-{s}", f"expected exponents {exps}") for s, exps in enumerate(expected)]
+    texts = {}  # the Wronskian detail per distinct rounded G_0
     reports = []
-    for c, gs in enumerate(stack):
-        g0, total = gs[0], totals[c]
-        point_checks, indicial = [], {}
-        for s, exps in enumerate(expected):
-            chi = Poly(chis[c][s])
-            got = exps if chi_ok[c][s] else None
-            if tol is None and regular[c][s] and not chi_ok[c][s] and not chi.is_zero():
-                got = _integer_roots(chi, -1, n + N + 2)  # the exponents an exact space has instead
-            indicial[s] = IndicialData(polynomial=chi, exponents=got)
-            point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", chi_ok[c][s],
-                                                f"expected exponents {exps}"))
+    for c, g0 in enumerate(rows[:, 0].tolist()):
+        g0, total = Poly(g0), totals[c]
+        shown = rounded(g0)
+        text = texts.get(shown) or texts.setdefault(shown, f"got {shown}")
         wr_ok = g0.degree == n == total
         poles_ok = total >= g0.degree
         checks = [
-            MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {rounded(g0)}"),
+            MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, text),
             MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
-        ] + point_checks
-        reports.append(MembershipReport(ok=all(ch.passed for ch in checks), checks=checks, indicial=indicial))
+        ] + [MembershipCheck(name, ok, detail) for (name, detail), ok in zip(names, chi_ok[c])]
+        reports.append(MembershipReport(all(ch.passed for ch in checks), checks, lambda c=c: {
+            s: indicial(c, s, Poly(chi)) for s, chi in enumerate(chis[c].tolist())}))
     return reports

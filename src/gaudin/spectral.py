@@ -7,10 +7,12 @@ coefficient matrices C_ij of the A_i commute and share their joint
 eigenvectors with the B_i, so this module converts them to complex floats,
 diagonalizes a seeded generic combination, and reads every eigenvalue
 function straight from them: h_i = (sum_j v* C_ij v u^j) / P for the unit
-joint eigenvector v.  Nothing is sampled or interpolated.  Each eigen-operator
+joint eigenvector v.  Nothing is sampled or interpolated; eigenvectors are
+Newton-refined unless the block is real symmetric.  Each eigen-operator
 is kept cleared, as [G_0, ..., G_N] = [P, P h_1, ..., P h_N] for
-sum_i G_i (d/du)^{N-i}, the form ``cleared_operator_polys`` gives a space of
-quasi-exponentials; its quasi-exponential kernel is solved for last.
+sum_i G_i (d/du)^{N-i}, the form ``cleared_operators`` gives a space of
+quasi-exponentials; its quasi-exponential kernel is solved for last.  Every
+step takes all characters of the block at once, one array per quantity.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import numpy as np
 from .algebra import ModuleSpec
 from .bae import _solve, gap_unit
 from .betheop import BetheOperator, eigenvector_points
-from .polynomials import Poly
 from .scalars import to_complex
-from .spaces import QuasiExpSpace, cleared_operator_polys, membership_test
+from .spaces import cleared_operators, membership_test, operator_stack, shifted_derivatives
 
 
 @dataclass
@@ -74,22 +75,14 @@ class EigenCharacter:
 class SpectrumReport:
     characters: list
     diagonalizable: bool
-    operators: list = field(default_factory=list)  # per character [G_0, ..., G_N], G_0 = P
-    kernels: list = field(default_factory=list)  # per character QuasiExpSpace or None
+    operators: np.ndarray = None  # (characters, N + 1, n + 1): [G_0, ..., G_N] per character, G_0 = P
+    kernels: list = field(default_factory=list)  # per exponent i, (characters, lam_i + 1): p_i, ascending
     memberships: list = field(default_factory=list)  # per character MembershipReport or str
     counters: dict = field(default_factory=dict)  # see joint_diagonalize and spectrum_analysis
 
     @property
     def count(self) -> int:
         return len(self.characters)
-
-
-def _block_coefficient_matrices(op: BetheOperator) -> list:
-    """[[C_ij for j = 0..n] for i = 1..N]: the u^j coefficients of A_i on the block.
-
-    Each row is one complex array of shape (n + 1, dim, dim).
-    """
-    return [a.to_complex(op.spec.size + 1) for a in op.cleared]
 
 
 def _cluster(eigvals, tol):
@@ -128,7 +121,9 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     the first simple cluster whose residual is too large, and only the
     multiple clusters before it are refined, each with its own draws, so
     the draws do not depend on the stacking.  ``counters`` records the
-    combinations tried and how many had ambiguous clusters.
+    combinations tried, how many had ambiguous clusters, and ``symmetric``:
+    every cleared A_i is real and its own transpose, read exactly off the
+    integer stacks, so ``eig``'s eigenvectors need no refinement.
     ``counters["gates"]`` reports each float gate: the worst joint
     eigen-residual against 100 ``residual``; the accepted combination's
     cluster margin, the smallest gap between its clusters relative to
@@ -140,12 +135,13 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
     limit = tol.residual * 100
-    counters = {"combinations": 0, "ambiguous": 0, "gates": {
+    symmetric = all(a.im is None and np.array_equal(a.re, a.re.swapaxes(1, 2)) for a in op.cleared)
+    counters = {"combinations": 0, "ambiguous": 0, "symmetric": symmetric, "gates": {
         "joint_residual": gate(None, limit), "cluster_margin": gate(None, 10 * tol.cluster),
         "kernel_fit": gate(None, 1.0)}}
     if dim == 0:
         return SpectrumReport([], True, counters=counters)
-    mats = np.array(_block_coefficient_matrices(op))  # (N, n + 1, dim, dim)
+    mats = np.array([a.to_complex(spec.size + 1) for a in op.cleared])  # C_ij as (N, n + 1, dim, dim)
     units = np.array([m / np.linalg.norm(m) for m in mats.reshape(-1, dim, dim) if np.any(m)]).reshape(-1, dim, dim)
 
     rng = random.Random(seed)
@@ -161,7 +157,7 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
             counters["ambiguous"] += 1
             continue  # ambiguous clustering: fresh combination
         simple = [c[0] for c in clusters if len(c) == 1]
-        V = _refine_eigenpair(T, eigvals[simple], eigvecs[:, simple])
+        V = eigvecs[:, simple] if symmetric else _refine_eigenpair(T, eigvals[simple], eigvecs[:, simple])
         refined = iter(zip(V.T, _joint_residual(V, units)))
         found, diagonalizable = [], True  # (vector, residual, cluster size) per character
         for cluster in clusters:
@@ -232,7 +228,8 @@ def _refine_eigenpair(T, mu, V):
     """Newton iteration on (T - mu_k) v_k = 0, with a fixed normalization row, for every column of V.
 
     numpy's eig is only first-order accurate for non-normal matrices; four
-    Newton sweeps push each eigenpair to machine precision.  Two float checks
+    Newton sweeps push each eigenpair to machine precision (a real symmetric
+    block needs none and skips this).  Two float checks
     downstream rely on it: the kernel least squares of
     :func:`kernel_from_operator` and the match of Bethe-root eigenvalues
     against the characters, both accepted at ``kernel_fit``.  Each sweep
@@ -287,19 +284,23 @@ def _refine_cluster(q, units, residual_tol, rng):
     return found
 
 
-def character_to_operator(ch: EigenCharacter, op: BetheOperator) -> list:
-    """The eigen-operator in cleared form: [P, P h_1, ..., P h_N].
+def character_to_operator(characters: list, op: BetheOperator) -> np.ndarray:
+    """The eigen-operators in cleared form, one per character: (characters, N + 1, n + 1).
 
-    P is the pole polynomial prod (u - b_s)^{n_s} and P h_i is the
-    character's numerator row, left unreduced.
+    Row 0 is the pole polynomial P = prod (u - b_s)^{n_s} and row i the
+    character's numerators P h_i, left unreduced.
     """
-    return [op.spec.complex_pole_polynomial()] + [Poly(row) for row in ch.numerators]
+    spec = op.spec
+    nums = np.array([ch.numerators for ch in characters], dtype=complex).reshape(-1, spec.rank, spec.size + 1)
+    pole = np.broadcast_to(spec.complex_pole_polynomial().coeffs, (len(nums), 1, spec.size + 1))
+    return np.concatenate([pole, nums], axis=1)
 
 
-def kernel_from_operator(Gs: list, spec: ModuleSpec, tol: Tolerances = None) -> tuple:
+def kernel_from_operator(Gs, spec: ModuleSpec, tol: Tolerances = None) -> tuple:
     """Quasi-exponential kernels with exponents K and degrees lam, one per cleared operator.
 
-    Each G = [G_0, ..., G_N] in Gs is a cleared operator sum_i G_i (d/du)^{N-i}.  For
+    Each G = [G_0, ..., G_N] of the ``operator_stack`` Gs (such as
+    :func:`character_to_operator` gives) is sum_i G_i (d/du)^{N-i}.  For
     each i the ansatz e^{K_i u}(u^{lam_i} + sum_j x_j u^{lam_i - j}) turns
     it into a linear system; the least-squares residual must stay below
     ``tol.kernel_fit``, otherwise there is no kernel of the prescribed shape.
@@ -313,35 +314,28 @@ def kernel_from_operator(Gs: list, spec: ModuleSpec, tol: Tolerances = None) -> 
     All operators are solved together: per exponent one contraction gives
     every image and one stacked pseudo-inverse every least-squares fit.
     Each fit keeps its own rows (up to its last nonzero one), scale and
-    bound.  Returns (kernels, fits): kernels[c] is a QuasiExpSpace, or None
-    when a fit of G c leaves a residual above its bound; fits[c] is the
-    largest residual of G c over its bound.
+    bound.  Returns (kernels, fits): kernels[i] (operators, lam_i + 1) holds
+    the monic p_i; fits[c], the largest residual of G c over its bound, is
+    above 1 when G c has no kernel.
     """
     tol = tol or Tolerances()
     N = spec.rank
     lam = spec.weight.padded(N)
     unit = gap_unit(spec.points)
     # row k of operator c: the coefficients of c_k(s v) s^-k, which multiplies (d/dv)^k
-    width = max((len(g.coeffs) for G in Gs for g in G), default=1)
-    cleared = np.zeros((len(Gs), N + 1, width), dtype=complex)
-    for c, G in enumerate(Gs):
-        for k, g in enumerate(G[::-1]):
-            cleared[c, k, :len(g.coeffs)] = [to_complex(a) for a in g.coeffs]
-    cleared *= unit ** (np.arange(width) - np.arange(N + 1)[:, None])
-    failed = np.zeros(len(Gs), dtype=bool)
-    fits = np.zeros(len(Gs))
+    ops = operator_stack(Gs)
+    width = ops.shape[-1]
+    cleared = ops[:, ::-1].astype(complex) * unit ** (np.arange(width) - np.arange(N + 1)[:, None])
+    fits = np.zeros(len(ops))
     polys = []
     for i in range(N):
         kexp = unit * to_complex(spec.exponents[i])
         d = lam[i]
-        shift = kexp * np.eye(d + 1) + np.diag(np.arange(1.0, d + 1), 1)
-        powers = [np.eye(d + 1, dtype=complex)]  # (kappa I + D)^k for k = 0..N
-        for _ in range(N):
-            powers.append(shift @ powers[-1])
         # parts[c, j, r, m] = sum_k c_k[r] times the v^j coefficient of (kappa + d/dv)^k v^m,
         # which lands in row r + j, column m of the image of operator c
-        parts = np.swapaxes(cleared, 1, 2)[:, None] @ np.array(powers).transpose(1, 0, 2)
-        image = np.zeros((len(Gs), width + d, d + 1), dtype=complex)
+        powers = shifted_derivatives(kexp, np.eye(d + 1, dtype=complex), N)  # [m, k, j]
+        parts = np.swapaxes(cleared, 1, 2)[:, None] @ powers.transpose(2, 1, 0)
+        image = np.zeros((len(ops), width + d, d + 1), dtype=complex)
         for j in range(d + 1):
             image[:, j:j + width] += parts[:, j]
         nonzero = np.any(image != 0, axis=2)
@@ -351,13 +345,9 @@ def kernel_from_operator(Gs: list, spec: ModuleSpec, tol: Tolerances = None) -> 
         x = np.linalg.pinv(A, rcond=np.finfo(float).eps * np.maximum(rows, d)) @ b
         resid = np.linalg.norm(A @ x - b, axis=(1, 2))
         bound = tol.kernel_fit * np.maximum(1.0, np.abs(image).max(axis=(1, 2))) * rows
-        failed |= resid > bound
         fits = np.maximum(fits, resid / bound)
-        polys.append(np.concatenate([x[:, :, 0] * unit ** (d - np.arange(d)), np.ones((len(Gs), 1))], axis=1))
-    exponents = tuple(to_complex(k) for k in spec.exponents)
-    kernels = [None if failed[c] else QuasiExpSpace(exponents, tuple(Poly(p[c].tolist()) for p in polys))
-               for c in range(len(Gs))]
-    return kernels, fits.tolist()
+        polys.append(np.concatenate([x[:, :, 0] * unit ** (d - np.arange(d)), np.ones((len(ops), 1))], axis=1))
+    return polys, fits
 
 
 KERNEL_FAILURE = "kernel recovery failed: no quasi-exponential kernel of prescribed degrees"
@@ -366,16 +356,17 @@ KERNEL_FAILURE = "kernel recovery failed: no quasi-exponential kernel of prescri
 def spectrum_analysis(op: BetheOperator, tol: Tolerances = None, seed: int = 2024) -> SpectrumReport:
     """Full pipeline: diagonalize, build eigen-operators, recover kernels, test.
 
-    Kernels are recovered and tested for all characters at once; a failed
-    fit marks its own character only.  ``counters["gates"]["kernel_fit"]``
-    measures the largest least-squares residual over its bound.
+    Each step takes all characters at once; a failed fit marks its own
+    character only.  ``counters["gates"]["kernel_fit"]`` measures the
+    largest least-squares residual over its bound.
     """
     tol = tol or Tolerances()
     report = joint_diagonalize(op, tol, seed)
-    report.operators = [character_to_operator(ch, op) for ch in report.characters]
+    report.operators = character_to_operator(report.characters, op)
     report.kernels, fits = kernel_from_operator(report.operators, op.spec, tol)
-    report.counters["gates"]["kernel_fit"] = gate(max(fits, default=None), 1.0)
-    tests = iter(membership_test([cleared_operator_polys(X) for X in report.kernels if X is not None],
-                                 op.spec, tol=MEMBERSHIP_TOL))
-    report.memberships = [KERNEL_FAILURE if X is None else next(tests) for X in report.kernels]
+    report.counters["gates"]["kernel_fit"] = gate(max(fits.tolist(), default=None), 1.0)
+    fitted = ~(fits > 1)
+    ops = cleared_operators([to_complex(k) for k in op.spec.exponents], [p[fitted] for p in report.kernels])
+    tests = iter(membership_test(ops, op.spec, tol=MEMBERSHIP_TOL))
+    report.memberships = [next(tests) if ok else KERNEL_FAILURE for ok in fitted.tolist()]
     return report

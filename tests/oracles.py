@@ -27,6 +27,12 @@ and the weight function are summed root by root and bijection by bijection
 (``bae_residual_by_root``, ``weight_function_by_bijections``), where the
 library gathers every solution's poles in one array pass.
 
+The maximal minors of a space's derivative table have a cofactor
+reference (``poly_det``, ``cleared_operator_polys_by_cofactors``): one
+determinant of Polys per minor, expanded along the first row, where the
+library forms every determinant of trailing rows once, on coefficient
+arrays, for a whole stack of spaces.
+
 The last reference is the spectral stage one character at a time
 (``spectral_stage_loop``).  It shares the library's float conversion,
 clustering, draws and Taylor tables, and differs from the stacked stage
@@ -65,6 +71,7 @@ from gaudin.spaces import (
     cleared_operator_polys,
     expected_exponents,
     rounded,
+    shifted_derivative_powers,
 )
 from gaudin.spectral import (
     KERNEL_FAILURE,
@@ -73,10 +80,8 @@ from gaudin.spectral import (
     EigenCharacter,
     SpectrumReport,
     Tolerances,
-    _block_coefficient_matrices,
     _cluster,
     _normal_draws,
-    character_to_operator,
 )
 
 
@@ -826,6 +831,58 @@ def weight_function_by_bijections(t, rank: int, counts) -> list:
     return out
 
 
+# --- maximal minors by cofactors --------------------------------------------
+
+
+def poly_det(rows) -> Poly:
+    """Determinant of a square matrix of polynomials by cofactor expansion along the first row.
+
+    Commutative coefficients only; fine for the Wronskian-sized matrices
+    (dimension at most 6) used here.
+    """
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty determinant")
+    if n == 1:
+        return rows[0][0]
+    total = None
+    for j in range(n):
+        entry = rows[0][j]
+        if entry.is_zero():
+            continue
+        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
+        term = entry * poly_det(minor)
+        if j % 2 == 1:
+            term = -term
+        total = term if total is None else total + term
+    return Poly() if total is None else total
+
+
+def cleared_operator_polys_by_cofactors(space) -> list:
+    """G_0..G_N of a space: the signed maximal minors of its N x (N + 1) derivative table, one
+    ``poly_det`` each, over the leading coefficient of the Wronskian (the minor without column N)."""
+    N = space.rank
+    rows = [shifted_derivative_powers(k, p, N) for k, p in zip(space.exponents, space.polys)]
+    minors = [poly_det([[row[r] for r in range(N + 1) if r != c] for row in rows]) for c in range(N + 1)]
+    lead = minors[N].leading
+    return [Poly([(-c if i % 2 else c) / lead for c in minors[N - i].coeffs]) for i in range(N + 1)]
+
+
+def kernel_spaces(kernels, spec, fits=None) -> list:
+    """The kernels ``kernel_from_operator`` returns as one QuasiExpSpace per operator, or None where
+    fits[c] > 1 (no fits: every operator)."""
+    exponents = tuple(to_complex(k) for k in spec.exponents)
+    fits = [0.0] * len(kernels[0]) if fits is None else fits
+    return [None if fit > 1 else QuasiExpSpace(exponents, tuple(Poly(p[c].tolist()) for p in kernels))
+            for c, fit in enumerate(fits)]
+
+
+def report_kernels(report, spec) -> list:
+    """Per character of a ``spectrum_analysis`` report its kernel as a QuasiExpSpace, or None where
+    recovery failed (its membership is ``KERNEL_FAILURE``)."""
+    return kernel_spaces(report.kernels, spec, [2.0 * isinstance(m, str) for m in report.memberships])
+
+
 # --- the spectral stage one character at a time ----------------------------
 
 
@@ -933,7 +990,7 @@ def _membership_loop(gs, spec, tol):
         MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {rounded(g0)}"),
         MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
     ] + point_checks
-    return MembershipReport(ok=all(c.passed for c in checks), checks=checks, indicial=indicial)
+    return MembershipReport(ok=all(c.passed for c in checks), checks=checks, read_indicial=lambda: indicial)
 
 
 def spectral_stage_loop(op, tol=None, seed=2024):
@@ -947,14 +1004,17 @@ def spectral_stage_loop(op, tol=None, seed=2024):
     ``indicial_polynomial``.  The draws of ``random.Random(seed)`` are taken
     in the library's order, so both give the same characters in the same
     order.  Returns a SpectrumReport with characters, operators, kernels and
-    memberships filled in (counters left empty).
+    memberships filled in (counters left empty), one object per character:
+    each operator a Poly list and each kernel a QuasiExpSpace or None, where
+    the library keeps one array per quantity.  Every eigenpair is refined,
+    on symmetric blocks too.
     """
     tol = tol or Tolerances()
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
     if dim == 0:
         return SpectrumReport([], True)
-    mats = _block_coefficient_matrices(op)
+    mats = [a.to_complex(spec.size + 1) for a in op.cleared]
     units = [m / np.linalg.norm(m) for row in mats for m in row if np.any(m)]
 
     def numerators(v):
@@ -1008,9 +1068,9 @@ def spectral_stage_loop(op, tol=None, seed=2024):
             z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
             characters.sort(key=lambda ch: [(round(h.real, 6), round(h.imag, 6))
                                             for h in (ch.values(z, pz)[0], ch.values(z, pz)[-1])])
-            report = SpectrumReport(characters, diagonalizable)
+            report = SpectrumReport(characters, diagonalizable, operators=[])
             for ch in characters:
-                G = character_to_operator(ch, op)
+                G = [spec.complex_pole_polynomial()] + [Poly(row) for row in ch.numerators]
                 X = _kernel_loop(G, spec, tol)
                 report.operators.append(G)
                 report.kernels.append(X)
@@ -1151,5 +1211,6 @@ def membership_test_by_point(stack, spec, tol=None) -> list:
             MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {rounded(g0)}"),
             MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
         ] + point_checks
-        reports.append(MembershipReport(ok=all(ch.passed for ch in checks), checks=checks, indicial=indicial))
+        reports.append(MembershipReport(ok=all(ch.passed for ch in checks), checks=checks,
+                                        read_indicial=lambda indicial=indicial: indicial))
     return reports

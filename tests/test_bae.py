@@ -47,6 +47,7 @@ from oracles import (
     eigenvector_check_loop,
     factorized_operator,
     verify_eigenvector_by_solution,
+    report_kernels,
     weight_function_by_bijections,
 )
 
@@ -204,7 +205,7 @@ def test_root_coordinates_from_space_golden():
 
     report = spectrum_analysis(op)
     found = []
-    for X in report.kernels:
+    for X in report_kernels(report, spec):
         t, generic = root_coordinates_from_space(X)
         assert generic
         assert [abs(z) for z in t.levels[0]] == sorted(abs(z) for z in t.levels[0])

@@ -11,10 +11,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin.polynomials import Poly, poly_det
+from gaudin.polynomials import Poly
 from gaudin.spaces import shifted_derivative_powers
 
-from oracles import Matrix, PoleOp, numeric_wronskian, rdet
+from oracles import Matrix, PoleOp, numeric_wronskian, poly_det, rdet
 
 F = Fraction
 

@@ -719,13 +719,14 @@ def test_match_tolerance_comes_from_the_config():
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_reports_carry_spectral_counters(tmp_path, command):
     """spectrum and verify reports record the combinations tried, how many
-    were ambiguous, and the gates that measure the accepted cluster margin
-    and the worst kernel fit."""
+    were ambiguous, whether the block is real symmetric, and the gates that
+    measure the accepted cluster margin and the worst kernel fit."""
     out = tmp_path / "report.json"
     assert main([command, "--config", str(Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json"),
                  "--out", str(out)]) == 0
     counters = json.loads(out.read_text())["counters"]
-    assert counters["spectral"].keys() == {"combinations", "ambiguous", "gates"}
+    assert counters["spectral"].keys() == {"combinations", "ambiguous", "symmetric", "gates"}
+    assert counters["spectral"]["symmetric"] is True
     assert counters["spectral"]["combinations"] == 1 and counters["spectral"]["ambiguous"] == 0
     assert counters["spectral"]["gates"]["cluster_margin"]["measured"] > 1e-6
     assert 0 < counters["spectral"]["gates"]["kernel_fit"]["measured"] <= 1

@@ -8,13 +8,16 @@ the Python-int path; small ones take int64.
 
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin.linalg import MatrixPoly, _exact, pairwise_commute, point_table, root_products
+from gaudin.betheop import build_bethe_operator
+from gaudin.harness import InstanceConfig
+from gaudin.linalg import MatrixPoly, _exact, _split, pairwise_commute, point_table, root_products
 from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational
 
@@ -22,6 +25,8 @@ from oracles import Matrix, constant, scalar_table, stacked, taylor_coefficients
 
 F = Fraction
 GR = GaussianRational
+
+FIXTURES = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.json"))
 
 # entry magnitudes: the last two are beyond the int64 path (2**62)
 SCALES = [1, 2**20, 2**40, 2**62, 2**80]
@@ -275,3 +280,49 @@ def test_product_bound_counts_the_sum_over_degrees():
     m = Poly([Matrix([[F(c)]])] * 3)
     A = stacked(m, 1, 1)
     assert unstacked(A * A) == m * m
+
+
+def _scaled_by_contraction(A, scalar):
+    """A times an exact scalar through the general contraction with the scalar times the identity."""
+    re, im, den = _split(scalar)
+    eye = np.identity(len(A), dtype=object)
+    return A.contract(eye * re, eye * im if im else None, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), fields, sizes, sizes, scales,
+       st.sampled_from(["int", "Fraction", "GaussianRational", "real GaussianRational"]))
+def test_scalar_multiple_is_the_contraction(data, field, rows, cols, scale, kind):
+    """A * c scales the numerator stacks directly, for int, Fraction and GaussianRational c, and equals the
+    contraction with c times the identity, arrays and dtypes included, also past the int64 bound."""
+    A = stacked(data.draw(matrix_polys(field, rows, cols, scale)), rows, cols)
+    s = data.draw(scalars("Q", data.draw(st.sampled_from(SCALES))))
+    s = {"int": s.numerator, "Fraction": s, "GaussianRational": GR(s, data.draw(scalars("Q"))),
+         "real GaussianRational": GR(s, 0)}[kind]
+    for got in (A * s, s * A):
+        expect = _scaled_by_contraction(A, s)
+        assert got == expect
+        assert (got.re.dtype, None if got.im is None else got.im.dtype) == (
+            expect.re.dtype, None if expect.im is None else expect.im.dtype)
+
+
+def test_scalar_multiple_past_the_int64_bound():
+    """A stack near 2**62 times a scalar leaves int64 for Python ints, as the contraction does, and a
+    Gaussian scalar mixes the real and imaginary stacks."""
+    big = np.full((1, 2, 2), 2**61, dtype=np.int64)
+    A = MatrixPoly(big, np.ones((1, 2, 2), dtype=np.int64))
+    for s in (3, F(5, 7), GR(F(1), F(-2)), GR(F(2**70), F(1, 3))):
+        got, expect = A * s, _scaled_by_contraction(A, s)
+        assert got == expect and (got.re.dtype, got.im.dtype) == (expect.re.dtype, expect.im.dtype)
+    assert (A * 3).re.dtype == object and (A * 3).im.dtype == np.int64
+    assert (A * GR(F(0), F(1))) == MatrixPoly(-np.ones((1, 2, 2), dtype=np.int64), big)
+
+
+def test_eigenvector_blocks_are_unchanged_by_the_direct_scaling(monkeypatch):
+    """Every fixture's eigenvector_blocks, which scale each block value by 1/P at a point, are bit for bit
+    those of the contraction-based scalar multiple."""
+    direct = [build_bethe_operator(InstanceConfig.from_file(path).spec).eigenvector_blocks[0] for path in FIXTURES]
+    monkeypatch.setattr(MatrixPoly, "_scaled", _scaled_by_contraction)
+    for path, blocks in zip(FIXTURES, direct):
+        reference = build_bethe_operator(InstanceConfig.from_file(path).spec).eigenvector_blocks[0]
+        assert blocks.shape == reference.shape and np.array_equal(blocks, reference), path.stem

@@ -30,7 +30,7 @@ from gaudin.spaces import _integer_roots, cleared_operator_polys, fundamental_op
 from gaudin.spectral import MEMBERSHIP_TOL, spectrum_analysis
 
 from conftest import JORDAN, mutant_operator, random_exact_space, unit_matrix
-from oracles import check_polynomiality_by_point, membership_test_by_point
+from oracles import check_polynomiality_by_point, membership_test_by_point, report_kernels
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -113,7 +113,7 @@ def test_membership_test_matches_the_point_by_point_reference(name):
     """The recovered kernels of the spectral stage, with a perturbed copy of each, under MEMBERSHIP_TOL."""
     config = _config(name)
     report = spectrum_analysis(build_bethe_operator(config.spec), config.tolerances, config.seed)
-    stack = [cleared_operator_polys(X) for X in report.kernels if X is not None]
+    stack = [cleared_operator_polys(X) for X in report_kernels(report, config.spec) if X is not None]
     stack += [_perturbed(gs) for gs in stack]
     got = membership_test(stack, config.spec, tol=MEMBERSHIP_TOL)
     assert_same_reports(got, membership_test_by_point(stack, config.spec, tol=MEMBERSHIP_TOL), exact=False)

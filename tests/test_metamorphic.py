@@ -20,6 +20,8 @@ from gaudin.polynomials import Poly
 from gaudin.spaces import QuasiExpSpace, cleared_operator_polys, membership_test
 from gaudin.spectral import spectrum_analysis
 
+from oracles import report_kernels
+
 F = Fraction
 
 # name -> (number of vector factors at b = 0, 1, ..., weight); K = (0, 1/2)
@@ -97,8 +99,7 @@ def test_wrong_partition_fails_float_membership(c):
     partitions, which keep the pole polynomial, at both points."""
     spec = mixed_cell_spec(c, [[2, 0], [1, 1]])
     analysis = spectrum_analysis(build_bethe_operator(spec))
-    assert len(analysis.kernels) == 1
-    X, = analysis.kernels
+    X, = report_kernels(analysis, spec)
     assert analysis.memberships[0].ok
     wrong = membership_test([cleared_operator_polys(X)], mixed_cell_spec(c, [[1, 1], [2, 0]]), tol=1e-6)[0]
     failed = {check.name for check in wrong.checks if not check.passed}
@@ -120,7 +121,7 @@ def five_point_spec(c, far):
 @functools.lru_cache(maxsize=None)
 def five_point_kernels():
     spec = five_point_spec(F(1), [[2, 0], [1, 1]])
-    return tuple(spectrum_analysis(build_bethe_operator(spec)).kernels)
+    return tuple(report_kernels(spectrum_analysis(build_bethe_operator(spec)), spec))
 
 
 def scaled_space(X, c):
@@ -175,13 +176,15 @@ def test_kernel_recovery_invariant_under_scaling(c):
     gap between the points.  Every kernel must be recovered, pass membership
     and be the c = 1 kernel of some character, scaled by c.
     """
-    analysis = spectrum_analysis(build_bethe_operator(five_point_spec(c, [[2, 0], [1, 1]])))
-    assert len(analysis.kernels) == 7
+    spec = five_point_spec(c, [[2, 0], [1, 1]])
+    analysis = spectrum_analysis(build_bethe_operator(spec))
+    kernels = report_kernels(analysis, spec)
+    assert len(kernels) == 7
     assert all(not isinstance(m, str) and m.ok for m in analysis.memberships)
     scaled = [scaled_space(X, c) for X in five_point_kernels()]
-    matched = {min(range(7), key=lambda k: _relative_distance(Y, scaled[k])) for Y in analysis.kernels}
+    matched = {min(range(7), key=lambda k: _relative_distance(Y, scaled[k])) for Y in kernels}
     assert len(matched) == 7
-    for Y in analysis.kernels:
+    for Y in kernels:
         assert min(_relative_distance(Y, Z) for Z in scaled) <= 1e-9
 
 

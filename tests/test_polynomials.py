@@ -11,12 +11,11 @@ from gaudin.polynomials import (
     Poly,
     falling_product,
     indicial_coefficients,
-    poly_det,
     poly_gcd,
 )
 from gaudin.scalars import GaussianRational
 
-from oracles import indicial_polynomial, newton_interpolate
+from oracles import indicial_polynomial, newton_interpolate, poly_det
 
 F = Fraction
 

@@ -1,24 +1,33 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gaudin import spaces
 from gaudin.algebra import ModuleSpec, Partition
-from gaudin.polynomials import Poly, poly_det
+from gaudin.betheop import build_bethe_operator
+from gaudin.harness import InstanceConfig
+from gaudin.polynomials import Poly
 from gaudin.spaces import (
     QuasiExpSpace,
     char_at_infinity,
     cleared_operator_polys,
+    cleared_operators,
     expected_exponents,
     fundamental_operator,
     membership_test,
     rounded,
     second_symbol,
     shifted_derivative_powers,
+    trailing_minors,
     wronskian_of_space,
 )
+from gaudin.spectral import MEMBERSHIP_TOL, spectrum_analysis
 
-from conftest import random_exact_space
+from conftest import make_spec, random_exact_space
+from oracles import cleared_operator_polys_by_cofactors, poly_det, report_kernels
 
 F = Fraction
 
@@ -253,3 +262,95 @@ def test_cleared_polys_structure():
     assert gs[0].degree == X.size
     # F_1 = G_1 / G_0 = -Wr'/Wr, with Wr = e^{(K_1 + K_2) u} G_0 up to a constant
     assert gs[1] == -(gs[0].derivative() + gs[0].scale(F(1)))
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def _random_spaces(N, rng, count):
+    """count random exact spaces with one set of distinct exponents and degrees, stacked as well."""
+    den = rng.randint(1, 3)
+    exponents = tuple(F(k, den) for k in rng.sample(range(-6, 7), N))
+    lam = sorted((rng.randint(0, 3) for _ in range(N)), reverse=True)
+    family = [random_exact_space(N, exponents, lam, rng) for _ in range(count)]
+    parts = [np.array([X.polys[i].coeffs for X in family], dtype=object) for i in range(N)]
+    return exponents, family, parts
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_minors_equal_the_cofactor_reference_exactly(N):
+    """The stacked maximal minors of random Fraction spaces equal the cofactor minors exactly, space by
+    space, and so do their trailing determinants (the trailing Wronskians of the Bethe roots)."""
+    rng = random.Random(40 + N)
+    for _ in range(3):
+        exponents, family, parts = _random_spaces(N, rng, 4)
+        stacked = cleared_operators(exponents, parts)
+        det = trailing_minors(exponents, parts)
+        for c, X in enumerate(family):
+            expect = cleared_operator_polys_by_cofactors(X)
+            assert [Poly(g) for g in stacked[c].tolist()] == expect == cleared_operator_polys(X)
+            table = X.derivatives(N - 1)
+            for a in range(N):
+                assert Poly(det(tuple(range(N - a)))[c].tolist()) == poly_det([row[:N - a] for row in table[a:]])
+
+
+@pytest.mark.parametrize("name", ["wronski_cell_n2", "wronski_n3", "wronski_rank1"])
+def test_minors_of_the_fixture_spaces_equal_the_cofactor_reference(name):
+    X = InstanceConfig.from_file(FIXTURES / f"{name}.json").space
+    assert cleared_operator_polys(X) == cleared_operator_polys_by_cofactors(X)
+
+
+def _float_kernel_cases():
+    bae_real = {"N": 2, "K": ("0", "1/2"), "partitions": ((1,),) * 4, "b": tuple("0123"), "weight": (2, 2)}
+    eigenop = {**bae_real, "partitions": ((1,),) * 5, "b": tuple("01234"), "weight": (3, 2)}
+    return [pytest.param(make_spec(eigenop), id="eigenop-n2"), pytest.param(make_spec(bae_real), id="bae-real"),
+            pytest.param(InstanceConfig.from_file(FIXTURES / "gauss_n2.json").spec, id="gauss_n2")]
+
+
+@pytest.mark.parametrize("spec", _float_kernel_cases())
+def test_minors_of_recovered_kernels_match_the_cofactor_reference(spec):
+    """On the float kernels of the spectral stage the stacked minors agree with the cofactor minors of
+    each kernel within 1e-12 relative, and the membership test gives the same reports on the array
+    stack as on the Poly lists."""
+    report = spectrum_analysis(build_bethe_operator(spec))
+    exponents = [complex(k) for k in spec.exponents]
+    stacked = cleared_operators(exponents, report.kernels)
+    polys = [cleared_operator_polys_by_cofactors(X) for X in report_kernels(report, spec)]
+    assert len(polys) == len(stacked) == report.count > 0
+    for G, H in zip(stacked, polys):
+        for g, h in zip(G, H):
+            h = np.array(h.coeffs + (0j,) * (len(g) - len(h.coeffs)))
+            assert np.abs(g - h).max() <= 1e-12 * max(np.abs(g).max(), np.abs(h).max())
+    _assert_same_reports(membership_test(stacked, spec, tol=MEMBERSHIP_TOL), membership_test(polys, spec, tol=MEMBERSHIP_TOL))
+
+
+def _assert_same_reports(got, expect):
+    assert len(got) == len(expect)
+    for g, e in zip(got, expect):
+        assert g.ok == e.ok
+        assert [(c.name, c.passed, c.detail) for c in g.checks] == [(c.name, c.passed, c.detail) for c in e.checks]
+        assert {s: d.exponents for s, d in g.indicial.items()} == {s: d.exponents for s, d in e.indicial.items()}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_exact_membership_is_the_same_on_the_array_stack(N):
+    """Random exact spaces, which mostly fail and then read off the exponents they have: the array stack
+    of ``cleared_operators`` and the Poly lists give the same reports and indicial polynomials."""
+    rng = random.Random(N)
+    exponents, family, parts = _random_spaces(N, rng, 5)
+    spec = ModuleSpec(N, exponents, [[1]] * family[0].size, list(range(family[0].size)), family[0].weight)
+    got = membership_test(cleared_operators(exponents, parts), spec)
+    expect = membership_test([cleared_operator_polys(X) for X in family], spec)
+    _assert_same_reports(got, expect)
+    for g, e in zip(got, expect):
+        assert {s: d.polynomial for s, d in g.indicial.items()} == {s: d.polynomial for s, d in e.indicial.items()}
+
+
+def test_indicial_data_is_formed_when_read(monkeypatch):
+    """A membership report forms its indicial polynomials only when ``indicial`` is read."""
+    X = InstanceConfig.from_file(FIXTURES / "wronski_n3.json")
+    formed = []
+    monkeypatch.setattr(spaces, "IndicialData", lambda *args: formed.append(args) or args)
+    report = membership_test([cleared_operator_polys(X.space)], X.spec)[0]
+    assert report.ok and not formed
+    assert len(report.indicial) == len(X.spec.points) == len(formed)
