@@ -133,6 +133,11 @@ class InstanceConfig:
             raise ConfigError(str(exc)) from exc
         space = None
         if "space" in data:
+            if not isinstance(data["space"], dict):
+                raise ConfigError("space must be an object")
+            _reject_unknown(data["space"], ("polys",), "space key")
+            if "polys" not in data["space"]:
+                raise ConfigError("space must have a 'polys' entry")
             try:
                 polys = [
                     Poly([parse_scalar(c) for c in _json_list(coeffs, "each space polynomial")])

@@ -7,8 +7,8 @@ coefficient matrices C_ij of the A_i commute and share their joint
 eigenvectors with the B_i, so this module converts them to complex floats,
 diagonalizes a seeded generic combination, and reads every eigenvalue
 function straight from them: h_i = (sum_j v* C_ij v u^j) / P for the unit
-joint eigenvector v.  Nothing is sampled or interpolated; eigenvectors are
-Newton-refined unless the block is real symmetric.  Each eigen-operator
+joint eigenvector v.  Nothing is sampled or interpolated, and numpy's
+``eig`` vectors are used as they come, on every block.  Each eigen-operator
 is kept cleared, as [G_0, ..., G_N] = [P, P h_1, ..., P h_N] for
 sum_i G_i (d/du)^{N-i}, the form ``cleared_operators`` gives a space of
 quasi-exponentials; its quasi-exponential kernel is solved for last.  Every
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ModuleSpec
-from .bae import _solve, gap_unit
+from .bae import gap_unit
 from .betheop import BetheOperator, eigenvector_points
 from .scalars import to_complex
 from .spaces import cleared_operators, membership_test, operator_stack, shifted_derivatives
@@ -45,11 +45,6 @@ MAX_RETRIES = 6
 # membership_test's tol for recovered kernels: a Taylor coefficient counts
 # as zero when it is at most this times its roundoff floor
 MEMBERSHIP_TOL = 1e-6
-
-# complex entries (16 bytes each) of the bordered Newton systems that
-# _refine_eigenpair stacks at once: every pair of a block up to dimension
-# 35, 52 pairs at a time at dimension 70, 4 at dimension 252
-REFINE_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -110,20 +105,21 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     to unit norm, is diagonalized; its coefficients are standard normal
     draws of ``random.Random(seed)``.  The scaling makes the
     combination the same for the rescaled instance (cK, b/c), whose C_ij
-    differ only by powers of c.  Clusters within tolerance are refined and verified
-    against every C_ij.  Clusters whose eigenspace is smaller than their
-    multiplicity are flagged (the action is then not diagonalizable) and
-    reported through generalized eigenspace generators.  Characters are
-    sorted by (h_1, h_N) at the first of the :func:`eigenvector_points`.
+    differ only by powers of c.  Each simple eigenvalue's ``eig`` vector is
+    taken as it comes, on every block, and verified against every C_ij.
+    A cluster of eigenvalues within tolerance is split by a second draw
+    inside its generalized eigenspace.  Clusters whose eigenspace is smaller
+    than their multiplicity are flagged (the action is then not
+    diagonalizable) and reported through generalized eigenspace generators.
+    Characters are sorted by (h_1, h_N) at the first of the
+    :func:`eigenvector_points`.
 
-    The simple clusters are refined and checked together, in one stacked
-    pass, before the clusters are taken in order; a combination fails at
-    the first simple cluster whose residual is too large, and only the
-    multiple clusters before it are refined, each with its own draws, so
-    the draws do not depend on the stacking.  ``counters`` records the
-    combinations tried, how many had ambiguous clusters, and ``symmetric``:
-    every cleared A_i is real and its own transpose, read exactly off the
-    integer stacks, so ``eig``'s eigenvectors need no refinement.
+    The simple clusters are checked together, in one stacked pass, before
+    the clusters are taken in order; a combination fails at the first
+    simple cluster whose residual is too large, and only the multiple
+    clusters before it are split, each with its own draws, so the draws do
+    not depend on the stacking.  ``counters`` records the combinations
+    tried and how many had ambiguous clusters.
     ``counters["gates"]`` reports each float gate: the worst joint
     eigen-residual against 100 ``residual``; the accepted combination's
     cluster margin, the smallest gap between its clusters relative to
@@ -135,8 +131,7 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
     limit = tol.residual * 100
-    symmetric = all(a.im is None and np.array_equal(a.re, a.re.swapaxes(1, 2)) for a in op.cleared)
-    counters = {"combinations": 0, "ambiguous": 0, "symmetric": symmetric, "gates": {
+    counters = {"combinations": 0, "ambiguous": 0, "gates": {
         "joint_residual": gate(None, limit), "cluster_margin": gate(None, 10 * tol.cluster),
         "kernel_fit": gate(None, 1.0)}}
     if dim == 0:
@@ -156,14 +151,13 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
         if len(clusters) > 1 and margin <= 10 * tol.cluster * tscale:
             counters["ambiguous"] += 1
             continue  # ambiguous clustering: fresh combination
-        simple = [c[0] for c in clusters if len(c) == 1]
-        V = eigvecs[:, simple] if symmetric else _refine_eigenpair(T, eigvals[simple], eigvecs[:, simple])
-        refined = iter(zip(V.T, _joint_residual(V, units)))
+        V = eigvecs[:, [c[0] for c in clusters if len(c) == 1]]  # eig's unit vectors of the simple clusters
+        checked = iter(zip(V.T, _joint_residual(V, units)))
         found, diagonalizable = [], True  # (vector, residual, cluster size) per character
         for cluster in clusters:
             size = len(cluster)
             if size == 1:
-                v, res = next(refined)
+                v, res = next(checked)
                 if res > limit:
                     best = min(best, res)
                     break
@@ -222,46 +216,6 @@ def _joint_residual(V, units):
     UV = units @ V
     h = np.einsum("ik,uik->uk", V.conj(), UV)
     return np.linalg.norm(UV - h[:, None, :] * V, axis=1).max(axis=0, initial=0.0)
-
-
-def _refine_eigenpair(T, mu, V):
-    """Newton iteration on (T - mu_k) v_k = 0, with a fixed normalization row, for every column of V.
-
-    numpy's eig is only first-order accurate for non-normal matrices; four
-    Newton sweeps push each eigenpair to machine precision (a real symmetric
-    block needs none and skips this).  Two float checks
-    downstream rely on it: the kernel least squares of
-    :func:`kernel_from_operator` and the match of Bethe-root eigenvalues
-    against the characters, both accepted at ``kernel_fit``.  Each sweep
-    solves the bordered systems of all pairs still moving at once; a pair
-    stops at a singular system, or after the step taken from a residual
-    below 1e-15.  The pairs run in chunks of at most ``REFINE_ENTRIES``
-    entries of bordered systems, so a block of dimension d holds a few such
-    stacks, not d of them.  Takes the eigenvectors as columns, of any norm,
-    and returns them refined and of unit norm.
-    """
-    dim = T.shape[0]
-    V, mu = (V / np.linalg.norm(V, axis=0)).T, np.array(mu, dtype=complex)
-    c = V.conj()
-    chunk = max(1, REFINE_ENTRIES // (dim + 1) ** 2)
-    for at in range(0, len(V), chunk):
-        moving = np.arange(at, min(at + chunk, len(V)))
-        for _ in range(4):
-            if not moving.size:
-                break
-            v = V[moving]
-            F = np.concatenate([v @ T.T - mu[moving, None] * v, np.sum(c[moving] * v, axis=1, keepdims=True) - 1.0],
-                               axis=1)
-            J = np.zeros((moving.size, dim + 1, dim + 1), dtype=complex)
-            J[:, :dim, :dim] = T
-            J[:, range(dim), range(dim)] -= mu[moving, None]
-            J[:, :dim, dim] = -v
-            J[:, dim, :dim] = c[moving]
-            delta, solved = _solve(J, -F)
-            V[moving[solved]] += delta[solved, :dim]
-            mu[moving[solved]] += delta[solved, dim]
-            moving = moving[solved & (np.linalg.norm(F, axis=1) >= 1e-15)]
-    return (V / np.linalg.norm(V, axis=1, keepdims=True)).T
 
 
 def _normal_draws(rng: random.Random, count: int) -> list:

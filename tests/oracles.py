@@ -36,8 +36,7 @@ arrays, for a whole stack of spaces.
 The last reference is the spectral stage one character at a time
 (``spectral_stage_loop``).  It shares the library's float conversion,
 clustering, draws and Taylor tables, and differs from the stacked stage
-exactly where that stage batches: one Newton refinement, residual,
-numerator row, lstsq kernel fit and membership test per character.
+exactly where that stage batches: one residual, numerator row, lstsq kernel fit and membership test per character.
 
 Both sides' local conditions at the points have a point-by-point reference
 (``check_polynomiality_by_point``, ``membership_test_by_point``): one
@@ -887,7 +886,8 @@ def report_kernels(report, spec) -> list:
 
 
 def _refine_eigenpair_loop(T, mu, v):
-    """Newton on (T - mu)v = 0 with a fixed normalization row, for one eigenpair."""
+    """Newton on (T - mu)v = 0 with a fixed normalization row, for one eigenpair: the reference that
+    shows ``eig``'s vectors need no refinement (``test_eig_vectors_need_no_refinement``)."""
     dim = T.shape[0]
     c = v.conj()
     for _ in range(4):
@@ -997,7 +997,7 @@ def spectral_stage_loop(op, tol=None, seed=2024):
     """The spectral stage one character at a time: the reference for the
     stacked ``spectral.spectrum_analysis``.
 
-    Each simple eigenpair is refined by its own Newton sweeps and checked
+    Each simple eigenvector is taken from ``eig`` as it comes and checked
     against every unit coefficient matrix in turn, its numerators are one
     v* C_ij v each, its kernel is one lstsq fit per exponent, and its
     membership test forms the indicial polynomial with
@@ -1006,8 +1006,7 @@ def spectral_stage_loop(op, tol=None, seed=2024):
     order.  Returns a SpectrumReport with characters, operators, kernels and
     memberships filled in (counters left empty), one object per character:
     each operator a Poly list and each kernel a QuasiExpSpace or None, where
-    the library keeps one array per quantity.  Every eigenpair is refined,
-    on symmetric blocks too.
+    the library keeps one array per quantity.
     """
     tol = tol or Tolerances()
     spec = op.spec
@@ -1038,7 +1037,7 @@ def spectral_stage_loop(op, tol=None, seed=2024):
             size = len(cluster)
             if size == 1:
                 v = eigvecs[:, cluster[0]]
-                v = _refine_eigenpair_loop(T, eigvals[cluster[0]], v / np.linalg.norm(v))
+                v = v / np.linalg.norm(v)
                 res = _joint_residual_loop(v, units)
                 if res > tol.residual * 100:
                     best = min(best, res)

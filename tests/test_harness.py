@@ -84,6 +84,24 @@ def test_config_rejects_unknown_keys(extra, key):
         InstanceConfig.from_dict({**GOLDEN, **extra})
 
 
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        ([1], "space must be an object"),
+        ({"poly": [["-2", "1"]]}, "unknown space key 'poly' (known: polys)"),
+        ({"polys": [["-2", "1"]], "extra": 1}, "unknown space key 'extra' (known: polys)"),
+        ({}, "space must have a 'polys' entry"),
+    ],
+    ids=["space-not-an-object", "space-key-misspelt", "space-extra-key", "space-without-polys"],
+)
+def test_cli_refuses_a_bad_space_object(tmp_path, capsys, space, message):
+    """The space entry is checked like the config, options and tolerances: an object of known keys only."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**GOLDEN, "space": space}))
+    assert main(["wronski", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_report_determinism():
     cfg1 = InstanceConfig.from_dict(GOLDEN)
     cfg2 = InstanceConfig.from_dict(GOLDEN)
@@ -719,14 +737,13 @@ def test_match_tolerance_comes_from_the_config():
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_reports_carry_spectral_counters(tmp_path, command):
     """spectrum and verify reports record the combinations tried, how many
-    were ambiguous, whether the block is real symmetric, and the gates that
-    measure the accepted cluster margin and the worst kernel fit."""
+    were ambiguous, and the gates that measure the accepted cluster margin
+    and the worst kernel fit."""
     out = tmp_path / "report.json"
     assert main([command, "--config", str(Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json"),
                  "--out", str(out)]) == 0
     counters = json.loads(out.read_text())["counters"]
-    assert counters["spectral"].keys() == {"combinations", "ambiguous", "symmetric", "gates"}
-    assert counters["spectral"]["symmetric"] is True
+    assert counters["spectral"].keys() == {"combinations", "ambiguous", "gates"}
     assert counters["spectral"]["combinations"] == 1 and counters["spectral"]["ambiguous"] == 0
     assert counters["spectral"]["gates"]["cluster_margin"]["measured"] > 1e-6
     assert 0 < counters["spectral"]["gates"]["kernel_fit"]["measured"] <= 1

@@ -17,6 +17,7 @@ import pytest
 from gaudin.betheop import build_bethe_operator
 from gaudin.harness import InstanceConfig, spectrum_pipeline, verify_pipeline
 from gaudin.polynomials import Poly
+from gaudin.scalars import format_scalar, parse_scalar
 from gaudin.spaces import QuasiExpSpace, cleared_operator_polys, membership_test
 from gaudin.spectral import spectrum_analysis
 
@@ -212,3 +213,30 @@ def test_verify_invariant_under_reordering(name, how):
     identity = tuple(range(len(fixture_data(name)["b"])))
     order = identity[::-1] if how == "reversed" else identity[1:] + identity[:1]
     assert reordered_verdicts(name, order) == reordered_verdicts(name, identity)
+
+
+def _gauss_n3(seed, c, order):
+    """gauss_n3 (data over Q(i), N=3) scaled by c, with its factors taken in this order."""
+    data = fixture_data("gauss_n3")
+    data["K"] = [format_scalar(parse_scalar(k) * c) for k in data["K"]]
+    data["b"] = [format_scalar(parse_scalar(data["b"][s]) * (1 / c)) for s in order]
+    data["partitions"] = [data["partitions"][s] for s in order]
+    data["options"] = {**data["options"], "seed": seed}
+    return data
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_n3_verdicts(seed, c, order):
+    out = spectrum_pipeline(InstanceConfig.from_dict(_gauss_n3(seed, c, order)))
+    return [(check.name, bool(check.passed)) for check in out["checks"]], len(out["characters"])
+
+
+@pytest.mark.parametrize("seed", [2024, 1])
+@pytest.mark.parametrize("c, order", [(F(1), (0, 1, 2, 3)), (F(1, 1000), (0, 1, 2, 3)), (F(1000), (0, 1, 2, 3)),
+                                      (F(1), (3, 1, 0, 2))], ids=["c=1", "c=1/1000", "c=1000", "reordered"])
+def test_complex_n3_spectrum_invariant_under_scaling_and_reordering(seed, c, order):
+    """The first complex block with N=3, whose non-symmetric eigenproblem takes eig's vectors unrefined:
+    scaled by c or with its factors reordered, spectrum gives the same verdicts, all passing, and 12 characters."""
+    verdicts, count = gauss_n3_verdicts(seed, c, order)
+    assert (verdicts, count) == gauss_n3_verdicts(seed, F(1), (0, 1, 2, 3))
+    assert count == 12 and all(passed for _, passed in verdicts)
