@@ -10,7 +10,7 @@ one), which keeps the weight function well defined.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, permutations, product
 
@@ -604,33 +604,26 @@ def weight_function(t: RootCoordinates, rank: int, counts) -> list:
     return _weight_values(nodes, _chain_table(rank, tuple(counts)))[0].tolist()
 
 
-@dataclass
-class EigenvectorReport:
-    residual: float
-    passed: bool
-    failures: list = field(default_factory=list)
-    values: np.ndarray = None  # factorized [h_1, ..., h_N], one row per eigenvector point
+def verify_eigenvector(solutions, spec: ModuleSpec, bethe_op) -> tuple:
+    """Check that the weight function at each solution's roots is a joint eigenvector.
 
-
-def verify_eigenvector(solutions, spec: ModuleSpec, bethe_op, tol: float = 1e-8) -> list:
-    """Check that the weight function at each solution's roots is a joint eigenvector, one report each.
-
-    Each report carries its solution's factorized [h_1, ..., h_N] at the
+    Returns (residuals, values), one row per solution: values (solutions,
+    points, N) holds each solution's factorized [h_1, ..., h_N] at the
     :func:`eigenvector_points`, from one :func:`factorized_values` call for
-    all, and its worst relative residual ||B_i omega - h_i omega|| /
-    (||omega|| max(1, ||B_i||)) over points and coefficients.  omega comes
-    for every solution from one gather over the table of pole chains, and
-    with the operator's ``eigenvector_blocks`` every residual is one stacked
-    product.  A residual that is not at most tol, NaN included, fails, and
-    coincident coupled roots raise :class:`NonGenericError`.  The factors
-    must be vectors: omega's order, ``enumerate_indices`` of the weight, is
-    then the order of the block's members.
+    all, and residuals its worst relative residual ||B_i omega - h_i omega|| /
+    (||omega|| max(1, ||B_i||)) over points and coefficients, inf where
+    omega is zero.  omega comes for every solution from one gather over the
+    table of pole chains, and with the operator's ``eigenvector_blocks``
+    every residual is one stacked product.  Coincident coupled roots raise
+    :class:`NonGenericError`.  The factors must be vectors: omega's order,
+    ``enumerate_indices`` of the weight, is then the order of the block's
+    members.
     """
     if not spec.all_vector_factors:
         raise ValueError("weight function needs distinct simple points (all sizes one)")
-    if not len(solutions):
-        return []
     points = eigenvector_points(spec)
+    if not len(solutions):
+        return np.zeros(0), np.zeros((0, len(points), spec.rank), dtype=complex)
     values = factorized_values(solutions, spec.exponents, points)
     omega = _weight_values(_nodes(solutions), _chain_table(spec.rank, spec.weight.padded(spec.rank)))
     norms = np.linalg.norm(omega, axis=1)
@@ -638,11 +631,4 @@ def verify_eigenvector(solutions, spec: ModuleSpec, bethe_op, tol: float = 1e-8)
     Bw = np.moveaxis(B @ omega.T, -1, 0)  # (solutions, points, N, dim)
     rel = np.linalg.norm(Bw - values[..., None] * omega[:, None, None, :], axis=-1)
     rel = rel / np.where(norms > 0, norms, 1.0)[:, None, None] / scales
-    reports = []
-    for v, r, worst, norm in zip(values, rel, rel.max(axis=(1, 2)), norms):
-        failures = ["zero vector"] if norm == 0 else [
-            f"coefficient {i + 1} at point {points[p]}: residual {r[p, i]:.3e}"
-            for p, i in zip(*np.nonzero(~(r <= tol)))
-        ]
-        reports.append(EigenvectorReport(float(worst) if norm else float("inf"), not failures, failures, v))
-    return reports
+    return np.where(norms == 0, np.inf, rel.max(axis=(1, 2))), values

@@ -23,7 +23,6 @@ from .betheop import (
     build_bethe_operator,
     check_polynomiality,
     commutativity_check,
-    eigenvector_points,
     expected_leading_symbol,
     first_coefficient_residual,
     leading_symbol,
@@ -40,6 +39,7 @@ class ConfigError(ValueError):
 
 
 CONFIG_KEYS = ("N", "K", "b", "partitions", "weight", "space", "options")
+REQUIRED_KEYS = CONFIG_KEYS[:5]
 OPTION_KEYS = ("seed", "run_bae", "run_wronski", "tolerances")
 TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
@@ -62,6 +62,13 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def _json_scalar(value, what: str):
+    """An exact scalar, a JSON integer or string; true or false would otherwise be read as 1 or 0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer or a string, got {value!r}")
+    return parse_scalar(value)
 
 
 def _json_partition(value, what: str) -> Partition:
@@ -122,10 +129,13 @@ class InstanceConfig:
         if not isinstance(data, dict):
             raise ConfigError("a config must be an object")
         _reject_unknown(data, CONFIG_KEYS, "config key")
+        for key in REQUIRED_KEYS:
+            if key not in data:
+                raise ConfigError(f"config is missing the required key {key!r}")
         try:
             rank = _json_int(data["N"], "N")
-            exponents = [parse_scalar(k) for k in _json_list(data["K"], "K")]
-            points = [parse_scalar(b) for b in _json_list(data["b"], "b")]
+            exponents = [_json_scalar(k, "each entry of K") for k in _json_list(data["K"], "K")]
+            points = [_json_scalar(b, "each entry of b") for b in _json_list(data["b"], "b")]
             partitions = [_json_partition(p, "each partition") for p in _json_list(data["partitions"], "partitions")]
             weight = _json_partition(data["weight"], "weight")
             spec = ModuleSpec(rank, exponents, partitions, points, weight)
@@ -140,7 +150,7 @@ class InstanceConfig:
                 raise ConfigError("space must have a 'polys' entry")
             try:
                 polys = [
-                    Poly([parse_scalar(c) for c in _json_list(coeffs, "each space polynomial")])
+                    Poly([_json_scalar(c, "each space coefficient") for c in _json_list(coeffs, "each space polynomial")])
                     for coeffs in _json_list(data["space"]["polys"], "space polys")
                 ]
                 space = QuasiExpSpace(tuple(spec.exponents), tuple(polys))
@@ -253,27 +263,23 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
         return {"dimension": dim, "module_dimension": module.dim, "checks": checks, "characters": [],
                 "spectrum": None, "operator": op, "stages": stages, "elapsed": time.perf_counter() - t0}
     _lap(stages, "spectral", t)
-    characters = []
-    vectors = _pairs([ch.vector for ch in report.characters])  # one list per quantity for all characters
+    characters = [{"residual": res, "simple": size == 1, "cluster_size": size, "vector": vector}
+                  for res, size, vector in zip(report.residuals.tolist(), report.cluster_sizes.tolist(),
+                                               _pairs(report.characters))]
     if config.run_wronski:
-        numerators, kernels = cleared_numerators(report.operators), [_pairs(p) for p in report.kernels]
-    for k, ch in enumerate(report.characters):
-        entry = {"residual": ch.residual, "simple": ch.simple, "cluster_size": ch.cluster_size, "vector": vectors[k]}
-        if config.run_wronski:
-            m = report.memberships[k]
-            entry.update(coefficient_numerators=numerators[k], membership=hasattr(m, "ok") and m.ok)
+        kernels = [_pairs(p) for p in report.kernels]
+        for k, (entry, numerators, m) in enumerate(zip(characters, cleared_numerators(report.operators),
+                                                       report.memberships)):
+            entry.update(coefficient_numerators=numerators, membership=hasattr(m, "ok") and m.ok)
             if hasattr(m, "ok"):
                 entry["kernel_polys"] = [p[k] for p in kernels]
                 entry["membership_checks"] = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in m.checks]
             else:
                 entry["membership_error"] = m
-        characters.append(entry)
-
-    if config.run_wronski:
         checks.append(Check("kernel-membership", all(entry["membership"] for entry in characters)))
     if _is_real_data(spec):
         checks.append(Check("character-count-equals-dimension", report.count == dim, value=[report.count, dim]))
-        checks.append(Check("eigenspaces-one-dimensional", report.diagonalizable and all(ch.simple or ch.cluster_size == 1 for ch in report.characters)))
+        checks.append(Check("eigenspaces-one-dimensional", report.diagonalizable and all(report.cluster_sizes == 1)))
     else:
         checks.append(Check("character-count", True, value=[report.count, dim]))
     checks.append(Check("pole-orders-recorded", True, value={f"B{i}@s{s}": o for (i, s), o in poly_report.pole_orders.items()}))
@@ -319,22 +325,16 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     else:
         checks.append(Check("solution-count", True, value=[len(sols), dim]))
 
-    entries = []
-    characters = spectrum["spectrum"].characters
-    # every character's [h_1, ..., h_N] at the points the eigenvector check uses
-    zs = np.array([complex(pt) for pt in eigenvector_points(spec)])
-    pz = np.array([spec.complex_pole_polynomial()(z) for z in zs])
-    nums = np.array([ch.numerators for ch in characters], dtype=complex).reshape(len(characters), spec.rank, -1)
-    powers = np.vander(zs, nums.shape[-1], increasing=True) / pz[:, None]
-    char_values = (nums @ powers.T).transpose(0, 2, 1)  # (characters, points, N), also for none
+    char_values = spectrum["spectrum"].values  # every character's [h_1, ..., h_N] at the eigenvector points
     char_scale = np.maximum(np.abs(char_values), 1.0)
-    taken = np.zeros(len(characters), dtype=bool)
-    reports = verify_eigenvector(sols, spec, op, tol=tol.kernel_fit * 10)
+    taken = np.zeros(len(char_values), dtype=bool)
+    ev_residuals, values = verify_eigenvector(sols, spec, op)
+    eigenvectors = _float_check("weight-function-eigenvectors", ev_residuals.tolist(), tol.kernel_fit * 10)
     # every solution's worst relative distance over points and coefficients to every character
-    values = np.array([ev.values for ev in reports]).reshape(len(sols), 1, len(zs), spec.rank)
-    dists = (np.abs(values - char_values) / char_scale).max(axis=(2, 3))
+    dists = (np.abs(values[:, None] - char_values) / char_scale).max(axis=(2, 3))
     residuals = np.abs(bae_residual(sols, spec.exponents)).max(axis=1, initial=0.0).tolist() if sols else []
-    for sol, ev, row, res_norm in zip(sols, reports, dists, residuals):
+    entries = []
+    for sol, ev_res, row, res_norm in zip(sols, ev_residuals.tolist(), dists, residuals):
         # the nearest still-free character
         free = np.flatnonzero(~taken)
         best = best_dist = None
@@ -346,8 +346,8 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
             {
                 "roots": [[[z.real, z.imag] for z in map(complex, lv)] for lv in sol.upper],
                 "bae_residual": res_norm,
-                "eigenvector_residual": ev.residual,
-                "eigenvector_ok": ev.passed,
+                "eigenvector_residual": ev_res,
+                "eigenvector_ok": ev_res <= eigenvectors.value["tolerance"],
                 "matched_character": best,
                 "match_distance": best_dist,
             }
@@ -355,10 +355,9 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     # the search accepts residuals in units of the smallest gap between the points
     unit = gap_unit(spec.points)
     checks.append(_float_check("solutions-satisfy-equations", [unit * e["bae_residual"] for e in entries], 1e-10))
-    checks.append(_float_check("weight-function-eigenvectors", [e["eigenvector_residual"] for e in entries],
-                               tol.kernel_fit * 10))
+    checks.append(eigenvectors)
     checks.append(_float_check("factorized-operators-match-characters", [e["match_distance"] for e in entries],
-                               tol.kernel_fit, int(taken.sum()) == len(entries) == len(characters)))
+                               tol.kernel_fit, int(taken.sum()) == len(entries) == len(char_values)))
     _lap(stages, "eigenvectors", t)
     return {
         "checks": checks,

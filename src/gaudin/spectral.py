@@ -48,27 +48,14 @@ MEMBERSHIP_TOL = 1e-6
 
 
 @dataclass
-class EigenCharacter:
-    """A joint eigenvector with the numerators of its eigenvalue functions.
-
-    ``numerators[i - 1][j]`` is v* C_ij v, the u^j coefficient of h_i(u)
-    times the pole polynomial, for i = 1..N and j = 0..n.
-    """
-
-    vector: np.ndarray
-    numerators: list
-    residual: float
-    cluster_size: int = 1
-    simple: bool = True
-
-    def values(self, z, pz) -> list:
-        """[h_1(z), ..., h_N(z)], with pz the pole polynomial at z."""
-        return [sum(c * z**j for j, c in enumerate(row)) / pz for row in self.numerators]
-
-
-@dataclass
 class SpectrumReport:
-    characters: list
+    """The characters of a block, one row per character in every array."""
+
+    characters: np.ndarray  # (characters, dim): the unit joint eigenvectors
+    numerators: np.ndarray  # (characters, N, n + 1): v* C_ij v, the u^j coefficient of P h_i
+    values: np.ndarray  # (characters, points, N): h_i at the eigenvector_points, see character_values
+    residuals: np.ndarray  # (characters,): the worst joint eigen-residual
+    cluster_sizes: np.ndarray  # (characters,): the size of the eigenvalue cluster the character comes from
     diagonalizable: bool
     operators: np.ndarray = None  # (characters, N + 1, n + 1): [G_0, ..., G_N] per character, G_0 = P
     kernels: list = field(default_factory=list)  # per exponent i, (characters, lam_i + 1): p_i, ascending
@@ -78,6 +65,14 @@ class SpectrumReport:
     @property
     def count(self) -> int:
         return len(self.characters)
+
+
+def character_values(numerators, spec: ModuleSpec) -> np.ndarray:
+    """h_i at every :func:`eigenvector_points`, from the numerators P h_i (characters, N, n + 1):
+    (characters, points, N).  P, of degree n, and the numerators are evaluated on one table of powers."""
+    powers = np.vander([complex(x) for x in eigenvector_points(spec)], spec.size + 1, increasing=True)
+    powers = powers / (powers @ spec.complex_pole_polynomial().coeffs)[:, None]
+    return np.swapaxes(numerators @ powers.T, 1, 2)
 
 
 def _cluster(eigvals, tol):
@@ -99,7 +94,7 @@ def _cluster_margin(eigvals, clusters):
 
 
 def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 2024) -> SpectrumReport:
-    """One EigenCharacter per joint eigenvector of the block coefficients.
+    """The characters of the block: one row per joint eigenvector of its coefficients.
 
     A generic real combination of the coefficient matrices C_ij, each scaled
     to unit norm, is diagonalized; its coefficients are standard normal
@@ -112,7 +107,7 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     than their multiplicity are flagged (the action is then not
     diagonalizable) and reported through generalized eigenspace generators.
     Characters are sorted by (h_1, h_N) at the first of the
-    :func:`eigenvector_points`.
+    :func:`eigenvector_points`, each rounded to 6 places.
 
     The simple clusters are checked together, in one stacked pass, before
     the clusters are taken in order; a combination fails at the first
@@ -135,7 +130,9 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
         "joint_residual": gate(None, limit), "cluster_margin": gate(None, 10 * tol.cluster),
         "kernel_fit": gate(None, 1.0)}}
     if dim == 0:
-        return SpectrumReport([], True, counters=counters)
+        nums = np.zeros((0, spec.rank, spec.size + 1), dtype=complex)
+        return SpectrumReport(np.zeros((0, 0), dtype=complex), nums, character_values(nums, spec), np.zeros(0),
+                              np.zeros(0, dtype=int), True, counters=counters)
     mats = np.array([a.to_complex(spec.size + 1) for a in op.cleared])  # C_ij as (N, n + 1, dim, dim)
     units = np.array([m / np.linalg.norm(m) for m in mats.reshape(-1, dim, dim) if np.any(m)]).reshape(-1, dim, dim)
 
@@ -163,33 +160,25 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
                     break
                 found.append((v, res, 1))
                 continue
-            # multiplicity: work inside the generalized eigenspace
-            mu = np.mean(eigvals[cluster])
-            B = np.linalg.matrix_power(T - mu * np.eye(dim), size)
-            _, s, vh = np.linalg.svd(B)
-            null_dim = int(np.sum(s <= max(s[0], 1.0) * 1e-10)) if len(s) else 0
-            basis = vh[dim - max(null_dim, size):].conj().T  # generalized eigenspace
-            sub = basis[:, -size:] if basis.shape[1] >= size else basis
-            q, _ = np.linalg.qr(sub)
+            # multiplicity: work inside the generalized eigenspace, the last size right singular vectors
+            _, _, vh = np.linalg.svd(np.linalg.matrix_power(T - np.mean(eigvals[cluster]) * np.eye(dim), size))
+            q, _ = np.linalg.qr(vh[dim - size:].conj().T)
             common = _refine_cluster(q, units, tol.residual, rng)
             found += [(v, res, size) for v, res in common]
             diagonalizable = diagonalizable and len(common) == size
         else:
-            W = np.array([v for v, _, _ in found]).reshape(-1, dim).T
-            nums = _numerators(W, mats).tolist()
-            characters = [EigenCharacter(W[:, c], nums[c], float(res), size, size == 1)
-                          for c, (_, res, size) in enumerate(found)]
-            point = eigenvector_points(spec)[0]
-            z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
-
-            def key(ch):
-                h = ch.values(z, pz)
-                return [(round(v.real, 6), round(v.imag, 6)) for v in (h[0], h[-1])]
-
-            characters.sort(key=key)
-            counters["gates"].update(joint_residual=gate(max((ch.residual for ch in characters), default=None), limit),
+            vectors = np.array([v for v, _, _ in found]).reshape(-1, dim)
+            residuals = np.array([res for _, res, _ in found], dtype=float)
+            sizes = np.array([size for _, _, size in found], dtype=int)
+            nums = _numerators(vectors.T, mats)
+            values = character_values(nums, spec)
+            # (h_1, h_N) at the first point, rounded by Python's round
+            keys = [[(round(h.real, 6), round(h.imag, 6)) for h in row] for row in values[:, 0, [0, -1]].tolist()]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            counters["gates"].update(joint_residual=gate(max(residuals.tolist(), default=None), limit),
                                      cluster_margin=gate(float(margin / tscale), 10 * tol.cluster, floor=True))
-            return SpectrumReport(characters, diagonalizable, counters=counters)
+            return SpectrumReport(vectors[order], nums[order], values[order], residuals[order], sizes[order],
+                                  diagonalizable, counters=counters)
     ambiguous = counters["ambiguous"]
     causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
     if ambiguous < MAX_RETRIES:
@@ -238,16 +227,14 @@ def _refine_cluster(q, units, residual_tol, rng):
     return found
 
 
-def character_to_operator(characters: list, op: BetheOperator) -> np.ndarray:
+def character_to_operator(numerators, op: BetheOperator) -> np.ndarray:
     """The eigen-operators in cleared form, one per character: (characters, N + 1, n + 1).
 
-    Row 0 is the pole polynomial P = prod (u - b_s)^{n_s} and row i the
-    character's numerators P h_i, left unreduced.
+    Row 0 is the pole polynomial P = prod (u - b_s)^{n_s} and rows 1..N the
+    character's numerators P h_i (a ``SpectrumReport.numerators`` row), left unreduced.
     """
-    spec = op.spec
-    nums = np.array([ch.numerators for ch in characters], dtype=complex).reshape(-1, spec.rank, spec.size + 1)
-    pole = np.broadcast_to(spec.complex_pole_polynomial().coeffs, (len(nums), 1, spec.size + 1))
-    return np.concatenate([pole, nums], axis=1)
+    pole = np.broadcast_to(op.spec.complex_pole_polynomial().coeffs, (len(numerators), 1, op.spec.size + 1))
+    return np.concatenate([pole, numerators], axis=1)
 
 
 def kernel_from_operator(Gs, spec: ModuleSpec, tol: Tolerances = None) -> tuple:
@@ -316,7 +303,7 @@ def spectrum_analysis(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     """
     tol = tol or Tolerances()
     report = joint_diagonalize(op, tol, seed)
-    report.operators = character_to_operator(report.characters, op)
+    report.operators = character_to_operator(report.numerators, op)
     report.kernels, fits = kernel_from_operator(report.operators, op.spec, tol)
     report.counters["gates"]["kernel_fit"] = gate(max(fits.tolist(), default=None), 1.0)
     fitted = ~(fits > 1)

@@ -48,6 +48,8 @@ contracts every point's integer ``point_table`` at once.
 import cmath
 import math
 import random
+from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations, product
@@ -56,7 +58,7 @@ from math import comb
 import numpy as np
 
 from gaudin.algebra import apply_e_block, enumerate_indices, irreducible_factor_basis, reduce
-from gaudin.bae import EigenvectorReport, NonGenericError, factorized_values, gap_unit
+from gaudin.bae import NonGenericError, factorized_values, gap_unit
 from gaudin.betheop import PolynomialityReport, eigenvector_points
 from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly, falling_product, indicial_coefficients
@@ -76,8 +78,6 @@ from gaudin.spectral import (
     KERNEL_FAILURE,
     MAX_RETRIES,
     MEMBERSHIP_TOL,
-    EigenCharacter,
-    SpectrumReport,
     Tolerances,
     _cluster,
     _normal_draws,
@@ -752,6 +752,10 @@ def eigenvector_check_loop(op, points, values, omega, tol):
     return worst, failures
 
 
+# one solution's eigenvector check: worst residual, verdict at tol, failure lines and [h_1, ..., h_N] per point
+EigenvectorCheck = namedtuple("EigenvectorCheck", "residual passed failures values")
+
+
 def verify_eigenvector_by_solution(solutions, spec, op, tol):
     """The eigenvector check one solution at a time, one report each.
 
@@ -768,10 +772,10 @@ def verify_eigenvector_by_solution(solutions, spec, op, tol):
         omega = weight_function_by_bijections(t, spec.rank, spec.weight.padded(spec.rank))
         omega = np.array([to_complex(w) for w in omega])
         if np.linalg.norm(omega) == 0:
-            reports.append(EigenvectorReport(float("inf"), False, ["zero vector"], values))
+            reports.append(EigenvectorCheck(float("inf"), False, ["zero vector"], values))
             continue
         worst, failures = eigenvector_check_loop(op, points, values, omega, tol)
-        reports.append(EigenvectorReport(worst, not failures, failures, values))
+        reports.append(EigenvectorCheck(worst, not failures, failures, values))
     return reports
 
 
@@ -993,6 +997,35 @@ def _membership_loop(gs, spec, tol):
     return MembershipReport(ok=all(c.passed for c in checks), checks=checks, read_indicial=lambda: indicial)
 
 
+@dataclass
+class LoopCharacter:
+    """A joint eigenvector with its numerators[i - 1][j] = v* C_ij v, the u^j coefficient of P h_i."""
+
+    vector: np.ndarray
+    numerators: list
+    residual: float
+    cluster_size: int = 1
+
+    def values(self, z, pz) -> list:
+        """[h_1(z), ..., h_N(z)], with pz the pole polynomial at z, in Python scalars."""
+        return [sum(c * z**j for j, c in enumerate(row)) / pz for row in self.numerators]
+
+
+@dataclass
+class LoopSpectrum:
+    """The loop stage's report: one object per character in each list."""
+
+    characters: list
+    diagonalizable: bool
+    operators: list = field(default_factory=list)
+    kernels: list = field(default_factory=list)
+    memberships: list = field(default_factory=list)
+
+    @property
+    def count(self) -> int:
+        return len(self.characters)
+
+
 def spectral_stage_loop(op, tol=None, seed=2024):
     """The spectral stage one character at a time: the reference for the
     stacked ``spectral.spectrum_analysis``.
@@ -1003,16 +1036,16 @@ def spectral_stage_loop(op, tol=None, seed=2024):
     membership test forms the indicial polynomial with
     ``indicial_polynomial``.  The draws of ``random.Random(seed)`` are taken
     in the library's order, so both give the same characters in the same
-    order.  Returns a SpectrumReport with characters, operators, kernels and
-    memberships filled in (counters left empty), one object per character:
-    each operator a Poly list and each kernel a QuasiExpSpace or None, where
-    the library keeps one array per quantity.
+    order.  Returns a LoopSpectrum with one object per character in each
+    list: a LoopCharacter, sorted by its own Python-scalar values at the
+    first eigenvector point, each operator a Poly list and each kernel a
+    QuasiExpSpace or None, where the library keeps one array per quantity.
     """
     tol = tol or Tolerances()
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
     if dim == 0:
-        return SpectrumReport([], True)
+        return LoopSpectrum([], True)
     mats = [a.to_complex(spec.size + 1) for a in op.cleared]
     units = [m / np.linalg.norm(m) for row in mats for m in row if np.any(m)]
 
@@ -1042,15 +1075,12 @@ def spectral_stage_loop(op, tol=None, seed=2024):
                 if res > tol.residual * 100:
                     best = min(best, res)
                     break
-                characters.append(EigenCharacter(v, numerators(v), res))
+                characters.append(LoopCharacter(v, numerators(v), res))
                 continue
             mu = np.mean([eigvals[k] for k in cluster])
             B = np.linalg.matrix_power(T - mu * np.eye(dim), size)
-            _, s, vh = np.linalg.svd(B)
-            null_dim = int(np.sum(s <= max(s[0], 1.0) * 1e-10)) if len(s) else 0
-            basis = vh[dim - max(null_dim, size):].conj().T
-            sub = basis[:, -size:] if basis.shape[1] >= size else basis
-            q, _ = np.linalg.qr(sub)
+            _, _, vh = np.linalg.svd(B)
+            q, _ = np.linalg.qr(vh[dim - size:].conj().T)  # the generalized eigenspace
             R = sum(c * (q.conj().T @ u @ q) for c, u in zip(_normal_draws(rng, len(units)), units))
             vals, vecs = np.linalg.eig(R)
             found = []
@@ -1060,14 +1090,14 @@ def spectral_stage_loop(op, tol=None, seed=2024):
                 worst = _joint_residual_loop(v, units)
                 if worst <= tol.residual * 100 and all(np.abs(np.vdot(u, v)) < 1 - 1e-8 for u, _ in found):
                     found.append((v, worst))
-            characters += [EigenCharacter(v, numerators(v), res, size, False) for v, res in found]
+            characters += [LoopCharacter(v, numerators(v), res, size) for v, res in found]
             diagonalizable = diagonalizable and len(found) == size
         else:
             point = eigenvector_points(spec)[0]
             z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
             characters.sort(key=lambda ch: [(round(h.real, 6), round(h.imag, 6))
                                             for h in (ch.values(z, pz)[0], ch.values(z, pz)[-1])])
-            report = SpectrumReport(characters, diagonalizable, operators=[])
+            report = LoopSpectrum(characters, diagonalizable)
             for ch in characters:
                 G = [spec.complex_pole_polynomial()] + [Poly(row) for row in ch.numerators]
                 X = _kernel_loop(G, spec, tol)

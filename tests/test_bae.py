@@ -294,34 +294,31 @@ def test_verify_eigenvector_golden(golden_op):
     spec = golden_op.spec
     sols = newton_solve(spec, seed=2024)
     for sol in sols:
-        report = verify_eigenvector([sol], spec, golden_op, tol=1e-8)[0]
-        assert report.passed
-        assert report.residual <= 1e-10
+        residuals, _ = verify_eigenvector([sol], spec, golden_op)
+        assert residuals[0] <= 1e-10
 
 
 def test_verify_eigenvector_negative_control(golden_op):
     spec = golden_op.spec
     sols = newton_solve(spec, seed=2024)
     bad = root_coordinates(spec, [[to_complex(sols[0].upper[0][0]) + 0.1]])
-    report = verify_eigenvector([bad], spec, golden_op, tol=1e-8)[0]
-    assert not report.passed
-    assert report.residual > 1e-4
+    residuals, _ = verify_eigenvector([bad], spec, golden_op)
+    assert residuals[0] > 1e-4
 
 
 def test_stacked_eigenvector_check_matches_the_loop(golden_op):
     """On a true solution and on a perturbed one, the stacked check gives the
-    per-(point, coefficient) loop's worst residual and failure lines."""
+    per-(point, coefficient) loop's worst residual, on the same side of the tolerance."""
     spec = golden_op.spec
     sol = newton_solve(spec, seed=2024)[0]
     bad = root_coordinates(spec, [[to_complex(sol.upper[0][0]) + 0.1]])
     for t, passed in ((sol, True), (bad, False)):
-        report = verify_eigenvector([t], spec, golden_op, tol=1e-8)[0]
+        residuals, values = verify_eigenvector([t], spec, golden_op)
         points = eigenvector_points(spec)
         omega = np.array(weight_function(t, spec.rank, spec.weight.padded(spec.rank)), dtype=complex)
-        worst, failures = eigenvector_check_loop(golden_op, points, report.values, omega, 1e-8)
-        assert report.passed is passed
-        assert report.residual == pytest.approx(worst, rel=1e-12)
-        assert report.failures == failures
+        worst, failures = eigenvector_check_loop(golden_op, points, values[0], omega, 1e-8)
+        assert bool(residuals[0] <= 1e-8) is passed
+        assert residuals[0] == pytest.approx(worst, rel=1e-12)
         assert bool(failures) is not passed
 
 
@@ -348,9 +345,9 @@ def test_weight_function_order_is_the_block_member_order(name):
 @pytest.mark.parametrize("name", sorted(VECTOR_FACTOR_SPECS))
 def test_stacked_reports_match_the_per_solution_path(name):
     """One verify_eigenvector call over the root set gives, solution by
-    solution, the residual, values, verdict and failure lines of the
-    per-solution path; the negative control, a copy of the first solution
-    with one root moved by a tenth of the smallest gap, fails in both."""
+    solution, the residual, values and verdict of the per-solution path;
+    the negative control, a copy of the first solution with one root moved
+    by a tenth of the smallest gap, fails in both."""
     spec = VECTOR_FACTOR_SPECS[name]
     op = build_bethe_operator(spec)
     sols = list(newton_solve(spec, seed=2024))
@@ -360,23 +357,25 @@ def test_stacked_reports_match_the_per_solution_path(name):
     if moved is not None:
         levels[moved][0] = to_complex(levels[moved][0]) + 0.1 * gap_unit(spec.points)
         sols.append(root_coordinates(spec, levels))
-    got = verify_eigenvector(sols, spec, op, tol=1e-7)
+    residuals, values = verify_eigenvector(sols, spec, op)
     want = verify_eigenvector_by_solution(sols, spec, op, tol=1e-7)
-    assert len(got) == len(want) == len(sols)
-    for a, b in zip(got, want):
+    assert len(residuals) == len(values) == len(want) == len(sols)
+    for residual, value, b in zip(residuals, values, want):
         # a true solution's residual is roundoff, about 1e-16, which no two
         # summation orders repeat to 12 digits: below 1e-14 it is compared absolutely
-        assert a.residual == pytest.approx(b.residual, rel=1e-12, abs=1e-14)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=0)
-        assert a.failures == b.failures
-        assert a.passed is b.passed
-    assert all(r.passed for r in got[:found])
+        assert residual == pytest.approx(b.residual, rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(value, b.values, rtol=1e-12, atol=0)
+        assert bool(residual <= 1e-7) is b.passed
+    assert np.all(residuals[:found] <= 1e-7)
     if moved is not None:
-        assert not got[-1].passed and got[-1].residual > 1e-4
+        assert residuals[-1] > 1e-4
 
 
 def test_verify_eigenvector_of_no_solutions_is_empty(golden_op):
-    assert verify_eigenvector([], golden_op.spec, golden_op) == []
+    spec = golden_op.spec
+    residuals, values = verify_eigenvector([], spec, golden_op)
+    assert residuals.shape == (0,)
+    assert values.shape == (0, len(eigenvector_points(spec)), spec.rank)
 
 
 def test_verify_eigenvector_refuses_a_root_on_a_point(golden_op):
@@ -461,7 +460,7 @@ def test_check_points_and_weight_basis_are_built_once(monkeypatch):
 
     eigenvector_points.cache_clear()
     monkeypatch.setattr(betheop, "exact_sample_points", counted)
-    assert all(verify_eigenvector([sol], spec, op, tol=1e-8)[0].passed for sol in sols)
+    assert all(verify_eigenvector([sol], spec, op)[0][0] <= 1e-8 for sol in sols)
     assert len(calls) <= 1
 
 

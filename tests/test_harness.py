@@ -27,6 +27,7 @@ from gaudin.harness import (
     wronski_pipeline,
 )
 
+from gaudin.scalars import parse_scalar
 from gaudin.spectral import Tolerances, joint_diagonalize
 
 from conftest import JORDAN, mutant_operator, unit_matrix
@@ -100,6 +101,35 @@ def test_cli_refuses_a_bad_space_object(tmp_path, capsys, space, message):
     path.write_text(json.dumps({**GOLDEN, "space": space}))
     assert main(["wronski", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["N", "K", "b", "partitions", "weight"])
+def test_cli_names_a_missing_required_key(tmp_path, capsys, key):
+    """A config without one of the five required keys exits 2 with a message that names the key."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({k: v for k, v in GOLDEN.items() if k != key}))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: config is missing the required key {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"K": [True, "0"]}, "each entry of K must be an integer or a string, got True"),
+        ({"b": [False, "1"]}, "each entry of b must be an integer or a string, got False"),
+        ({"space": {"polys": [[True, "1"], ["0", "1"]]}},
+         "bad space description: each space coefficient must be an integer or a string, got True"),
+    ],
+    ids=["K", "b", "space"],
+)
+def test_cli_refuses_a_boolean_scalar(tmp_path, capsys, extra, message):
+    """A JSON boolean is not an exact scalar: true in K, b or a space polynomial is refused, not read as 1."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**GOLDEN, **extra}))
+    for command in ("verify", "wronski"):
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert parse_scalar(1) == 1  # the library's parser still reads an integer
 
 
 def test_report_determinism():

@@ -2,16 +2,18 @@ import pathlib
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gaudin import spectral
 from gaudin.algebra import ModuleSpec
-from gaudin.betheop import build_bethe_operator, exact_sample_points
+from gaudin.betheop import build_bethe_operator, eigenvector_points, exact_sample_points
 from gaudin.harness import InstanceConfig
 from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly
+from gaudin.scalars import to_complex
 from gaudin.spaces import QuasiExpSpace, cleared_operator_polys
 from gaudin.spectral import (
     KERNEL_FAILURE,
@@ -43,7 +45,7 @@ def test_rank_one_character():
     op = build_bethe_operator(spec)
     report = joint_diagonalize(op)
     assert report.count == 1
-    G = [Poly(g) for g in character_to_operator(report.characters, op)[0]]
+    G = [Poly(g) for g in character_to_operator(report.numerators, op)[0]]
     for pt in (5.0, 9.0):
         expect = -2 - 1 / pt
         assert abs(G[1](pt) / G[0](pt) - expect) < 1e-10
@@ -53,17 +55,16 @@ def test_golden_instance_two_characters(golden_op):
     report = joint_diagonalize(golden_op)
     assert report.count == 2
     assert report.diagonalizable
-    assert all(ch.simple for ch in report.characters)
-    assert all(ch.residual < 1e-9 for ch in report.characters)
+    assert np.all(report.cluster_sizes == 1)
+    assert np.all(report.residuals < 1e-9)
 
 
 def test_determinism(golden_op):
     a = joint_diagonalize(golden_op, seed=7)
     b = joint_diagonalize(golden_op, seed=7)
     assert a.count == b.count
-    for x, y in zip(a.characters, b.characters):
-        assert np.allclose(x.vector, y.vector)
-        assert x.numerators == y.numerators
+    assert np.allclose(a.characters, b.characters)
+    assert np.array_equal(a.numerators, b.numerators)
 
 
 def test_trace_identity_on_characters(golden_op):
@@ -142,9 +143,40 @@ def test_jordan_block_is_one_non_simple_character(seed):
     report = joint_diagonalize(build_bethe_operator(make_spec(JORDAN)), seed=seed)
     assert report.diagonalizable is False
     assert report.count == 1
-    ch = report.characters[0]
-    assert ch.cluster_size == 2
-    assert ch.simple is False
+    assert report.cluster_sizes.tolist() == [2]
+
+
+def _doubled(op):
+    """A stand-in for op on the direct sum of two copies of its (real) block: every cleared A_i becomes
+    diag(A_i, A_i), and the module stub's weight block has dimension 2d."""
+    d = op.dim
+
+    def double(a):
+        assert a.im is None
+        re = np.zeros((len(a.re), 2 * d, 2 * d), dtype=a.re.dtype)
+        re[:, :d, :d] = re[:, d:, d:] = a.re
+        return MatrixPoly(re, den=a.den)
+
+    return SimpleNamespace(spec=op.spec, cleared=[double(a) for a in op.cleared],
+                           module=SimpleNamespace(weight_indices=lambda weight: range(2 * d)))
+
+
+@pytest.mark.parametrize("seed", [2024, 1, 2])
+@pytest.mark.parametrize("data", [GOLDEN, COUNT_FAMILY[0]], ids=["golden", "bae-real"])
+def test_doubled_block_splits_every_cluster_in_two(data, seed):
+    """On two copies of a block every joint eigenvalue is double: each cluster is split inside its
+    two-dimensional eigenspace into two orthogonal characters, both with the block's numerators."""
+    op = build_bethe_operator(make_spec(data))
+    single = joint_diagonalize(op, seed=seed)
+    report = joint_diagonalize(_doubled(op), seed=seed)
+    assert report.count == 2 * op.dim
+    assert report.cluster_sizes.tolist() == [2] * (2 * op.dim)
+    assert report.diagonalizable and report.counters["combinations"] == 1
+    assert report.counters["gates"]["joint_residual"]["measured"] <= 1e-12
+    for k in range(op.dim):
+        assert abs(np.vdot(report.characters[2 * k], report.characters[2 * k + 1])) <= 1e-8
+        for nums in report.numerators[2 * k:2 * k + 2]:
+            assert _relative(nums, single.numerators[k]) <= 1e-9
 
 
 def test_degenerate_weight_block():
@@ -199,18 +231,20 @@ def _coefficients(p: Poly, size: int) -> list:
 def test_stacked_stage_matches_the_loop(config):
     """The stacked spectral stage against the loop that takes one character
     at a time: the same characters in the same order, the same membership
-    check names, verdicts and details, and vectors, numerators and kernels
-    within 1e-9 relative; G_0, which the Wronskian detail prints rounded,
-    also within 1e-9 as a polynomial."""
+    check names, verdicts and details, and vectors, numerators, values at
+    the eigenvector points and kernels within 1e-9 relative; G_0, which the
+    Wronskian detail prints rounded, also within 1e-9 as a polynomial."""
     op = build_bethe_operator(config.spec)
     stacked = spectrum_analysis(op, config.tolerances, config.seed)
     loop = spectral_stage_loop(op, config.tolerances, config.seed)
     assert stacked.count == loop.count > 0
     assert stacked.diagonalizable == loop.diagonalizable
-    for a, b in zip(stacked.characters, loop.characters):
-        assert (a.cluster_size, a.simple) == (b.cluster_size, b.simple)
-        assert _relative(a.vector, b.vector) <= 1e-9
-        assert _relative(a.numerators, b.numerators) <= 1e-9
+    assert stacked.cluster_sizes.tolist() == [b.cluster_size for b in loop.characters]
+    points = [(complex(x), to_complex(config.spec.pole_polynomial()(x))) for x in eigenvector_points(config.spec)]
+    for vector, numerators, values, b in zip(stacked.characters, stacked.numerators, stacked.values, loop.characters):
+        assert _relative(vector, b.vector) <= 1e-9
+        assert _relative(numerators, b.numerators) <= 1e-9
+        assert _relative(values, [b.values(z, pz) for z, pz in points]) <= 1e-9
     for X, Y, m, r in zip(report_kernels(stacked, config.spec), loop.kernels, stacked.memberships, loop.memberships):
         assert (X is None) == (Y is None)
         if X is None:
@@ -237,7 +271,7 @@ def test_one_failed_kernel_fit_marks_only_its_character(monkeypatch):
 
     def perturbed(*args):
         report = diagonalize(*args)
-        report.characters[2].numerators[-1][0] += 1.0
+        report.numerators[2, -1, 0] += 1.0
         return report
 
     monkeypatch.setattr(spectral, "joint_diagonalize", perturbed)
@@ -329,10 +363,9 @@ def test_eig_vectors_need_no_refinement(build):
         assert report.counters["combinations"] == 1  # so T is the first combination of the seed's draws
         T = sum((c * u for c, u in zip(spectral._normal_draws(random.Random(seed), len(units)), units)),
                 np.zeros((op.dim, op.dim), dtype=complex))
-        for ch in report.characters:
-            if not ch.simple:
-                continue
-            v = _refine_eigenpair_loop(T, ch.vector.conj() @ T @ ch.vector, ch.vector)
+        for vector, numerators in zip(report.characters[report.cluster_sizes == 1],
+                                      report.numerators[report.cluster_sizes == 1]):
+            v = _refine_eigenpair_loop(T, vector.conj() @ T @ vector, vector)
             nums = spectral._numerators(v[:, None], mats)[0]
-            assert np.all(np.abs(nums - ch.numerators) <= 1e-9 * np.maximum(np.maximum(np.abs(nums), 1.0),
-                                                                             np.abs(ch.numerators)))
+            assert np.all(np.abs(nums - numerators) <= 1e-9 * np.maximum(np.maximum(np.abs(nums), 1.0),
+                                                                          np.abs(numerators)))
