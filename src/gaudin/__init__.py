@@ -32,10 +32,7 @@ from .betheop import BetheOperator, build_bethe_operator
 from .polynomials import Poly
 from .spaces import (
     QuasiExpSpace,
-    char_at_infinity,
-    fundamental_operator,
     membership_test,
-    wronskian_of_space,
 )
 from .spectral import (
     Tolerances,
@@ -56,11 +53,9 @@ __all__ = [
     "bae_residual",
     "build_bethe_operator",
     "build_embedded_module",
-    "char_at_infinity",
     "character_to_operator",
     "enumerate_weight_basis",
     "find_singular_vector",
-    "fundamental_operator",
     "joint_diagonalize",
     "kernel_from_operator",
     "membership_test",
@@ -68,5 +63,4 @@ __all__ = [
     "root_coordinates_from_space",
     "spectrum_analysis",
     "weight_function",
-    "wronskian_of_space",
 ]

@@ -30,7 +30,7 @@ from .betheop import (
 )
 from .polynomials import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar
-from .spaces import QuasiExpSpace, fundamental_operator, membership_test, operator_text, wronskian_of_space
+from .spaces import QuasiExpSpace, cleared_operators, membership_test, operator_text
 from .spectral import Tolerances, gate, joint_diagonalize, spectrum_analysis
 
 
@@ -376,19 +376,20 @@ def wronski_pipeline(config: InstanceConfig) -> dict:
     if config.space is None:
         raise ConfigError("this command needs a space entry in the config")
     space = config.space
-    wd = wronskian_of_space(space)
-    gs = fundamental_operator(space)
-    report = membership_test([gs], spec)[0]
+    # one row [G_0, ..., G_N], G_0 the monic Wronskian of degree n = |lam|
+    gs = cleared_operators(space.exponents, space.stacked())
+    g0, n = gs[0, 0], space.size
+    report = membership_test(gs, spec)[0]
     checks.append(Check("membership", report.ok))
     for c in report.checks:
         checks.append(Check(f"membership/{c.name}", c.passed, value=c.detail or None))
     return {
         "checks": checks,
         "wronskian": {
-            "poly": _pairs(wd.poly.coeffs),
-            "map": _pairs(wd.coefficients),
+            "poly": _pairs(g0),
+            "map": _pairs([(-1) ** s * g0[n - s] for s in range(1, n + 1)]),  # a_s, u^n + sum (-1)^s a_s u^{n-s}
         },
-        "operator_text": operator_text(gs),
+        "operator_text": operator_text(gs[0]),
         "exponents": {
             str(s): list(data.exponents) if data.exponents else None
             for s, data in report.indicial.items()

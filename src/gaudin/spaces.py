@@ -1,18 +1,18 @@
 """Spaces of quasi-exponentials: Wronskians, fundamental operators, exponents.
 
 A space is an N-dimensional span of e^{K_i u} p_i(u) with distinct
-exponents and monic polynomial parts whose degrees realize a partition.
+exponents and polynomial parts whose degrees realize a partition.
 Everything on this side is read from one table, the polynomial parts
 (K_i + d/du)^m p_i of the derivatives of the basis (:func:`shifted_derivatives`):
 the Wronskian is the determinant of its first N columns, the fundamental
 operator comes from its N+1 maximal minors, and the trailing Wronskians of
 the Bethe roots are determinants of its trailing sub-tables, all by
 :func:`trailing_minors`, for a stack of spaces at once.  The fundamental
-operator sum_i F_i (d/du)^(N-i), F_0 = 1, is kept as the polynomial list
-[G_0, ..., G_N] with F_i = G_i / G_0 and G_0 the monic Wronskian part, so no
-rational function is ever formed.  Everything here works over exact scalars
-and, with a tolerance, over complex floats (for spaces recovered from
-numerical spectra).
+operator sum_i F_i (d/du)^(N-i), F_0 = 1, is kept as the array row
+[G_0, ..., G_N] of :func:`cleared_operators`, F_i = G_i / G_0 and G_0 the
+monic Wronskian part, so no rational function is ever formed.  Everything
+here works over exact scalars and, with a tolerance, over complex floats
+(for spaces recovered from numerical spectra).
 """
 
 from __future__ import annotations
@@ -45,14 +45,9 @@ def shifted_derivatives(k, p, top: int) -> np.ndarray:
     return np.stack(out, axis=-2)
 
 
-def shifted_derivative_powers(k, p: Poly, top: int) -> list:
-    """Polynomial parts of f, f', ..., f^(top) for f = e^{k u} p, as Polys."""
-    return [Poly(row) for row in shifted_derivatives(k, np.array(p.coeffs, dtype=object), top).tolist()]
-
-
 @dataclass(frozen=True)
 class QuasiExpSpace:
-    """Exponents K plus monic polynomial parts p_i of degree lam_i."""
+    """Exponents K plus nonzero polynomial parts p_i of non-increasing degrees lam_i."""
 
     exponents: tuple
     polys: tuple
@@ -88,28 +83,9 @@ class QuasiExpSpace:
     def size(self) -> int:
         return sum(self.degrees)
 
-    def is_exact_space(self) -> bool:
-        return all(is_exact(k) for k in self.exponents) and all(
-            all(is_exact(c) for c in p.coeffs) for p in self.polys
-        )
-
     def stacked(self) -> list:
         """The parts as a stack of one space: per exponent an object array (1, lam_i + 1), ascending."""
         return [np.array([p.coeffs], dtype=object) for p in self.polys]
-
-    def derivatives(self, top: int) -> list:
-        """The derivative table: row i holds the polynomial parts of the
-        derivatives 0..top of e^{K_i u} p_i."""
-        return [shifted_derivative_powers(k, p, top) for k, p in zip(self.exponents, self.polys)]
-
-
-@dataclass(frozen=True)
-class WronskiData:
-    """Normalized Wronskian: prefactor, monic polynomial part, Wronski map image."""
-
-    prefactor: object  # the leading coefficient: prod_{i<j} (K_j - K_i) times those of the parts
-    poly: Poly
-    coefficients: tuple  # a_s with u^n + sum (-1)^s a_s u^{n-s}
 
 
 def trailing_minors(exponents, parts):
@@ -149,56 +125,14 @@ def cleared_operators(exponents, parts) -> np.ndarray:
     return gs
 
 
-def wronskian_of_space(space: QuasiExpSpace) -> WronskiData:
-    """Strip the exponential and the prefactor; read off the map.
-
-    The Wronskian's polynomial part is the minor of the first N columns of
-    the derivative table.  Divided by its leading coefficient, the alternant
-    prefactor when the parts are monic, it is the monic polynomial part of
-    every basis of the space, of degree exactly n = |lam|; a_s is the
-    signed coefficient of u^{n-s}.
-    """
-    wr = Poly(trailing_minors(space.exponents, space.stacked())(tuple(range(space.rank)))[0].tolist())
-    n = space.size
-    if wr.degree != n:  # the zero Wronskian has degree -1
-        raise DegenerateSpaceError("degenerate space: zero Wronskian" if wr.is_zero() else
-                                   f"Wronskian degree {wr.degree}, expected {n}: degenerate space")
-    poly = wr.monic()
-    coefficients = tuple((-1) ** s * poly.coeff(n - s) for s in range(1, n + 1))
-    return WronskiData(prefactor=wr.leading, poly=poly, coefficients=coefficients)
-
-
-def cleared_operator_polys(space: QuasiExpSpace) -> list:
-    """Polynomials G_0..G_N with G_i = (monic Wronskian part) * F_i: ``cleared_operators`` of the space."""
-    return [Poly(g) for g in cleared_operators(space.exponents, space.stacked())[0].tolist()]
-
-
-def fundamental_operator(space: QuasiExpSpace) -> list:
-    """[G_0, ..., G_N]: the monic order-N operator annihilating the space is
-    sum_i (G_i / G_0) (d/du)^(N-i).
-
-    For exact spaces two polynomial identities are asserted on the spot:
-    G_1 = -(G_0' + sum_i K_i G_0), which is F_1 = -Wr'/Wr, and
-    sum_i G_i f^(N-i) = 0 for each basis element f.
-    """
-    gs = cleared_operator_polys(space)
-    if space.is_exact_space():
-        g0, N = gs[0], space.rank
-        total = sum(space.exponents[1:], space.exponents[0])
-        if gs[1] != -shifted_derivative_powers(total, g0, 1)[1]:
-            raise AssertionError("first coefficient does not match -Wr'/Wr")
-        for parts in space.derivatives(N):
-            if not sum((g * parts[N - i] for i, g in enumerate(gs)), Poly()).is_zero():
-                raise AssertionError("fundamental operator misses its kernel")
-    return gs
-
-
-def operator_text(gs) -> str:
-    """sum_i (G_i / G_0) D^(N-i) as text, highest order first.
+def operator_text(row) -> str:
+    """sum_i (G_i / G_0) D^(N-i) as text, highest order first, for one
+    (N + 1, width) row [G_0, ..., G_N] of ``cleared_operators``.
 
     Over exact scalars each quotient is first reduced by its gcd; a
     denominator is made monic, and a coefficient equal to 1 is left out.
     """
+    gs = [Poly(g) for g in row.tolist()]
     N = len(gs) - 1
     exact = all(is_exact(c) for g in gs for c in g.coeffs)
     parts = ["D" if N == 1 else f"D^{N}"]
@@ -221,34 +155,6 @@ def operator_text(gs) -> str:
         else:
             parts.append(f"({coeff})*{dpow}")
     return " + ".join(parts)
-
-
-def _at_infinity(gs) -> list:
-    """(c_0, c_1) of F_i = G_i / G_0 = c_0 + c_1 / u + ... for i = 0..N.
-
-    Read from the u^d and u^(d-1) coefficients, d = deg G_0; raises
-    ValueError when some G_i has degree above d, i.e. the operator is not of
-    quasi-exponential type.
-    """
-    g0 = gs[0]
-    d, lead = g0.degree, g0.leading
-    if any(g.degree > d for g in gs):
-        raise ValueError("not of quasi-exponential type")
-    out = []
-    for g in gs:
-        c0 = g.coeff(d) / lead
-        out.append((c0, (g.coeff(d - 1) - g0.coeff(d - 1) * c0) / lead))
-    return out
-
-
-def char_at_infinity(gs) -> Poly:
-    """Monic degree-N polynomial sum_i F_{i0} a^(N-i) from the u -> infinity constant terms."""
-    return Poly([c0 for c0, _ in reversed(_at_infinity(gs))])
-
-
-def second_symbol(gs) -> Poly:
-    """The polynomial sum_i F_{i1} a^(N-i) from the 1/u terms at infinity."""
-    return Poly([c1 for _, c1 in reversed(_at_infinity(gs))])
 
 
 @dataclass(frozen=True)
@@ -302,22 +208,12 @@ def rounded(p: Poly) -> Poly:
     return Poly([complex(round(c.real, places) + 0.0, round(c.imag, places) + 0.0) for c in map(complex, p.coeffs)])
 
 
-def operator_stack(stack) -> np.ndarray:
-    """Cleared operators [G_0, ..., G_N] as one array (operators, N + 1, width), exact (``dtype=object``)
-    or complex: an array as it is, and lists of Polys padded with zeros."""
-    if isinstance(stack, np.ndarray) or not len(stack):
-        return np.asarray(stack)
-    zero = 0 * stack[0][0].leading
-    width = max(len(g.coeffs) for gs in stack for g in gs)
-    return np.array([[g.coeffs + (zero,) * (width - len(g.coeffs)) for g in gs] for gs in stack],
-                    dtype=object if is_exact(zero) else complex)
-
-
 def membership_test(stack, spec: ModuleSpec, tol=None) -> list:
-    """For each gs in the stack: does the space with ``gs = cleared_operator_polys(space)``
+    """For each gs in the stack: does the space with cleared operator ``gs``
     lie over the prescribed points with prescribed exponents?  One
-    MembershipReport per operator, in stack order, of an ``operator_stack``
-    (such as ``cleared_operators`` gives, or a list of Poly lists).
+    MembershipReport per operator, in stack order, of an array
+    (operators, N + 1, width), exact (``dtype=object``) or complex, such as
+    ``cleared_operators`` gives.
 
     Every check reads one Taylor table: row (s, i) holds the coefficients of
     G_i in powers of (u - b_s), the coefficient rows of gs times T, the
@@ -349,8 +245,7 @@ def membership_test(stack, spec: ModuleSpec, tol=None) -> list:
     with close points both indicial polynomials are tiny and a floor of 1
     would accept any.
     """
-    rows = operator_stack(stack)
-    if not len(rows):
+    if not len(stack):
         return []
     N, n = spec.rank, spec.size
     # largest[i]: the largest coefficient of a(a-1)...(a-(N-i-1)) in absolute value
@@ -368,15 +263,15 @@ def membership_test(stack, spec: ModuleSpec, tol=None) -> list:
     # table[c, s, i, j]: the (u - b_s)^j coefficient of G_i of operator c, j <= n, all points in one product
     # with the point table T in the field of the coefficients; roundoff[c, s, i, j], |G_i| |T|, bounds its roundoff
     sizes = spec.factor_sizes
-    shift = entries(point_table(spec.points, (n + 1,) * len(sizes), rows.shape[-1] - 1), rows.dtype == object)
+    shift = entries(point_table(spec.points, (n + 1,) * len(sizes), stack.shape[-1] - 1), stack.dtype == object)
 
     def expand(coeffs, t):
-        return (coeffs @ t.T).reshape(len(rows), N + 1, len(sizes), n + 1).swapaxes(1, 2)
+        return (coeffs @ t.T).reshape(len(stack), N + 1, len(sizes), n + 1).swapaxes(1, 2)
 
-    table = expand(rows, shift)
-    roundoff = expand(np.abs(rows), np.abs(shift)) if tol is not None else None
-    orders, regular, chi_ok = (np.zeros((len(rows), len(sizes)), dtype=t) for t in (int, bool, bool))
-    chis = np.zeros((len(rows), len(sizes), N + 1), dtype=table.dtype)
+    table = expand(stack, shift)
+    roundoff = expand(np.abs(stack), np.abs(shift)) if tol is not None else None
+    orders, regular, chi_ok = (np.zeros((len(stack), len(sizes)), dtype=t) for t in (int, bool, bool))
+    chis = np.zeros((len(stack), len(sizes), N + 1), dtype=table.dtype)
     for m in set(sizes):  # the points with n_s = m at once
         group = [s for s, n_s in enumerate(sizes) if n_s == m]
         local, bound = table[:, group], roundoff[:, group] if tol is not None else None
@@ -408,7 +303,7 @@ def membership_test(stack, spec: ModuleSpec, tol=None) -> list:
     names = [(f"indicial-exponents-at-point-{s}", f"expected exponents {exps}") for s, exps in enumerate(expected)]
     texts = {}  # the Wronskian detail per distinct rounded G_0
     reports = []
-    for c, g0 in enumerate(rows[:, 0].tolist()):
+    for c, g0 in enumerate(stack[:, 0].tolist()):
         g0, total = Poly(g0), totals[c]
         shown = rounded(g0)
         text = texts.get(shown) or texts.setdefault(shown, f"got {shown}")

@@ -26,7 +26,7 @@ from .algebra import ModuleSpec
 from .bae import gap_unit
 from .betheop import BetheOperator, eigenvector_points
 from .scalars import to_complex
-from .spaces import cleared_operators, membership_test, operator_stack, shifted_derivatives
+from .spaces import cleared_operators, membership_test, shifted_derivatives
 
 
 @dataclass
@@ -240,10 +240,11 @@ def character_to_operator(numerators, op: BetheOperator) -> np.ndarray:
 def kernel_from_operator(Gs, spec: ModuleSpec, tol: Tolerances = None) -> tuple:
     """Quasi-exponential kernels with exponents K and degrees lam, one per cleared operator.
 
-    Each G = [G_0, ..., G_N] of the ``operator_stack`` Gs (such as
-    :func:`character_to_operator` gives) is sum_i G_i (d/du)^{N-i}.  For
-    each i the ansatz e^{K_i u}(u^{lam_i} + sum_j x_j u^{lam_i - j}) turns
-    it into a linear system; the least-squares residual must stay below
+    Each G = [G_0, ..., G_N] of the array Gs (operators, N + 1, width),
+    exact or complex (such as :func:`character_to_operator` gives), is
+    sum_i G_i (d/du)^{N-i}.  For each i the ansatz
+    e^{K_i u}(u^{lam_i} + sum_j x_j u^{lam_i - j}) turns it into a linear
+    system; the least-squares residual must stay below
     ``tol.kernel_fit``, otherwise there is no kernel of the prescribed shape.
     The system is solved in units of s = :func:`gap_unit` of the points, as
     the root search is: with u = s v the operator sum_k c_k(u) (d/du)^k
@@ -264,10 +265,9 @@ def kernel_from_operator(Gs, spec: ModuleSpec, tol: Tolerances = None) -> tuple:
     lam = spec.weight.padded(N)
     unit = gap_unit(spec.points)
     # row k of operator c: the coefficients of c_k(s v) s^-k, which multiplies (d/dv)^k
-    ops = operator_stack(Gs)
-    width = ops.shape[-1]
-    cleared = ops[:, ::-1].astype(complex) * unit ** (np.arange(width) - np.arange(N + 1)[:, None])
-    fits = np.zeros(len(ops))
+    width = Gs.shape[-1]
+    cleared = Gs[:, ::-1].astype(complex) * unit ** (np.arange(width) - np.arange(N + 1)[:, None])
+    fits = np.zeros(len(Gs))
     polys = []
     for i in range(N):
         kexp = unit * to_complex(spec.exponents[i])
@@ -276,7 +276,7 @@ def kernel_from_operator(Gs, spec: ModuleSpec, tol: Tolerances = None) -> tuple:
         # which lands in row r + j, column m of the image of operator c
         powers = shifted_derivatives(kexp, np.eye(d + 1, dtype=complex), N)  # [m, k, j]
         parts = np.swapaxes(cleared, 1, 2)[:, None] @ powers.transpose(2, 1, 0)
-        image = np.zeros((len(ops), width + d, d + 1), dtype=complex)
+        image = np.zeros((len(Gs), width + d, d + 1), dtype=complex)
         for j in range(d + 1):
             image[:, j:j + width] += parts[:, j]
         nonzero = np.any(image != 0, axis=2)
@@ -287,7 +287,7 @@ def kernel_from_operator(Gs, spec: ModuleSpec, tol: Tolerances = None) -> tuple:
         resid = np.linalg.norm(A @ x - b, axis=(1, 2))
         bound = tol.kernel_fit * np.maximum(1.0, np.abs(image).max(axis=(1, 2))) * rows
         fits = np.maximum(fits, resid / bound)
-        polys.append(np.concatenate([x[:, :, 0] * unit ** (d - np.arange(d)), np.ones((len(ops), 1))], axis=1))
+        polys.append(np.concatenate([x[:, :, 0] * unit ** (d - np.arange(d)), np.ones((len(Gs), 1))], axis=1))
     return polys, fits
 
 

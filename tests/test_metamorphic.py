@@ -18,10 +18,10 @@ from gaudin.betheop import build_bethe_operator
 from gaudin.harness import InstanceConfig, spectrum_pipeline, verify_pipeline
 from gaudin.polynomials import Poly
 from gaudin.scalars import format_scalar, parse_scalar
-from gaudin.spaces import QuasiExpSpace, cleared_operator_polys, membership_test
+from gaudin.spaces import QuasiExpSpace, membership_test
 from gaudin.spectral import spectrum_analysis
 
-from oracles import report_kernels
+from oracles import report_kernels, space_stack
 
 F = Fraction
 
@@ -102,7 +102,7 @@ def test_wrong_partition_fails_float_membership(c):
     analysis = spectrum_analysis(build_bethe_operator(spec))
     X, = report_kernels(analysis, spec)
     assert analysis.memberships[0].ok
-    wrong = membership_test([cleared_operator_polys(X)], mixed_cell_spec(c, [[1, 1], [2, 0]]), tol=1e-6)[0]
+    wrong = membership_test(space_stack(X), mixed_cell_spec(c, [[1, 1], [2, 0]]), tol=1e-6)[0]
     failed = {check.name for check in wrong.checks if not check.passed}
     assert failed == {"indicial-exponents-at-point-0", "indicial-exponents-at-point-1"}
 
@@ -152,9 +152,9 @@ def test_wrong_partition_fails_float_membership_at_five_points(c):
     kernels = five_point_kernels()
     assert len(kernels) == 7
     for X in kernels:
-        G = cleared_operator_polys(scaled_space(X, c))
-        assert membership_test([G], five_point_spec(c, [[2, 0], [1, 1]]), tol=1e-6)[0].ok
-        wrong = membership_test([G], five_point_spec(c, [[1, 1], [2, 0]]), tol=1e-6)[0]
+        G = space_stack(scaled_space(X, c))
+        assert membership_test(G, five_point_spec(c, [[2, 0], [1, 1]]), tol=1e-6)[0].ok
+        wrong = membership_test(G, five_point_spec(c, [[1, 1], [2, 0]]), tol=1e-6)[0]
         failed = {check.name for check in wrong.checks if not check.passed}
         assert failed == {"indicial-exponents-at-point-3", "indicial-exponents-at-point-4"}
 
