@@ -22,7 +22,6 @@ from .algebra import (
     find_singular_vector,
 )
 from .bae import (
-    RootCoordinates,
     bae_residual,
     newton_solve,
     root_coordinates_from_space,
@@ -48,7 +47,6 @@ __all__ = [
     "Partition",
     "Poly",
     "QuasiExpSpace",
-    "RootCoordinates",
     "Tolerances",
     "bae_residual",
     "build_bethe_operator",

@@ -1,10 +1,11 @@
 """Bethe ansatz side: root coordinates, equations, and eigenvectors.
 
-Root coordinates are leveled tuples t^(0), ..., t^(N-1) with l_a entries at
-level a, l_a = lam_{a+1} + ... + lam_N; level 0 is pinned to the roots of
-the Wronskian, i.e. the evaluation points.  Solving is restricted to tensor
-products of vector representations at distinct points (every factor size
-one), which keeps the weight function well defined.
+Root coordinates are levels t^(0), ..., t^(N-1) with l_a entries at level
+a, l_a = lam_{a+1} + ... + lam_N; level 0 is pinned to the roots of the
+Wronskian, i.e. the evaluation points.  Solutions are one complex array, a
+row per solution holding its upper levels in turn.  Solving is restricted to
+tensor products of vector representations at distinct points (every factor
+size one), which keeps the weight function well defined.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
-from .algebra import ModuleSpec, Partition, enumerate_indices, enumerate_weight_basis
+from .algebra import ModuleSpec, enumerate_indices, enumerate_weight_basis
 from .betheop import eigenvector_points
 from .scalars import to_complex
 from .spaces import QuasiExpSpace, trailing_minors
@@ -26,48 +27,15 @@ class NonGenericError(ValueError):
     """Coincident root arguments make a summand singular."""
 
 
-def profile_from_counts(counts, N: int) -> tuple:
-    """l_a = counts_{a+1} + ... + counts_N for a = 0..N-1 (any weight)."""
+def level_profile(counts, N: int) -> tuple:
+    """l_a = counts_{a+1} + ... + counts_N for a = 0..N-1, for any weight vector (a Partition too)."""
     padded = tuple(counts) + (0,) * (N - len(counts))
     return tuple(sum(padded[a:]) for a in range(N))
 
 
-def level_profile(lam, N: int) -> tuple:
-    """l_a = lam_{a+1} + ... + lam_N for a = 0..N-1."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    return profile_from_counts(lam.padded(N), N)
-
-
-@dataclass(frozen=True)
-class RootCoordinates:
-    """Per level a = 0..N-1, a tuple of l_a scalars; level 0 is the b's."""
-
-    levels: tuple
-
-    def __init__(self, levels):
-        levels = tuple(tuple(level) for level in levels)
-        object.__setattr__(self, "levels", levels)
-
-    @property
-    def upper(self) -> tuple:
-        return self.levels[1:]
-
-    def sorted_key(self):
-        return tuple(tuple((z.real, z.imag) for z in level_order(map(to_complex, level))) for level in self.upper)
-
-    def is_generic(self, tol=1e-9) -> bool:
-        levels = [tuple(to_complex(t) for t in level) for level in self.levels]
-        for level in levels:
-            for a in range(len(level)):
-                for b in range(a + 1, len(level)):
-                    if abs(level[a] - level[b]) <= tol:
-                        return False
-        for lower, higher in zip(levels, levels[1:]):
-            for x in lower:
-                for y in higher:
-                    if abs(x - y) <= tol:
-                        return False
-        return True
+def level_slices(sizes) -> list:
+    """The slices of consecutive levels of the given sizes along a row of roots."""
+    return [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
 
 
 SAME_REAL = 1e-9  # relative to the moduli; the real parts of a conjugate pair differ by roundoff
@@ -80,34 +48,36 @@ def level_order(level) -> list:
     return [z for _, z in sorted(zip(run, zs), key=lambda p: (p[0], p[1].imag))]
 
 
-def root_coordinates(spec: ModuleSpec, upper_levels) -> RootCoordinates:
-    """Attach the pinned level 0 (the evaluation points) to upper levels."""
+def _nodes(roots, spec: ModuleSpec) -> tuple:
+    """(nodes, profile): level 0 of ``spec``, each b_s repeated n_s times, then each row of ``roots``.
+
+    profile is (l_0, ..., l_{N-1}); a row of roots holds the upper levels in
+    turn, and roots of another width raise ValueError.
+    """
     profile = level_profile(spec.weight, spec.rank)
-    level0 = []
-    for b, n_s in zip(spec.points, spec.factor_sizes):
-        level0.extend([b] * n_s)
-    levels = [tuple(level0)] + [tuple(level) for level in upper_levels]
-    for a, level in enumerate(levels):
-        if len(level) != profile[a]:
-            raise ValueError(f"level {a} should have {profile[a]} roots, got {len(level)}")
-    return RootCoordinates(levels)
+    roots = np.asarray(roots, dtype=complex)
+    if roots.ndim != 2 or roots.shape[1] != sum(profile[1:]):
+        raise ValueError(f"each row should hold levels of {profile[1:]} roots, got shape {roots.shape}")
+    nodes = np.empty((len(roots), sum(profile)), dtype=complex)
+    nodes[:, :profile[0]] = np.repeat([to_complex(b) for b in spec.points], spec.factor_sizes)
+    nodes[:, profile[0]:] = roots
+    return nodes, profile
 
 
-def bae_residual(solutions, exponents) -> np.ndarray:
+def bae_residual(roots, spec: ModuleSpec) -> np.ndarray:
     """Left-hand side minus right-hand side of every Bethe ansatz equation, one row per solution.
 
-    ``solutions`` is a non-empty sequence of root coordinates of one level 0
-    and one level profile.  The equations are indexed by level a = 1..N-1
-    and root j; the residual at (a, j) is the sum over the neighbouring
-    levels of simple poles minus twice the in-level interaction, minus
-    (K_{a+1} - K_a).  Returns a (solutions, equations) complex array from
-    one :class:`BetheEquations` evaluation; coincident coupled roots raise
+    ``roots`` holds one solution per row, its upper levels in turn, and at
+    least one row.  The equations are indexed by level a = 1..N-1 and root
+    j; the residual at (a, j) is the sum over the neighbouring levels of
+    simple poles minus twice the in-level interaction, minus (K_{a+1} -
+    K_a).  Returns a (solutions, equations) complex array from one
+    :class:`BetheEquations` evaluation; coincident coupled roots raise
     :class:`NonGenericError`.
     """
-    level0 = solutions[0].levels[0]
-    eqs = BetheEquations([to_complex(b) for b in level0], [to_complex(k) for k in exponents],
-                         [len(level) for level in solutions[0].upper])
-    R, _, ok = eqs.residual(_nodes(solutions)[:, len(level0):])
+    nodes, profile = _nodes(roots, spec)
+    eqs = BetheEquations(nodes[0, :profile[0]], [to_complex(k) for k in spec.exponents], profile[1:])
+    R, _, ok = eqs.residual(nodes[:, profile[0]:])
     if not ok.all():
         raise NonGenericError("non-generic configuration")
     return R
@@ -304,17 +274,22 @@ def _orbit(flat, slices):
     return np.array([np.concatenate(combo) for combo in product(*per_level)], dtype=complex)
 
 
-class RootSearch(list):
-    """The solutions of :func:`newton_solve`, sorted.
+@dataclass
+class RootSearch:
+    """The solutions of :func:`newton_solve`; its length is their number.
 
+    ``roots`` holds one solution per row, its upper roots level by level in
+    :func:`level_order`, the rows sorted by their (real, imaginary) parts.
     ``counters[family]`` records, for each family of starts, how many
     started, converged, were retired as stalled and gave a new solution,
     and how many batched residual evaluations the search made.
     """
 
-    def __init__(self, solutions, counters):
-        super().__init__(solutions)
-        self.counters = counters
+    roots: np.ndarray
+    counters: dict
+
+    def __len__(self) -> int:
+        return len(self.roots)
 
 
 # A start is accepted once max|F| <= RESIDUAL_TOL, in units of the smallest
@@ -359,7 +334,7 @@ class _Draws:
         return self.uniform(0.0, high, size).astype(np.intp)
 
 
-def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) -> list:
+def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) -> RootSearch:
     """Multistart damped Newton search for Bethe root configurations.
 
     Requires every factor size to be one.  The search runs in units of the
@@ -382,14 +357,13 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
         for family in ("structured", "random")
     }
     if total == 0:
-        return RootSearch([root_coordinates(spec, [[] for _ in upper_sizes])], counters)
+        return RootSearch(np.zeros((1, 0), dtype=complex), counters)
     expected = len(enumerate_weight_basis(N, spec.size, spec.weight))
     unit = gap_unit(spec.points)
     level0 = [to_complex(b) / unit for b in spec.points]
     exponents = [unit * to_complex(k) for k in spec.exponents]
     eqs = BetheEquations(level0, exponents, upper_sizes)
-    bounds = np.cumsum((0,) + upper_sizes)
-    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    slices = level_slices(upper_sizes)
     # roots scale like size / (exponent gap) when exponents are close
     gaps = [abs(exponents[i] - exponents[j]) for i in range(N) for j in range(i + 1, N)]
     reach = spec.size / min(gaps) if gaps and min(gaps) > 0 else 1.0
@@ -476,16 +450,9 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
         starts = RANDOM_PER_SOLUTION * expected
         search("random", np.concatenate([random_starts(mode, len(range(mode, starts, 5))) for mode in range(5)]))
 
-    out = [
-        root_coordinates(spec, [level_order(unit * flat[s]) for s in slices])
-        for flat in solutions
-    ]
-    return RootSearch(sorted(out, key=lambda t: t.sorted_key()), counters)
-
-
-def _nodes(solutions) -> np.ndarray:
-    """Every solution's roots, level by level from level 0, as one complex array of shape (solutions, nodes)."""
-    return np.array([[to_complex(x) for level in sol.levels for x in level] for sol in solutions], dtype=complex)
+    rows = sorted(([z for s in slices for z in level_order(unit * flat[s])] for flat in solutions),
+                  key=lambda row: [(z.real, z.imag) for z in row])
+    return RootSearch(np.array(rows, dtype=complex).reshape(len(rows), total), counters)
 
 
 def _weight_values(X, table) -> np.ndarray:
@@ -496,7 +463,7 @@ def _weight_values(X, table) -> np.ndarray:
     return (1 / d).prod(axis=-1).sum(axis=-1)
 
 
-def factorized_values(solutions, exponents, points) -> np.ndarray:
+def factorized_values(roots, spec: ModuleSpec, points) -> np.ndarray:
     """[h_1, ..., h_N] of every solution's factorized operator at every point, stably.
 
     (d - chi_1) ... (d - chi_N) = d^N + h_1 d^(N-1) + ... + h_N, with
@@ -505,21 +472,21 @@ def factorized_values(solutions, exponents, points) -> np.ndarray:
     read straight from the pole sums, so nothing cancels.  The factors are
     applied from the right, (d - chi) sum c_k d^k = sum (c_k' + c_(k-1) -
     chi c_k) d^k; each of the N - 1 derivatives costs one jet entry.  Every
-    step runs once for the stacked solutions (a non-empty sequence of root
-    coordinates of one profile).  Returns shape (solutions, points, N).
+    step runs once for all the rows of ``roots``, one solution each, its
+    upper levels in turn.  Returns shape (solutions, points, N).
     """
-    N = len(exponents)
+    N = spec.rank
+    nodes, profile = _nodes(roots, spec)
     z = np.array([to_complex(p) for p in points], dtype=complex)[:, None, None]
     m = np.arange(N)
     # Taylor jets of 1/(u - x) at every point, (-1)^m / (z - x)^(m+1), for every root x, summed per level
-    jets = (-1.0) ** m * (1 / (z - _nodes(solutions)[:, None, :, None])) ** (m + 1)
-    ends = np.cumsum([len(level) for level in solutions[0].levels])
-    poles = [jets[:, :, end - len(level):end].sum(axis=2) for end, level in zip(ends, solutions[0].levels)] + [0]
-    c = np.zeros((len(solutions), len(z), N + 1, N), dtype=complex)  # [solution, point, power of d, jet entry]
+    jets = (-1.0) ** m * (1 / (z - nodes[:, None, :, None])) ** (m + 1)
+    poles = [jets[:, :, level].sum(axis=2) for level in level_slices(profile)] + [0]
+    c = np.zeros((len(nodes), len(z), N + 1, N), dtype=complex)  # [solution, point, power of d, jet entry]
     c[..., 0, 0] = 1.0
     for a in range(N, 0, -1):
         chi = poles[a - 1] - poles[a]
-        chi[..., 0] += to_complex(exponents[a - 1])
+        chi[..., 0] += to_complex(spec.exponents[a - 1])
         out = np.zeros_like(c)
         out[..., :-1] = c[..., 1:] * m[1:]  # c_k'
         out[..., 1:, :] += c[..., :-1, :]  # c_(k-1)
@@ -534,8 +501,10 @@ def root_coordinates_from_space(space: QuasiExpSpace, tol: float = 1e-9):
 
     y_a is the monic polynomial part of Wr(g_{a+1}, ..., g_N), the
     determinant of the trailing (N-a) x (N-a) sub-table of the derivative
-    table; its degree is l_a and its roots give level a.  Returns
-    (RootCoordinates, generic flag).
+    table; its degree is l_a and its roots give level a, in
+    :func:`level_order`.  Returns (levels, generic): the levels a = 0..N-1
+    as lists, and whether no two roots of one level, or of adjacent levels,
+    lie within tol.
     """
     N = space.rank
     det = trailing_minors(space.exponents, space.stacked())
@@ -547,8 +516,9 @@ def root_coordinates_from_space(space: QuasiExpSpace, tol: float = 1e-9):
         coeffs = [to_complex(c / wr[-1]) for c in wr[::-1]]  # monic, highest degree first
         roots = np.roots(coeffs) if len(coeffs) > 1 else np.array([])
         levels.append(level_order([complex(r) for r in roots]))
-    t = RootCoordinates(levels)
-    return t, t.is_generic(tol=tol)
+    pairs = [p for level in levels for p in combinations(level, 2)]
+    pairs += [p for lower, higher in zip(levels, levels[1:]) for p in product(lower, higher)]
+    return levels, all(abs(x - y) > tol for x, y in pairs)
 
 
 @lru_cache(maxsize=256)
@@ -560,7 +530,7 @@ def _chain_table(rank: int, counts: tuple) -> np.ndarray:
     bijections, with the nodes numbered level by level from level 0.
     """
     n = sum(counts)
-    profile = profile_from_counts(counts, rank)
+    profile = level_profile(counts, rank)
     start = [sum(profile[:a]) for a in range(rank)]
     choices = list(product(*(permutations(range(size)) for size in profile[1:])))
     Js = enumerate_indices(rank, n, counts)
@@ -576,12 +546,13 @@ def _chain_table(rank: int, counts: tuple) -> np.ndarray:
     return table
 
 
-def weight_function(t: RootCoordinates, rank: int, counts) -> list:
+def weight_function(levels, rank: int, counts) -> list:
     """The universal weight function omega at the roots, in ``enumerate_indices`` order, exactly.
 
+    ``levels`` holds the roots of the levels a = 0..N-1, exact or float.
     Works for any non-negative weight vector, not only partitions; the
-    level profile is l_a = counts_{a+1} + ... + counts_N, level 0 of t must
-    carry n = sum(counts) entries, and level a must carry l_a.
+    level profile is l_a = counts_{a+1} + ... + counts_N, level 0 must carry
+    n = sum(counts) entries, and level a must carry l_a.
 
     omega = sum over admissible J of omega_J e_J, where omega_J sums over
     tuples of bijections beta_i from S_i(J) = {s : j_s > i} onto level i,
@@ -596,17 +567,17 @@ def weight_function(t: RootCoordinates, rank: int, counts) -> list:
     themselves: exact roots give exact values, and float roots floats.
     Entry k is omega_J for J = enumerate_indices(rank, n, counts)[k].
     """
-    profile = profile_from_counts(counts, rank)
-    for a in range(rank):
-        if len(t.levels[a]) != profile[a]:
-            raise ValueError(f"level {a} should carry {profile[a]} roots")
-    nodes = np.array([[x for level in t.levels for x in level]], dtype=object)
+    profile = level_profile(counts, rank)
+    if tuple(map(len, levels)) != profile:
+        raise ValueError(f"the levels should carry {profile} roots")
+    nodes = np.array([[x for level in levels for x in level]], dtype=object)
     return _weight_values(nodes, _chain_table(rank, tuple(counts)))[0].tolist()
 
 
-def verify_eigenvector(solutions, spec: ModuleSpec, bethe_op) -> tuple:
+def verify_eigenvector(roots, spec: ModuleSpec, bethe_op) -> tuple:
     """Check that the weight function at each solution's roots is a joint eigenvector.
 
+    ``roots`` holds one solution per row, its upper levels in turn.
     Returns (residuals, values), one row per solution: values (solutions,
     points, N) holds each solution's factorized [h_1, ..., h_N] at the
     :func:`eigenvector_points`, from one :func:`factorized_values` call for
@@ -621,11 +592,9 @@ def verify_eigenvector(solutions, spec: ModuleSpec, bethe_op) -> tuple:
     """
     if not spec.all_vector_factors:
         raise ValueError("weight function needs distinct simple points (all sizes one)")
-    points = eigenvector_points(spec)
-    if not len(solutions):
-        return np.zeros(0), np.zeros((0, len(points), spec.rank), dtype=complex)
-    values = factorized_values(solutions, spec.exponents, points)
-    omega = _weight_values(_nodes(solutions), _chain_table(spec.rank, spec.weight.padded(spec.rank)))
+    nodes, _ = _nodes(roots, spec)
+    values = factorized_values(roots, spec, eigenvector_points(spec))
+    omega = _weight_values(nodes, _chain_table(spec.rank, spec.weight.padded(spec.rank)))
     norms = np.linalg.norm(omega, axis=1)
     B, scales = bethe_op.eigenvector_blocks
     Bw = np.moveaxis(B @ omega.T, -1, 0)  # (solutions, points, N, dim)

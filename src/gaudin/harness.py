@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import ModuleSpec, Partition, build_embedded_module
-from .bae import bae_residual, gap_unit, newton_solve, verify_eigenvector
+from .bae import bae_residual, gap_unit, level_profile, level_slices, newton_solve, verify_eigenvector
 from .betheop import (
     build_bethe_operator,
     check_polynomiality,
@@ -328,13 +328,14 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
     char_values = spectrum["spectrum"].values  # every character's [h_1, ..., h_N] at the eigenvector points
     char_scale = np.maximum(np.abs(char_values), 1.0)
     taken = np.zeros(len(char_values), dtype=bool)
-    ev_residuals, values = verify_eigenvector(sols, spec, op)
+    ev_residuals, values = verify_eigenvector(sols.roots, spec, op)
     eigenvectors = _float_check("weight-function-eigenvectors", ev_residuals.tolist(), tol.kernel_fit * 10)
     # every solution's worst relative distance over points and coefficients to every character
     dists = (np.abs(values[:, None] - char_values) / char_scale).max(axis=(2, 3))
-    residuals = np.abs(bae_residual(sols, spec.exponents)).max(axis=1, initial=0.0).tolist() if sols else []
+    residuals = np.abs(bae_residual(sols.roots, spec)).max(axis=1, initial=0.0).tolist() if len(sols) else []
+    levels = level_slices(level_profile(spec.weight, spec.rank)[1:])
     entries = []
-    for sol, ev_res, row, res_norm in zip(sols, ev_residuals.tolist(), dists, residuals):
+    for solution, ev_res, row, res_norm in zip(sols.roots, ev_residuals.tolist(), dists, residuals):
         # the nearest still-free character
         free = np.flatnonzero(~taken)
         best = best_dist = None
@@ -344,7 +345,7 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
             taken[best] = best_dist <= tol.kernel_fit
         entries.append(
             {
-                "roots": [[[z.real, z.imag] for z in map(complex, lv)] for lv in sol.upper],
+                "roots": [[[z.real, z.imag] for z in map(complex, solution[level])] for level in levels],
                 "bae_residual": res_norm,
                 "eigenvector_residual": ev_res,
                 "eigenvector_ok": ev_res <= eigenvectors.value["tolerance"],

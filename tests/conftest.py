@@ -18,9 +18,9 @@ def make_spec(data) -> ModuleSpec:
     )
 
 
-def weight_function_by_index(t, rank: int, counts) -> dict:
-    """The weight function at the roots t as {J: omega_J}, J in ``enumerate_indices`` order."""
-    return dict(zip(enumerate_indices(rank, sum(counts), counts), weight_function(t, rank, counts)))
+def weight_function_by_index(levels, rank: int, counts) -> dict:
+    """The weight function at the roots of ``levels`` as {J: omega_J}, J in ``enumerate_indices`` order."""
+    return dict(zip(enumerate_indices(rank, sum(counts), counts), weight_function(levels, rank, counts)))
 
 
 def random_exact_space(N: int, exponents, lam, rng) -> QuasiExpSpace:

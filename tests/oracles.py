@@ -716,7 +716,7 @@ def full_module_cleared(spec, module) -> list:
     return out
 
 
-def factorized_operator(t, exponents) -> PoleOp:
+def factorized_operator(levels, exponents) -> PoleOp:
     """(d/du - x^1) ... (d/du - x^N) with the telescoping local factors.
 
     x^a(u) = K_a + sum_j 1/(u - t^(a-1)_j) - sum_j 1/(u - t^(a)_j), each
@@ -725,7 +725,7 @@ def factorized_operator(t, exponents) -> PoleOp:
     for ``bae.factorized_values``.
     """
     N = len(exponents)
-    levels = [list(level) for level in t.levels] + [[]]
+    levels = [list(level) for level in levels] + [[]]
     p1 = Poly.from_roots([x for level in levels for x in level])
     out = None
     for a in range(1, N + 1):
@@ -764,10 +764,21 @@ def eigenvector_check_loop(op, points, values, omega, tol):
 EigenvectorCheck = namedtuple("EigenvectorCheck", "residual passed failures values")
 
 
-def verify_eigenvector_by_solution(solutions, spec, op, tol):
+def solution_levels(row, spec) -> list:
+    """One row of roots as levels: the points of ``spec`` (vector factors), then l_1, ..., l_{N-1} roots in turn."""
+    counts = spec.weight.padded(spec.rank)
+    levels, at = [list(spec.points)], 0
+    for a in range(1, spec.rank):
+        size = sum(counts[a:])
+        levels.append(list(row[at:at + size]))
+        at += size
+    return levels
+
+
+def verify_eigenvector_by_solution(roots, spec, op, tol):
     """The eigenvector check one solution at a time, one report each.
 
-    Each solution gets its own ``factorized_values`` call, its omega from
+    Each row of ``roots`` gets its own ``factorized_values`` call, its omega from
     :func:`weight_function_by_bijections` converted to complex, and the
     check of :func:`eigenvector_check_loop`, with its own ``block_evaluate``
     call per point and coefficient: the reference for the stacked
@@ -775,9 +786,9 @@ def verify_eigenvector_by_solution(solutions, spec, op, tol):
     """
     points = eigenvector_points(spec)
     reports = []
-    for t in solutions:
-        values = factorized_values([t], spec.exponents, points)[0]
-        omega = weight_function_by_bijections(t, spec.rank, spec.weight.padded(spec.rank))
+    for row in roots:
+        values = factorized_values([row], spec, points)[0]
+        omega = weight_function_by_bijections(solution_levels(row, spec), spec.rank, spec.weight.padded(spec.rank))
         omega = np.array([to_complex(w) for w in omega])
         if np.linalg.norm(omega) == 0:
             reports.append(EigenvectorCheck(float("inf"), False, ["zero vector"], values))
@@ -787,7 +798,7 @@ def verify_eigenvector_by_solution(solutions, spec, op, tol):
     return reports
 
 
-def bae_residual_by_root(t, exponents) -> list:
+def bae_residual_by_root(levels, exponents) -> list:
     """Every Bethe ansatz equation's residual at one root configuration, root by root.
 
     At level a = 1..N-1 and root j: -(K_{a+1} - K_a) plus the simple poles
@@ -797,7 +808,7 @@ def bae_residual_by_root(t, exponents) -> list:
     ``bae.BetheEquations`` and ``bae.bae_residual``.
     """
     N = len(exponents)
-    levels = [list(level) for level in t.levels] + [[]]
+    levels = [list(level) for level in levels] + [[]]
     out = []
     for a in range(1, N):
         level = levels[a]
@@ -813,7 +824,7 @@ def bae_residual_by_root(t, exponents) -> list:
     return out
 
 
-def weight_function_by_bijections(t, rank: int, counts) -> list:
+def weight_function_by_bijections(levels, rank: int, counts) -> list:
     """omega_J for every J in ``enumerate_indices`` order, summed over the level bijections directly.
 
     For each J and each tuple of bijections beta_i from {s : j_s > i} onto
@@ -823,7 +834,6 @@ def weight_function_by_bijections(t, rank: int, counts) -> list:
     """
     counts = tuple(counts) + (0,) * (rank - len(counts))
     n = sum(counts)
-    levels = t.levels
     out = []
     for J in enumerate_indices(rank, n, counts):
         slots = [[s for s in range(n) if J[s] > i] for i in range(1, rank)]

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from gaudin.algebra import ModuleSpec, build_embedded_module
 from gaudin.bae import (
-    RootCoordinates,
     factorized_values,
     newton_solve,
     verify_eigenvector,
@@ -100,7 +99,7 @@ def test_criterion_4_golden_instance(golden_op):
     assert analysis.count == 2
 
     sols = newton_solve(spec, seed=2024)
-    got = sorted(to_complex(s.upper[0][0]).real for s in sols)
+    got = sorted(z.real for z in sols.roots[:, 0])
     expect = sorted([(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2])
     assert len(sols) == 2
     assert all(abs(a - b) <= 1e-10 for a, b in zip(got, expect))
@@ -108,14 +107,13 @@ def test_criterion_4_golden_instance(golden_op):
     # coefficientwise match of the eigenvalue operators with the factorized ones
     char_numers = [[[complex(*c) for c in row] for row in rows] for rows in cleared_numerators(analysis.operators)]
     den = spec.complex_pole_polynomial()
-    exps = [to_complex(k) for k in spec.exponents]
     matched = set()
-    for sol in sols:
-        pts = reconstruction_points(spec, spec.size + 3, avoid=[x for level in sol.upper for x in level])
+    for row in sols.roots:
+        pts = reconstruction_points(spec, spec.size + 3, avoid=list(row))
         numers = []
         for i in (1, 2):
             samples = [
-                (complex(pt), factorized_values([sol], exps, [pt])[0][0][i - 1]) for pt in pts
+                (complex(pt), factorized_values([row], spec, [pt])[0][0][i - 1]) for pt in pts
             ]
             rec = rational_reconstruct(samples, spec.size, den, tol=1e-8)
             numers.append([complex(rec.coeff(k)) for k in range(spec.size + 1)])
@@ -128,8 +126,8 @@ def test_criterion_4_golden_instance(golden_op):
     for m in analysis.memberships:
         assert hasattr(m, "ok") and m.ok
 
-    for sol in sols:
-        residuals, _ = verify_eigenvector([sol], spec, golden_op)
+    for row in sols.roots:
+        residuals, _ = verify_eigenvector([row], spec, golden_op)
         assert residuals[0] <= 1e-8
     elapsed = time.time() - t0
     report(4, elapsed < 5, f"(2 characters, quadratic roots, operator match, {elapsed:.1f}s)")
@@ -196,8 +194,7 @@ def test_criterion_7_weight_function_example():
     rng = random.Random(77)
     for _ in range(3):
         t01, t02, t1, t2 = (F(v) for v in rng.sample(range(2, 60), 4))
-        t = RootCoordinates([(t01, t02), (t1,), (t2,)])
-        got = weight_function_by_index(t, 3, (1, 0, 1))
+        got = weight_function_by_index([(t01, t02), (t1,), (t2,)], 3, (1, 0, 1))
         assert got[(3, 1)] == 1 / ((t2 - t1) * (t1 - t01))
         assert got[(1, 3)] == 1 / ((t2 - t1) * (t1 - t02))
         assert set(got) == {(3, 1), (1, 3)}

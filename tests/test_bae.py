@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaudin import betheop
-from gaudin.algebra import ModuleSpec, build_embedded_module, enumerate_indices
+from gaudin.algebra import ModuleSpec, build_embedded_module, enumerate_indices, enumerate_weight_basis
 from gaudin.bae import (
     _DAMPS,
     MAX_ITER,
@@ -20,7 +20,6 @@ from gaudin.bae import (
     STALL_WINDOW,
     BetheEquations,
     NonGenericError,
-    RootCoordinates,
     _solve,
     bae_residual,
     damped_newton,
@@ -28,9 +27,8 @@ from gaudin.bae import (
     gap_unit,
     level_order,
     level_profile,
+    level_slices,
     newton_solve,
-    profile_from_counts,
-    root_coordinates,
     root_coordinates_from_space,
     verify_eigenvector,
     weight_function,
@@ -49,6 +47,7 @@ from oracles import (
     factorized_operator,
     verify_eigenvector_by_solution,
     report_kernels,
+    solution_levels,
     space_stack,
     weight_function_by_bijections,
 )
@@ -65,22 +64,20 @@ def test_level_profile():
     assert level_profile((2, 2), 2) == (4, 2)
     assert level_profile((1, 1, 1), 3) == (3, 2, 1)
     assert level_profile((3,), 2) == (3, 0)
-    assert profile_from_counts((1, 0, 1), 3) == (2, 1, 1)
+    assert level_profile((1, 0, 1), 3) == (2, 1, 1)
 
 
 def test_residual_golden_quadratic():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
     for root in ((3 + math.sqrt(5)) / 2, (3 - math.sqrt(5)) / 2):
-        t = root_coordinates(spec, [[complex(root)]])
-        res = bae_residual([t], [0.0, 1.0])
+        res = bae_residual([[complex(root)]], spec)
         assert res.shape == (1, 1) and np.abs(res).max() <= 1e-12
 
 
 def test_residual_trivial_highest_weight():
     """The highest weight has no upper roots: one solution, no equations."""
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (2, 0))
-    t = root_coordinates(spec, [[]])
-    assert bae_residual([t], [0.0, 1.0]).shape == (1, 0)
+    assert bae_residual(np.zeros((1, 0)), spec).shape == (1, 0)
 
 
 def test_equations_without_upper_roots_give_an_empty_residual():
@@ -93,29 +90,27 @@ def test_equations_without_upper_roots_give_an_empty_residual():
 
 def test_residual_rejects_coincident():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
-    t = root_coordinates(spec, [[0.0]])
     with pytest.raises(NonGenericError):
-        bae_residual([t], [0.0, 1.0])
+        bae_residual([[0.0]], spec)
 
 
 @pytest.mark.parametrize("level2", [(5.0, 5.0), (3.0, 2.5)], ids=["within-level-2", "level-2-on-level-1"])
 def test_residual_rejects_coincident_roots_at_level_two(level2):
     """N = 3: two equal level-2 roots, or a level-2 root on a level-1 root,
     make the batch non-generic, even when the other rows are generic."""
-    points = (F(0), F(1), F(2), F(4))
-    good = RootCoordinates([points, (0.5, 2.5, 3.0), (1.5, 6.0)])
-    bad = RootCoordinates([points, (0.5, 2.5, 3.0), level2])
-    exponents = [0.0, 0.5, 1.5]
-    assert np.isfinite(bae_residual([good], exponents)).all()
+    spec = ModuleSpec(3, ("0", "1/2", "3/2"), ((1,),) * 6, ("0", "1", "2", "4", "7", "9"), (2, 2, 2))
+    good = [0.5, 2.5, 3.0, 5.5, 1.5, 6.0]
+    bad = good[:4] + list(level2)
+    assert np.isfinite(bae_residual([good], spec)).all()
     with pytest.raises(NonGenericError):
-        bae_residual([good, bad], exponents)
+        bae_residual([good, bad], spec)
 
 
 def test_newton_solve_golden_roots():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
     sols = newton_solve(spec, seed=2024)
     assert len(sols) == 2
-    got = sorted(to_complex(s.upper[0][0]).real for s in sols)
+    got = sorted(z.real for z in sols.roots[:, 0])
     expect = sorted([(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2])
     assert all(abs(a - b) <= 1e-10 for a, b in zip(got, expect))
 
@@ -124,7 +119,7 @@ def test_newton_solve_trivial():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,), (1,)), ("0", "1", "2"), (3, 0))
     sols = newton_solve(spec, seed=1)
     assert len(sols) == 1
-    assert sols[0].upper == ((),)
+    assert sols.roots.shape == (1, 0)
 
 
 def test_newton_requires_simple_points():
@@ -140,8 +135,7 @@ def _h(D, i, pt):
 
 
 def test_factorized_operator_rank_one():
-    t = RootCoordinates([(F(0), F(2))])
-    D = factorized_operator(t, (F(3),))
+    D = factorized_operator([(F(0), F(2))], (F(3),))
     for pt in (F(5), F(7)):
         assert _h(D, 0, pt) == 1
         assert _h(D, 1, pt) == -(3 + 1 / pt + 1 / (pt - 2))
@@ -156,11 +150,13 @@ def test_factorized_operator_rank_one():
     ids=["n3", "n4"],
 )
 def test_factorized_values_match_exact_composition(levels, K, points):
-    t = RootCoordinates([tuple(F(x) for x in level) for level in levels])
+    levels = [[F(x) for x in level] for level in levels]
     K = tuple(F(k) for k in K)
     points = [F(pt) for pt in points]
-    D = factorized_operator(t, K)
-    values = factorized_values([t], K, points)[0]
+    D = factorized_operator(levels, K)
+    weight = [len(a) - len(b) for a, b in zip(levels, levels[1:] + [[]])]
+    spec = ModuleSpec(len(K), K, ((1,),) * len(levels[0]), levels[0], weight)
+    values = factorized_values([[x for level in levels[1:] for x in level]], spec, points)[0]
     assert values.shape == (len(points), len(K))
     for pt, row in zip(points, values):
         for i in range(1, len(K) + 1):
@@ -169,9 +165,8 @@ def test_factorized_values_match_exact_composition(levels, K, points):
 
 
 def test_factorized_char_at_infinity():
-    t = RootCoordinates([(F(0), F(1), F(2)), (F(5), F(7)), (F(3),)])
     K = (F(0), F(1), F(5, 2))
-    D = factorized_operator(t, K)
+    D = factorized_operator([(F(0), F(1), F(2)), (F(5), F(7)), (F(3),)], K)
     assert char_at_infinity(D.nums[::-1]) == Poly.from_roots(K)
 
 
@@ -179,8 +174,8 @@ def test_weight_function_homogeneity():
     """omega_J is homogeneous of degree -(sum of upper level sizes)."""
     t01, t02, t1, t2 = F(2), F(5), F(7), F(11)
     c = F(3)
-    base = RootCoordinates([(t01, t02), (t1,), (t2,)])
-    scaled = RootCoordinates([(c * t01, c * t02), (c * t1,), (c * t2,)])
+    base = [(t01, t02), (t1,), (t2,)]
+    scaled = [(c * t01, c * t02), (c * t1,), (c * t2,)]
     v0 = weight_function_by_index(base, 3, (1, 0, 1))
     v1 = weight_function_by_index(scaled, 3, (1, 0, 1))
     for J, val in v0.items():
@@ -189,11 +184,11 @@ def test_weight_function_homogeneity():
 
 def test_chi_telescoping():
     """-sum_a chi^a collapses to -sum K - sum 1/(u-b): interior levels cancel."""
-    t = RootCoordinates([(F(0), F(1), F(2)), (F(5), F(7)), (F(3),)])
+    levels = [(F(0), F(1), F(2)), (F(5), F(7)), (F(3),)]
     K = (F(0), F(1), F(2))
-    D = factorized_operator(t, K)
+    D = factorized_operator(levels, K)
     # h_1 = -3 - sum_b 1/(u - b) = -(3 P0 + P0') / P0 with P0 = u(u - 1)(u - 2)
-    p0 = Poly.from_roots(t.levels[0])
+    p0 = Poly.from_roots(levels[0])
     assert D.nums[2] * p0 == -(p0.scale(F(3)) + p0.derivative()) * D.p1 ** D.m
 
 
@@ -208,10 +203,10 @@ def test_root_coordinates_from_space_golden():
     report = spectrum_analysis(op)
     found = []
     for X in report_kernels(report, spec):
-        t, generic = root_coordinates_from_space(X)
+        levels, generic = root_coordinates_from_space(X)
         assert generic
-        assert [abs(z) for z in t.levels[0]] == sorted(abs(z) for z in t.levels[0])
-        found.append(t.levels[1][0])
+        assert [abs(z) for z in levels[0]] == sorted(abs(z) for z in levels[0])
+        found.append(levels[1][0])
     got = sorted(z.real for z in found)
     expect = sorted([(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2])
     assert all(abs(a - b) < 1e-8 for a, b in zip(got, expect))
@@ -222,19 +217,19 @@ def test_exact_space_root_is_a_newton_solution():
     fixtures/wronski_n3.json, -1 from its trailing Wronskian, is one of the
     Bethe solutions the Newton search finds for the same instance."""
     cfg = InstanceConfig.from_file(FIXTURES / "wronski_n3.json")
-    t, generic = root_coordinates_from_space(cfg.space)
+    levels, generic = root_coordinates_from_space(cfg.space)
     assert generic
-    assert t.levels[1] == (-1,) and t.levels[2] == ()
-    found = [sol.levels[1][0] for sol in newton_solve(cfg.spec, seed=2024)]
+    assert levels[1] == [-1] and levels[2] == []
+    found = newton_solve(cfg.spec, seed=2024).roots[:, 0]
     assert len(found) == 3
-    assert min(abs(z - t.levels[1][0]) for z in found) <= 1e-9
+    assert min(abs(z - levels[1][0]) for z in found) <= 1e-9
 
 
 def test_trailing_level_degree():
     X = QuasiExpSpace((F(0), F(1)), (P(0, 1), P(0, 1)))
-    t, _ = root_coordinates_from_space(X)
+    levels, _ = root_coordinates_from_space(X)
     # y_{N-1} = p_N has degree lam_N = 1
-    assert len(t.levels[1]) == 1
+    assert len(levels[1]) == 1
 
 
 def test_weight_function_worked_example_exact():
@@ -242,8 +237,7 @@ def test_weight_function_worked_example_exact():
     for _ in range(3):
         vals = rng.sample(range(2, 40), 4)
         t01, t02, t1, t2 = (F(v) for v in vals)
-        t = RootCoordinates([(t01, t02), (t1,), (t2,)])
-        got = weight_function_by_index(t, 3, (1, 0, 1))
+        got = weight_function_by_index([(t01, t02), (t1,), (t2,)], 3, (1, 0, 1))
         expect_31 = 1 / ((t2 - t1) * (t1 - t01))
         expect_13 = 1 / ((t2 - t1) * (t1 - t02))
         assert got[(3, 1)] == expect_31
@@ -254,9 +248,8 @@ def test_weight_function_two_roots_on_one_level_exact():
     """With two roots on level 1 each omega_J sums over both bijections."""
     spec = ModuleSpec(2, ("0", "1/2"), ((1,),) * 4, ("0", "1", "3", "7"), (2, 2))
     t1, t2 = F(5, 2), F(-4, 3)
-    t = root_coordinates(spec, [[t1, t2]])
-    b = t.levels[0]
-    vals = weight_function_by_index(t, 2, (2, 2))
+    b = spec.points
+    vals = weight_function_by_index([b, [t1, t2]], 2, (2, 2))
     assert len(vals) == 6
     for J, value in vals.items():
         s1, s2 = [s for s, j in enumerate(J) if j == 2]
@@ -266,45 +259,40 @@ def test_weight_function_two_roots_on_one_level_exact():
 
 def test_weight_function_golden_shape():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (1, 1))
-    t = root_coordinates(spec, [[F(5)]])
-    vals = weight_function_by_index(t, 2, (1, 1))
+    vals = weight_function_by_index([spec.points, [F(5)]], 2, (1, 1))
     assert vals[(2, 1)] == 1 / (F(5) - 0)
     assert vals[(1, 2)] == 1 / (F(5) - 1)
 
 
 def test_weight_function_highest_weight_trivial():
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,), (1,)), ("0", "1", "2"), (3, 0))
-    t = root_coordinates(spec, [[]])
-    vals = weight_function_by_index(t, 2, (3, 0))
+    vals = weight_function_by_index([spec.points, []], 2, (3, 0))
     assert vals == {(1, 1, 1): 1}
 
 
 def test_weight_function_permutation_invariance():
     spec = ModuleSpec(2, ("0", "1/2"), ((1,),) * 4, ("0", "1", "2", "3"), (2, 2))
     a, b = 4.5 + 0.25j, 6.0 - 1.0j
-    t1 = root_coordinates(spec, [[a, b]])
-    t2 = root_coordinates(spec, [[b, a]])
-    v1, v2 = np.array(weight_function(t1, 2, (2, 2))), np.array(weight_function(t2, 2, (2, 2)))
+    v1 = np.array(weight_function([spec.points, [a, b]], 2, (2, 2)))
+    v2 = np.array(weight_function([spec.points, [b, a]], 2, (2, 2)))
     assert np.allclose(v1, v2)
     for pt in (9.0, 11.0):
-        x1 = factorized_values([t1], [0.0, 0.5], [pt])[0][0]
-        x2 = factorized_values([t2], [0.0, 0.5], [pt])[0][0]
+        x1 = factorized_values([[a, b]], spec, [pt])[0][0]
+        x2 = factorized_values([[b, a]], spec, [pt])[0][0]
         assert np.allclose(x1, x2)
 
 
 def test_verify_eigenvector_golden(golden_op):
     spec = golden_op.spec
-    sols = newton_solve(spec, seed=2024)
-    for sol in sols:
-        residuals, _ = verify_eigenvector([sol], spec, golden_op)
+    for row in newton_solve(spec, seed=2024).roots:
+        residuals, _ = verify_eigenvector([row], spec, golden_op)
         assert residuals[0] <= 1e-10
 
 
 def test_verify_eigenvector_negative_control(golden_op):
     spec = golden_op.spec
-    sols = newton_solve(spec, seed=2024)
-    bad = root_coordinates(spec, [[to_complex(sols[0].upper[0][0]) + 0.1]])
-    residuals, _ = verify_eigenvector([bad], spec, golden_op)
+    bad = newton_solve(spec, seed=2024).roots[:1] + 0.1
+    residuals, _ = verify_eigenvector(bad, spec, golden_op)
     assert residuals[0] > 1e-4
 
 
@@ -312,12 +300,12 @@ def test_stacked_eigenvector_check_matches_the_loop(golden_op):
     """On a true solution and on a perturbed one, the stacked check gives the
     per-(point, coefficient) loop's worst residual, on the same side of the tolerance."""
     spec = golden_op.spec
-    sol = newton_solve(spec, seed=2024)[0]
-    bad = root_coordinates(spec, [[to_complex(sol.upper[0][0]) + 0.1]])
-    for t, passed in ((sol, True), (bad, False)):
-        residuals, values = verify_eigenvector([t], spec, golden_op)
+    sol = newton_solve(spec, seed=2024).roots[0]
+    for row, passed in ((sol, True), (sol + 0.1, False)):
+        residuals, values = verify_eigenvector([row], spec, golden_op)
         points = eigenvector_points(spec)
-        omega = np.array(weight_function(t, spec.rank, spec.weight.padded(spec.rank)), dtype=complex)
+        levels = solution_levels(row, spec)
+        omega = np.array(weight_function(levels, spec.rank, spec.weight.padded(spec.rank)), dtype=complex)
         worst, failures = eigenvector_check_loop(golden_op, points, values[0], omega, 1e-8)
         assert bool(residuals[0] <= 1e-8) is passed
         assert residuals[0] == pytest.approx(worst, rel=1e-12)
@@ -352,13 +340,12 @@ def test_stacked_reports_match_the_per_solution_path(name):
     by a tenth of the smallest gap, fails in both."""
     spec = VECTOR_FACTOR_SPECS[name]
     op = build_bethe_operator(spec)
-    sols = list(newton_solve(spec, seed=2024))
+    sols = newton_solve(spec, seed=2024).roots
     found = len(sols)
-    levels = [list(level) for level in sols[0].upper]
-    moved = next((a for a, level in enumerate(levels) if level), None)
-    if moved is not None:
-        levels[moved][0] = to_complex(levels[moved][0]) + 0.1 * gap_unit(spec.points)
-        sols.append(root_coordinates(spec, levels))
+    moved = sols.shape[1] > 0
+    if moved:
+        sols = np.concatenate([sols, sols[:1]])
+        sols[-1, 0] += 0.1 * gap_unit(spec.points)
     residuals, values = verify_eigenvector(sols, spec, op)
     want = verify_eigenvector_by_solution(sols, spec, op, tol=1e-7)
     assert len(residuals) == len(values) == len(want) == len(sols)
@@ -369,13 +356,13 @@ def test_stacked_reports_match_the_per_solution_path(name):
         np.testing.assert_allclose(value, b.values, rtol=1e-12, atol=0)
         assert bool(residual <= 1e-7) is b.passed
     assert np.all(residuals[:found] <= 1e-7)
-    if moved is not None:
+    if moved:
         assert residuals[-1] > 1e-4
 
 
 def test_verify_eigenvector_of_no_solutions_is_empty(golden_op):
     spec = golden_op.spec
-    residuals, values = verify_eigenvector([], spec, golden_op)
+    residuals, values = verify_eigenvector(np.zeros((0, 1)), spec, golden_op)
     assert residuals.shape == (0,)
     assert values.shape == (0, len(eigenvector_points(spec)), spec.rank)
 
@@ -384,7 +371,7 @@ def test_verify_eigenvector_refuses_a_root_on_a_point(golden_op):
     """A root set with one root on an evaluation point raises NonGenericError,
     and no RuntimeWarning is emitted on the way."""
     spec = golden_op.spec
-    sols = [newton_solve(spec, seed=2024)[0], root_coordinates(spec, [[0.0]])]
+    sols = np.concatenate([newton_solve(spec, seed=2024).roots[:1], [[0.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonGenericError):
@@ -400,16 +387,15 @@ def test_weight_function_table_matches_the_sum_over_bijections(data):
     roots, and to roundoff on complex float upper roots over exact points."""
     N = data.draw(st.integers(1, 3))
     counts = tuple(data.draw(st.lists(st.integers(0, 2), min_size=N, max_size=N).filter(lambda c: sum(c) <= 4)))
-    profile = profile_from_counts(counts, N)
+    profile = level_profile(counts, N)
     kind = data.draw(st.sampled_from(["rational", "gaussian", "complex upper"]))
     fractions = st.fractions(-6, 6, max_denominator=3)
     scalar = fractions if kind == "rational" else st.builds(GaussianRational, fractions, fractions)
     roots = data.draw(st.lists(scalar, min_size=sum(profile), max_size=sum(profile), unique=True))
     if kind == "complex upper":
         roots = roots[:profile[0]] + [to_complex(x) for x in roots[profile[0]:]]
-    bounds = np.cumsum((0,) + profile)
-    t = RootCoordinates([roots[a:b] for a, b in zip(bounds, bounds[1:])])
-    got, want = weight_function(t, N, counts), weight_function_by_bijections(t, N, counts)
+    levels = [roots[level] for level in level_slices(profile)]
+    got, want = weight_function(levels, N, counts), weight_function_by_bijections(levels, N, counts)
     if kind != "complex upper" or profile[0] == len(roots):
         assert got == want
         assert not any(isinstance(w, (float, complex)) for w in got)
@@ -428,8 +414,6 @@ def test_conjugate_roots_sort_the_same_either_way():
         upper, lower = complex(lo, 0.328), complex(hi, -0.328)
         for level in ([upper, lower], [lower, upper]):
             assert level_order(level) == [lower, upper]
-            key = RootCoordinates([(F(0), F(1)), tuple(level)]).sorted_key()
-            assert key == (((hi, -0.328), (lo, 0.328)),)
     far = x * (1 + 10 * SAME_REAL)
     assert level_order([complex(far, -1.0), complex(x, 1.0)]) == [complex(x, 1.0), complex(far, -1.0)]
 
@@ -440,8 +424,40 @@ def test_root_order_does_not_move_with_the_seed():
     spec = make_spec(COUNT_FAMILY[0])
     first, second = newton_solve(spec, seed=2024), newton_solve(spec, seed=7)
     assert len(first) == len(second) == 6
-    for a, b in zip(first, second):
-        assert np.allclose(np.array(a.upper, dtype=complex), np.array(b.upper, dtype=complex), rtol=0, atol=1e-8)
+    assert np.allclose(first.roots, second.roots, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", [2024, 1])
+@pytest.mark.parametrize("name", ["bae-real", "gauss_n2"])
+def test_the_search_returns_one_sorted_roots_array(name, seed):
+    """newton_solve's length, the benchmark's solution count, is the number of
+    rows of its roots array and the block dimension; a row holds
+    l_1 + ... + l_{N-1} roots, every level in level_order, and the rows are
+    sorted by their (real, imaginary) parts."""
+    spec = VECTOR_FACTOR_SPECS[name]
+    result = newton_solve(spec, seed=seed)
+    roots = result.roots
+    assert len(result) == len(roots) == len(enumerate_weight_basis(spec.rank, spec.size, spec.weight))
+    sizes = level_profile(spec.weight, spec.rank)[1:]
+    assert roots.shape[1] == sum(sizes)
+    keys = [[(z.real, z.imag) for z in row] for row in roots]
+    assert keys == sorted(keys)
+    for row in roots:
+        for level in level_slices(sizes):
+            assert list(row[level]) == level_order(row[level])
+
+
+def test_roots_of_the_wrong_width_are_refused(golden_op):
+    """A roots array whose rows do not hold l_1 + ... + l_{N-1} roots raises
+    ValueError in every function that takes one, before any evaluation."""
+    spec = golden_op.spec
+    for roots in ([[0.5, 2.5]], np.zeros((2, 0)), [0.5]):
+        with pytest.raises(ValueError, match="should hold"):
+            bae_residual(roots, spec)
+        with pytest.raises(ValueError, match="should hold"):
+            factorized_values(roots, spec, [F(7)])
+        with pytest.raises(ValueError, match="should hold"):
+            verify_eigenvector(roots, spec, golden_op)
 
 
 def test_check_points_and_weight_basis_are_built_once(monkeypatch):
@@ -462,14 +478,14 @@ def test_check_points_and_weight_basis_are_built_once(monkeypatch):
 
     eigenvector_points.cache_clear()
     monkeypatch.setattr(betheop, "exact_sample_points", counted)
-    assert all(verify_eigenvector([sol], spec, op)[0][0] <= 1e-8 for sol in sols)
+    assert all(verify_eigenvector([row], spec, op)[0][0] <= 1e-8 for row in sols.roots)
     assert len(calls) <= 1
 
 
 def test_verify_eigenvector_needs_vector_factors():
     spec = ModuleSpec(2, ("0", "1"), ((2, 0), (1, 1)), ("0", "1"), (2, 2))
     with pytest.raises(ValueError, match="all sizes one"):
-        verify_eigenvector([RootCoordinates([(F(0), F(1)), (F(5), F(7))])], spec, None)
+        verify_eigenvector([[F(5), F(7)]], spec, None)
 
 
 def test_integral_gap_instance_has_non_generic_point():
@@ -479,7 +495,7 @@ def test_integral_gap_instance_has_non_generic_point():
     X = QuasiExpSpace((F(0), F(1)), (P(4, -4, 1), P(1, -2, 1)))
     spec = ModuleSpec(2, ("0", "1"), ((1,),) * 4, ("0", "1", "2", "3"), (2, 2))
     assert membership_test(space_stack(X), spec)[0].ok
-    t, generic = root_coordinates_from_space(X, tol=1e-6)
+    _, generic = root_coordinates_from_space(X, tol=1e-6)
     assert not generic  # y_1 = (u-1)^2 has a double root
     sols = newton_solve(spec, seed=2024)
     assert len(sols) == 5
@@ -510,7 +526,7 @@ def test_batched_residual_matches_reference(points, exponents, sizes):
     assert ok.all()
     for row, got in zip(X, R):
         levels = [list(points)] + [list(row[sum(sizes[:a]):sum(sizes[:a + 1])]) for a in range(len(sizes))]
-        want = np.array(bae_residual_by_root(RootCoordinates(levels), exponents))
+        want = np.array(bae_residual_by_root(levels, exponents))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -519,13 +535,15 @@ def test_residual_of_several_solutions_matches_the_reference_row_by_row(points, 
     """One call for many solutions gives, row by row in the order given, the
     residuals of the root-by-root reference, also on exact points."""
     X = _random_rows(np.random.default_rng(7), 6, sum(sizes))
-    bounds = np.cumsum((0,) + sizes)
-    for level0 in (points, [_exact_point(z) for z in points]):
-        sols = [RootCoordinates([level0] + [row[a:b].tolist() for a, b in zip(bounds, bounds[1:])]) for row in X]
-        got = bae_residual(sols, exponents)
-        assert got.shape == (len(sols), sum(sizes)) and got.dtype == complex
-        for t, row in zip(sols, got):
-            want = np.array(bae_residual_by_root(t, exponents), dtype=complex)
+    profile = (len(points),) + sizes
+    weight = [a - b for a, b in zip(profile, profile[1:] + (0,))]
+    for level0, K in ((points, exponents), ([_exact_point(z) for z in points], [_exact_point(k) for k in exponents])):
+        spec = ModuleSpec(len(K), K, ((1,),) * len(level0), level0, weight)
+        got = bae_residual(X, spec)
+        assert got.shape == (len(X), sum(sizes)) and got.dtype == complex
+        for roots, row in zip(X, got):
+            levels = [list(level0)] + [roots[level].tolist() for level in level_slices(sizes)]
+            want = np.array(bae_residual_by_root(levels, exponents), dtype=complex)
             assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -605,7 +623,7 @@ BAE_REAL_ROOTS = [
 @pytest.mark.parametrize("seed", [2024, *range(1, 10)])
 def test_newton_bae_real_roots_do_not_depend_on_seed(seed):
     """Retiring stalled starts loses no root of bae-real at any seed."""
-    found = [[complex(z) for z in sol.upper[0]] for sol in newton_solve(make_spec(COUNT_FAMILY[0]), seed=seed)]
+    found = [[complex(z) for z in row] for row in newton_solve(make_spec(COUNT_FAMILY[0]), seed=seed).roots]
     assert len(found) == len(BAE_REAL_ROOTS)
     for want in BAE_REAL_ROOTS:
         tol = 1e-9 * max(abs(w) for w in want)
