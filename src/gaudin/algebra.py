@@ -18,7 +18,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from .linalg import MatrixPoly, point_table
+from .linalg import MatrixPoly, point_table, root_products
 from .polynomials import Poly
 from .scalars import promote_field, to_complex
 
@@ -114,10 +114,8 @@ class ModuleSpec:
 
     @cached_property
     def _pole(self) -> Poly:
-        roots = []
-        for b, n in zip(self.points, self.factor_sizes):
-            roots.extend([b] * n)
-        return Poly.from_roots(roots)
+        # from integer linear factors; with vector factors this is the build's own P1
+        return root_products(tuple(b for b, n in zip(self.points, self.factor_sizes) for _ in range(n)))[0]
 
     @cached_property
     def _complex_pole(self) -> Poly:
@@ -299,7 +297,9 @@ class EmbeddedModule:
         N = spec.rank
         self._bases = {mu: irreducible_factor_basis(N, mu) for mu in set(spec.partitions)}
         self._dims = [len(self._bases[mu]) for mu in spec.partitions]
-        self._strides = [prod(self._dims[s + 1:]) for s in range(len(self._dims))]
+        self._strides = np.array([prod(self._dims[s + 1:]) for s in range(len(self._dims))], dtype=np.intp)
+        self._factors = {mu: np.array([s for s, p in enumerate(spec.partitions) if p == mu], dtype=np.intp)
+                         for mu in self._bases}  # the factors of each partition
         leads = [sum(t, ()) for t in product(*(list(self._bases[mu]) for mu in spec.partitions))]  # in code order
         members = [(tuple(lead.count(i) for i in range(1, N + 1)), lead) for lead in leads]
         codes = sorted(range(len(members)), key=lambda c: (tuple(-x for x in members[c][0]), members[c][1]))
@@ -351,9 +351,11 @@ class EmbeddedModule:
         E_s = stack[s] / den.  Columns are the weight-nu members, rows the
         members of the target weight; both are empty when the weight has no
         members.  e_ij in factor s moves only t_s, by :meth:`factor_action`,
-        so images are found by arithmetic on the codes; the block is
-        memoized.  An image outside the target weight puts the key (i, j, nu)
-        into ``leaks`` and is dropped from the block.
+        so images are found by arithmetic on the codes, for all factors of
+        one partition at once: one ``nonzero`` and one scatter per
+        partition.  The block is memoized.  An image outside the target
+        weight puts the key (i, j, nu) into ``leaks`` and is dropped from
+        the block.
         """
         nu = tuple(nu)
         key = (i, j, nu)
@@ -364,20 +366,23 @@ class EmbeddedModule:
             cols = self._weights.get(nu, [])
             rows = self._weights.get(tuple(target), [])
             codes = self._codes[cols]
-            images = []  # per factor: member, column, numerator and denominator of each nonzero
-            for mu, d, stride in zip(self.spec.partitions, self._dims, self._strides):
+            images = []  # per partition: factor, member, column, numerator and denominator of each nonzero
+            for mu, factors in self._factors.items():
                 num, den = self.factor_action(mu, i, j)
-                t = codes // stride % d
-                b, c = np.nonzero(num[:, t])
-                images.append((self._member_of_code[codes[c] + (b - t[c]) * stride], c, num[b, t[c]], den[b, t[c]]))
+                strides = self._strides[factors]
+                basis = codes // strides[:, None] % len(num)  # (factors, cols): t_s of each column
+                b, f, c = np.nonzero(num[:, basis])
+                t = basis[f, c]
+                members = self._member_of_code[codes[c] + (b - t) * strides[f]]
+                images.append((factors[f], members, c, num[b, t], den[b, t]))
             den = lcm(*(x for *_, dens in images for x in dens))
-            stack = np.zeros((len(images), len(rows), len(cols)), dtype=object)
-            for s, (members, c, nums, dens) in enumerate(images):
+            stack = np.zeros((len(self._dims), len(rows), len(cols)), dtype=object)
+            for s, members, c, nums, dens in images:
                 r = members - (rows[0] if rows else 0)  # the members of one weight are consecutive
                 inside = (r >= 0) & (r < len(rows))
                 if not inside.all():
                     self.leaks.add(key)
-                stack[s, r[inside], c[inside]] = nums[inside] * (den // dens[inside])
+                stack[s[inside], r[inside], c[inside]] = nums[inside] * (den // dens[inside])
             self._blocks[key] = (stack, den)
         return self._blocks[key]
 

@@ -19,7 +19,7 @@ from itertools import accumulate, zip_longest
 import numpy as np
 
 from .algebra import EmbeddedModule, ModuleSpec
-from .linalg import MatrixPoly, pairwise_commute, point_table, root_products
+from .linalg import MatrixPoly, divide_out_points, pairwise_commute, point_table, root_products
 from .polynomials import Poly, indicial_coefficients
 
 
@@ -55,17 +55,21 @@ class BetheOperator:
 
     @cached_property
     def cleared(self) -> list:
-        """A_i = B_i * prod_s (u - b_s)^{n_s}, i = 1..N, as MatrixPolys.
+        """A_i = B_i * P, P = prod_s (u - b_s)^{n_s}, i = 1..N, as MatrixPolys.
 
-        Each A_i is N_i times the pole polynomial divided exactly by the
-        denominator; a nonzero remainder means B_i has a pole the evaluation
-        points do not allow, and raises ValueError.
+        With D the denominator and g = gcd(P, D), each A_i is N_i (P/g)
+        divided exactly by D/g (:func:`_reduced_pair`).  On the built
+        operator D = P1^N, so with vector factors P/g = 1 and D/g =
+        P1^(N-1).  N_i P is divisible by D exactly when N_i (P/g) is by D/g:
+        a nonzero remainder means B_i has a pole the evaluation points do
+        not allow, and raises ValueError.
         """
-        pole = self.spec.pole_polynomial()
+        spec = self.spec
+        factor, den = _reduced_pair(spec, self.denominator, spec.factor_sizes)
         out = []
         for i, num in enumerate(self.numerators, 1):
             try:
-                out.append((num * pole).exact_div(self.denominator))
+                out.append((num * factor if factor.degree else num).exact_div(den))
             except ValueError:
                 raise ValueError(f"B_{i} * pole polynomial is not polynomial") from None
         return out
@@ -111,6 +115,18 @@ def eigenvector_points(spec: ModuleSpec) -> tuple:
 def _inverse_pole_values(spec: ModuleSpec, points: tuple) -> tuple:
     """1 / P(x) at each point, built once per spec and points."""
     return tuple(1 / spec.pole_polynomial()(x) for x in points)
+
+
+@lru_cache(maxsize=256)
+def _reduced_pair(spec: ModuleSpec, den: Poly, sizes: tuple) -> tuple:
+    """(Q / g, den / g) for Q = prod_s (u - b_s)^{sizes[s]} and g = gcd(Q, den), built once per spec, den and sizes.
+
+    g = prod_s (u - b_s)^{min(sizes[s], ord_{b_s} den)}: den's vanishing
+    orders at the points are read off by dividing them out, so no Euclidean
+    gcd is taken (:func:`linalg.divide_out_points`).
+    """
+    orders, quotient = divide_out_points(den, spec.points, sizes)
+    return Poly.from_roots([b for b, m, o in zip(spec.points, sizes, orders) for _ in range(m - o)]), quotient
 
 
 def _series(module: EmbeddedModule, i: int, j: int, nu, cofactors: tuple) -> MatrixPoly:
@@ -159,7 +175,7 @@ def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> Bet
                     scalar = dp1.scale(m) + p1.scale(spec.exponents[k])
                     zero = MatrixPoly.zero(*nums[0].shape)
                     term = [
-                        a.derivative() * p1 - a * scalar - G * a + before * p1
+                        (a.derivative() + before) * p1 - a * scalar - G * a
                         for before, a in zip([zero] + nums, nums + [zero])
                     ]
                 else:
@@ -177,17 +193,21 @@ def build_bethe_operator(spec: ModuleSpec, module: EmbeddedModule = None) -> Bet
 
 
 def first_coefficient_residual(op: BetheOperator) -> MatrixPoly:
-    """N_1 P1 + den (sum_i G_ii + P1 sum_i K_i) on the block, with e_ii(u) = G_ii / P1.
+    """N_1 (P1/g) + (den/g) (sum_i G_ii + P1 sum_i K_i) on the block, with e_ii(u) = G_ii / P1 and g = gcd(P1, den).
 
-    Zero exactly when B_1 = -sum_i (K_i + e_ii(u)), which holds by construction.
+    This is N_1 P1 + den (sum_i G_ii + P1 sum_i K_i) divided by the nonzero
+    g, so it is zero exactly when B_1 = -sum_i (K_i + e_ii(u)), which holds
+    by construction.  On the built operator den = P1^N, so g = P1.
     """
     spec = op.spec
     lam = spec.weight.padded(op.rank)
     p1, cofactors = root_products(spec.points)
+    factor, den = _reduced_pair(spec, op.denominator, (1,) * len(spec.points))
     total = p1.scale(sum(spec.exponents[1:], spec.exponents[0])) * MatrixPoly.identity(op.dim)
     for i in range(1, op.rank + 1):
         total = total + _series(op.module, i, i, lam, cofactors)
-    return op.numerators[0] * p1 + total * op.denominator
+    first = op.numerators[0]
+    return (first * factor if factor.degree else first) + total * den
 
 
 def leading_symbol(op: BetheOperator):

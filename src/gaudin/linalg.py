@@ -157,6 +157,38 @@ def root_products(roots: tuple) -> tuple:
     return p, (_canonical(table[..., 0]), _canonical(table[..., 1]) if gauss else None, L**n)
 
 
+def divide_out_points(p: Poly, points: tuple, caps: tuple) -> tuple:
+    """(orders, q): orders[s] = min(caps[s], the vanishing order of p at points[s]) and the exact quotient
+    q = p / prod_s (u - x_s)^orders[s], for a nonzero p with exact coefficients.
+
+    With x_s = z_s / L and p = sum_k n_k u^k / den in Gaussian integers, the
+    integer polynomial sum_k n_k L^(d - k) v^k, that is L^d den p(v / L), is
+    divided by v - z_s by synthetic division for as long as the remainder
+    vanishes, at most caps[s] times; no gcd and no Fraction is formed until
+    q's coefficients.
+    """
+    parts = [_split(c) for c in p.coeffs]
+    den = math.lcm(*(e for _, _, e in parts))
+    zs, L = _common(points)
+    work = [(r * (den // e) * L**j, (i or 0) * (den // e) * L**j) for j, (r, i, e) in enumerate(reversed(parts))]
+    orders = []
+    for (a, c), cap in zip(zs, caps):
+        order = 0
+        while order < cap:
+            acc, quot = (0, 0), []  # Horner from the top: each partial sum is the next quotient coefficient
+            for x, y in work:
+                acc = (x + a * acc[0] - c * acc[1], y + a * acc[1] + c * acc[0])
+                quot.append(acc)
+            if quot.pop() != (0, 0):
+                break
+            work, order = quot, order + 1
+        orders.append(order)
+    gauss = any(c for _, c in zs) or any(i for _, i, _ in parts)
+    e = len(work) - 1  # the quotient's degree; work holds its coefficients from the top
+    q = [_exact(x, y if gauss else None, den * L**(e - k)) for k, (x, y) in enumerate(reversed(work))]
+    return tuple(orders), Poly(q)
+
+
 def _lincomb(pairs):
     """sum of c * a over pairs of a Python int c and an integer array a (all one shape), exactly."""
     fast = all(a.dtype == np.int64 and abs(c) < _LIMIT for c, a in pairs)
@@ -401,8 +433,9 @@ class MatrixPoly:
 
         With D = monic of degree e and 1/(x^e D(1/x)) = sum_m c_m x^m, the
         quotient coefficient of u^k is sum_{j >= k + e} c_{j - k - e} C_j:
-        one contraction.  Raises ValueError when the remainder
-        self - quotient * D is not zero.
+        one contraction of the top len(self) - e coefficients, the only ones
+        it reads.  Raises ValueError when the remainder self - quotient * D
+        is not zero.
         """
         e = monic.degree
         if e < 0 or monic.leading != 1:
@@ -417,11 +450,11 @@ class MatrixPoly:
         for m in range(1, steps):
             c.append(-sum((rev[j] * c[m - j] for j in range(1, min(m, e) + 1)), Fraction(0)))
         c_re, c_im, c_den = _scalars(c, (steps,))
-        # row k holds c_0, c_1, ... from column k + e on
-        lead = np.zeros((steps, e), dtype=np.int64)
-        t_re = np.concatenate([lead, _banded(c_re, steps, steps).T], axis=1)
-        t_im = np.concatenate([lead, _banded(c_im, steps, steps).T], axis=1) if c_im is not None else None
-        quot = self.contract(t_re, t_im, c_den)
+        # row k holds c_0, c_1, ... from column k on, against C_e, C_(e+1), ...
+        t_im = _banded(c_im, steps, steps).T if c_im is not None else None
+        re, im = _complex(_contract, _banded(c_re, steps, steps).T, t_im, self.re[e:],
+                          None if self.im is None else self.im[e:])
+        quot = MatrixPoly(re, im, c_den * self.den)
         if quot * monic != self:
             raise ValueError("inexact polynomial division")
         return quot

@@ -120,7 +120,9 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     cluster margin, the smallest gap between its clusters relative to
     max(|T|, 1), against 10 ``cluster`` (null for one cluster); and the
     worst kernel fit over its bound against 1 (set by
-    ``spectrum_analysis``), null where it did not run.
+    ``spectrum_analysis``), null where it did not run.  When every
+    combination fails, the RuntimeError lists each one's cluster margin
+    relative to max(|T|, 1) (inf for one cluster) against 10 ``cluster``.
     """
     tol = tol or Tolerances()
     spec = op.spec
@@ -138,6 +140,7 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
 
     rng = random.Random(seed)
     best = np.inf  # the smallest failing residual so far
+    margins = []  # each combination's cluster margin relative to max(|T|, 1)
     for attempt in range(MAX_RETRIES):
         counters["combinations"] = attempt + 1
         T = sum((c * u for c, u in zip(_normal_draws(rng, len(units)), units)), np.zeros((dim, dim), dtype=complex))
@@ -145,6 +148,7 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
         tscale = max(np.linalg.norm(T), 1.0)
         clusters = _cluster(eigvals, tol.cluster * tscale)
         margin = _cluster_margin(eigvals, clusters)
+        margins.append(margin / tscale)
         if len(clusters) > 1 and margin <= 10 * tol.cluster * tscale:
             counters["ambiguous"] += 1
             continue  # ambiguous clustering: fresh combination
@@ -163,7 +167,7 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
             # multiplicity: work inside the generalized eigenspace, the last size right singular vectors
             _, _, vh = np.linalg.svd(np.linalg.matrix_power(T - np.mean(eigvals[cluster]) * np.eye(dim), size))
             q, _ = np.linalg.qr(vh[dim - size:].conj().T)
-            common = _refine_cluster(q, units, tol.residual, rng)
+            common = _refine_cluster(q, units, tol, rng)
             found += [(v, res, size) for v, res in common]
             diagonalizable = diagonalizable and len(common) == size
         else:
@@ -183,7 +187,9 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
     if ambiguous < MAX_RETRIES:
         causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
-    raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes))
+    raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes)
+                       + f"; cluster margins relative to max(|T|, 1), ambiguous at or below {10 * tol.cluster:.1e}: "
+                       + ", ".join(f"{m:.1e}" for m in margins))
 
 
 def gate(measured, tolerance: float, floor: bool = False) -> dict:
@@ -213,16 +219,20 @@ def _normal_draws(rng: random.Random, count: int) -> list:
     return [rng.gauss(0.0, 1.0) for _ in range(count)]
 
 
-def _refine_cluster(q, units, residual_tol, rng):
-    """Common eigenvectors of the coefficients restricted to a subspace, with their residuals."""
+def _refine_cluster(q, units, tol: Tolerances, rng):
+    """Common eigenvectors of the coefficients restricted to a subspace, with their residuals.
+
+    A vector within 100 ``tol.residual`` of a joint eigenvector is kept
+    unless its overlap with one already kept is within ``tol.dedup`` of 1.
+    """
     R = sum(c * (q.conj().T @ u @ q) for c, u in zip(_normal_draws(rng, len(units)), units))
     _, vecs = np.linalg.eig(R)
     V = q @ vecs
     V = V / np.linalg.norm(V, axis=0)
     res = _joint_residual(V, units)
     found = []
-    for k in np.flatnonzero(res <= residual_tol * 100):
-        if all(np.abs(np.vdot(u, V[:, k])) < 1 - 1e-8 for u, _ in found):
+    for k in np.flatnonzero(res <= tol.residual * 100):
+        if all(np.abs(np.vdot(u, V[:, k])) < 1 - tol.dedup for u, _ in found):
             found.append((V[:, k], res[k]))
     return found
 

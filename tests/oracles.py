@@ -1145,7 +1145,7 @@ def spectral_stage_loop(op, tol=None, seed=2024):
         return [[complex(v.conj() @ (m @ v)) for m in row] for row in mats]
 
     rng = random.Random(seed)
-    ambiguous, best = 0, np.inf
+    ambiguous, best, margins = 0, np.inf, []
     for _ in range(MAX_RETRIES):
         coeffs = _normal_draws(rng, len(units))
         T = sum((c * u for c, u in zip(coeffs, units)), np.zeros((dim, dim), dtype=complex))
@@ -1154,6 +1154,7 @@ def spectral_stage_loop(op, tol=None, seed=2024):
         clusters = _cluster(eigvals, tol.cluster * tscale)
         reps = [eigvals[c[0]] for c in clusters]
         margin = min((abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1:]), default=np.inf)
+        margins.append(margin / tscale)
         if len(clusters) > 1 and margin <= 10 * tol.cluster * tscale:
             ambiguous += 1
             continue
@@ -1180,7 +1181,7 @@ def spectral_stage_loop(op, tol=None, seed=2024):
                 v = q @ vecs[:, k]
                 v = v / np.linalg.norm(v)
                 worst = _joint_residual_loop(v, units)
-                if worst <= tol.residual * 100 and all(np.abs(np.vdot(u, v)) < 1 - 1e-8 for u, _ in found):
+                if worst <= tol.residual * 100 and all(np.abs(np.vdot(u, v)) < 1 - tol.dedup for u, _ in found):
                     found.append((v, worst))
             characters += [LoopCharacter(v, numerators(v), res, size) for v, res in found]
             diagonalizable = diagonalizable and len(found) == size
@@ -1202,7 +1203,9 @@ def spectral_stage_loop(op, tol=None, seed=2024):
     if ambiguous < MAX_RETRIES:
         limit = tol.residual * 100
         causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
-    raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes))
+    raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes)
+                       + f"; cluster margins relative to max(|T|, 1), ambiguous at or below {10 * tol.cluster:.1e}: "
+                       + ", ".join(f"{m:.1e}" for m in margins))
 
 
 # --- local data one point at a time ----------------------------------------

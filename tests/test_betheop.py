@@ -265,9 +265,43 @@ def test_eigenvector_blocks_are_kept_per_operator(golden_op):
     assert golden_op.eigenvector_blocks[0] is first
 
 
+def _vectors(N, K, points, weight):
+    return ModuleSpec(N, K, ((1,),) * points, tuple(str(b) for b in range(points)), weight)
+
+
 def test_cleared_equals_reduced_product(exact_family_ops):
-    """A_i is B_i times the pole polynomial: A_i den = N_i P."""
-    for op in exact_family_ops:
+    """A_i is B_i times the pole polynomial: A_i den = N_i P, also over denominators other than P1^N.
+
+    The mutants add X = e_01 to A_1, as B_1 + X / P, and X P, as
+    B_1 + X (u - 13) / (u - 13), over den = P1^N P and P1^N (u - 13).
+    """
+    ops = list(exact_family_ops)
+    ops += [build_bethe_operator(_vectors(3, ("0", "1", "5/2"), 5, (2, 2, 1))),
+            build_bethe_operator(_vectors(2, ("0", "1/2"), 7, (4, 3))),
+            # n_0 = 3 > N: P1^N vanishes to order 2 only at b_0, so P / gcd(P, P1^N) = u - b_0
+            build_bethe_operator(ModuleSpec(2, ("0", "1/2"), ((2, 1), (1,)), ("0", "1"), (2, 2)))]
+    for op in [ops[1], ops[4]] + ops[-3:]:  # golden, the N=3 family member and the three above
+        pole, X = op.spec.pole_polynomial(), unit_matrix(op.dim, 0, 1)
+        off = Poly([F(-13), F(1)])
+        for mutant, added in ((mutant_operator(op, 1, X, pole), X), (mutant_operator(op, 1, X * off, off), X * pole)):
+            assert mutant.cleared[0] == op.cleared[0] + added and mutant.cleared[1:] == op.cleared[1:]
+            ops.append(mutant)
+    for op in ops:
         pole = op.spec.pole_polynomial()
         for i in range(1, op.rank + 1):
             assert op.cleared[i - 1] * op.denominator == op.numerators[i - 1] * pole
+
+
+def test_mutants_over_a_wider_denominator_fail_their_checks(golden_op):
+    """B_2 + X/(u - 13) cannot be cleared: the same ValueError, and a failed
+    polynomiality; B_1 + I/(u - b_0) fails the first-coefficient identity."""
+    X = unit_matrix(golden_op.dim, 0, 1)
+    off = mutant_operator(golden_op, 2, X, Poly([F(-13), F(1)]))
+    with pytest.raises(ValueError, match=r"^B_2 \* pole polynomial is not polynomial$"):
+        off.cleared
+    report = check_polynomiality(off)
+    assert not report.polynomial and report.failures == ["B_2 * pole polynomial is not polynomial"]
+    b0 = golden_op.spec.points[0]
+    at_point = mutant_operator(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([-b0, F(1)]))
+    assert check_polynomiality(at_point).polynomial
+    assert not first_coefficient_residual(at_point).is_zero()

@@ -306,11 +306,14 @@ def test_block_values_are_shared_by_every_solution(monkeypatch):
         # B_1 + I/(u - 7): the pole polynomial cannot clear B_1
         (lambda op: mutant_operator(op, 1, MatrixPoly.identity(op.dim), spaces.Poly([Fraction(-7), Fraction(1)])),
          "cleared-coefficients-polynomial"),
+        # B_2 + e_01/(u - 13): neither can it clear B_2
+        (lambda op: mutant_operator(op, 2, unit_matrix(op.dim, 0, 1), spaces.Poly([Fraction(-13), Fraction(1)])),
+         "cleared-coefficients-polynomial"),
         # B_1 + e_01/(u - b_0): cleared, but the residue of B_1 at b_0 is not a scalar matrix
         (lambda op: mutant_operator(op, 1, unit_matrix(op.dim, 0, 1), spaces.Poly([Fraction(0), Fraction(1)])),
          "local-values-scalar"),
     ],
-    ids=["pole-off-points", "non-scalar-residue"],
+    ids=["pole-off-points", "pole-off-points-b2", "non-scalar-residue"],
 )
 def test_spectrum_pipeline_fails_the_local_structure_checks(monkeypatch, mutate, failing):
     """Each mutant of the golden operator fails its local-structure check in

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gaudin.betheop import build_bethe_operator
 from gaudin.harness import InstanceConfig
-from gaudin.linalg import MatrixPoly, _exact, _split, pairwise_commute, point_table, root_products
+from gaudin.linalg import MatrixPoly, _exact, _split, divide_out_points, pairwise_commute, point_table, root_products
 from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational
 
@@ -150,6 +150,32 @@ def test_root_products_match_the_quotients(data, field):
     e_im = e_im if e_im is not None else np.zeros_like(e_re)
     for got, expect in ((re, e_re), (im, e_im)):
         assert np.array_equal(got.astype(object) * e_den, expect.astype(object) * den)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data(), fields)
+def test_divide_out_points_matches_repeated_division(data, field):
+    """The capped orders and the quotient of p = r prod_s (u - x_s)^m_s, against dividing by u - x_s with
+    ``Poly.divmod`` for as long as the remainder vanishes; where r vanishes at no point, order s is min(cap, m_s)."""
+    points = tuple(data.draw(st.lists(scalars(field), min_size=0, max_size=4, unique=True)))
+    mults = [data.draw(st.integers(0, 3)) for _ in points]
+    caps = tuple(data.draw(st.integers(0, 3)) for _ in points)
+    r = data.draw(scalar_polys(field))
+    if r.is_zero():
+        r = Poly([F(1)])
+    p = r * Poly.from_roots([x for x, m in zip(points, mults) for _ in range(m)])
+    q, orders = p, []
+    for x, cap in zip(points, caps):
+        order = 0
+        while order < cap:
+            quot, rem = q.divmod(Poly([-x, x * 0 + 1]))
+            if not rem.is_zero():
+                break
+            q, order = quot, order + 1
+        orders.append(order)
+    assert divide_out_points(p, points, caps) == (tuple(orders), q)
+    if all(r(x) != 0 for x in points):
+        assert orders == [min(c, m) for c, m in zip(caps, mults)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from gaudin import spectral
 from gaudin.algebra import ModuleSpec
 from gaudin.betheop import build_bethe_operator, eigenvector_points, exact_sample_points
-from gaudin.harness import InstanceConfig
+from gaudin.harness import InstanceConfig, spectrum_pipeline
 from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly
 from gaudin.scalars import to_complex
@@ -179,6 +179,17 @@ def test_doubled_block_splits_every_cluster_in_two(data, seed):
             assert _relative(nums, single.numerators[k]) <= 1e-9
 
 
+def test_dedup_tolerance_reaches_the_cluster_split():
+    """The duplicate-vector test inside a cluster reads the config's ``dedup``: at 1 every pair of
+    vectors counts as one, so each double cluster of the doubled block keeps one character, and the
+    action is reported as not diagonalizable."""
+    op = build_bethe_operator(make_spec(GOLDEN))
+    report = joint_diagonalize(_doubled(op), Tolerances(dedup=1.0))
+    assert report.count == op.dim and report.cluster_sizes.tolist() == [2] * op.dim
+    assert not report.diagonalizable
+    assert joint_diagonalize(_doubled(op), Tolerances(dedup=1e-8)).count == 2 * op.dim
+
+
 def test_degenerate_weight_block():
     # weight (2,0) of V x V is one-dimensional; a single trivial character
     spec = ModuleSpec(2, ("0", "1"), ((1,), (1,)), ("0", "1"), (2, 0))
@@ -287,8 +298,9 @@ def test_one_failed_kernel_fit_marks_only_its_character(monkeypatch):
 
 def test_failed_diagonalization_message_is_the_loop_message():
     """A residual tolerance no float eigenvector meets fails every combination
-    with the message of the loop: the same causes and limit, and a smallest
-    residual at roundoff level (its digits are roundoff of either arithmetic)."""
+    with the message of the loop: the same causes, limit and cluster margins,
+    and a smallest residual at roundoff level (its digits are roundoff of
+    either arithmetic)."""
     op = build_bethe_operator(make_spec(GOLDEN))
     tol = Tolerances(residual=1e-30)
     messages = []
@@ -296,11 +308,38 @@ def test_failed_diagonalization_message_is_the_loop_message():
         with pytest.raises(RuntimeError) as info:
             stage(op, tol)
         messages.append(str(info.value))
-    smallest = r"\(smallest ([0-9.e+-]+)\)$"
-    assert re.sub(smallest, "", messages[0]) == re.sub(smallest, "", messages[1]) == (
-        "joint diagonalization failed for all 6 random combinations: "
-        "6 left a joint eigen-residual above 1.0e-28 ")
+    smallest = r" \(smallest ([0-9.e+-]+)\)"
+    assert re.sub(smallest, "", messages[0]) == re.sub(smallest, "", messages[1])
+    assert re.fullmatch(
+        r"joint diagonalization failed for all 6 random combinations: "
+        r"6 left a joint eigen-residual above 1\.0e-28; "
+        r"cluster margins relative to max\(\|T\|, 1\), ambiguous at or below 1\.0e-06: "
+        r"(\d\.\de[+-]\d\d, ){5}\d\.\de[+-]\d\d", re.sub(smallest, "", messages[0]))
     assert all(0 < float(re.search(smallest, m).group(1)) < 1e-14 for m in messages)
+
+
+def test_failed_diagonalization_lists_every_cluster_margin():
+    """With a cluster tolerance of 0.1 every combination on exact_n3 is
+    ambiguous: the message gives each combination's cluster margin relative
+    to max(|T|, 1), each at or below the rule 10 ``cluster`` = 1, the same
+    margins as the loop, and the failed spectrum-analysis check carries it."""
+    config = InstanceConfig.from_file(FIXTURES / "exact_n3.json")
+    config.tolerances = Tolerances(cluster=0.1)
+    op = build_bethe_operator(config.spec)
+    messages = []
+    for stage in (joint_diagonalize, spectral_stage_loop):
+        with pytest.raises(RuntimeError) as info:
+            stage(op, config.tolerances, config.seed)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    head, margins = messages[0].split("; ")
+    assert head == "joint diagonalization failed for all 6 random combinations: 6 had ambiguous eigenvalue clusters"
+    rule, values = margins.split(": ")
+    assert rule == "cluster margins relative to max(|T|, 1), ambiguous at or below 1.0e+00"
+    assert len(values.split(", ")) == 6 and all(0 < float(m) <= 1.0 for m in values.split(", "))
+    checks = {c.name: c for c in spectrum_pipeline(config)["checks"]}
+    assert not checks["spectrum-analysis"].passed
+    assert checks["spectrum-analysis"].value == f"RuntimeError: {messages[0]}"
 
 
 def test_spectral_counters(golden_op):
