@@ -92,6 +92,15 @@ NEWTON_CHUNK = 256
 # points) make a configuration singular; it is not evaluated.
 _SINGULAR = 1e-30
 
+# A Newton row is retired as collapsed once two roots of one level both lie
+# within COLLAPSE_RADIUS (in units of the smallest gap between the points) of
+# a node that both couple to: an evaluation point for level 1, a root of
+# level a +- 1 for level a.  With x_2 ~ -x_1 around the node the in-level
+# term cancels the two poles and Newton creeps toward the coincident limit,
+# which the genericity filter drops.  The closest same-level pair of a real
+# solution around a node seen on the ladder is 2.65 radii out.
+COLLAPSE_RADIUS = 1e-2
+
 
 def gap_unit(points) -> float:
     """The smallest distance between two evaluation points (1 for one point).
@@ -113,7 +122,9 @@ class BetheEquations:
     adjacent levels and +1 from level 1 to the points.  Over the coupled
     pairs p = (i, k) everything is a matrix product: the differences are
     X @ A - b, the residual is 1/d @ S - shift and the Jacobian is
-    1/d^2 @ M, reshaped to roots x roots.
+    1/d^2 @ M, reshaped to roots x roots.  The +1-coupled pairs p, q that
+    share a node and whose roots share a level are the columns
+    ``collapse_pairs`` compares in :meth:`collapsing`.
     """
 
     def __init__(self, points, exponents, sizes):
@@ -137,6 +148,10 @@ class BetheEquations:
         self.M = M.reshape(len(p), n * n)
         K = np.asarray(exponents, dtype=complex)
         self.shift = K[level] - K[level - 1]
+        plus = np.flatnonzero(c > 0)
+        r, y = root[plus], node[plus]
+        i, j = np.nonzero((y[:, None] == y) & (level[r][:, None] == level[r]) & (r[:, None] < r))
+        self.collapse_pairs = plus[i], plus[j]
 
     def generic(self, X, tol):
         """Rows whose coupled roots and points are all more than tol apart."""
@@ -154,6 +169,12 @@ class BetheEquations:
         inv[~ok] = 1.0
         np.reciprocal(inv, out=inv)
         return inv @ self.S - self.shift, inv, ok
+
+    def collapsing(self, inv):
+        """Rows of 1/d whose pair of same-level roots both lie within ``COLLAPSE_RADIUS`` of a shared node."""
+        p, q = self.collapse_pairs
+        near = np.abs(inv) > 1 / COLLAPSE_RADIUS
+        return (near[:, p] & near[:, q]).any(axis=1)
 
     def jacobian(self, inv):
         """The analytic Jacobian of the residual in the roots, per row."""
@@ -176,7 +197,7 @@ def _solve(A, b):
 
 
 def damped_newton(X, eqs, tol, max_iter, limit):
-    """Damped Newton from every row of X; returns (converged rows, stalled count, evaluations).
+    """Damped Newton from every row of X; returns (converged rows, stalled, collapsed, evaluations).
 
     A row converges once max|F| is at most tol, tested at the start and
     after each of at most max_iter steps, the last one included.  Each row
@@ -186,10 +207,11 @@ def damped_newton(X, eqs, tol, max_iter, limit):
     row still without a step, its next ceil(NEWTON_CHUNK / rows) step
     lengths, so a lone row tries all 25 at once.  A row fails when it cannot move, meets a singular step, or
     its trial points leave |x| <= limit; such trial points are never
-    evaluated.  It is retired as stalled when its max|F| is not below
-    ``STALL_RATIO`` times its value ``STALL_WINDOW`` iterations earlier.  The
-    second value returned counts those rows, the third the batched residual
-    evaluations.
+    evaluated.  An unconverged row is retired as collapsed when
+    :meth:`BetheEquations.collapsing` holds for it, and otherwise as stalled
+    when its max|F| is not below ``STALL_RATIO`` times its value
+    ``STALL_WINDOW`` iterations earlier.  The second and third values returned
+    count those rows, the fourth the batched residual evaluations.
     """
     X = np.asarray(X, dtype=complex)
     chunks = [
@@ -197,9 +219,9 @@ def damped_newton(X, eqs, tol, max_iter, limit):
         for at in range(0, len(X), NEWTON_CHUNK)
     ]
     if not chunks:
-        return X[:0], 0, 0
-    found, stalled, evaluations = zip(*chunks)
-    return np.concatenate(found), sum(stalled), sum(evaluations)
+        return X[:0], 0, 0, 0
+    found, *counts = zip(*chunks)
+    return (np.concatenate(found), *map(sum, counts))
 
 
 # The step lengths 2^-k, k < 25, tried longest first.  Each damping
@@ -223,7 +245,7 @@ def _newton_chunk(X, eqs, tol, max_iter, limit):
     ok, state = evaluate(X)
     active, done = ok, np.zeros(len(X), dtype=bool)
     # history[k % STALL_WINDOW] holds each active row's merit at iteration k
-    history, stalled = np.full((STALL_WINDOW, len(X)), np.inf), 0
+    history, stalled, collapsed = np.full((STALL_WINDOW, len(X)), np.inf), 0, 0
     for k in range(max_iter + 1):
         R, inv = state
         rows = np.flatnonzero(active)
@@ -233,10 +255,12 @@ def _newton_chunk(X, eqs, tol, max_iter, limit):
         if k == max_iter:  # the state after the last permitted step is tested, not stepped from
             break
         past = history[k % STALL_WINDOW]
-        stall = ~converged & (merit >= STALL_RATIO * past[rows])
+        collapse = ~converged & eqs.collapsing(inv[rows])
+        stall = ~(converged | collapse) & (merit >= STALL_RATIO * past[rows])
         past[rows] = merit
         stalled += int(stall.sum())
-        keep = ~(converged | stall)
+        collapsed += int(collapse.sum())
+        keep = ~(converged | stall | collapse)
         active[rows[~keep]] = False
         rows, merit = rows[keep], merit[keep]
         if not rows.size:
@@ -265,7 +289,7 @@ def _newton_chunk(X, eqs, tol, max_iter, limit):
                 old[take] = new[pick]
             moved[trying[hit]] = True
         active[rows[~moved]] = False
-    return X[done], stalled, evaluations
+    return X[done], stalled, collapsed, evaluations
 
 
 def _orbit(flat, slices):
@@ -281,8 +305,9 @@ class RootSearch:
     ``roots`` holds one solution per row, its upper roots level by level in
     :func:`level_order`, the rows sorted by their (real, imaginary) parts.
     ``counters[family]`` records, for each family of starts, how many
-    started, converged, were retired as stalled and gave a new solution,
-    and how many batched residual evaluations the search made.
+    started, converged, were retired as stalled or as collapsed (see
+    :func:`damped_newton`) and gave a new solution, and how many batched
+    residual evaluations the search made.
     """
 
     roots: np.ndarray
@@ -353,7 +378,7 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     upper_sizes = level_profile(spec.weight, N)[1:]
     total = sum(upper_sizes)
     counters = {
-        family: {"starts": 0, "converged": 0, "stalled": 0, "new": 0, "evaluations": 0}
+        family: {"starts": 0, "converged": 0, "stalled": 0, "collapsed": 0, "new": 0, "evaluations": 0}
         for family in ("structured", "random")
     }
     if total == 0:
@@ -386,15 +411,15 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
     def search(family, X):
         """One batched Newton call; admits the new solutions, returns the converged rows."""
         nonlocal known
-        found, stalled, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
+        found, stalled, collapsed, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
         rows, new = unseen(found[eqs.generic(found, dedup_tol)], known), 0
         while len(rows):
             solutions.append(rows[0])
             orbit = _orbit(rows[0], slices)
             known = np.concatenate([known, orbit])
             rows, new = unseen(rows, orbit), new + 1
-        for key, n in (("starts", len(X)), ("converged", len(found)), ("stalled", stalled), ("new", new),
-                       ("evaluations", evaluations)):
+        for key, n in (("starts", len(X)), ("converged", len(found)), ("stalled", stalled),
+                       ("collapsed", collapsed), ("new", new), ("evaluations", evaluations)):
             counters[family][key] += n
         return found
 

@@ -355,7 +355,8 @@ def bae_pipeline(config: InstanceConfig, spectrum=None) -> dict:
         )
     # the search accepts residuals in units of the smallest gap between the points
     unit = gap_unit(spec.points)
-    checks.append(_float_check("solutions-satisfy-equations", [unit * e["bae_residual"] for e in entries], 1e-10))
+    checks.append(_float_check("solutions-satisfy-equations", [unit * e["bae_residual"] for e in entries],
+                               tol.equations))
     checks.append(eigenvectors)
     checks.append(_float_check("factorized-operators-match-characters", [e["match_distance"] for e in entries],
                                tol.kernel_fit, int(taken.sum()) == len(entries) == len(char_values)))

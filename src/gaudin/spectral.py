@@ -37,6 +37,7 @@ class Tolerances:
     cluster: float = 1e-7
     dedup: float = 1e-8
     kernel_fit: float = 1e-8
+    equations: float = 1e-10
 
 
 # fresh random combinations tried before joint diagonalization gives up

@@ -13,6 +13,7 @@ from gaudin import betheop
 from gaudin.algebra import ModuleSpec, build_embedded_module, enumerate_indices, enumerate_weight_basis
 from gaudin.bae import (
     _DAMPS,
+    COLLAPSE_RADIUS,
     MAX_ITER,
     NEWTON_CHUNK,
     RESIDUAL_TOL,
@@ -631,9 +632,12 @@ def test_newton_bae_real_roots_do_not_depend_on_seed(seed):
         assert any(all(min(abs(g - w) for g in got) <= tol for w in want) for got in found), want
 
 
+_PINNED = ("starts", "converged", "stalled", "collapsed", "new")
+
+
 def _pinned(counters) -> dict:
-    """(starts, converged, stalled, new) of every family of Newton starts."""
-    return {family: tuple(c[key] for key in ("starts", "converged", "stalled", "new")) for family, c in counters.items()}
+    """(starts, converged, stalled, collapsed, new) of every family of Newton starts."""
+    return {family: tuple(c[key] for key in _PINNED) for family, c in counters.items()}
 
 
 def test_bae_real_reports_stalled_starts():
@@ -641,20 +645,30 @@ def test_bae_real_reports_stalled_starts():
     cfg = InstanceConfig.from_file(FIXTURES / "count_n2_n4.json")
     counters = verify_pipeline(cfg)["counters"]["newton"]
     assert counters["structured"]["stalled"] > 0
-    assert all(c["starts"] >= c["converged"] + c["stalled"] for c in counters.values())
-    assert _pinned(counters) == {"structured": (45, 23, 3, 6), "random": (0, 0, 0, 0)}
-    assert {family: c["evaluations"] for family, c in counters.items()} == {"structured": 68, "random": 0}
+    assert all(c["starts"] >= c["converged"] + c["stalled"] + c["collapsed"] for c in counters.values())
+    assert _pinned(counters) == {"structured": (45, 23, 1, 5, 6), "random": (0, 0, 0, 0, 0)}
+    assert {family: c["evaluations"] for family, c in counters.items()} == {"structured": 38, "random": 0}
+
+
+def test_bae_real_at_seed_101_retires_its_creeping_rows():
+    """At seed 101 one structured row lowers max|F| by just over 10% per 20
+    iterations while both its level-1 roots close in on a point.  The stall
+    rule alone keeps the chunk running for 90 iterations with it (102
+    evaluations in all); the collapse rule retires it."""
+    counters = newton_solve(make_spec(COUNT_FAMILY[0]), seed=101).counters
+    assert _pinned(counters) == {"structured": (45, 23, 1, 6, 6), "random": (0, 0, 0, 0, 0)}
+    assert counters["structured"]["evaluations"] == 39
 
 
 @pytest.mark.parametrize(
     "name, structured",
-    [("build_n3", (225, 75, 24, 12)), ("golden_n2", (9, 7, 0, 2))],
+    [("build_n3", (225, 75, 5, 22, 12)), ("golden_n2", (9, 7, 0, 0, 2))],
 )
 def test_newton_counters_of_the_structured_fixtures(name, structured):
     """Every start takes the same path whatever the batching of its damping."""
     cfg = InstanceConfig.from_file(FIXTURES / f"{name}.json")
     counters = verify_pipeline(cfg)["counters"]["newton"]
-    assert _pinned(counters) == {"structured": structured, "random": (0, 0, 0, 0)}
+    assert _pinned(counters) == {"structured": structured, "random": (0, 0, 0, 0, 0)}
 
 
 # the bae-real equations in units of the gap, its start radius, and a start
@@ -671,8 +685,8 @@ def test_stall_rule_retires_a_plateau_start():
     eqs = BetheEquations(*BAE_REAL_EQUATIONS)
     X = PLATEAU_START
     assert abs(np.abs(eqs.residual(X)[0]).max() - 0.5) < 1e-3
-    found, stalled, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * BAE_REAL_RADIUS)
-    assert len(found) == 0
+    found, stalled, collapsed, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * BAE_REAL_RADIUS)
+    assert len(found) == collapsed == 0
     assert stalled == 1
     assert evaluations == 1 + STALL_WINDOW  # the start, then one per iteration until the stall
 
@@ -682,8 +696,8 @@ def test_the_state_after_the_last_permitted_step_is_tested():
     iteration allowed, that state converges without another evaluation."""
     eqs = BetheEquations(*BAE_REAL_EQUATIONS)
     X = np.array([BAE_REAL_ROOTS[0]]) + 1e-7
-    found, stalled, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, 1, 1e7)
-    assert len(found) == 1 and stalled == 0
+    found, stalled, collapsed, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, 1, 1e7)
+    assert len(found) == 1 and stalled == collapsed == 0
     assert evaluations == 2
     assert np.abs(eqs.residual(found)[0]).max() <= RESIDUAL_TOL
 
@@ -706,8 +720,10 @@ def test_a_lone_start_makes_one_evaluation_per_iteration(iterations):
     plateau start needs a halved step in each of these iterations and is
     still searching after them."""
     eqs = _RecordingEquations(*BAE_REAL_EQUATIONS)
-    found, stalled, evaluations = damped_newton(PLATEAU_START, eqs, RESIDUAL_TOL, iterations, 1e6 * BAE_REAL_RADIUS)
-    assert len(found) == stalled == 0
+    found, stalled, collapsed, evaluations = damped_newton(
+        PLATEAU_START, eqs, RESIDUAL_TOL, iterations, 1e6 * BAE_REAL_RADIUS
+    )
+    assert len(found) == stalled == collapsed == 0
     assert eqs.batches == [1] + [len(_DAMPS)] * iterations
     assert evaluations == len(eqs.batches)
 
@@ -715,10 +731,63 @@ def test_a_lone_start_makes_one_evaluation_per_iteration(iterations):
 def test_damping_batches_stay_under_two_chunks():
     eqs = _RecordingEquations(*BAE_REAL_EQUATIONS)
     X = _random_rows(np.random.default_rng(7), 300, 2) * BAE_REAL_RADIUS
-    found, _, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * BAE_REAL_RADIUS)
+    found, _, _, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * BAE_REAL_RADIUS)
     assert len(found)
     assert evaluations == len(eqs.batches)
     assert max(eqs.batches) <= 2 * NEWTON_CHUNK - 1
+
+
+# a bae-real row whose two roots close in on the point 2 from either side
+COLLAPSING_START = np.array([[2 + 1e-3 * (1 + 1j), 2 - 1e-3 * (1 + 1j)]])
+
+
+def test_collapse_rule_retires_a_pair_closing_on_a_point():
+    """Both level-1 roots lie 1.4e-3 from the point 2, inside COLLAPSE_RADIUS:
+    the row is retired as collapsed, not counted as stalled, and returns no
+    root, without a Newton step."""
+    eqs = BetheEquations(*BAE_REAL_EQUATIONS)
+    assert eqs.collapsing(eqs.residual(COLLAPSING_START)[1]).tolist() == [True]
+    found, stalled, collapsed, evaluations = damped_newton(
+        COLLAPSING_START, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * BAE_REAL_RADIUS
+    )
+    assert len(found) == stalled == 0
+    assert collapsed == evaluations == 1
+
+
+@pytest.mark.parametrize("root", BAE_REAL_ROOTS)
+def test_collapse_rule_keeps_a_start_near_a_root(root):
+    eqs = BetheEquations(*BAE_REAL_EQUATIONS)
+    X = np.array([root]) + 1e-6
+    found, stalled, collapsed, _ = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * BAE_REAL_RADIUS)
+    assert len(found) == 1 and stalled == collapsed == 0
+    assert np.abs(found - [root]).max() <= 1e-9 * max(map(abs, root))
+
+
+def test_collapse_rule_keeps_a_row_converged_inside_the_radius():
+    """Convergence is tested first: a row within tol of zero residual is
+    returned even with both roots inside the radius of a point, and is left
+    to the genericity filter."""
+    eqs = BetheEquations(*BAE_REAL_EQUATIONS)
+    merit = np.abs(eqs.residual(COLLAPSING_START)[0]).max()
+    found, stalled, collapsed, evaluations = damped_newton(
+        COLLAPSING_START, eqs, merit, MAX_ITER, 1e6 * BAE_REAL_RADIUS
+    )
+    assert np.array_equal(found, COLLAPSING_START)
+    assert stalled == collapsed == 0 and evaluations == 1
+    assert not eqs.generic(found, 1e-2).any()
+
+
+@pytest.mark.parametrize("node, collapsing", [(1.7, True), (2.0, False)], ids=["level-1 root", "point"])
+def test_collapse_rule_reads_the_nodes_a_level_couples_to(node, collapsing):
+    """N=3: a level-2 pair around a level-1 root collapses onto it; the same
+    pair around an evaluation point does not, since level 2 does not couple
+    to the points.  At 1.5 radii out neither pair collapses."""
+    eqs = BetheEquations((0, 1, 2, 3), (0, 1, 2.5), (2, 2))
+    d = COLLAPSE_RADIUS * np.array([0.5, 1.5]) * (1 + 1j) / abs(1 + 1j)
+    X = np.stack([np.full(2, 0.5), np.full(2, 1.7), node + d, node - d], axis=1)
+    R, inv, ok = eqs.residual(X)
+    assert ok.all()
+    assert eqs.collapsing(inv).tolist() == [collapsing, False]
 
 
 def test_newton_random_family_alone_for_complex_points():
@@ -726,7 +795,7 @@ def test_newton_random_family_alone_for_complex_points():
     sols = newton_solve(spec, seed=2024)
     assert _families(sols) == {"structured": (0, 0), "random": (3000, 6)}
     assert all(c["new"] <= c["converged"] <= c["starts"] for c in sols.counters.values())
-    assert _pinned(sols.counters) == {"structured": (0, 0, 0, 0), "random": (3000, 2538, 113, 6)}
+    assert _pinned(sols.counters) == {"structured": (0, 0, 0, 0, 0), "random": (3000, 2538, 98, 15, 6)}
 
 
 @pytest.mark.xfail(

@@ -416,6 +416,7 @@ def test_cli_roundtrip(tmp_path):
         ("verify", {**GOLDEN, "options": {"seed": True}}, []),
         ("verify", {**GOLDEN, "N": 2.9}, []),
         ("verify", {**GOLDEN, "options": {"tolerances": {"kernel_fit": True}}}, []),
+        ("verify", {**GOLDEN, "options": {"tolerances": {"equations": "-1e-10"}}}, []),
         ("verify", {**GOLDEN, "b": ["0", "1/0"]}, []),
         ("wronski", {**GOLDEN, "space": {"polys": [["1/0", "1"], ["1"]]}}, []),
         ("verify", {**GOLDEN, "partitions": [[1.5], [1]]}, []),
@@ -454,6 +455,7 @@ def test_cli_roundtrip(tmp_path):
         "seed-bool",
         "N-fractional",
         "tolerance-bool",
+        "tolerance-equations-negative",
         "b-zero-denominator",
         "space-zero-denominator",
         "partition-part-fractional",
@@ -785,6 +787,26 @@ def test_match_tolerance_comes_from_the_config():
     data["options"]["tolerances"] = {"kernel_fit": closest / 2}
     verdicts = {c.name: c.passed for c in verify_pipeline(InstanceConfig.from_dict(data))["checks"]}
     assert verdicts["factorized-operators-match-characters"] is False
+
+
+def test_equations_tolerance_comes_from_the_config():
+    """solutions-satisfy-equations reads tolerances.equations, 1e-10 by default."""
+    data = json.loads((Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json").read_text())
+
+    def check():
+        out = verify_pipeline(InstanceConfig.from_dict(data))
+        return next(c for c in out["checks"] if c.name == "solutions-satisfy-equations")
+
+    default = check()
+    assert default.passed and default.value["tolerance"] == Tolerances().equations == 1e-10
+    worst = default.value["measured"]
+    assert worst > 0
+    data["options"]["tolerances"] = {"equations": worst / 2}
+    tight = check()
+    assert tight.value["tolerance"] == worst / 2 and tight.passed is False
+    data["options"]["tolerances"] = {"equations": 0}
+    with pytest.raises(ConfigError, match="tolerance 'equations'"):
+        InstanceConfig.from_dict(data)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])

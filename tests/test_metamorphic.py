@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from gaudin.bae import newton_solve
 from gaudin.betheop import build_bethe_operator
 from gaudin.harness import InstanceConfig, spectrum_pipeline, verify_pipeline
 from gaudin.polynomials import Poly
@@ -61,8 +62,7 @@ def test_spectrum_invariant_under_scaling(shape, c):
 VERIFY_SHAPES = {"golden": ((0, 1), 2, (1, 1)), "bae-real": ((0, F(1, 2)), 4, (2, 2))}
 
 
-@functools.lru_cache(maxsize=None)
-def verify_verdicts(shape, c):
+def verify_config(shape, c):
     K, npts, weight = VERIFY_SHAPES[shape]
     data = {
         "N": 2,
@@ -71,7 +71,12 @@ def verify_verdicts(shape, c):
         "b": [str(F(b) / c) for b in range(npts)],
         "weight": list(weight),
     }
-    out = verify_pipeline(InstanceConfig.from_dict(data))
+    return InstanceConfig.from_dict(data)
+
+
+@functools.lru_cache(maxsize=None)
+def verify_verdicts(shape, c):
+    out = verify_pipeline(verify_config(shape, c))
     return {check.name: check.passed for check in out["checks"]}, len(out["bae"])
 
 
@@ -79,6 +84,20 @@ def verify_verdicts(shape, c):
 @pytest.mark.parametrize("c", [F(1, 1000), F(1000)], ids=["c=1/1000", "c=1000"])
 def test_verify_invariant_under_scaling(shape, c):
     assert verify_verdicts(shape, c) == verify_verdicts(shape, F(1))
+
+
+@functools.lru_cache(maxsize=None)
+def bae_real_newton_counters(c, seed):
+    return newton_solve(verify_config("bae-real", c).spec, seed=seed).counters
+
+
+@pytest.mark.parametrize("seed", [2024, 101])
+@pytest.mark.parametrize("c", [F(1, 1000), F(1000)], ids=["c=1/1000", "c=1000"])
+def test_newton_counters_invariant_under_scaling(c, seed):
+    """The root search runs in units of the smallest gap, so every Newton
+    counter, retired rows and evaluations included, is the same at every
+    scale."""
+    assert bae_real_newton_counters(c, seed) == bae_real_newton_counters(F(1), seed)
 
 
 def mixed_cell_spec(c, partitions):
