@@ -409,10 +409,11 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
         return rows
 
     def search(family, X):
-        """One batched Newton call; admits the new solutions, returns the converged rows."""
+        """One batched Newton call; admits the new solutions, returns the converged generic rows."""
         nonlocal known
         found, stalled, collapsed, evaluations = damped_newton(X, eqs, RESIDUAL_TOL, MAX_ITER, 1e6 * radius)
-        rows, new = unseen(found[eqs.generic(found, dedup_tol)], known), 0
+        generic = found[eqs.generic(found, dedup_tol)]
+        rows, new = unseen(generic, known), 0
         while len(rows):
             solutions.append(rows[0])
             orbit = _orbit(rows[0], slices)
@@ -421,7 +422,7 @@ def newton_solve(spec: ModuleSpec, seed: int = 2024, dedup_tol: float = 1e-8) ->
         for key, n in (("starts", len(X)), ("converged", len(found)), ("stalled", stalled),
                        ("collapsed", collapsed), ("new", new), ("evaluations", evaluations)):
             counters[family][key] += n
-        return found
+        return generic
 
     def structured_seeds():
         """One start per assignment of roots to gaps between the real points.

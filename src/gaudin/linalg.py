@@ -269,6 +269,22 @@ def entries(table, exact: bool) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
+def _reciprocal(monic: Poly, steps: int) -> tuple:
+    """Read-only integer arrays (re, im, den) of the first steps terms of 1/(x^e D(1/x)) = sum_m c_m x^m,
+    D = monic of degree e, banded: row k holds c_0, c_1, ... from column k on (im None over Q)."""
+    e, rev = monic.degree, monic.coeffs[::-1]
+    c = [Fraction(1)]
+    for m in range(1, steps):
+        c.append(-sum((rev[j] * c[m - j] for j in range(1, min(m, e) + 1)), Fraction(0)))
+    c_re, c_im, c_den = _scalars(c, (steps,))
+    parts = [_banded(part, steps, steps).T if part is not None else None for part in (c_re, c_im)]
+    for part in parts:
+        if part is not None:
+            part.flags.writeable = False
+    return (*parts, c_den)
+
+
 def _banded(values, rows: int, cols: int):
     """T[i + j, i] = values[j] for every i < cols and j < len(values), cut to rows rows."""
     t = np.zeros((rows, cols), dtype=values.dtype)
@@ -434,8 +450,8 @@ class MatrixPoly:
         With D = monic of degree e and 1/(x^e D(1/x)) = sum_m c_m x^m, the
         quotient coefficient of u^k is sum_{j >= k + e} c_{j - k - e} C_j:
         one contraction of the top len(self) - e coefficients, the only ones
-        it reads.  Raises ValueError when the remainder self - quotient * D
-        is not zero.
+        it reads, against the series built once per (D, length).  Raises
+        ValueError when the remainder self - quotient * D is not zero.
         """
         e = monic.degree
         if e < 0 or monic.leading != 1:
@@ -445,15 +461,8 @@ class MatrixPoly:
             if not self.is_zero():
                 raise ValueError("inexact polynomial division")
             return self
-        rev = monic.coeffs[::-1]
-        c = [Fraction(1)]
-        for m in range(1, steps):
-            c.append(-sum((rev[j] * c[m - j] for j in range(1, min(m, e) + 1)), Fraction(0)))
-        c_re, c_im, c_den = _scalars(c, (steps,))
-        # row k holds c_0, c_1, ... from column k on, against C_e, C_(e+1), ...
-        t_im = _banded(c_im, steps, steps).T if c_im is not None else None
-        re, im = _complex(_contract, _banded(c_re, steps, steps).T, t_im, self.re[e:],
-                          None if self.im is None else self.im[e:])
+        t_re, t_im, c_den = _reciprocal(monic, steps)
+        re, im = _complex(_contract, t_re, t_im, self.re[e:], None if self.im is None else self.im[e:])
         quot = MatrixPoly(re, im, c_den * self.den)
         if quot * monic != self:
             raise ValueError("inexact polynomial division")

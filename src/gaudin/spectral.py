@@ -31,7 +31,8 @@ from .spaces import cleared_operators, membership_test, shifted_derivatives
 
 @dataclass
 class Tolerances:
-    """The float tolerances of a run: the config's ``tolerances`` object, parsed by ``harness``."""
+    """The float tolerances of a run: the config's ``tolerances`` object, parsed by ``harness``.
+    Eigenvalues of a combination T within 10 ``cluster`` max(|T|, 1) of each other form one cluster."""
 
     residual: float = 1e-9
     cluster: float = 1e-7
@@ -39,9 +40,6 @@ class Tolerances:
     kernel_fit: float = 1e-8
     equations: float = 1e-10
 
-
-# fresh random combinations tried before joint diagonalization gives up
-MAX_RETRIES = 6
 
 # membership_test's tol for recovered kernels: a Taylor coefficient counts
 # as zero when it is at most this times its roundoff floor
@@ -56,7 +54,7 @@ class SpectrumReport:
     numerators: np.ndarray  # (characters, N, n + 1): v* C_ij v, the u^j coefficient of P h_i
     values: np.ndarray  # (characters, points, N): h_i at the eigenvector_points, see character_values
     residuals: np.ndarray  # (characters,): the worst joint eigen-residual
-    cluster_sizes: np.ndarray  # (characters,): the size of the eigenvalue cluster the character comes from
+    cluster_sizes: np.ndarray  # (characters,): 1 for a simple character, see _refine_cluster
     diagonalizable: bool
     operators: np.ndarray = None  # (characters, N + 1, n + 1): [G_0, ..., G_N] per character, G_0 = P
     kernels: list = field(default_factory=list)  # per exponent i, (characters, lam_i + 1): p_i, ascending
@@ -97,41 +95,33 @@ def _cluster_margin(eigvals, clusters):
 def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 2024) -> SpectrumReport:
     """The characters of the block: one row per joint eigenvector of its coefficients.
 
-    A generic real combination of the coefficient matrices C_ij, each scaled
-    to unit norm, is diagonalized; its coefficients are standard normal
-    draws of ``random.Random(seed)``.  The scaling makes the
-    combination the same for the rescaled instance (cK, b/c), whose C_ij
-    differ only by powers of c.  Each simple eigenvalue's ``eig`` vector is
-    taken as it comes, on every block, and verified against every C_ij.
-    A cluster of eigenvalues within tolerance is split by a second draw
-    inside its generalized eigenspace.  Clusters whose eigenspace is smaller
-    than their multiplicity are flagged (the action is then not
-    diagonalizable) and reported through generalized eigenspace generators.
+    One generic real combination T of the coefficient matrices C_ij, each
+    scaled to unit norm, is diagonalized; its coefficients are standard
+    normal draws of ``random.Random(seed)``.  The scaling makes T the same
+    for the rescaled instance (cK, b/c), whose C_ij differ only by powers
+    of c.  Eigenvalues of T within 10 ``cluster`` max(|T|, 1) of each other
+    form a cluster.  The ``eig`` vectors of the simple ones are taken as
+    they come and checked against every C_ij in one stacked pass; a joint
+    eigen-residual above 100 ``residual`` raises RuntimeError.  Every other
+    cluster is split inside its generalized eigenspace by
+    :func:`_refine_cluster`, in order, each with its own draws; one that
+    yields fewer vectors than its size makes the action not diagonalizable.
     Characters are sorted by (h_1, h_N) at the first of the
     :func:`eigenvector_points`, each rounded to 6 places.
 
-    The simple clusters are checked together, in one stacked pass, before
-    the clusters are taken in order; a combination fails at the first
-    simple cluster whose residual is too large, and only the multiple
-    clusters before it are split, each with its own draws, so the draws do
-    not depend on the stacking.  ``counters`` records the combinations
-    tried and how many had ambiguous clusters.
-    ``counters["gates"]`` reports each float gate: the worst joint
-    eigen-residual against 100 ``residual``; the accepted combination's
-    cluster margin, the smallest gap between its clusters relative to
-    max(|T|, 1), against 10 ``cluster`` (null for one cluster); and the
-    worst kernel fit over its bound against 1 (set by
-    ``spectrum_analysis``), null where it did not run.  When every
-    combination fails, the RuntimeError lists each one's cluster margin
-    relative to max(|T|, 1) (inf for one cluster) against 10 ``cluster``.
+    ``counters["clusters"]`` counts the clusters split.  ``counters["gates"]``
+    reports each float gate: the worst joint eigen-residual against 100
+    ``residual``; the cluster margin, the smallest gap between the clusters
+    of T relative to max(|T|, 1), against 10 ``cluster`` (null for one
+    cluster); and the worst kernel fit over its bound against 1 (set by
+    ``spectrum_analysis``), null where it did not run.
     """
     tol = tol or Tolerances()
     spec = op.spec
     dim = len(op.module.weight_indices(spec.weight))
-    limit = tol.residual * 100
-    counters = {"combinations": 0, "ambiguous": 0, "gates": {
-        "joint_residual": gate(None, limit), "cluster_margin": gate(None, 10 * tol.cluster),
-        "kernel_fit": gate(None, 1.0)}}
+    limit, rule = tol.residual * 100, tol.cluster * 10
+    counters = {"clusters": 0, "gates": {
+        "joint_residual": gate(None, limit), "cluster_margin": gate(None, rule), "kernel_fit": gate(None, 1.0)}}
     if dim == 0:
         nums = np.zeros((0, spec.rank, spec.size + 1), dtype=complex)
         return SpectrumReport(np.zeros((0, 0), dtype=complex), nums, character_values(nums, spec), np.zeros(0),
@@ -140,57 +130,41 @@ def joint_diagonalize(op: BetheOperator, tol: Tolerances = None, seed: int = 202
     units = np.array([m / np.linalg.norm(m) for m in mats.reshape(-1, dim, dim) if np.any(m)]).reshape(-1, dim, dim)
 
     rng = random.Random(seed)
-    best = np.inf  # the smallest failing residual so far
-    margins = []  # each combination's cluster margin relative to max(|T|, 1)
-    for attempt in range(MAX_RETRIES):
-        counters["combinations"] = attempt + 1
-        T = sum((c * u for c, u in zip(_normal_draws(rng, len(units)), units)), np.zeros((dim, dim), dtype=complex))
-        eigvals, eigvecs = np.linalg.eig(T)
-        tscale = max(np.linalg.norm(T), 1.0)
-        clusters = _cluster(eigvals, tol.cluster * tscale)
-        margin = _cluster_margin(eigvals, clusters)
-        margins.append(margin / tscale)
-        if len(clusters) > 1 and margin <= 10 * tol.cluster * tscale:
-            counters["ambiguous"] += 1
-            continue  # ambiguous clustering: fresh combination
-        V = eigvecs[:, [c[0] for c in clusters if len(c) == 1]]  # eig's unit vectors of the simple clusters
-        checked = iter(zip(V.T, _joint_residual(V, units)))
-        found, diagonalizable = [], True  # (vector, residual, cluster size) per character
-        for cluster in clusters:
-            size = len(cluster)
-            if size == 1:
-                v, res = next(checked)
-                if res > limit:
-                    best = min(best, res)
-                    break
-                found.append((v, res, 1))
-                continue
-            # multiplicity: work inside the generalized eigenspace, the last size right singular vectors
-            _, _, vh = np.linalg.svd(np.linalg.matrix_power(T - np.mean(eigvals[cluster]) * np.eye(dim), size))
-            q, _ = np.linalg.qr(vh[dim - size:].conj().T)
-            common = _refine_cluster(q, units, tol, rng)
-            found += [(v, res, size) for v, res in common]
-            diagonalizable = diagonalizable and len(common) == size
-        else:
-            vectors = np.array([v for v, _, _ in found]).reshape(-1, dim)
-            residuals = np.array([res for _, res, _ in found], dtype=float)
-            sizes = np.array([size for _, _, size in found], dtype=int)
-            nums = _numerators(vectors.T, mats)
-            values = character_values(nums, spec)
-            # (h_1, h_N) at the first point, rounded by Python's round
-            keys = [[(round(h.real, 6), round(h.imag, 6)) for h in row] for row in values[:, 0, [0, -1]].tolist()]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            counters["gates"].update(joint_residual=gate(max(residuals.tolist(), default=None), limit),
-                                     cluster_margin=gate(float(margin / tscale), 10 * tol.cluster, floor=True))
-            return SpectrumReport(vectors[order], nums[order], values[order], residuals[order], sizes[order],
-                                  diagonalizable, counters=counters)
-    ambiguous = counters["ambiguous"]
-    causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
-    if ambiguous < MAX_RETRIES:
-        causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
-    raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes)
-                       + f"; cluster margins relative to max(|T|, 1), ambiguous at or below {10 * tol.cluster:.1e}: "
-                       + ", ".join(f"{m:.1e}" for m in margins))
+    T = sum((c * u for c, u in zip(_normal_draws(rng, len(units)), units)), np.zeros((dim, dim), dtype=complex))
+    eigvals, eigvecs = np.linalg.eig(T)
+    tscale = max(np.linalg.norm(T), 1.0)
+    clusters = _cluster(eigvals, rule * tscale)
+    V = eigvecs[:, [c[0] for c in clusters if len(c) == 1]]  # eig's unit vectors of the simple clusters
+    residuals = _joint_residual(V, units)
+    if np.any(residuals > limit):
+        raise RuntimeError(f"joint diagonalization failed: a simple eigenvector has a joint eigen-residual "
+                           f"above {limit:.1e} (worst {residuals.max():.1e})")
+    checked = iter(zip(V.T, residuals))
+    found, diagonalizable = [], True  # (vector, residual, cluster size) per character
+    for cluster in clusters:
+        size = len(cluster)
+        if size == 1:
+            found.append((*next(checked), 1))
+            continue
+        # near-equal eigenvalues: work inside their generalized eigenspace, the last size right singular vectors
+        counters["clusters"] += 1
+        _, _, vh = np.linalg.svd(np.linalg.matrix_power(T - np.mean(eigvals[cluster]) * np.eye(dim), size))
+        q, _ = np.linalg.qr(vh[dim - size:].conj().T)
+        common = _refine_cluster(q, units, tol, rng)
+        found += common
+        diagonalizable = diagonalizable and len(common) == size
+    vectors = np.array([v for v, _, _ in found]).reshape(-1, dim)
+    residuals = np.array([res for _, res, _ in found], dtype=float)
+    sizes = np.array([size for _, _, size in found], dtype=int)
+    nums = _numerators(vectors.T, mats)
+    values = character_values(nums, spec)
+    # (h_1, h_N) at the first point, rounded by Python's round
+    keys = [[(round(h.real, 6), round(h.imag, 6)) for h in row] for row in values[:, 0, [0, -1]].tolist()]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    counters["gates"].update(joint_residual=gate(max(residuals.tolist(), default=None), limit),
+                             cluster_margin=gate(float(_cluster_margin(eigvals, clusters) / tscale), rule, floor=True))
+    return SpectrumReport(vectors[order], nums[order], values[order], residuals[order], sizes[order],
+                          diagonalizable, counters=counters)
 
 
 def gate(measured, tolerance: float, floor: bool = False) -> dict:
@@ -221,20 +195,25 @@ def _normal_draws(rng: random.Random, count: int) -> list:
 
 
 def _refine_cluster(q, units, tol: Tolerances, rng):
-    """Common eigenvectors of the coefficients restricted to a subspace, with their residuals.
+    """Common eigenvectors of the coefficients restricted to a subspace: (vector, residual, cluster size) each.
 
-    A vector within 100 ``tol.residual`` of a joint eigenvector is kept
-    unless its overlap with one already kept is within ``tol.dedup`` of 1.
+    A fresh combination R of the coefficients restricted to the subspace is
+    diagonalized.  A vector within 100 ``tol.residual`` of a joint
+    eigenvector is kept unless its overlap with one already kept is within
+    ``tol.dedup`` of 1; its cluster size is the number of eigenvalues of R
+    within 10 ``tol.cluster`` max(|R|, 1) of its own, 1 where R separates
+    what the first combination only brought close together.
     """
     R = sum(c * (q.conj().T @ u @ q) for c, u in zip(_normal_draws(rng, len(units)), units))
-    _, vecs = np.linalg.eig(R)
+    vals, vecs = np.linalg.eig(R)
+    sizes = (np.abs(vals[:, None] - vals) <= 10 * tol.cluster * max(np.linalg.norm(R), 1.0)).sum(axis=1)
     V = q @ vecs
     V = V / np.linalg.norm(V, axis=0)
     res = _joint_residual(V, units)
     found = []
     for k in np.flatnonzero(res <= tol.residual * 100):
-        if all(np.abs(np.vdot(u, V[:, k])) < 1 - tol.dedup for u, _ in found):
-            found.append((V[:, k], res[k]))
+        if all(np.abs(np.vdot(u, V[:, k])) < 1 - tol.dedup for u, _, _ in found):
+            found.append((V[:, k], res[k], int(sizes[k])))
     return found
 
 

@@ -84,7 +84,6 @@ from gaudin.spaces import (
 )
 from gaudin.spectral import (
     KERNEL_FAILURE,
-    MAX_RETRIES,
     MEMBERSHIP_TOL,
     Tolerances,
     _cluster,
@@ -1126,11 +1125,13 @@ def spectral_stage_loop(op, tol=None, seed=2024):
     against every unit coefficient matrix in turn, its numerators are one
     v* C_ij v each, its kernel is one lstsq fit per exponent, and its
     membership test forms the indicial polynomial with
-    ``indicial_polynomial``.  The draws of ``random.Random(seed)`` are taken
-    in the library's order, so both give the same characters in the same
-    order.  Returns a LoopSpectrum with one object per character in each
-    list: a LoopCharacter, sorted by its own Python-scalar values at the
-    first eigenvector point, each operator a Poly list and each kernel a
+    ``indicial_polynomial``.  A cluster's vectors come from a fresh draw
+    inside its subspace, each cluster size counted one eigenvalue at a time.
+    The draws of ``random.Random(seed)`` are taken in the library's order,
+    so both give the same characters in the same order.  Returns a
+    LoopSpectrum with one object per character in each list: a
+    LoopCharacter, sorted by its own Python-scalar values at the first
+    eigenvector point, each operator a Poly list and each kernel a
     QuasiExpSpace or None, where the library keeps one array per quantity.
     """
     tol = tol or Tolerances()
@@ -1145,67 +1146,57 @@ def spectral_stage_loop(op, tol=None, seed=2024):
         return [[complex(v.conj() @ (m @ v)) for m in row] for row in mats]
 
     rng = random.Random(seed)
-    ambiguous, best, margins = 0, np.inf, []
-    for _ in range(MAX_RETRIES):
-        coeffs = _normal_draws(rng, len(units))
-        T = sum((c * u for c, u in zip(coeffs, units)), np.zeros((dim, dim), dtype=complex))
-        eigvals, eigvecs = np.linalg.eig(T)
-        tscale = max(np.linalg.norm(T), 1.0)
-        clusters = _cluster(eigvals, tol.cluster * tscale)
-        reps = [eigvals[c[0]] for c in clusters]
-        margin = min((abs(a - b) for i, a in enumerate(reps) for b in reps[i + 1:]), default=np.inf)
-        margins.append(margin / tscale)
-        if len(clusters) > 1 and margin <= 10 * tol.cluster * tscale:
-            ambiguous += 1
+    coeffs = _normal_draws(rng, len(units))
+    T = sum((c * u for c, u in zip(coeffs, units)), np.zeros((dim, dim), dtype=complex))
+    eigvals, eigvecs = np.linalg.eig(T)
+    clusters = _cluster(eigvals, 10 * tol.cluster * max(np.linalg.norm(T), 1.0))
+    limit = tol.residual * 100
+    simple = {}
+    for cluster in clusters:
+        if len(cluster) == 1:
+            v = eigvecs[:, cluster[0]]
+            v = v / np.linalg.norm(v)
+            simple[cluster[0]] = (v, _joint_residual_loop(v, units))
+    worst = max((res for _, res in simple.values()), default=0.0)
+    if worst > limit:
+        raise RuntimeError(f"joint diagonalization failed: a simple eigenvector has a joint eigen-residual "
+                           f"above {limit:.1e} (worst {worst:.1e})")
+    characters, diagonalizable = [], True
+    for cluster in clusters:
+        size = len(cluster)
+        if size == 1:
+            v, res = simple[cluster[0]]
+            characters.append(LoopCharacter(v, numerators(v), res))
             continue
-        characters, diagonalizable = [], True
-        for cluster in clusters:
-            size = len(cluster)
-            if size == 1:
-                v = eigvecs[:, cluster[0]]
-                v = v / np.linalg.norm(v)
-                res = _joint_residual_loop(v, units)
-                if res > tol.residual * 100:
-                    best = min(best, res)
-                    break
-                characters.append(LoopCharacter(v, numerators(v), res))
-                continue
-            mu = np.mean([eigvals[k] for k in cluster])
-            B = np.linalg.matrix_power(T - mu * np.eye(dim), size)
-            _, _, vh = np.linalg.svd(B)
-            q, _ = np.linalg.qr(vh[dim - size:].conj().T)  # the generalized eigenspace
-            R = sum(c * (q.conj().T @ u @ q) for c, u in zip(_normal_draws(rng, len(units)), units))
-            vals, vecs = np.linalg.eig(R)
-            found = []
-            for k in range(len(vals)):
-                v = q @ vecs[:, k]
-                v = v / np.linalg.norm(v)
-                worst = _joint_residual_loop(v, units)
-                if worst <= tol.residual * 100 and all(np.abs(np.vdot(u, v)) < 1 - tol.dedup for u, _ in found):
-                    found.append((v, worst))
-            characters += [LoopCharacter(v, numerators(v), res, size) for v, res in found]
-            diagonalizable = diagonalizable and len(found) == size
-        else:
-            point = eigenvector_points(spec)[0]
-            z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
-            characters.sort(key=lambda ch: [(round(h.real, 6), round(h.imag, 6))
-                                            for h in (ch.values(z, pz)[0], ch.values(z, pz)[-1])])
-            report = LoopSpectrum(characters, diagonalizable)
-            for ch in characters:
-                G = [spec.complex_pole_polynomial()] + [Poly(row) for row in ch.numerators]
-                X = _kernel_loop(G, spec, tol)
-                report.operators.append(G)
-                report.kernels.append(X)
-                report.memberships.append(
-                    KERNEL_FAILURE if X is None else _membership_loop(cleared_operator_polys(X), spec, MEMBERSHIP_TOL))
-            return report
-    causes = [f"{ambiguous} had ambiguous eigenvalue clusters"] if ambiguous else []
-    if ambiguous < MAX_RETRIES:
-        limit = tol.residual * 100
-        causes.append(f"{MAX_RETRIES - ambiguous} left a joint eigen-residual above {limit:.1e} (smallest {best:.1e})")
-    raise RuntimeError(f"joint diagonalization failed for all {MAX_RETRIES} random combinations: " + ", ".join(causes)
-                       + f"; cluster margins relative to max(|T|, 1), ambiguous at or below {10 * tol.cluster:.1e}: "
-                       + ", ".join(f"{m:.1e}" for m in margins))
+        mu = np.mean([eigvals[k] for k in cluster])
+        B = np.linalg.matrix_power(T - mu * np.eye(dim), size)
+        _, _, vh = np.linalg.svd(B)
+        q, _ = np.linalg.qr(vh[dim - size:].conj().T)  # the generalized eigenspace
+        R = sum(c * (q.conj().T @ u @ q) for c, u in zip(_normal_draws(rng, len(units)), units))
+        vals, vecs = np.linalg.eig(R)
+        near = 10 * tol.cluster * max(np.linalg.norm(R), 1.0)
+        found = []
+        for k in range(len(vals)):
+            v = q @ vecs[:, k]
+            v = v / np.linalg.norm(v)
+            worst = _joint_residual_loop(v, units)
+            if worst <= limit and all(np.abs(np.vdot(u, v)) < 1 - tol.dedup for u, _, _ in found):
+                found.append((v, worst, int(sum(abs(x - vals[k]) <= near for x in vals))))
+        characters += [LoopCharacter(v, numerators(v), res, multiplicity) for v, res, multiplicity in found]
+        diagonalizable = diagonalizable and len(found) == size
+    point = eigenvector_points(spec)[0]
+    z, pz = complex(point), to_complex(spec.pole_polynomial()(point))
+    characters.sort(key=lambda ch: [(round(h.real, 6), round(h.imag, 6))
+                                    for h in (ch.values(z, pz)[0], ch.values(z, pz)[-1])])
+    report = LoopSpectrum(characters, diagonalizable)
+    for ch in characters:
+        G = [spec.complex_pole_polynomial()] + [Poly(row) for row in ch.numerators]
+        X = _kernel_loop(G, spec, tol)
+        report.operators.append(G)
+        report.kernels.append(X)
+        report.memberships.append(
+            KERNEL_FAILURE if X is None else _membership_loop(cleared_operator_polys(X), spec, MEMBERSHIP_TOL))
+    return report
 
 
 # --- local data one point at a time ----------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaudin import betheop
+from gaudin import bae, betheop
 from gaudin.algebra import ModuleSpec, build_embedded_module, enumerate_indices, enumerate_weight_basis
 from gaudin.bae import (
     _DAMPS,
@@ -587,6 +587,24 @@ def test_structured_seeds_find_every_root_n3(seed):
 def test_random_starts_find_every_root_gaussian(seed):
     spec = ModuleSpec(2, ("0", "1/2"), ((1,),) * 4, ("0", "1", "2i", "1+i"), (2, 2))
     assert len(newton_solve(spec, seed=seed)) == 6
+
+
+def test_recombination_starts_skip_non_generic_structured_rows(monkeypatch):
+    """The recombination starts jitter structured finds that passed the genericity filter only.  Here the
+    structured family converges to one row with every root on the point 0, which the filter drops: the
+    pool is empty, so the recombination slice is the mode-3 draw, whose real parts lie in [0, radius]."""
+    calls = []
+
+    def converge_on_the_point(X, eqs, tol, max_iter, limit):
+        calls.append(X)
+        return np.zeros((1, X.shape[1]), dtype=complex), 0, 0, 0
+
+    monkeypatch.setattr(bae, "damped_newton", converge_on_the_point)
+    sols = newton_solve(make_spec(COUNT_FAMILY[0]))
+    assert len(sols) == 0 and sols.counters["structured"]["converged"] == 1
+    _, random_starts = calls
+    recombined = random_starts[-len(range(4, len(random_starts), 5)):]
+    assert len(recombined) and np.all(recombined.real >= 0)
 
 
 def _families(sols):

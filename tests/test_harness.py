@@ -690,10 +690,9 @@ def test_cli_out_check_leaves_an_existing_report_alone(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["verify", "spectrum", "bae"])
 def test_cli_numerical_failure_is_a_failing_check(tmp_path, command):
-    """A residual tolerance no float eigenvector meets makes every random
-    combination of the joint diagonalization fail: the run exits 1 with a
-    failing check that names that cause, writes its report, and prints no
-    traceback."""
+    """A residual tolerance no float eigenvector meets makes the joint
+    diagonalization fail: the run exits 1 with a failing check that names
+    that cause, writes its report, and prints no traceback."""
     root = Path(__file__).resolve().parents[1]
     out_path = tmp_path / "report.json"
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -811,15 +810,15 @@ def test_equations_tolerance_comes_from_the_config():
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_reports_carry_spectral_counters(tmp_path, command):
-    """spectrum and verify reports record the combinations tried, how many
-    were ambiguous, and the gates that measure the accepted cluster margin
-    and the worst kernel fit."""
+    """spectrum and verify reports record how many eigenvalue clusters were
+    split inside their subspace, and the gates that measure the cluster
+    margin and the worst kernel fit."""
     out = tmp_path / "report.json"
     assert main([command, "--config", str(Path(__file__).resolve().parents[1] / "fixtures" / "golden_n2.json"),
                  "--out", str(out)]) == 0
     counters = json.loads(out.read_text())["counters"]
-    assert counters["spectral"].keys() == {"combinations", "ambiguous", "gates"}
-    assert counters["spectral"]["combinations"] == 1 and counters["spectral"]["ambiguous"] == 0
+    assert counters["spectral"].keys() == {"clusters", "gates"}
+    assert counters["spectral"]["clusters"] == 0
     assert counters["spectral"]["gates"]["cluster_margin"]["measured"] > 1e-6
     assert 0 < counters["spectral"]["gates"]["kernel_fit"]["measured"] <= 1
     assert ("newton" in counters) == (command == "verify")

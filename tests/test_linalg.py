@@ -17,7 +17,16 @@ from hypothesis import strategies as st
 
 from gaudin.betheop import build_bethe_operator
 from gaudin.harness import InstanceConfig
-from gaudin.linalg import MatrixPoly, _exact, _split, divide_out_points, pairwise_commute, point_table, root_products
+from gaudin.linalg import (
+    MatrixPoly,
+    _exact,
+    _reciprocal,
+    _split,
+    divide_out_points,
+    pairwise_commute,
+    point_table,
+    root_products,
+)
 from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational
 
@@ -191,6 +200,17 @@ def test_exact_division_by_a_monic_polynomial(data, field, rows, cols, scale):
             (q * monic + r).exact_div(monic)  # the reference raises too
         with pytest.raises(ValueError):
             stacked(q * monic + r, rows, cols).exact_div(monic)
+
+
+def test_exact_division_builds_each_reciprocal_series_once():
+    """Dividing several stacks of one length by one divisor, as ``BetheOperator.cleared`` does once per
+    coefficient, builds the reciprocal series on the first call only, as read-only arrays."""
+    monic = Poly.from_roots([Fraction(1, 3), 2, GaussianRational(Fraction(0), Fraction(1))])
+    quotients = [MatrixPoly(np.arange(12).reshape(3, 2, 2) + k) for k in range(3)]
+    _reciprocal.cache_clear()
+    assert [(q * monic).exact_div(monic) for q in quotients] == quotients
+    assert (_reciprocal.cache_info().misses, _reciprocal.cache_info().hits) == (1, 2)
+    assert not any(part.flags.writeable for part in _reciprocal(monic, 3)[:2])
 
 
 @settings(max_examples=40, deadline=None)
