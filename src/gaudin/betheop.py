@@ -210,6 +210,21 @@ def first_coefficient_residual(op: BetheOperator) -> MatrixPoly:
     return (first * factor if factor.degree else first) + total * den
 
 
+def wronskian_identity(op: BetheOperator) -> bool:
+    """A_1 = -(P' + (K_1 + ... + K_N) P) I on the block, exactly; False when clearing fails.
+
+    Every eigen-operator then has h_1 = -sum_i K_i - P'/P, so by Abel's
+    formula, Wr' = -h_1 Wr, an N-dimensional kernel has the Wronskian
+    c e^{(sum_i K_i) u} P.
+    """
+    cleared = _cleared_or_none(op)
+    if cleared is None:
+        return False
+    pole = op.spec.pole_polynomial()
+    total = sum(op.spec.exponents[1:], op.spec.exponents[0])
+    return cleared[0] == MatrixPoly.identity(op.dim) * -(pole.derivative() + pole.scale(total))
+
+
 def leading_symbol(op: BetheOperator):
     """The scalar polynomial sum_i c_i a^{N-i}, c_0 = 1, from the constant terms at infinity.
 
@@ -244,11 +259,16 @@ class PolynomialityReport:
     polynomial: bool  # the pole polynomial clears every B_i
     scalar: bool  # no leading local coefficient of a B_i at a b_s is found non-scalar
     indicial_ok: bool
+    indicial_at: list  # per point b_s: its leading local coefficients are scalar and meet the indicial target
     failures: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.indicial_ok and not self.failures
+
+    def regular_at(self, s: int) -> bool:
+        """b_s is a regular singular point: every B_i has a pole of order at most i there."""
+        return all(order <= i for (i, t), order in self.pole_orders.items() if t == s)
 
 
 def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
@@ -279,7 +299,8 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
     try:
         cleared = op.cleared
     except ValueError as exc:
-        return PolynomialityReport([], {}, polynomial=False, scalar=True, indicial_ok=False, failures=[str(exc)])
+        return PolynomialityReport([], {}, polynomial=False, scalar=True, indicial_ok=False,
+                                   indicial_at=[False] * len(sizes), failures=[str(exc)])
     degrees = [a.degree for a in cleared]
     for i, d in enumerate(degrees, 1):
         if d > n:
@@ -297,7 +318,7 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
             vanish = next((k for k, c in enumerate(local[s][i]) if c is None or c != 0), n_s + 1)
             pole_orders[i, s] = max(0, n_s - vanish)
 
-    indicial_ok = True
+    indicial_at = [True] * len(sizes)
     if op.dim:  # on an empty block every matrix is scalar and every identity holds
         chis = {}
         for m in set(sizes):  # the points with n_s = m at once
@@ -309,7 +330,7 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
             scalar = scalar and not nonscalar
             failures += [f"leading local coefficient of B_{i} at point {b_s} is not scalar" for i in nonscalar]
             if nonscalar or Poly(chis[s]) != spec.indicial_target(s):
-                indicial_ok = False
+                indicial_at[s] = False
                 failures.append(f"indicial identity fails at point {b_s}")
 
     return PolynomialityReport(
@@ -317,7 +338,8 @@ def check_polynomiality(op: BetheOperator) -> PolynomialityReport:
         pole_orders=pole_orders,
         polynomial=True,
         scalar=scalar,
-        indicial_ok=indicial_ok,
+        indicial_ok=all(indicial_at),
+        indicial_at=indicial_at,
         failures=failures,
     )
 

@@ -27,11 +27,12 @@ from .betheop import (
     first_coefficient_residual,
     leading_symbol,
     weight_blocks_preserved,
+    wronskian_identity,
 )
 from .polynomials import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar
-from .spaces import QuasiExpSpace, cleared_operators, membership_test, operator_text
-from .spectral import Tolerances, gate, joint_diagonalize, spectrum_analysis
+from .spaces import QuasiExpSpace, cleared_operators, expected_exponents, membership_test, operator_text
+from .spectral import KERNEL_FAILURE, Tolerances, gate, joint_diagonalize, spectrum_analysis
 
 
 class ConfigError(ValueError):
@@ -214,6 +215,20 @@ def cleared_numerators(operators) -> list:
     return _pairs(operators[:, 1:])
 
 
+def membership_checks(spec: ModuleSpec, wronskian_ok: bool, poly_report) -> list:
+    """The report rows {name, passed, detail} of ``membership_test``'s checks for every character whose
+    kernel fit passes, decided once for the block.  A fitted kernel is N independent e^{K_i u} p_i, the
+    kernel of the character's eigen-operator, so ``wronskian_ok`` (``betheop.wronskian_identity``) gives
+    its Wronskian c e^{sum(K) u} P, and at a regular singular point b_s (``poly_report.regular_at``) the
+    block's scalar indicial identity (``poly_report.indicial_at``) gives its exponents there."""
+    fact = "A_1 = -(P' + sum(K) P) I on the block" if wronskian_ok else "A_1 is not -(P' + sum(K) P) I on the block"
+    checks = [("wronskian-matches-pole-polynomial", wronskian_ok, fact),
+              ("poles-confined-to-points", wronskian_ok, "" if wronskian_ok else fact)]
+    checks += [(f"indicial-exponents-at-point-{s}", poly_report.indicial_at[s] and poly_report.regular_at(s),
+                f"expected exponents {expected_exponents(part, spec.rank)}") for s, part in enumerate(spec.partitions)]
+    return [{"name": name, "passed": bool(passed), "detail": detail} for name, passed, detail in checks]
+
+
 def _is_real_data(spec: ModuleSpec) -> bool:
     return not any(
         isinstance(v, GaussianRational) and v.im != 0 for v in spec.exponents + spec.points
@@ -248,6 +263,8 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
     checks.append(Check("coefficient-degree-bound", all(d <= spec.size for d in poly_report.degrees), value=poly_report.degrees))
     checks.append(Check("commutativity", commutativity_check(op)))
     checks.append(Check("weight-blocks-preserved", weight_blocks_preserved(op)))
+    if config.run_wronski:  # what every fitted character's membership reads
+        decided = membership_checks(spec, wronskian_identity(op), poly_report)
     t = _lap(stages, "exact_checks", t)
 
     try:
@@ -268,14 +285,15 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
                                                _pairs(report.characters))]
     if config.run_wronski:
         kernels = [_pairs(p) for p in report.kernels]
-        for k, (entry, numerators, m) in enumerate(zip(characters, cleared_numerators(report.operators),
-                                                       report.memberships)):
-            entry.update(coefficient_numerators=numerators, membership=hasattr(m, "ok") and m.ok)
-            if hasattr(m, "ok"):
-                entry["kernel_polys"] = [p[k] for p in kernels]
-                entry["membership_checks"] = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in m.checks]
+        member = all(c["passed"] for c in decided)
+        for k, (entry, numerators, fit) in enumerate(zip(characters, cleared_numerators(report.operators),
+                                                         report.fits.tolist())):
+            entry["coefficient_numerators"] = numerators
+            if fit > 1:
+                entry.update(membership=False, membership_error=KERNEL_FAILURE)
             else:
-                entry["membership_error"] = m
+                entry.update(membership=member, kernel_polys=[p[k] for p in kernels],
+                             membership_checks=[dict(c) for c in decided])
         checks.append(Check("kernel-membership", all(entry["membership"] for entry in characters)))
     if _is_real_data(spec):
         checks.append(Check("character-count-equals-dimension", report.count == dim, value=[report.count, dim]))

@@ -10,14 +10,13 @@ the Bethe roots are determinants of its trailing sub-tables, all by
 :func:`trailing_minors`, for a stack of spaces at once.  The fundamental
 operator sum_i F_i (d/du)^(N-i), F_0 = 1, is kept as the array row
 [G_0, ..., G_N] of :func:`cleared_operators`, F_i = G_i / G_0 and G_0 the
-monic Wronskian part, so no rational function is ever formed.  Everything
-here works over exact scalars and, with a tolerance, over complex floats
-(for spaces recovered from numerical spectra).
+monic Wronskian part, so no rational function is ever formed.  The tables
+and minors work over exact scalars and complex floats alike; the membership
+test, which ``gaudin wronski`` runs on a supplied space, is exact only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .algebra import ModuleSpec, Partition
 from .linalg import entries, point_table
-from .polynomials import Poly, falling_product, indicial_coefficients, poly_gcd
+from .polynomials import Poly, indicial_coefficients, poly_gcd
 from .scalars import is_exact
 
 
@@ -198,36 +197,26 @@ class MembershipReport:
     indicial = property(lambda self: self.read_indicial(), doc="{s: IndicialData} per point, formed when read")
 
 
-def rounded(p: Poly) -> Poly:
-    """``p`` with float coefficients rounded to 6 significant digits of its
-    largest one, signed zeros cleared, so that text printed from a float
-    operator does not move with roundoff.  Exact ``p`` is returned as is."""
-    if p.is_zero() or all(is_exact(c) for c in p.coeffs):
-        return p
-    places = 5 - math.floor(math.log10(max(abs(c) for c in p.coeffs)))
-    return Poly([complex(round(c.real, places) + 0.0, round(c.imag, places) + 0.0) for c in map(complex, p.coeffs)])
-
-
-def membership_test(stack, spec: ModuleSpec, tol=None) -> list:
+def membership_test(stack, spec: ModuleSpec) -> list:
     """For each gs in the stack: does the space with cleared operator ``gs``
     lie over the prescribed points with prescribed exponents?  One
-    MembershipReport per operator, in stack order, of an array
-    (operators, N + 1, width), exact (``dtype=object``) or complex, such as
-    ``cleared_operators`` gives.
+    MembershipReport per operator, in stack order, of an exact array
+    (operators, N + 1, width) of ``dtype=object``, such as
+    ``cleared_operators`` gives an exact space.
 
     Every check reads one Taylor table: row (s, i) holds the coefficients of
     G_i in powers of (u - b_s), the coefficient rows of gs times T, the
-    ``linalg.point_table`` of the points (the table ``betheop`` expands the
-    block side with), whose entries C(j, k) b_s^(j - k) are taken exactly
-    for exact coefficients and correctly rounded to complex floats for
-    float ones: one product for the whole stack at every point, and the
-    checks run per group of points with equal n_s.  The
-    leading zeros of row (s, 0), up to n_s, give the order to which the
-    monic G_0 vanishes at b_s.  The checks:
+    exact ``linalg.point_table`` of the points (the table ``betheop``
+    expands the block side with), whose entries are C(j, k) b_s^(j - k):
+    one product for the whole stack at every point, and the checks run per
+    group of points with equal n_s.  A value passes as zero only when it is
+    exactly zero; no float is formed.  The leading zeros of row (s, 0), up
+    to n_s, give the order to which the monic G_0 vanishes at b_s.  The
+    checks:
 
     - ``wronskian-matches-pole-polynomial``: G_0 is the pole polynomial
       prod_s (u - b_s)^{n_s}, that is deg G_0 = n and each order is n_s
-      (the detail prints G_0, float coefficients ``rounded``);
+      (the detail prints G_0);
     - ``poles-confined-to-points``: the orders add up to at least deg G_0,
       so G_0 has no root off the points;
     - ``indicial-exponents-at-point-s``: G_i vanishes to order n_s - i for
@@ -236,59 +225,26 @@ def membership_test(stack, spec: ModuleSpec, tol=None) -> list:
       the routine ``betheop.check_polynomiality`` uses, for the whole stack
       at once), equals ``spec.indicial_target(s)``, whose roots are the
       shifted partition; a report forms its ``indicial`` data when read.
-
-    A value passes as zero through one rule.  Without ``tol`` it must be
-    exactly zero, and no float is formed.  With ``tol`` it must be at most
-    tol times its roundoff floor: a Taylor coefficient carries the roundoff
-    of the shift, which |G_i| times |T|, entrywise C(j, k) |b_s|^(j - k),
-    bounds.  That bound is also the floor of the indicial comparison, since
-    with close points both indicial polynomials are tiny and a floor of 1
-    would accept any.
     """
     if not len(stack):
         return []
     N, n = spec.rank, spec.size
-    # largest[i]: the largest coefficient of a(a-1)...(a-(N-i-1)) in absolute value
-    largest = np.array([max(abs(c) for c in falling_product(N - i).coeffs) for i in range(N + 1)])
-
-    def zero(values, scale):
-        """Elementwise: values == 0 without tol, |values| <= tol * scale() with it.
-
-        The scale is formed only with tol, so an exact operator forms no float.
-        """
-        if tol is None:
-            return values == 0
-        return np.abs(values) <= tol * scale()
-
     # table[c, s, i, j]: the (u - b_s)^j coefficient of G_i of operator c, j <= n, all points in one product
-    # with the point table T in the field of the coefficients; roundoff[c, s, i, j], |G_i| |T|, bounds its roundoff
     sizes = spec.factor_sizes
-    shift = entries(point_table(spec.points, (n + 1,) * len(sizes), stack.shape[-1] - 1), stack.dtype == object)
-
-    def expand(coeffs, t):
-        return (coeffs @ t.T).reshape(len(stack), N + 1, len(sizes), n + 1).swapaxes(1, 2)
-
-    table = expand(stack, shift)
-    roundoff = expand(np.abs(stack), np.abs(shift)) if tol is not None else None
+    shift = entries(point_table(spec.points, (n + 1,) * len(sizes), stack.shape[-1] - 1), exact=True)
+    table = (stack @ shift.T).reshape(len(stack), N + 1, len(sizes), n + 1).swapaxes(1, 2)
     orders, regular, chi_ok = (np.zeros((len(stack), len(sizes)), dtype=t) for t in (int, bool, bool))
-    chis = np.zeros((len(stack), len(sizes), N + 1), dtype=table.dtype)
+    chis = np.zeros((len(stack), len(sizes), N + 1), dtype=object)
     for m in set(sizes):  # the points with n_s = m at once
         group = [s for s, n_s in enumerate(sizes) if n_s == m]
-        local, bound = table[:, group], roundoff[:, group] if tol is not None else None
-        # with tol, a Taylor coefficient is measured against the largest
-        # entry of its row (at least 1) and its own roundoff bound
-        vanish = zero(local[..., :m], lambda: np.maximum(
-            np.abs(local).max(axis=3, keepdims=True).clip(1.0), bound[..., :m]))
+        local = table[:, group]
+        vanish = local[..., :m] == 0
         orders[:, group] = np.cumprod(vanish[:, :, 0], axis=2).sum(axis=2)  # leading zeros of row 0
         required = np.arange(m) < m - np.arange(N + 1)[:, None]  # rows i < n_s vanish to order n_s - i
         regular[:, group] = np.all(vanish | ~required, axis=(2, 3))
         chi = chis[:, group] = indicial_coefficients(local, m)
-        terms = np.arange(min(m, N) + 1)  # the rows i with a term t_{i, n_s - i} in chi
-        # the targets in the field of the table: float against float, exact against exact
-        target = np.array([spec.indicial_target(s).coeffs for s in group], dtype=table.dtype)
-        chi_ok[:, group] = regular[:, group] & zero(chi - target, lambda: np.maximum(
-            np.maximum(np.abs(chi).max(axis=2), np.abs(target).max(axis=1)),
-            bound[..., terms, m - terms] @ largest[terms])[..., None]).all(axis=2)
+        target = np.array([spec.indicial_target(s).coeffs for s in group], dtype=object)
+        chi_ok[:, group] = regular[:, group] & (chi - target == 0).all(axis=2)
 
     expected = [expected_exponents(part, N) for part in spec.partitions]
     totals, regular, chi_ok = orders.sum(axis=1).tolist(), regular.tolist(), chi_ok.tolist()
@@ -296,21 +252,17 @@ def membership_test(stack, spec: ModuleSpec, tol=None) -> list:
     def indicial(c, s, chi) -> IndicialData:
         if chi_ok[c][s]:
             return IndicialData(chi, expected[s])
-        # an exact space that fails reads off the exponents it has instead
-        exact = tol is None and regular[c][s] and not chi.is_zero()
-        return IndicialData(chi, _integer_roots(chi, -1, n + N + 2) if exact else None)
+        # a space that fails reads off the exponents it has instead
+        return IndicialData(chi, _integer_roots(chi, -1, n + N + 2) if regular[c][s] and not chi.is_zero() else None)
 
     names = [(f"indicial-exponents-at-point-{s}", f"expected exponents {exps}") for s, exps in enumerate(expected)]
-    texts = {}  # the Wronskian detail per distinct rounded G_0
     reports = []
     for c, g0 in enumerate(stack[:, 0].tolist()):
         g0, total = Poly(g0), totals[c]
-        shown = rounded(g0)
-        text = texts.get(shown) or texts.setdefault(shown, f"got {shown}")
         wr_ok = g0.degree == n == total
         poles_ok = total >= g0.degree
         checks = [
-            MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, text),
+            MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {g0}"),
             MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
         ] + [MembershipCheck(name, ok, detail) for (name, detail), ok in zip(names, chi_ok[c])]
         reports.append(MembershipReport(all(ch.passed for ch in checks), checks, lambda c=c: {

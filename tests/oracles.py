@@ -45,13 +45,15 @@ take.
 The last reference is the spectral stage one character at a time
 (``spectral_stage_loop``).  It shares the library's float conversion,
 clustering, draws and Taylor tables, and differs from the stacked stage
-exactly where that stage batches: one residual, numerator row, lstsq kernel fit and membership test per character.
+exactly where that stage batches: one residual, numerator row and lstsq kernel fit per character.
 
 Both sides' local conditions at the points have a point-by-point reference
 (``check_polynomiality_by_point``, ``membership_test_by_point``): one
 Taylor expansion per point, by ``taylor_matrix`` (``taylor_coefficients``
 for one polynomial), built in the field of the point, where the library
-contracts every point's integer ``point_table`` at once.
+contracts every point's integer ``point_table`` at once.  The membership
+checks a fitted character gets from the block have a reference built on
+them (``membership_checks_by_point``).
 """
 
 import cmath
@@ -80,11 +82,8 @@ from gaudin.spaces import (
     _integer_roots,
     cleared_operators,
     expected_exponents,
-    rounded,
 )
 from gaudin.spectral import (
-    KERNEL_FAILURE,
-    MEMBERSHIP_TOL,
     Tolerances,
     _cluster,
     _normal_draws,
@@ -973,8 +972,8 @@ def kernel_spaces(kernels, spec, fits=None) -> list:
 
 def report_kernels(report, spec) -> list:
     """Per character of a ``spectrum_analysis`` report its kernel as a QuasiExpSpace, or None where
-    recovery failed (its membership is ``KERNEL_FAILURE``)."""
-    return kernel_spaces(report.kernels, spec, [2.0 * isinstance(m, str) for m in report.memberships])
+    its fit failed (its report entry carries ``KERNEL_FAILURE``)."""
+    return kernel_spaces(report.kernels, spec, report.fits.tolist())
 
 
 # --- the spectral stage one character at a time ----------------------------
@@ -1054,40 +1053,6 @@ def indicial_polynomial(taylors, n_s: int):
     return sum(terms[1:], terms[0]) if terms else Poly()
 
 
-def _membership_loop(gs, spec, tol):
-    """The membership test of one operator, with ``indicial_polynomial`` term by term."""
-    N, n = spec.rank, spec.size
-    g0 = gs[0]
-    one = g0.leading ** 0
-    width = max(len(g.coeffs) for g in gs)
-    rows = np.array([g.coeffs + (0 * one,) * (width - len(g.coeffs)) for g in gs])
-    falling = np.array([max(abs(c) for c in falling_product(N - i).coeffs) for i in range(N + 1)])
-    point_checks, indicial, orders = [], {}, []
-    for s, (b_s, n_s, part) in enumerate(zip(spec.points, spec.factor_sizes, spec.partitions)):
-        point = b_s * one
-        table = rows @ taylor_matrix(point, width - 1, n + 1).T
-        bound = np.abs(rows) @ taylor_matrix(abs(point), width - 1, n_s + 1).T
-        vanish = np.abs(table[:, :n_s]) <= tol * np.maximum(
-            np.abs(table).max(axis=1, keepdims=True).clip(1.0), bound[:, :n_s])
-        orders.append(next((j for j in range(n_s) if not vanish[0, j]), n_s))
-        regular = all(vanish[i, :n_s - i].all() for i in range(min(n_s, N + 1)))
-        chi = indicial_polynomial(table.tolist(), n_s)
-        target = Poly(np.array(spec.indicial_target(s).coeffs, dtype=table.dtype).tolist())
-        terms = np.arange(min(n_s, N) + 1)
-        floor = max([abs(c) for c in chi.coeffs + target.coeffs] + [bound[terms, n_s - terms] @ falling[terms]])
-        chi_ok = regular and bool((np.abs(np.array((chi - target).coeffs)) <= tol * floor).all())
-        exps = expected_exponents(part, N)
-        indicial[s] = IndicialData(polynomial=chi, exponents=exps if chi_ok else None)
-        point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", chi_ok, f"expected exponents {exps}"))
-    wr_ok = g0.degree == n == sum(orders)
-    poles_ok = sum(orders) >= g0.degree
-    checks = [
-        MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {rounded(g0)}"),
-        MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
-    ] + point_checks
-    return MembershipReport(ok=all(c.passed for c in checks), checks=checks, read_indicial=lambda: indicial)
-
-
 @dataclass
 class LoopCharacter:
     """A joint eigenvector with its numerators[i - 1][j] = v* C_ij v, the u^j coefficient of P h_i."""
@@ -1110,7 +1075,6 @@ class LoopSpectrum:
     diagonalizable: bool
     operators: list = field(default_factory=list)
     kernels: list = field(default_factory=list)
-    memberships: list = field(default_factory=list)
 
     @property
     def count(self) -> int:
@@ -1123,9 +1087,7 @@ def spectral_stage_loop(op, tol=None, seed=2024):
 
     Each simple eigenvector is taken from ``eig`` as it comes and checked
     against every unit coefficient matrix in turn, its numerators are one
-    v* C_ij v each, its kernel is one lstsq fit per exponent, and its
-    membership test forms the indicial polynomial with
-    ``indicial_polynomial``.  A cluster's vectors come from a fresh draw
+    v* C_ij v each, and its kernel is one lstsq fit per exponent.  A cluster's vectors come from a fresh draw
     inside its subspace, each cluster size counted one eigenvalue at a time.
     The draws of ``random.Random(seed)`` are taken in the library's order,
     so both give the same characters in the same order.  Returns a
@@ -1191,11 +1153,8 @@ def spectral_stage_loop(op, tol=None, seed=2024):
     report = LoopSpectrum(characters, diagonalizable)
     for ch in characters:
         G = [spec.complex_pole_polynomial()] + [Poly(row) for row in ch.numerators]
-        X = _kernel_loop(G, spec, tol)
         report.operators.append(G)
-        report.kernels.append(X)
-        report.memberships.append(
-            KERNEL_FAILURE if X is None else _membership_loop(cleared_operator_polys(X), spec, MEMBERSHIP_TOL))
+        report.kernels.append(_kernel_loop(G, spec, tol))
     return report
 
 
@@ -1251,10 +1210,11 @@ def check_polynomiality_by_point(op) -> PolynomialityReport:
     try:
         cleared = op.cleared
     except ValueError as exc:
-        return PolynomialityReport([], {}, polynomial=False, scalar=True, indicial_ok=False, failures=[str(exc)])
+        return PolynomialityReport([], {}, polynomial=False, scalar=True, indicial_ok=False,
+                                   indicial_at=[False] * len(spec.points), failures=[str(exc)])
     degrees = [a.degree for a in cleared]
     failures += [f"cleared A_{i} has degree {d} > {n}" for i, d in enumerate(degrees, 1) if d > n]
-    indicial_ok = True
+    indicial_at = []
     for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
         table = [taylor_coefficients(pole, b_s, n_s + 1)]  # A_0 = P
         for i in range(1, N + 1):
@@ -1263,49 +1223,60 @@ def check_polynomiality_by_point(op) -> PolynomialityReport:
             vanish = next((k for k, c in enumerate(local) if c is None or c != 0), n_s + 1)
             pole_orders[i, s] = max(0, n_s - vanish)
             table.append(local)
+        indicial_at.append(True)
         if not op.dim:
             continue
         nonscalar = [i for i in range(1, min(n_s, N) + 1) if table[i][n_s - i] is None]
         scalar = scalar and not nonscalar
         failures += [f"leading local coefficient of B_{i} at point {b_s} is not scalar" for i in nonscalar]
         if nonscalar or Poly(indicial_coefficients(np.array(table, dtype=object), n_s)) != spec.indicial_target(s):
-            indicial_ok = False
+            indicial_at[s] = False
             failures.append(f"indicial identity fails at point {b_s}")
-    return PolynomialityReport(degrees, pole_orders, polynomial=True, scalar=scalar, indicial_ok=indicial_ok,
-                               failures=failures)
+    return PolynomialityReport(degrees, pole_orders, polynomial=True, scalar=scalar, indicial_ok=all(indicial_at),
+                               indicial_at=indicial_at, failures=failures)
 
 
-def membership_test_by_point(stack, spec, tol=None) -> list:
-    """``spaces.membership_test`` with one Taylor table, one roundoff bound and
-    one indicial comparison per point, each for the whole stack."""
+def membership_checks_by_point(op) -> list:
+    """(name, passed) of the membership checks a fitted character of op gets from the block, from references:
+    the Wronskian checks pass when every coefficient of A_1, as a ``Matrix``, is the scalar matrix of the
+    coefficient of -(P' + sum(K) P); the check at b_s when ``check_polynomiality_by_point`` finds the
+    indicial identity there and every pole order of a B_i at b_s at most i."""
+    spec = op.spec
+    pole = spec.pole_polynomial()
+    target = -(pole.derivative() + pole.scale(sum(spec.exponents[1:], spec.exponents[0])))
+    try:
+        first = unstacked(op.cleared[0])
+    except ValueError:
+        first = None
+    wronskian = first is not None and all(
+        first.coeff(k) == Matrix.identity(op.dim) * target.coeff(k) if op.dim else True
+        for k in range(max(first.degree, target.degree) + 1))
+    local = check_polynomiality_by_point(op)
+    points = [local.indicial_at[s] and all(local.pole_orders[i, s] <= i for i in range(1, spec.rank + 1))
+              for s in range(len(spec.points))]
+    return ([("wronskian-matches-pole-polynomial", wronskian), ("poles-confined-to-points", wronskian)]
+            + [(f"indicial-exponents-at-point-{s}", ok) for s, ok in enumerate(points)])
+
+
+def membership_test_by_point(stack, spec) -> list:
+    """``spaces.membership_test`` with one Taylor table and one indicial comparison per point, each for
+    the whole stack of exact Poly lists."""
     if not stack:
         return []
     N, n = spec.rank, spec.size
     one = stack[0][0].leading ** 0
     width = max(len(g.coeffs) for gs in stack for g in gs)
     rows = np.array([[g.coeffs + (0 * one,) * (width - len(g.coeffs)) for g in gs] for gs in stack])
-    largest = np.array([max(abs(c) for c in falling_product(N - i).coeffs) for i in range(N + 1)])
-
-    def zero(values, scale):
-        return values == 0 if tol is None else np.abs(values) <= tol * scale()
-
     orders, regular, chis, chi_ok = [], [], [], []
     for s, (b_s, n_s) in enumerate(zip(spec.points, spec.factor_sizes)):
-        point = b_s * one
-        table = rows @ taylor_matrix(point, width - 1, n + 1).T
-        roundoff = np.abs(rows) @ taylor_matrix(abs(point), width - 1, n_s + 1).T if tol is not None else None
-        vanish = zero(table[:, :, :n_s], lambda: np.maximum(
-            np.abs(table).max(axis=2, keepdims=True).clip(1.0), roundoff[:, :, :n_s]))
+        table = rows @ taylor_matrix(b_s * one, width - 1, n + 1).T
+        vanish = table[:, :, :n_s] == 0
         orders.append(np.cumprod(vanish[:, 0], axis=1).sum(axis=1))
         required = np.arange(n_s) < n_s - np.arange(N + 1)[:, None]
         regular.append(np.all(vanish | ~required, axis=(1, 2)))
         chi = indicial_coefficients(table, n_s)
-        terms = np.arange(min(n_s, N) + 1)
-        target = np.array(spec.indicial_target(s).coeffs, dtype=table.dtype)
         chis.append(chi)
-        chi_ok.append(regular[-1] & zero(chi - target, lambda: np.maximum(
-            np.abs(chi).max(axis=1, initial=np.abs(target).max()),
-            roundoff[:, terms, n_s - terms] @ largest[terms])[:, None]).all(axis=1))
+        chi_ok.append(regular[-1] & (chi - np.array(spec.indicial_target(s).coeffs, dtype=object) == 0).all(axis=1))
     expected = [expected_exponents(part, N) for part in spec.partitions]
     totals = sum(orders, np.zeros(len(stack), dtype=int)).tolist()
     reports = []
@@ -1315,7 +1286,7 @@ def membership_test_by_point(stack, spec, tol=None) -> list:
         for s, exps in enumerate(expected):
             chi = Poly(chis[s][c].tolist())
             got = exps if chi_ok[s][c] else None
-            if tol is None and regular[s][c] and not chi_ok[s][c] and not chi.is_zero():
+            if regular[s][c] and not chi_ok[s][c] and not chi.is_zero():
                 got = _integer_roots(chi, -1, n + N + 2)
             indicial[s] = IndicialData(polynomial=chi, exponents=got)
             point_checks.append(MembershipCheck(f"indicial-exponents-at-point-{s}", bool(chi_ok[s][c]),
@@ -1323,7 +1294,7 @@ def membership_test_by_point(stack, spec, tol=None) -> list:
         wr_ok = g0.degree == n == total
         poles_ok = total >= g0.degree
         checks = [
-            MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {rounded(g0)}"),
+            MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {g0}"),
             MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
         ] + point_checks
         reports.append(MembershipReport(ok=all(ch.passed for ch in checks), checks=checks,

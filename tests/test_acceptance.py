@@ -24,7 +24,7 @@ from gaudin.betheop import (
     first_coefficient_residual,
     leading_symbol,
 )
-from gaudin.harness import cleared_numerators
+from gaudin.harness import InstanceConfig, cleared_numerators, spectrum_pipeline
 from gaudin.polynomials import Poly
 from gaudin.scalars import to_complex
 from gaudin.spaces import expected_exponents, membership_test
@@ -123,8 +123,7 @@ def test_criterion_4_golden_instance(golden_op):
         assert best not in matched
         matched.add(best)
 
-    for m in analysis.memberships:
-        assert hasattr(m, "ok") and m.ok
+    assert all(entry["membership"] for entry in spectrum_pipeline(InstanceConfig(spec))["characters"])
 
     for row in sols.roots:
         residuals, _ = verify_eigenvector([row], spec, golden_op)
@@ -168,12 +167,12 @@ def test_criterion_6_membership_suite(golden_op):
         target = spec.pole_polynomial()
         tcoeffs = [complex(to_complex(c)) for c in target.coeffs]
         scale = max(abs(c) for c in tcoeffs)
-        for X, m in zip(report_kernels(analysis, spec), analysis.memberships):
-            assert X is not None and hasattr(m, "ok") and m.ok
-            for s, data in m.indicial.items():
-                assert tuple(data.exponents) == expected_exponents(
-                    spec.partitions[s], spec.rank
-                )
+        entries = spectrum_pipeline(InstanceConfig(spec))["characters"]
+        for X, entry in zip(report_kernels(analysis, spec), entries):
+            assert X is not None and entry["membership"]
+            assert [c["detail"] for c in entry["membership_checks"][2:]] == [
+                f"expected exponents {expected_exponents(part, spec.rank)}" for part in spec.partitions
+            ]
             wronskian = cleared_operator_polys(X)[0]  # monic
             for k, tc in enumerate(tcoeffs):
                 got = complex(wronskian.coeff(k)) if wronskian.degree >= k else 0.0

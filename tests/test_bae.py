@@ -683,7 +683,9 @@ def test_bae_real_at_seed_101_retires_its_creeping_rows():
     [("build_n3", (225, 75, 5, 22, 12)), ("golden_n2", (9, 7, 0, 0, 2))],
 )
 def test_newton_counters_of_the_structured_fixtures(name, structured):
-    """Every start takes the same path whatever the batching of its damping."""
+    """The structured family's counters are pinned.  A start's path is fixed only for a fixed chunk of
+    rows: the batched residual rounds differently for a different number of rows, so run alone or in
+    another chunk a start can converge differently, and the pins hold for the search's own chunking."""
     cfg = InstanceConfig.from_file(FIXTURES / f"{name}.json")
     counters = verify_pipeline(cfg)["counters"]["newton"]
     assert _pinned(counters) == {"structured": structured, "random": (0, 0, 0, 0, 0)}

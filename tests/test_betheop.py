@@ -15,8 +15,9 @@ from gaudin.betheop import (
     first_coefficient_residual,
     leading_symbol,
     weight_blocks_preserved,
+    wronskian_identity,
 )
-from gaudin.harness import InstanceConfig
+from gaudin.harness import InstanceConfig, membership_checks, spectrum_pipeline
 from gaudin.linalg import MatrixPoly
 from gaudin.polynomials import Poly
 
@@ -305,3 +306,66 @@ def test_mutants_over_a_wider_denominator_fail_their_checks(golden_op):
     at_point = mutant_operator(golden_op, 1, MatrixPoly.identity(golden_op.dim), Poly([-b0, F(1)]))
     assert check_polynomiality(at_point).polynomial
     assert not first_coefficient_residual(at_point).is_zero()
+
+
+def _fact_cases():
+    """Every fixture, the benchmark's two workloads and bae-real with an exponent gap of 1/2000."""
+    cases = [pytest.param(InstanceConfig.from_file(path).spec, id=path.stem) for path in sorted(FIXTURES.glob("*.json"))]
+    return cases + [pytest.param(_vectors(2, ("0", "1/2"), 4, (2, 2)), id="bae-real"),
+                    pytest.param(_vectors(2, ("0", "1/2"), 5, (3, 2)), id="eigenop-n2"),
+                    pytest.param(_vectors(2, ("0", "1/2000"), 4, (2, 2)), id="gap-1/2000")]
+
+
+@pytest.mark.parametrize("spec", _fact_cases())
+def test_membership_facts_hold_on_the_block(spec):
+    """The two exact facts every character's membership reads: A_1 = -(P' + sum(K) P) I, and every B_i
+    has a pole of order at most i at every point; with the indicial identity, every check passes."""
+    op = build_bethe_operator(spec)
+    report = check_polynomiality(op)
+    assert wronskian_identity(op)
+    assert all(report.regular_at(s) for s in range(len(spec.points)))
+    assert all(c["passed"] for c in membership_checks(spec, wronskian_identity(op), report))
+
+
+def test_a_factor_whose_trace_is_not_its_weight_fails_the_wronskian_checks(monkeypatch):
+    """e_11 shifted by 1 on the factor of cell (1, 1) of mixed_cells: sum_i e_ii there is not its weight.
+    The first-coefficient identity still holds, as it does by construction, but A_1 is no longer
+    -(P' + sum(K) P) I, so the Wronskian checks every fitted character would get fail, and so does
+    kernel-membership, with every character."""
+    config = InstanceConfig.from_file(FIXTURES / "mixed_cells.json")
+    action = EmbeddedModule.factor_action
+
+    def shifted(self, mu, i, j):
+        num, den = action(self, mu, i, j)
+        if mu.parts == (1, 1) and i == j == 1:
+            num = num + den * np.identity(len(num), dtype=object)
+        return num, den
+
+    monkeypatch.setattr(EmbeddedModule, "factor_action", shifted)
+    out = spectrum_pipeline(config)
+    op = out["operator"]
+    assert first_coefficient_residual(op).is_zero() and not wronskian_identity(op)
+    failed = {c["name"] for c in membership_checks(op.spec, False, check_polynomiality(op)) if not c["passed"]}
+    assert {"wronskian-matches-pole-polynomial", "poles-confined-to-points"} <= failed
+    checks = {c.name: c.passed for c in out["checks"]}
+    assert not checks["kernel-membership"] and out["characters"]
+    assert not any(entry["membership"] for entry in out["characters"])
+
+
+def test_a_pole_of_order_above_i_fails_regularity_at_its_point():
+    """hook_n3 with B_2 + (1 - a (u - b_0)) / (u - b_0)^3 at its weight-3 point b_0 = 0, a chosen so that
+    the added A_2 term has no (u - b_0)^1 coefficient: the indicial identity still holds everywhere, but
+    B_2 has a pole of order 3 > 2 at b_0, so b_0 is not a regular singular point and its indicial check
+    alone fails."""
+    op = build_bethe_operator(InstanceConfig.from_file(FIXTURES / "hook_n3.json").spec)
+    spec = op.spec
+    b0 = spec.points[0]
+    assert spec.factor_sizes[0] == 3
+    rest = Poly.from_roots([b for b, n_s in zip(spec.points[1:], spec.factor_sizes[1:]) for _ in range(n_s)])
+    a = rest.derivative()(b0) / rest(b0)
+    mutant = mutant_operator(op, 2, MatrixPoly.identity(op.dim) * Poly([1 + a * b0, -a]), Poly.from_roots([b0] * 3))
+    report = check_polynomiality(mutant)
+    assert report.pole_orders[2, 0] == 3 and report.indicial_at == [True] * 3 and wronskian_identity(mutant)
+    assert [report.regular_at(s) for s in range(3)] == [False, True, True]
+    failed = [c["name"] for c in membership_checks(spec, wronskian_identity(mutant), report) if not c["passed"]]
+    assert failed == ["indicial-exponents-at-point-0"]

@@ -2,16 +2,16 @@
 
 ``check_polynomiality`` expands every cleared coefficient at every point from
 one integer ``point_table``, and ``membership_test`` expands every operator
-of a stack at every point from the same table, its entries exact for an
-exact stack and correctly rounded for a float one; the references in
+of an exact stack at every point from the same table; the references in
 ``oracles`` expand one point at a time with a ``taylor_matrix`` built in the
-field of the point.  The reports must be equal: exact fields identical,
-floats within 1e-12 relative.  The exact and the float membership test must
-also agree on exact spaces, and the exponents an exact space has instead
-are read off by ``_integer_roots``, tested on its own.  The cases cover every
-fixture (``gauss_n2`` over Q(i), ``mixed_cells`` and ``hook_n3`` with points
-of different n_s, ``trivial_*`` without points), the Jordan instance, the
-two benchmark instances rescaled to (cK, b/c), and Q(i) and fractional points.
+field of the point.  The reports must be equal.  The membership checks a
+fitted character of the spectral stage gets are decided from the block's
+local data and must equal the reference decision, and the float kernels must
+bear them out.  The exponents an exact space has instead are read off by
+``_integer_roots``, tested on its own.  The cases cover every fixture
+(``gauss_n2`` over Q(i), ``mixed_cells`` and ``hook_n3`` with points of
+different n_s, ``trivial_*`` without points), the Jordan instance, the two
+benchmark instances rescaled to (cK, b/c), and Q(i) and fractional points.
 """
 
 import json
@@ -22,15 +22,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaudin.betheop import build_bethe_operator, check_polynomiality
-from gaudin.harness import InstanceConfig
+from gaudin.bae import gap_unit
+from gaudin.betheop import build_bethe_operator, check_polynomiality, wronskian_identity
+from gaudin.harness import InstanceConfig, membership_checks, spectrum_pipeline
 from gaudin.polynomials import Poly
 from gaudin.scalars import GaussianRational, parse_scalar
 from gaudin.spaces import _integer_roots, membership_test
-from gaudin.spectral import MEMBERSHIP_TOL, spectrum_analysis
+from gaudin.spectral import spectrum_analysis
 
 from conftest import JORDAN, mutant_operator, random_exact_space, unit_matrix
-from oracles import check_polynomiality_by_point, cleared_operator_polys, membership_test_by_point, poly_stack, report_kernels
+from oracles import (
+    check_polynomiality_by_point,
+    cleared_operator_polys,
+    membership_checks_by_point,
+    membership_test_by_point,
+    poly_stack,
+    report_kernels,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -80,16 +88,7 @@ def test_check_polynomiality_matches_the_point_by_point_reference(name):
         assert not check_polynomiality(ops[1]).ok
 
 
-def _close(a: Poly, b: Poly) -> bool:
-    """Coefficientwise within 1e-12 of the larger polynomial's largest coefficient."""
-    x, y = (np.array(p.coeffs, dtype=complex) for p in (a, b))
-    if x.shape != y.shape:
-        return False
-    scale = max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
-    return bool(np.all(np.abs(x - y) <= 1e-12 * scale))
-
-
-def assert_same_reports(got, expect, exact):
+def assert_same_reports(got, expect):
     assert len(got) == len(expect)
     for g, e in zip(got, expect):
         assert g.ok == e.ok
@@ -97,29 +96,29 @@ def assert_same_reports(got, expect, exact):
         assert g.indicial.keys() == e.indicial.keys()
         for s, data in g.indicial.items():
             assert data.exponents == e.indicial[s].exponents
-            if exact:
-                assert data.polynomial == e.indicial[s].polynomial
-            else:
-                assert _close(data.polynomial, e.indicial[s].polynomial)
+            assert data.polynomial == e.indicial[s].polynomial
 
 
-def _perturbed(gs, eps=1e-3):
-    """G_1 times 1 + eps: the operator keeps its poles but its indicial polynomials move."""
-    return [gs[0], Poly([c * (1 + eps) for c in gs[1].coeffs])] + list(gs[2:])
+def _decided(op):
+    return membership_checks(op.spec, wronskian_identity(op), check_polynomiality(op))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_membership_test_matches_the_point_by_point_reference(name):
-    """The recovered kernels of the spectral stage, with a perturbed copy of each, under MEMBERSHIP_TOL."""
+    """The membership checks a fitted character gets from the block equal the reference decision
+    (``membership_checks_by_point``), on the block and on the mutant, which breaks A_1 and the
+    leading local coefficient at b_0 and so fails both Wronskian checks and the one at b_0; every
+    fitted character of the spectral stage carries them."""
     config = _config(name)
-    report = spectrum_analysis(build_bethe_operator(config.spec), config.tolerances, config.seed)
-    stack = [cleared_operator_polys(X) for X in report_kernels(report, config.spec) if X is not None]
-    stack += [_perturbed(gs) for gs in stack]
-    got = membership_test(poly_stack(stack), config.spec, tol=MEMBERSHIP_TOL)
-    assert_same_reports(got, membership_test_by_point(stack, config.spec, tol=MEMBERSHIP_TOL), exact=False)
-    if stack and config.spec.points:
-        assert all(r.ok for r in got[:len(stack) // 2]) or name == "jordan"
-        assert not any(r.ok for r in got[len(stack) // 2:])
+    op = build_bethe_operator(config.spec)
+    ops = [op] + ([_mutant(op)] if op.dim and op.spec.points else [])
+    for case in ops:
+        assert [(c["name"], c["passed"]) for c in _decided(case)] == membership_checks_by_point(case)
+    if len(ops) > 1:
+        failed = {c["name"] for c in _decided(ops[1]) if not c["passed"]}
+        assert failed == {"wronskian-matches-pole-polynomial", "poles-confined-to-points", "indicial-exponents-at-point-0"}
+    entries = spectrum_pipeline(config)["characters"]
+    assert all(entry["membership_checks"] == _decided(op) for entry in entries if "membership_error" not in entry)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -132,24 +131,25 @@ def test_exact_membership_matches_the_point_by_point_reference(name):
     spaces = [config.space] if config.space is not None else []
     spaces += [random_exact_space(spec.rank, spec.exponents, spec.weight, rng) for _ in range(3)]
     stack = [cleared_operator_polys(X) for X in spaces]
-    assert_same_reports(membership_test(poly_stack(stack), spec), membership_test_by_point(stack, spec), exact=True)
+    assert_same_reports(membership_test(poly_stack(stack), spec), membership_test_by_point(stack, spec))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_exact_and_float_membership_agree(name):
-    """The fixture's own space and random spaces: the exact test and the float test at MEMBERSHIP_TOL on
-    the complex copy of each operator give the same checks and verdicts."""
+    """The exact verdicts of the block and the float kernels agree: every character passes its
+    membership, and each fitted kernel's float G_0, its monic Wronskian part, is the pole polynomial
+    P, as the Wronskian checks, decided exactly, say: within 1e-8 of P's largest coefficient with u
+    in units of the smallest gap between the points, as the kernels are fitted."""
     config = _config(name)
     spec = config.spec
-    rng = random.Random(7)
-    spaces = [config.space] if config.space is not None else []
-    spaces += [random_exact_space(spec.rank, spec.exponents, spec.weight, rng) for _ in range(5)]
-    stack = [cleared_operator_polys(X) for X in spaces]
-    floats = [[Poly([complex(c) for c in g.coeffs]) for g in gs] for gs in stack]
-    for exact, rounded in zip(membership_test(poly_stack(stack), spec),
-                              membership_test(poly_stack(floats), spec, tol=MEMBERSHIP_TOL)):
-        assert exact.ok == rounded.ok
-        assert [(c.name, c.passed) for c in exact.checks] == [(c.name, c.passed) for c in rounded.checks]
+    report = spectrum_analysis(build_bethe_operator(spec), config.tolerances, config.seed)
+    assert all(entry["membership"] for entry in spectrum_pipeline(config)["characters"])
+    pole = np.array([complex(c) for c in spec.pole_polynomial().coeffs])
+    units = gap_unit(spec.points) ** (np.arange(len(pole)) - len(pole) + 1)  # u^k -> u^k / s^(n - k)
+    for X in report_kernels(report, spec):
+        g0 = np.array([complex(c) for c in cleared_operator_polys(X)[0].coeffs])
+        assert g0.shape == pole.shape
+        assert np.abs((g0 - pole) * units).max() <= 1e-8 * np.abs(pole * units).max()
 
 
 def _roots(*roots, scale=Fraction(1)):

@@ -9,33 +9,35 @@ is permuting b together with the partitions, must not change them either.
 
 import functools
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gaudin.bae import newton_solve
-from gaudin.betheop import build_bethe_operator
-from gaudin.harness import InstanceConfig, spectrum_pipeline, verify_pipeline
+from gaudin.betheop import build_bethe_operator, check_polynomiality, wronskian_identity
+from gaudin.harness import InstanceConfig, membership_checks, spectrum_pipeline, verify_pipeline
 from gaudin.polynomials import Poly
 from gaudin.scalars import format_scalar, parse_scalar
-from gaudin.spaces import QuasiExpSpace, membership_test
+from gaudin.spaces import QuasiExpSpace
 from gaudin.spectral import spectrum_analysis
 
-from oracles import report_kernels, space_stack
+from oracles import report_kernels
 
 F = Fraction
 
-# name -> (number of vector factors at b = 0, 1, ..., weight); K = (0, 1/2)
+# name -> (number of vector factors at b = 0, 1, ..., weight)
 SHAPES = {"lam22-4pts": (4, (2, 2)), "lam32-5pts": (5, (3, 2))}
 
 
 @functools.lru_cache(maxsize=None)
-def spectrum_verdicts(shape, c):
+def spectrum_verdicts(shape, c, gap=F(1, 2)):
+    """Verdicts and character count of `spectrum` on the shape with K = c (0, gap) and b = 0, 1/c, 2/c, ..."""
     npts, weight = SHAPES[shape]
     data = {
         "N": 2,
-        "K": [str(c * k) for k in (F(0), F(1, 2))],
+        "K": [str(c * k) for k in (F(0), gap)],
         "partitions": [[1]] * npts,
         "b": [str(F(b) / c) for b in range(npts)],
         "weight": list(weight),
@@ -56,6 +58,16 @@ def spectrum_verdicts(shape, c):
 )
 def test_spectrum_invariant_under_scaling(shape, c):
     assert spectrum_verdicts(shape, c) == spectrum_verdicts(shape, F(1))
+
+
+@pytest.mark.parametrize("gap", [F(1, 200), F(1, 2000)], ids=["gap=1/200", "gap=1/2000"])
+@pytest.mark.parametrize("c", [F(1, 1000), F(1000)], ids=["c=1/1000", "c=1000"])
+def test_small_exponent_gap_spectrum_invariant_under_scaling(gap, c):
+    """bae-real with the exponent gap cut to 1/200 and 1/2000: at every scale every check of the spectrum
+    passes, kernel-membership included, on 6 characters."""
+    verdicts, count = spectrum_verdicts("lam22-4pts", c, gap)
+    assert (verdicts, count) == spectrum_verdicts("lam22-4pts", F(1), gap)
+    assert count == 6 and verdicts["kernel-membership"] and all(verdicts.values())
 
 
 # name -> (K, number of vector factors at b = 0, 1, ..., weight)
@@ -111,18 +123,23 @@ def mixed_cell_spec(c, partitions):
     return InstanceConfig.from_dict(data).spec
 
 
+def swapped_failures(out, swapped_spec) -> set:
+    """The membership checks that fail when the block of a ``spectrum_pipeline`` result is decided against
+    other partitions of the same sizes, which keep the pole polynomial."""
+    op = replace(out["operator"], spec=swapped_spec)
+    return {c["name"] for c in membership_checks(op.spec, wronskian_identity(op), check_polynomiality(op))
+            if not c["passed"]}
+
+
 @pytest.mark.parametrize("c", [F(1), F(1, 1000), F(1000)], ids=["c=1", "c=1/1000", "c=1000"])
 def test_wrong_partition_fails_float_membership(c):
-    """The float membership test tolerates the roundoff of the Taylor shift
-    at large points, but still rejects a wrong cell: the kernel over
-    b = (0, 1/c) with partitions ((2, 0), (1, 1)) fails the swapped
-    partitions, which keep the pole polynomial, at both points."""
-    spec = mixed_cell_spec(c, [[2, 0], [1, 1]])
-    analysis = spectrum_analysis(build_bethe_operator(spec))
-    X, = report_kernels(analysis, spec)
-    assert analysis.memberships[0].ok
-    wrong = membership_test(space_stack(X), mixed_cell_spec(c, [[1, 1], [2, 0]]), tol=1e-6)[0]
-    failed = {check.name for check in wrong.checks if not check.passed}
+    """The block over b = (0, 1/c) with partitions ((2, 0), (1, 1)) passes membership at every scale,
+    also where its float kernel sits at large or close points, and a wrong cell is still rejected:
+    decided against the swapped partitions, which keep the pole polynomial, it fails at both points."""
+    out = spectrum_pipeline(InstanceConfig(mixed_cell_spec(c, [[2, 0], [1, 1]])))
+    entry, = out["characters"]
+    assert entry["membership"] and all(check.passed for check in out["checks"])
+    failed = swapped_failures(out, mixed_cell_spec(c, [[1, 1], [2, 0]]))
     assert failed == {"indicial-exponents-at-point-0", "indicial-exponents-at-point-1"}
 
 
@@ -161,21 +178,17 @@ def scaled_space(X, c):
 def test_wrong_partition_fails_float_membership_at_five_points(c):
     """The five-point shape of lam32-5pts with mixed cells at the two far points.
 
-    At c = 1/1000 the points reach 4000, where the Taylor-shift bounds widen
-    the float tolerances most; at c = 1000 they are 1/1000 apart and the
-    indicial polynomials are tiny, so an absolute floor on their comparison
-    would accept anything.  The kernels are recovered at c = 1 and scaled,
-    so this test exercises the membership test alone.  Each kernel must pass its own partitions and fail the swapped ones, which
-    keep the pole polynomial, at exactly the two swapped points.
+    At c = 1/1000 the points reach 4000; at c = 1000 they are 1/1000 apart
+    and the indicial polynomials are tiny, so only an exact comparison
+    tells a wrong cell from a right one.  All 7 characters must pass their
+    own partitions, and the block decided against the swapped far cells,
+    which keep the pole polynomial, must fail at exactly the two swapped
+    points.
     """
-    kernels = five_point_kernels()
-    assert len(kernels) == 7
-    for X in kernels:
-        G = space_stack(scaled_space(X, c))
-        assert membership_test(G, five_point_spec(c, [[2, 0], [1, 1]]), tol=1e-6)[0].ok
-        wrong = membership_test(G, five_point_spec(c, [[1, 1], [2, 0]]), tol=1e-6)[0]
-        failed = {check.name for check in wrong.checks if not check.passed}
-        assert failed == {"indicial-exponents-at-point-3", "indicial-exponents-at-point-4"}
+    out = spectrum_pipeline(InstanceConfig(five_point_spec(c, [[2, 0], [1, 1]])))
+    assert len(out["characters"]) == 7 and all(entry["membership"] for entry in out["characters"])
+    failed = swapped_failures(out, five_point_spec(c, [[1, 1], [2, 0]]))
+    assert failed == {"indicial-exponents-at-point-3", "indicial-exponents-at-point-4"}
 
 
 def _relative_distance(X, Y):
@@ -197,10 +210,10 @@ def test_kernel_recovery_invariant_under_scaling(c):
     and be the c = 1 kernel of some character, scaled by c.
     """
     spec = five_point_spec(c, [[2, 0], [1, 1]])
-    analysis = spectrum_analysis(build_bethe_operator(spec))
-    kernels = report_kernels(analysis, spec)
+    out = spectrum_pipeline(InstanceConfig(spec))
+    kernels = report_kernels(out["spectrum"], spec)
     assert len(kernels) == 7
-    assert all(not isinstance(m, str) and m.ok for m in analysis.memberships)
+    assert all(entry["membership"] for entry in out["characters"])
     scaled = [scaled_space(X, c) for X in five_point_kernels()]
     matched = {min(range(7), key=lambda k: _relative_distance(Y, scaled[k])) for Y in kernels}
     assert len(matched) == 7

@@ -1,3 +1,4 @@
+import math
 import pathlib
 import random
 import re
@@ -26,7 +27,15 @@ from gaudin.spectral import (
 )
 
 from conftest import COUNT_FAMILY, GOLDEN, JORDAN, make_spec, mutant_operator, random_exact_space
-from oracles import _refine_eigenpair_loop, cleared_operator_polys, kernel_spaces, report_kernels, space_stack, spectral_stage_loop
+from oracles import (
+    _refine_eigenpair_loop,
+    cleared_operator_polys,
+    kernel_spaces,
+    membership_checks_by_point,
+    report_kernels,
+    space_stack,
+    spectral_stage_loop,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -118,8 +127,8 @@ def test_kernel_first_order():
 
 
 def test_spectrum_memberships(golden_op):
-    report = spectrum_analysis(golden_op)
-    assert all(hasattr(m, "ok") and m.ok for m in report.memberships)
+    characters = spectrum_pipeline(InstanceConfig(golden_op.spec))["characters"]
+    assert len(characters) == 2 and all(entry["membership"] for entry in characters)
 
 
 def test_maximal_commutativity_proxy(golden_op):
@@ -241,13 +250,16 @@ def _coefficients(p: Poly, size: int) -> list:
 @pytest.mark.parametrize("config", _stage_cases())
 def test_stacked_stage_matches_the_loop(config):
     """The stacked spectral stage against the loop that takes one character
-    at a time: the same characters in the same order, the same membership
-    check names, verdicts and details, and vectors, numerators, values at
-    the eigenvector points and kernels within 1e-9 relative; G_0, which the
-    Wronskian detail prints rounded, also within 1e-9 as a polynomial."""
+    at a time: the same characters in the same order, the same failed
+    fits, and vectors, numerators, values at the eigenvector points,
+    kernels and their G_0 within 1e-9 relative.  Each character's
+    membership checks in the report are those the block's exact facts
+    decide, from the point-by-point references, where its fit passed."""
     op = build_bethe_operator(config.spec)
     stacked = spectrum_analysis(op, config.tolerances, config.seed)
     loop = spectral_stage_loop(op, config.tolerances, config.seed)
+    entries = spectrum_pipeline(config)["characters"]
+    decided = membership_checks_by_point(op)
     assert stacked.count == loop.count > 0
     assert stacked.diagonalizable == loop.diagonalizable
     assert stacked.cluster_sizes.tolist() == [b.cluster_size for b in loop.characters]
@@ -256,21 +268,20 @@ def test_stacked_stage_matches_the_loop(config):
         assert _relative(vector, b.vector) <= 1e-9
         assert _relative(numerators, b.numerators) <= 1e-9
         assert _relative(values, [b.values(z, pz) for z, pz in points]) <= 1e-9
-    for X, Y, m, r in zip(report_kernels(stacked, config.spec), loop.kernels, stacked.memberships, loop.memberships):
+    assert len(entries) == stacked.count
+    for X, Y, entry in zip(report_kernels(stacked, config.spec), loop.kernels, entries):
         assert (X is None) == (Y is None)
         if X is None:
-            assert m == r == KERNEL_FAILURE
+            assert entry["membership_error"] == KERNEL_FAILURE and not entry["membership"]
             continue
         for p, q in zip(X.polys, Y.polys):
             size = max(p.degree, q.degree) + 1
             assert _relative(_coefficients(p, size), _coefficients(q, size)) <= 1e-9
-        assert m.ok == r.ok
-        assert [(c.name, c.passed) for c in m.checks] == [(c.name, c.passed) for c in r.checks]
-        assert [c.detail for c in m.checks] == [c.detail for c in r.checks]
         g, h = cleared_operator_polys(X)[0], cleared_operator_polys(Y)[0]
         size = max(g.degree, h.degree) + 1
         assert _relative(_coefficients(g, size), _coefficients(h, size)) <= 1e-9
-        assert {s: d.exponents for s, d in m.indicial.items()} == {s: d.exponents for s, d in r.indicial.items()}
+        assert [(c["name"], c["passed"]) for c in entry["membership_checks"]] == decided
+        assert entry["membership"] == all(passed for _, passed in decided)
 
 
 @pytest.fixture(scope="module")
@@ -296,8 +307,9 @@ def test_near_equal_eigenvalues_split_into_simple_characters(wide_op, seed):
 def test_one_failed_kernel_fit_marks_only_its_character(monkeypatch):
     """Numerators perturbed on one character make its kernel fit fail: that
     character alone reports the failure, the others keep their memberships."""
-    op = build_bethe_operator(make_spec(COUNT_FAMILY[0]))
-    clean = spectrum_analysis(op)
+    config = InstanceConfig(make_spec(COUNT_FAMILY[0]))
+    op = build_bethe_operator(config.spec)
+    clean, clean_entries = spectrum_analysis(op), spectrum_pipeline(config)["characters"]
     diagonalize = spectral.joint_diagonalize
 
     def perturbed(*args):
@@ -306,14 +318,15 @@ def test_one_failed_kernel_fit_marks_only_its_character(monkeypatch):
         return report
 
     monkeypatch.setattr(spectral, "joint_diagonalize", perturbed)
-    report = spectrum_analysis(op)
-    assert report.count == clean.count == 6
+    report, entries = spectrum_analysis(op), spectrum_pipeline(config)["characters"]
+    assert report.count == clean.count == len(entries) == 6
     assert [X is None for X in report_kernels(report, op.spec)] == [False, False, True, False, False, False]
-    assert report.memberships[2] == KERNEL_FAILURE == "kernel recovery failed: no quasi-exponential kernel of prescribed degrees"
+    assert entries[2]["membership_error"] == KERNEL_FAILURE == (
+        "kernel recovery failed: no quasi-exponential kernel of prescribed degrees")
+    assert not entries[2]["membership"] and "membership_checks" not in entries[2]
     assert report.counters["gates"]["kernel_fit"]["measured"] > 1 >= clean.counters["gates"]["kernel_fit"]["measured"]
     for k in (0, 1, 3, 4, 5):
-        m, r = report.memberships[k], clean.memberships[k]
-        assert m.ok and [(c.name, c.passed, c.detail) for c in m.checks] == [(c.name, c.passed, c.detail) for c in r.checks]
+        assert entries[k]["membership"] and entries[k]["membership_checks"] == clean_entries[k]["membership_checks"]
 
 
 def test_failed_diagonalization_message_is_the_loop_message():
@@ -418,3 +431,62 @@ def test_eig_vectors_need_no_refinement(build):
             nums = spectral._numerators(v[:, None], mats)[0]
             assert np.all(np.abs(nums - numerators) <= 1e-9 * np.maximum(np.maximum(np.abs(nums), 1.0),
                                                                           np.abs(numerators)))
+
+
+@pytest.mark.parametrize("seed", [2024, 1])
+@pytest.mark.parametrize("gap", ["1/200", "1/2000"])
+def test_small_exponent_gaps_pass_kernel_membership(gap, seed):
+    """bae-real with K = (0, gap): every kernel fit passes, and so does every check of the spectrum,
+    kernel-membership and each character's membership checks included."""
+    config = InstanceConfig(make_spec({**COUNT_FAMILY[0], "K": ("0", gap)}), seed=seed)
+    out = spectrum_pipeline(config)
+    assert [c.name for c in out["checks"] if not c.passed] == []
+    assert len(out["characters"]) == 6 and out["spectrum"].fits.max() <= 1
+    for entry in out["characters"]:
+        assert entry["membership"] and all(c["passed"] for c in entry["membership_checks"])
+
+
+def _householder(w):
+    """I - 2 w w^T / (w^T w) for an integer vector w: an exact orthogonal matrix of Fractions."""
+    w = np.array([F(x) for x in w], dtype=object)
+    return np.identity(len(w), dtype=object) - np.outer(w, w) * F(2, int(w @ w))
+
+
+def _commuting_family(seed, d=6):
+    """(op stand-in, x): the diagonal matrices diag(x[m]) in an exact orthogonal basis Q as the
+    coefficients of A_1 and A_2 of golden's spec, x (4, d).  Characters 0 and 1 differ by 1e-3 in the first
+    two matrices and agree in the others, and the second difference is set so that the combination T of
+    ``joint_diagonalize`` at this seed brings their eigenvalues within 1e-12 of each other."""
+    rng = random.Random(5)
+    x = np.array([[rng.randint(-1000, 1000) / 1000 for _ in range(d)] for _ in range(4)])
+    x[:, 1] = x[:, 0]
+    x[0, 1] += 1e-3
+    c = spectral._normal_draws(random.Random(seed), 4)
+    for _ in range(5):  # the second difference cancels the first in T; |x[1]| barely moves with it
+        x[1, 1] = x[1, 0] - c[0] * 1e-3 / np.linalg.norm(x[0]) * np.linalg.norm(x[1]) / c[1]
+    x = np.array([[F(v).limit_denominator(10**15) for v in row] for row in x], dtype=object)
+    Q = _householder([1, 2, 0, -1, 3, 1]) @ _householder([2, -1, 1, 0, 1, -2]) @ _householder([0, 1, -3, 1, 1, 1])
+    mats = [Q @ np.diag(row) @ Q.T for row in x]
+    den = math.lcm(*(v.denominator for m in mats for v in m.flat))
+    coeffs = np.array([[[int(v * den) for v in row] for row in m] for m in mats], dtype=object)
+    op = SimpleNamespace(spec=make_spec(GOLDEN), cleared=[MatrixPoly(coeffs[:2], den=den), MatrixPoly(coeffs[2:], den=den)],
+                         module=SimpleNamespace(weight_indices=lambda weight: range(d)))
+    return op, x.astype(float)
+
+
+@pytest.mark.parametrize("seed", [2024, 1, 2])
+def test_a_commuting_family_with_a_crowded_combination_gives_simple_characters(seed):
+    """Four commuting matrices whose combination T has two eigenvalues within 1e-7 |T| of each other while
+    their joint characters are 1e-3 apart: the pair is split in its own subspace, and all d characters
+    come out simple, each with the numerators of one column of the diagonal values."""
+    op, x = _commuting_family(seed)
+    units = [m / np.linalg.norm(m) for m in np.array([a.to_complex(op.spec.size + 1) for a in op.cleared]).reshape(-1, 6, 6)
+             if np.any(m)]
+    T = sum(c * u for c, u in zip(spectral._normal_draws(random.Random(seed), len(units)), units))
+    eigvals = np.sort(np.linalg.eigvalsh(T.real))
+    assert np.diff(eigvals).min() < 1e-7 * np.linalg.norm(T)
+    report = joint_diagonalize(op, seed=seed)
+    assert report.count == 6 and report.diagonalizable and report.counters["clusters"] == 1
+    assert report.cluster_sizes.tolist() == [1] * 6
+    numerators = report.numerators[:, :, :2].real.reshape(6, 4)  # (C_10, C_11, C_20, C_21) per character
+    assert sorted(map(tuple, np.round(numerators, 9))) == sorted(map(tuple, np.round(x.T, 9)))
