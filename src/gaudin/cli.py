@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: spectrum, bae, wronski, verify run one instance each from a
-JSON config; report pretty-prints a stored report.  Exit status is 0 only
-when every enabled check passes (2 for a bad config, an unreadable report
-or a report that cannot be written).  An --out path that is a directory, or
-whose directory is missing or not writable, is refused before the run.
+JSON config; report pretty-prints a stored report.  The config alone sets a
+run's options and tolerances; --seed is the one setting a flag overrides.
+Exit status is 0 only when every enabled check passes (2 for a bad config,
+an unreadable report or a report that cannot be written).  An --out path
+that is a directory, or whose directory is missing or not writable, is
+refused before the run.
 
 One option table feeds both readers of a command line: a plain one is read
 from it directly, and everything else (help, usage errors, abbreviations)
@@ -23,7 +25,6 @@ from .harness import (
     bae_pipeline,
     dump_report,
     parse_seed,
-    parse_tolerance,
     render_table,
     run_report,
     spectrum_pipeline,
@@ -43,8 +44,6 @@ OPTIONS = {
     "--config": (str, "path to the instance JSON"),
     "--out": (str, "write the report here (default stdout)"),
     "--seed": (int, "override the instance seed"),
-    "--tol-residual": (float, None),
-    "--tol-cluster": (float, None),
 }
 # Mutually exclusive flags that set as_json (default True).
 FORMATS = {"--json": True, "--table": False}
@@ -140,9 +139,6 @@ def main(argv=None) -> int:
         config = InstanceConfig.from_file(args["config"])
         if args["seed"] is not None:
             config.seed = parse_seed(args["seed"])
-        for key, value in (("residual", args["tol_residual"]), ("cluster", args["tol_cluster"])):
-            if value is not None:
-                setattr(config.tolerances, key, parse_tolerance(key, value))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,8 @@ from .betheop import (
 from .polynomials import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar
 from .spaces import QuasiExpSpace, cleared_operators, expected_exponents, membership_test, operator_text
-from .spectral import KERNEL_FAILURE, Tolerances, gate, joint_diagonalize, spectrum_analysis
+# joint_diagonalize is not called here: perfbench/child.py traces calls under its name in this module
+from .spectral import KERNEL_FAILURE, Tolerances, gate, joint_diagonalize, spectrum_analysis  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -41,7 +42,7 @@ class ConfigError(ValueError):
 
 CONFIG_KEYS = ("N", "K", "b", "partitions", "weight", "space", "options")
 REQUIRED_KEYS = CONFIG_KEYS[:5]
-OPTION_KEYS = ("seed", "run_bae", "run_wronski", "tolerances")
+OPTION_KEYS = ("seed", "run_bae", "tolerances")
 TOLERANCE_KEYS = tuple(f.name for f in fields(Tolerances))
 
 
@@ -100,7 +101,7 @@ def parse_seed(value) -> int:
 
 
 def parse_tolerance(key: str, value) -> float:
-    """A tolerance from the config or the command line; inf, nan or true (read as 1.0) would pass any fit."""
+    """A tolerance from the config; inf, nan or true (read as 1.0) would pass any fit."""
     if isinstance(value, bool):
         raise ConfigError(f"tolerance {key!r} must be a number, got {value!r}")
     return _parsed(f"tolerance {key!r}", float, value, lambda t: t > 0 and math.isfinite(t),
@@ -119,7 +120,6 @@ def parse_tolerances(d) -> Tolerances:
 class InstanceConfig:
     spec: ModuleSpec
     run_bae: bool = True
-    run_wronski: bool = True
     seed: int = 2024
     tolerances: Tolerances = field(default_factory=Tolerances)
     space: QuasiExpSpace = None
@@ -164,7 +164,6 @@ class InstanceConfig:
         return InstanceConfig(
             spec=spec,
             run_bae=_json_bool(options.get("run_bae", True), "run_bae"),
-            run_wronski=_json_bool(options.get("run_wronski", True), "run_wronski"),
             seed=parse_seed(_json_int(options.get("seed", 2024), "seed")),
             tolerances=parse_tolerances(options.get("tolerances", {})),
             space=space,
@@ -263,15 +262,12 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
     checks.append(Check("coefficient-degree-bound", all(d <= spec.size for d in poly_report.degrees), value=poly_report.degrees))
     checks.append(Check("commutativity", commutativity_check(op)))
     checks.append(Check("weight-blocks-preserved", weight_blocks_preserved(op)))
-    if config.run_wronski:  # what every fitted character's membership reads
-        decided = membership_checks(spec, wronskian_identity(op), poly_report)
+    # what every fitted character's membership reads
+    decided = membership_checks(spec, wronskian_identity(op), poly_report)
     t = _lap(stages, "exact_checks", t)
 
     try:
-        if config.run_wronski:
-            report = spectrum_analysis(op, config.tolerances, config.seed)
-        else:
-            report = joint_diagonalize(op, config.tolerances, config.seed)
+        report = spectrum_analysis(op, config.tolerances, config.seed)
     except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
         # a numerical failure, or an operator the pole polynomial cannot
         # clear, fails this stage; the report is still written
@@ -283,18 +279,17 @@ def spectrum_pipeline(config: InstanceConfig) -> dict:
     characters = [{"residual": res, "simple": size == 1, "cluster_size": size, "vector": vector}
                   for res, size, vector in zip(report.residuals.tolist(), report.cluster_sizes.tolist(),
                                                _pairs(report.characters))]
-    if config.run_wronski:
-        kernels = [_pairs(p) for p in report.kernels]
-        member = all(c["passed"] for c in decided)
-        for k, (entry, numerators, fit) in enumerate(zip(characters, cleared_numerators(report.operators),
-                                                         report.fits.tolist())):
-            entry["coefficient_numerators"] = numerators
-            if fit > 1:
-                entry.update(membership=False, membership_error=KERNEL_FAILURE)
-            else:
-                entry.update(membership=member, kernel_polys=[p[k] for p in kernels],
-                             membership_checks=[dict(c) for c in decided])
-        checks.append(Check("kernel-membership", all(entry["membership"] for entry in characters)))
+    kernels = [_pairs(p) for p in report.kernels]
+    member = all(c["passed"] for c in decided)
+    for k, (entry, numerators, fit) in enumerate(zip(characters, cleared_numerators(report.operators),
+                                                     report.fits.tolist())):
+        entry["coefficient_numerators"] = numerators
+        if fit > 1:
+            entry.update(membership=False, membership_error=KERNEL_FAILURE)
+        else:
+            entry.update(membership=member, kernel_polys=[p[k] for p in kernels],
+                         membership_checks=[dict(c) for c in decided])
+    checks.append(Check("kernel-membership", all(entry["membership"] for entry in characters)))
     if _is_real_data(spec):
         checks.append(Check("character-count-equals-dimension", report.count == dim, value=[report.count, dim]))
         checks.append(Check("eigenspaces-one-dimensional", report.diagonalizable and all(report.cluster_sizes == 1)))

@@ -193,8 +193,7 @@ class MembershipCheck:
 class MembershipReport:
     ok: bool
     checks: list = field(default_factory=list)
-    read_indicial: object = field(default=dict, repr=False, compare=False)  # () -> the ``indicial`` dict
-    indicial = property(lambda self: self.read_indicial(), doc="{s: IndicialData} per point, formed when read")
+    indicial: dict = field(default_factory=dict)  # {s: IndicialData} per point
 
 
 def membership_test(stack, spec: ModuleSpec) -> list:
@@ -224,7 +223,7 @@ def membership_test(stack, spec: ModuleSpec) -> list:
       sum_i t_{i, n_s - i} a(a-1)...(a-(N-i-1)) (``indicial_coefficients``,
       the routine ``betheop.check_polynomiality`` uses, for the whole stack
       at once), equals ``spec.indicial_target(s)``, whose roots are the
-      shifted partition; a report forms its ``indicial`` data when read.
+      shifted partition; a report holds the ``indicial`` data of every point.
     """
     if not len(stack):
         return []
@@ -265,6 +264,6 @@ def membership_test(stack, spec: ModuleSpec) -> list:
             MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {g0}"),
             MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
         ] + [MembershipCheck(name, ok, detail) for (name, detail), ok in zip(names, chi_ok[c])]
-        reports.append(MembershipReport(all(ch.passed for ch in checks), checks, lambda c=c: {
-            s: indicial(c, s, Poly(chi)) for s, chi in enumerate(chis[c].tolist())}))
+        reports.append(MembershipReport(all(ch.passed for ch in checks), checks,
+                                        {s: indicial(c, s, Poly(chi)) for s, chi in enumerate(chis[c].tolist())}))
     return reports

@@ -1297,6 +1297,5 @@ def membership_test_by_point(stack, spec) -> list:
             MembershipCheck("wronskian-matches-pole-polynomial", wr_ok, f"got {g0}"),
             MembershipCheck("poles-confined-to-points", poles_ok, "" if poles_ok else "pole outside b"),
         ] + point_checks
-        reports.append(MembershipReport(ok=all(ch.passed for ch in checks), checks=checks,
-                                        read_indicial=lambda indicial=indicial: indicial))
+        reports.append(MembershipReport(ok=all(ch.passed for ch in checks), checks=checks, indicial=indicial))
     return reports

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaudin import spaces
 from gaudin.algebra import ModuleSpec, Partition
 from gaudin.betheop import build_bethe_operator
 from gaudin.harness import InstanceConfig, spectrum_pipeline, wronski_pipeline
@@ -412,13 +411,3 @@ def test_exact_membership_is_the_same_on_the_array_stack(N):
     _assert_same_reports(got, expect)
     for g, e in zip(got, expect):
         assert {s: d.polynomial for s, d in g.indicial.items()} == {s: d.polynomial for s, d in e.indicial.items()}
-
-
-def test_indicial_data_is_formed_when_read(monkeypatch):
-    """A membership report forms its indicial polynomials only when ``indicial`` is read."""
-    X = InstanceConfig.from_file(FIXTURES / "wronski_n3.json")
-    formed = []
-    monkeypatch.setattr(spaces, "IndicialData", lambda *args: formed.append(args) or args)
-    report = membership_test(space_stack(X.space), X.spec)[0]
-    assert report.ok and not formed
-    assert len(report.indicial) == len(X.spec.points) == len(formed)
